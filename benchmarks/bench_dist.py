@@ -50,9 +50,9 @@ MIN_SPEEDUP = float(
 
 def _fleet_build(circuit, base, *, steal: bool) -> dict:
     """One sharded build against a fresh broker + two-worker fleet."""
-    from repro.parallel import (
+    from repro.parallel import ParallelBackend
+    from repro.parallel.netqueue import (
         BackgroundBroker,
-        ParallelBackend,
         TcpExecutor,
         TcpWorker,
     )

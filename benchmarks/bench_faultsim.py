@@ -29,13 +29,13 @@ machines, where a process pool cannot physically speed anything up).
 ``REPRO_BENCH_PARALLEL_SAMPLES`` (default 512) sizes the builds,
 ``REPRO_BENCH_PARALLEL_JOBS`` (default ``2,4``) the pool sweep.
 
-``test_queue_executor_build_speedup`` is the acceptance benchmark of
-the distributed work-queue executor: it launches two real ``repro
-worker`` subprocesses against a temp queue directory and times the
-wide-circuit table builds single-process vs local pool vs queue,
+``test_tcp_executor_build_speedup`` is the acceptance benchmark of
+the distributed tcp executor: it starts an in-process broker, launches
+two real ``repro worker --broker`` subprocesses against it, and times
+the wide-circuit table builds single-process vs local pool vs tcp,
 proving the tables bit-identical and recording all three wall times
-into ``BENCH_faultsim.json``.  The aggregate queue-vs-single floor is
-``REPRO_BENCH_MIN_QUEUE_SPEEDUP`` (default: the parallel floor),
+into ``BENCH_faultsim.json``.  The aggregate tcp-vs-single floor is
+``REPRO_BENCH_MIN_TCP_SPEEDUP`` (default: the parallel floor),
 waived — but still recorded — on single-core machines;
 ``REPRO_BENCH_QUEUE_WORKERS`` (default 2) sizes the worker fleet.
 
@@ -114,14 +114,15 @@ PARALLEL_JOBS = [
 MIN_PARALLEL_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.5")
 )
-#: Queue-executor acceptance floor (queue vs single-process, 2 local
+#: Tcp-executor acceptance floor (tcp vs single-process, 2 local
 #: workers); defaults to the pool floor, waived on single-core runners
 #: exactly like it.  CI on shared runners relaxes it independently —
-#: the filesystem queue adds publish/poll latency a loaded runner can
-#: amplify — while the measured numbers still land in the trajectory.
-MIN_QUEUE_SPEEDUP = float(
+#: the broker round trips add pickling and socket latency a loaded
+#: runner can amplify — while the measured numbers still land in the
+#: trajectory.
+MIN_TCP_SPEEDUP = float(
     os.environ.get(
-        "REPRO_BENCH_MIN_QUEUE_SPEEDUP",
+        "REPRO_BENCH_MIN_TCP_SPEEDUP",
         os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.5"),
     )
 )
@@ -377,140 +378,144 @@ def test_parallel_build_speedup(record_speedup):
         assert aggregate >= MIN_PARALLEL_SPEEDUP, report
 
 
-def test_queue_executor_build_speedup(record_speedup, tmp_path):
-    """Acceptance: distributed work-queue builds on wide circuits.
+def test_tcp_executor_build_speedup(record_speedup, tmp_path):
+    """Acceptance: distributed tcp-executor builds on wide circuits.
 
-    Launches ``QUEUE_WORKERS`` real ``repro worker`` subprocesses
-    against a temp queue directory, then times the full detection-table
-    construction (both fault models) on every wide sampled circuit
-    three ways: single-process, ``ParallelBackend`` on a local pool
-    (jobs=``QUEUE_WORKERS``), and the queue executor drained by the
-    workers.  All tables are proven bit-identical, every wall time
-    lands in the ``BENCH_faultsim.json`` trajectory, and the aggregate
-    queue-vs-single speedup must clear ``MIN_QUEUE_SPEEDUP`` — waived
-    (but still recorded) on single-core machines, where no executor
-    can physically beat the single process.
+    Starts an in-process broker, launches ``QUEUE_WORKERS`` real
+    ``repro worker --broker`` subprocesses against it, then times the
+    full detection-table construction (both fault models) on every
+    wide sampled circuit three ways: single-process,
+    ``ParallelBackend`` on a local pool (jobs=``QUEUE_WORKERS``), and
+    the tcp executor drained by the workers.  All tables are proven
+    bit-identical, every wall time lands in the ``BENCH_faultsim.json``
+    trajectory, and the aggregate tcp-vs-single speedup must clear
+    ``MIN_TCP_SPEEDUP`` — waived (but still recorded) on single-core
+    machines, where no executor can physically beat the single
+    process.
     """
     import subprocess
     import sys
     from pathlib import Path
 
     pytest.importorskip("numpy")
-    from repro.parallel import QueueExecutor
+    from repro.parallel.netqueue import BackgroundBroker, TcpExecutor
 
-    queue_dir = tmp_path / "queue"
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         str(Path(__file__).resolve().parents[1] / "src")
         + os.pathsep
         + env.get("PYTHONPATH", "")
     )
+    # Workers write through a private shard cache: a warm one would
+    # replay results instead of building anything.
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "worker-cache")
     env.pop("REPRO_QUEUE_CRASH_AFTER_CLAIM", None)
-    workers = [
-        subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--queue", str(queue_dir),
-                "--poll-interval", "0.01",
-                "--idle-exit", "600",
-            ],
-            env=env,
-        )
-        for _ in range(QUEUE_WORKERS)
-    ]
+    env.pop("REPRO_STEAL_DELAY", None)
 
     def build(circuit, backend):
         universe = FaultUniverse(circuit, backend=backend)
         return universe.target_table, universe.untargeted_table
 
-    totals = {"single": 0.0, "pool": 0.0, "queue": 0.0}
+    totals = {"single": 0.0, "pool": 0.0, "tcp": 0.0}
     lines = []
-    try:
-        for name in WIDE_CIRCUITS:
-            circuit = get_circuit(name)
-            samples = min(PARALLEL_SAMPLES, (1 << circuit.num_inputs) // 2)
-            base = PackedBackend(samples=samples, seed=7)
-            single_time, (single_f, single_g) = _best_of(
-                lambda: build(circuit, base), rounds=2
+    with BackgroundBroker() as broker:
+        workers = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "worker",
+                    "--broker", broker.address,
+                    "--idle-exit", "600",
+                ],
+                env=env,
             )
-            pool = ParallelBackend(
-                base=base, jobs=QUEUE_WORKERS, use_cache=False
-            )
-            pool_time, (pool_f, pool_g) = _best_of(
-                lambda: build(circuit, pool), rounds=2
-            )
-            queued = ParallelBackend(
-                base=base,
-                use_cache=False,
-                executor=QueueExecutor(
-                    queue_dir=str(queue_dir),
-                    poll_interval=0.005,
-                    wait_timeout=600.0,
-                ),
-            )
-            # One cold round: a repeat would replay the queue's
-            # content-addressed results instead of building anything.
-            queue_time, (queue_f, queue_g) = _best_of(
-                lambda: build(circuit, queued), rounds=1
-            )
-            for mine in (pool_f, queue_f):
-                assert mine.signatures == single_f.signatures
-            for mine in (pool_g, queue_g):
-                assert mine.signatures == single_g.signatures
-                assert mine.faults == single_g.faults
-            totals["single"] += single_time
-            totals["pool"] += pool_time
-            totals["queue"] += queue_time
-            record_speedup(
-                {
-                    "name": "queue_executor_build",
-                    "circuit": name,
-                    "samples": samples,
-                    "workers": QUEUE_WORKERS,
-                    "single_s": single_time,
-                    "pool_s": pool_time,
-                    "queue_s": queue_time,
-                    "queue_speedup": single_time / queue_time,
-                }
-            )
-            lines.append(
-                f"  {name}: single {single_time * 1e3:8.1f} ms   "
-                f"pool {pool_time * 1e3:8.1f} ms "
-                f"({single_time / pool_time:4.2f}x)   "
-                f"queue {queue_time * 1e3:8.1f} ms "
-                f"({single_time / queue_time:4.2f}x)"
-            )
-    finally:
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            proc.wait(timeout=30)
-    aggregate = totals["single"] / totals["queue"]
+            for _ in range(QUEUE_WORKERS)
+        ]
+        try:
+            for name in WIDE_CIRCUITS:
+                circuit = get_circuit(name)
+                samples = min(
+                    PARALLEL_SAMPLES, (1 << circuit.num_inputs) // 2
+                )
+                base = PackedBackend(samples=samples, seed=7)
+                single_time, (single_f, single_g) = _best_of(
+                    lambda: build(circuit, base), rounds=2
+                )
+                pool = ParallelBackend(
+                    base=base, jobs=QUEUE_WORKERS, use_cache=False
+                )
+                pool_time, (pool_f, pool_g) = _best_of(
+                    lambda: build(circuit, pool), rounds=2
+                )
+                networked = ParallelBackend(
+                    base=base,
+                    use_cache=False,
+                    executor=TcpExecutor(
+                        broker=broker.address, wait_timeout=600.0
+                    ),
+                )
+                # One cold round: a repeat would replay the broker's
+                # content-addressed results instead of building anything.
+                tcp_time, (tcp_f, tcp_g) = _best_of(
+                    lambda: build(circuit, networked), rounds=1
+                )
+                for mine in (pool_f, tcp_f):
+                    assert mine.signatures == single_f.signatures
+                for mine in (pool_g, tcp_g):
+                    assert mine.signatures == single_g.signatures
+                    assert mine.faults == single_g.faults
+                totals["single"] += single_time
+                totals["pool"] += pool_time
+                totals["tcp"] += tcp_time
+                record_speedup(
+                    {
+                        "name": "tcp_executor_build",
+                        "circuit": name,
+                        "samples": samples,
+                        "workers": QUEUE_WORKERS,
+                        "single_s": single_time,
+                        "pool_s": pool_time,
+                        "tcp_s": tcp_time,
+                        "tcp_speedup": single_time / tcp_time,
+                    }
+                )
+                lines.append(
+                    f"  {name}: single {single_time * 1e3:8.1f} ms   "
+                    f"pool {pool_time * 1e3:8.1f} ms "
+                    f"({single_time / pool_time:4.2f}x)   "
+                    f"tcp {tcp_time * 1e3:8.1f} ms "
+                    f"({single_time / tcp_time:4.2f}x)"
+                )
+        finally:
+            for proc in workers:
+                proc.terminate()
+            for proc in workers:
+                proc.wait(timeout=30)
+    aggregate = totals["single"] / totals["tcp"]
     cpus = os.cpu_count() or 1
     record_speedup(
         {
-            "name": "queue_executor_build_aggregate",
+            "name": "tcp_executor_build_aggregate",
             "samples": PARALLEL_SAMPLES,
             "workers": QUEUE_WORKERS,
             "single_s": totals["single"],
             "pool_s": totals["pool"],
-            "queue_s": totals["queue"],
+            "tcp_s": totals["tcp"],
             "speedup": aggregate,
             "cpu_count": cpus,
         }
     )
     report = (
-        f"\nqueue-executor build ({QUEUE_WORKERS} local workers) vs "
+        f"\ntcp-executor build ({QUEUE_WORKERS} local workers) vs "
         f"pool vs single-process (K={PARALLEL_SAMPLES}, {cpus} cpus):\n"
         + "\n".join(lines)
-        + f"\n  aggregate queue speedup: {aggregate:.2f}x"
-        + f" (required >= {MIN_QUEUE_SPEEDUP:.1f}x"
+        + f"\n  aggregate tcp speedup: {aggregate:.2f}x"
+        + f" (required >= {MIN_TCP_SPEEDUP:.1f}x"
         + (", waived: single-core machine" if cpus < 2 else "")
         + ")\n"
     )
     print(report, end="")
     if cpus >= 2:
-        assert aggregate >= MIN_QUEUE_SPEEDUP, report
+        assert aggregate >= MIN_TCP_SPEEDUP, report
 
 
 def test_ppsfp_build_speedup(record_speedup, monkeypatch):

@@ -1,15 +1,16 @@
 """Straggler-proof fleet analysis through the TCP broker.
 
-The filesystem queue (``examples/distributed_analysis.py``) needs a
-shared mount and leaves one question open: with first-come claims, a
-single slow machine holding the last shard sets the makespan for the
-whole fleet.  The TCP transport answers both — workers connect to a
-broker over a socket (no shared filesystem), are push-dispatched work
-the moment it exists, and when a worker goes idle while a colleague's
-lease goes stale, the broker *steals* the shard: it duplicates it to
-the idle worker, first completion wins, and the late completion is a
-cache hit rather than a conflict (shard results are a pure function of
-their content-addressed key).
+Distributed builds raise two questions: how workers on many hosts get
+work without a shared filesystem, and how to keep a single slow
+machine holding the last shard from setting the makespan for the whole
+fleet.  The TCP transport answers both — workers connect to a broker
+over a socket, are push-dispatched work the moment it exists, a worker
+killed mid-shard just drops its connection (the broker requeues the
+shard, with bounded retries), and when a worker goes idle while a
+colleague's lease goes stale, the broker *steals* the shard: it
+duplicates it to the idle worker, first completion wins, and the late
+completion is a cache hit rather than a conflict (shard results are a
+pure function of their content-addressed key).
 
 This example analyzes a >24-input circuit with the numpy-packed
 sampled backend three ways — inline, then through a heterogeneous
@@ -35,12 +36,8 @@ import time
 from repro.bench_suite.registry import get_circuit
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import PackedBackend
-from repro.parallel import (
-    BackgroundBroker,
-    ParallelBackend,
-    TcpExecutor,
-    TcpWorker,
-)
+from repro.parallel import ParallelBackend
+from repro.parallel.netqueue import BackgroundBroker, TcpExecutor, TcpWorker
 
 CIRCUIT = "wide28"
 SAMPLES = 1024

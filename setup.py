@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Legacy setup shim; all metadata lives in pyproject.toml.
 
-The runtime environment has no ``wheel`` package, so PEP 517 editable
-installs fail; ``pip install -e . --no-use-pep517 --no-build-isolation``
-uses this file instead.  All metadata lives in pyproject.toml.
+With network access (or ``wheel`` installed), ``pip install -e .``
+is the normal install.  Offline, without ``wheel``, pip's PEP 517 path
+and its ``--no-use-pep517`` fallback both refuse to build; this shim
+keeps ``python setup.py develop`` working instead, which installs the
+package in development mode and a ``repro`` console script.
 """
 
 from setuptools import setup

@@ -15,8 +15,8 @@ and must never itself be wrapped in a parallel backend (wrapping would
 re-run the whole controller once per fault shard;
 :func:`repro.parallel.maybe_parallel` knows to inject the worker count
 and shard executor here instead).  With a
-:class:`~repro.parallel.executors.QueueExecutor` injected, every
-round's delta build distributes across ``repro worker`` processes —
+:class:`~repro.parallel.netqueue.TcpExecutor` injected, every round's
+delta build distributes across ``repro worker --broker`` processes —
 the trajectory stays bit-identical, only the substrate changes.
 """
 
@@ -50,7 +50,7 @@ class AdaptiveBackend:
     caches key on the full configuration.  ``jobs`` and ``executor`` are
     excluded from equality/hash on purpose: the trajectory is
     bit-identical on any execution substrate (the adaptive differential
-    suite enforces this), so a ``jobs=4`` or queue-distributed run must
+    suite enforces this), so a ``jobs=4`` or broker-distributed run must
     share cached tables with a single-process run.
     """
 

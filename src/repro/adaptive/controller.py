@@ -256,7 +256,7 @@ class AdaptiveSampler:
         identical at any value).
     executor:
         Optional :class:`~repro.parallel.executors.ShardExecutor` for
-        the round delta builds — with a queue executor, every round's
+        the round delta builds — with the tcp executor, every round's
         shards distribute across ``repro worker`` processes; results
         stay bit-identical on any substrate.
     use_cache:

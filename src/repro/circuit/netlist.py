@@ -247,7 +247,7 @@ class Circuit:
     def __getstate__(self) -> dict:
         # The fanout-mask cache is derived data and can be large on big
         # circuits; rebuild it lazily on the receiving side instead of
-        # shipping it to every pool/queue worker.
+        # shipping it to every pool/tcp worker.
         state = dict(self.__dict__)
         state["_fanout_masks"] = None
         return state

@@ -14,8 +14,9 @@ Commands regenerate the paper's artifacts::
     repro partition CIRCUIT          # Section 4 cone-partitioned analysis
     repro analyze CIRCUIT            # one-circuit worst-case analysis
     repro cache info|clear           # inspect / empty the shard cache
-    repro worker --queue DIR         # drain shard tasks from a work queue
-    repro queue info|stats|clear     # inspect / empty a work queue
+    repro broker [--port P]          # run the TCP shard broker
+    repro worker --broker HOST:PORT  # build shards pushed by a broker
+    repro queue info|stats|clear     # inspect / empty a broker's queue
     repro serve [--port P]           # always-on HTTP analysis service
     repro trace summary|tree PATH    # profile a --trace JSONL capture
 
@@ -35,12 +36,11 @@ detection-table construction across ``N`` worker processes — results
 are bit-for-bit identical to the single-process build, and shard
 results persist in an on-disk cache (``REPRO_CACHE_DIR``) that the
 ``cache`` subcommand inspects and clears.  ``--executor
-{inline,pool,queue}`` (env ``REPRO_EXECUTOR``) picks the shard
-execution substrate explicitly: ``queue`` publishes shard tasks to a
-work-queue directory (``--queue-dir`` / ``REPRO_QUEUE_DIR``) that
-independent ``repro worker --queue DIR`` processes — on this or any
-host sharing the directory — drain, with the same bit-for-bit identity
-guarantee.
+{inline,pool,tcp}`` (env ``REPRO_EXECUTOR``) picks the shard execution
+substrate explicitly: ``tcp`` submits shard tasks to a ``repro broker``
+(``--broker HOST:PORT`` / ``REPRO_BROKER``) that pushes them to
+``repro worker --broker`` processes on any host, with the same
+bit-for-bit identity guarantee.
 
 ``repro --trace PATH <command>`` records a span trace of the run:
 every table build, shard, executor round-trip, and kernel batch lands
@@ -132,16 +132,8 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "shard execution substrate (default: REPRO_EXECUTOR, else "
-            "derived from --jobs); queue distributes shards to "
-            "`repro worker` processes sharing --queue-dir"
-        ),
-    )
-    parser.add_argument(
-        "--queue-dir",
-        default=None,
-        help=(
-            "work-queue directory for --executor queue "
-            "(default: REPRO_QUEUE_DIR)"
+            "derived from --jobs); tcp distributes shards through a "
+            "broker to `repro worker --broker` processes"
         ),
     )
     parser.add_argument(
@@ -199,7 +191,6 @@ def _backend_from_args(args: argparse.Namespace) -> Any:
     executor = resolve_executor(
         getattr(args, "executor", None),
         jobs=jobs,
-        queue_dir=getattr(args, "queue_dir", None),
         broker=getattr(args, "broker", None),
     )
     sampling_backends = ("sampled", "packed")
@@ -317,20 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "worker",
-        help="drain shard tasks from a distributed work queue or broker",
+        "worker", help="build shard tasks pushed by a TCP broker"
     )
     p.add_argument(
-        "--queue",
-        help="work-queue directory (default: REPRO_QUEUE_DIR)",
-    )
-    p.add_argument(
-        "--broker",
-        help=(
-            "drain a TCP broker at HOST:PORT instead of a filesystem "
-            "queue (default: REPRO_BROKER; mutually exclusive with "
-            "--queue)"
-        ),
+        "--broker", help="broker HOST:PORT (default: REPRO_BROKER)"
     )
     p.add_argument(
         "--max-tasks",
@@ -343,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "exit after this many seconds without a claimable task "
+            "exit after this many seconds without a pushed build "
             "(default: serve forever)"
         ),
     )
@@ -352,35 +333,21 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help=(
-            "heartbeat age after which another worker's claim is "
-            "presumed dead and requeued"
+            "the broker's lease timeout; the worker heartbeats every "
+            "quarter of it (at most once a second) while building"
         ),
-    )
-    p.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.1,
-        help="seconds between claim attempts on an empty queue",
     )
 
     p = sub.add_parser(
-        "queue", help="inspect or clear a distributed work queue"
+        "queue", help="inspect or clear a TCP broker's shard queue"
     )
     p.add_argument(
         "action",
         choices=["info", "stats", "clear"],
-        help="stats adds per-task ages, lease heartbeats, and errors",
+        help="stats adds per-shard builders, workers, and errors",
     )
     p.add_argument(
-        "--queue",
-        help="work-queue directory (default: REPRO_QUEUE_DIR)",
-    )
-    p.add_argument(
-        "--broker",
-        help=(
-            "inspect a live TCP broker at HOST:PORT instead of a "
-            "filesystem queue (mutually exclusive with --queue)"
-        ),
+        "--broker", help="broker HOST:PORT (default: REPRO_BROKER)"
     )
 
     p = sub.add_parser(
@@ -467,14 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(EXECUTOR_NAMES),
         default=None,
         help="default shard execution substrate for requests",
-    )
-    p.add_argument(
-        "--queue-dir",
-        default=None,
-        help=(
-            "work-queue directory used with --executor queue; `repro "
-            "worker` processes sharing it drain service-enqueued shards"
-        ),
     )
     p.add_argument(
         "--broker",
@@ -668,57 +627,25 @@ def _install_event_logging() -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> str:
-    from repro.errors import AnalysisError
-    from repro.parallel import QueueWorker, WorkQueue, resolve_queue_dir
+    from repro.parallel.netqueue import TcpWorker, resolve_broker
 
     _install_event_logging()
-    if args.broker is not None:
-        if args.queue is not None:
-            raise AnalysisError(
-                "--queue and --broker are mutually exclusive: a worker "
-                "drains either a filesystem queue or a TCP broker"
-            )
-        from repro.parallel import TcpWorker
-
-        tcp_worker = TcpWorker(
-            broker=args.broker,
-            lease_timeout=args.lease_timeout,
-        )
-        tcp_stats = tcp_worker.serve(
-            max_tasks=args.max_tasks, idle_exit=args.idle_exit
-        )
-        return (
-            f"worker {tcp_worker.worker_id} @ broker "
-            f"{args.broker}: "
-            f"built {tcp_stats['built']} shard(s) "
-            f"({tcp_stats['stolen']} stolen), "
-            f"skipped {tcp_stats['skipped']} already-cached, "
-            f"{tcp_stats['failed']} failed attempt(s)\n"
-        )
-
-    queue = WorkQueue(
-        resolve_queue_dir(
-            args.queue, what="repro worker", flag="--queue"
-        )
+    host, port = resolve_broker(args.broker, what="repro worker")
+    worker = TcpWorker(
+        broker=f"{host}:{port}", lease_timeout=args.lease_timeout
     )
-    worker = QueueWorker(
-        queue,
-        poll_interval=args.poll_interval,
-        lease_timeout=args.lease_timeout,
-    )
-    stats = worker.serve(
-        max_tasks=args.max_tasks, idle_exit=args.idle_exit
-    )
+    stats = worker.serve(max_tasks=args.max_tasks, idle_exit=args.idle_exit)
     return (
-        f"worker {worker.worker_id} @ {queue.root}: "
-        f"built {stats['built']} shard(s), "
+        f"worker {worker.worker_id} @ broker {worker.broker}: "
+        f"built {stats['built']} shard(s) "
+        f"({stats['stolen']} stolen), "
         f"skipped {stats['skipped']} already-cached, "
         f"{stats['failed']} failed attempt(s)\n"
     )
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
-    from repro.parallel import run_broker
+    from repro.parallel.netqueue import run_broker
 
     _install_event_logging()
     return run_broker(
@@ -731,76 +658,19 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue(args: argparse.Namespace) -> str:
-    from repro.errors import AnalysisError
-    from repro.parallel import WorkQueue, resolve_queue_dir
-
-    if args.broker is not None:
-        if args.queue is not None:
-            raise AnalysisError(
-                "--queue and --broker are mutually exclusive: inspect "
-                "either a filesystem queue or a TCP broker"
-            )
-        return _broker_queue_report(args)
-
-    queue = WorkQueue(
-        resolve_queue_dir(args.queue, what="repro queue", flag="--queue")
-    )
-    if args.action == "clear":
-        removed = queue.clear()
-        return f"removed {removed} queue entries from {queue.root}\n"
-    if args.action == "stats":
-        return _queue_stats_report(queue)
-    stats = queue.stats()
-    return (
-        f"work queue: {queue.root}\n"
-        f"  pending tasks: {stats['pending']}\n"
-        f"  leased tasks: {stats['leased']}\n"
-        f"  results: {stats['results']}\n"
-        f"  failed: {stats['failed']}\n"
+    """``repro queue {info,stats,clear}`` against a live broker."""
+    from repro.parallel.netqueue import (
+        broker_clear,
+        broker_stats,
+        resolve_broker,
     )
 
-
-def _queue_stats_report(queue: Any) -> str:
-    detail = queue.detailed_stats()
-    lines = [
-        f"work queue: {queue.root}",
-        f"  pending: {len(detail['pending'])}",
-    ]
-    for entry in detail["pending"]:
-        attempts = entry.get("attempts")
-        if attempts is None:
-            lines.append(f"    {entry['key']}  (unreadable payload)")
-            continue
-        age = entry.get("age_s")
-        age_text = "" if age is None else f"  age={age:.1f}s"
-        lines.append(
-            f"    {entry['key']}  attempts={attempts}/"
-            f"{entry['max_attempts']}{age_text}"
-        )
-    lines.append(f"  leased: {len(detail['leased'])}")
-    for lease in detail["leased"]:
-        lines.append(
-            f"    {lease['key']}  "
-            f"heartbeat_age={lease['heartbeat_age_s']:.1f}s"
-        )
-    lines.append(f"  failed: {len(detail['failed'])}")
-    for failure in detail["failed"]:
-        error = str(failure["error"] or "").splitlines()
-        lines.append(
-            f"    {failure['key']}  {error[0] if error else ''}"
-        )
-    lines.append(f"  results: {detail['results']}")
-    return "\n".join(lines) + "\n"
-
-
-def _broker_queue_report(args: argparse.Namespace) -> str:
-    """``repro queue {info,stats,clear} --broker`` against a live broker."""
-    from repro.parallel import broker_clear, broker_stats
-
+    host, port = resolve_broker(args.broker, what="repro queue")
+    broker = f"{host}:{port}"
     if args.action == "clear":
-        removed = broker_clear(args.broker)
-        return f"removed {removed} queue entries from broker {args.broker}\n"
-    stats = broker_stats(args.broker)
+        removed = broker_clear(broker)
+        return f"removed {removed} queue entries from broker {broker}\n"
+    stats = broker_stats(broker)
     counters = stats["counters"]
     lines = [
         f"broker: {stats['address']} "
@@ -869,7 +739,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--broker and --broker-port are mutually exclusive: "
                 "point at an external broker or embed one, not both"
             )
-        from repro.parallel import BackgroundBroker
+        from repro.parallel.netqueue import BackgroundBroker
 
         embedded = BackgroundBroker(
             host=args.host, port=args.broker_port
@@ -884,7 +754,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = AnalysisService(
         jobs=args.jobs,
         executor=executor,
-        queue_dir=args.queue_dir,
         broker=broker,
         table_lru=args.table_lru,
     )
@@ -928,8 +797,10 @@ def _cmd_escape(args: argparse.Namespace) -> str:
     from repro.faults.universe import FaultUniverse
 
     circuit = get_circuit(args.circuit)
-    backend = _backend_from_args(args)
+    # Backend resolution sits inside the span: ``--executor tcp`` loads
+    # the transport (asyncio, sockets) here, on first use.
     with obs.span("build_tables", circuit=args.circuit):
+        backend = _backend_from_args(args)
         universe = FaultUniverse(circuit, backend=backend)
         worst = WorstCaseAnalysis(
             universe.target_table, universe.untargeted_table
@@ -987,8 +858,8 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     from repro.faults.universe import FaultUniverse
 
     circuit = get_circuit(args.circuit)
-    backend = _backend_from_args(args)
     with obs.span("build_tables", circuit=args.circuit):
+        backend = _backend_from_args(args)
         universe = FaultUniverse(circuit, backend=backend)
         worst = WorstCaseAnalysis(
             universe.target_table, universe.untargeted_table
@@ -1143,7 +1014,8 @@ def _activate_trace(path: str) -> obs.Tracer | obs.NullTracer | None:
     The path lands in ``REPRO_TRACE_FILE`` so spawned children (pool
     workers on platforms without fork, service subprocesses) lazily
     join the same file; fork children inherit the activated tracer
-    directly; queue workers pick the trace id out of the task payload.
+    directly; ``repro worker`` processes pick the trace id out of the
+    build frame.
     """
     import os
 

@@ -77,7 +77,7 @@ class PartitionedAnalysis:
         ``backend`` — it changes construction speed, never results.
     executor:
         Optional :class:`repro.parallel.ShardExecutor` for the cone
-        builds (inline / pool / queue); like ``jobs``, it never changes
+        builds (inline / pool / tcp); like ``jobs``, it never changes
         results, only where the shards run.
     """
 

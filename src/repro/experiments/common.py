@@ -21,12 +21,12 @@ reproduce the full-size experiment:
                      the adaptive engine takes the worker count into
                      its per-round sharded builds).
 ``REPRO_EXECUTOR``   shard execution substrate
-                     (inline|pool|queue); overrides the REPRO_JOBS
-                     pool sugar.  ``queue`` distributes shard tasks
-                     through the work-queue directory to independent
+                     (inline|pool|tcp); overrides the REPRO_JOBS
+                     pool sugar.  ``tcp`` distributes shard tasks
+                     through a ``repro broker`` to independent
                      ``repro worker`` processes on any host.
-``REPRO_QUEUE_DIR``  work-queue directory for REPRO_EXECUTOR=queue
-                     (and the default of ``repro worker --queue`` /
+``REPRO_BROKER``     broker ``HOST:PORT`` for REPRO_EXECUTOR=tcp
+                     (and the default of ``repro worker`` /
                      ``repro queue``).
 ``REPRO_TABLE_LRU``  capacity of the in-memory universe / worst-case
                      LRUs (default 40 — holds the whole 35-circuit
@@ -43,7 +43,7 @@ on the exact backend configuration — ``REPRO_BACKEND=packed`` tables
 never alias the big-int ones.  One deliberate exception: a
 parallel-wrapped backend produces tables *bit-for-bit identical* to its
 base engine's, so the caches key on the unwrapped base — the cache key
-is executor-normalized, meaning a ``jobs=4`` run, a queue-distributed
+is executor-normalized, meaning a ``jobs=4`` run, a broker-distributed
 run, and a single-process run of the same engine all share one
 in-memory table instead of holding identical multi-hundred-MB copies.
 """
@@ -105,8 +105,8 @@ def backend_from_env() -> DetectionBackend | None:
     layers keep their zero-config behavior.  ``REPRO_JOBS > 1`` wraps
     the engine (default: exhaustive) in a sharded
     :class:`~repro.parallel.ParallelBackend`; ``REPRO_EXECUTOR``
-    selects the shard substrate explicitly (``queue`` reads the
-    work-queue directory from ``REPRO_QUEUE_DIR``).
+    selects the shard substrate explicitly (``tcp`` reads the broker
+    address from ``REPRO_BROKER``).
     """
     name = os.environ.get("REPRO_BACKEND")
     jobs = resolve_jobs(None)

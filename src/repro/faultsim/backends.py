@@ -48,9 +48,9 @@ them can be wrapped by :class:`repro.parallel.ParallelBackend` (CLI:
 shards from a persistent on-disk cache, and merges a table bit-for-bit
 identical to the single-process build — on a pluggable
 :class:`repro.parallel.ShardExecutor` substrate (CLI: ``--executor
-inline|pool|queue`` / env ``REPRO_EXECUTOR``; the queue executor
-distributes shards to ``repro worker`` processes on any host sharing
-``REPRO_QUEUE_DIR``).
+inline|pool|tcp`` / env ``REPRO_EXECUTOR``; the tcp executor
+distributes shards through a ``repro broker`` at ``REPRO_BROKER`` to
+``repro worker --broker`` processes on any host).
 """
 
 from __future__ import annotations
@@ -530,7 +530,6 @@ def make_backend(
     jobs: int | None = None,
     *,
     executor: "str | object | None" = None,
-    queue_dir: str | None = None,
     broker: str | None = None,
     target_halfwidth: float | None = None,
     confidence: float | None = None,
@@ -547,8 +546,7 @@ def make_backend(
     persistent shard cache); ``jobs=1``/``None`` stays single-process.
     ``executor`` selects the shard execution substrate explicitly — an
     :class:`repro.parallel.ShardExecutor` instance or one of the names
-    ``inline``/``pool``/``queue``/``tcp`` (``queue_dir`` locates the
-    work-queue directory for ``queue``; ``broker`` the ``HOST:PORT``
+    ``inline``/``pool``/``tcp`` (``broker`` locates the ``HOST:PORT``
     for ``tcp``) — and overrides the ``jobs`` sugar.  The
     remaining keyword-only parameters configure the ``adaptive`` engine
     (:class:`repro.adaptive.AdaptiveBackend`): target CI half-width,
@@ -632,18 +630,9 @@ def make_backend(
     if isinstance(executor, str):
         from repro.parallel import make_executor
 
-        exec_obj = make_executor(
-            executor, jobs=jobs, queue_dir=queue_dir, broker=broker
-        )
-    else:
-        if queue_dir is not None:
-            raise AnalysisError(
-                "queue_dir only applies with executor='queue'"
-            )
-        if broker is not None:
-            raise AnalysisError(
-                "broker only applies with executor='tcp'"
-            )
+        exec_obj = make_executor(executor, jobs=jobs, broker=broker)
+    elif broker is not None:
+        raise AnalysisError("broker only applies with executor='tcp'")
     if exec_obj is not None or (jobs is not None and jobs != 1):
         from repro.parallel import maybe_parallel, resolve_jobs
 
@@ -662,7 +651,7 @@ def table_identity(
     (both map to ``None``), and a parallel wrapper collides with its
     base (the sharded build is bit-for-bit identical — only
     construction speed differs).  Keys are therefore executor-
-    normalized too: a queue-distributed build, a local pool build, and
+    normalized too: a broker-distributed build, a local pool build, and
     an inline build of the same engine share one cache entry.  The
     adaptive backend needs no special case here: its ``jobs`` /
     ``executor`` fields are excluded from equality, so differently-

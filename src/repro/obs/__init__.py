@@ -6,7 +6,7 @@ Three stdlib-only modules:
   audited ``time`` call site; RPL007 enforces the funnel).
 * :mod:`repro.obs.tracer` — span tracer writing JSONL trace events,
   with ``(trace_id, span_id)`` propagation through pickled shard tasks
-  and queue files so distributed builds stitch into one trace.
+  and broker frames so distributed builds stitch into one trace.
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
   rendered as Prometheus text exposition (``GET /metrics``) and JSON
   (``/stats``).

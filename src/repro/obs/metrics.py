@@ -2,7 +2,7 @@
 
 This generalizes the service's latency histograms (``serve/stats.py``
 now builds on :class:`Histogram` from here) into one shared registry
-that every layer — table builds, shard cache, queue executor, PPSFP
+that every layer — table builds, shard cache, tcp broker, PPSFP
 kernel, adaptive controller, HTTP service — writes into, and that
 renders in two shapes:
 

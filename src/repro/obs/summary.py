@@ -12,7 +12,7 @@ Timing semantics:
 
 * **total** — the span's own recorded duration.
 * **self** — total minus the sum of direct children's totals, clamped
-  at zero.  Children that ran *in parallel* (pool/queue shards) can sum
+  at zero.  Children that ran *in parallel* (pool/tcp shards) can sum
   past their parent; the clamp attributes that parent entirely to its
   children rather than inventing negative self time.
 * **coverage** — the fraction of the root span's duration attributed to

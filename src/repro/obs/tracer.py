@@ -23,8 +23,8 @@ byte-for-byte reproducible.  Under the real clock, everything except
 
 **Cross-process stitching.**  A span's :meth:`Span.remote` context is a
 plain ``(trace_id, span_id)`` tuple that travels inside pickled
-:class:`~repro.parallel.worker.ShardTask` payloads and queue task
-files.  A worker process (same host via the pool executor, any host via
+:class:`~repro.parallel.worker.ShardTask` payloads and broker build
+frames.  A worker process (same host via the pool executor, any host via
 ``repro worker``) opens its shard span with that tuple as ``parent``:
 the span adopts the *submitter's* trace id, so ``repro trace summary``
 stitches worker-side spans into the submitting run's tree no matter
@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 #: Environment variable that switches tracing on for a whole process
-#: tree (the CLI sets it when ``--trace PATH`` is given, so pool and
-#: queue worker processes inherit the destination).
+#: tree (the CLI sets it when ``--trace PATH`` is given, so pool
+#: worker processes inherit the destination).
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 
 #: Pins the trace id (CI fixtures diff traces byte-for-byte with this
@@ -492,8 +492,8 @@ NULL_TRACER = NullTracer()
 AnyTracer = Union[Tracer, NullTracer]
 
 #: None means "not yet resolved": the first :func:`current_tracer` call
-#: checks ``REPRO_TRACE_FILE`` — this is how pool and queue worker
-#: processes, which inherit the submitter's environment, join a trace.
+#: checks ``REPRO_TRACE_FILE`` — this is how pool worker processes,
+#: which inherit the submitter's environment, join a trace.
 _ACTIVE: AnyTracer | None = None
 _ACTIVE_LOCK = threading.Lock()
 

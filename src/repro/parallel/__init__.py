@@ -16,38 +16,34 @@ turns that observation into a subsystem:
     addressed by circuit structure × backend configuration × fault
     slice, written atomically.
 ``executors``
-    :class:`ShardExecutor` protocol and its four substrates —
+    :class:`ShardExecutor` protocol and its three substrates —
     :class:`InlineExecutor` (in-process), :class:`PoolExecutor` (local
-    process pool), :class:`QueueExecutor` (shared-directory work queue
-    drained by independent ``repro worker`` processes on any host), and
-    :class:`TcpExecutor` (network broker, no shared filesystem).
-``workqueue``
-    :class:`WorkQueue` / :class:`QueueWorker` — the filesystem queue
-    behind the queue executor: atomic claim-by-rename leases, heartbeat
-    files, requeue on lease expiry, bounded retries, results through
-    the content-addressed shard cache.
+    process pool), and :class:`~repro.parallel.netqueue.TcpExecutor`
+    (network broker drained by ``repro worker`` processes on any host).
 ``netqueue``
     :class:`Broker` / :class:`TcpExecutor` / :class:`TcpWorker` — the
-    stdlib TCP transport behind ``--executor tcp``: an asyncio broker
-    (``repro broker``) pushes shard builds to blocking workers (no
-    polling on the hot path), leases are heartbeated over the
-    connection, and deterministic work stealing duplicates stale
-    in-flight shards to idle workers — safe because shard results are
-    content-addressed, so double-completion is a cache hit.
+    stdlib TCP transport behind ``--executor tcp`` and the one
+    distributed transport: an asyncio broker (``repro broker``) pushes
+    shard builds to blocking workers (no polling on the hot path),
+    leases are heartbeated over the connection, lost workers requeue
+    their shard with bounded retries, and deterministic work stealing
+    duplicates stale in-flight shards to idle workers — safe because
+    shard results are content-addressed, so double-completion is a
+    cache hit.  Import it directly: it stays out of this package's
+    namespace so ``import repro.parallel`` does not load asyncio or the
+    socket transport.
 ``backoff``
     :class:`Backoff` — the deterministic bounded exponential schedule
-    idle wait loops sleep on (reset on progress), replacing
-    fixed-interval polling.
+    the tcp submitter and worker reconnect on (reset on progress).
 ``backend``
     :class:`ParallelBackend` — a
     :class:`~repro.faultsim.backends.DetectionBackend` wrapping any base
     engine; merges per-shard results into a table bit-for-bit identical
     to the single-process build, whichever executor ran the shards.
 
-Entry points: ``--jobs N`` / ``--executor {inline,pool,queue,tcp}`` on
-the CLI, ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` / ``REPRO_QUEUE_DIR`` /
-``REPRO_BROKER`` in the environment, ``FaultUniverse(circuit, jobs=N,
-executor=...)`` in code, ``repro worker --queue DIR`` /
+Entry points: ``--jobs N`` / ``--executor {inline,pool,tcp}`` on the
+CLI, ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` / ``REPRO_BROKER`` in the
+environment, ``FaultUniverse(circuit, jobs=N, executor=...)`` in code,
 ``repro worker --broker HOST:PORT`` to serve builds, and
 ``repro broker`` to run the TCP broker.
 """
@@ -62,12 +58,9 @@ from repro.parallel.executors import (
     EXECUTOR_NAMES,
     InlineExecutor,
     PoolExecutor,
-    QueueExecutor,
     ShardExecutor,
     make_executor,
     resolve_executor,
-    resolve_queue_dir,
-    resolve_wait_timeout,
 )
 from repro.parallel.cache import (
     ShardCache,
@@ -78,26 +71,8 @@ from repro.parallel.cache import (
     reset_cache_stats,
     shard_key,
 )
-from repro.parallel.netqueue import (
-    BROKER_ENV,
-    STEAL_DELAY_ENV,
-    BackgroundBroker,
-    Broker,
-    TcpExecutor,
-    TcpWorker,
-    broker_clear,
-    broker_stats,
-    resolve_broker,
-    run_broker,
-)
 from repro.parallel.plan import DEFAULT_NUM_SHARDS, Shard, ShardPlan
 from repro.parallel.worker import ShardTask, run_shard
-from repro.parallel.workqueue import (
-    DEFAULT_MAX_ATTEMPTS,
-    Lease,
-    QueueWorker,
-    WorkQueue,
-)
 
 __all__ = [
     "ParallelBackend",
@@ -107,26 +82,9 @@ __all__ = [
     "Backoff",
     "InlineExecutor",
     "PoolExecutor",
-    "QueueExecutor",
     "ShardExecutor",
     "make_executor",
     "resolve_executor",
-    "resolve_queue_dir",
-    "resolve_wait_timeout",
-    "DEFAULT_MAX_ATTEMPTS",
-    "Lease",
-    "QueueWorker",
-    "WorkQueue",
-    "BROKER_ENV",
-    "STEAL_DELAY_ENV",
-    "BackgroundBroker",
-    "Broker",
-    "TcpExecutor",
-    "TcpWorker",
-    "broker_clear",
-    "broker_stats",
-    "resolve_broker",
-    "run_broker",
     "ShardCache",
     "backend_cache_key",
     "cache_stats",

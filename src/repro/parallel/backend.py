@@ -11,9 +11,9 @@ the experiment caches, the CLI — composes with it unchanged.  A build
    :class:`~repro.parallel.cache.ShardCache` where possible,
 3. hands the remaining :class:`~repro.parallel.worker.ShardTask` s to a
    pluggable :class:`~repro.parallel.executors.ShardExecutor` — inline
-   (this process), pool (a local ``ProcessPoolExecutor``), or queue (a
-   shared-directory work queue drained by ``repro worker`` processes on
-   any host),
+   (this process), pool (a local ``ProcessPoolExecutor``), or tcp (a
+   ``repro broker`` pushing shards to ``repro worker`` processes on any
+   host),
 4. concatenates the per-shard signature lists in shard order and applies
    ``drop_undetectable`` once — producing a table *bit-for-bit
    identical* to the base backend's single-process build (the parallel
@@ -130,7 +130,7 @@ class ParallelBackend:
         construction with this).
     executor:
         Explicit :class:`~repro.parallel.executors.ShardExecutor`
-        (inline / pool / queue); overrides the ``jobs`` sugar.
+        (inline / pool / tcp); overrides the ``jobs`` sugar.
     """
 
     base: DetectionBackend
@@ -278,7 +278,7 @@ class ParallelBackend:
                 "repro_shard_cache_lookups_total", outcome="miss"
             ).inc(len(pending))
             if pending:
-                # Executors may complete out of order (the queue executor
+                # Executors may complete out of order (the tcp executor
                 # collects results as workers finish); reassembly goes by
                 # the shard index each outcome carries.
                 for index, shard_signatures in executor.submit(pending):

@@ -1,12 +1,11 @@
 """Deterministic bounded exponential backoff for idle wait loops.
 
-The queue submitter and the queue worker both wait on external progress
-— results appearing, tasks becoming claimable — and used to poll at a
-fixed 50–100ms interval, hammering the shared mount exactly when it has
-nothing to say.  :class:`Backoff` replaces those constant sleeps with a
-deterministic geometric schedule: each idle pass sleeps the current
-delay and doubles it up to a cap, and *any* progress resets the
-schedule to its initial delay.  No jitter on purpose — the sequence
+The tcp submitter and worker both retry a lost broker connection, and
+a fixed retry interval would hammer a restarting broker exactly when it
+has nothing to say.  :class:`Backoff` is a deterministic geometric
+schedule instead: each idle pass sleeps the current delay and doubles
+it up to a cap, and *any* progress resets the schedule to its initial
+delay.  No jitter on purpose — the sequence
 ``initial, initial*factor, ..., cap, cap, ...`` is exactly
 reproducible, so tests pin it and traces stay comparable across runs.
 """

@@ -4,7 +4,7 @@
 build computes — a deterministic :class:`~repro.parallel.plan.ShardPlan`
 cut, merged in shard order, bit-for-bit identical to the single-process
 table.  A :class:`ShardExecutor` is the orthogonal axis: the substrate
-the pending shard tasks execute on.  Four implementations:
+the pending shard tasks execute on.  Three implementations:
 
 ``inline`` (:class:`InlineExecutor`)
     Every task runs in the calling process — no pool, no pickling.  The
@@ -13,23 +13,16 @@ the pending shard tasks execute on.  Four implementations:
 ``pool`` (:class:`PoolExecutor`)
     The classic ``concurrent.futures.ProcessPoolExecutor`` fan-out over
     local worker processes — exactly the pre-refactor behavior.
-``queue`` (:class:`QueueExecutor`)
-    Publishes the tasks to a filesystem
-    :class:`~repro.parallel.workqueue.WorkQueue` and waits for
-    independent ``repro worker --queue DIR`` processes — on this or any
-    host sharing the directory — to drain them.  Finished shards land in
-    the queue's content-addressed result store, so completed work
-    survives worker death and re-submission is idempotent; expired
-    leases are requeued with bounded retries, and a shard that exhausts
-    its budget surfaces as a clean :class:`AnalysisError` naming it.
 ``tcp`` (:class:`~repro.parallel.netqueue.TcpExecutor`)
     Submits the tasks to a ``repro broker`` over TCP and blocks on the
-    socket for pushed results — no shared filesystem, no polling on the
-    hot path, and deterministic work stealing keeps a heterogeneous
+    socket for pushed results from ``repro worker --broker`` processes
+    on any host — no shared filesystem, no polling on the hot path.
+    Lost workers cost a shard one attempt and requeue it, with bounded
+    retries, and deterministic work stealing keeps a heterogeneous
     fleet running at the speed of its fast workers.  Defined in
     :mod:`repro.parallel.netqueue`; the factory imports it lazily.
 
-All four satisfy ``submit(tasks) -> iterable of (shard_index,
+All three satisfy ``submit(tasks) -> iterable of (shard_index,
 signatures)`` and are small frozen dataclasses (hashable, picklable),
 so backends that embed them stay valid cache keys.  Because every
 executor runs the same :func:`~repro.parallel.worker.run_shard` code on
@@ -40,23 +33,15 @@ matter which substrate built it — the differential suite enforces this.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.errors import AnalysisError
-from repro.parallel.backoff import Backoff
-from repro.parallel.cache import shard_key
 from repro.parallel.worker import ShardTask, run_shard
-from repro.parallel.workqueue import DEFAULT_MAX_ATTEMPTS, WorkQueue
 
 #: Names accepted by :func:`make_executor` (and ``--executor`` on the CLI).
-EXECUTOR_NAMES: tuple[str, ...] = ("inline", "pool", "queue", "tcp")
-
-#: Indirection for tests: monkeypatching ``executors._sleep`` pins the
-#: submit-loop backoff schedule without wall-clock waits.
-_sleep = time.sleep
+EXECUTOR_NAMES: tuple[str, ...] = ("inline", "pool", "tcp")
 
 
 @runtime_checkable
@@ -119,174 +104,9 @@ class PoolExecutor:
         return f"pool jobs={self.jobs}"
 
 
-@dataclass(frozen=True)
-class QueueExecutor:
-    """Distributed execution through a shared-directory work queue.
-
-    Parameters
-    ----------
-    queue_dir:
-        The queue root (default: ``REPRO_QUEUE_DIR``, resolved at
-        submit time so one executor value works across hosts).
-    poll_interval:
-        How often the submitter polls for results / scavenges leases.
-    lease_timeout:
-        Heartbeat age beyond which a claimed shard is presumed dead and
-        requeued.
-    max_attempts:
-        Build attempts (raised builds + expired leases) before a shard
-        is parked and the run fails with an error naming it.
-    wait_timeout:
-        Give up after this many seconds *without any shard completing*
-        (a stall deadline, reset on every completion, so a large batch
-        draining steadily through slow workers is never killed;
-        ``REPRO_QUEUE_TIMEOUT`` overrides; the error reminds the
-        operator to start ``repro worker`` processes).
-    """
-
-    queue_dir: str | None = None
-    poll_interval: float = 0.05
-    lease_timeout: float = 30.0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    wait_timeout: float | None = None
-    name: str = "queue"
-
-    def __post_init__(self) -> None:
-        if self.poll_interval <= 0:
-            raise AnalysisError(
-                f"poll_interval must be > 0, got {self.poll_interval}"
-            )
-        if self.lease_timeout <= 0:
-            raise AnalysisError(
-                f"lease_timeout must be > 0, got {self.lease_timeout}"
-            )
-        if self.max_attempts < 1:
-            raise AnalysisError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.wait_timeout is not None and self.wait_timeout <= 0:
-            raise AnalysisError(
-                f"wait_timeout must be > 0, got {self.wait_timeout}"
-            )
-
-    # -- configuration resolution --------------------------------------
-    def resolved_dir(self) -> str:
-        return resolve_queue_dir(self.queue_dir)
-
-    def _resolved_wait_timeout(self) -> float:
-        return resolve_wait_timeout(self.wait_timeout)
-
-    # -- the submit/wait loop ------------------------------------------
-    def submit(
-        self, tasks: list[ShardTask]
-    ) -> list[tuple[int, list[int]]]:
-        queue = WorkQueue(self.resolved_dir())
-        index_of: dict[str, int] = {}
-        for task in tasks:
-            key = shard_key(
-                task.circuit, task.backend, task.kind, task.faults
-            )
-            index_of[key] = task.shard_index
-            queue.enqueue(task, key, max_attempts=self.max_attempts)
-        outcomes: list[tuple[int, list[int]]] = []
-        outstanding = set(index_of)
-        stall_limit = self._resolved_wait_timeout()
-        last_progress = time.monotonic()
-        # Idle polls back off geometrically (capped); any completed
-        # shard resets the schedule, so a steadily-draining queue is
-        # polled at poll_interval and an empty mount is not hammered.
-        backoff = Backoff(self.poll_interval, cap=1.0)
-        while outstanding:
-            progressed = False
-            for key in sorted(outstanding):
-                signatures = queue.result(key)
-                if signatures is not None:
-                    outcomes.append((index_of[key], signatures))
-                    outstanding.discard(key)
-                    last_progress = time.monotonic()
-                    progressed = True
-                    continue
-                error = queue.failure(key)
-                if error is not None:
-                    raise AnalysisError(
-                        f"queue shard {index_of[key]} (key {key[:12]}…) "
-                        f"failed permanently: {error}"
-                    )
-            if not outstanding:
-                break
-            if progressed:
-                backoff.reset()
-            # The submitter scavenges too, so a run never hangs on a
-            # worker that died holding the only copy of a lease.
-            queue.reclaim_expired(self.lease_timeout)
-            if time.monotonic() - last_progress > stall_limit:
-                raise AnalysisError(
-                    f"work queue at {queue.root} made no progress on "
-                    f"{len(outstanding)} shard(s) within "
-                    f"{stall_limit:.0f}s — are any "
-                    f"`repro worker --queue {queue.root}` processes "
-                    f"running?"
-                )
-            _sleep(backoff.next())
-        return outcomes
-
-    def describe(self) -> str:
-        return "queue"
-
-
-def resolve_queue_dir(
-    queue_dir: str | None = None,
-    *,
-    what: str = "the queue executor",
-    flag: str = "--queue-dir",
-) -> str:
-    """Explicit directory, else ``REPRO_QUEUE_DIR``, else a clean error.
-
-    ``what``/``flag`` tailor the error to the caller's surface: the
-    executor takes ``--queue-dir``, while ``repro worker`` and ``repro
-    queue`` spell the same directory ``--queue``.
-    """
-    resolved = queue_dir or os.environ.get("REPRO_QUEUE_DIR")
-    if not resolved:
-        raise AnalysisError(
-            f"{what} needs a queue directory: pass {flag} "
-            f"(or set REPRO_QUEUE_DIR)"
-        )
-    return resolved
-
-
-def resolve_wait_timeout(wait_timeout: float | None = None) -> float:
-    """The distributed-submit stall deadline, in seconds.
-
-    An explicit value wins; else ``REPRO_QUEUE_TIMEOUT``; else 600.
-    Shared by the filesystem queue executor and the TCP executor — both
-    treat it as "seconds without *any* shard completing", reset on
-    every completion.
-    """
-    if wait_timeout is not None:
-        return wait_timeout
-    raw = os.environ.get("REPRO_QUEUE_TIMEOUT")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"REPRO_QUEUE_TIMEOUT must be a positive number, "
-                f"got {raw!r}"
-            ) from None
-        if value <= 0:
-            raise AnalysisError(
-                f"REPRO_QUEUE_TIMEOUT must be a positive number, "
-                f"got {raw!r}"
-            )
-        return value
-    return 600.0
-
-
 def make_executor(
     name: str,
     jobs: int | None = None,
-    queue_dir: str | None = None,
     broker: str | None = None,
 ) -> ShardExecutor:
     """Executor factory behind ``--executor`` / ``REPRO_EXECUTOR``.
@@ -295,9 +115,8 @@ def make_executor(
     which degrades to inline execution) is honored as given; ``None``
     falls back to ``REPRO_JOBS`` when that asks for a real pool, else
     2, so ``--executor pool`` alone always means an actual pool.
-    ``queue_dir`` applies only to the queue executor and ``broker``
-    only to the tcp executor; each is validated eagerly so the CLI
-    fails before any table work starts.
+    ``broker`` applies only to the tcp executor and is validated
+    eagerly so the CLI fails before any table work starts.
     """
     if name != "tcp" and broker is not None:
         raise AnalysisError(
@@ -305,34 +124,17 @@ def make_executor(
             f"(got --executor {name})"
         )
     if name == "inline":
-        if queue_dir is not None:
-            raise AnalysisError(
-                "--queue-dir only applies to --executor queue "
-                "(got --executor inline)"
-            )
         return InlineExecutor()
     if name == "pool":
-        if queue_dir is not None:
-            raise AnalysisError(
-                "--queue-dir only applies to --executor queue "
-                "(got --executor pool)"
-            )
         if jobs is None:
             from repro.parallel.backend import resolve_jobs
 
             env_jobs = resolve_jobs(None)
             jobs = env_jobs if env_jobs > 1 else 2
         return PoolExecutor(jobs=jobs)
-    if name == "queue":
-        return QueueExecutor(queue_dir=resolve_queue_dir(queue_dir))
     if name == "tcp":
-        if queue_dir is not None:
-            raise AnalysisError(
-                "--queue-dir only applies to --executor queue "
-                "(got --executor tcp)"
-            )
-        # Imported lazily: netqueue imports resolve_wait_timeout from
-        # this module, so a top-level import would be a cycle.
+        # Imported lazily: only tcp runs should pay for asyncio and the
+        # socket transport.
         from repro.parallel.netqueue import TcpExecutor, resolve_broker
 
         resolve_broker(broker)  # fail before any table work starts
@@ -346,7 +148,6 @@ def make_executor(
 def resolve_executor(
     name: str | None = None,
     jobs: int | None = None,
-    queue_dir: str | None = None,
     broker: str | None = None,
 ) -> ShardExecutor | None:
     """Executor from an explicit name or ``REPRO_EXECUTOR`` (else None).
@@ -356,15 +157,9 @@ def resolve_executor(
     """
     resolved = name or os.environ.get("REPRO_EXECUTOR") or None
     if resolved is None:
-        if queue_dir is not None:
-            raise AnalysisError(
-                "--queue-dir only applies to --executor queue"
-            )
         if broker is not None:
             raise AnalysisError(
                 "--broker only applies to --executor tcp"
             )
         return None
-    return make_executor(
-        resolved, jobs=jobs, queue_dir=queue_dir, broker=broker
-    )
+    return make_executor(resolved, jobs=jobs, broker=broker)

@@ -1,10 +1,9 @@
-"""TCP queue transport with work stealing: the network work queue.
+"""TCP queue transport with work stealing: the distributed work queue.
 
-The filesystem :class:`~repro.parallel.workqueue.WorkQueue` assumes a
-shared mount and polls it; this module removes both assumptions.  A
-single asyncio :class:`Broker` (started with ``repro broker --port N``
-or embedded in ``repro serve``) holds the queue state in memory and
-talks a tiny length-prefixed pickle protocol over TCP:
+Distributed table builds need no shared mount and no polling.  A single
+asyncio :class:`Broker` (started with ``repro broker --port N`` or
+embedded in ``repro serve``) holds the queue state in memory and talks
+a tiny length-prefixed pickle protocol over TCP:
 
 * **submitters** (:class:`TcpExecutor`, the ``--executor tcp``
   substrate) send one ``submit`` frame per batch and then block on the
@@ -28,7 +27,7 @@ Work stealing
     :class:`~repro.parallel.cache.ShardCache` already treats as one
     entry, so double-completion is a cache hit, not a conflict.
 
-Fault tolerance mirrors the filesystem queue: a worker that disconnects
+Fault tolerance: a worker that disconnects
 (or whose heartbeat goes stale) mid-shard costs that shard one attempt
 and requeues it, bounded by ``max_attempts`` before the shard is parked
 and surfaced to the submitter as a clean
@@ -80,12 +79,6 @@ from repro.obs.tracer import TRACE_FILE_ENV
 from repro.parallel.backoff import Backoff
 from repro.parallel.cache import ShardCache, shard_key
 from repro.parallel.worker import ShardTask, run_shard
-from repro.parallel.workqueue import (
-    CRASH_ENV,
-    DEFAULT_MAX_ATTEMPTS,
-    _short,
-    default_worker_id,
-)
 
 __all__ = [
     "BROKER_ENV",
@@ -98,6 +91,7 @@ __all__ = [
     "broker_clear",
     "broker_stats",
     "resolve_broker",
+    "resolve_wait_timeout",
     "run_broker",
 ]
 
@@ -118,6 +112,17 @@ BROKER_SECRET_ENV = "REPRO_BROKER_SECRET"
 #: the CI mixed-speed fleet smoke.
 STEAL_DELAY_ENV = "REPRO_STEAL_DELAY"
 
+#: Default number of build attempts a shard gets before it is parked
+#: (covers both raised builds and lost workers).
+DEFAULT_MAX_ATTEMPTS = 3
+
+#: Test hook: a worker process whose environment sets this to ``N``
+#: hard-exits (``os._exit``) right after receiving its ``N``-th build —
+#: mid-shard, connection dropped — so the crash-recovery path (lost
+#: lease, requeue, completion by a surviving worker) can be exercised
+#: end to end.
+CRASH_ENV = "REPRO_QUEUE_CRASH_AFTER_CLAIM"
+
 #: Bumped whenever the wire format changes; mismatched peers are
 #: rejected with a clean error instead of being mis-deserialized.
 NET_FORMAT_VERSION = 1
@@ -132,8 +137,7 @@ _HEADER = struct.Struct(">Q")
 #: reconnect/backoff schedule without wall-clock waits.
 _sleep = time.sleep
 
-#: Unpickling a hostile or truncated payload can raise nearly anything;
-#: this is the same recovery set the filesystem queue uses.
+#: Unpickling a hostile or truncated payload can raise nearly anything.
 _DECODE_ERRORS = (
     pickle.UnpicklingError,
     EOFError,
@@ -291,7 +295,7 @@ def _write_frame(
 
 
 # ----------------------------------------------------------------------
-# Address resolution
+# Configuration resolution
 # ----------------------------------------------------------------------
 def resolve_broker(
     broker: str | None = None,
@@ -312,6 +316,42 @@ def resolve_broker(
             f"broker address must be HOST:PORT, got {resolved!r}"
         )
     return host, int(port_text)
+
+
+def resolve_wait_timeout(wait_timeout: float | None = None) -> float:
+    """The distributed-submit stall deadline, in seconds.
+
+    An explicit value wins; else ``REPRO_QUEUE_TIMEOUT``; else 600.
+    It counts "seconds without *any* shard completing", reset on every
+    completion.
+    """
+    if wait_timeout is not None:
+        return wait_timeout
+    raw = os.environ.get("REPRO_QUEUE_TIMEOUT")
+    if raw:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise AnalysisError(
+                f"REPRO_QUEUE_TIMEOUT must be a positive number, "
+                f"got {raw!r}"
+            ) from None
+        if value <= 0:
+            raise AnalysisError(
+                f"REPRO_QUEUE_TIMEOUT must be a positive number, "
+                f"got {raw!r}"
+            )
+        return value
+    return 600.0
+
+
+def default_worker_id() -> str:
+    return f"{socket.gethostname()}-{os.getpid()}"
+
+
+def _short(text: str, limit: int = 160) -> str:
+    """Event-attribute-sized failure text."""
+    return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
 def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
@@ -658,7 +698,7 @@ class Broker:
                 )
                 continue
             # A fresh submission clears a parked failure and gets a
-            # fresh retry budget — same semantics as WorkQueue.enqueue.
+            # fresh retry budget.
             self._failures.pop(key, None)
             if key not in self._specs:
                 self._specs[key] = {
@@ -1154,8 +1194,7 @@ class TcpExecutor:
     wait_timeout:
         Give up after this many seconds *without any shard completing*
         (a stall deadline, reset on every completion;
-        ``REPRO_QUEUE_TIMEOUT`` overrides — the same deadline the
-        filesystem queue uses).
+        ``REPRO_QUEUE_TIMEOUT`` overrides).
     connect_timeout:
         Per-attempt TCP connect deadline; lost connections are retried
         with bounded exponential backoff inside the stall budget.
@@ -1191,8 +1230,6 @@ class TcpExecutor:
     def submit(
         self, tasks: list[ShardTask]
     ) -> list[tuple[int, list[int]]]:
-        from repro.parallel.executors import resolve_wait_timeout
-
         address = self.resolved_address()
         label = f"{address[0]}:{address[1]}"
         trace_file = (
@@ -1579,8 +1616,7 @@ class TcpWorker:
     def _adopt_trace(self, message: dict[str, Any]) -> None:
         """Join the submitter's trace when this process has none.
 
-        Same first-sighting-wins protocol as the filesystem queue
-        worker: the build frame carries the submitter's trace file and
+        First sighting wins: the build frame carries the submitter's trace file and
         id, and the worker id namespaces worker-local root spans.
         """
         trace_file = message.get("trace_file")

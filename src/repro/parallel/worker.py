@@ -58,7 +58,7 @@ class ShardTask:
     trace:
         Optional ``(trace_id, parent_span_id)`` propagation context from
         the submitting build's span.  Rides inside the pickle through
-        pools and queue task files, so a worker on any host stitches its
+        pools and broker frames, so a worker on any host stitches its
         shard span into the submitter's trace.  Excluded from equality
         (and absent from the content-addressed shard key), so tracing
         never changes what counts as the same shard.

@@ -75,7 +75,6 @@ _BACKEND_KEYS: tuple[str, ...] = (
     "seed",
     "jobs",
     "executor",
-    "queue_dir",
     "broker",
     "target_halfwidth",
     "max_samples",
@@ -183,7 +182,6 @@ class AnalysisService:
         *,
         jobs: int | None = None,
         executor: str | None = None,
-        queue_dir: str | None = None,
         broker: str | None = None,
         table_lru: int | None = None,
     ) -> None:
@@ -192,7 +190,6 @@ class AnalysisService:
         #: the CLI).
         self.default_jobs = jobs
         self.default_executor = executor
-        self.default_queue_dir = queue_dir
         self.default_broker = broker
         capacity = (
             table_lru_capacity() if table_lru is None else table_lru
@@ -230,7 +227,6 @@ class AnalysisService:
         for key, default in (
             ("jobs", self.default_jobs),
             ("executor", self.default_executor),
-            ("queue_dir", self.default_queue_dir),
             ("broker", self.default_broker),
         ):
             if key not in options and default is not None:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -418,37 +423,76 @@ class TestJobsAndCache:
 
 
 class TestExecutorsAndQueueCLI:
-    """--executor threading, `repro worker`, and `repro queue`."""
+    """--executor threading, `repro worker`, and `repro queue`.
 
-    @staticmethod
-    def _drain(queue_dir, idle_exit=5.0):
+    The distributed cases run against a live in-process broker; the
+    ``repro worker`` / ``repro queue`` commands under test are the real
+    CLI entry points talking to it over TCP.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _restore_event_logger(self):
+        # `repro worker` binds a stderr handler to the event logger; drop
+        # it with this test's captured stream, before later broker
+        # threads log into the closed capture.
+        import logging
+
+        from repro.obs.tracer import EVENT_LOGGER
+
+        logger = logging.getLogger(EVENT_LOGGER)
+        handlers, level = list(logger.handlers), logger.level
+        yield
+        logger.handlers[:] = handlers
+        logger.setLevel(level)
+
+    @pytest.fixture()
+    def broker(self, tmp_path, monkeypatch):
+        from repro.parallel.netqueue import BackgroundBroker
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shards"))
+        monkeypatch.delenv("REPRO_BROKER", raising=False)
+        with BackgroundBroker() as running:
+            yield running
+
+    @pytest.fixture()
+    def drain(self, broker, tmp_path):
+        """One in-process worker serving ``broker`` for the test."""
         import threading
 
-        from repro.parallel import QueueWorker, WorkQueue
+        from repro.parallel.netqueue import TcpWorker
 
-        def serve():
-            QueueWorker(
-                WorkQueue(queue_dir), poll_interval=0.01
-            ).serve(idle_exit=idle_exit)
-
-        thread = threading.Thread(target=serve, daemon=True)
+        worker = TcpWorker(
+            broker=broker.address,
+            worker_id="drain",
+            cache_dir=str(tmp_path / "worker-cache"),
+            use_cache=False,
+        )
+        thread = threading.Thread(target=worker.serve, daemon=True)
         thread.start()
-        return thread
+        yield worker
+        worker.stop()
+        thread.join(timeout=30)
 
     @staticmethod
-    def _enqueue_lion_shards(queue_dir, count=2):
+    def _submit_lion_shards(broker, count=2):
+        """Submit ``count`` lion shards from a background submitter and
+        wait until the broker holds them all (built or queued)."""
+        import threading
+        import time
+
         from repro.bench_suite.registry import get_circuit
+        from repro.errors import AnalysisError
         from repro.faults.stuck_at import collapsed_stuck_at_faults
         from repro.faultsim.backends import ExhaustiveBackend
-        from repro.parallel import ShardTask, WorkQueue, shard_key
+        from repro.parallel import ShardTask
+        from repro.parallel.netqueue import TcpExecutor
 
         circuit = get_circuit("lion")
         backend = ExhaustiveBackend()
         base = tuple(backend.line_signatures(circuit))
         faults = collapsed_stuck_at_faults(circuit)
-        queue = WorkQueue(queue_dir)
-        for index in range(count):
-            task = ShardTask(
+        tasks = [
+            ShardTask(
                 circuit=circuit,
                 backend=backend,
                 kind="stuck_at",
@@ -456,11 +500,32 @@ class TestExecutorsAndQueueCLI:
                 base_signatures=base,
                 shard_index=index,
             )
-            queue.enqueue(
-                task,
-                shard_key(circuit, backend, task.kind, task.faults),
-            )
-        return queue
+            for index in range(count)
+        ]
+
+        def submit():
+            executor = TcpExecutor(broker=broker.address, wait_timeout=60.0)
+            try:
+                executor.submit(tasks)
+            except AnalysisError:
+                pass  # `repro queue clear` fails waiting submitters
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while len(broker.stats()["pending"]) < count:
+            assert time.monotonic() < deadline, "shards never queued"
+            time.sleep(0.01)
+        return thread
+
+    @staticmethod
+    def _wait_for_results(broker, count):
+        import time
+
+        deadline = time.monotonic() + 30.0
+        while broker.stats()["results"] < count:
+            assert time.monotonic() < deadline, "results never arrived"
+            time.sleep(0.01)
 
     def test_inline_executor_matches_plain_summary(self, capsys, tmp_path,
                                                    monkeypatch):
@@ -478,92 +543,91 @@ class TestExecutorsAndQueueCLI:
         # The inline executor still runs the sharded, cached build.
         assert list((tmp_path / "shards").glob("*.pkl"))
 
-    def test_queue_executor_matches_plain_summary(self, capsys, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shards"))
-        queue_dir = tmp_path / "queue"
-        thread = self._drain(queue_dir)
+    def test_tcp_executor_matches_plain_summary(self, capsys, broker,
+                                                drain):
         assert main(["analyze", "lion"]) == 0
         plain_out = capsys.readouterr().out
         assert main(
-            ["analyze", "lion", "--executor", "queue",
-             "--queue-dir", str(queue_dir)]
+            ["analyze", "lion", "--executor", "tcp",
+             "--broker", broker.address]
         ) == 0
-        queue_out = capsys.readouterr().out
+        tcp_out = capsys.readouterr().out
         strip = lambda s: [
             ln for ln in s.splitlines() if "backend" not in ln
         ]
-        assert strip(plain_out) == strip(queue_out)
-        assert "executor=queue" in queue_out
-        thread.join()
+        assert strip(plain_out) == strip(tcp_out)
+        assert "executor=tcp" in tcp_out
 
-    def test_env_executor_and_queue_dir(self, capsys, tmp_path,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shards"))
-        queue_dir = tmp_path / "queue"
-        monkeypatch.setenv("REPRO_EXECUTOR", "queue")
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(queue_dir))
-        thread = self._drain(queue_dir)
+    def test_env_executor_and_broker(self, capsys, broker, drain,
+                                     monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "tcp")
+        monkeypatch.setenv("REPRO_BROKER", broker.address)
         assert main(["analyze", "lion"]) == 0
-        assert "executor=queue" in capsys.readouterr().out
-        thread.join()
+        assert "executor=tcp" in capsys.readouterr().out
 
-    def test_worker_drains_and_reports(self, capsys, tmp_path,
-                                       monkeypatch):
-        queue_dir = tmp_path / "queue"
-        queue = self._enqueue_lion_shards(queue_dir, count=2)
+    def test_worker_drains_and_reports(self, capsys, broker):
+        submitter = self._submit_lion_shards(broker, count=2)
         assert main(
-            ["worker", "--queue", str(queue_dir), "--idle-exit", "0.1",
-             "--poll-interval", "0.01"]
+            ["worker", "--broker", broker.address, "--idle-exit", "0.5"]
         ) == 0
         out = capsys.readouterr().out
         assert "built 2 shard(s)" in out
-        assert queue.stats()["results"] == 2
-        assert queue.pending_keys() == []
+        assert f"@ broker {broker.address}" in out
+        submitter.join(timeout=30)
+        assert not submitter.is_alive()
+        stats = broker.stats()
+        assert stats["results"] == 2 and stats["pending"] == []
 
-    def test_worker_max_tasks(self, capsys, tmp_path):
-        queue_dir = tmp_path / "queue"
-        self._enqueue_lion_shards(queue_dir, count=3)
-        assert main(
-            ["worker", "--queue", str(queue_dir), "--max-tasks", "1",
-             "--poll-interval", "0.01"]
-        ) == 0
+    def test_worker_max_tasks(self, capsys, broker, monkeypatch):
+        # Only REPRO_BROKER names the broker: neither command gets
+        # --broker, so both must fall back to the environment.
+        monkeypatch.setenv("REPRO_BROKER", broker.address)
+        submitter = self._submit_lion_shards(broker, count=3)
+        assert main(["worker", "--max-tasks", "1"]) == 0
         assert "built 1 shard(s)" in capsys.readouterr().out
+        self._wait_for_results(broker, 1)
+        assert main(["queue", "info"]) == 0
+        out = capsys.readouterr().out
+        assert f"broker: {broker.address}" in out
+        assert "results: 1" in out
+        assert main(["queue", "clear"]) == 0
+        submitter.join(timeout=30)
 
-    def test_worker_without_queue_dir(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+    def test_worker_without_broker(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_BROKER", raising=False)
         assert main(["worker", "--idle-exit", "0.1"]) == 2
-        assert "REPRO_QUEUE_DIR" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "repro worker" in err and "REPRO_BROKER" in err
+        assert main(["queue", "info"]) == 2
+        err = capsys.readouterr().err
+        assert "repro queue" in err and "REPRO_BROKER" in err
 
-    def test_queue_info_and_clear(self, capsys, tmp_path):
-        queue_dir = tmp_path / "queue"
-        self._enqueue_lion_shards(queue_dir, count=2)
-        assert main(["queue", "info", "--queue", str(queue_dir)]) == 0
+    def test_queue_info_and_clear(self, capsys, broker):
+        submitter = self._submit_lion_shards(broker, count=2)
+        assert main(["queue", "info", "--broker", broker.address]) == 0
         out = capsys.readouterr().out
         assert "pending tasks: 2" in out
-        assert main(["queue", "clear", "--queue", str(queue_dir)]) == 0
+        assert main(["queue", "clear", "--broker", broker.address]) == 0
         assert "removed 2" in capsys.readouterr().out
-        assert main(["queue", "info", "--queue", str(queue_dir)]) == 0
+        assert main(["queue", "info", "--broker", broker.address]) == 0
         assert "pending tasks: 0" in capsys.readouterr().out
+        submitter.join(timeout=30)
+        assert not submitter.is_alive()
 
-    def test_queue_executor_without_dir(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
-        assert main(["analyze", "lion", "--executor", "queue"]) == 2
+    def test_tcp_executor_without_broker(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_BROKER", raising=False)
+        assert main(["analyze", "lion", "--executor", "tcp"]) == 2
         err = capsys.readouterr().err
-        assert "--queue-dir" in err and "REPRO_QUEUE_DIR" in err
+        assert "--broker" in err and "REPRO_BROKER" in err
 
-    def test_queue_dir_without_queue_executor(self, capsys, tmp_path,
-                                              monkeypatch):
+    def test_broker_without_tcp_executor(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert main(["analyze", "lion", "--broker", "h:1"]) == 2
+        assert "--broker only applies" in capsys.readouterr().err
         assert main(
-            ["analyze", "lion", "--queue-dir", str(tmp_path)]
+            ["analyze", "lion", "--executor", "pool", "--broker", "h:1"]
         ) == 2
-        assert "--queue-dir only applies" in capsys.readouterr().err
-        assert main(
-            ["analyze", "lion", "--executor", "pool",
-             "--queue-dir", str(tmp_path)]
-        ) == 2
-        assert "--queue-dir only applies" in capsys.readouterr().err
+        assert "--broker only applies" in capsys.readouterr().err
 
     def test_bad_executor_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -579,20 +643,42 @@ class TestExecutorsAndQueueCLI:
         out = capsys.readouterr().out
         assert "format v1:" in out
 
-    def test_partition_executor_threaded(self, capsys, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shards"))
-        queue_dir = tmp_path / "queue"
-        thread = self._drain(queue_dir)
+    def test_partition_executor_threaded(self, capsys, broker, drain):
         assert main(["partition", "paper_example", "--max-inputs", "3"]) == 0
         plain_out = capsys.readouterr().out
         assert main(
             ["partition", "paper_example", "--max-inputs", "3",
-             "--executor", "queue", "--queue-dir", str(queue_dir)]
+             "--executor", "tcp", "--broker", broker.address]
         ) == 0
-        queue_out = capsys.readouterr().out
-        assert queue_out == plain_out  # identical analysis
-        from repro.parallel import WorkQueue
+        tcp_out = capsys.readouterr().out
+        assert tcp_out == plain_out  # identical analysis
+        # The cone builds really went through the broker.
+        assert broker.stats()["counters"]["completed"] > 0
 
-        assert WorkQueue(queue_dir).stats()["results"] > 0
-        thread.join()
+
+class TestStartup:
+    def test_analyze_does_not_load_the_tcp_transport(self, tmp_path):
+        """Only ``--executor tcp`` runs pay for asyncio and the broker
+        transport; a plain analysis never imports them."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "shards")
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['analyze', 'paper_example']) == 0\n"
+            "loaded = [m for m in ('asyncio', 'repro.parallel.netqueue')"
+            " if m in sys.modules]\n"
+            "print('loaded:', loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "guaranteed n: 4" in proc.stdout
+        assert "loaded: []" in proc.stdout

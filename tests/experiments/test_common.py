@@ -150,38 +150,35 @@ class TestParallelCacheComposition:
         # A distributed-built universe and a local build share one LRU
         # entry: the cache keys on the unwrapped base, never on the
         # execution substrate.
-        from repro.parallel import (
-            InlineExecutor,
-            ParallelBackend,
-            QueueExecutor,
-        )
+        from repro.parallel import InlineExecutor, ParallelBackend
+        from repro.parallel.netqueue import TcpExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         base = SampledBackend(8, seed=3)
         u_base = get_universe("lion", base)
         inline = ParallelBackend(base=base, executor=InlineExecutor())
         assert get_universe("lion", inline) is u_base
-        # The queue-wrapped lookup is a cache hit, so the queue itself
-        # is never consulted (no workers needed here).
-        queued = ParallelBackend(
-            base=base,
-            executor=QueueExecutor(queue_dir=str(tmp_path / "q")),
+        # The tcp-wrapped lookup is a cache hit, so the broker itself
+        # is never consulted (none is running here).
+        networked = ParallelBackend(
+            base=base, executor=TcpExecutor(broker="127.0.0.1:1")
         )
-        assert get_universe("lion", queued) is u_base
+        assert get_universe("lion", networked) is u_base
 
-    def test_backend_from_env_executor(self, tmp_path, monkeypatch):
-        from repro.parallel import ParallelBackend, QueueExecutor
+    def test_backend_from_env_executor(self, monkeypatch):
+        from repro.parallel import ParallelBackend
+        from repro.parallel.netqueue import TcpExecutor
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_EXECUTOR", "queue")
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "q"))
+        monkeypatch.setenv("REPRO_EXECUTOR", "tcp")
+        monkeypatch.setenv("REPRO_BROKER", "h:1")
         backend = backend_from_env()
         assert isinstance(backend, ParallelBackend)
-        assert isinstance(backend.executor, QueueExecutor)
+        assert backend.executor == TcpExecutor()
         assert backend.base == ExhaustiveBackend()
         monkeypatch.delenv("REPRO_EXECUTOR")
-        monkeypatch.delenv("REPRO_QUEUE_DIR")
+        monkeypatch.delenv("REPRO_BROKER")
         assert backend_from_env() is None
 
 

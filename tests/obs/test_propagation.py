@@ -1,16 +1,17 @@
-"""Trace context across process boundaries, and worker event lines.
+"""Trace context across process boundaries, and broker event lines.
 
-The acceptance scenario: a traced submitter drives the queue executor,
-one worker is killed mid-shard (the ``REPRO_QUEUE_CRASH_AFTER_CLAIM``
-hook), the shard is requeued, and a healthy ``repro worker``
-subprocess — started with *no* trace environment of its own — finishes
-the build.  The single JSONL file must then contain one stitched
-trace: worker-side ``shard_build`` spans carrying the submitter's
-trace id, parented under the submitter's ``table_build`` span.
+The acceptance scenario: a traced submitter drives the tcp executor
+against a live broker, one ``repro worker --broker`` subprocess is
+killed mid-shard (the ``REPRO_QUEUE_CRASH_AFTER_CLAIM`` hook), the
+broker requeues its shard, and a healthy worker subprocess — started
+with *no* trace environment of its own — finishes the build.  The
+single JSONL file must then contain one stitched trace: worker-side
+``shard_build`` spans carrying the submitter's trace id, parented under
+the submitter's ``parallel_build`` spans.
 
-The second half covers the worker's structured event lines: lease
-reclaims, requeues, and poisoned-shard parks must emit one-line
-``event=...`` log records and bump the queue counters.
+The second half covers the broker's structured event lines: requeues,
+poisoned-shard parks, and stale-heartbeat lease reclaims must emit
+one-line ``event=...`` log records and bump the broker counters.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -27,46 +29,50 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.obs.tracer import ListTraceWriter
 from repro.bench_suite.registry import get_circuit
+from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import ExhaustiveBackend, SerialBackend
-from repro.parallel import (
-    ParallelBackend,
-    QueueExecutor,
-    QueueWorker,
-    ShardTask,
-    WorkQueue,
-    shard_key,
+from repro.obs.tracer import ListTraceWriter
+from repro.parallel import ParallelBackend, ShardTask, shard_key
+from repro.parallel.netqueue import (
+    NET_FORMAT_VERSION,
+    BackgroundBroker,
+    TcpExecutor,
+    TcpWorker,
+    recv_frame,
+    send_frame,
 )
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def worker_env(trace_free: bool = True) -> dict[str, str]:
+def worker_env(cache_dir: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_QUEUE_DIR", None)
+    # A private shard cache: a cache hit would skip the build (and its
+    # span) entirely.
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    env.pop("REPRO_BROKER", None)
     env.pop("REPRO_QUEUE_CRASH_AFTER_CLAIM", None)
-    if trace_free:
-        # The point of the payload-borne trace path: workers join the
-        # trace without inheriting any environment from the submitter.
-        env.pop("REPRO_TRACE_FILE", None)
-        env.pop("REPRO_TRACE_ID", None)
+    # The point of the frame-borne trace path: workers join the trace
+    # without inheriting any environment from the submitter.
+    env.pop("REPRO_TRACE_FILE", None)
+    env.pop("REPRO_TRACE_ID", None)
     return env
 
 
-def spawn_worker(queue_dir: Path, *, crash: bool = False) -> subprocess.Popen:
-    env = worker_env()
+def spawn_worker(
+    broker: str, cache_dir: Path, *, crash: bool = False
+) -> subprocess.Popen:
+    env = worker_env(cache_dir)
     if crash:
         env["REPRO_QUEUE_CRASH_AFTER_CLAIM"] = "1"
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--queue", str(queue_dir),
-            "--poll-interval", "0.01",
-            "--lease-timeout", "0.5",
+            "--broker", broker,
             "--idle-exit", "60" if crash else "3",
         ],
         env=env,
@@ -98,36 +104,36 @@ class TestCrossProcessStitching:
         )
         obs.activate(tracer)
 
-        queue_dir = tmp_path / "queue"
-        backend = ParallelBackend(
-            base=ExhaustiveBackend(),
-            executor=QueueExecutor(
-                queue_dir=str(queue_dir),
-                poll_interval=0.01,
-                wait_timeout=120.0,
-                lease_timeout=0.5,
-            ),
-            cache_dir=str(tmp_path / "shards"),
-        )
+        with BackgroundBroker() as broker:
+            backend = ParallelBackend(
+                base=ExhaustiveBackend(),
+                executor=TcpExecutor(
+                    broker=broker.address, wait_timeout=120.0
+                ),
+                cache_dir=str(tmp_path / "shards"),
+            )
 
-        crasher = spawn_worker(queue_dir, crash=True)
-        result: dict = {}
+            crasher = spawn_worker(
+                broker.address, tmp_path / "crasher-cache", crash=True
+            )
+            result: dict = {}
 
-        def submit() -> None:
-            with obs.span("analyze"):
-                universe = FaultUniverse(
-                    get_circuit("lion"), backend=backend
-                )
-                result["f"] = universe.target_table.signatures
-                result["g"] = universe.untargeted_table.signatures
+            def submit() -> None:
+                with obs.span("analyze"):
+                    universe = FaultUniverse(
+                        get_circuit("lion"), backend=backend
+                    )
+                    result["f"] = universe.target_table.signatures
+                    result["g"] = universe.untargeted_table.signatures
 
-        submitter = threading.Thread(target=submit, daemon=True)
-        submitter.start()
-        assert crasher.wait(timeout=60) == 42  # died holding a lease
-        healthy = spawn_worker(queue_dir)
-        submitter.join(timeout=120)
-        assert not submitter.is_alive()
-        assert healthy.wait(timeout=120) == 0
+            submitter = threading.Thread(target=submit, daemon=True)
+            submitter.start()
+            assert crasher.wait(timeout=60) == 42  # died holding a lease
+            healthy = spawn_worker(broker.address, tmp_path / "cache")
+            submitter.join(timeout=120)
+            assert not submitter.is_alive()
+            assert healthy.wait(timeout=120) == 0
+            assert broker.stats()["counters"]["requeues"] >= 1
         tracer.close()
 
         reference = FaultUniverse(get_circuit("lion"))
@@ -166,10 +172,6 @@ class TestCrossProcessStitching:
             assert shard["parent"] in builds
             assert shard["span"].startswith(f"{shard['parent']}.s")
 
-        for wait in by_name.get("queue_wait", []):
-            assert wait["parent"] in builds
-            assert ".q" in wait["span"]
-
     def test_pool_executor_tasks_carry_the_trace_tuple(self, tmp_path):
         # The tuple rides the pickled ShardTask itself; verify the
         # stamping side without any worker round trip.
@@ -183,16 +185,32 @@ class TestWorkerEventLines:
     def test_poisoned_shard_park_emits_one_line_events(
         self, tmp_path, caplog
     ):
-        queue = WorkQueue(tmp_path / "queue")
         bad = poisoned_task()
         key = shard_key(bad.circuit, bad.backend, bad.kind, bad.faults)
-        queue.enqueue(bad, key, max_attempts=2)
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            stats = QueueWorker(queue, poll_interval=0.01).serve(
-                idle_exit=0.2
+        with BackgroundBroker() as broker:
+            worker = TcpWorker(
+                broker=broker.address,
+                worker_id="w",
+                cache_dir=str(tmp_path / "cache"),
+                use_cache=False,
             )
-        assert stats["failed"] == 2
-        assert queue.failed_keys() == [key]
+            out: dict = {}
+            thread = threading.Thread(
+                target=lambda: out.update(stats=worker.serve(idle_exit=1.0)),
+                daemon=True,
+            )
+            thread.start()
+            with caplog.at_level(logging.INFO, logger="repro.obs"):
+                with pytest.raises(AnalysisError, match="tcp shard 0"):
+                    TcpExecutor(
+                        broker=broker.address,
+                        wait_timeout=60.0,
+                        max_attempts=2,
+                    ).submit([bad])
+            thread.join(timeout=30)
+            failed = broker.stats()["failed"]
+        assert out["stats"]["failed"] == 2
+        assert [entry["key"] for entry in failed] == [key]
 
         events = [m for m in caplog.messages if m.startswith("event=")]
         requeues = [m for m in events if m.startswith("event=task_requeued")]
@@ -205,26 +223,55 @@ class TestWorkerEventLines:
         assert "AnalysisError" in parks[0]
 
         counters = obs.metrics().snapshot()
-        assert counters["repro_queue_requeues_total"] == {"{}": 1.0}
-        assert counters["repro_queue_parked_total"] == {"{}": 1.0}
+        assert counters["repro_broker_requeues_total"] == {"{}": 1.0}
+        assert counters["repro_broker_parked_total"] == {"{}": 1.0}
 
-    def test_lease_reclaim_emits_event_and_counter(self, tmp_path, caplog):
-        queue = WorkQueue(tmp_path / "queue")
+    def test_lease_reclaim_emits_event_and_counter(self, caplog):
+        """A worker that holds a build but stops heartbeating is
+        scavenged: its lease is reclaimed and the shard requeued."""
         task = poisoned_task()
         key = shard_key(task.circuit, task.backend, task.kind, task.faults)
-        queue.enqueue(task, key, max_attempts=5)
-        lease = queue.claim("doomed-worker")
-        assert lease is not None
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            requeued, failed = queue.reclaim_expired(
-                lease_timeout=0.001, now=time.time() + 10.0
+        with BackgroundBroker(lease_timeout=0.2, steal=False) as broker:
+            doomed = socket.create_connection(
+                (broker.host, broker.port), timeout=10.0
             )
-        assert requeued == [key] and failed == []
-        reclaims = [
+            submitter = socket.create_connection(
+                (broker.host, broker.port), timeout=10.0
+            )
+            try:
+                with caplog.at_level(logging.INFO, logger="repro.obs"):
+                    send_frame(doomed, {
+                        "op": "register",
+                        "version": NET_FORMAT_VERSION,
+                        "worker": "doomed-worker",
+                    })
+                    send_frame(submitter, {
+                        "op": "submit",
+                        "version": NET_FORMAT_VERSION,
+                        "shards": [
+                            {"key": key, "task": task, "shard_index": 0}
+                        ],
+                    })
+                    doomed.settimeout(10.0)
+                    assert recv_frame(doomed)["op"] == "build"
+                    # Never ping: the scavenger must reclaim the lease.
+                    deadline = time.monotonic() + 10.0
+                    while broker.stats()["counters"]["requeues"] < 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.02)
+            finally:
+                doomed.close()
+                submitter.close()
+        lost = [
             m for m in caplog.messages
-            if m.startswith("event=lease_reclaimed")
+            if m.startswith("event=broker_worker_lost")
         ]
-        assert len(reclaims) == 1
-        assert f"key={key}" in reclaims[0]
+        requeues = [
+            m for m in caplog.messages
+            if m.startswith("event=task_requeued")
+        ]
+        assert len(lost) == 1 and "worker=doomed-worker" in lost[0]
+        assert "heartbeat stale" in lost[0]
+        assert len(requeues) == 1 and f"key={key}" in requeues[0]
         counters = obs.metrics().snapshot()
-        assert counters["repro_queue_reclaims_total"] == {"{}": 1.0}
+        assert counters["repro_broker_requeues_total"] == {"{}": 1.0}

@@ -1,17 +1,12 @@
-"""Backoff schedule unit tests + the pinned sleep sequences of the
-queue submitter and worker idle loops (the fixed-interval busy-wait
-fix: idle polls back off geometrically, progress resets the schedule).
-"""
+"""Backoff schedule unit tests (the tcp transport's pinned reconnect
+sequences live in ``test_netqueue.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import AnalysisError
-from repro.parallel import Backoff, QueueWorker, WorkQueue
-from repro.parallel.cache import shard_key
-from repro.parallel.executors import QueueExecutor
-from repro.parallel.worker import ShardTask
+from repro.parallel import Backoff
 
 
 class TestBackoff:
@@ -59,120 +54,3 @@ class TestBackoff:
     def test_repr_mentions_schedule(self):
         assert "initial=0.05" in repr(Backoff(0.05))
 
-
-def _task(circuit):
-    return ShardTask(
-        circuit=circuit,
-        backend=None,
-        kind="stuck_at",
-        faults=(),
-        base_signatures=(),
-        shard_index=0,
-    )
-
-
-class TestWorkerIdleBackoff:
-    """`QueueWorker.serve` sleeps the pinned geometric schedule while
-    idle, instead of hammering the mount at poll_interval."""
-
-    def test_idle_sleeps_follow_schedule(self, tmp_path, monkeypatch):
-        from repro.parallel import workqueue
-
-        sleeps: list[float] = []
-        # Virtual idle clock: each fake sleep advances it, so idle_exit
-        # trips after a known number of polls with no wall-clock waits.
-        clock = {"now": 0.0}
-        monkeypatch.setattr(
-            workqueue.time, "monotonic", lambda: clock["now"]
-        )
-
-        def advancing_sleep(delay: float) -> None:
-            sleeps.append(delay)
-            clock["now"] += delay
-
-        monkeypatch.setattr(workqueue, "_sleep", advancing_sleep)
-        worker = QueueWorker(
-            WorkQueue(tmp_path / "queue"), poll_interval=0.05
-        )
-        worker.serve(idle_exit=3.0)
-        # Cumulative idle time at each check: 0, .05, .15, .35, .75,
-        # 1.55, 2.55 — all under 3.0 — then 3.55 trips the exit.
-        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
-
-
-class TestSubmitterBackoff:
-    """`QueueExecutor.submit` polls on the pinned schedule and resets
-    it when a result lands."""
-
-    def test_submit_polls_follow_schedule(self, tmp_path, monkeypatch):
-        from repro.bench_suite.randlogic import random_circuit
-        from repro.parallel import executors
-
-        circuit = random_circuit(3, num_inputs=3, num_gates=6)
-        task = _task(circuit)
-        key = shard_key(
-            task.circuit, task.backend, task.kind, task.faults
-        )
-        queue = WorkQueue(tmp_path / "queue")
-        sleeps: list[float] = []
-
-        def sleep_then_complete(delay: float) -> None:
-            sleeps.append(delay)
-            if len(sleeps) == 4:
-                # A worker finishes the shard mid-backoff; the next
-                # poll picks it up and the loop exits.
-                queue.results.put(key, [1, 2, 3])
-
-        monkeypatch.setattr(executors, "_sleep", sleep_then_complete)
-        executor = QueueExecutor(
-            queue_dir=str(tmp_path / "queue"),
-            poll_interval=0.05,
-            wait_timeout=300.0,
-        )
-        outcomes = executor.submit([task])
-        assert outcomes == [(0, [1, 2, 3])]
-        assert sleeps == [0.05, 0.1, 0.2, 0.4]
-
-    def test_submit_backoff_resets_on_progress(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.bench_suite.randlogic import random_circuit
-        from repro.parallel import executors
-
-        circuit = random_circuit(4, num_inputs=3, num_gates=6)
-        task_a = _task(circuit)
-        task_b = ShardTask(
-            circuit=circuit,
-            backend=None,
-            kind="bridging",
-            faults=(),
-            base_signatures=(),
-            shard_index=1,
-        )
-        key_a = shard_key(
-            task_a.circuit, task_a.backend, task_a.kind, task_a.faults
-        )
-        key_b = shard_key(
-            task_b.circuit, task_b.backend, task_b.kind, task_b.faults
-        )
-        queue = WorkQueue(tmp_path / "queue")
-        sleeps: list[float] = []
-
-        def staged_sleep(delay: float) -> None:
-            sleeps.append(delay)
-            if len(sleeps) == 3:
-                queue.results.put(key_a, [1])
-            if len(sleeps) == 5:
-                queue.results.put(key_b, [2])
-
-        monkeypatch.setattr(executors, "_sleep", staged_sleep)
-        executor = QueueExecutor(
-            queue_dir=str(tmp_path / "queue"),
-            poll_interval=0.05,
-            wait_timeout=300.0,
-        )
-        outcomes = sorted(executor.submit([task_a, task_b]))
-        assert outcomes == [(0, [1]), (1, [2])]
-        # Three idle polls (0.05, 0.1, 0.2), then key_a lands and the
-        # schedule resets to 0.05 before the remaining idle polls.
-        assert sleeps == [0.05, 0.1, 0.2, 0.05, 0.1]

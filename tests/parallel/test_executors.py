@@ -1,7 +1,7 @@
 """The ShardExecutor protocol: conformance, factories, injection.
 
-Queue mechanics (leases, heartbeats, retries, the worker loop) live in
-``test_workqueue.py``; the executor × base-engine bit-identity sweeps
+Broker mechanics (leases, heartbeats, retries, the worker loop) live in
+``test_netqueue.py``; the executor × base-engine bit-identity sweeps
 live with the other differential suites in
 ``tests/test_backend_differential.py``.  This module covers the
 protocol itself — the three implementations' configuration contracts,
@@ -27,12 +27,12 @@ from repro.parallel import (
     InlineExecutor,
     ParallelBackend,
     PoolExecutor,
-    QueueExecutor,
     ShardExecutor,
     make_executor,
     maybe_parallel,
     resolve_executor,
 )
+from repro.parallel.netqueue import TcpExecutor
 
 
 class TestProtocol:
@@ -40,51 +40,29 @@ class TestProtocol:
         for executor in (
             InlineExecutor(),
             PoolExecutor(jobs=2),
-            QueueExecutor(queue_dir="/tmp/q"),
+            TcpExecutor(broker="h:1"),
         ):
             assert isinstance(executor, ShardExecutor)
 
     def test_describe(self):
         assert InlineExecutor().describe() == "inline"
         assert PoolExecutor(jobs=3).describe() == "pool jobs=3"
-        assert QueueExecutor(queue_dir="/tmp/q").describe() == "queue"
+        assert TcpExecutor(broker="h:1").describe() == "tcp"
 
     def test_pool_rejects_bad_jobs(self):
         with pytest.raises(AnalysisError, match="jobs"):
             PoolExecutor(jobs=0)
 
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"poll_interval": 0.0}, "poll_interval"),
-            ({"lease_timeout": -1.0}, "lease_timeout"),
-            ({"max_attempts": 0}, "max_attempts"),
-            ({"wait_timeout": 0.0}, "wait_timeout"),
-        ],
-    )
-    def test_queue_validates_configuration(self, kwargs, match):
-        with pytest.raises(AnalysisError, match=match):
-            QueueExecutor(queue_dir="/tmp/q", **kwargs)
-
-    def test_queue_dir_resolution(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
-        with pytest.raises(AnalysisError, match="REPRO_QUEUE_DIR"):
-            QueueExecutor().resolved_dir()
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path))
-        assert QueueExecutor().resolved_dir() == str(tmp_path)
-        # An explicit directory beats the environment.
-        assert QueueExecutor(queue_dir="/x").resolved_dir() == "/x"
-
 
 class TestFactories:
-    def test_make_executor_names(self, tmp_path, monkeypatch):
+    def test_make_executor_names(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert make_executor("inline") == InlineExecutor()
         assert make_executor("pool") == PoolExecutor(jobs=2)
         assert make_executor("pool", jobs=5) == PoolExecutor(jobs=5)
-        queue = make_executor("queue", queue_dir=str(tmp_path))
-        assert isinstance(queue, QueueExecutor)
-        assert queue.queue_dir == str(tmp_path)
+        assert make_executor("tcp", broker="h:1") == TcpExecutor(
+            broker="h:1"
+        )
 
     def test_make_executor_pool_honours_explicit_jobs_one(
         self, monkeypatch
@@ -102,15 +80,15 @@ class TestFactories:
         with pytest.raises(AnalysisError, match="unknown executor"):
             make_executor("cluster")
 
-    def test_queue_requires_directory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
-        with pytest.raises(AnalysisError, match="queue directory"):
-            make_executor("queue")
+    def test_tcp_requires_broker(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BROKER", raising=False)
+        with pytest.raises(AnalysisError, match="broker address"):
+            make_executor("tcp")
 
-    def test_queue_dir_only_for_queue(self, tmp_path):
+    def test_broker_only_for_tcp(self):
         for name in ("inline", "pool"):
-            with pytest.raises(AnalysisError, match="--queue-dir"):
-                make_executor(name, queue_dir=str(tmp_path))
+            with pytest.raises(AnalysisError, match="--broker"):
+                make_executor(name, broker="h:1")
 
     def test_resolve_executor_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
@@ -120,17 +98,18 @@ class TestFactories:
         # An explicit name beats the environment.
         assert resolve_executor("inline") == InlineExecutor()
 
-    def test_resolve_executor_queue_env_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_EXECUTOR", "queue")
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path))
-        executor = resolve_executor()
-        assert isinstance(executor, QueueExecutor)
-        assert executor.queue_dir == str(tmp_path)
+    def test_resolve_executor_tcp_env_broker(self, monkeypatch):
+        # The broker address is resolved at submit time, so the
+        # executor value itself stays host-independent.
+        monkeypatch.setenv("REPRO_EXECUTOR", "tcp")
+        monkeypatch.setenv("REPRO_BROKER", "h:1")
+        assert resolve_executor() == TcpExecutor()
+        assert resolve_executor().resolved_address() == ("h", 1)
 
-    def test_resolve_rejects_orphan_queue_dir(self, monkeypatch, tmp_path):
+    def test_resolve_rejects_orphan_broker(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        with pytest.raises(AnalysisError, match="--queue-dir"):
-            resolve_executor(queue_dir=str(tmp_path))
+        with pytest.raises(AnalysisError, match="--broker"):
+            resolve_executor(broker="h:1")
 
 
 class TestParallelBackendIntegration:
@@ -156,11 +135,11 @@ class TestParallelBackendIntegration:
     def test_hashable_with_executor(self):
         a = ParallelBackend(
             base=SampledBackend(8, seed=1),
-            executor=QueueExecutor(queue_dir="/tmp/q"),
+            executor=TcpExecutor(broker="h:1"),
         )
         b = ParallelBackend(
             base=SampledBackend(8, seed=1),
-            executor=QueueExecutor(queue_dir="/tmp/q"),
+            executor=TcpExecutor(broker="h:1"),
         )
         assert a == b and hash(a) == hash(b)
 
@@ -190,7 +169,7 @@ class TestInjection:
         assert wrapped.executor == InlineExecutor()
 
     def test_maybe_parallel_injects_into_adaptive(self):
-        executor = QueueExecutor(queue_dir="/tmp/q")
+        executor = TcpExecutor(broker="h:1")
         backend = maybe_parallel(AdaptiveBackend(), 2, executor=executor)
         assert isinstance(backend, AdaptiveBackend)
         assert backend.jobs == 2
@@ -209,30 +188,27 @@ class TestInjection:
         with pytest.raises(AnalysisError, match="internally"):
             ParallelBackend(base=AdaptiveBackend())
 
-    def test_make_backend_executor_name(self, tmp_path):
+    def test_make_backend_executor_name(self):
         backend = make_backend(
-            "sampled", samples=8, seed=1, executor="queue",
-            queue_dir=str(tmp_path),
+            "sampled", samples=8, seed=1, executor="tcp", broker="h:1",
         )
         assert isinstance(backend, ParallelBackend)
         assert backend.base == SampledBackend(8, seed=1)
-        assert isinstance(backend.executor, QueueExecutor)
+        assert backend.executor == TcpExecutor(broker="h:1")
 
     def test_make_backend_executor_instance(self):
         backend = make_backend("exhaustive", executor=PoolExecutor(jobs=3))
         assert isinstance(backend, ParallelBackend)
         assert backend.resolved_executor == PoolExecutor(jobs=3)
 
-    def test_make_backend_adaptive_executor_injects(self, tmp_path):
-        backend = make_backend(
-            "adaptive", executor="queue", queue_dir=str(tmp_path)
-        )
+    def test_make_backend_adaptive_executor_injects(self):
+        backend = make_backend("adaptive", executor="tcp", broker="h:1")
         assert isinstance(backend, AdaptiveBackend)
-        assert isinstance(backend.executor, QueueExecutor)
+        assert backend.executor == TcpExecutor(broker="h:1")
 
-    def test_make_backend_orphan_queue_dir(self, tmp_path):
-        with pytest.raises(AnalysisError, match="queue_dir"):
-            make_backend("exhaustive", queue_dir=str(tmp_path))
+    def test_make_backend_orphan_broker(self):
+        with pytest.raises(AnalysisError, match="broker"):
+            make_backend("exhaustive", broker="h:1")
 
     def test_universe_executor_kwarg(self, tmp_path):
         universe = FaultUniverse(

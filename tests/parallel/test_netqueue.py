@@ -28,18 +28,14 @@ from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import ExhaustiveBackend, SerialBackend
-from repro.parallel import (
-    ParallelBackend,
-    ShardTask,
-    TcpExecutor,
-    TcpWorker,
-    shard_key,
-)
+from repro.parallel import ParallelBackend, ShardTask, shard_key
 from repro.parallel.netqueue import (
     BROKER_ENV,
     BROKER_SECRET_ENV,
     NET_FORMAT_VERSION,
     BackgroundBroker,
+    TcpExecutor,
+    TcpWorker,
     broker_clear,
     broker_stats,
     recv_frame,
@@ -406,6 +402,23 @@ class TestBrokerRoundtrip:
             assert stats["counters"]["parked"] == 1
             assert len(stats["failed"]) == 1
             thread.join(timeout=30)
+
+    def test_resubmit_clears_parked_failure(self, tmp_path):
+        """A fresh submission of a parked shard is built again with a
+        fresh retry budget, not answered from the stale failure."""
+        with BackgroundBroker() as broker:
+            _worker, thread, out = worker_in_thread(
+                broker.address, tmp_path, idle_exit=1.0
+            )
+            executor = TcpExecutor(
+                broker=broker.address, wait_timeout=60.0, max_attempts=1,
+            )
+            for _ in range(2):
+                with pytest.raises(AnalysisError, match="tcp shard 0"):
+                    executor.submit([poisoned_task()])
+            assert broker.stats()["counters"]["parked"] == 2
+            thread.join(timeout=30)
+        assert out["stats"]["failed"] == 2
 
     def test_stats_and_clear_helpers(self, tmp_path):
         task = make_task()
@@ -890,18 +903,3 @@ class TestEndToEnd:
             assert "completed=1" in stats_text
             assert main(["queue", "clear", "--broker", broker.address]) == 0
             assert "removed 1" in capsys.readouterr().out
-
-    def test_cli_rejects_queue_and_broker_together(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "queue", "info",
-                    "--queue", str(tmp_path / "q"),
-                    "--broker", "h:1",
-                ]
-            )
-            == 2
-        )
-        assert "mutually exclusive" in capsys.readouterr().err

@@ -175,170 +175,29 @@ class TestParallelDifferential:
         self._assert_equivalent(get_circuit(name), ExhaustiveBackend())
 
 
-class TestQueueExecutorDifferential:
-    """Distributed queue builds ≡ inline builds, bit for bit.
-
-    Every case publishes its shards to a filesystem work queue and lets
-    real :class:`~repro.parallel.QueueWorker` drain loops (two of them,
-    racing for claims) produce the results — the exact machinery behind
-    ``repro worker --queue DIR``, minus the process boundary that the
-    workqueue/CLI tests and the CI distributed-smoke job cover.  The
-    local shard cache is disabled so each case measures a real
-    distributed construction, not a replay.
-    """
-
-    @staticmethod
-    def _queue_backend(base, tmp_path):
-        from repro.parallel import QueueExecutor
-
-        return ParallelBackend(
-            base=base,
-            use_cache=False,
-            executor=QueueExecutor(
-                queue_dir=str(tmp_path / "queue"),
-                poll_interval=0.01,
-                wait_timeout=300.0,
-            ),
-        )
-
-    @staticmethod
-    def _workers(tmp_path, count=2):
-        import threading
-
-        from repro.parallel import QueueWorker, WorkQueue
-
-        def serve():
-            QueueWorker(
-                WorkQueue(tmp_path / "queue"), poll_interval=0.01
-            ).serve(idle_exit=5.0)
-
-        threads = [
-            threading.Thread(target=serve, daemon=True)
-            for _ in range(count)
-        ]
-        for thread in threads:
-            thread.start()
-        return threads
-
-    def _assert_equivalent(self, circuit, base, tmp_path):
-        self._workers(tmp_path)
-        inline = FaultUniverse(circuit, backend=base)
-        queued = FaultUniverse(
-            circuit, backend=self._queue_backend(base, tmp_path)
-        )
-        for mine, theirs in (
-            (queued.target_table, inline.target_table),
-            (queued.untargeted_table, inline.untargeted_table),
-        ):
-            assert mine.faults == theirs.faults
-            assert mine.signatures == theirs.signatures
-            assert mine.universe == theirs.universe
-        queue_analysis = WorstCaseAnalysis(
-            queued.target_table, queued.untargeted_table
-        )
-        inline_analysis = WorstCaseAnalysis(
-            inline.target_table, inline.untargeted_table
-        )
-        assert queue_analysis.records == inline_analysis.records
-        assert queue_analysis.guaranteed_n() == (
-            inline_analysis.guaranteed_n()
-        )
-
-    def test_exhaustive_base(self, tmp_path):
-        circuit = random_circuit(41, num_inputs=5, num_gates=12)
-        self._assert_equivalent(circuit, ExhaustiveBackend(), tmp_path)
-
-    def test_sampled_base(self, tmp_path):
-        circuit = random_circuit(42, num_inputs=7, num_gates=16)
-        self._assert_equivalent(
-            circuit, SampledBackend(24, seed=42), tmp_path
-        )
-
-    def test_packed_base(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.faultsim.backends import PackedBackend
-
-        circuit = random_circuit(43, num_inputs=6, num_gates=14)
-        self._assert_equivalent(
-            circuit, PackedBackend(samples=24, seed=9), tmp_path
-        )
-
-    def test_serial_base(self, tmp_path):
-        circuit = random_circuit(44, num_inputs=5, num_gates=12)
-        self._assert_equivalent(circuit, SerialBackend(), tmp_path)
-
-    @pytest.mark.parametrize("name", _suite_circuits()[:2])
-    def test_suite_circuit(self, name, tmp_path):
-        from repro.bench_suite.registry import get_circuit
-
-        self._assert_equivalent(
-            get_circuit(name), ExhaustiveBackend(), tmp_path
-        )
-
-    def test_adaptive_rounds_distribute(self, tmp_path):
-        """Per-round adaptive delta builds through the queue: the
-        trajectory is bit-identical to the single-process run."""
-        from repro.adaptive import AdaptiveSampler, StoppingRule
-        from repro.parallel import QueueExecutor
-
-        circuit = random_circuit(45, num_inputs=6, num_gates=14)
-        rule = StoppingRule(
-            target_halfwidth=0.2, initial_samples=8, max_samples=48,
-            k_smallest=4,
-        )
-
-        def run(executor=None):
-            return AdaptiveSampler(
-                circuit, rule=rule, seed=5, representation="bigint",
-                executor=executor, use_cache=False,
-            ).run()
-
-        self._workers(tmp_path)
-        queued = run(
-            QueueExecutor(
-                queue_dir=str(tmp_path / "queue"),
-                poll_interval=0.01,
-                wait_timeout=300.0,
-            )
-        )
-        plain = run()
-        assert [
-            (r.k_total, r.k_new, r.met) for r in plain.rounds
-        ] == [(r.k_total, r.k_new, r.met) for r in queued.rounds]
-        assert plain.universe == queued.universe
-        assert (
-            plain.target_table.signatures
-            == queued.target_table.signatures
-        )
-        assert (
-            plain.untargeted_table.signatures
-            == queued.untargeted_table.signatures
-        )
-
-
 class TestTcpExecutorDifferential:
     """TCP-broker builds ≡ inline builds, bit for bit.
 
-    The network twin of :class:`TestQueueExecutorDifferential`: every
-    case submits its shards to a live in-process broker and lets real
-    :class:`~repro.parallel.TcpWorker` drain loops (two of them,
-    served push-style off the same broker) produce the results — the
-    exact machinery behind ``repro broker`` + ``repro worker
-    --broker``, minus the process boundary that the netqueue tests and
-    the CI fleet-smoke job cover.  The local shard cache is disabled so
-    each case measures a real distributed construction, not a replay.
+    Every case submits its shards to a live in-process broker and lets
+    real :class:`~repro.parallel.netqueue.TcpWorker` drain loops (two
+    of them, served push-style off the same broker) produce the
+    results — the exact machinery behind ``repro broker`` + ``repro
+    worker --broker``, minus the process boundary that the netqueue
+    tests and the CI fleet-smoke job cover.  The local shard cache is
+    disabled so each case measures a real distributed construction,
+    not a replay.
     """
 
     @pytest.fixture()
     def broker(self):
-        from repro.parallel import BackgroundBroker
+        from repro.parallel.netqueue import BackgroundBroker
 
         with BackgroundBroker() as running:
             yield running
 
     @staticmethod
     def _tcp_backend(base, broker):
-        from repro.parallel import TcpExecutor
+        from repro.parallel.netqueue import TcpExecutor
 
         return ParallelBackend(
             base=base,
@@ -352,7 +211,7 @@ class TestTcpExecutorDifferential:
     def _workers(broker, tmp_path, count=2):
         import threading
 
-        from repro.parallel import TcpWorker
+        from repro.parallel.netqueue import TcpWorker
 
         threads = []
         for index in range(count):
@@ -435,7 +294,7 @@ class TestTcpExecutorDifferential:
         """Per-round adaptive delta builds through the broker: the
         trajectory is bit-identical to the single-process run."""
         from repro.adaptive import AdaptiveSampler, StoppingRule
-        from repro.parallel import TcpExecutor
+        from repro.parallel.netqueue import TcpExecutor
 
         circuit = random_circuit(55, num_inputs=6, num_gates=14)
         rule = StoppingRule(
@@ -472,7 +331,11 @@ class TestTcpExecutorDifferential:
         a straggler sits on its lease while a fast thief finishes."""
         import threading
 
-        from repro.parallel import BackgroundBroker, TcpExecutor, TcpWorker
+        from repro.parallel.netqueue import (
+            BackgroundBroker,
+            TcpExecutor,
+            TcpWorker,
+        )
 
         circuit = random_circuit(56, num_inputs=5, num_gates=12)
         base = ExhaustiveBackend()

@@ -1,7 +1,7 @@
 """reprolint — determinism-invariant static analysis for this repo.
 
 The repository's headline guarantee is that every execution substrate
-(queue ≡ pool ≡ inline ≡ serial) produces bit-for-bit identical
+(tcp ≡ pool ≡ inline ≡ serial) produces bit-for-bit identical
 detection tables.  The differential test suite enforces that guarantee
 *dynamically* — after a nondeterminism bug has already been written.
 ``reprolint`` encodes the invariant classes those bugs came from as

@@ -86,7 +86,7 @@ class Rule:
 class UnseededRng(Rule):
     """Every random stream must be seeded, or runs are unreproducible.
 
-    The differential guarantee (queue ≡ pool ≡ inline ≡ serial) holds
+    The differential guarantee (tcp ≡ pool ≡ inline ≡ serial) holds
     only because every sampled universe is drawn from an explicitly
     seeded stream.  ``random.Random()`` / ``np.random.default_rng()``
     with no seed pull OS entropy — two runs, or two workers, silently
@@ -301,7 +301,7 @@ class PickleCacheLeak(Rule):
 
     Dataclasses ride the executor boundary inside ``ShardTask`` payload
     graphs.  A lazily-rebuilt cache declared ``field(init=False, ...)``
-    that is *not* dropped in ``__getstate__`` bloats every pool/queue
+    that is *not* dropped in ``__getstate__`` bloats every pool/tcp
     pickle with derived state — and deserializes stale if the
     derivation ever changes (the pre-PR-6 ``VectorUniverse._bit_index``
     bug).  A ``__getstate__`` inherited from a project base class
@@ -386,14 +386,15 @@ class PickleCacheLeak(Rule):
 class ExistsThenAct(Rule):
     """``.exists()`` then acting on the same path races other workers.
 
-    The work queue's whole design is single-atomic-op transitions; an
+    The shard cache's whole design is single-atomic-op transitions; an
     ``exists()`` probe followed by ``open``/``rename``/``unlink``/a
     write on the same path reintroduces a window in which a racing
-    worker observes (or destroys) the stale branch.  The analysis
-    service shares the hazard: it sits above the same shard cache and
-    queue directories, with ``repro worker`` processes racing it.  Use
-    EAFP (``try``/``except FileNotFoundError``) or an atomic
-    create/rename.
+    worker observes (or destroys) the stale branch — pool children,
+    ``repro worker`` processes, and a thief duplicating a stolen shard
+    all write the same content-addressed entries.  The analysis
+    service shares the hazard: it sits above the same shard cache,
+    with ``repro worker`` processes racing it.  Use EAFP
+    (``try``/``except FileNotFoundError``) or an atomic create/rename.
     """
 
     code = "RPL004"
