@@ -42,8 +42,8 @@ waived — but still recorded — on single-core machines;
 ``test_ppsfp_build_speedup`` is the acceptance benchmark of the
 word-parallel (PPSFP) simulation kernel: with faults and fault-free
 base signatures precomputed, it times the detection-table builds for
-both fault models on the wide sampled circuits under ``REPRO_PPSFP=0``
-(big-int cone resimulation) and ``REPRO_PPSFP=1`` (the numpy kernel),
+both fault models on the wide sampled circuits on the big-int cone path
+(``ppsfp.MAX_WORDS`` patched to 0) and on the numpy kernel,
 proves the tables bit-identical, records the per-circuit and aggregate
 numbers into ``BENCH_faultsim.json``, and asserts the aggregate clears
 ``REPRO_BENCH_MIN_PPSFP_SPEEDUP`` (default 5.0; the dev-box aggregate
@@ -201,7 +201,6 @@ def test_worst_case_scan(benchmark, tables):
 
 @pytest.fixture(scope="module")
 def packed_tables(circuit, tables):
-    pytest.importorskip("numpy")
     from repro.faultsim.packed_table import PackedDetectionTable
 
     targets, untargeted = tables
@@ -237,8 +236,6 @@ def test_packed_nmin_scan_speedup(record_speedup):
     are identical, and asserts the aggregate speedup across the wide
     suite clears ``REPRO_BENCH_MIN_SPEEDUP``.
     """
-    pytest.importorskip("numpy")
-
     total_big = total_packed = 0.0
     lines = []
     for name in WIDE_CIRCUITS:
@@ -310,7 +307,6 @@ def test_parallel_build_speedup(record_speedup):
     is waived (a process pool cannot beat the GIL-free single process
     there) but the numbers are still recorded.
     """
-    pytest.importorskip("numpy")
 
     def build(circuit, backend):
         universe = FaultUniverse(circuit, backend=backend)
@@ -397,7 +393,6 @@ def test_tcp_executor_build_speedup(record_speedup, tmp_path):
     import sys
     from pathlib import Path
 
-    pytest.importorskip("numpy")
     from repro.parallel.netqueue import BackgroundBroker, TcpExecutor
 
     env = dict(os.environ)
@@ -524,17 +519,17 @@ def test_ppsfp_build_speedup(record_speedup, monkeypatch):
     For every wide sampled circuit, times the full detection-table
     construction (both fault models, faults and fault-free base
     signatures precomputed so only the per-fault cone work is measured)
-    under ``REPRO_PPSFP=0`` (big-int cone resimulation) and
-    ``REPRO_PPSFP=1`` (the numpy word-parallel kernel), proves the
+    on the big-int cone path (``ppsfp.MAX_WORDS`` patched to 0) and on
+    the numpy word-parallel kernel, proves the
     tables bit-identical, records every timing into the
     ``BENCH_faultsim.json`` trajectory, and asserts the aggregate
     speedup clears ``MIN_PPSFP_SPEEDUP``.
     """
-    pytest.importorskip("numpy")
     from repro.faults.bridging import four_way_bridging_faults
     from repro.faults.stuck_at import collapsed_stuck_at_faults
     from repro.faultsim.detection import universe_line_signatures
     from repro.faultsim.sampling import draw_universe
+    from repro.simulation import ppsfp
 
     total_big = total_kernel = 0.0
     lines = []
@@ -561,9 +556,9 @@ def test_ppsfp_build_speedup(record_speedup, monkeypatch):
             )
             return targets, untargeted
 
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big_time, (big_f, big_g) = _best_of(build)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         build()  # warm-up: numpy dispatch + the circuit's cone masks
         kernel_time, (ker_f, ker_g) = _best_of(build, rounds=5)
         assert ker_f.signatures == big_f.signatures

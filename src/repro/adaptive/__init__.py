@@ -6,9 +6,10 @@ on choosing ``K``:
 
 ``controller``
     :class:`AdaptiveSampler` / :class:`StoppingRule` — seeded rounds of
-    incremental universe growth (old vectors are never re-simulated, in
-    both big-int and numpy-packed representations; each round's delta
-    build can shard across worker processes) until the confidence
+    incremental universe growth (old vectors are never re-simulated:
+    each round's numpy-packed delta columns are spliced into the
+    accumulated blocks, and the delta build can shard across worker
+    processes) until the confidence
     intervals of the ``k``-smallest ``N(f)`` estimates meet a target
     half-width or the budget runs out; returns an
     :class:`AdaptiveReport` with the per-round trajectory.

@@ -62,7 +62,6 @@ class AdaptiveBackend:
     growth: int = 2
     seed: int = 0
     stratify: str | None = None
-    representation: str = "auto"
     jobs: int = field(default=1, compare=False)
     executor: object | None = field(default=None, compare=False)
     use_cache: bool = field(default=True, compare=False)
@@ -75,6 +74,7 @@ class AdaptiveBackend:
     )
     name: str = "adaptive"
     needs_base_signatures = False
+    builds_packed = True
 
     def __post_init__(self) -> None:
         self.rule  # validates every rule parameter eagerly
@@ -125,7 +125,6 @@ class AdaptiveBackend:
             rule=self.rule,
             seed=self.seed,
             stratify=self.stratify,
-            representation=self.representation,
             jobs=self.jobs,
             executor=self.executor,
             use_cache=self.use_cache,
@@ -133,16 +132,6 @@ class AdaptiveBackend:
         ).run()
         self._reports[key] = (circuit, report)
         return report
-
-    @property
-    def builds_packed(self) -> bool:
-        if self.representation == "packed":
-            return True
-        if self.representation == "bigint":
-            return False
-        from repro.logic.packed import have_numpy
-
-        return have_numpy()
 
     # -- protocol ------------------------------------------------------
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
@@ -199,12 +188,6 @@ class AdaptiveBackend:
         ]
         faults = [f for f, _ in kept]
         signatures = [s for _, s in kept]
-        if type(table) is not DetectionTable:
-            # Numpy-packed tables re-derive the packed block from the
-            # filtered signatures (same class, same universe).
-            return type(table)(
-                table.circuit, faults, signatures, table.universe
-            )
-        return DetectionTable(
-            table.circuit, faults, signatures, table.universe
-        )
+        # Same class, same universe; the packed block is re-derived
+        # from the filtered signatures.
+        return type(table)(table.circuit, faults, signatures, table.universe)

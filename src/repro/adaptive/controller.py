@@ -18,9 +18,8 @@ for the fresh vectors (through a
 sharded across worker processes by
 :class:`~repro.parallel.ParallelBackend` — reusing the shard plan and
 persistent shard cache machinery), then splices the new columns into
-the accumulated signatures.  The splice exists in both representations:
-big-int signatures take the fresh bits via shifted ORs, numpy-packed
-blocks via :func:`~repro.logic.packed.widen_matrix` /
+the accumulated numpy-packed signature blocks via
+:func:`~repro.logic.packed.widen_matrix` /
 :func:`~repro.logic.packed.scatter_columns`.  Total simulation cost at
 final size ``K`` is therefore one ``K``-vector build, not the
 ``K + K/2 + K/4 + …`` a restart-based search pays.
@@ -63,14 +62,21 @@ from repro.errors import AnalysisError
 from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faultsim.backends import FixedUniverseBackend
-from repro.faultsim.detection import DetectionTable
+from repro.faultsim.packed_table import PackedDetectionTable
 from repro.faultsim.sampling import (
     CountEstimate,
     VectorUniverse,
     confidence_z,
     count_interval,
 )
-from repro.logic.bitops import iter_set_bits
+from repro.logic.packed import (
+    _np,
+    PackedSignatureMatrix,
+    gather_columns,
+    pack_signature,
+    scatter_columns,
+    widen_matrix,
+)
 
 #: Stratification schemes accepted by the controller / CLI.
 STRATIFY_SCHEMES: tuple[str, ...] = ("bridging",)
@@ -202,12 +208,11 @@ class AdaptiveReport:
     circuit: Circuit
     rule: StoppingRule
     seed: int
-    representation: str
     plan: StrataPlan | None
     rounds: list[AdaptiveRound]
     universe: VectorUniverse
-    target_table: DetectionTable
-    untargeted_table: DetectionTable
+    target_table: PackedDetectionTable
+    untargeted_table: PackedDetectionTable
     focus: list[FocusEstimate]
     met: bool
     reason: str
@@ -247,9 +252,6 @@ class AdaptiveSampler:
         rare-activation strata of :func:`build_bridging_strata` (falls
         back to uniform when the circuit has no enumerable rare event —
         recorded in the report's ``plan``).
-    representation:
-        ``"bigint"``, ``"packed"``, or ``"auto"`` (packed when numpy is
-        available).  Both representations produce bit-identical tables.
     jobs:
         Worker processes for each round's delta table build (sharded
         through :class:`~repro.parallel.ParallelBackend`; results are
@@ -274,7 +276,6 @@ class AdaptiveSampler:
         rule: StoppingRule | None = None,
         seed: int = 0,
         stratify: str | None = None,
-        representation: str = "auto",
         jobs: int = 1,
         executor: object | None = None,
         use_cache: bool = True,
@@ -285,26 +286,12 @@ class AdaptiveSampler:
                 f"unknown stratification scheme {stratify!r}; choose "
                 f"from {', '.join(STRATIFY_SCHEMES)} (or omit it)"
             )
-        if representation not in ("auto", "bigint", "packed"):
-            raise AnalysisError(
-                f"representation must be auto|bigint|packed, got "
-                f"{representation!r}"
-            )
         if jobs < 1:
             raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-        if representation == "auto":
-            from repro.logic.packed import have_numpy
-
-            representation = "packed" if have_numpy() else "bigint"
-        elif representation == "packed":
-            from repro.logic.packed import require_numpy
-
-            require_numpy()
         self.circuit = circuit
         self.rule = rule if rule is not None else DEFAULT_RULE
         self.seed = seed
         self.stratify = stratify
-        self.representation = representation
         self.jobs = jobs
         self.executor = executor
         self.use_cache = use_cache
@@ -328,8 +315,7 @@ class AdaptiveSampler:
         stratified = plan is not None and plan.num_strata > 1
         faults_f = collapsed_stuck_at_faults(circuit)
         faults_g = four_way_bridging_faults(circuit)
-        state = _GrowthState(circuit, len(faults_f), len(faults_g),
-                             self.representation)
+        state = _GrowthState(circuit, len(faults_f), len(faults_g))
         num_strata = plan.num_strata if stratified else 1
         if stratified:
             state.stratum_draws = [0] * num_strata
@@ -423,35 +409,24 @@ class AdaptiveSampler:
             if k_total >= budget:
                 reason = "sample budget exhausted"
                 break
-        universe, sigs_f, sigs_g, packed_f, packed_g = state.finalize(
+        universe, packed_f, packed_g = state.finalize(
             plan if stratified else None
         )
-        if self.representation == "packed":
-            from repro.faultsim.packed_table import PackedDetectionTable
-
-            target_table: DetectionTable = PackedDetectionTable(
-                circuit, list(faults_f), sigs_f, universe, packed_f
-            )
-            untargeted_table: DetectionTable = PackedDetectionTable(
-                circuit, list(faults_g), sigs_g, universe, packed_g
-            )
-        else:
-            target_table = DetectionTable(
-                circuit, list(faults_f), sigs_f, universe
-            )
-            untargeted_table = DetectionTable(
-                circuit, list(faults_g), sigs_g, universe
-            )
         return AdaptiveReport(
             circuit=circuit,
             rule=rule,
             seed=self.seed,
-            representation=self.representation,
             plan=plan,
             rounds=rounds,
             universe=universe,
-            target_table=target_table,
-            untargeted_table=untargeted_table,
+            target_table=PackedDetectionTable(
+                circuit, list(faults_f), packed_f.to_bigints(), universe,
+                packed_f,
+            ),
+            untargeted_table=PackedDetectionTable(
+                circuit, list(faults_g), packed_g.to_bigints(), universe,
+                packed_g,
+            ),
             focus=evaluation.focus,
             met=met,
             reason=reason,
@@ -504,11 +479,7 @@ class AdaptiveSampler:
         if not new_vectors:
             return
         delta_sorted = tuple(sorted(new_vectors))
-        backend = FixedUniverseBackend(
-            self.circuit.num_inputs,
-            delta_sorted,
-            packed=self.representation == "packed",
-        )
+        backend = FixedUniverseBackend(self.circuit.num_inputs, delta_sorted)
         if self.jobs > 1 or self.executor is not None:
             from repro.parallel import maybe_parallel
 
@@ -531,7 +502,7 @@ class AdaptiveSampler:
 
 
 class _GrowthState:
-    """Accumulated draw-order signatures, in one of two representations.
+    """Accumulated draw-order signatures, as numpy-packed blocks.
 
     Signature bit ``d`` refers to ``drawn[d]`` — *draw order*, not
     sorted order, so extension is append-only and never moves an
@@ -539,90 +510,48 @@ class _GrowthState:
     order a :class:`VectorUniverse` requires, once.
     """
 
-    def __init__(self, circuit, num_f, num_g, representation):
+    def __init__(self, circuit, num_f, num_g):
         self.circuit = circuit
-        self.representation = representation
         self.drawn: list[int] = []
         self.seen: set[int] = set()
         self.stratum_draws: list[int] = []
-        if representation == "packed":
-            from repro.logic.packed import PackedSignatureMatrix, _np
-
-            self.acc_f = PackedSignatureMatrix(
-                _np.zeros((num_f, 1), dtype=_np.uint64), 0
-            )
-            self.acc_g = PackedSignatureMatrix(
-                _np.zeros((num_g, 1), dtype=_np.uint64), 0
-            )
-        else:
-            self.acc_f = [0] * num_f
-            self.acc_g = [0] * num_g
+        self.acc_f = PackedSignatureMatrix(
+            _np.zeros((num_f, 1), dtype=_np.uint64), 0
+        )
+        self.acc_g = PackedSignatureMatrix(
+            _np.zeros((num_g, 1), dtype=_np.uint64), 0
+        )
 
     def splice(self, new_vectors, delta_sorted, table_f, table_g) -> None:
         base = len(self.drawn)
         position_of = {v: base + i for i, v in enumerate(new_vectors)}
         positions = [position_of[v] for v in delta_sorted]
         self.drawn.extend(new_vectors)
-        if self.representation == "packed":
-            from repro.logic.packed import scatter_columns, widen_matrix
-
-            self.acc_f = widen_matrix(self.acc_f, len(self.drawn))
-            self.acc_g = widen_matrix(self.acc_g, len(self.drawn))
-            scatter_columns(self.acc_f, table_f.packed, positions)
-            scatter_columns(self.acc_g, table_g.packed, positions)
-        else:
-            self._splice_bigint(self.acc_f, table_f.signatures, positions)
-            self._splice_bigint(self.acc_g, table_g.signatures, positions)
-
-    @staticmethod
-    def _splice_bigint(acc, delta_signatures, positions) -> None:
-        for i, sig in enumerate(delta_signatures):
-            if not sig:
-                continue
-            add = 0
-            for b in iter_set_bits(sig):
-                add |= 1 << positions[b]
-            acc[i] |= add
+        self.acc_f = widen_matrix(self.acc_f, len(self.drawn))
+        self.acc_g = widen_matrix(self.acc_g, len(self.drawn))
+        scatter_columns(self.acc_f, table_f.packed, positions)
+        scatter_columns(self.acc_g, table_g.packed, positions)
 
     # -- queries the rule evaluator needs ------------------------------
     def counts(self) -> tuple[list[int], list[int]]:
         """Draw-order popcounts (``N`` in sample space) per table."""
-        if self.representation == "packed":
-            return (
-                [int(c) for c in self.acc_f.popcount_rows()],
-                [int(c) for c in self.acc_g.popcount_rows()],
-            )
         return (
-            [s.bit_count() for s in self.acc_f],
-            [s.bit_count() for s in self.acc_g],
+            [int(c) for c in self.acc_f.popcount_rows()],
+            [int(c) for c in self.acc_g.popcount_rows()],
         )
 
     def stratum_count_arrays(self, masks) -> tuple[list, list]:
         """Per-stratum popcounts: ``out[h][i]`` for each table."""
-        if self.representation == "packed":
-            from repro.logic.packed import pack_signature
-
-            size = max(1, len(self.drawn))
-            out_f, out_g = [], []
-            for mask in masks:
-                row = pack_signature(mask, size)
-                out_f.append(
-                    [int(c) for c in self.acc_f.and_popcount(row)]
-                )
-                out_g.append(
-                    [int(c) for c in self.acc_g.and_popcount(row)]
-                )
-            return out_f, out_g
-        out_f = [
-            [(s & mask).bit_count() for s in self.acc_f] for mask in masks
-        ]
-        out_g = [
-            [(s & mask).bit_count() for s in self.acc_g] for mask in masks
-        ]
+        size = max(1, len(self.drawn))
+        out_f, out_g = [], []
+        for mask in masks:
+            row = pack_signature(mask, size)
+            out_f.append([int(c) for c in self.acc_f.and_popcount(row)])
+            out_g.append([int(c) for c in self.acc_g.and_popcount(row)])
         return out_f, out_g
 
     def finalize(self, plan):
-        """Sorted-order universe + signatures (both representations)."""
+        """Sorted-order universe + packed ``F``/``G`` signature blocks."""
         p = self.circuit.num_inputs
         space = 1 << p
         sorted_vectors = sorted(self.drawn)
@@ -637,31 +566,11 @@ class _GrowthState:
             universe = VectorUniverse(p, tuple(sorted_vectors))
         draw_position = {v: d for d, v in enumerate(self.drawn)}
         order = [draw_position[v] for v in sorted_vectors]
-        if self.representation == "packed":
-            from repro.logic.packed import gather_columns
-
-            packed_f = gather_columns(self.acc_f, order)
-            packed_g = gather_columns(self.acc_g, order)
-            return (
-                universe,
-                packed_f.to_bigints(),
-                packed_g.to_bigints(),
-                packed_f,
-                packed_g,
-            )
-        new_bit = [0] * len(order)
-        for sorted_bit, draw_bit in enumerate(order):
-            new_bit[draw_bit] = sorted_bit
-        sigs_f = [self._permute(s, new_bit) for s in self.acc_f]
-        sigs_g = [self._permute(s, new_bit) for s in self.acc_g]
-        return universe, sigs_f, sigs_g, None, None
-
-    @staticmethod
-    def _permute(signature, new_bit) -> int:
-        out = 0
-        for b in iter_set_bits(signature):
-            out |= 1 << new_bit[b]
-        return out
+        return (
+            universe,
+            gather_columns(self.acc_f, order),
+            gather_columns(self.acc_g, order),
+        )
 
 
 @dataclass

@@ -6,13 +6,12 @@ strategy for building one.  Three engines are provided:
 
 ``exhaustive``
     The paper's analysis substrate: ``2**p``-bit signatures over all of
-    ``U`` via the closed-form input signatures and cone re-simulation.
-    Exact; capped at :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS`
-    inputs.
+    ``U``.  Exact; capped at
+    :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` inputs.
 ``sampled``
     Monte-Carlo sampled-U engine: ``K`` seeded random vectors packed
-    into ``K``-bit signatures (same cone re-simulation machinery, with an
-    explicit vector-index ↔ bit-index mapping carried by the table's
+    into ``K``-bit signatures (an explicit vector-index ↔ bit-index
+    mapping carried by the table's
     :class:`~repro.faultsim.sampling.VectorUniverse`).  Popcounts become
     unbiased estimators of ``N(f)`` / ``M(g, f)`` with confidence
     intervals; the full-coverage draw (``K == 2**p``, without
@@ -30,7 +29,7 @@ strategy for building one.  Three engines are provided:
     (:class:`~repro.faultsim.packed_table.PackedDetectionTable`) so the
     worst-case ``nmin`` scan runs as vectorized AND+popcount sweeps
     instead of per-pair big-int operations.  Bit-identical tables,
-    hardware-speed popcounts; requires numpy.
+    hardware-speed popcounts.
 ``adaptive``
     The :class:`repro.adaptive.AdaptiveBackend` controller: instead of
     a fixed ``K`` it grows the sampled universe round by round until
@@ -38,8 +37,12 @@ strategy for building one.  Three engines are provided:
     half-width, optionally with importance strata over rare bridging
     activation regions (``--stratify bridging``).
 ``fixed`` (:class:`FixedUniverseBackend`, API only)
-    Tables over an explicit vector list — the adaptive controller's
-    per-round delta engine; not exposed on the CLI.
+    Packed tables over an explicit vector list — the adaptive
+    controller's per-round delta engine; not exposed on the CLI.
+
+Every engine but ``serial`` builds through the one table builder of
+:mod:`repro.faultsim.detection`, which picks the PPSFP kernel or the
+cone path from the universe's width alone.
 
 Backends are small frozen dataclasses (hashable, so cached layers can
 key on them) and share the :class:`DetectionBackend` protocol.  Any of
@@ -67,6 +70,7 @@ from repro.faultsim.detection import (
     DetectionTable,
     universe_line_signatures,
 )
+from repro.faultsim.packed_table import PackedDetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.logic.bitops import MAX_EXHAUSTIVE_INPUTS
 
@@ -262,9 +266,6 @@ class PackedBackend:
     builds_packed = True
 
     def __post_init__(self) -> None:
-        from repro.logic.packed import require_numpy
-
-        require_numpy()
         if self.samples is None:
             # Exhaustive universe: seed/replacement are meaningless.
             # Canonicalize them so equivalent backends share one cache
@@ -300,8 +301,6 @@ class PackedBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        from repro.faultsim.packed_table import PackedDetectionTable
-
         return PackedDetectionTable.for_stuck_at(
             circuit,
             faults=faults,
@@ -317,8 +316,6 @@ class PackedBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        from repro.faultsim.packed_table import PackedDetectionTable
-
         return PackedDetectionTable.for_bridging(
             circuit,
             faults=faults,
@@ -342,7 +339,8 @@ class FixedUniverseBackend:
     given (sorted, distinct) vectors and builds through the exact same
     table machinery as the sampled engine — so it composes unchanged
     with :class:`repro.parallel.ParallelBackend` (sharded builds, shard
-    cache) and, with ``packed=True``, produces numpy-packed tables.
+    cache).  Its tables are always numpy-packed: the controller splices
+    their word columns into its accumulated matrices.
 
     It is a frozen, picklable dataclass like every other engine; the
     vectors tuple participates in equality/hashing, so cache layers key
@@ -351,26 +349,18 @@ class FixedUniverseBackend:
 
     num_inputs: int
     vectors: tuple[int, ...]
-    packed: bool = False
     name: str = "fixed"
     needs_base_signatures = True
+    builds_packed = True
 
     def __post_init__(self) -> None:
         if not self.vectors:
             raise AnalysisError(
                 "a fixed-universe backend needs at least 1 vector"
             )
-        if self.packed:
-            from repro.logic.packed import require_numpy
-
-            require_numpy()
         # Validate sortedness/range once, eagerly (VectorUniverse would
         # only catch it at build time, far from the mistake).
         self.universe
-
-    @property
-    def builds_packed(self) -> bool:
-        return self.packed
 
     @property
     def universe(self) -> VectorUniverse:
@@ -387,13 +377,6 @@ class FixedUniverseBackend:
     def line_signatures(self, circuit: Circuit) -> list[int]:
         return universe_line_signatures(circuit, self.universe_for(circuit))
 
-    def _table_cls(self):
-        if self.packed:
-            from repro.faultsim.packed_table import PackedDetectionTable
-
-            return PackedDetectionTable
-        return DetectionTable
-
     def build_stuck_at(
         self,
         circuit: Circuit,
@@ -401,7 +384,7 @@ class FixedUniverseBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        return self._table_cls().for_stuck_at(
+        return PackedDetectionTable.for_stuck_at(
             circuit,
             faults=faults,
             base_signatures=base_signatures,
@@ -416,7 +399,7 @@ class FixedUniverseBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        return self._table_cls().for_bridging(
+        return PackedDetectionTable.for_bridging(
             circuit,
             faults=faults,
             base_signatures=base_signatures,

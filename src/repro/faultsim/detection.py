@@ -10,17 +10,23 @@ exhaustive universe bit ``v`` means "vector ``v`` detects the fault";
 for a sampled universe bit ``i`` refers to the ``i``-th sampled vector
 and popcounts become unbiased estimators of the exact counts.
 
-Detection signatures are computed by forcing the fault site's signature
-and re-simulating only the site's fanout cone — the standard
-"single-fault propagation" trick lifted to signatures.  The cone
-machinery is universe-agnostic: it operates on whatever lane mapping the
-base signatures were built with.
+One builder computes every table, and the universe's width picks its
+engine.  Universes of up to :data:`repro.simulation.ppsfp.MAX_WORDS`
+64-bit words per row go through the word-parallel PPSFP kernel, which
+simulates batches of faults over all patterns at once.  Wider universes
+go through the cone path: force the fault site's signature and
+re-simulate only the site's fanout cone, the standard "single-fault
+propagation" trick lifted to big-int signatures.  The two engines are
+bit-identical (the differential suite certifies the kernel against the
+cone path), and both work on whatever lane mapping the universe
+declares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Union
 
 from repro import obs
 from repro.circuit.netlist import Circuit
@@ -35,28 +41,12 @@ from repro.simulation.exhaustive import (
     resimulate_cone,
 )
 
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from repro.logic.packed import PackedSignatureMatrix
+
 Fault = Union[StuckAtFault, BridgingFault]
-
-
-def _kernel_matrix(kind, circuit, universe, faults, base_signatures):
-    """PPSFP-kernel detection matrix, or None for the big-int path.
-
-    The word-parallel kernel (:mod:`repro.simulation.ppsfp`) builds the
-    same detection bits batched over both patterns and faults; it is
-    used whenever numpy is available and the universe fits under the
-    kernel's word cap (``REPRO_PPSFP=0`` forces the big-int path).  The
-    differential suite certifies the two paths bit-identical.
-    """
-    from repro.simulation import ppsfp
-
-    if not ppsfp.kernel_supports(universe):
-        return None
-    build = (
-        ppsfp.stuck_at_matrix if kind == "stuck_at" else ppsfp.bridging_matrix
-    )
-    return build(
-        circuit, universe, list(faults), base_signatures=base_signatures
-    )
 
 
 def _observe_table_build(kind: str, engine: str, seconds: float) -> None:
@@ -139,6 +129,41 @@ def bridging_detection_signature(
     return detection_signature(circuit, base_signatures, changed)
 
 
+def _cone_signatures(
+    kind: str,
+    circuit: Circuit,
+    universe: VectorUniverse,
+    faults: Sequence[Fault],
+    base_signatures: list[int] | None,
+) -> list[int]:
+    """Detection signatures by per-fault cone re-simulation.
+
+    The wide-universe engine of :meth:`DetectionTable._build`; each
+    fault site's cone order is computed once and shared by its faults.
+    """
+    # `is None`, not truthiness: an explicit (if degenerate) empty
+    # signature list must not silently trigger a recompute.
+    if base_signatures is None:
+        base_signatures = universe_line_signatures(circuit, universe)
+    detect: Callable[..., int]
+    if kind == "stuck_at":
+        detect, site_of = stuck_at_detection_signature, attrgetter("lid")
+    else:
+        detect, site_of = bridging_detection_signature, attrgetter("victim")
+    mask = universe.mask
+    cones: dict[int, list[int]] = {}
+    signatures = []
+    for fault in faults:
+        site = site_of(fault)
+        cone = cones.get(site)
+        if cone is None:
+            cone = cones[site] = circuit.fanout_cone_order(site)
+        signatures.append(
+            detect(circuit, base_signatures, fault, mask=mask, cone_order=cone)
+        )
+    return signatures
+
+
 @dataclass
 class DetectionTable:
     """Detection sets ``T(f)`` for an ordered fault list.
@@ -177,16 +202,20 @@ class DetectionTable:
             )
 
     def __getstate__(self) -> dict:
-        """Drop the lazily-built vector cache from the pickle payload.
+        """Drop the lazily-built caches from the pickle payload.
 
-        ``_vector_cache`` memoises ``vectors_of``; shipping a populated
-        cache across the executor boundary bloats shard payloads and
+        ``_vector_cache`` memoises :meth:`vectors` and
+        ``_packed_nmin_scan`` the worst-case scan of a packed table
+        (:func:`repro.core.worst_case._packed_scan_for`).  Shipping
+        either across the executor boundary bloats shard payloads and
         makes pickles of otherwise-equal tables differ byte-for-byte.
-        ``__post_init__`` does not run on unpickle, so the cache is
-        restored here as an explicitly fresh dict.
+        ``__post_init__`` does not run on unpickle, so the vector cache
+        is restored here as an explicitly fresh dict; the scan is
+        rebuilt on first use.
         """
         state = dict(self.__dict__)
         state["_vector_cache"] = {}
+        state.pop("_packed_nmin_scan", None)
         return state
 
     # ------------------------------------------------------------------
@@ -209,58 +238,12 @@ class DetectionTable:
         (default: exhaustive over the circuit's inputs); when sampled,
         ``base_signatures`` must have been built over the same universe.
         """
-        if universe is None:
-            universe = VectorUniverse(circuit.num_inputs)
         if faults is None:
             faults = collapsed_stuck_at_faults(circuit)
-        clock = obs.system_clock()
-        started = clock.monotonic()
-        with obs.span(
-            "table_build",
-            kind="stuck_at",
-            circuit=circuit.name,
-            faults=len(faults),
-            k=universe.size,
-        ) as build_span:
-            matrix = _kernel_matrix(
-                "stuck_at", circuit, universe, faults, base_signatures
-            )
-            engine = "ppsfp" if matrix is not None else "bigint"
-            build_span.set(engine=engine)
-            if matrix is not None:
-                table = matrix.to_bigints()
-            else:
-                # `is None`, not truthiness: an explicit (if degenerate)
-                # empty signature list must not silently trigger a
-                # recompute.
-                if base_signatures is None:
-                    base_signatures = universe_line_signatures(
-                        circuit, universe
-                    )
-                sigs = base_signatures
-                mask = universe.mask
-                cone_cache: dict[int, list[int]] = {}
-                table = []
-                for f in faults:
-                    cone = cone_cache.get(f.lid)
-                    if cone is None:
-                        cone = circuit.fanout_cone_order(f.lid)
-                        cone_cache[f.lid] = cone
-                    table.append(
-                        stuck_at_detection_signature(
-                            circuit, sigs, f, mask=mask, cone_order=cone
-                        )
-                    )
-            if drop_undetectable:
-                kept = [
-                    (f, t) for f, t in zip(faults, table, strict=True) if t
-                ]
-                faults = [f for f, _ in kept]
-                table = [t for _, t in kept]
-        _observe_table_build(
-            "stuck_at", engine, clock.monotonic() - started
+        return cls._build(
+            "stuck_at", circuit, faults, base_signatures,
+            drop_undetectable, universe,
         )
-        return cls(circuit, list(faults), table, universe)
 
     @classmethod
     def for_bridging(
@@ -277,55 +260,92 @@ class DetectionTable:
         ``drop_undetectable`` defaults to True.  On a sampled universe
         "undetectable" means "not detected by any sampled vector".
         """
-        if universe is None:
-            universe = VectorUniverse(circuit.num_inputs)
         if faults is None:
             faults = four_way_bridging_faults(circuit)
+        return cls._build(
+            "bridging", circuit, faults, base_signatures,
+            drop_undetectable, universe,
+        )
+
+    @classmethod
+    def _build(
+        cls,
+        kind: str,
+        circuit: Circuit,
+        faults: Sequence[Fault],
+        base_signatures: list[int] | None,
+        drop_undetectable: bool,
+        universe: VectorUniverse | None,
+    ) -> "DetectionTable":
+        """The one table builder: PPSFP kernel or cone path, by width.
+
+        The kernel runs when the universe fits in
+        :data:`repro.simulation.ppsfp.MAX_WORDS` words per row; wider
+        universes take the cone path (:func:`_cone_signatures`).  The
+        ``table_build`` span records which one ran as ``engine=ppsfp``
+        or ``engine=bigint``.
+        """
+        from repro.simulation import ppsfp
+
+        if universe is None:
+            universe = VectorUniverse(circuit.num_inputs)
         clock = obs.system_clock()
         started = clock.monotonic()
         with obs.span(
             "table_build",
-            kind="bridging",
+            kind=kind,
             circuit=circuit.name,
             faults=len(faults),
             k=universe.size,
         ) as build_span:
-            matrix = _kernel_matrix(
-                "bridging", circuit, universe, faults, base_signatures
-            )
-            engine = "ppsfp" if matrix is not None else "bigint"
-            build_span.set(engine=engine)
-            if matrix is not None:
-                table = matrix.to_bigints()
+            matrix = None
+            if ppsfp.kernel_supports(universe):
+                engine = "ppsfp"
+                build: Callable[..., PackedSignatureMatrix] = (
+                    ppsfp.stuck_at_matrix
+                    if kind == "stuck_at"
+                    else ppsfp.bridging_matrix
+                )
+                matrix = build(
+                    circuit, universe, faults, base_signatures=base_signatures
+                )
+                signatures = matrix.to_bigints()
             else:
-                if base_signatures is None:
-                    base_signatures = universe_line_signatures(
-                        circuit, universe
-                    )
-                sigs = base_signatures
-                mask = universe.mask
-                cone_cache: dict[int, list[int]] = {}
-                table = []
-                for g in faults:
-                    cone = cone_cache.get(g.victim)
-                    if cone is None:
-                        cone = circuit.fanout_cone_order(g.victim)
-                        cone_cache[g.victim] = cone
-                    table.append(
-                        bridging_detection_signature(
-                            circuit, sigs, g, mask=mask, cone_order=cone
-                        )
-                    )
-            if drop_undetectable:
-                kept = [
-                    (g, t) for g, t in zip(faults, table, strict=True) if t
-                ]
-                faults = [g for g, _ in kept]
-                table = [t for _, t in kept]
-        _observe_table_build(
-            "bridging", engine, clock.monotonic() - started
+                engine = "bigint"
+                signatures = _cone_signatures(
+                    kind, circuit, universe, faults, base_signatures
+                )
+            build_span.set(engine=engine)
+            table_faults = list(faults)
+            kept = None
+            if drop_undetectable and not all(signatures):
+                kept = [i for i, sig in enumerate(signatures) if sig]
+                table_faults = [table_faults[i] for i in kept]
+                signatures = [signatures[i] for i in kept]
+        _observe_table_build(kind, engine, clock.monotonic() - started)
+        return cls._assemble(
+            circuit, table_faults, signatures, universe, matrix, kept
         )
-        return cls(circuit, list(faults), table, universe)
+
+    @classmethod
+    def _assemble(
+        cls,
+        circuit: Circuit,
+        faults: list[Fault],
+        signatures: list[int],
+        universe: VectorUniverse,
+        matrix: PackedSignatureMatrix | None,
+        kept: list[int] | None,
+    ) -> "DetectionTable":
+        """The table from :meth:`_build`'s rows (a subclass hook).
+
+        ``matrix`` is the kernel's packed output over the unfiltered
+        fault list (None from the cone path) and ``kept`` the surviving
+        row indices when undetectable faults were dropped (None when
+        every row survived).  A plain table keeps only the big-int
+        signatures.
+        """
+        return cls(circuit, faults, signatures, universe)
 
     # ------------------------------------------------------------------
     # Queries

@@ -6,23 +6,22 @@ signature list (so every existing consumer — set-cover greedy passes,
 Procedure 1, the escape analysis — keeps working unchanged) and carries
 the same bits as a :class:`~repro.logic.packed.PackedSignatureMatrix`,
 which the popcount-heavy queries and the worst-case ``nmin`` scan
-dispatch to.  Construction is *born packed*: the
-:mod:`repro.simulation.ppsfp` word-parallel kernel produces the packed
-matrix directly (the big-int signature list is derived from it in one
-cheap pass), so no bigint→packed conversion sits on the build hot path;
-when the kernel is disabled (``REPRO_PPSFP=0``) or the universe exceeds
-its word cap, construction falls back to the big-int cone-resimulation
-machinery and packs its result — either way the bits are identical.
+dispatch to.  ``for_stuck_at``/``for_bridging`` are inherited: the
+shared builder hands this class the PPSFP kernel's packed matrix
+through the :meth:`PackedDetectionTable._assemble` hook, so a
+kernel-built table is *born packed*, with no bigint→packed conversion.
+Cone-path tables (universes too wide for the kernel) pack their
+big-int rows in ``__post_init__``; either way the bits are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
-from repro.faults.bridging import four_way_bridging_faults
-from repro.faults.stuck_at import collapsed_stuck_at_faults
-from repro.faultsim.detection import DetectionTable
+from repro.faultsim.detection import DetectionTable, Fault
+from repro.faultsim.sampling import VectorUniverse
 from repro.logic.packed import _np, PackedSignatureMatrix, pack_signature
 
 
@@ -55,109 +54,26 @@ class PackedDetectionTable(DetectionTable):
                 )
 
     # ------------------------------------------------------------------
-    # Born-packed construction (the PPSFP kernel path)
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _for_kind(
+    def _assemble(
         cls,
-        kind: str,
-        circuit,
-        faults,
-        base_signatures,
-        drop_undetectable: bool,
-        universe,
+        circuit: Circuit,
+        faults: list[Fault],
+        signatures: list[int],
+        universe: VectorUniverse,
+        matrix: PackedSignatureMatrix | None,
+        kept: list[int] | None,
     ) -> "PackedDetectionTable":
-        """Build via the word-parallel kernel when it applies.
+        """Keep the kernel's words: the table is born packed.
 
-        The kernel returns the packed matrix directly — the table is
-        *born packed*, skipping the bigint→packed conversion of the
-        inherited path (the big-int signature list every existing
-        consumer reads is derived from the matrix words in one cheap
-        pass).  When the kernel is unavailable (no numpy at call time is
-        impossible here — the backend already required it — but
-        ``REPRO_PPSFP=0`` or an over-wide universe are not) the
-        inherited big-int construction runs and ``__post_init__`` packs
-        its result.
+        Cone-path rows (``matrix`` is None) are packed by
+        ``__post_init__`` instead.
         """
-        from repro.faultsim.sampling import VectorUniverse
-        from repro.simulation import ppsfp
-
-        if universe is None:
-            universe = VectorUniverse(circuit.num_inputs)
-        if faults is None:
-            faults = (
-                collapsed_stuck_at_faults(circuit)
-                if kind == "stuck_at"
-                else four_way_bridging_faults(circuit)
-            )
-        if not ppsfp.kernel_supports(universe):
-            parent = (
-                super().for_stuck_at
-                if kind == "stuck_at"
-                else super().for_bridging
-            )
-            return parent(
-                circuit,
-                faults=list(faults),
-                base_signatures=base_signatures,
-                drop_undetectable=drop_undetectable,
-                universe=universe,
-            )
-        build = (
-            ppsfp.stuck_at_matrix
-            if kind == "stuck_at"
-            else ppsfp.bridging_matrix
-        )
-        faults = list(faults)
-        matrix = build(
-            circuit, universe, faults, base_signatures=base_signatures
-        )
-        signatures = matrix.to_bigints()
-        if drop_undetectable:
-            kept = [i for i, sig in enumerate(signatures) if sig]
-            if len(kept) != len(faults):
-                faults = [faults[i] for i in kept]
-                signatures = [signatures[i] for i in kept]
-                matrix = matrix.take(kept)
+        if matrix is not None and kept is not None:
+            matrix = matrix.take(kept)
         return cls(circuit, faults, signatures, universe, packed=matrix)
-
-    @classmethod
-    def for_stuck_at(
-        cls,
-        circuit,
-        faults=None,
-        base_signatures=None,
-        drop_undetectable: bool = False,
-        universe=None,
-    ) -> "PackedDetectionTable":
-        """Born-packed table for the collapsed stuck-at set ``F``."""
-        return cls._for_kind(
-            "stuck_at",
-            circuit,
-            faults,
-            base_signatures,
-            drop_undetectable,
-            universe,
-        )
-
-    @classmethod
-    def for_bridging(
-        cls,
-        circuit,
-        faults=None,
-        base_signatures=None,
-        drop_undetectable: bool = True,
-        universe=None,
-    ) -> "PackedDetectionTable":
-        """Born-packed table for the untargeted bridging set ``G``."""
-        return cls._for_kind(
-            "bridging",
-            circuit,
-            faults,
-            base_signatures,
-            drop_undetectable,
-            universe,
-        )
 
     @classmethod
     def from_table(cls, table: DetectionTable) -> "PackedDetectionTable":

@@ -17,16 +17,16 @@ signature lives in word ``i // 64`` at in-word position ``i % 64``
 :meth:`PackedSignatureMatrix.to_bigints` is the identity and popcounts
 agree bit for bit with ``int.bit_count()``.
 
-numpy is an optional dependency of this module alone: importing it
-without numpy succeeds, and every entry point raises
-:class:`~repro.errors.AnalysisError` with an actionable message instead
-of an ``ImportError``.
+numpy is a required dependency.  ``numpy.bitwise_count`` (numpy >= 2)
+counts bits when present; older numpy releases get a byte-LUT popcount.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
+
+import numpy as _np
 
 from repro.errors import AnalysisError
 
@@ -40,27 +40,8 @@ if TYPE_CHECKING:
     U8Array = NDArray[np.uint8]
     I64Array = NDArray[np.int64]
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
-
-
-def have_numpy() -> bool:
-    """Whether the packed substrate is usable in this interpreter."""
-    return _np is not None
-
-
-def require_numpy() -> None:
-    """Raise :class:`AnalysisError` when numpy is unavailable."""
-    if _np is None:
-        raise AnalysisError(
-            "packed signatures require numpy, which is not installed; "
-            "install numpy or choose another backend"
-        )
 
 
 def words_for(size: int) -> int:
@@ -70,7 +51,7 @@ def words_for(size: int) -> int:
     return max(1, (size + WORD_BITS - 1) // WORD_BITS)
 
 
-if _np is not None and hasattr(_np, "bitwise_count"):
+if hasattr(_np, "bitwise_count"):
 
     def popcount_words(words: U64Array) -> U8Array:
         """Per-word popcounts of a ``uint64`` array (any shape)."""
@@ -78,15 +59,12 @@ if _np is not None and hasattr(_np, "bitwise_count"):
 
 else:  # numpy < 2.0: byte-LUT fallback
 
-    _BYTE_POPCOUNT: U8Array | None = (
-        _np.array([bin(b).count("1") for b in range(256)], dtype=_np.uint8)
-        if _np is not None
-        else None
+    _BYTE_POPCOUNT: U8Array = _np.array(
+        [bin(b).count("1") for b in range(256)], dtype=_np.uint8
     )
 
     def popcount_words(words: U64Array) -> U8Array:
         """Per-word popcounts of a ``uint64`` array (any shape)."""
-        assert _BYTE_POPCOUNT is not None  # require_numpy() guards callers
         as_bytes = _np.ascontiguousarray(words).view(_np.uint8)
         per_byte = _BYTE_POPCOUNT[as_bytes]
         return per_byte.reshape(*words.shape, _WORD_BYTES).sum(
@@ -96,7 +74,6 @@ else:  # numpy < 2.0: byte-LUT fallback
 
 def pack_signature(signature: int, size: int) -> U64Array:
     """One big-int signature as a ``(words_for(size),)`` ``uint64`` row."""
-    require_numpy()
     if signature < 0:
         raise AnalysisError("signatures are non-negative bitsets")
     if signature >> size:
@@ -110,7 +87,6 @@ def pack_signature(signature: int, size: int) -> U64Array:
 
 def unpack_signature(row: U64Array) -> int:
     """Inverse of :func:`pack_signature`."""
-    require_numpy()
     raw = _np.ascontiguousarray(row, dtype="<u8").tobytes()
     return int.from_bytes(raw, "little")
 
@@ -134,7 +110,6 @@ class PackedSignatureMatrix:
     size: int
 
     def __init__(self, words: U64Array, size: int) -> None:
-        require_numpy()
         if words.ndim != 2:
             raise AnalysisError(
                 f"packed matrix must be 2-D, got {words.ndim}-D"
@@ -155,7 +130,6 @@ class PackedSignatureMatrix:
         cls, signatures: Sequence[int], size: int
     ) -> "PackedSignatureMatrix":
         """Pack big-int signatures (bit-order preserving, exact)."""
-        require_numpy()
         num_words = words_for(size)
         row_bytes = num_words * _WORD_BYTES
         chunks = []
@@ -259,7 +233,6 @@ def widen_matrix(
     signature block becomes a ``K + D``-bit block before the round's
     fresh columns are scattered in.
     """
-    require_numpy()
     if new_size < matrix.size:
         raise AnalysisError(
             f"cannot shrink a {matrix.size}-bit matrix to {new_size} bits"
@@ -286,7 +259,6 @@ def scatter_columns(
     freshly-built signature columns into the accumulated block without
     touching — let alone re-simulating — any existing column.
     """
-    require_numpy()
     if len(matrix) != len(delta):
         raise AnalysisError(
             "scatter_columns needs matrices with matching row counts"
@@ -319,7 +291,6 @@ def gather_columns(
     :class:`~repro.faultsim.sampling.VectorUniverse`).  Unpacks to a
     little-endian bit plane, gathers, and re-packs — exact for any size.
     """
-    require_numpy()
     idx = _np.asarray(list(order), dtype=_np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= matrix.size):
         raise AnalysisError(

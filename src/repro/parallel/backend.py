@@ -305,10 +305,7 @@ class ParallelBackend:
             kind=kind,
             executor=executor.name,
         ).inc()
-        if getattr(
-            self.base, "builds_packed",
-            getattr(self.base, "name", "") == "packed",
-        ):
+        if getattr(self.base, "builds_packed", False):
             from repro.faultsim.packed_table import PackedDetectionTable
 
             return PackedDetectionTable(

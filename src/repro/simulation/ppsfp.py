@@ -46,11 +46,10 @@ Semantics mirror the big-int engines exactly:
 * detection is any primary output differing from fault-free, i.e. the
   OR over outputs of ``faulty XOR base``.
 
-``REPRO_PPSFP=0`` disables the kernel (every caller falls back to the
-big-int path — the escape hatch the differential benchmarks use to
-time both engines); ``REPRO_PPSFP_MAX_WORDS`` bounds the universes the
-kernel accepts (very wide exhaustive universes stay on the big-int
-closed-form path, whose whole-signature ops are already C-speed).
+The detection-table builder (:mod:`repro.faultsim.detection`) uses this
+kernel whenever the universe fits in :data:`MAX_WORDS` words per row;
+wider universes go to the big-int cone path.  The choice depends only
+on the universe's width, never on a setting.
 
 Future direction (see ROADMAP): the same word-block layout extends to a
 5-valued (0/1/X/D/D') encoding with two words per line per value-plane,
@@ -61,7 +60,6 @@ auto-test-pattern-generation work.
 
 from __future__ import annotations
 
-import os
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -91,11 +89,14 @@ from repro.logic.packed import (
     words_for,
 )
 
-#: Universes wider than this many 64-bit words stay on the big-int path
-#: (override with ``REPRO_PPSFP_MAX_WORDS``).  4096 words = a 2**18-bit
-#: exhaustive universe; big-int whole-signature ops are C-speed memcpys
-#: at that scale, while the kernel's per-fault row blocks would not be.
-DEFAULT_MAX_WORDS = 4096
+#: Universes wider than this many 64-bit words take the big-int cone
+#: path; 4096 words = a 2**18-bit exhaustive universe.  Past it the
+#: kernel's dense faults x words output block costs more time and memory
+#: than the cone path: for ``random_circuit(3, num_inputs=20,
+#: num_gates=40)`` (16,384 words, on a 2-vCPU host) the cone path built
+#: the same tables in 2.82 s at 216 MB peak RSS, the kernel in 3.68 s at
+#: 589 MB.  Not a setting: the universe's width alone picks the engine.
+MAX_WORDS = 4096
 
 #: Per-line word budget for one fault batch: the batch row count is
 #: ``min(MAX_BATCH_ROWS, BATCH_WORD_BUDGET // words_per_row)``.  The
@@ -105,19 +106,9 @@ BATCH_WORD_BUDGET = 1 << 13
 MAX_BATCH_ROWS = 1024
 
 
-def kernel_enabled() -> bool:
-    """Whether the PPSFP kernel may be used in this process."""
-    return _np is not None and os.environ.get("REPRO_PPSFP", "1") != "0"
-
-
-def _max_words() -> int:
-    raw = os.environ.get("REPRO_PPSFP_MAX_WORDS")
-    return int(raw) if raw else DEFAULT_MAX_WORDS
-
-
 def kernel_supports(universe: VectorUniverse) -> bool:
-    """Whether the kernel handles this universe (enabled + word cap)."""
-    return kernel_enabled() and words_for(universe.size) <= _max_words()
+    """Whether the kernel builds tables over this universe (width only)."""
+    return words_for(universe.size) <= MAX_WORDS
 
 
 def batch_rows_for(num_words: int) -> int:
@@ -288,10 +279,6 @@ class PackedSimulator:
         universe: VectorUniverse,
         base_words: U64Array | None = None,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy-less installs
-            raise SimulationError(
-                "the PPSFP kernel requires numpy, which is not installed"
-            )
         if universe.num_inputs != circuit.num_inputs:
             raise SimulationError(
                 "universe and circuit disagree on the input count"
@@ -606,30 +593,3 @@ def bridging_matrix(
     )
     return PackedSignatureMatrix(out, universe.size)
 
-
-def try_stuck_at_matrix(
-    circuit: Circuit,
-    universe: VectorUniverse,
-    faults: Sequence[StuckAtFault],
-    base_signatures: list[int] | None = None,
-) -> PackedSignatureMatrix | None:
-    """Kernel-built stuck-at matrix, or None when the kernel is off."""
-    if not kernel_supports(universe):
-        return None
-    return stuck_at_matrix(
-        circuit, universe, faults, base_signatures=base_signatures
-    )
-
-
-def try_bridging_matrix(
-    circuit: Circuit,
-    universe: VectorUniverse,
-    faults: Sequence[BridgingFault],
-    base_signatures: list[int] | None = None,
-) -> PackedSignatureMatrix | None:
-    """Kernel-built bridging matrix, or None when the kernel is off."""
-    if not kernel_supports(universe):
-        return None
-    return bridging_matrix(
-        circuit, universe, faults, base_signatures=base_signatures
-    )

@@ -27,25 +27,19 @@ def _input_lane_words(circuit: Circuit, vectors: Sequence[int]) -> list[int]:
     packed little-endian words — O(K·p/64) word work instead of the
     per-bit O(K·p) Python loop, which is the difference between
     milliseconds and seconds on a 10k-vector batch.  Batches numpy
-    cannot pack (numpy missing, zero inputs, or vectors wider than one
-    ``uint64``) keep the per-bit loop; both paths produce identical
-    words.
+    cannot pack (zero inputs, or vectors wider than one ``uint64``)
+    keep the per-bit loop; both paths produce identical words.
     """
     p = circuit.num_inputs
     vectors = list(vectors)
     if 0 < p <= 64:
-        from repro.logic.packed import _np
+        from repro.simulation.ppsfp import input_lane_matrix
 
-        if _np is not None:
-            from repro.simulation.ppsfp import input_lane_matrix
-
-            rows = input_lane_matrix(p, vectors)
-            return [
-                int.from_bytes(
-                    row.astype("<u8", copy=False).tobytes(), "little"
-                )
-                for row in rows
-            ]
+        rows = input_lane_matrix(p, vectors)
+        return [
+            int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
+            for row in rows
+        ]
     limit = 1 << p
     words = [0] * p
     for lane, v in enumerate(vectors):

@@ -27,7 +27,6 @@ def backend():
         max_samples=48,
         k_smallest=2,
         seed=11,
-        representation="bigint",
         use_cache=False,
     )
 

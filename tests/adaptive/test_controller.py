@@ -63,8 +63,7 @@ class TestStoppingRule:
             k_smallest=1,
         )
         report = AdaptiveSampler(
-            circuit, rule=rule, seed=0, representation="bigint",
-            use_cache=False,
+            circuit, rule=rule, seed=0, use_cache=False,
         ).run()
         assert report.rounds[0].k_total == 1
 
@@ -74,10 +73,6 @@ class TestSamplerValidation:
         with pytest.raises(AnalysisError, match="stratification scheme"):
             AdaptiveSampler(circuit, stratify="voltage")
 
-    def test_unknown_representation(self, circuit):
-        with pytest.raises(AnalysisError, match="representation"):
-            AdaptiveSampler(circuit, representation="sparse")
-
     def test_bad_jobs(self, circuit):
         with pytest.raises(AnalysisError, match="jobs"):
             AdaptiveSampler(circuit, jobs=0)
@@ -86,8 +81,7 @@ class TestSamplerValidation:
 class TestTrajectory:
     def test_geometric_growth_and_reuse(self, circuit):
         report = AdaptiveSampler(
-            circuit, rule=RULE, seed=1, representation="bigint",
-            use_cache=False,
+            circuit, rule=RULE, seed=1, use_cache=False,
         ).run()
         ks = [r.k_total for r in report.rounds]
         assert ks[0] == 8
@@ -101,8 +95,7 @@ class TestTrajectory:
 
     def test_universe_matches_tables(self, circuit):
         report = AdaptiveSampler(
-            circuit, rule=RULE, seed=2, representation="bigint",
-            use_cache=False,
+            circuit, rule=RULE, seed=2, use_cache=False,
         ).run()
         assert report.target_table.universe == report.universe
         assert report.untargeted_table.universe == report.universe
@@ -115,7 +108,7 @@ class TestTrajectory:
         # faults well before the budget: the run stops mid-schedule.
         report = AdaptiveSampler(
             circuit, rule=RULE, seed=1, stratify="bridging",
-            representation="bigint", use_cache=False,
+            use_cache=False,
         ).run()
         assert report.met
         assert report.reason == "target met"
@@ -127,8 +120,7 @@ class TestTrajectory:
             k_smallest=4,
         )
         report = AdaptiveSampler(
-            circuit, rule=rule, seed=1, representation="bigint",
-            use_cache=False,
+            circuit, rule=rule, seed=1, use_cache=False,
         ).run()
         assert not report.met
         assert report.reason == "sample budget exhausted"
@@ -146,7 +138,7 @@ class TestExhaustiveDegeneration:
         )
         report = AdaptiveSampler(
             circuit, rule=rule, seed=9, stratify=stratify,
-            representation="bigint", use_cache=False,
+            use_cache=False,
         ).run()
         assert report.met
         assert report.reason == "exact (universe exhausted)"
@@ -163,32 +155,11 @@ class TestExhaustiveDegeneration:
 
 
 class TestRepresentations:
-    def test_bigint_packed_identical(self, circuit):
-        pytest.importorskip("numpy")
-        a = AdaptiveSampler(
-            circuit, rule=RULE, seed=4, representation="bigint",
-            use_cache=False,
-        ).run()
-        b = AdaptiveSampler(
-            circuit, rule=RULE, seed=4, representation="packed",
-            use_cache=False,
-        ).run()
-        assert a.universe == b.universe
-        assert a.target_table.signatures == b.target_table.signatures
-        assert (
-            a.untargeted_table.signatures == b.untargeted_table.signatures
-        )
-        assert [
-            (r.k_total, r.met, r.allocation) for r in a.rounds
-        ] == [(r.k_total, r.met, r.allocation) for r in b.rounds]
-
     def test_packed_table_type(self, circuit):
-        pytest.importorskip("numpy")
         from repro.faultsim.packed_table import PackedDetectionTable
 
         report = AdaptiveSampler(
-            circuit, rule=RULE, seed=4, representation="packed",
-            use_cache=False,
+            circuit, rule=RULE, seed=4, use_cache=False,
         ).run()
         assert isinstance(report.target_table, PackedDetectionTable)
         assert report.target_table.packed.to_bigints() == (
@@ -200,7 +171,7 @@ class TestStratifiedController:
     def test_stratified_universe_and_allocations(self, circuit):
         report = AdaptiveSampler(
             circuit, rule=RULE, seed=1, stratify="bridging",
-            representation="bigint", use_cache=False,
+            use_cache=False,
         ).run()
         assert report.stratified
         if not report.universe.exact:
@@ -226,11 +197,10 @@ class TestStratifiedController:
         )
         strat = AdaptiveSampler(
             circuit, rule=rule, seed=3, stratify="bridging",
-            representation="bigint", use_cache=False,
+            use_cache=False,
         ).run()
         uniform = AdaptiveSampler(
-            circuit, rule=rule, seed=3, representation="bigint",
-            use_cache=False,
+            circuit, rule=rule, seed=3, use_cache=False,
         ).run()
         assert strat.total_vectors <= uniform.total_vectors
 
@@ -245,7 +215,6 @@ class TestStratifiedController:
             ),
             seed=0,
             stratify="bridging",
-            representation="bigint",
             use_cache=False,
         ).run()
         # Plan degenerates to bulk-only: the run is plain uniform growth.

@@ -392,7 +392,6 @@ class TestJobsAndCache:
 
     def test_partition_wide_packed_tagged_correctly(self, capsys,
                                                     tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(
             [

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.bench_suite.randlogic import random_circuit
 from repro.errors import AnalysisError, FaultError
 from repro.faults.universe import FaultUniverse
@@ -171,3 +169,21 @@ class TestPackedBackend:
         scan = table._packed_nmin_scan  # built once, then cached
         assert nmin_for_untargeted_fault(table, g_sig) == first
         assert table._packed_nmin_scan is scan
+
+
+class TestPickling:
+    def test_nmin_scan_cache_stays_out_of_pickles(self):
+        """The worst-case scan cached on a packed table is not pickled."""
+        import pickle
+
+        from repro.bench_suite.registry import get_circuit
+        from repro.core.worst_case import WorstCaseAnalysis
+
+        fu = FaultUniverse(get_circuit("ex2"), backend=PackedBackend())
+        target, untargeted = fu.target_table, fu.untargeted_table
+        before = pickle.dumps(target)
+        records = WorstCaseAnalysis(target, untargeted).records
+        assert "_packed_nmin_scan" in target.__dict__
+        assert pickle.dumps(target) == before
+        restored = pickle.loads(before)
+        assert WorstCaseAnalysis(restored, untargeted).records == records

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.errors import AnalysisError
 from repro.logic.packed import (

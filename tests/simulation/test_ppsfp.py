@@ -1,17 +1,15 @@
-"""PPSFP kernel unit tests: word layout, batching, env gates.
+"""PPSFP kernel unit tests: word layout, batching, width selection.
 
 The cross-engine bit-identity sweep lives in
 ``tests/test_ppsfp_differential.py``; this module covers the kernel's
 own invariants — base words vs the big-int line signatures, batching
-invariance, input-site forcing, the ``REPRO_PPSFP`` escape hatch, and
-non-word-multiple universe sizes.
+invariance, input-site forcing, the ``MAX_WORDS`` width cut between the
+kernel and the cone path, and non-word-multiple universe sizes.
 """
 
 from __future__ import annotations
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit
@@ -82,21 +80,24 @@ class TestBaseWords:
 
 class TestKernelGates:
     def test_env_disable(self, monkeypatch):
-        u = VectorUniverse(4)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
-        assert not ppsfp.kernel_enabled()
-        assert not ppsfp.kernel_supports(u)
+        # A zero word cap is the only way to turn the kernel off: every
+        # universe then builds through the cone path, bit for bit alike.
         circuit = get_circuit("lion")
+        universe = VectorUniverse(circuit.num_inputs)
         faults = collapsed_stuck_at_faults(circuit)
-        assert (
-            ppsfp.try_stuck_at_matrix(
-                circuit, VectorUniverse(circuit.num_inputs), faults
-            )
-            is None
-        )
+        assert ppsfp.kernel_supports(universe)
+        kernel = DetectionTable.for_stuck_at(circuit, faults=faults)
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
+        assert not ppsfp.kernel_supports(VectorUniverse(4))
+        assert not ppsfp.kernel_supports(universe)
+        cone = DetectionTable.for_stuck_at(circuit, faults=faults)
+        assert cone.signatures == kernel.signatures
 
     def test_word_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PPSFP_MAX_WORDS", "2")
+        assert ppsfp.MAX_WORDS == 4096
+        assert ppsfp.kernel_supports(VectorUniverse(18))  # 4096 words
+        assert not ppsfp.kernel_supports(VectorUniverse(19))
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 2)
         assert ppsfp.kernel_supports(VectorUniverse(7))  # 128 bits = 2 words
         assert not ppsfp.kernel_supports(VectorUniverse(8))
 
@@ -136,7 +137,7 @@ class TestDetectionMatrices:
             for v in (0, 1)
         ]
         matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         table = DetectionTable.for_stuck_at(circuit, faults=faults)
         assert matrix.to_bigints() == table.signatures
 
@@ -145,7 +146,7 @@ class TestDetectionMatrices:
         universe = _sampled(circuit, 70)  # 70 bits -> 2 words, 6 spare
         faults = collapsed_stuck_at_faults(circuit)
         matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         table = DetectionTable.for_stuck_at(
             circuit, faults=faults, universe=universe
         )
@@ -159,7 +160,7 @@ class TestDetectionMatrices:
         universe = _sampled(circuit, 9, seed=5)
         faults = four_way_bridging_faults(circuit)
         matrix = ppsfp.bridging_matrix(circuit, universe, faults)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         table = DetectionTable.for_bridging(
             circuit,
             faults=faults,
@@ -167,3 +168,32 @@ class TestDetectionMatrices:
             drop_undetectable=False,
         )
         assert matrix.to_bigints() == table.signatures
+
+
+class TestWideFallback:
+    def test_wide_exhaustive_universe_takes_cone_path(self, monkeypatch):
+        from repro import obs
+        from repro.obs.tracer import ListTraceWriter, Tracer
+
+        circuit = random_circuit(3, num_inputs=19, num_gates=12)
+        universe = VectorUniverse(circuit.num_inputs)
+        assert words_for(universe.size) == 8192 > ppsfp.MAX_WORDS
+        writer = ListTraceWriter()
+        previous = obs.activate(Tracer(writer, trace_id="T"))
+        try:
+            cone_f = DetectionTable.for_stuck_at(circuit)
+            cone_g = DetectionTable.for_bridging(circuit)
+        finally:
+            obs.reset(previous)
+        engines = [
+            r["attrs"]["engine"]
+            for r in writer.records
+            if r["name"] == "table_build"
+        ]
+        assert engines == ["bigint", "bigint"]
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", words_for(universe.size))
+        kernel_f = DetectionTable.for_stuck_at(circuit)
+        kernel_g = DetectionTable.for_bridging(circuit)
+        assert kernel_f.signatures == cone_f.signatures
+        assert kernel_g.faults == cone_g.faults
+        assert kernel_g.signatures == cone_g.signatures

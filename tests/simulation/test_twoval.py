@@ -128,27 +128,27 @@ class TestInputLaneWords:
             self._reference_words(c17_circuit, vectors)
         )
 
-    def test_numpy_less_fallback_matches(self, c17_circuit, monkeypatch):
-        import repro.logic.packed as packed
+    def test_per_bit_loop_matches_beyond_64_inputs(self):
+        # 65 inputs do not fit one uint64 lane, so the per-bit loop runs.
+        from repro.bench_suite.randlogic import random_circuit
         from repro.simulation.twoval import _input_lane_words
 
-        vectors = [3, 17, 0, 31, 8, 8, 25]
-        bulk = _input_lane_words(c17_circuit, vectors)
-        monkeypatch.setattr(packed, "_np", None)
-        loop = _input_lane_words(c17_circuit, vectors)
-        assert bulk == loop == self._reference_words(c17_circuit, vectors)
+        wide = random_circuit(1, num_inputs=65, num_gates=40)
+        top = (1 << 65) - 1
+        vectors = [3, 1 << 64, 0, top, 8, 8, top - (1 << 63)]
+        assert _input_lane_words(wide, vectors) == (
+            self._reference_words(wide, vectors)
+        )
 
-    def test_out_of_range_rejected_on_both_paths(
-        self, c17_circuit, monkeypatch
-    ):
-        import repro.logic.packed as packed
+    def test_out_of_range_rejected_on_both_paths(self, c17_circuit):
+        from repro.bench_suite.randlogic import random_circuit
         from repro.simulation.twoval import _input_lane_words
 
         with pytest.raises(SimulationError):
             _input_lane_words(c17_circuit, [0, 1 << c17_circuit.num_inputs])
-        monkeypatch.setattr(packed, "_np", None)
+        wide = random_circuit(1, num_inputs=65, num_gates=40)
         with pytest.raises(SimulationError):
-            _input_lane_words(c17_circuit, [0, 1 << c17_circuit.num_inputs])
+            _input_lane_words(wide, [0, 1 << 65])
 
     def test_simulate_batch_10k_consistent_with_singles(self, c17_circuit):
         import random

@@ -17,15 +17,13 @@ engines agree wherever their domains overlap.
   circuit, as the CI workflow does);
 * the adaptive controller — same seed implies a bit-identical
   trajectory (round sizes, allocations, universes, tables) across
-  ``jobs=1`` vs ``jobs=2``, across the big-int and numpy-packed
-  representations, uniform and stratified alike; and a budget covering
-  ``2**p`` canonicalizes to the exact exhaustive result, like the
-  full-sample sampled draw does.
+  ``jobs=1`` vs ``jobs=2``, uniform and stratified alike; its spliced
+  signatures equal a one-shot build over its final vectors; and a
+  budget covering ``2**p`` canonicalizes to the exact exhaustive
+  result, like the full-sample sampled draw does.
 
 The numpy-packed engine's differential suite lives in
-``tests/test_packed_differential.py`` (kept separate so this module
-still runs on numpy-less installs; the packed-base parallel case below
-guards its numpy import the same way).
+``tests/test_packed_differential.py``.
 """
 
 from __future__ import annotations
@@ -157,7 +155,6 @@ class TestParallelDifferential:
         )
 
     def test_packed_base_random(self):
-        pytest.importorskip("numpy")
         from repro.faultsim.backends import PackedBackend
 
         circuit = random_circuit(25, num_inputs=6, num_gates=14)
@@ -268,7 +265,6 @@ class TestTcpExecutorDifferential:
         )
 
     def test_packed_base(self, broker, tmp_path):
-        pytest.importorskip("numpy")
         from repro.faultsim.backends import PackedBackend
 
         circuit = random_circuit(53, num_inputs=6, num_gates=14)
@@ -304,8 +300,8 @@ class TestTcpExecutorDifferential:
 
         def run(executor=None):
             return AdaptiveSampler(
-                circuit, rule=rule, seed=5, representation="bigint",
-                executor=executor, use_cache=False,
+                circuit, rule=rule, seed=5, executor=executor,
+                use_cache=False,
             ).run()
 
         self._workers(broker, tmp_path)
@@ -400,8 +396,7 @@ class TestAdaptiveDifferential:
         k_smallest=4,
     )
 
-    def _run(self, circuit, seed, jobs=1, stratify=None,
-             representation="bigint", **overrides):
+    def _run(self, circuit, seed, jobs=1, stratify=None, **overrides):
         from repro.adaptive import AdaptiveSampler, StoppingRule
 
         kwargs = {**self.RULE_KWARGS, **overrides}
@@ -410,7 +405,6 @@ class TestAdaptiveDifferential:
             rule=StoppingRule(**kwargs),
             seed=seed,
             stratify=stratify,
-            representation=representation,
             jobs=jobs,
             use_cache=False,
         ).run()
@@ -450,15 +444,24 @@ class TestAdaptiveDifferential:
 
     @pytest.mark.parametrize("stratify", [None, "bridging"])
     def test_representation_invariant(self, stratify):
-        pytest.importorskip("numpy")
+        """Round-by-round column splicing ≡ one build over all vectors."""
+        from repro.faultsim.backends import FixedUniverseBackend
+
         circuit = random_circuit(33, num_inputs=6, num_gates=14)
-        bigint = self._run(
-            circuit, seed=2, representation="bigint", stratify=stratify
+        report = self._run(circuit, seed=2, stratify=stratify)
+        assert len(report.rounds) > 1
+        assert report.universe.size < 1 << circuit.num_inputs
+        one_shot = FixedUniverseBackend(
+            circuit.num_inputs, tuple(report.universe.vectors)
         )
-        packed = self._run(
-            circuit, seed=2, representation="packed", stratify=stratify
+        target = one_shot.build_stuck_at(circuit)
+        untargeted = one_shot.build_bridging(
+            circuit, drop_undetectable=False
         )
-        self._assert_same_trajectory(bigint, packed)
+        assert report.target_table.faults == target.faults
+        assert report.target_table.signatures == target.signatures
+        assert report.untargeted_table.faults == untargeted.faults
+        assert report.untargeted_table.signatures == untargeted.signatures
 
     @pytest.mark.parametrize("stratify", [None, "bridging"])
     def test_full_budget_canonicalizes_to_exhaustive(self, stratify):

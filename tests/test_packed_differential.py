@@ -6,9 +6,6 @@ tables, counts, ``nmin`` records (witnesses included), and
 alike.  ``REPRO_DIFF_SUITE=full`` extends the suite sweep from the
 default representative subset to every suite circuit (the CI workflow
 does this).
-
-Kept separate from ``tests/test_backend_differential.py`` so the PR-1
-big-int differential harness still runs on numpy-less installs.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from __future__ import annotations
 import os
 
 import pytest
-
-pytest.importorskip("numpy")
 
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import (

@@ -1,9 +1,10 @@
 """Differential certification of the PPSFP kernel against the big-int engines.
 
-The kernel path (``REPRO_PPSFP=1``, the default) must produce
-*bit-identical* detection tables to the big-int cone-resimulation path
-(``REPRO_PPSFP=0``) on every backend and universe, and both must agree
-with the independent per-vector serial engine.  ``REPRO_DIFF_SUITE=full``
+The kernel path (every universe of up to ``ppsfp.MAX_WORDS`` words) must
+produce *bit-identical* detection tables to the big-int
+cone-resimulation path (forced here by patching ``ppsfp.MAX_WORDS`` to
+0) on every backend and universe, and both must agree with the
+independent per-vector serial engine.  ``REPRO_DIFF_SUITE=full``
 extends the suite sweep from the representative subset to every suite
 circuit (the CI workflow runs that).
 
@@ -19,8 +20,6 @@ import os
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit, suite_table_groups
 from repro.circuit.netlist import LineKind
@@ -32,6 +31,7 @@ from repro.faultsim.backends import (
     SerialBackend,
 )
 from repro.faultsim.detection import DetectionTable
+from repro.simulation import ppsfp
 
 #: Representative tier-1 subset; REPRO_DIFF_SUITE=full sweeps them all.
 _SUITE_SUBSET = (
@@ -54,15 +54,15 @@ def _tables(backend, circuit):
 
 
 class TestKernelVsBigInt:
-    """REPRO_PPSFP=1 ≡ REPRO_PPSFP=0, backend by backend."""
+    """Kernel ≡ cone path (``MAX_WORDS = 0``), backend by backend."""
 
     @pytest.mark.parametrize("name", _suite_circuits())
     def test_suite_exhaustive(self, name, monkeypatch):
         circuit = get_circuit(name)
         backend = ExhaustiveBackend()
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = _tables(backend, circuit)
         assert kernel == big
 
@@ -71,9 +71,9 @@ class TestKernelVsBigInt:
         circuit = get_circuit(name)
         k = min(97, 1 << circuit.num_inputs)
         backend = SampledBackend(k, seed=7)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = _tables(backend, circuit)
         assert kernel == big
 
@@ -81,19 +81,16 @@ class TestKernelVsBigInt:
     def test_random_circuits_packed_backend(self, seed, monkeypatch):
         circuit = random_circuit(70 + seed, num_inputs=6, num_gates=15)
         backend = PackedBackend()
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = _tables(backend, circuit)
         assert kernel == big
 
     def test_kernel_path_actually_engaged(self):
-        from repro.simulation import ppsfp
-
         circuit = get_circuit("lion")
         backend = ExhaustiveBackend()
         universe = backend.universe_for(circuit)
-        assert os.environ.get("REPRO_PPSFP", "1") != "0"
         assert ppsfp.kernel_supports(universe), (
             "differential suite must exercise the kernel path"
         )
@@ -116,9 +113,9 @@ class TestBranchSiteFaults:
         faults = self._branch_faults(circuit)
         assert faults, f"{name} has no branch lines; pick another circuit"
         serial = SerialBackend().build_stuck_at(circuit, faults=faults)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
         assert serial.signatures == big.signatures
         assert big.signatures == kernel.signatures
@@ -130,9 +127,9 @@ class TestBranchSiteFaults:
         if not faults:
             pytest.skip("random draw produced no branch lines")
         serial = SerialBackend().build_stuck_at(circuit, faults=faults)
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
         assert serial.signatures == big.signatures
         assert big.signatures == kernel.signatures
@@ -150,8 +147,8 @@ class TestBranchSiteFaults:
             StuckAtFault(stem.lid, 0),
             StuckAtFault(stem.lid, 1),
         ]
-        monkeypatch.setenv("REPRO_PPSFP", "0")
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = DetectionTable.for_stuck_at(circuit, faults=faults)
-        monkeypatch.setenv("REPRO_PPSFP", "1")
+        monkeypatch.undo()
         kernel = DetectionTable.for_stuck_at(circuit, faults=faults)
         assert big.signatures == kernel.signatures
