@@ -118,10 +118,10 @@ def _fleet_build(circuit, base, *, steal: bool) -> dict:
 def test_steal_rescues_straggler(record_speedup):
     from repro.bench_suite.randlogic import random_circuit
     from repro.faults.universe import FaultUniverse
-    from repro.faultsim.backends import ExhaustiveBackend
+    from repro.faultsim.backends import TableBackend
 
     circuit = random_circuit(61, num_inputs=6, num_gates=14)
-    base = ExhaustiveBackend()
+    base = TableBackend()
     inline = FaultUniverse(circuit, backend=base)
     expected = (
         inline.target_table.signatures,

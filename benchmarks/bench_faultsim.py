@@ -80,7 +80,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.core.procedure1 import build_random_ndetection_sets
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import PackedBackend, SampledBackend
+from repro.faultsim.backends import TableBackend
 from repro.faultsim.detection import DetectionTable
 from repro.parallel import ParallelBackend
 from repro.simulation.exhaustive import line_signatures
@@ -180,7 +180,7 @@ def test_bridging_table(benchmark, circuit):
 def sampled_backend(circuit):
     # Full-coverage draws canonicalize to exhaustive; stay strictly below.
     k = min(SAMPLES, (1 << circuit.num_inputs) // 2)
-    return SampledBackend(max(1, k), seed=1)
+    return TableBackend(samples=max(1, k), seed=1)
 
 
 def test_sampled_stuck_at_table(benchmark, circuit, sampled_backend):
@@ -242,10 +242,10 @@ def test_packed_nmin_scan_speedup(record_speedup):
         circuit = get_circuit(name)
         samples = min(WIDE_SAMPLES, (1 << circuit.num_inputs) // 2)
         big = FaultUniverse(
-            circuit, backend=SampledBackend(samples, seed=7)
+            circuit, backend=TableBackend(samples=samples, seed=7)
         )
         packed = FaultUniverse(
-            circuit, backend=PackedBackend(samples=samples, seed=7)
+            circuit, backend=TableBackend(samples=samples, seed=7, packed=True)
         )
         big_t, big_g = big.target_table, big.untargeted_table
         packed_t, packed_g = packed.target_table, packed.untargeted_table
@@ -317,7 +317,7 @@ def test_parallel_build_speedup(record_speedup):
     for name in WIDE_CIRCUITS:
         circuit = get_circuit(name)
         samples = min(PARALLEL_SAMPLES, (1 << circuit.num_inputs) // 2)
-        base = PackedBackend(samples=samples, seed=7)
+        base = TableBackend(samples=samples, seed=7, packed=True)
         single_time, (single_f, single_g) = _best_of(
             lambda: build(circuit, base), rounds=2
         )
@@ -431,7 +431,7 @@ def test_tcp_executor_build_speedup(record_speedup, tmp_path):
                 samples = min(
                     PARALLEL_SAMPLES, (1 << circuit.num_inputs) // 2
                 )
-                base = PackedBackend(samples=samples, seed=7)
+                base = TableBackend(samples=samples, seed=7, packed=True)
                 single_time, (single_f, single_g) = _best_of(
                     lambda: build(circuit, base), rounds=2
                 )

@@ -35,7 +35,7 @@ import time
 
 from repro.bench_suite.registry import get_circuit
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import PackedBackend
+from repro.faultsim.backends import TableBackend
 from repro.parallel import ParallelBackend
 from repro.parallel.netqueue import BackgroundBroker, TcpExecutor, TcpWorker
 
@@ -102,7 +102,7 @@ def main() -> int:
         f"(+{STRAGGLER_DELAY:.0f}s per build)"
     )
 
-    base = PackedBackend(samples=SAMPLES, seed=7)
+    base = TableBackend(samples=SAMPLES, seed=7, packed=True)
     inline_time, (inline_f, inline_g) = build(circuit, base)
     print(f"\ninline build:          {inline_time * 1e3:7.1f} ms")
 

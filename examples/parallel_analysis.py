@@ -22,7 +22,7 @@ import time
 from repro.bench_suite.registry import get_circuit
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import PackedBackend
+from repro.faultsim.backends import TableBackend
 from repro.parallel import ParallelBackend, ShardCache, cache_stats
 
 CIRCUIT = "wide32"
@@ -45,7 +45,7 @@ def main() -> int:
         f"sampling K={SAMPLES} vectors"
     )
 
-    base = PackedBackend(samples=SAMPLES, seed=7)
+    base = TableBackend(samples=SAMPLES, seed=7, packed=True)
     single_time, (single_f, single_g) = build(circuit, base)
     print(f"\nsingle-process build: {single_time * 1e3:7.1f} ms")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from repro import obs
 from repro.bench_suite.registry import get_circuit
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import PackedBackend
+from repro.faultsim.backends import TableBackend
 from repro.obs.summary import (
     load_trace,
     render_summary,
@@ -47,7 +47,7 @@ JOBS = 4
 def main() -> int:
     circuit = get_circuit(CIRCUIT)
     backend = ParallelBackend(
-        base=PackedBackend(samples=SAMPLES, seed=7),
+        base=TableBackend(samples=SAMPLES, seed=7, packed=True),
         use_cache=False,
         executor=PoolExecutor(jobs=JOBS),
     )

@@ -23,7 +23,7 @@ the trajectory stays bit-identical, only the substrate changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.adaptive.controller import (
     AdaptiveReport,
@@ -72,9 +72,8 @@ class AdaptiveBackend:
     on_round: Callable[[AdaptiveRound], None] | None = field(
         default=None, compare=False, repr=False
     )
-    name: str = "adaptive"
+    name: ClassVar[str] = "adaptive"
     needs_base_signatures = False
-    builds_packed = True
 
     def __post_init__(self) -> None:
         self.rule  # validates every rule parameter eagerly

@@ -14,8 +14,8 @@ Two properties make the controller cheap and reproducible:
 **Incremental growth.**  Rounds extend one universe; previously drawn
 vectors are *never re-simulated*.  Each round builds signatures only
 for the fresh vectors (through a
-:class:`~repro.faultsim.backends.FixedUniverseBackend`, optionally
-sharded across worker processes by
+:class:`~repro.faultsim.backends.TableBackend` over an explicit vector
+list, optionally sharded across worker processes by
 :class:`~repro.parallel.ParallelBackend` — reusing the shard plan and
 persistent shard cache machinery), then splices the new columns into
 the accumulated numpy-packed signature blocks via
@@ -61,7 +61,7 @@ from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import collapsed_stuck_at_faults
-from repro.faultsim.backends import FixedUniverseBackend
+from repro.faultsim.backends import TableBackend
 from repro.faultsim.packed_table import PackedDetectionTable
 from repro.faultsim.sampling import (
     CountEstimate,
@@ -479,7 +479,7 @@ class AdaptiveSampler:
         if not new_vectors:
             return
         delta_sorted = tuple(sorted(new_vectors))
-        backend = FixedUniverseBackend(self.circuit.num_inputs, delta_sorted)
+        backend = TableBackend(vectors=delta_sorted, packed=True)
         if self.jobs > 1 or self.executor is not None:
             from repro.parallel import maybe_parallel
 

@@ -193,34 +193,6 @@ def _backend_from_args(args: argparse.Namespace) -> Any:
         jobs=jobs,
         broker=getattr(args, "broker", None),
     )
-    sampling_backends = ("sampled", "packed")
-    if args.backend not in sampling_backends and args.samples is not None:
-        hint = (
-            "; the adaptive backend sizes its own draw — use "
-            "--max-samples for the budget"
-            if args.backend == "adaptive"
-            else ""
-        )
-        raise AnalysisError(
-            f"--samples only applies to --backend sampled or packed "
-            f"(got --backend {args.backend}){hint}"
-        )
-    if args.backend not in sampling_backends and getattr(
-        args, "replacement", False
-    ):
-        raise AnalysisError(
-            f"--replacement only applies to --backend sampled or packed "
-            f"(got --backend {args.backend})"
-        )
-    if (
-        args.backend == "packed"
-        and args.samples is None
-        and getattr(args, "replacement", False)
-    ):
-        raise AnalysisError(
-            "--replacement implies sampling; --backend packed without "
-            "--samples is exhaustive"
-        )
     return make_backend(
         args.backend,
         samples=args.samples,
@@ -547,7 +519,7 @@ def partition_report(
     """
     from repro.adaptive import AdaptiveBackend
     from repro.core.partition import PartitionedAnalysis
-    from repro.faultsim.backends import PackedBackend, SampledBackend
+    from repro.faultsim.backends import SerialBackend, TableBackend
     from repro.parallel import ParallelBackend
 
     jobs = backend.jobs if isinstance(backend, ParallelBackend) else None
@@ -555,9 +527,7 @@ def partition_report(
         backend.executor if isinstance(backend, ParallelBackend) else None
     )
     base = backend.base if isinstance(backend, ParallelBackend) else backend
-    if not isinstance(
-        base, (SampledBackend, PackedBackend, AdaptiveBackend)
-    ):
+    if base == TableBackend() or isinstance(base, SerialBackend):
         # Exhaustive/serial cannot cover cones wider than the bound;
         # keep the legacy strict behavior (wide outputs raise).  `jobs`
         # and `executor` are orthogonal and stay threaded through the

@@ -13,7 +13,9 @@ reproduce the full-size experiment:
 ``REPRO_BACKEND``    detection-table engine
                      (exhaustive|sampled|serial|packed|adaptive).
 ``REPRO_SAMPLES``    sampled/packed backends: number of vectors K
-                     (optional for packed, which is exhaustive without it).
+                     (optional for packed, which is exhaustive without it;
+                     rejected with any other REPRO_BACKEND, exactly as
+                     the CLI rejects ``--samples``).
 ``REPRO_SEED``       sampled/packed/adaptive backends: universe draw seed.
 ``REPRO_JOBS``       worker processes for detection-table construction
                      (> 1 shards every table build across a process
@@ -39,8 +41,12 @@ reproduce the full-size experiment:
                      rare-activation importance strata.
 
 Backends are frozen dataclasses, so the universe / worst-case caches key
-on the exact backend configuration — ``REPRO_BACKEND=packed`` tables
-never alias the big-int ones.  One deliberate exception: a
+on the exact backend configuration: ``exhaustive``, ``sampled`` and
+``packed`` all name a :class:`~repro.faultsim.backends.TableBackend`,
+and its ``samples`` / ``seed`` / ``packed`` fields keep
+``REPRO_BACKEND=packed`` tables from aliasing the big-int ones.  The
+exhaustive engine ignores ``REPRO_SEED`` (its seed is canonicalized),
+so every exhaustive run shares one entry.  One deliberate exception: a
 parallel-wrapped backend produces tables *bit-for-bit identical* to its
 base engine's, so the caches key on the unwrapped base — the cache key
 is executor-normalized, meaning a ``jobs=4`` run, a broker-distributed
@@ -58,7 +64,7 @@ from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
     DetectionBackend,
-    ExhaustiveBackend,
+    TableBackend,
     make_backend,
     table_identity,
 )
@@ -117,7 +123,7 @@ def backend_from_env() -> DetectionBackend | None:
     if not name:
         if jobs <= 1 and executor is None:
             return None
-        return maybe_parallel(ExhaustiveBackend(), jobs, executor=executor)
+        return maybe_parallel(TableBackend(), jobs, executor=executor)
     samples = os.environ.get("REPRO_SAMPLES")
     halfwidth = os.environ.get("REPRO_TARGET_HALFWIDTH")
     max_samples = os.environ.get("REPRO_MAX_SAMPLES")

@@ -13,8 +13,8 @@ and their detection tables:
 Tables are built by a pluggable
 :class:`~repro.faultsim.backends.DetectionBackend` (default: the exact
 exhaustive engine; pass a
-:class:`~repro.faultsim.backends.SampledBackend` to analyze circuits
-beyond the exhaustive input cap, or an
+:class:`~repro.faultsim.backends.TableBackend` with ``samples=K`` to
+analyze circuits beyond the exhaustive input cap, or an
 :class:`~repro.adaptive.AdaptiveBackend` to let a stopping rule pick
 the sample size — both tables then come from the same adaptive run).
 ``jobs > 1`` shards both table builds across worker processes via
@@ -73,9 +73,9 @@ class FaultUniverse:
         if self._backend is not None:
             backend = self._backend
         else:
-            from repro.faultsim.backends import ExhaustiveBackend
+            from repro.faultsim.backends import TableBackend
 
-            backend = ExhaustiveBackend()
+            backend = TableBackend()
         if self._jobs is not None or self._executor is not None:
             from repro.parallel import maybe_parallel, resolve_jobs
 

@@ -7,8 +7,9 @@
     Vector universes (exhaustive or sampled) with the bit-index ↔
     vector mapping and the Monte-Carlo count estimators.
 ``backends``
-    Pluggable table-construction strategies: ``exhaustive``, ``sampled``
-    (breaks the 24-input cap), and ``serial``.
+    Pluggable table-construction strategies: ``TableBackend`` (the
+    ``exhaustive``, ``sampled`` and ``packed`` engines; sampling breaks
+    the 24-input cap) and the independent ``serial`` engine.
 ``serial``
     Per-vector serial fault simulation (independent slow path used for
     cross-validation and for simulating explicit test sets).
@@ -36,10 +37,8 @@ from repro.faultsim.sampling import (
 from repro.faultsim.backends import (
     BACKEND_NAMES,
     DetectionBackend,
-    ExhaustiveBackend,
-    FixedUniverseBackend,
-    SampledBackend,
     SerialBackend,
+    TableBackend,
     make_backend,
 )
 from repro.faultsim.serial import (
@@ -65,10 +64,8 @@ __all__ = [
     "estimate_nmin",
     "BACKEND_NAMES",
     "DetectionBackend",
-    "ExhaustiveBackend",
-    "FixedUniverseBackend",
-    "SampledBackend",
     "SerialBackend",
+    "TableBackend",
     "make_backend",
     "detects_stuck_at",
     "detects_bridging",

@@ -2,13 +2,19 @@
 
 Every analysis in this library consumes a
 :class:`~repro.faultsim.detection.DetectionTable`; a *backend* is a
-strategy for building one.  Three engines are provided:
+strategy for building one.  One class builds every table:
+:class:`TableBackend`, parameterized by its vector universe (all of
+``U``, a seeded ``K``-vector draw, or an explicit vector list) and by
+whether the tables are numpy-packed.  Each table goes through the one
+builder of :mod:`repro.faultsim.detection`, which picks the PPSFP
+kernel or the cone path from the universe's width alone.  The CLI names
+(:func:`make_backend`, ``--backend``) are constructors:
 
-``exhaustive``
+``exhaustive`` → ``TableBackend()``
     The paper's analysis substrate: ``2**p``-bit signatures over all of
     ``U``.  Exact; capped at
     :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` inputs.
-``sampled``
+``sampled`` → ``TableBackend(samples=K, seed=..., replacement=...)``
     Monte-Carlo sampled-U engine: ``K`` seeded random vectors packed
     into ``K``-bit signatures (an explicit vector-index ↔ bit-index
     mapping carried by the table's
@@ -18,31 +24,22 @@ strategy for building one.  Three engines are provided:
     replacement) degenerates to the exact exhaustive result.  This is
     the engine that opens >24-input circuits to the worst-/average-case
     analyses.
-``serial``
+``packed`` → ``TableBackend(packed=True)``, or with ``samples=K``
+    The same signatures, stored additionally as ``numpy.uint64`` word
+    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`)
+    so the worst-case ``nmin`` scan runs as vectorized AND+popcount
+    sweeps instead of per-pair big-int operations.
+``serial`` → :class:`SerialBackend`
     Per-vector serial fault simulation — the deliberately independent
     slow path, used by the differential test harness to cross-validate
-    the other two.
-``packed``
-    Numpy-packed engine: the exact same signatures as ``exhaustive``
-    (or, with ``--samples``, as ``sampled``), stored additionally as
-    ``numpy.uint64`` word blocks
-    (:class:`~repro.faultsim.packed_table.PackedDetectionTable`) so the
-    worst-case ``nmin`` scan runs as vectorized AND+popcount sweeps
-    instead of per-pair big-int operations.  Bit-identical tables,
-    hardware-speed popcounts.
-``adaptive``
-    The :class:`repro.adaptive.AdaptiveBackend` controller: instead of
-    a fixed ``K`` it grows the sampled universe round by round until
-    the smallest-``N(f)`` confidence intervals meet a target
-    half-width, optionally with importance strata over rare bridging
-    activation regions (``--stratify bridging``).
-``fixed`` (:class:`FixedUniverseBackend`, API only)
-    Packed tables over an explicit vector list — the adaptive
-    controller's per-round delta engine; not exposed on the CLI.
-
-Every engine but ``serial`` builds through the one table builder of
-:mod:`repro.faultsim.detection`, which picks the PPSFP kernel or the
-cone path from the universe's width alone.
+    the table builder.
+``adaptive`` → :class:`repro.adaptive.AdaptiveBackend`
+    Instead of a fixed ``K`` it grows the sampled universe round by
+    round until the smallest-``N(f)`` confidence intervals meet a
+    target half-width, optionally with importance strata over rare
+    bridging activation regions (``--stratify bridging``).  Each
+    round's delta builds through ``TableBackend(vectors=...,
+    packed=True)`` (API only; its ``name`` is ``fixed``).
 
 Backends are small frozen dataclasses (hashable, so cached layers can
 key on them) and share the :class:`DetectionBackend` protocol.  Any of
@@ -60,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, runtime_checkable
+from typing import ClassVar, Protocol, runtime_checkable
 
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -91,13 +88,13 @@ class DetectionBackend(Protocol):
     ``needs_base_signatures`` tells callers whether the ``build_*``
     methods consume precomputed :meth:`line_signatures` — engines that
     ignore them (serial) advertise False so callers skip the work.
-    Engines whose tables are numpy-packed advertise ``builds_packed =
-    True`` so wrappers (the parallel merge step) reproduce the right
-    table type.
     """
 
-    name: str
     needs_base_signatures: bool
+
+    @property
+    def name(self) -> str:
+        """The engine's name, as in :data:`BACKEND_NAMES` (or ``fixed``)."""
 
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
         """The signature bit space this backend uses for ``circuit``."""
@@ -124,17 +121,85 @@ class DetectionBackend(Protocol):
         """Detection table for the untargeted bridging set ``G``."""
 
 
-# ----------------------------------------------------------------------
-# Exhaustive (the seed engine, now one strategy among three)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ExhaustiveBackend:
-    """Exact tables over all of ``U`` (bit ``v`` ↔ vector ``v``)."""
+class TableBackend:
+    """Detection tables over one vector universe, big-int or packed.
 
-    name: str = "exhaustive"
+    The universe is the first of these that is set:
+
+    ``vectors``
+        An explicit sorted, distinct vector list — the adaptive
+        controller's per-round delta universe (range and order are
+        checked against the circuit's width at build time).
+    ``samples``
+        ``K`` seeded random vectors: ``seed`` reproduces the draw
+        exactly, ``replacement`` draws with replacement (default: a
+        uniform ``K``-subset of ``U``, which tightens the confidence
+        intervals via the finite-population correction and degenerates
+        to the exhaustive result at ``K == 2**p``).
+    neither
+        All of ``U`` (bit ``v`` ↔ vector ``v``), capped at
+        :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` inputs.
+
+    ``packed`` stores the tables additionally as ``numpy.uint64`` word
+    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`):
+    bit-identical signatures, vectorized ``nmin`` scans.
+    """
+
+    samples: int | None = None
+    seed: int = 0
+    replacement: bool = False
+    vectors: tuple[int, ...] | None = None
+    packed: bool = False
     needs_base_signatures = True
 
+    def __post_init__(self) -> None:
+        if self.vectors is not None:
+            if self.samples is not None:
+                raise AnalysisError(
+                    "a table backend takes explicit vectors or samples, "
+                    "not both"
+                )
+            if not self.vectors:
+                raise AnalysisError(
+                    "a fixed-universe backend needs at least 1 vector"
+                )
+        elif self.samples is not None and self.samples < 1:
+            raise AnalysisError(
+                f"samples must be >= 1, got {self.samples}"
+            )
+        if self.samples is None:
+            # No draw: seed/replacement are meaningless.  Canonicalize
+            # them so equivalent backends share one cache key (the CLI
+            # always passes its --seed default).
+            object.__setattr__(self, "seed", 0)
+            object.__setattr__(self, "replacement", False)
+
+    @property
+    def name(self) -> str:
+        if self.vectors is not None:
+            return "fixed"
+        if self.packed:
+            return "packed"
+        return "exhaustive" if self.samples is None else "sampled"
+
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
+        if self.vectors is not None:
+            return VectorUniverse(circuit.num_inputs, self.vectors)
+        if self.samples is not None:
+            # Memoized: one FaultUniverse calls this for line signatures
+            # and both table builds, and a large draw (sample + sort of
+            # K ints) is too expensive to repeat three times.
+            return _drawn_universe(
+                circuit.num_inputs, self.samples, self.seed, self.replacement
+            )
+        if circuit.num_inputs > MAX_EXHAUSTIVE_INPUTS:
+            raise AnalysisError(
+                f"the exhaustive universe is capped at "
+                f"{MAX_EXHAUSTIVE_INPUTS} inputs (circuit {circuit.name!r} "
+                f"has {circuit.num_inputs}); pass --samples K to sample "
+                f"the universe"
+            )
         return VectorUniverse(circuit.num_inputs)
 
     def line_signatures(self, circuit: Circuit) -> list[int]:
@@ -147,80 +212,8 @@ class ExhaustiveBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        return DetectionTable.for_stuck_at(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-        )
-
-    def build_bridging(
-        self,
-        circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = True,
-    ) -> DetectionTable:
-        return DetectionTable.for_bridging(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-        )
-
-
-# ----------------------------------------------------------------------
-# Sampled-U (Monte-Carlo estimation; breaks the 24-input cap)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SampledBackend:
-    """Estimated tables over ``K`` seeded random vectors.
-
-    Parameters
-    ----------
-    samples:
-        ``K`` — number of vectors to draw.
-    seed:
-        RNG seed; equal seeds reproduce the universe (and therefore the
-        tables) exactly.
-    replacement:
-        Draw with replacement (default False: uniform ``K``-subset of
-        ``U``, which tightens the confidence intervals via the
-        finite-population correction and degenerates to the exhaustive
-        result at ``K == 2**p``).
-    """
-
-    samples: int
-    seed: int = 0
-    replacement: bool = False
-    name: str = "sampled"
-    needs_base_signatures = True
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise AnalysisError(
-                f"samples must be >= 1, got {self.samples}"
-            )
-
-    def universe_for(self, circuit: Circuit) -> VectorUniverse:
-        # Memoized: one FaultUniverse calls this for line signatures and
-        # both table builds, and a large draw (sample + sort of K ints)
-        # is too expensive to repeat three times.
-        return _drawn_universe(
-            circuit.num_inputs, self.samples, self.seed, self.replacement
-        )
-
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return universe_line_signatures(circuit, self.universe_for(circuit))
-
-    def build_stuck_at(
-        self,
-        circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = False,
-    ) -> DetectionTable:
-        return DetectionTable.for_stuck_at(
+        table = PackedDetectionTable if self.packed else DetectionTable
+        return table.for_stuck_at(
             circuit,
             faults=faults,
             base_signatures=base_signatures,
@@ -235,7 +228,8 @@ class SampledBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        return DetectionTable.for_bridging(
+        table = PackedDetectionTable if self.packed else DetectionTable
+        return table.for_bridging(
             circuit,
             faults=faults,
             base_signatures=base_signatures,
@@ -244,168 +238,9 @@ class SampledBackend:
         )
 
 
-# ----------------------------------------------------------------------
-# Packed (numpy uint64 blocks; vectorized popcounts for the nmin scan)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PackedBackend:
-    """Exact-or-sampled tables stored as numpy-packed signature blocks.
-
-    Without ``samples`` the universe is the exhaustive one (same cap as
-    the exhaustive engine); with ``samples`` it is the same seeded draw
-    the sampled engine uses.  Either way the tables are bit-identical to
-    the corresponding big-int engine's — only the storage (and the speed
-    of every popcount-heavy query) changes.
-    """
-
-    samples: int | None = None
-    seed: int = 0
-    replacement: bool = False
-    name: str = "packed"
-    needs_base_signatures = True
-    builds_packed = True
-
-    def __post_init__(self) -> None:
-        if self.samples is None:
-            # Exhaustive universe: seed/replacement are meaningless.
-            # Canonicalize them so equivalent backends share one cache
-            # key in the experiment layer (tables weigh hundreds of MB).
-            object.__setattr__(self, "seed", 0)
-            object.__setattr__(self, "replacement", False)
-        elif self.samples < 1:
-            raise AnalysisError(
-                f"samples must be >= 1, got {self.samples}"
-            )
-
-    def universe_for(self, circuit: Circuit) -> VectorUniverse:
-        if self.samples is None:
-            if circuit.num_inputs > MAX_EXHAUSTIVE_INPUTS:
-                raise AnalysisError(
-                    f"the packed backend without --samples is exhaustive "
-                    f"and capped at {MAX_EXHAUSTIVE_INPUTS} inputs "
-                    f"(circuit {circuit.name!r} has {circuit.num_inputs}); "
-                    f"pass --samples K to sample the universe"
-                )
-            return VectorUniverse(circuit.num_inputs)
-        return _drawn_universe(
-            circuit.num_inputs, self.samples, self.seed, self.replacement
-        )
-
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return universe_line_signatures(circuit, self.universe_for(circuit))
-
-    def build_stuck_at(
-        self,
-        circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = False,
-    ) -> DetectionTable:
-        return PackedDetectionTable.for_stuck_at(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-            universe=self.universe_for(circuit),
-        )
-
-    def build_bridging(
-        self,
-        circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = True,
-    ) -> DetectionTable:
-        return PackedDetectionTable.for_bridging(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-            universe=self.universe_for(circuit),
-        )
-
-
-# ----------------------------------------------------------------------
-# Fixed-universe (explicit vector list; the adaptive controller's
-# per-round delta engine)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FixedUniverseBackend:
-    """Tables over an *explicit* list of vectors, not a seeded draw.
-
-    The adaptive sampling controller grows its universe round by round;
-    each round builds signatures for only the freshly drawn vectors.
-    This backend is that delta engine: it fixes the universe to the
-    given (sorted, distinct) vectors and builds through the exact same
-    table machinery as the sampled engine — so it composes unchanged
-    with :class:`repro.parallel.ParallelBackend` (sharded builds, shard
-    cache).  Its tables are always numpy-packed: the controller splices
-    their word columns into its accumulated matrices.
-
-    It is a frozen, picklable dataclass like every other engine; the
-    vectors tuple participates in equality/hashing, so cache layers key
-    on the exact universe.
-    """
-
-    num_inputs: int
-    vectors: tuple[int, ...]
-    name: str = "fixed"
-    needs_base_signatures = True
-    builds_packed = True
-
-    def __post_init__(self) -> None:
-        if not self.vectors:
-            raise AnalysisError(
-                "a fixed-universe backend needs at least 1 vector"
-            )
-        # Validate sortedness/range once, eagerly (VectorUniverse would
-        # only catch it at build time, far from the mistake).
-        self.universe
-
-    @property
-    def universe(self) -> VectorUniverse:
-        return VectorUniverse(self.num_inputs, self.vectors)
-
-    def universe_for(self, circuit: Circuit) -> VectorUniverse:
-        if circuit.num_inputs != self.num_inputs:
-            raise AnalysisError(
-                f"fixed universe is over {self.num_inputs} inputs but "
-                f"circuit {circuit.name!r} has {circuit.num_inputs}"
-            )
-        return self.universe
-
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return universe_line_signatures(circuit, self.universe_for(circuit))
-
-    def build_stuck_at(
-        self,
-        circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = False,
-    ) -> DetectionTable:
-        return PackedDetectionTable.for_stuck_at(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-            universe=self.universe_for(circuit),
-        )
-
-    def build_bridging(
-        self,
-        circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
-        drop_undetectable: bool = True,
-    ) -> DetectionTable:
-        return PackedDetectionTable.for_bridging(
-            circuit,
-            faults=faults,
-            base_signatures=base_signatures,
-            drop_undetectable=drop_undetectable,
-            universe=self.universe_for(circuit),
-        )
+# The benchmark's layer hooks (``perfbench/layers.py``) name the table
+# engine by these two former class names.
+ExhaustiveBackend = FixedUniverseBackend = TableBackend
 
 
 @lru_cache(maxsize=32)
@@ -431,7 +266,7 @@ class SerialBackend:
     toy circuits; capped accordingly.
     """
 
-    name: str = "serial"
+    name: ClassVar[str] = "serial"
     max_inputs: int = 16
     needs_base_signatures = False
 
@@ -523,7 +358,10 @@ def make_backend(
     """Backend factory behind the CLI / env configuration.
 
     ``samples`` is required for ``sampled``, optional for ``packed``
-    (which is exhaustive without it), and meaningless elsewhere.
+    (which is exhaustive without it), and rejected elsewhere, as is
+    ``replacement`` without ``samples``: the CLI, env and service front
+    ends share these checks.  ``exhaustive``, ``sampled`` and ``packed``
+    all build a :class:`TableBackend`.
     ``jobs > 1`` wraps the engine in a
     :class:`repro.parallel.ParallelBackend` (sharded build with the
     persistent shard cache); ``jobs=1``/``None`` stays single-process.
@@ -538,6 +376,38 @@ def make_backend(
     ``jobs``/``executor`` are threaded *into* the controller's sharded
     round builds instead of wrapping the backend.
     """
+    if name not in BACKEND_NAMES:
+        raise AnalysisError(
+            f"unknown backend {name!r}; choose from "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    sampling_backends = ("sampled", "packed")
+    if name not in sampling_backends and samples is not None:
+        hint = (
+            "; the adaptive backend sizes its own draw — use "
+            "--max-samples for the budget"
+            if name == "adaptive"
+            else ""
+        )
+        raise AnalysisError(
+            f"--samples only applies to --backend sampled or packed "
+            f"(got --backend {name}){hint}"
+        )
+    if name not in sampling_backends and replacement:
+        hint = (
+            "; the adaptive backend always samples without replacement"
+            if name == "adaptive"
+            else ""
+        )
+        raise AnalysisError(
+            f"--replacement only applies to --backend sampled or packed "
+            f"(got --backend {name}){hint}"
+        )
+    if name == "packed" and samples is None and replacement:
+        raise AnalysisError(
+            "--replacement implies sampling; --backend packed without "
+            "--samples is exhaustive"
+        )
     adaptive_flags = {
         "--target-halfwidth": target_halfwidth,
         "--max-samples": max_samples,
@@ -553,33 +423,15 @@ def make_backend(
                 f"{'y' if len(bad) > 1 else 'ies'} to --backend adaptive "
                 f"(got --backend {name})"
             )
-    if name == "exhaustive":
-        backend: DetectionBackend = ExhaustiveBackend()
-    elif name == "serial":
-        backend = SerialBackend()
-    elif name == "packed":
-        backend = PackedBackend(
-            samples=samples, seed=seed, replacement=replacement
+    if name == "sampled" and samples is None:
+        raise AnalysisError(
+            "--backend sampled requires --samples K (the number of "
+            "random vectors to draw)"
         )
-    elif name == "sampled":
-        if samples is None:
-            raise AnalysisError(
-                "--backend sampled requires --samples K (the number of "
-                "random vectors to draw)"
-            )
-        backend = SampledBackend(samples, seed=seed, replacement=replacement)
+    backend: DetectionBackend
+    if name == "serial":
+        backend = SerialBackend()
     elif name == "adaptive":
-        if samples is not None:
-            raise AnalysisError(
-                "--backend adaptive sizes its own draw round by round; "
-                "use --max-samples (budget) and --initial-samples "
-                "instead of --samples"
-            )
-        if replacement:
-            raise AnalysisError(
-                "--backend adaptive always samples without replacement "
-                "(rounds extend one growing distinct-vector universe)"
-            )
         from repro.adaptive import AdaptiveBackend, DEFAULT_RULE
 
         backend = AdaptiveBackend(
@@ -605,9 +457,11 @@ def make_backend(
             stratify=adaptive_flags["--stratify"],
         )
     else:
-        raise AnalysisError(
-            f"unknown backend {name!r}; choose from "
-            f"{', '.join(BACKEND_NAMES)}"
+        backend = TableBackend(
+            samples=samples,
+            seed=seed,
+            replacement=replacement,
+            packed=name == "packed",
         )
     exec_obj = executor
     if isinstance(executor, str):
@@ -647,14 +501,7 @@ def table_identity(
 
     if isinstance(backend, ParallelBackend):
         backend = backend.base
-    if backend == ExhaustiveBackend():
+    if backend == TableBackend():
         return None
     return backend
 
-
-def default_backend_for(circuit: Circuit, samples: int = 1 << 14,
-                        seed: int = 0) -> DetectionBackend:
-    """Exhaustive when the circuit fits under the cap, else sampled."""
-    if circuit.num_inputs <= MAX_EXHAUSTIVE_INPUTS:
-        return ExhaustiveBackend()
-    return SampledBackend(min(samples, 1 << MAX_EXHAUSTIVE_INPUTS), seed=seed)

@@ -305,7 +305,7 @@ class ParallelBackend:
             kind=kind,
             executor=executor.name,
         ).inc()
-        if getattr(self.base, "builds_packed", False):
+        if getattr(self.base, "packed", False):
             from repro.faultsim.packed_table import PackedDetectionTable
 
             return PackedDetectionTable(

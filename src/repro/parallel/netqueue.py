@@ -161,10 +161,7 @@ _SAFE_FRAME_GLOBALS = frozenset(
         ("repro.circuit.netlist", "Line"),
         ("repro.circuit.netlist", "LineKind"),
         ("repro.circuit.gate", "GateType"),
-        ("repro.faultsim.backends", "ExhaustiveBackend"),
-        ("repro.faultsim.backends", "SampledBackend"),
-        ("repro.faultsim.backends", "PackedBackend"),
-        ("repro.faultsim.backends", "FixedUniverseBackend"),
+        ("repro.faultsim.backends", "TableBackend"),
         ("repro.faultsim.backends", "SerialBackend"),
         ("repro.faults.stuck_at", "StuckAtFault"),
         ("repro.faults.bridging", "BridgingFault"),

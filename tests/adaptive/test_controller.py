@@ -12,7 +12,7 @@ from repro.adaptive import (
 from repro.bench_suite.randlogic import random_circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import ExhaustiveBackend
+from repro.faultsim.backends import TableBackend
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ class TestExhaustiveDegeneration:
         assert report.met
         assert report.reason == "exact (universe exhausted)"
         assert report.universe.exact
-        exhaustive = FaultUniverse(circuit, backend=ExhaustiveBackend())
+        exhaustive = FaultUniverse(circuit, backend=TableBackend())
         assert (
             report.target_table.signatures
             == exhaustive.target_table.signatures

@@ -140,10 +140,12 @@ class TestValidation:
         from repro.bench_suite.randlogic import random_circuit
         from repro.core.procedure1 import NDetectionFamily
         from repro.faults.universe import FaultUniverse
-        from repro.faultsim.backends import SampledBackend
+        from repro.faultsim.backends import TableBackend
 
         circuit = random_circuit(17, num_inputs=6, num_gates=14)
-        sampled = FaultUniverse(circuit, backend=SampledBackend(16, seed=1))
+        sampled = FaultUniverse(
+            circuit, backend=TableBackend(samples=16, seed=1)
+        )
         family = NDetectionFamily(
             num_inputs=circuit.num_inputs,
             n_max=1,

@@ -63,12 +63,12 @@ class TestWideConeBackend:
 
     def test_wide_suite_circuit_smoke(self):
         from repro.bench_suite.registry import get_circuit
-        from repro.faultsim.backends import SampledBackend
+        from repro.faultsim.backends import TableBackend
 
         parts = PartitionedAnalysis(
             get_circuit("wide28"),
             max_inputs=10,
-            backend=SampledBackend(64, seed=1),
+            backend=TableBackend(samples=64, seed=1),
         )
         wide = [c for c in parts.cones if c.circuit.num_inputs > 10]
         narrow = [c for c in parts.cones if c.circuit.num_inputs <= 10]
@@ -83,13 +83,13 @@ class TestWideConeBackend:
         assert summary["analyzed_faults"] > 0
 
     def test_narrow_circuit_ignores_backend(self, example_circuit):
-        from repro.faultsim.backends import SampledBackend
+        from repro.faultsim.backends import TableBackend
 
         exact = PartitionedAnalysis(example_circuit, max_inputs=4)
         with_backend = PartitionedAnalysis(
             example_circuit,
             max_inputs=4,
-            backend=SampledBackend(8, seed=1),
+            backend=TableBackend(samples=8, seed=1),
         )
         # No cone exceeds the bound, so the sampled backend never engages
         # and the results are the exact ones.
@@ -115,13 +115,13 @@ class TestWideConeBackend:
 
     def test_deterministic(self):
         from repro.bench_suite.registry import get_circuit
-        from repro.faultsim.backends import SampledBackend
+        from repro.faultsim.backends import TableBackend
 
         def build():
             return PartitionedAnalysis(
                 get_circuit("wide28"),
                 max_inputs=10,
-                backend=SampledBackend(32, seed=5),
+                backend=TableBackend(samples=32, seed=5),
             )
 
         a, b = build(), build()

@@ -482,12 +482,12 @@ class TestExecutorsAndQueueCLI:
         from repro.bench_suite.registry import get_circuit
         from repro.errors import AnalysisError
         from repro.faults.stuck_at import collapsed_stuck_at_faults
-        from repro.faultsim.backends import ExhaustiveBackend
+        from repro.faultsim.backends import TableBackend
         from repro.parallel import ShardTask
         from repro.parallel.netqueue import TcpExecutor
 
         circuit = get_circuit("lion")
-        backend = ExhaustiveBackend()
+        backend = TableBackend()
         base = tuple(backend.line_signatures(circuit))
         faults = collapsed_stuck_at_faults(circuit)
         tasks = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.common import (
     backend_from_env,
     env_int,
@@ -10,7 +12,7 @@ from repro.experiments.common import (
     render_rows,
     suite_circuits,
 )
-from repro.faultsim.backends import ExhaustiveBackend, SampledBackend
+from repro.faultsim.backends import TableBackend
 
 
 class TestCaches:
@@ -26,16 +28,18 @@ class TestCaches:
         assert wc.target_table is u.target_table
 
     def test_backend_keys_the_cache(self):
-        sampled = SampledBackend(8, seed=1)
+        sampled = TableBackend(samples=8, seed=1)
         u_default = get_universe("lion")
         u_sampled = get_universe("lion", sampled)
         assert u_sampled is not u_default
-        assert u_sampled is get_universe("lion", SampledBackend(8, seed=1))
+        assert u_sampled is get_universe(
+            "lion", TableBackend(samples=8, seed=1)
+        )
         assert u_sampled.target_table.universe.size == 8
 
     def test_explicit_exhaustive_shares_default_cache_entry(self, monkeypatch):
         u_default = get_universe("lion")
-        assert get_universe("lion", ExhaustiveBackend()) is u_default
+        assert get_universe("lion", TableBackend()) is u_default
         monkeypatch.setenv("REPRO_BACKEND", "exhaustive")
         assert get_universe("lion") is u_default
 
@@ -81,17 +85,27 @@ class TestEnvOverrides:
         monkeypatch.setenv("REPRO_SAMPLES", "64")
         monkeypatch.setenv("REPRO_SEED", "3")
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert backend_from_env() == SampledBackend(64, seed=3)
+        assert backend_from_env() == TableBackend(samples=64, seed=3)
+
+    def test_backend_from_env_rejects_samples_without_sampling(
+        self, monkeypatch
+    ):
+        from repro.errors import AnalysisError
+
+        monkeypatch.setenv("REPRO_BACKEND", "exhaustive")
+        monkeypatch.setenv("REPRO_SAMPLES", "100")
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(AnalysisError, match="--samples only applies"):
+            backend_from_env()
 
     def test_backend_from_env_jobs_only(self, monkeypatch):
-        from repro.faultsim.backends import ExhaustiveBackend
         from repro.parallel import ParallelBackend
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_JOBS", "2")
         backend = backend_from_env()
         assert isinstance(backend, ParallelBackend)
-        assert backend.base == ExhaustiveBackend()
+        assert backend.base == TableBackend()
         assert backend.jobs == 2
 
     def test_backend_from_env_jobs_wraps_engine(self, monkeypatch):
@@ -103,7 +117,7 @@ class TestEnvOverrides:
         monkeypatch.setenv("REPRO_JOBS", "2")
         backend = backend_from_env()
         assert isinstance(backend, ParallelBackend)
-        assert backend.base == SampledBackend(64, seed=3)
+        assert backend.base == TableBackend(samples=64, seed=3)
 
     def test_backend_from_env_jobs_one_is_single_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -120,7 +134,7 @@ class TestParallelCacheComposition:
         from repro.parallel import ParallelBackend
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        base = SampledBackend(8, seed=2)
+        base = TableBackend(samples=8, seed=2)
         u_base = get_universe("lion", base)
         u_parallel = get_universe(
             "lion", ParallelBackend(base=base, jobs=2)
@@ -134,7 +148,7 @@ class TestParallelCacheComposition:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         u_default = get_universe("lion")
-        wrapped = ParallelBackend(base=ExhaustiveBackend(), jobs=2)
+        wrapped = ParallelBackend(base=TableBackend(), jobs=2)
         assert get_universe("lion", wrapped) is u_default
         assert get_worst_case("lion", wrapped) is get_worst_case("lion")
 
@@ -154,7 +168,7 @@ class TestParallelCacheComposition:
         from repro.parallel.netqueue import TcpExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        base = SampledBackend(8, seed=3)
+        base = TableBackend(samples=8, seed=3)
         u_base = get_universe("lion", base)
         inline = ParallelBackend(base=base, executor=InlineExecutor())
         assert get_universe("lion", inline) is u_base
@@ -176,7 +190,7 @@ class TestParallelCacheComposition:
         backend = backend_from_env()
         assert isinstance(backend, ParallelBackend)
         assert backend.executor == TcpExecutor()
-        assert backend.base == ExhaustiveBackend()
+        assert backend.base == TableBackend()
         monkeypatch.delenv("REPRO_EXECUTOR")
         monkeypatch.delenv("REPRO_BROKER")
         assert backend_from_env() is None

@@ -10,10 +10,8 @@ from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
     BACKEND_NAMES,
     DetectionBackend,
-    ExhaustiveBackend,
-    SampledBackend,
     SerialBackend,
-    default_backend_for,
+    TableBackend,
     make_backend,
 )
 from repro.faultsim.sampling import (
@@ -160,7 +158,7 @@ class TestEstimators:
         trials = 40
         for seed in range(trials):
             table = FaultUniverse(
-                circuit, backend=SampledBackend(32, seed=seed)
+                circuit, backend=TableBackend(samples=32, seed=seed)
             ).target_table
             ci = table.count_estimate(fault, confidence=0.90)
             assert ci.half_width > 0  # genuinely an interval
@@ -172,17 +170,17 @@ class TestEstimators:
 class TestBackendObjects:
     def test_protocol_conformance(self):
         for backend in (
-            ExhaustiveBackend(),
-            SampledBackend(8),
+            TableBackend(),
+            TableBackend(samples=8),
             SerialBackend(),
         ):
             assert isinstance(backend, DetectionBackend)
 
     def test_make_backend_names(self):
-        assert make_backend("exhaustive") == ExhaustiveBackend()
+        assert make_backend("exhaustive") == TableBackend()
         assert make_backend("serial") == SerialBackend()
-        assert make_backend("sampled", samples=16, seed=3) == SampledBackend(
-            16, seed=3
+        assert make_backend("sampled", samples=16, seed=3) == TableBackend(
+            samples=16, seed=3
         )
         assert set(BACKEND_NAMES) == {
             "exhaustive", "sampled", "serial", "packed", "adaptive",
@@ -194,35 +192,69 @@ class TestBackendObjects:
         with pytest.raises(AnalysisError, match="requires --samples"):
             make_backend("sampled")
         with pytest.raises(AnalysisError, match="samples"):
-            SampledBackend(0)
+            TableBackend(samples=0)
+
+    @pytest.mark.parametrize(
+        ("name", "options", "message"),
+        [
+            ("exhaustive", {"samples": 100}, "--samples only applies"),
+            ("serial", {"samples": 100, "replacement": True},
+             "--samples only applies"),
+            ("serial", {"replacement": True}, "--replacement only applies"),
+            ("packed", {"replacement": True}, "implies sampling"),
+        ],
+    )
+    def test_make_backend_rejects_ignored_options(
+        self, name, options, message
+    ):
+        with pytest.raises(AnalysisError, match=message):
+            make_backend(name, **options)
+
+    def test_name_is_not_a_field(self):
+        from dataclasses import fields
+
+        for backend in (TableBackend(), SerialBackend()):
+            assert "name" not in {f.name for f in fields(backend)}
+            assert "name=" not in repr(backend)
+        assert TableBackend(vectors=(0, 1)).name == "fixed"
+        assert TableBackend(samples=4, packed=True).name == "packed"
+        assert TableBackend(samples=4).name == "sampled"
+        assert TableBackend().name == "exhaustive"
+
+    def test_vectors_validated(self):
+        with pytest.raises(AnalysisError, match="at least 1 vector"):
+            TableBackend(vectors=())
+        with pytest.raises(AnalysisError, match="not both"):
+            TableBackend(samples=4, vectors=(0, 1))
+        circuit = random_circuit(5, num_inputs=3, num_gates=6)
+        with pytest.raises(AnalysisError, match="sorted"):
+            TableBackend(vectors=(3, 1)).universe_for(circuit)
 
     def test_backends_are_hashable_cache_keys(self):
-        assert hash(SampledBackend(8, seed=1)) == hash(SampledBackend(8, seed=1))
-        assert SampledBackend(8, seed=1) != SampledBackend(8, seed=2)
+        assert hash(TableBackend(samples=8, seed=1)) == hash(
+            TableBackend(samples=8, seed=1)
+        )
+        assert TableBackend(samples=8, seed=1) != TableBackend(
+            samples=8, seed=2
+        )
 
     def test_serial_backend_input_cap(self):
         circuit = random_circuit(1, num_inputs=18, num_gates=20)
         with pytest.raises(AnalysisError, match="capped"):
             SerialBackend(max_inputs=16).build_stuck_at(circuit)
 
-    def test_default_backend_picks_by_width(self):
-        small = random_circuit(1, num_inputs=4, num_gates=6)
-        wide = random_circuit(2, num_inputs=30, num_gates=40)
-        assert default_backend_for(small) == ExhaustiveBackend()
-        assert isinstance(default_backend_for(wide), SampledBackend)
-
     def test_sampled_reproducible_tables(self):
         circuit = random_circuit(3, num_inputs=6, num_gates=12)
-        t1 = SampledBackend(16, seed=9).build_stuck_at(circuit)
-        t2 = SampledBackend(16, seed=9).build_stuck_at(circuit)
-        t3 = SampledBackend(16, seed=10).build_stuck_at(circuit)
+        t1 = TableBackend(samples=16, seed=9).build_stuck_at(circuit)
+        t2 = TableBackend(samples=16, seed=9).build_stuck_at(circuit)
+        t3 = TableBackend(samples=16, seed=10).build_stuck_at(circuit)
         assert t1.signatures == t2.signatures
         assert t1.universe == t2.universe
         assert t1.universe != t3.universe
 
     def test_fault_universe_shares_base_signatures(self):
         circuit = random_circuit(4, num_inputs=5, num_gates=10)
-        u = FaultUniverse(circuit, backend=SampledBackend(8, seed=1))
+        u = FaultUniverse(circuit, backend=TableBackend(samples=8, seed=1))
         assert u.target_table.universe == u.untargeted_table.universe
         assert u.backend.name == "sampled"
 

@@ -8,9 +8,7 @@ from repro.bench_suite.randlogic import random_circuit
 from repro.errors import AnalysisError, FaultError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
-    ExhaustiveBackend,
-    PackedBackend,
-    SampledBackend,
+    TableBackend,
     make_backend,
 )
 from repro.faultsim.detection import DetectionTable
@@ -110,59 +108,67 @@ class TestConstruction:
 
 class TestPackedBackend:
     def test_exhaustive_equivalence(self, circuit):
-        exh = FaultUniverse(circuit, backend=ExhaustiveBackend())
-        pck = FaultUniverse(circuit, backend=PackedBackend())
+        exh = FaultUniverse(circuit, backend=TableBackend())
+        pck = FaultUniverse(circuit, backend=TableBackend(packed=True))
         assert pck.target_table.signatures == exh.target_table.signatures
         assert pck.untargeted_table.faults == exh.untargeted_table.faults
         assert pck.target_table.universe == exh.target_table.universe
 
     def test_sampled_equivalence(self, circuit):
-        smp = FaultUniverse(circuit, backend=SampledBackend(24, seed=3))
+        smp = FaultUniverse(circuit, backend=TableBackend(samples=24, seed=3))
         pck = FaultUniverse(
-            circuit, backend=PackedBackend(samples=24, seed=3)
+            circuit, backend=TableBackend(samples=24, seed=3, packed=True)
         )
         assert pck.target_table.signatures == smp.target_table.signatures
         assert pck.target_table.universe == smp.target_table.universe
 
     def test_make_backend_packed(self):
-        assert make_backend("packed") == PackedBackend()
+        assert make_backend("packed") == TableBackend(packed=True)
         assert make_backend(
             "packed", samples=32, seed=2
-        ) == PackedBackend(samples=32, seed=2)
+        ) == TableBackend(samples=32, seed=2, packed=True)
 
     def test_samples_validated(self):
         with pytest.raises(AnalysisError, match="samples"):
-            PackedBackend(samples=0)
+            TableBackend(samples=0, packed=True)
 
     def test_exhaustive_cap_without_samples(self):
+        # One cap check, one message, packed or not.
         wide = random_circuit(2, num_inputs=30, num_gates=20)
-        with pytest.raises(AnalysisError, match="--samples"):
-            PackedBackend().universe_for(wide)
+        for backend in (TableBackend(packed=True), TableBackend()):
+            with pytest.raises(AnalysisError, match="--samples K"):
+                backend.line_signatures(wide)
 
     def test_wide_circuit_with_samples(self):
         wide = random_circuit(3, num_inputs=30, num_gates=24)
-        backend = PackedBackend(samples=64, seed=1)
+        backend = TableBackend(samples=64, seed=1, packed=True)
         table = backend.build_stuck_at(wide)
         assert isinstance(table, PackedDetectionTable)
         assert table.universe.size == 64
 
     def test_hashable_cache_key(self):
-        assert hash(PackedBackend(samples=8, seed=1)) == hash(
-            PackedBackend(samples=8, seed=1)
+        assert hash(TableBackend(samples=8, seed=1, packed=True)) == hash(
+            TableBackend(samples=8, seed=1, packed=True)
         )
-        assert PackedBackend(samples=8) != PackedBackend(samples=9)
+        assert TableBackend(samples=8, packed=True) != TableBackend(
+            samples=9, packed=True
+        )
 
     def test_exhaustive_packed_canonicalizes_seed(self):
         """Without samples the universe is exhaustive, so seed and
         replacement must not split the experiment-layer cache key."""
-        assert PackedBackend(seed=2005) == PackedBackend()
-        assert PackedBackend(replacement=True) == PackedBackend()
-        assert PackedBackend(samples=8, seed=1) != PackedBackend(samples=8)
+        packed = TableBackend(packed=True)
+        assert TableBackend(seed=2005, packed=True) == packed
+        assert TableBackend(replacement=True, packed=True) == packed
+        assert TableBackend(seed=2005) == TableBackend()
+        assert TableBackend(samples=8, seed=1, packed=True) != TableBackend(
+            samples=8, packed=True
+        )
 
     def test_repeated_single_fault_queries_reuse_scan(self, circuit):
         from repro.core.worst_case import nmin_for_untargeted_fault
 
-        u = FaultUniverse(circuit, backend=PackedBackend())
+        u = FaultUniverse(circuit, backend=TableBackend(packed=True))
         table = PackedDetectionTable.from_table(u.target_table)
         g_sig = u.untargeted_table.signatures[0]
         first = nmin_for_untargeted_fault(table, g_sig)
@@ -179,7 +185,9 @@ class TestPickling:
         from repro.bench_suite.registry import get_circuit
         from repro.core.worst_case import WorstCaseAnalysis
 
-        fu = FaultUniverse(get_circuit("ex2"), backend=PackedBackend())
+        fu = FaultUniverse(
+            get_circuit("ex2"), backend=TableBackend(packed=True)
+        )
         target, untargeted = fu.target_table, fu.untargeted_table
         before = pickle.dumps(target)
         records = WorstCaseAnalysis(target, untargeted).records

@@ -33,7 +33,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import ExhaustiveBackend, SerialBackend
+from repro.faultsim.backends import SerialBackend, TableBackend
 from repro.obs.tracer import ListTraceWriter
 from repro.parallel import ParallelBackend, ShardTask, shard_key
 from repro.parallel.netqueue import (
@@ -106,7 +106,7 @@ class TestCrossProcessStitching:
 
         with BackgroundBroker() as broker:
             backend = ParallelBackend(
-                base=ExhaustiveBackend(),
+                base=TableBackend(),
                 executor=TcpExecutor(
                     broker=broker.address, wait_timeout=120.0
                 ),

@@ -19,8 +19,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
-    ExhaustiveBackend,
-    SampledBackend,
+    TableBackend,
     make_backend,
 )
 from repro.parallel import (
@@ -114,7 +113,7 @@ class TestFactories:
 
 class TestParallelBackendIntegration:
     def test_jobs_sugar_resolves_executor(self):
-        base = ExhaustiveBackend()
+        base = TableBackend()
         assert ParallelBackend(
             base=base, jobs=1
         ).resolved_executor == InlineExecutor()
@@ -124,21 +123,21 @@ class TestParallelBackendIntegration:
 
     def test_explicit_executor_wins_over_jobs(self):
         backend = ParallelBackend(
-            base=ExhaustiveBackend(), jobs=4, executor=InlineExecutor()
+            base=TableBackend(), jobs=4, executor=InlineExecutor()
         )
         assert backend.resolved_executor == InlineExecutor()
 
     def test_rejects_non_executor(self):
         with pytest.raises(AnalysisError, match="ShardExecutor"):
-            ParallelBackend(base=ExhaustiveBackend(), executor="pool")
+            ParallelBackend(base=TableBackend(), executor="pool")
 
     def test_hashable_with_executor(self):
         a = ParallelBackend(
-            base=SampledBackend(8, seed=1),
+            base=TableBackend(samples=8, seed=1),
             executor=TcpExecutor(broker="h:1"),
         )
         b = ParallelBackend(
-            base=SampledBackend(8, seed=1),
+            base=TableBackend(samples=8, seed=1),
             executor=TcpExecutor(broker="h:1"),
         )
         assert a == b and hash(a) == hash(b)
@@ -147,7 +146,7 @@ class TestParallelBackendIntegration:
         circuit = get_circuit("lion")
         reference = FaultUniverse(circuit)
         backend = ParallelBackend(
-            base=ExhaustiveBackend(),
+            base=TableBackend(),
             executor=InlineExecutor(),
             cache_dir=str(tmp_path / "shards"),
         )
@@ -162,7 +161,7 @@ class TestParallelBackendIntegration:
 
 class TestInjection:
     def test_maybe_parallel_wraps_for_executor_at_jobs_one(self):
-        base = ExhaustiveBackend()
+        base = TableBackend()
         assert maybe_parallel(base, 1) is base
         wrapped = maybe_parallel(base, 1, executor=InlineExecutor())
         assert isinstance(wrapped, ParallelBackend)
@@ -193,7 +192,7 @@ class TestInjection:
             "sampled", samples=8, seed=1, executor="tcp", broker="h:1",
         )
         assert isinstance(backend, ParallelBackend)
-        assert backend.base == SampledBackend(8, seed=1)
+        assert backend.base == TableBackend(samples=8, seed=1)
         assert backend.executor == TcpExecutor(broker="h:1")
 
     def test_make_backend_executor_instance(self):

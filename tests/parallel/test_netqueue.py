@@ -27,7 +27,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
-from repro.faultsim.backends import ExhaustiveBackend, SerialBackend
+from repro.faultsim.backends import SerialBackend, TableBackend
 from repro.parallel import ParallelBackend, ShardTask, shard_key
 from repro.parallel.netqueue import (
     BROKER_ENV,
@@ -48,7 +48,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 def make_task(shard_index: int = 0, count: int = 4) -> ShardTask:
     circuit = get_circuit("lion")
-    backend = ExhaustiveBackend()
+    backend = TableBackend()
     faults = collapsed_stuck_at_faults(circuit)
     lo = shard_index * count
     return ShardTask(
@@ -192,6 +192,47 @@ class TestSecurity:
         finally:
             a.close()
             b.close()
+
+    def test_fixed_universe_task_roundtrips_the_unpickler(self):
+        import pickle
+
+        from repro.parallel.netqueue import _loads
+
+        circuit = get_circuit("lion")
+        backend = TableBackend(vectors=(1, 4, 9, 12), packed=True)
+        task = ShardTask(
+            circuit=circuit,
+            backend=backend,
+            kind="bridging",
+            faults=(),
+            base_signatures=tuple(backend.line_signatures(circuit)),
+            shard_index=3,
+        )
+        loaded = _loads(
+            pickle.dumps({"task": task}, protocol=pickle.HIGHEST_PROTOCOL)
+        )["task"]
+        assert loaded.backend == backend
+        assert loaded.backend.name == "fixed"
+        assert loaded.base_signatures == task.base_signatures
+        assert shard_key(
+            loaded.circuit, loaded.backend, loaded.kind, loaded.faults
+        ) == shard_key(circuit, backend, task.kind, task.faults)
+
+    def test_retired_backend_class_is_refused(self):
+        import pickle
+
+        from repro.parallel.netqueue import _loads
+
+        # A frame from an older peer naming a backend class this
+        # version no longer ships: refused before any lookup.
+        payload = (
+            b"\x80\x04crepro.faultsim.backends\nSampledBackend\n)\x81."
+        )
+        with pytest.raises(
+            pickle.UnpicklingError,
+            match="forbidden global repro.faultsim.backends.SampledBackend",
+        ):
+            _loads(payload)
 
     def test_broker_drops_peer_sending_hostile_pickle(self):
         import pickle
@@ -862,14 +903,14 @@ class TestEndToEnd:
                 broker.address, tmp_path, name="b", idle_exit=3.0
             )
             backend = ParallelBackend(
-                base=ExhaustiveBackend(),
+                base=TableBackend(),
                 use_cache=False,
                 executor=TcpExecutor(
                     broker=broker.address, wait_timeout=120.0
                 ),
             )
             tcp = FaultUniverse(circuit, backend=backend)
-            inline = FaultUniverse(circuit, backend=ExhaustiveBackend())
+            inline = FaultUniverse(circuit, backend=TableBackend())
             assert (
                 tcp.target_table.signatures
                 == inline.target_table.signatures

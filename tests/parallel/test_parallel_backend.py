@@ -17,8 +17,7 @@ from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
     DetectionBackend,
-    ExhaustiveBackend,
-    SampledBackend,
+    TableBackend,
     make_backend,
 )
 from repro.parallel import (
@@ -38,35 +37,35 @@ def cache_dir(tmp_path):
 class TestConfiguration:
     def test_satisfies_protocol(self):
         assert isinstance(
-            ParallelBackend(base=ExhaustiveBackend()), DetectionBackend
+            ParallelBackend(base=TableBackend()), DetectionBackend
         )
 
     def test_rejects_nesting(self):
-        inner = ParallelBackend(base=ExhaustiveBackend())
+        inner = ParallelBackend(base=TableBackend())
         with pytest.raises(AnalysisError, match="nest"):
             ParallelBackend(base=inner)
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(AnalysisError, match="jobs"):
-            ParallelBackend(base=ExhaustiveBackend(), jobs=0)
+            ParallelBackend(base=TableBackend(), jobs=0)
 
     def test_rejects_bad_shards(self):
         with pytest.raises(AnalysisError, match="shards"):
-            ParallelBackend(base=ExhaustiveBackend(), shards=0)
+            ParallelBackend(base=TableBackend(), shards=0)
 
     def test_hashable_for_cache_keys(self):
-        a = ParallelBackend(base=SampledBackend(8, seed=1), jobs=2)
-        b = ParallelBackend(base=SampledBackend(8, seed=1), jobs=2)
+        a = ParallelBackend(base=TableBackend(samples=8, seed=1), jobs=2)
+        b = ParallelBackend(base=TableBackend(samples=8, seed=1), jobs=2)
         assert a == b and hash(a) == hash(b)
 
     def test_delegates_needs_base_signatures(self):
         from repro.faultsim.backends import SerialBackend
 
-        assert ParallelBackend(base=ExhaustiveBackend()).needs_base_signatures
+        assert ParallelBackend(base=TableBackend()).needs_base_signatures
         assert not ParallelBackend(base=SerialBackend()).needs_base_signatures
 
     def test_maybe_parallel(self):
-        base = ExhaustiveBackend()
+        base = TableBackend()
         assert maybe_parallel(base, 1) is base
         wrapped = maybe_parallel(base, 3)
         assert isinstance(wrapped, ParallelBackend)
@@ -90,8 +89,8 @@ class TestConfiguration:
     def test_make_backend_jobs(self):
         backend = make_backend("sampled", samples=8, seed=1, jobs=2)
         assert isinstance(backend, ParallelBackend)
-        assert backend.base == SampledBackend(8, seed=1)
-        assert make_backend("exhaustive", jobs=1) == ExhaustiveBackend()
+        assert backend.base == TableBackend(samples=8, seed=1)
+        assert make_backend("exhaustive", jobs=1) == TableBackend()
 
 
 class TestShardLayoutIndependence:
@@ -102,7 +101,7 @@ class TestShardLayoutIndependence:
         reference = FaultUniverse(circuit)
         for shards in (1, 2, 3, 5, 64):
             backend = ParallelBackend(
-                base=ExhaustiveBackend(),
+                base=TableBackend(),
                 jobs=2,
                 shards=shards,
                 cache_dir=cache_dir,
@@ -123,7 +122,7 @@ class TestShardLayoutIndependence:
         # the table had been built in one piece.
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=ExhaustiveBackend(), jobs=2, shards=64, cache_dir=cache_dir
+            base=TableBackend(), jobs=2, shards=64, cache_dir=cache_dir
         )
         single = FaultUniverse(circuit).untargeted_table
         parallel = FaultUniverse(circuit, backend=backend).untargeted_table
@@ -133,7 +132,7 @@ class TestShardLayoutIndependence:
     def test_explicit_empty_fault_list(self, cache_dir):
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=ExhaustiveBackend(), jobs=2, cache_dir=cache_dir
+            base=TableBackend(), jobs=2, cache_dir=cache_dir
         )
         table = backend.build_stuck_at(circuit, faults=[])
         assert len(table) == 0
@@ -145,7 +144,7 @@ class TestShardCacheAcceptance:
     def test_warm_cache_hit_on_repeated_build(self, cache_dir):
         circuit = get_circuit("beecount")
         backend = ParallelBackend(
-            base=SampledBackend(16, seed=3), jobs=2, cache_dir=cache_dir
+            base=TableBackend(samples=16, seed=3), jobs=2, cache_dir=cache_dir
         )
         reset_cache_stats()
         cold = FaultUniverse(circuit, backend=backend)
@@ -165,13 +164,13 @@ class TestShardCacheAcceptance:
         # every shard a jobs=2 run stored.
         circuit = get_circuit("lion")
         first = ParallelBackend(
-            base=ExhaustiveBackend(), jobs=2, cache_dir=cache_dir
+            base=TableBackend(), jobs=2, cache_dir=cache_dir
         )
         u1 = FaultUniverse(circuit, backend=first)
         u1.target_table, u1.untargeted_table
         reset_cache_stats()
         second = ParallelBackend(
-            base=ExhaustiveBackend(), jobs=4, cache_dir=cache_dir
+            base=TableBackend(), jobs=4, cache_dir=cache_dir
         )
         u2 = FaultUniverse(circuit, backend=second)
         u2.target_table, u2.untargeted_table
@@ -183,7 +182,7 @@ class TestShardCacheAcceptance:
     def test_use_cache_false_never_touches_disk(self, tmp_path):
         root = tmp_path / "never"
         backend = ParallelBackend(
-            base=ExhaustiveBackend(),
+            base=TableBackend(),
             jobs=2,
             cache_dir=str(root),
             use_cache=False,
@@ -197,20 +196,20 @@ class TestFaultUniverseJobs:
     def test_jobs_wraps_backend(self, cache_dir):
         u = FaultUniverse(get_circuit("lion"), jobs=2)
         assert isinstance(u.backend, ParallelBackend)
-        assert u.backend.base == ExhaustiveBackend()
+        assert u.backend.base == TableBackend()
 
     def test_jobs_one_stays_single_process(self):
         u = FaultUniverse(get_circuit("lion"), jobs=1)
-        assert u.backend == ExhaustiveBackend()
+        assert u.backend == TableBackend()
 
     def test_jobs_composes_with_backend(self):
-        base = SampledBackend(8, seed=1)
+        base = TableBackend(samples=8, seed=1)
         u = FaultUniverse(get_circuit("lion"), backend=base, jobs=2)
         assert isinstance(u.backend, ParallelBackend)
         assert u.backend.base == base
 
     def test_parallel_backend_passes_through(self):
-        backend = ParallelBackend(base=ExhaustiveBackend(), jobs=3)
+        backend = ParallelBackend(base=TableBackend(), jobs=3)
         u = FaultUniverse(get_circuit("lion"), backend=backend, jobs=2)
         assert u.backend is backend
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench_suite.registry import get_circuit
 from repro.faults.stuck_at import collapsed_stuck_at_faults
-from repro.faultsim.backends import ExhaustiveBackend, SampledBackend
+from repro.faultsim.backends import TableBackend
 from repro.parallel import (
     ShardCache,
     backend_cache_key,
@@ -37,32 +37,32 @@ class TestKeys:
         )
 
     def test_backend_key_covers_configuration(self):
-        assert backend_cache_key(SampledBackend(8, seed=1)) != (
-            backend_cache_key(SampledBackend(8, seed=2))
+        assert backend_cache_key(TableBackend(samples=8, seed=1)) != (
+            backend_cache_key(TableBackend(samples=8, seed=2))
         )
-        assert backend_cache_key(SampledBackend(8, seed=1)) == (
-            backend_cache_key(SampledBackend(8, seed=1))
+        assert backend_cache_key(TableBackend(samples=8, seed=1)) == (
+            backend_cache_key(TableBackend(samples=8, seed=1))
         )
 
     def test_shard_key_sensitivity(self):
         circuit = get_circuit("lion")
         faults = collapsed_stuck_at_faults(circuit)
-        base = shard_key(circuit, ExhaustiveBackend(), "stuck_at", faults[:4])
+        base = shard_key(circuit, TableBackend(), "stuck_at", faults[:4])
         assert base == shard_key(
-            circuit, ExhaustiveBackend(), "stuck_at", faults[:4]
+            circuit, TableBackend(), "stuck_at", faults[:4]
         )
         # Any input change re-addresses the entry.
         assert base != shard_key(
-            circuit, ExhaustiveBackend(), "stuck_at", faults[:5]
+            circuit, TableBackend(), "stuck_at", faults[:5]
         )
         assert base != shard_key(
-            circuit, ExhaustiveBackend(), "bridging", faults[:4]
+            circuit, TableBackend(), "bridging", faults[:4]
         )
         assert base != shard_key(
-            circuit, SampledBackend(8), "stuck_at", faults[:4]
+            circuit, TableBackend(samples=8), "stuck_at", faults[:4]
         )
         assert base != shard_key(
-            get_circuit("train4"), ExhaustiveBackend(), "stuck_at", faults[:4]
+            get_circuit("train4"), TableBackend(), "stuck_at", faults[:4]
         )
 
 

@@ -42,9 +42,8 @@ from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
-    ExhaustiveBackend,
-    SampledBackend,
     SerialBackend,
+    TableBackend,
 )
 from repro.parallel import ParallelBackend
 
@@ -78,10 +77,10 @@ class TestExactEnginesAgree:
     )
     def test_three_way_differential(self, seed, p, gates):
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
-        exh_f, exh_g = _tables(circuit, ExhaustiveBackend())
+        exh_f, exh_g = _tables(circuit, TableBackend())
         ser_f, ser_g = _tables(circuit, SerialBackend())
         ful_f, ful_g = _tables(
-            circuit, SampledBackend(1 << p, seed=seed + 100)
+            circuit, TableBackend(samples=1 << p, seed=seed + 100)
         )
         _assert_identical(exh_f, ser_f)
         _assert_identical(exh_g, ser_g)
@@ -93,16 +92,18 @@ class TestExactEnginesAgree:
         # Larger p: the serial engine is too slow, but the full-coverage
         # sampled draw must still match the exhaustive engine exactly.
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
-        exh_f, exh_g = _tables(circuit, ExhaustiveBackend())
-        ful_f, ful_g = _tables(circuit, SampledBackend(1 << p, seed=seed))
+        exh_f, exh_g = _tables(circuit, TableBackend())
+        ful_f, ful_g = _tables(
+            circuit, TableBackend(samples=1 << p, seed=seed)
+        )
         assert ful_f.universe.exhaustive  # canonicalized full draw
         _assert_identical(exh_f, ful_f)
         _assert_identical(exh_g, ful_g)
 
     def test_full_sample_worst_case_matches(self):
         circuit = random_circuit(8, num_inputs=6, num_gates=14)
-        exh_f, exh_g = _tables(circuit, ExhaustiveBackend())
-        ful_f, ful_g = _tables(circuit, SampledBackend(64, seed=9))
+        exh_f, exh_g = _tables(circuit, TableBackend())
+        ful_f, ful_g = _tables(circuit, TableBackend(samples=64, seed=9))
         exact = WorstCaseAnalysis(exh_f, exh_g)
         full = WorstCaseAnalysis(ful_f, ful_g)
         assert exact.nmin_values() == full.nmin_values()
@@ -145,21 +146,21 @@ class TestParallelDifferential:
     @pytest.mark.parametrize("seed,p,gates", [(21, 5, 12), (22, 6, 14)])
     def test_exhaustive_base_random(self, seed, p, gates):
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
-        self._assert_equivalent(circuit, ExhaustiveBackend())
+        self._assert_equivalent(circuit, TableBackend())
 
     @pytest.mark.parametrize("seed,p,gates", [(23, 6, 14), (24, 7, 16)])
     def test_sampled_base_random(self, seed, p, gates):
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
         self._assert_equivalent(
-            circuit, SampledBackend(24, seed=seed)
+            circuit, TableBackend(samples=24, seed=seed)
         )
 
     def test_packed_base_random(self):
-        from repro.faultsim.backends import PackedBackend
-
         circuit = random_circuit(25, num_inputs=6, num_gates=14)
-        self._assert_equivalent(circuit, PackedBackend())
-        self._assert_equivalent(circuit, PackedBackend(samples=24, seed=9))
+        self._assert_equivalent(circuit, TableBackend(packed=True))
+        self._assert_equivalent(
+            circuit, TableBackend(samples=24, seed=9, packed=True)
+        )
 
     def test_serial_base_random(self):
         circuit = random_circuit(26, num_inputs=5, num_gates=12)
@@ -169,7 +170,7 @@ class TestParallelDifferential:
     def test_suite_circuit(self, name):
         from repro.bench_suite.registry import get_circuit
 
-        self._assert_equivalent(get_circuit(name), ExhaustiveBackend())
+        self._assert_equivalent(get_circuit(name), TableBackend())
 
 
 class TestTcpExecutorDifferential:
@@ -255,21 +256,22 @@ class TestTcpExecutorDifferential:
     def test_exhaustive_base(self, broker, tmp_path):
         circuit = random_circuit(51, num_inputs=5, num_gates=12)
         self._assert_equivalent(
-            circuit, ExhaustiveBackend(), broker, tmp_path
+            circuit, TableBackend(), broker, tmp_path
         )
 
     def test_sampled_base(self, broker, tmp_path):
         circuit = random_circuit(52, num_inputs=7, num_gates=16)
         self._assert_equivalent(
-            circuit, SampledBackend(24, seed=52), broker, tmp_path
+            circuit, TableBackend(samples=24, seed=52), broker, tmp_path
         )
 
     def test_packed_base(self, broker, tmp_path):
-        from repro.faultsim.backends import PackedBackend
-
         circuit = random_circuit(53, num_inputs=6, num_gates=14)
         self._assert_equivalent(
-            circuit, PackedBackend(samples=24, seed=9), broker, tmp_path
+            circuit,
+            TableBackend(samples=24, seed=9, packed=True),
+            broker,
+            tmp_path,
         )
 
     def test_serial_base(self, broker, tmp_path):
@@ -283,7 +285,7 @@ class TestTcpExecutorDifferential:
         from repro.bench_suite.registry import get_circuit
 
         self._assert_equivalent(
-            get_circuit(name), ExhaustiveBackend(), broker, tmp_path
+            get_circuit(name), TableBackend(), broker, tmp_path
         )
 
     def test_adaptive_rounds_distribute(self, broker, tmp_path):
@@ -334,7 +336,7 @@ class TestTcpExecutorDifferential:
         )
 
         circuit = random_circuit(56, num_inputs=5, num_gates=12)
-        base = ExhaustiveBackend()
+        base = TableBackend()
         inline = FaultUniverse(circuit, backend=base)
         with BackgroundBroker(steal_after=0.1) as running:
             slow = TcpWorker(
@@ -445,14 +447,12 @@ class TestAdaptiveDifferential:
     @pytest.mark.parametrize("stratify", [None, "bridging"])
     def test_representation_invariant(self, stratify):
         """Round-by-round column splicing ≡ one build over all vectors."""
-        from repro.faultsim.backends import FixedUniverseBackend
-
         circuit = random_circuit(33, num_inputs=6, num_gates=14)
         report = self._run(circuit, seed=2, stratify=stratify)
         assert len(report.rounds) > 1
         assert report.universe.size < 1 << circuit.num_inputs
-        one_shot = FixedUniverseBackend(
-            circuit.num_inputs, tuple(report.universe.vectors)
+        one_shot = TableBackend(
+            vectors=tuple(report.universe.vectors), packed=True
         )
         target = one_shot.build_stuck_at(circuit)
         untargeted = one_shot.build_bridging(
@@ -473,7 +473,7 @@ class TestAdaptiveDifferential:
             target_halfwidth=0.0001, max_samples=1 << 6,
         )
         assert report.universe.exhaustive
-        exh_f, exh_g = _tables(circuit, ExhaustiveBackend())
+        exh_f, exh_g = _tables(circuit, TableBackend())
         assert report.target_table.signatures == exh_f.signatures
         dropped = _dropped(report)
         assert dropped.faults == exh_g.faults
@@ -521,7 +521,7 @@ class TestSampledEstimates:
     def sampled_tables(self, circuit):
         return [
             FaultUniverse(
-                circuit, backend=SampledBackend(self.K, seed=s)
+                circuit, backend=TableBackend(samples=self.K, seed=s)
             ).target_table
             for s in self.SEEDS
         ]
@@ -552,7 +552,9 @@ class TestSampledEstimates:
         assert exact_n is not None
         estimates = []
         for s in range(30):
-            u = FaultUniverse(circuit, backend=SampledBackend(self.K, seed=s))
+            u = FaultUniverse(
+                circuit, backend=TableBackend(samples=self.K, seed=s)
+            )
             w = WorstCaseAnalysis(u.target_table, u.untargeted_table)
             est = w.estimated_guaranteed_n()
             if est is not None:
@@ -575,7 +577,7 @@ class TestSampledPipeline:
     @pytest.fixture(scope="class")
     def universe(self):
         circuit = random_circuit(12, num_inputs=6, num_gates=14)
-        return FaultUniverse(circuit, backend=SampledBackend(24, seed=5))
+        return FaultUniverse(circuit, backend=TableBackend(samples=24, seed=5))
 
     def test_procedure1_average_case_escape(self, universe):
         family = build_random_ndetection_sets(
@@ -612,7 +614,7 @@ class TestSampledPipeline:
 
     def test_worst_case_rejects_mixed_universes(self, universe):
         exhaustive = FaultUniverse(
-            universe.circuit, backend=ExhaustiveBackend()
+            universe.circuit, backend=TableBackend()
         )
         with pytest.raises(AnalysisError, match="universe"):
             WorstCaseAnalysis(
@@ -621,7 +623,7 @@ class TestSampledPipeline:
 
     def test_average_case_rejects_mixed_universes(self, universe):
         exhaustive = FaultUniverse(
-            universe.circuit, backend=ExhaustiveBackend()
+            universe.circuit, backend=TableBackend()
         )
         family = build_random_ndetection_sets(
             exhaustive.target_table, n_max=2, num_sets=4, seed=1

@@ -24,9 +24,7 @@ from repro.core.worst_case import WorstCaseAnalysis, nmin_for_untargeted_fault
 from repro.experiments.common import get_universe, get_worst_case
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
-    ExhaustiveBackend,
-    PackedBackend,
-    SampledBackend,
+    TableBackend,
 )
 from repro.faultsim.packed_table import PackedDetectionTable
 
@@ -57,8 +55,8 @@ class TestPackedDifferential:
     )
     def test_exhaustive_universe(self, seed, p, gates):
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
-        big = FaultUniverse(circuit, backend=ExhaustiveBackend())
-        pck = FaultUniverse(circuit, backend=PackedBackend())
+        big = FaultUniverse(circuit, backend=TableBackend())
+        pck = FaultUniverse(circuit, backend=TableBackend(packed=True))
         assert pck.target_table.signatures == big.target_table.signatures
         assert pck.untargeted_table.signatures == (
             big.untargeted_table.signatures
@@ -73,9 +71,11 @@ class TestPackedDifferential:
     def test_sampled_universe(self, seed):
         circuit = random_circuit(40 + seed, num_inputs=7, num_gates=16)
         k = 16 + 13 * seed  # sweep a range of sample sizes
-        big = FaultUniverse(circuit, backend=SampledBackend(k, seed=seed))
+        big = FaultUniverse(
+            circuit, backend=TableBackend(samples=k, seed=seed)
+        )
         pck = FaultUniverse(
-            circuit, backend=PackedBackend(samples=k, seed=seed)
+            circuit, backend=TableBackend(samples=k, seed=seed, packed=True)
         )
         assert pck.target_table.signatures == big.target_table.signatures
         assert pck.target_table.universe == big.target_table.universe
@@ -102,9 +102,9 @@ class TestPackedDifferential:
         """The >24-input circuits: packed ≡ sampled big-int, record for
         record — the claim behind the packed nmin-scan benchmark."""
         circuit = get_circuit(name)
-        big = FaultUniverse(circuit, backend=SampledBackend(256, seed=7))
+        big = FaultUniverse(circuit, backend=TableBackend(samples=256, seed=7))
         pck = FaultUniverse(
-            circuit, backend=PackedBackend(samples=256, seed=7)
+            circuit, backend=TableBackend(samples=256, seed=7, packed=True)
         )
         assert pck.target_table.signatures == big.target_table.signatures
         _assert_same_analysis(

@@ -25,10 +25,8 @@ from repro.bench_suite.registry import get_circuit, suite_table_groups
 from repro.circuit.netlist import LineKind
 from repro.faults.stuck_at import StuckAtFault
 from repro.faultsim.backends import (
-    ExhaustiveBackend,
-    PackedBackend,
-    SampledBackend,
     SerialBackend,
+    TableBackend,
 )
 from repro.faultsim.detection import DetectionTable
 from repro.simulation import ppsfp
@@ -59,7 +57,7 @@ class TestKernelVsBigInt:
     @pytest.mark.parametrize("name", _suite_circuits())
     def test_suite_exhaustive(self, name, monkeypatch):
         circuit = get_circuit(name)
-        backend = ExhaustiveBackend()
+        backend = TableBackend()
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
         monkeypatch.undo()
@@ -70,7 +68,7 @@ class TestKernelVsBigInt:
     def test_suite_sampled(self, name, monkeypatch):
         circuit = get_circuit(name)
         k = min(97, 1 << circuit.num_inputs)
-        backend = SampledBackend(k, seed=7)
+        backend = TableBackend(samples=k, seed=7)
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
         monkeypatch.undo()
@@ -80,7 +78,7 @@ class TestKernelVsBigInt:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_circuits_packed_backend(self, seed, monkeypatch):
         circuit = random_circuit(70 + seed, num_inputs=6, num_gates=15)
-        backend = PackedBackend()
+        backend = TableBackend(packed=True)
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         big = _tables(backend, circuit)
         monkeypatch.undo()
@@ -89,7 +87,7 @@ class TestKernelVsBigInt:
 
     def test_kernel_path_actually_engaged(self):
         circuit = get_circuit("lion")
-        backend = ExhaustiveBackend()
+        backend = TableBackend()
         universe = backend.universe_for(circuit)
         assert ppsfp.kernel_supports(universe), (
             "differential suite must exercise the kernel path"
@@ -114,9 +112,9 @@ class TestBranchSiteFaults:
         assert faults, f"{name} has no branch lines; pick another circuit"
         serial = SerialBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        big = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
+        big = TableBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.undo()
-        kernel = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
+        kernel = TableBackend().build_stuck_at(circuit, faults=faults)
         assert serial.signatures == big.signatures
         assert big.signatures == kernel.signatures
 
@@ -128,9 +126,9 @@ class TestBranchSiteFaults:
             pytest.skip("random draw produced no branch lines")
         serial = SerialBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        big = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
+        big = TableBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.undo()
-        kernel = ExhaustiveBackend().build_stuck_at(circuit, faults=faults)
+        kernel = TableBackend().build_stuck_at(circuit, faults=faults)
         assert serial.signatures == big.signatures
         assert big.signatures == kernel.signatures
 
