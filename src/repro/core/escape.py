@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.core.average_case import AverageCaseAnalysis
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import AnalysisError
+from repro.logic.packed import _np
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,8 @@ class EscapeAnalysis:
     def report(self, n: int) -> EscapeReport:
         """Escape metrics at one ``n`` (1 <= n <= family n_max)."""
         indices = self.average.fault_indices
-        by_index = {r.fault_index: r for r in self.worst.records}
-        worst_escapes = sum(
-            1
-            for j in indices
-            if by_index[j].nmin is None or by_index[j].nmin > n
-        )
+        nmin = self.worst.nmin[indices]
+        worst_escapes = int(_np.count_nonzero((nmin == 0) | (nmin > n)))
         probs = self.average.probabilities(n)
         expected = sum(1.0 - p for p in probs)
         return EscapeReport(

@@ -14,8 +14,9 @@ overlap ``g``::
 
 is the smallest ``n`` such that **every** n-detection test set for ``F``
 is guaranteed to detect ``g``.  When ``F(g)`` is empty no value of ``n``
-gives a guarantee; ``nmin(g)`` is recorded as ``None`` (treated as +∞ by
-all threshold queries).
+gives a guarantee; ``nmin(g)`` is reported as ``None`` (stored as 0,
+since a real ``nmin`` is at least 1, and treated as +∞ by all threshold
+queries).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.logic.packed import (
     PackedSignatureMatrix,
     pack_signature,
     popcount_words,
+    words_for,
 )
 
 
@@ -39,9 +41,8 @@ class NminRecord(NamedTuple):
     ``nmin`` is ``None`` when no target fault overlaps ``g`` (no guarantee
     at any ``n``).  ``witness`` is the index (into the target table) of a
     target fault achieving the minimum, and ``witness_overlap`` its
-    ``M(g, f)``.  (A named tuple, not a dataclass: one record is built
-    per untargeted fault, so construction cost is part of the analysis
-    hot path.)
+    ``M(g, f)``.  :attr:`WorstCaseAnalysis.records` builds these from
+    the analysis arrays on each access.
     """
 
     fault_index: int
@@ -74,7 +75,9 @@ def nmin_for_untargeted_fault(
         sorted_order = sorted(range(len(counts)), key=counts.__getitem__)
     if getattr(target_table, "packed", None) is not None:
         scan = _packed_scan_for(target_table, counts, sorted_order)
-        return scan.scan_bigint(g_signature)
+        row = pack_signature(g_signature, scan.size).reshape(1, -1)
+        nmin, witness, overlap = (int(a[0]) for a in scan.scan_batch(row))
+        return (nmin, witness, overlap) if nmin else (None, None, 0)
     n_g = g_signature.bit_count()
     best: int | None = None
     best_idx: int | None = None
@@ -100,33 +103,35 @@ def nmin_for_untargeted_fault(
 def _packed_scan_for(
     target_table: DetectionTable, counts: list[int], order: list[int]
 ) -> "_PackedNminScan":
-    """A packed scan for these counts/order, cached on the table.
+    """A packed scan for these counts/order, cached on a packed table.
 
-    The latest scan is remembered on the table instance together with
-    the counts/order it was built for, so repeated single-fault queries
-    — whether the caller defaults the arguments or passes the same
-    precomputed lists, as the docstring recommends — amortize the
+    The latest scan is remembered on a packed table instance together
+    with the counts/order it was built for, so repeated single-fault
+    queries — whether the caller defaults the arguments or passes the
+    same precomputed lists, as the docstring recommends — amortize the
     sorted-matrix construction and dedup pass instead of repeating it
-    per fault.
+    per fault.  A big-int table gets a fresh scan: caching it would keep
+    a packed copy of the table alive beside its big-ints.
     """
+    if getattr(target_table, "packed", None) is None:
+        return _PackedNminScan(target_table, counts, order)
     scan = getattr(target_table, "_packed_nmin_scan", None)
     if (
         scan is None
         or scan.source_counts != counts
         or scan.source_order != order
     ):
-        scan = _PackedNminScan(
-            target_table.packed, counts, order,
-            signatures=target_table.signatures,
-        )
+        scan = _PackedNminScan(target_table, counts, order)
         target_table._packed_nmin_scan = scan
     return scan
 
 
 class _PackedNminScan:
-    """Batched, vectorized ascending-``N(f)`` nmin scan over packed tables.
+    """Batched, vectorized ascending-``N(f)`` nmin scan over packed words.
 
-    Targets are re-ordered by ascending ``N(f)`` once; untargeted faults
+    Every target table is scanned this way (a packed table lends its
+    matrix; a big-int table's distinct rows are packed once).  Targets
+    are re-ordered by ascending ``N(f)`` once; untargeted faults
     are then scanned *together*, chunk of targets by chunk of targets, so
     every ``N(f) - popcount(sig_f & sig_g) + 1`` evaluation is part of a
     large numpy (or BLAS) sweep instead of a per-pair big-int operation.
@@ -161,32 +166,31 @@ class _PackedNminScan:
 
     def __init__(
         self,
-        packed: PackedSignatureMatrix,
+        target_table: DetectionTable,
         counts: list[int],
         sorted_order: list[int],
-        signatures: list[int] | None = None,
     ):
         # What the scan was built from, for the table-level cache check.
         self.source_counts = list(counts)
         self.source_order = list(sorted_order)
-        if signatures is not None:
-            # Scan each distinct signature once, keeping the first
-            # occurrence in ascending-N(f) order as the representative
-            # (== the witness the scalar scan would pick).
-            seen: set[int] = set()
-            order = []
-            for idx in sorted_order:
-                sig = signatures[idx]
-                if sig not in seen:
-                    seen.add(sig)
-                    order.append(idx)
-        else:
-            order = list(sorted_order)
-        self.order = order
-        idx = _np.asarray(self.order, dtype=_np.intp)
-        self.counts_sorted = _np.asarray(counts, dtype=_np.int64)[idx]
-        self.matrix_sorted = packed.take(self.order)
-        self.size = packed.size
+        # Scan each distinct signature once, keeping the first
+        # occurrence in ascending-N(f) order as the representative
+        # (== the witness the scalar scan would pick).
+        signatures = target_table.signatures
+        first_of: dict[int, int] = {}
+        for idx in sorted_order:
+            first_of.setdefault(signatures[idx], idx)
+        self.order = _np.fromiter(first_of.values(), _np.intp, len(first_of))
+        self.counts_sorted = _np.asarray(counts, dtype=_np.int64)[self.order]
+        self.size = target_table.universe.size
+        packed = getattr(target_table, "packed", None)
+        self.matrix_sorted = (
+            packed.take(self.order)
+            if packed is not None
+            else PackedSignatureMatrix.from_bigints(
+                [signatures[i] for i in self.order], self.size
+            )
+        )
         self._f_bits = None  # lazily unpacked float32 bits, sorted order
 
     @staticmethod
@@ -208,22 +212,13 @@ class _PackedNminScan:
         width = self.matrix_sorted.words.shape[1] * 64
         return num_g * width * 4 <= self._GEMM_MAX_BYTES
 
-    def scan_bigint(
-        self, g_signature: int
-    ) -> tuple[int | None, int | None, int]:
-        row = pack_signature(g_signature, self.size)
-        return self.scan_batch(
-            row.reshape(1, -1), [g_signature.bit_count()]
-        )[0]
-
-    def scan_batch(
-        self, g_words, n_gs
-    ) -> list[tuple[int | None, int | None, int]]:
+    def scan_batch(self, g_words):
         """``(nmin(g), witness, witness overlap)`` for a block of faults.
 
         ``g_words`` is a ``(num_g, words)`` ``uint64`` block over the
-        same universe as the target matrix; ``n_gs`` the matching
-        ``N(g)`` popcounts.
+        same universe as the target matrix.  Returns three ``int32``
+        arrays; a fault with no overlapping target has ``nmin`` 0,
+        witness -1 and overlap 0.
         """
         num_g = g_words.shape[0]
         counts = self.counts_sorted
@@ -232,7 +227,7 @@ class _PackedNminScan:
         # (popcounts are far below 2**53); +inf means no overlap yet.
         best = _np.full(num_g, _np.inf)
         best_pos = _np.zeros(num_g, dtype=_np.intp)
-        n_gs = _np.asarray(n_gs, dtype=_np.int64)
+        n_gs = popcount_words(g_words).sum(axis=1, dtype=_np.int64)
         active = _np.arange(num_g, dtype=_np.intp)
         use_gemm = self._use_gemm(num_g)
         if use_gemm:
@@ -289,23 +284,19 @@ class _PackedNminScan:
                 keep = (bound < best[active]) & (best[active] != 1)
                 active = active[keep]
             chunk = min(chunk * 4, self._MAX_CHUNK)
-        results: list[tuple[int | None, int | None, int]] = []
-        counts_list = self.counts_sorted.tolist()
-        order = self.order
-        inf = _np.inf
-        for value, pos in zip(best.tolist(), best_pos.tolist(), strict=True):
-            if value == inf:
-                results.append((None, None, 0))
-            else:
-                nmin = int(value)
-                results.append(
-                    (nmin, order[pos], counts_list[pos] - nmin + 1)
-                )
-        return results
+        found = best != _np.inf
+        pos = best_pos[found]
+        nmin = _np.zeros(num_g, dtype=_np.int32)
+        nmin[found] = best[found]
+        witness = _np.full(num_g, -1, dtype=_np.int32)
+        witness[found] = self.order[pos]
+        overlap = _np.zeros(num_g, dtype=_np.int32)
+        overlap[found] = counts[pos] - nmin[found] + 1
+        return nmin, witness, overlap
 
 
 class WorstCaseAnalysis:
-    """Worst-case ``nmin`` records for every untargeted fault.
+    """Worst-case ``nmin`` of every untargeted fault, kept as arrays.
 
     Parameters
     ----------
@@ -317,7 +308,11 @@ class WorstCaseAnalysis:
         vector universe (signature bits of both tables are intersected,
         so they must mean the same vectors).
 
-    On a sampled universe the records are computed in sample-bit space —
+    ``nmin``, ``witness`` and ``witness_overlap`` are ``int32`` arrays
+    indexed by untargeted fault; ``nmin`` is 0 where no target fault
+    overlaps ``g`` (the ``None`` of :class:`NminRecord`).
+
+    On a sampled universe the values are computed in sample-bit space —
     internally consistent for test sets drawn from the sampled vectors —
     and :meth:`estimated_nmin_values` /
     :meth:`estimated_guaranteed_n` report the ``|U|``-scale Monte-Carlo
@@ -325,72 +320,88 @@ class WorstCaseAnalysis:
     values.
     """
 
+    #: Block bounds: the scan's overlap and unpacked-bit buffers scale with it.
+    _G_BLOCK_ROWS = 2048
+    _G_BLOCK_BYTES = 1 << 22
+
     def __init__(
         self,
         target_table: DetectionTable,
         untargeted_table: DetectionTable,
     ):
-        if any(sig == 0 for sig in untargeted_table.signatures):
-            raise AnalysisError(
-                "untargeted table contains undetectable faults; build it "
-                "with drop_undetectable=True"
-            )
         if target_table.universe != untargeted_table.universe:
             raise AnalysisError(
                 "target and untargeted tables were built over different "
                 "vector universes; build both with the same backend"
             )
+        # nmin depends on g only through T(g): map every fault to the
+        # first fault with its signature, scan those representatives in
+        # packed blocks, and fan their results back out.
+        g_signatures = untargeted_table.signatures
+        num_g = len(g_signatures)
+        first_of: dict[int, int] = {}
+        rep_of = _np.fromiter(
+            map(first_of.setdefault, g_signatures, range(num_g)),
+            dtype=_np.intp, count=num_g,
+        )
+        if 0 in first_of:
+            raise AnalysisError(
+                "untargeted table contains undetectable faults; build it "
+                "with drop_undetectable=True"
+            )
+        reps = _np.fromiter(first_of.values(), _np.intp, len(first_of))
         self.target_table = target_table
         self.untargeted_table = untargeted_table
         self.universe = untargeted_table.universe
         counts = target_table.counts()
         order = sorted(range(len(counts)), key=counts.__getitem__)
-        self.records: list[NminRecord] = []
-        packed = getattr(target_table, "packed", None)
-        if packed is not None:
-            # Vectorized hot path: all untargeted faults scanned as one
-            # batch of AND+popcount (or sgemm) sweeps over the sorted
-            # target matrix.  Records depend on g only through its
-            # signature, so duplicate untargeted signatures (common for
-            # bridging faults) are scanned once and fanned back out.
-            scan = _packed_scan_for(target_table, counts, order)
-            g_packed = getattr(untargeted_table, "packed", None)
-            if g_packed is None:
-                g_packed = PackedSignatureMatrix.from_bigints(
-                    untargeted_table.signatures, packed.size
-                )
-            rows = g_packed.words
-            as_void = _np.ascontiguousarray(rows).view(
-                _np.dtype((_np.void, rows.shape[1] * rows.itemsize))
-            ).ravel()
-            _, rep_idx, lookup = _np.unique(
-                as_void, return_index=True, return_inverse=True
+        scan = _packed_scan_for(target_table, counts, order)
+        g_packed = getattr(untargeted_table, "packed", None)
+        rep_signatures = list(first_of)
+        row_bytes = words_for(scan.size) * 8
+        block = min(self._G_BLOCK_ROWS, self._G_BLOCK_BYTES // row_bytes or 1)
+        results = [_np.zeros(len(reps), dtype=_np.int32) for _ in range(3)]
+        for start in range(0, len(reps), block):
+            rows = (
+                g_packed.words[reps[start : start + block]]
+                if g_packed is not None
+                else PackedSignatureMatrix.from_bigints(
+                    rep_signatures[start : start + block], scan.size
+                ).words
             )
-            rep_rows = rows[rep_idx]
-            rep_counts = popcount_words(rep_rows).sum(
-                axis=1, dtype=_np.int64
-            )
-            results = scan.scan_batch(rep_rows, rep_counts)
-            self.records = [
-                NminRecord(j, *results[slot])
-                for j, slot in enumerate(lookup.tolist())
-            ]
-        else:
-            for j, g_sig in enumerate(untargeted_table.signatures):
-                nmin, witness, overlap = nmin_for_untargeted_fault(
-                    target_table, g_sig,
-                    target_counts=counts, sorted_order=order,
-                )
-                self.records.append(NminRecord(j, nmin, witness, overlap))
+            for out, part in zip(results, scan.scan_batch(rows), strict=True):
+                out[start : start + block] = part
+        # reps ascends, so a representative's rank is its slot.
+        slot_of = _np.searchsorted(reps, rep_of)
+        self.nmin, self.witness, self.witness_overlap = (
+            values[slot_of] for values in results
+        )
+
+    @property
+    def records(self) -> list[NminRecord]:
+        """One :class:`NminRecord` per untargeted fault.
+
+        Built from the arrays on every access and not cached: analyses
+        sit in the service's hot tier, where a list of records per fault
+        would cost far more memory than the arrays.
+        """
+        rows = zip(
+            self.nmin.tolist(), self.witness.tolist(),
+            self.witness_overlap.tolist(), strict=True,
+        )
+        return [
+            NminRecord(j, nmin or None, witness if nmin else None, overlap)
+            for j, (nmin, witness, overlap) in enumerate(rows)
+        ]
 
     # ------------------------------------------------------------------
     # Threshold queries (Tables 2 and 3)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.nmin)
 
     def nmin_values(self) -> list[int | None]:
-        return [r.nmin for r in self.records]
+        return [value or None for value in self.nmin.tolist()]
 
     def estimated_nmin(self, nmin: int | None) -> float | int | None:
         """``|U|``-scale estimate of one raw (sample-space) nmin value.
@@ -398,47 +409,45 @@ class WorstCaseAnalysis:
         Uniform-scale only: without the witness signatures a bare nmin
         value cannot be re-weighted, so non-uniform universes (the
         stratified one) must use :meth:`estimated_nmin_values`, which
-        estimates each record from its witness's exclusive detection
+        estimates each fault from its witness's exclusive detection
         set.
         """
         return estimate_nmin(self.universe, nmin)
 
-    def _estimated_record_nmin(
-        self, record: NminRecord
-    ) -> float | int | None:
-        """Unbiased ``|U|``-scale estimate of one record's nmin.
+    def estimated_nmin_values(self) -> list[float | int | None]:
+        """``|U|``-scale nmin estimates (== raw values when exact).
 
         ``nmin(g) - 1`` counts the vectors detecting the witness ``f``
-        but not ``g`` (``T(f) \\ T(g)``), so the estimate is that
+        but not ``g`` (``T(f) \\ T(g)``), so each estimate is that
         signature's universe estimate plus one — which routes through
         the universe's own estimator and therefore stays unbiased under
         stratified (non-uniform) sampling.  On uniform universes this
         equals ``scale * (nmin - 1) + 1``, the closed form
         :func:`~repro.faultsim.sampling.estimate_nmin` uses.
         """
-        if record.nmin is None:
-            return None
-        if self.universe.exact or record.nmin < 1:
-            return record.nmin
-        exclusive = (
-            self.target_table.signatures[record.witness]
-            & ~self.untargeted_table.signatures[record.fault_index]
-            & self.universe.mask
-        )
-        return self.universe.estimate_signature(exclusive) + 1.0
-
-    def estimated_nmin_values(self) -> list[float | int | None]:
-        """``|U|``-scale nmin estimates (== raw values when exact)."""
-        return [self._estimated_record_nmin(r) for r in self.records]
+        values = self.nmin_values()
+        if self.universe.exact:
+            return list(values)
+        f_sigs = self.target_table.signatures
+        g_sigs = self.untargeted_table.signatures
+        mask, estimate = self.universe.mask, self.universe.estimate_signature
+        return [
+            None
+            if value is None
+            else estimate(f_sigs[witness] & ~g_sigs[j] & mask) + 1.0
+            for j, (value, witness) in enumerate(
+                zip(values, self.witness.tolist(), strict=True)
+            )
+        ]
 
     def estimated_guaranteed_n(self) -> float | int | None:
         """``|U|``-scale estimate of :meth:`guaranteed_n`.
 
-        The worst estimated record (``None`` when any fault has no
+        The worst estimated value (``None`` when any fault has no
         guarantee).  On uniform universes the estimate is monotone in
         the sample-space nmin, so this equals scaling
         :meth:`guaranteed_n` directly; on stratified universes the
-        per-record estimates decide.
+        per-fault estimates decide.
         """
         worst: float | int | None = 0
         for value in self.estimated_nmin_values():
@@ -450,42 +459,31 @@ class WorstCaseAnalysis:
 
     def count_within(self, n: int) -> int:
         """Number of faults with ``nmin(g) <= n`` (guaranteed detection)."""
-        return sum(
-            1 for r in self.records if r.nmin is not None and r.nmin <= n
-        )
+        return int(_np.count_nonzero((self.nmin > 0) & (self.nmin <= n)))
 
     def fraction_within(self, n: int) -> float:
         """Fraction of ``G`` guaranteed detected by any n-detection set."""
-        if not self.records:
-            return 1.0
-        return self.count_within(n) / len(self.records)
+        return self.count_within(n) / len(self) if len(self) else 1.0
+
+    def _at_least(self, n: int):
+        return (self.nmin == 0) | (self.nmin >= n)
 
     def count_at_least(self, n: int) -> int:
         """Number of faults with ``nmin(g) >= n`` (``None`` counts)."""
-        return sum(
-            1 for r in self.records if r.nmin is None or r.nmin >= n
-        )
+        return int(_np.count_nonzero(self._at_least(n)))
 
     def indices_at_least(self, n: int) -> list[int]:
         """Untargeted-fault indices with ``nmin(g) >= n``."""
-        return [
-            r.fault_index
-            for r in self.records
-            if r.nmin is None or r.nmin >= n
-        ]
+        return _np.flatnonzero(self._at_least(n)).tolist()
 
     def guaranteed_n(self) -> int | None:
         """Smallest ``n`` guaranteeing detection of *all* of ``G``.
 
         ``None`` when some fault has no guarantee at any ``n``.
         """
-        worst = 0
-        for r in self.records:
-            if r.nmin is None:
-                return None
-            if r.nmin > worst:
-                worst = r.nmin
-        return worst
+        if not self.nmin.all():
+            return None
+        return int(self.nmin.max(initial=0))
 
     def coverage_curve(self, n_values: list[int]) -> list[float]:
         """Percent of ``G`` guaranteed detected for each ``n`` (Table 2 row)."""

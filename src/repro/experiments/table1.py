@@ -74,7 +74,7 @@ def run_table1(untargeted_index: int = 0) -> Table1Result:
             )
         )
     analysis = WorstCaseAnalysis(targets, untargeted)
-    nmin_g = analysis.records[untargeted_index].nmin
+    nmin_g = analysis.nmin_values()[untargeted_index]
     return Table1Result(
         g_name=untargeted.fault_name(untargeted_index),
         g_vectors=set_bits(g_sig),

@@ -26,9 +26,10 @@ kernel or the cone path from the universe's width alone.  The CLI names
     analyses.
 ``packed`` → ``TableBackend(packed=True)``, or with ``samples=K``
     The same signatures, stored additionally as ``numpy.uint64`` word
-    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`)
-    so the worst-case ``nmin`` scan runs as vectorized AND+popcount
-    sweeps instead of per-pair big-int operations.
+    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`).
+    Only storage differs: every backend's tables go through the same
+    vectorized worst-case ``nmin`` scan, which reuses a packed table's
+    matrix instead of packing big-ints.
 ``serial`` → :class:`SerialBackend`
     Per-vector serial fault simulation — the deliberately independent
     slow path, used by the differential test harness to cross-validate
@@ -143,7 +144,7 @@ class TableBackend:
 
     ``packed`` stores the tables additionally as ``numpy.uint64`` word
     blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`):
-    bit-identical signatures, vectorized ``nmin`` scans.
+    bit-identical signatures and the same ``nmin`` scan.
     """
 
     samples: int | None = None

@@ -5,8 +5,9 @@ A :class:`PackedDetectionTable` is a drop-in
 signature list (so every existing consumer — set-cover greedy passes,
 Procedure 1, the escape analysis — keeps working unchanged) and carries
 the same bits as a :class:`~repro.logic.packed.PackedSignatureMatrix`,
-which the popcount-heavy queries and the worst-case ``nmin`` scan
-dispatch to.  ``for_stuck_at``/``for_bridging`` are inherited: the
+which the popcount-heavy queries dispatch to.  The worst-case ``nmin``
+scan is the same for every table; it uses this matrix (and keeps its
+sorted copy on the table) instead of packing the big-int rows.  ``for_stuck_at``/``for_bridging`` are inherited: the
 shared builder hands this class the PPSFP kernel's packed matrix
 through the :meth:`PackedDetectionTable._assemble` hook, so a
 kernel-built table is *born packed*, with no bigint→packed conversion.

@@ -149,8 +149,11 @@ class PackedSignatureMatrix:
 
     def to_bigints(self) -> list[int]:
         """Rows back as big-int signatures (inverse of :meth:`from_bigints`)."""
+        if not self.words.size:  # memoryview.cast rejects zero-size shapes
+            return [0] * len(self)
         row_bytes = self.words.shape[1] * _WORD_BYTES
-        raw = self.words.astype("<u8", copy=False).tobytes()
+        # Rows sliced from a view of the word buffer: no full-matrix copy.
+        raw = self.words.astype("<u8", copy=False).data.cast("B")
         return [
             int.from_bytes(raw[i : i + row_bytes], "little")
             for i in range(0, len(raw), row_bytes)

@@ -47,6 +47,24 @@ class TestEscapeReports:
                 rep.n + 1
             )
 
+    def test_worst_case_counts_cover_only_analyzed_faults(self, setup):
+        worst = setup.worst
+        subset = [5, 0, 6, 9]
+        escape = EscapeAnalysis(
+            worst,
+            AverageCaseAnalysis(
+                setup.average.family, worst.untargeted_table,
+                fault_indices=subset,
+            ),
+        )
+        records = worst.records
+        for n in range(1, 6):
+            assert escape.report(n).worst_case_escapes == sum(
+                1
+                for j in subset
+                if records[j].nmin is None or records[j].nmin > n
+            )
+
     def test_escape_rate(self, setup):
         rep = setup.report(1)
         assert rep.expected_escape_rate == pytest.approx(

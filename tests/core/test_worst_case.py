@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.worst_case import WorstCaseAnalysis, nmin_for_untargeted_fault
+from repro.bench_suite.registry import get_circuit
+from repro.core.worst_case import (
+    NminRecord,
+    WorstCaseAnalysis,
+    nmin_for_untargeted_fault,
+)
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
+from repro.faultsim.backends import TableBackend
+from repro.faultsim.detection import DetectionTable
 from repro.logic.bitops import iter_set_bits
 
 
@@ -141,8 +148,6 @@ class TestThresholdQueries:
         assert curve == sorted(curve)
 
     def test_rejects_undetectable_table(self, analyses):
-        from repro.faultsim.detection import DetectionTable
-
         u, _wc = analyses["example"]
         bad = DetectionTable(
             u.circuit, list(u.untargeted_table.faults), [0] * len(u.untargeted_table)
@@ -173,3 +178,114 @@ class TestExplicitEmptyCounts:
         )
         assert with_none == explicit
         assert with_none[0] is not None
+
+
+def _scalar_records(target, untargeted):
+    """Per-fault ``nmin_for_untargeted_fault`` over a plain big-int copy
+    of ``target``: the definition the array scan must reproduce."""
+    plain = DetectionTable(
+        target.circuit, list(target.faults), list(target.signatures),
+        target.universe,
+    )
+    counts = plain.counts()
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    return [
+        NminRecord(
+            j,
+            *nmin_for_untargeted_fault(
+                plain, g_sig, target_counts=counts, sorted_order=order
+            ),
+        )
+        for j, g_sig in enumerate(untargeted.signatures)
+    ]
+
+
+def _oracle_tables(name, packed):
+    """``(label, target, untargeted)`` cases built from one circuit:
+    the full tables, one whose targets leave some ``G`` faults without a
+    guarantee, and one with an empty ``G``."""
+    u = FaultUniverse(get_circuit(name), backend=TableBackend(packed=True))
+    target, untargeted = u.target_table, u.untargeted_table
+    table_cls = type(target) if packed else DetectionTable
+
+    def table(source, rows):
+        return table_cls(
+            source.circuit, [source.faults[i] for i in rows],
+            [source.signatures[i] for i in rows], source.universe,
+        )
+
+    all_f, all_g = range(len(target)), range(len(untargeted))
+    # Two smallest-N targets: most of G overlaps neither.
+    few = sorted(all_f, key=target.counts().__getitem__)[:2]
+    return [
+        ("full", table(target, all_f), table(untargeted, all_g)),
+        ("no-guarantee", table(target, few), table(untargeted, all_g)),
+        ("empty-G", table(target, all_f), table(untargeted, [])),
+    ]
+
+
+def _has_witness_tie(target, untargeted, records):
+    """Whether some record's nmin is reached by two or more targets."""
+    counts = target.counts()
+    for rec in records:
+        g_sig = untargeted.signatures[rec.fault_index]
+        reaching = [
+            f
+            for f, sig in enumerate(target.signatures)
+            if sig & g_sig
+            and counts[f] - (sig & g_sig).bit_count() + 1 == rec.nmin
+        ]
+        if len(reaching) > 1:
+            return True
+    return False
+
+
+class TestArrayScanOracle:
+    """The deduplicated array scan equals the per-fault scalar scan, and
+    every threshold query equals its definition over those records."""
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["bigint", "packed"])
+    @pytest.mark.parametrize("name", ["ex2", "bbsse"])
+    def test_records_and_queries_match_definitions(self, name, packed):
+        seen = set()
+        for label, target, untargeted in _oracle_tables(name, packed):
+            assert (getattr(target, "packed", None) is not None) == packed
+            wc = WorstCaseAnalysis(target, untargeted)
+            expected = _scalar_records(target, untargeted)
+            assert wc.records == expected, label
+            values = [r.nmin for r in expected]
+            seen.add(label if values else "empty")
+            if None in values:
+                seen.add("none")
+            if len(set(untargeted.signatures)) < len(untargeted):
+                seen.add("duplicate-G")
+            if label == "full" and _has_witness_tie(
+                target, untargeted, expected[:100]
+            ):
+                seen.add("tie")
+            assert len(wc) == len(values)
+            assert wc.nmin_values() == values
+            assert all(type(v) is int for v in wc.nmin_values() if v)
+            assert wc.estimated_nmin_values() == values  # exact universe
+            finite = [v for v in values if v is not None]
+            ns = list(range(max(finite, default=0) + 2))
+            for n in ns:
+                within = sum(1 for v in finite if v <= n)
+                at_least = [
+                    j for j, v in enumerate(values) if v is None or v >= n
+                ]
+                assert type(wc.count_within(n)) is int
+                assert wc.count_within(n) == within
+                assert wc.fraction_within(n) == (
+                    within / len(values) if values else 1.0
+                )
+                assert wc.count_at_least(n) == len(at_least)
+                assert wc.indices_at_least(n) == at_least
+            assert wc.coverage_curve(ns) == [
+                100.0 * wc.fraction_within(n) for n in ns
+            ]
+            # An empty G: guaranteed_n() == 0 and fraction_within(n) == 1.0.
+            guaranteed = None if None in values else max(finite, default=0)
+            assert wc.guaranteed_n() == guaranteed
+            assert wc.estimated_guaranteed_n() == guaranteed
+        assert seen >= {"full", "none", "duplicate-G", "tie", "empty"}, seen

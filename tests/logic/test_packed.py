@@ -72,6 +72,14 @@ class TestMatrixConversion:
         assert m.to_bigints() == []
         assert list(m.popcount_rows()) == []
 
+    @pytest.mark.parametrize("size", [0, 1, 64, 65, 4096])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_row_roundtrip(self, rows, size):
+        sigs = random_signatures(random.Random(size), size, rows)
+        m = PackedSignatureMatrix.from_bigints(sigs, size)
+        assert len(m) == rows
+        assert m.to_bigints() == sigs
+
     def test_rejects_oversized_signature(self):
         with pytest.raises(AnalysisError, match="beyond"):
             PackedSignatureMatrix.from_bigints([1 << 8], 8)
