@@ -22,6 +22,7 @@ the trajectory stays bit-identical, only the substrate changes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar
 
@@ -158,7 +159,7 @@ class AdaptiveBackend:
     def build_bridging(
         self,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:

@@ -420,12 +420,10 @@ class AdaptiveSampler:
             rounds=rounds,
             universe=universe,
             target_table=PackedDetectionTable(
-                circuit, list(faults_f), packed_f.to_bigints(), universe,
-                packed_f,
+                circuit, list(faults_f), universe=universe, packed=packed_f
             ),
             untargeted_table=PackedDetectionTable(
-                circuit, list(faults_g), packed_g.to_bigints(), universe,
-                packed_g,
+                circuit, faults_g, universe=universe, packed=packed_g
             ),
             focus=evaluation.focus,
             met=met,
@@ -495,7 +493,7 @@ class AdaptiveSampler:
             drop_undetectable=False,
         )
         table_g = engine.build_bridging(
-            self.circuit, faults=list(faults_g), base_signatures=base,
+            self.circuit, faults=faults_g, base_signatures=base,
             drop_undetectable=False,
         )
         state.splice(new_vectors, delta_sorted, table_f, table_g)

@@ -90,8 +90,10 @@ class Circuit:
     _name_to_lid: dict[str, int] = field(init=False, repr=False)
     topo_order: list[int] = field(init=False, repr=False)
     level: list[int] = field(init=False, repr=False)
+    # A lazy cache (see fanout_masks): equal circuits compare equal
+    # whether or not it has been filled.
     _fanout_masks: list[int] | None = field(
-        init=False, default=None, repr=False
+        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:

@@ -73,7 +73,7 @@ def nmin_for_untargeted_fault(
     counts = target_counts if target_counts is not None else target_table.counts()
     if sorted_order is None:
         sorted_order = sorted(range(len(counts)), key=counts.__getitem__)
-    if getattr(target_table, "packed", None) is not None:
+    if target_table.packed is not None:
         scan = _packed_scan_for(target_table, counts, sorted_order)
         row = pack_signature(g_signature, scan.size).reshape(1, -1)
         nmin, witness, overlap = (int(a[0]) for a in scan.scan_batch(row))
@@ -110,10 +110,10 @@ def _packed_scan_for(
     queries — whether the caller defaults the arguments or passes the
     same precomputed lists, as the docstring recommends — amortize the
     sorted-matrix construction and dedup pass instead of repeating it
-    per fault.  A big-int table gets a fresh scan: caching it would keep
-    a packed copy of the table alive beside its big-ints.
+    per fault.  A table without words gets a fresh scan: caching it
+    would keep a packed copy of the table alive beside its big-ints.
     """
-    if getattr(target_table, "packed", None) is None:
+    if target_table.packed is None:
         return _PackedNminScan(target_table, counts, order)
     scan = getattr(target_table, "_packed_nmin_scan", None)
     if (
@@ -126,11 +126,20 @@ def _packed_scan_for(
     return scan
 
 
+def _rows_of(table: DetectionTable) -> PackedSignatureMatrix:
+    """A table's rows as packed words: its own matrix, or packed now."""
+    if table.packed is not None:
+        return table.packed
+    return PackedSignatureMatrix.from_bigints(
+        table.signatures, table.universe.size
+    )
+
+
 class _PackedNminScan:
     """Batched, vectorized ascending-``N(f)`` nmin scan over packed words.
 
-    Every target table is scanned this way (a packed table lends its
-    matrix; a big-int table's distinct rows are packed once).  Targets
+    Every target table is scanned this way (a table with words lends
+    its matrix; a big-int table's rows are packed once).  Targets
     are re-ordered by ascending ``N(f)`` once; untargeted faults
     are then scanned *together*, chunk of targets by chunk of targets, so
     every ``N(f) - popcount(sig_f & sig_g) + 1`` evaluation is part of a
@@ -141,11 +150,13 @@ class _PackedNminScan:
     of the active set (within a chunk the bound-excluded tail rows are
     computed but can never win, since ``M(g, f) <= N(g)`` makes their
     candidates ``>= best``).  Duplicate target signatures are scanned
-    once — a later duplicate's candidate equals its representative's, so
-    under the scalar scan's strict-improvement rule it could never win
-    nor change the witness.  Results — including witness choice on ties,
-    via first-occurrence ``argmin`` — are identical to the scalar
-    scan's.
+    once (``PackedSignatureMatrix.first_equal_rows`` over the
+    ascending-``N(f)`` order) — a later duplicate's candidate equals its
+    representative's, so under the scalar scan's strict-improvement
+    rule it could never win nor change the witness; a duplicate the
+    dedup leaves apart is scanned again, harmlessly.  Results —
+    including witness choice on ties, via first-occurrence ``argmin`` —
+    are identical to the scalar scan's.
 
     Two overlap kernels, picked per batch:
 
@@ -153,12 +164,19 @@ class _PackedNminScan:
       chunk overlaps as one BLAS ``sgemm`` (exact: popcounts are far
       below the 2**24 float32 integer range);
     * otherwise — a per-target ``uint64`` AND + ``popcount`` row sweep,
-      which avoids the 64×-larger unpacked operands.
+      which avoids the 64×-larger unpacked operands; each row's
+      popcounts are summed by a matrix-vector product over scratch
+      buffers the sweep reuses.
     """
 
-    #: First prefix chunk; later chunks grow 4× up to ``_MAX_CHUNK``
-    #: (few rounds: per-round numpy overhead beats per-pair savings).
+    #: First prefix chunk of each kernel; later chunks grow 4× up to
+    #: ``_MAX_CHUNK`` (few rounds: per-round numpy overhead beats
+    #: per-pair savings).  The row sweep pays per target row, and most
+    #: faults reach ``nmin`` 1 within the first few targets, so it
+    #: starts small: on ``keyb`` 8 rows scanned in 41 ms where 64 took
+    #: 61 ms.  sgemm is cheap per target and starts wide.
     _FIRST_CHUNK = 64
+    _FIRST_SWEEP_CHUNK = 8
     _MAX_CHUNK = 2048
     #: sgemm kernel limits: universe bits, and unpacked-bit bytes per batch.
     _GEMM_MAX_BITS = 1024
@@ -176,21 +194,13 @@ class _PackedNminScan:
         # Scan each distinct signature once, keeping the first
         # occurrence in ascending-N(f) order as the representative
         # (== the witness the scalar scan would pick).
-        signatures = target_table.signatures
-        first_of: dict[int, int] = {}
-        for idx in sorted_order:
-            first_of.setdefault(signatures[idx], idx)
-        self.order = _np.fromiter(first_of.values(), _np.intp, len(first_of))
-        self.counts_sorted = _np.asarray(counts, dtype=_np.int64)[self.order]
         self.size = target_table.universe.size
-        packed = getattr(target_table, "packed", None)
-        self.matrix_sorted = (
-            packed.take(self.order)
-            if packed is not None
-            else PackedSignatureMatrix.from_bigints(
-                [signatures[i] for i in self.order], self.size
-            )
-        )
+        packed = _rows_of(target_table)
+        order = _np.asarray(sorted_order, dtype=_np.intp)
+        rep = packed.first_equal_rows(order)
+        self.order = order[rep == _np.arange(len(order))]
+        self.counts_sorted = _np.asarray(counts, dtype=_np.int64)[self.order]
+        self.matrix_sorted = packed.take(self.order)
         self._f_bits = None  # lazily unpacked float32 bits, sorted order
 
     @staticmethod
@@ -230,19 +240,25 @@ class _PackedNminScan:
         n_gs = popcount_words(g_words).sum(axis=1, dtype=_np.int64)
         active = _np.arange(num_g, dtype=_np.intp)
         use_gemm = self._use_gemm(num_g)
+        # Overlaps are popcount sums, exact in float32 below 2**24 bits.
+        real = _np.float32 if self.size < 1 << 24 else _np.float64
+        counts_cast = counts.astype(real)
+        sentinel = real(_np.inf)
         if use_gemm:
             if self._f_bits is None:
                 self._f_bits = self._unpack_bits(self.matrix_sorted.words)
             g_bits = self._unpack_bits(g_words)
-            counts_cast = counts.astype(_np.float32)
-            sentinel = _np.float32(_np.inf)
         else:
-            # int32 overlaps: exact for any universe below 2**31 bits
-            # (far beyond what fits in memory as signatures anyway).
-            counts_cast = counts.astype(_np.int32)
-            sentinel = _np.iinfo(_np.int32).max
+            # Scratch for the row sweep, reused by every target row: a
+            # fresh block-sized temporary per row would be mapped and
+            # faulted in anew each time.
+            gathered = _np.empty_like(g_words)
+            anded = _np.empty_like(g_words)
+            pops = _np.empty(g_words.shape, dtype=_np.uint8)
+            pops_real = _np.empty(g_words.shape, dtype=real)
+            ones = _np.ones(g_words.shape[1], dtype=real)
         start = 0
-        chunk = self._FIRST_CHUNK
+        chunk = self._FIRST_CHUNK if use_gemm else self._FIRST_SWEEP_CHUNK
         while start < num_f and active.size:
             stop = min(start + chunk, num_f)
             whole = active.size == num_g
@@ -250,15 +266,20 @@ class _PackedNminScan:
                 lhs = g_bits if whole else g_bits[active]
                 overlaps = lhs @ self._f_bits[start:stop].T
             else:
-                g_act = g_words if whole else g_words[active]
-                rows = self.matrix_sorted.words
-                overlaps = _np.empty(
-                    (active.size, stop - start), dtype=_np.int32
+                n = active.size
+                g_act = g_words if whole else _np.take(
+                    g_words, active, axis=0, out=gathered[:n], mode="clip"
                 )
+                rows = self.matrix_sorted.words
+                # One contiguous row of overlaps per target; a row's
+                # popcounts are summed by a matrix-vector product, about
+                # twice as fast as an integer row reduction.
+                by_target = _np.empty((stop - start, n), dtype=real)
                 for i in range(start, stop):
-                    overlaps[:, i - start] = popcount_words(
-                        g_act & rows[i]
-                    ).sum(axis=1, dtype=_np.int32)
+                    _np.bitwise_and(g_act, rows[i], out=anded[:n])
+                    pops_real[:n] = popcount_words(anded[:n], out=pops[:n])
+                    _np.matmul(pops_real[:n], ones, out=by_target[i - start])
+                overlaps = by_target.T
             # Candidates N(f) - M(g, f) + 1, computed in place over the
             # overlap buffer (overlap is recoverable as N(f) - cand + 1).
             no_overlap = overlaps == 0
@@ -337,38 +358,25 @@ class WorstCaseAnalysis:
         # nmin depends on g only through T(g): map every fault to the
         # first fault with its signature, scan those representatives in
         # packed blocks, and fan their results back out.
-        g_signatures = untargeted_table.signatures
-        num_g = len(g_signatures)
-        first_of: dict[int, int] = {}
-        rep_of = _np.fromiter(
-            map(first_of.setdefault, g_signatures, range(num_g)),
-            dtype=_np.intp, count=num_g,
-        )
-        if 0 in first_of:
+        g_packed = _rows_of(untargeted_table)
+        if not g_packed.words.any(axis=1).all():
             raise AnalysisError(
                 "untargeted table contains undetectable faults; build it "
                 "with drop_undetectable=True"
             )
-        reps = _np.fromiter(first_of.values(), _np.intp, len(first_of))
+        rep_of = g_packed.first_equal_rows()
+        reps = _np.flatnonzero(rep_of == _np.arange(len(rep_of)))
         self.target_table = target_table
         self.untargeted_table = untargeted_table
         self.universe = untargeted_table.universe
         counts = target_table.counts()
         order = sorted(range(len(counts)), key=counts.__getitem__)
         scan = _packed_scan_for(target_table, counts, order)
-        g_packed = getattr(untargeted_table, "packed", None)
-        rep_signatures = list(first_of)
         row_bytes = words_for(scan.size) * 8
         block = min(self._G_BLOCK_ROWS, self._G_BLOCK_BYTES // row_bytes or 1)
         results = [_np.zeros(len(reps), dtype=_np.int32) for _ in range(3)]
         for start in range(0, len(reps), block):
-            rows = (
-                g_packed.words[reps[start : start + block]]
-                if g_packed is not None
-                else PackedSignatureMatrix.from_bigints(
-                    rep_signatures[start : start + block], scan.size
-                ).words
-            )
+            rows = g_packed.words[reps[start : start + block]]
             for out, part in zip(results, scan.scan_batch(rows), strict=True):
                 out[start : start + block] = part
         # reps ascends, so a representative's rank is its slot.

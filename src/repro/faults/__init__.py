@@ -16,6 +16,7 @@ from repro.faults.stuck_at import (
 )
 from repro.faults.bridging import (
     BridgingFault,
+    BridgingFaults,
     bridging_pair_sites,
     four_way_bridging_faults,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "dominance_collapsed_faults",
     "equivalence_classes",
     "BridgingFault",
+    "BridgingFaults",
     "bridging_pair_sites",
     "four_way_bridging_faults",
     "GateExhaustiveFault",

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
-from repro.faults.bridging import BridgingFault, four_way_bridging_faults
+from repro.faults.bridging import BridgingFaults, four_way_bridging_faults
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
@@ -95,7 +95,7 @@ class FaultUniverse:
         return collapsed_stuck_at_faults(self.circuit)
 
     @cached_property
-    def untargeted_faults(self) -> list[BridgingFault]:
+    def untargeted_faults(self) -> BridgingFaults:
         """Raw four-way bridging universe (before detectability filter)."""
         return four_way_bridging_faults(self.circuit)
 

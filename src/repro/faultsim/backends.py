@@ -25,11 +25,11 @@ kernel or the cone path from the universe's width alone.  The CLI names
     the engine that opens >24-input circuits to the worst-/average-case
     analyses.
 ``packed`` → ``TableBackend(packed=True)``, or with ``samples=K``
-    The same signatures, stored additionally as ``numpy.uint64`` word
+    The same signatures, always also stored as ``numpy.uint64`` word
     blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`).
-    Only storage differs: every backend's tables go through the same
-    vectorized worst-case ``nmin`` scan, which reuses a packed table's
-    matrix instead of packing big-ints.
+    Every kernel-built table keeps the kernel's words anyway, so this
+    differs from ``exhaustive``/``sampled`` only on cone-path tables
+    (universes too wide for the kernel), which it packs once.
 ``serial`` → :class:`SerialBackend`
     Per-vector serial fault simulation — the deliberately independent
     slow path, used by the differential test harness to cross-validate
@@ -56,6 +56,7 @@ distributes shards through a ``repro broker`` at ``REPRO_BROKER`` to
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Protocol, runtime_checkable
@@ -115,7 +116,7 @@ class DetectionBackend(Protocol):
     def build_bridging(
         self,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
@@ -142,9 +143,10 @@ class TableBackend:
         All of ``U`` (bit ``v`` ↔ vector ``v``), capped at
         :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` inputs.
 
-    ``packed`` stores the tables additionally as ``numpy.uint64`` word
-    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`):
-    bit-identical signatures and the same ``nmin`` scan.
+    ``packed`` builds
+    :class:`~repro.faultsim.packed_table.PackedDetectionTable` tables,
+    which hold ``numpy.uint64`` word blocks even when built on the cone
+    path: bit-identical signatures and the same ``nmin`` scan.
     """
 
     samples: int | None = None
@@ -225,7 +227,7 @@ class TableBackend:
     def build_bridging(
         self,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
@@ -332,7 +334,7 @@ class SerialBackend:
     def build_bridging(
         self,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:

@@ -3,8 +3,9 @@
 The paper's analysis needs, for every fault ``h`` in ``F ∪ G``, the set
 ``T(h) ⊆ U`` of input vectors that detect ``h``.  A
 :class:`DetectionTable` holds those sets as signatures (one int per
-fault) and provides the popcount quantities the worst-case analysis is
-built from.  The signature bit space is described by the table's
+fault, or one row of ``uint64`` words per fault) and provides the
+popcount quantities the worst-case analysis is built from.  The
+signature bit space is described by the table's
 :class:`~repro.faultsim.sampling.VectorUniverse`: for the default
 exhaustive universe bit ``v`` means "vector ``v`` detects the fault";
 for a sampled universe bit ``i`` refers to the ``i``-th sampled vector
@@ -20,21 +21,34 @@ propagation" trick lifted to big-int signatures.  The two engines are
 bit-identical (the differential suite certifies the kernel against the
 cone path), and both work on whatever lane mapping the universe
 declares.
+
+A kernel-built table keeps the kernel's
+:class:`~repro.logic.packed.PackedSignatureMatrix` as ``packed``: it
+drops undetectable rows by compacting that matrix in place, keeps a
+bridging fault list as :class:`~repro.faults.bridging.BridgingFaults`
+arrays, answers ``N(f)`` and the detectable count with popcounts, and
+derives the big-int ``signatures`` only when a consumer first reads
+them.  Cone-path tables hold big-int rows alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Union
 
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
-from repro.faults.bridging import BridgingFault, four_way_bridging_faults
+from repro.faults.bridging import (
+    BridgingFault,
+    BridgingFaults,
+    four_way_bridging_faults,
+)
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.sampling import CountEstimate, VectorUniverse
 from repro.logic.bitops import all_ones_mask, set_bits
+from repro.logic.packed import _np, PackedSignatureMatrix, pack_signature
 from repro.simulation.exhaustive import (
     detection_signature,
     line_signatures,
@@ -43,8 +57,6 @@ from repro.simulation.exhaustive import (
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
-
-    from repro.logic.packed import PackedSignatureMatrix
 
 Fault = Union[StuckAtFault, BridgingFault]
 
@@ -164,7 +176,6 @@ def _cone_signatures(
     return signatures
 
 
-@dataclass
 class DetectionTable:
     """Detection sets ``T(f)`` for an ordered fault list.
 
@@ -173,49 +184,114 @@ class DetectionTable:
     circuit:
         The analyzed circuit.
     faults:
-        Fault objects, in table order.
+        Fault objects, in table order (a
+        :class:`~repro.faults.bridging.BridgingFaults` for bridging
+        tables built here).
     signatures:
         ``signatures[i]`` is ``T(faults[i])`` as a bit-signature over
         the universe; undetectable faults (if kept) have signature 0.
+        Derived from ``packed`` on first access when the table was
+        built from words alone.
     universe:
         Bit-index ↔ vector mapping of the signatures.  ``None`` (the
         default) means the exhaustive universe of the circuit's input
         space.
+    packed:
+        The same rows as a
+        :class:`~repro.logic.packed.PackedSignatureMatrix`, or ``None``.
+        Kernel-built tables keep the kernel's words here; the popcount
+        queries and the worst-case scan then read the words, never
+        the big-ints.
     """
 
-    circuit: Circuit
-    faults: list[Fault]
-    signatures: list[int]
-    universe: VectorUniverse | None = None
-    _vector_cache: dict[int, list[int]] = field(
-        init=False, default_factory=dict, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.faults) != len(self.signatures):
+    def __init__(
+        self,
+        circuit: Circuit,
+        faults: Sequence[Fault],
+        signatures: list[int] | None = None,
+        universe: VectorUniverse | None = None,
+        packed: PackedSignatureMatrix | None = None,
+    ) -> None:
+        if signatures is not None:
+            rows = len(signatures)
+        elif packed is not None:
+            rows = len(packed)
+        else:
+            raise FaultError(
+                "a detection table needs signatures or packed rows"
+            )
+        if len(faults) != rows:
             raise FaultError("faults and signatures length mismatch")
-        if self.universe is None:
-            self.universe = VectorUniverse(self.circuit.num_inputs)
-        elif self.universe.num_inputs != self.circuit.num_inputs:
+        if universe is None:
+            universe = VectorUniverse(circuit.num_inputs)
+        elif universe.num_inputs != circuit.num_inputs:
             raise FaultError(
                 "universe and circuit disagree on the input count"
             )
+        if packed is not None:
+            if len(packed) != rows:
+                raise FaultError(
+                    "packed matrix and signatures length mismatch"
+                )
+            if packed.size != universe.size:
+                raise FaultError(
+                    "packed matrix and universe disagree on the bit size"
+                )
+        self.circuit = circuit
+        self.faults = faults
+        self.universe: VectorUniverse = universe
+        self.packed = packed
+        if signatures is not None:
+            # Fills the cached_property: reads are plain attribute reads.
+            self.__dict__["signatures"] = signatures
+        self._vector_cache: dict[int, list[int]] = {}
+
+    @cached_property
+    def signatures(self) -> list[int]:
+        assert self.packed is not None  # __init__ takes one or both
+        return self.packed.to_bigints()
+
+    def __eq__(self, other: object) -> bool:
+        if (
+            not isinstance(other, DetectionTable)
+            or other.__class__ is not self.__class__
+        ):
+            return NotImplemented
+        if self.packed is not None and other.packed is not None:
+            same_rows = self.packed == other.packed
+        else:
+            same_rows = self.signatures == other.signatures
+        return (
+            self.circuit == other.circuit
+            and self.universe == other.universe
+            and same_rows
+            and self.faults == other.faults
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable caches
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(circuit={self.circuit.name!r}, "
+            f"faults={len(self)}, universe={self.universe!r})"
+        )
 
     def __getstate__(self) -> dict:
         """Drop the lazily-built caches from the pickle payload.
 
-        ``_vector_cache`` memoises :meth:`vectors` and
-        ``_packed_nmin_scan`` the worst-case scan of a packed table
-        (:func:`repro.core.worst_case._packed_scan_for`).  Shipping
-        either across the executor boundary bloats shard payloads and
-        makes pickles of otherwise-equal tables differ byte-for-byte.
-        ``__post_init__`` does not run on unpickle, so the vector cache
-        is restored here as an explicitly fresh dict; the scan is
-        rebuilt on first use.
+        ``_vector_cache`` memoises :meth:`vectors`,
+        ``_packed_nmin_scan`` the worst-case scan
+        (:func:`repro.core.worst_case._packed_scan_for`), and
+        ``signatures`` the big-int rows when ``packed`` holds them
+        too.  Shipping them across the executor boundary bloats shard
+        payloads and makes pickles of one table depend on which
+        queries ran on it; each is rebuilt on first use.
         """
         state = dict(self.__dict__)
         state["_vector_cache"] = {}
         state.pop("_packed_nmin_scan", None)
+        if self.packed is not None:
+            state.pop("signatures", None)
         return state
 
     # ------------------------------------------------------------------
@@ -225,7 +301,7 @@ class DetectionTable:
     def for_stuck_at(
         cls,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
         universe: VectorUniverse | None = None,
@@ -249,7 +325,7 @@ class DetectionTable:
     def for_bridging(
         cls,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
         universe: VectorUniverse | None = None,
@@ -263,7 +339,7 @@ class DetectionTable:
         if faults is None:
             faults = four_way_bridging_faults(circuit)
         return cls._build(
-            "bridging", circuit, faults, base_signatures,
+            "bridging", circuit, BridgingFaults.of(faults), base_signatures,
             drop_undetectable, universe,
         )
 
@@ -298,7 +374,8 @@ class DetectionTable:
             faults=len(faults),
             k=universe.size,
         ) as build_span:
-            matrix = None
+            matrix: PackedSignatureMatrix | None = None
+            signatures: list[int] | None = None
             if ppsfp.kernel_supports(universe):
                 engine = "ppsfp"
                 build: Callable[..., PackedSignatureMatrix] = (
@@ -309,43 +386,33 @@ class DetectionTable:
                 matrix = build(
                     circuit, universe, faults, base_signatures=base_signatures
                 )
-                signatures = matrix.to_bigints()
+                detected = matrix.words.any(axis=1)
             else:
                 engine = "bigint"
                 signatures = _cone_signatures(
                     kind, circuit, universe, faults, base_signatures
                 )
-            build_span.set(engine=engine)
-            table_faults = list(faults)
+                detected = _np.fromiter(
+                    map(bool, signatures), dtype=bool, count=len(signatures)
+                )
             kept = None
-            if drop_undetectable and not all(signatures):
-                kept = [i for i, sig in enumerate(signatures) if sig]
-                table_faults = [table_faults[i] for i in kept]
-                signatures = [signatures[i] for i in kept]
+            if drop_undetectable and not detected.all():
+                kept = _np.flatnonzero(detected)
+                if matrix is not None:
+                    matrix.compact(kept)
+                elif signatures is not None:
+                    signatures = [signatures[i] for i in kept]
+            build_span.set(engine=engine)
+            if isinstance(faults, BridgingFaults):
+                table_faults: Sequence[Fault] = (
+                    faults if kept is None else faults.take(kept)
+                )
+            else:
+                table_faults = (
+                    list(faults) if kept is None else [faults[i] for i in kept]
+                )
         _observe_table_build(kind, engine, clock.monotonic() - started)
-        return cls._assemble(
-            circuit, table_faults, signatures, universe, matrix, kept
-        )
-
-    @classmethod
-    def _assemble(
-        cls,
-        circuit: Circuit,
-        faults: list[Fault],
-        signatures: list[int],
-        universe: VectorUniverse,
-        matrix: PackedSignatureMatrix | None,
-        kept: list[int] | None,
-    ) -> "DetectionTable":
-        """The table from :meth:`_build`'s rows (a subclass hook).
-
-        ``matrix`` is the kernel's packed output over the unfiltered
-        fault list (None from the cone path) and ``kept`` the surviving
-        row indices when undetectable faults were dropped (None when
-        every row survived).  A plain table keeps only the big-int
-        signatures.
-        """
-        return cls(circuit, faults, signatures, universe)
+        return cls(circuit, table_faults, signatures, universe, matrix)
 
     # ------------------------------------------------------------------
     # Queries
@@ -359,6 +426,8 @@ class DetectionTable:
 
     def counts(self) -> list[int]:
         """``N(f)`` for every fault."""
+        if self.packed is not None:
+            return self.packed.popcount_rows().tolist()
         return [sig.bit_count() for sig in self.signatures]
 
     def estimated_count(self, index: int) -> float:
@@ -403,13 +472,20 @@ class DetectionTable:
 
     def detectable_indices(self) -> list[int]:
         """Indices of faults with at least one detecting vector."""
+        if self.packed is not None:
+            return _np.flatnonzero(self.packed.words.any(axis=1)).tolist()
         return [i for i, sig in enumerate(self.signatures) if sig]
 
     def num_detectable(self) -> int:
+        if self.packed is not None:
+            return int(_np.count_nonzero(self.packed.words.any(axis=1)))
         return sum(1 for sig in self.signatures if sig)
 
     def detected_by(self, test_signature: int) -> list[int]:
         """Indices of faults detected by a test set (bitset over ``U``)."""
+        if self.packed is not None:
+            row = pack_signature(test_signature, self.universe.size)
+            return _np.flatnonzero(self.packed.and_popcount(row)).tolist()
         return [
             i
             for i, sig in enumerate(self.signatures)
@@ -421,13 +497,13 @@ class DetectionTable:
         detectable = self.num_detectable()
         if detectable == 0:
             return 1.0
-        hit = sum(
-            1 for sig in self.signatures if sig and sig & test_signature
-        )
-        return hit / detectable
+        return len(self.detected_by(test_signature)) / detectable
 
     def detection_counts(self, test_signature: int) -> list[int]:
         """Detection multiplicity of every fault under a test set."""
+        if self.packed is not None:
+            row = pack_signature(test_signature, self.universe.size)
+            return self.packed.and_popcount(row).tolist()
         return [
             (sig & test_signature).bit_count() for sig in self.signatures
         ]

@@ -26,6 +26,8 @@ stuck-at fault site — exactly the fault-site model of the paper.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit
@@ -41,6 +43,53 @@ def _row_cube(
     """Combined cube over (inputs + state bits) for one cover row."""
     state_bits = encoding.code_bits(present)
     return SopCube.from_string(input_cube + state_bits)
+
+
+def share_common_pairs(
+    sets: list[list[str]], new_name: Callable[[], str]
+) -> list[tuple[str, str, str]]:
+    """Greedy algebraic factoring of ``sets``, in place.
+
+    Any unordered operand pair occurring in two or more of the sets is
+    replaced by a dedicated 2-input gate, named by ``new_name``, that
+    all of them reuse: the most frequent pair first, ties to the
+    smallest pair.  Repeats until no pair occurs twice.  Logic is
+    unchanged (associativity); structure gains fanout and
+    reconvergence.  Returns the shared gates as ``(name, a, b)`` in the
+    order they were made.
+
+    Pair counts are kept up to date set by set: a round recounts only
+    the sets its gate rewrites, not every set.
+    """
+    pair_count: dict[tuple[str, str], int] = {}
+
+    def count(operands: list[str], step: int) -> None:
+        ordered = sorted(set(operands))
+        for i, x in enumerate(ordered):
+            for y in ordered[i + 1 :]:
+                left = pair_count.get((x, y), 0) + step
+                if left:
+                    pair_count[(x, y)] = left
+                else:
+                    del pair_count[(x, y)]
+
+    for s in sets:
+        count(s, 1)
+    gates = []
+    while True:
+        best_n = max(pair_count.values(), default=0)
+        if best_n < 2:
+            return gates
+        a, bb = min(p for p, n in pair_count.items() if n == best_n)
+        nm = new_name()
+        gates.append((nm, a, bb))
+        for s in sets:
+            if a in s and bb in s:
+                count(s, -1)
+                s.remove(a)
+                s.remove(bb)
+                s.append(nm)
+                count(s, 1)
 
 
 def synthesize_fsm(
@@ -129,41 +178,19 @@ def synthesize_fsm(
     def extract_common_pairs(
         operand_sets: list[list[str]], gate_type: GateType, prefix: str
     ) -> list[list[str]]:
-        """Greedy algebraic factoring: share frequent operand pairs.
-
-        Any unordered operand pair occurring in two or more of the sets
-        is replaced by a dedicated 2-input gate that all of them reuse.
-        Repeats until no pair occurs twice.  Logic is unchanged
-        (associativity); structure gains fanout and reconvergence.
-        """
-        nonlocal shared_counter
+        """Greedy algebraic factoring (:func:`share_common_pairs`)."""
         sets = [list(s) for s in operand_sets]
         if not share_logic:
             return sets
-        while True:
-            pair_count: dict[tuple[str, str], int] = {}
-            for s in sets:
-                seen = set(s)
-                ordered = sorted(seen)
-                for i, a in enumerate(ordered):
-                    for bb in ordered[i + 1:]:
-                        pair_count[(a, bb)] = pair_count.get((a, bb), 0) + 1
-            best_pair = None
-            best_n = 1
-            for pair, cnt in sorted(pair_count.items()):
-                if cnt > best_n:
-                    best_pair, best_n = pair, cnt
-            if best_pair is None:
-                return sets
-            a, bb = best_pair
-            nm = f"{prefix}{shared_counter}"
+
+        def new_name() -> str:
+            nonlocal shared_counter
             shared_counter += 1
+            return f"{prefix}{shared_counter - 1}"
+
+        for nm, a, bb in share_common_pairs(sets, new_name):
             b.gate(nm, gate_type, [a, bb])
-            for s in sets:
-                if a in s and bb in s:
-                    s.remove(a)
-                    s.remove(bb)
-                    s.append(nm)
+        return sets
 
     tree_counter = 0
 

@@ -39,9 +39,15 @@ if TYPE_CHECKING:
     #: Per-word/per-byte popcounts — counts, not lanes.
     U8Array = NDArray[np.uint8]
     I64Array = NDArray[np.int64]
+    IntpArray = NDArray[np.intp]
 
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
+#: Words per chunk of the row-by-row passes (compaction, hashing, the
+#: dedup check).  Their 64 KiB temporaries stay below glibc's default
+#: 128 KiB mmap threshold, so chunks reuse heap memory instead of
+#: mapping and faulting in fresh pages each time.
+_CHUNK_WORDS = 1 << 13
 
 
 def words_for(size: int) -> int:
@@ -53,9 +59,11 @@ def words_for(size: int) -> int:
 
 if hasattr(_np, "bitwise_count"):
 
-    def popcount_words(words: U64Array) -> U8Array:
+    def popcount_words(
+        words: U64Array, out: U8Array | None = None
+    ) -> U8Array:
         """Per-word popcounts of a ``uint64`` array (any shape)."""
-        return _np.bitwise_count(words)
+        return _np.bitwise_count(words, out=out)
 
 else:  # numpy < 2.0: byte-LUT fallback
 
@@ -63,13 +71,45 @@ else:  # numpy < 2.0: byte-LUT fallback
         [bin(b).count("1") for b in range(256)], dtype=_np.uint8
     )
 
-    def popcount_words(words: U64Array) -> U8Array:
+    def popcount_words(
+        words: U64Array, out: U8Array | None = None
+    ) -> U8Array:
         """Per-word popcounts of a ``uint64`` array (any shape)."""
         as_bytes = _np.ascontiguousarray(words).view(_np.uint8)
         per_byte = _BYTE_POPCOUNT[as_bytes]
         return per_byte.reshape(*words.shape, _WORD_BYTES).sum(
-            axis=-1, dtype=_np.uint8
+            axis=-1, dtype=_np.uint8, out=out
         )
+
+
+#: Fixed odd 64-bit constants of :func:`_row_hashes`.
+_GOLDEN = _np.uint64(0x9E3779B97F4A7C15)
+_MIX = _np.uint64(0xBF58476D1CE4E5B9)
+
+
+def _row_hashes(words: U64Array) -> U64Array:
+    """A fixed 64-bit hash of every row of a ``(rows, W)`` word block.
+
+    Each word is folded (``x ^ x >> 31``), offset by a constant of its
+    column, multiplied and folded again; the row sums the results
+    modulo 2**64.  The folds keep structured rows apart: with a
+    multiply-and-sum hash alone, collisions left 4,307 representatives
+    for the 3,121 distinct bridging rows of ``keyb``.  No seed and no
+    Python ``hash``: equal rows hash alike in every process.
+    """
+    num_rows, num_words = words.shape
+    columns = _np.arange(num_words, dtype=_np.uint64) * _GOLDEN
+    out = _np.empty(num_rows, dtype=_np.uint64)
+    step = max(1, _CHUNK_WORDS // max(1, num_words))
+    for start in range(0, num_rows, step):
+        chunk = words[start : start + step]
+        x = chunk >> _np.uint64(31)
+        x ^= chunk
+        x += columns
+        x *= _MIX
+        x ^= x >> _np.uint64(29)
+        out[start : start + step] = x.sum(axis=1, dtype=_np.uint64)
+    return out
 
 
 def pack_signature(signature: int, size: int) -> U64Array:
@@ -131,6 +171,18 @@ class PackedSignatureMatrix:
     ) -> "PackedSignatureMatrix":
         """Pack big-int signatures (bit-order preserving, exact)."""
         num_words = words_for(size)
+        if num_words == 1:
+            # One word per row: numpy converts the ints in C.  Negative or
+            # over-wide ints fall through to the checks of the loop below.
+            try:
+                words = _np.fromiter(
+                    signatures, dtype=_np.uint64, count=len(signatures)
+                )
+            except OverflowError:
+                pass
+            else:
+                if size >= WORD_BITS or not (words >> _np.uint64(size)).any():
+                    return cls(words.reshape(-1, 1), size)
         row_bytes = num_words * _WORD_BYTES
         chunks = []
         for sig in signatures:
@@ -192,8 +244,70 @@ class PackedSignatureMatrix:
 
     def take(self, order: Iterable[int]) -> "PackedSignatureMatrix":
         """Row-reordered copy (e.g. targets sorted by ascending ``N(f)``)."""
-        idx = _np.asarray(list(order), dtype=_np.intp)
+        if not isinstance(order, (_np.ndarray, Sequence)):
+            order = list(order)
+        idx = _np.asarray(order, dtype=_np.intp)
         return PackedSignatureMatrix(self.words[idx], self.size)
+
+    def compact(self, kept: IntpArray) -> None:
+        """Keep only the rows ``kept`` (strictly ascending), in place.
+
+        Rows move down chunk by chunk: since ``kept[i] >= i``, every
+        chunk is read before any later write can reach it, so no
+        full-size second copy is made.  ``words`` becomes a view of the
+        first ``len(kept)`` rows of the same buffer, which must be
+        writable (kernel output is; :meth:`from_bigints` output is not).
+        """
+        words = self.words
+        step = max(1, _CHUNK_WORDS // words.shape[1])
+        for start in range(0, len(kept), step):
+            part = kept[start : start + step]
+            words[start : start + len(part)] = words[part]
+        self.words = words[: len(kept)]
+
+    def first_equal_rows(
+        self, rows: IntpArray | None = None
+    ) -> IntpArray:
+        """Map each row to the first equal row: a packed-row dedup.
+
+        ``rows`` (default: every row, in order) lists the rows to
+        dedup; the result ``rep`` has one entry per position ``k`` of
+        ``rows``, the position ``rep[k] <= k`` of a row with the same
+        words.  ``rep[k] == k`` marks a representative.  Rows are
+        grouped by a 64-bit hash (:func:`_row_hashes`) and each row is
+        checked word for word against its group's first row; a row
+        that fails the check (a hash collision) is its own
+        representative, so equal rows may stay apart but different
+        rows never merge.
+        """
+        num = len(self) if rows is None else len(rows)
+        if num == 0:
+            return _np.zeros(0, dtype=_np.intp)
+        hashes = _row_hashes(self.words)
+        if rows is not None:
+            hashes = hashes[rows]
+        perm = _np.argsort(hashes, kind="stable")
+        sorted_hashes = hashes[perm]
+        starts = _np.flatnonzero(
+            _np.concatenate(([True], sorted_hashes[1:] != sorted_hashes[:-1]))
+        )
+        group_sizes = _np.diff(_np.append(starts, num))
+        rep = _np.empty(num, dtype=_np.intp)
+        # A stable sort keeps each group in position order: its first
+        # member is its earliest position.
+        rep[perm] = _np.repeat(perm[starts], group_sizes)
+        dup = _np.flatnonzero(rep != _np.arange(num))
+        step = max(1, _CHUNK_WORDS // self.words.shape[1])
+        for start in range(0, len(dup), step):
+            part = dup[start : start + step]
+            at, first = part, rep[part]
+            if rows is not None:
+                at, first = rows[at], rows[first]
+            diff = self.words[at]
+            diff ^= self.words[first]
+            failed = part[diff.any(axis=1)]
+            rep[failed] = failed
+        return rep
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -30,6 +30,7 @@ the CLI uses when ``--executor``/``--jobs`` are absent.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro import obs
@@ -205,7 +206,7 @@ class ParallelBackend:
     def build_bridging(
         self,
         circuit: Circuit,
-        faults: list[BridgingFault] | None = None,
+        faults: Sequence[BridgingFault] | None = None,
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:

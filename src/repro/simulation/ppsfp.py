@@ -51,6 +51,14 @@ kernel whenever the universe fits in :data:`MAX_WORDS` words per row;
 wider universes go to the big-int cone path.  The choice depends only
 on the universe's width, never on a setting.
 
+A batch allocates nothing per line: word blocks come from a pool the
+simulator keeps across batches, and a block goes back to it once the
+last line reading it has been evaluated, so a batch holds only the cut
+through its cone.  Blocks freed and allocated afresh per batch were
+returned to the OS and faulted in again on the next batch; on ``cse``
+(2,048-vector exhaustive universe) that was ~16,000 page faults per
+bridging table.
+
 Future direction (see ROADMAP): the same word-block layout extends to a
 5-valued (0/1/X/D/D') encoding with two words per line per value-plane,
 which would let this kernel serve :mod:`repro.faultsim.threeval_detect`
@@ -60,7 +68,6 @@ auto-test-pattern-generation work.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -79,6 +86,7 @@ from repro import obs
 from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit, LineKind
 from repro.errors import SimulationError
+from repro.faults.bridging import BridgingFaults
 from repro.faultsim.sampling import VectorUniverse
 from repro.logic.bitops import input_signature
 from repro.logic.packed import (
@@ -104,6 +112,11 @@ MAX_WORDS = 4096
 #: enough to amortize numpy dispatch, small enough to stay cache-warm.
 BATCH_WORD_BUDGET = 1 << 13
 MAX_BATCH_ROWS = 1024
+#: Batch word blocks are allocated this many at a time, as one slab: a
+#: slab is mapped on its own (over glibc's 128 KiB mmap threshold), so
+#: it goes back to the OS whole when the simulator is dropped instead
+#: of leaving holes in the heap.
+_SLAB_BLOCKS = 8
 
 
 def kernel_supports(universe: VectorUniverse) -> bool:
@@ -120,20 +133,45 @@ def batch_rows_for(num_words: int) -> int:
 # Word-block gate evaluation (eval_signature lifted to uint64 blocks)
 # ----------------------------------------------------------------------
 #: Gates whose single-input evaluation returns the input array itself
-#: (``reduce`` over one element) — consumers must not mutate in place.
+#: — consumers must not mutate in place.
 _IDENTITY_WHEN_UNARY = (GateType.AND, GateType.OR, GateType.XOR)
 
+#: The other gates with inputs, as ``(fold ufunc, inverted)``; NOT
+#: folds nothing.
+_FOLDS = {
+    GateType.NOT: (None, True),
+    GateType.AND: (_np.bitwise_and, False),
+    GateType.NAND: (_np.bitwise_and, True),
+    GateType.OR: (_np.bitwise_or, False),
+    GateType.NOR: (_np.bitwise_or, True),
+    GateType.XOR: (_np.bitwise_xor, False),
+    GateType.XNOR: (_np.bitwise_xor, True),
+}
 
-def _invert(block: U64Array, mask: U64Array) -> U64Array:
-    """``~block`` bounded to the universe's bit width.
 
-    ``mask`` words are all-ones except (possibly) the final, partial
-    word, so the complement only needs the final word clipped — a
-    strided scalar op instead of a second full-array ``&`` pass.
-    Always returns a fresh array (``~`` allocates).
+def _eval_into(
+    gate_type: GateType,
+    inputs: list[U64Array],
+    mask: U64Array,
+    out: U64Array,
+) -> U64Array:
+    """Evaluate a gate of :data:`_FOLDS` into ``out``; returns ``out``.
+
+    Not for a unary AND/OR/XOR, whose value is its input.  ``mask``
+    words are all-ones except (possibly) the final, partial word, so a
+    complement only needs the final word clipped — a strided scalar op
+    instead of a second full-array ``&`` pass.
     """
-    out = ~block
-    out[..., -1:] &= mask[-1:]
+    op, inverted = _FOLDS[gate_type]
+    if op is None or len(inputs) == 1:
+        out[...] = inputs[0]
+    else:
+        op(inputs[0], inputs[1], out=out)
+        for block in inputs[2:]:
+            op(out, block, out=out)
+    if inverted:
+        _np.invert(out, out=out)
+        out[..., -1:] &= mask[-1:]
     return out
 
 
@@ -146,7 +184,8 @@ def eval_words(
     broadcasting mixes them); ``mask`` is the universe's all-ones word
     row, bounding the complement for inverting gates exactly like the
     big-int engine's ``mask`` argument.  The returned array may alias an
-    input (BUF) — callers treat word blocks as immutable.
+    input (BUF, unary AND/OR/XOR) — callers treat word blocks as
+    immutable.
     """
     gt = gate_type
     if gt is GateType.CONST0:
@@ -155,23 +194,14 @@ def eval_words(
         return mask.copy()
     if not inputs:
         raise SimulationError(f"{gt.name} gate evaluated with no inputs")
-    if gt is GateType.BUF:
+    if gt is GateType.BUF or (
+        len(inputs) == 1 and gt in _IDENTITY_WHEN_UNARY
+    ):
         return inputs[0]
-    if gt is GateType.NOT:
-        return _invert(inputs[0], mask)
-    if gt is GateType.AND:
-        return reduce(_np.bitwise_and, inputs)
-    if gt is GateType.NAND:
-        return _invert(reduce(_np.bitwise_and, inputs), mask)
-    if gt is GateType.OR:
-        return reduce(_np.bitwise_or, inputs)
-    if gt is GateType.NOR:
-        return _invert(reduce(_np.bitwise_or, inputs), mask)
-    if gt is GateType.XOR:
-        return reduce(_np.bitwise_xor, inputs)
-    if gt is GateType.XNOR:
-        return _invert(reduce(_np.bitwise_xor, inputs), mask)
-    raise SimulationError(f"unknown gate type: {gt!r}")
+    if gt not in _FOLDS:
+        raise SimulationError(f"unknown gate type: {gt!r}")
+    shape = _np.broadcast_shapes(*(block.shape for block in inputs))
+    return _eval_into(gt, inputs, mask, _np.empty(shape, dtype=_np.uint64))
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +324,27 @@ class PackedSimulator:
         # Per-line fanout cones as line-id bitsets: unioning the cones
         # of a whole fault batch is a handful of C-speed big-int ORs.
         self._cone_masks = circuit.fanout_masks()
+        # The lines whose last reader (in topological order) is each
+        # line: a batch drops their word blocks once that reader is
+        # evaluated, so its live blocks are the cut through the cone,
+        # not the whole cone.
+        position = {lid: t for t, lid in enumerate(circuit.topo_order)}
+        last_reader: dict[int, int] = {}
+        for line in circuit.lines:
+            readers = [s for s in line.fanout if s in position]
+            if readers:
+                last_reader[line.lid] = max(readers, key=position.__getitem__)
+        released: dict[int, list[int]] = {}
+        for lid, reader in last_reader.items():
+            released.setdefault(reader, []).append(lid)
+        self._released_after = {r: tuple(ls) for r, ls in released.items()}
+        self._read = frozenset(last_reader)
+        self._outputs = frozenset(circuit.outputs)
+        # Batch word blocks reused across detection_rows calls, with
+        # room for the builders' batch rows (or more, once a call has
+        # had more).
+        self._blocks: list[U64Array] = []
+        self._block_rows = batch_rows_for(self.num_words)
 
     def base_matrix(self) -> PackedSignatureMatrix:
         """The base word blocks as a packed matrix (one row per line)."""
@@ -354,28 +405,82 @@ class PackedSimulator:
             union |= cone_masks[lid] | (1 << lid)
         touched = union.to_bytes((len(circuit.lines) + 7) // 8, "little")
 
-        def force_site(
-            lid: int, out: U64Array | None, fresh: bool
-        ) -> U64Array:
+        # Word blocks come from a pool the simulator keeps across batches
+        # and are counted by holder (the line being evaluated, and every
+        # line whose value aliases the block); a block nobody holds goes
+        # back to the pool.  Fresh blocks per batch would be freed, handed
+        # back to the OS and faulted in again on the next batch.
+        if num_rows > self._block_rows:
+            self._blocks, self._block_rows = [], num_rows
+        pool = self._blocks
+        free = [block[:num_rows] for block in pool]
+        holders: dict[int, int] = {}
+
+        def take() -> U64Array:
+            if not free:
+                slab = _np.empty(
+                    (_SLAB_BLOCKS, self._block_rows, num_words),
+                    dtype=_np.uint64,
+                )
+                pool.extend(slab)
+                free.extend(block[:num_rows] for block in slab)
+            block = free.pop()
+            holders[id(block)] = 1
+            return block
+
+        def hold(block: U64Array) -> U64Array:
+            holders[id(block)] += 1
+            return block
+
+        def drop(block: U64Array) -> None:
+            key = id(block)
+            left = holders[key] - 1
+            if left:
+                holders[key] = left
+            else:
+                del holders[key]
+                free.append(block)
+
+        def force_site(lid: int, out: U64Array | None) -> U64Array:
             # The forced override happens *after* normal evaluation; a
-            # block that aliases another line's (or the base's) words
-            # must be copied before rows are overwritten.
+            # block other lines also hold must be copied first.
             if out is None:
-                out = _np.broadcast_to(
-                    base[lid], (num_rows, num_words)
-                ).copy()
-            elif not fresh:
-                out = out.copy()
+                out = take()
+                out[...] = base[lid]
+            elif holders[id(out)] > 1:
+                shared, out = out, take()
+                out[...] = shared
+                drop(shared)
             for a, b in runs_at[lid]:
                 out[a:b] = forced[a:b]
             return out
 
+        det = _np.zeros((num_rows, num_words), dtype=_np.uint64)
+        diff = take()
+        outputs, read, released_after = (
+            self._outputs, self._read, self._released_after
+        )
         vals: dict[int, U64Array] = {}
+
+        def settle(lid: int, out: U64Array) -> None:
+            # Fold an output into the detection block as soon as its
+            # value is final; keep a block only while a reader is ahead.
+            if lid in outputs:
+                _np.bitwise_xor(out, base[lid], out=diff)
+                _np.bitwise_or(det, diff, out=det)
+            if lid in read:
+                vals[lid] = hold(out)
+            for done in released_after.get(lid, ()):
+                block = vals.pop(done, None)
+                if block is not None:
+                    drop(block)
+            drop(out)
+
         # Input fault sites are fanin-less and absent from topo_order;
         # seed them before the walk.
         for lid in runs_at:
             if circuit.lines[lid].kind is LineKind.INPUT:
-                vals[lid] = force_site(lid, None, False)
+                settle(lid, force_site(lid, None))
         for lid in circuit.topo_order:
             if not touched[lid >> 3] >> (lid & 7) & 1:
                 continue
@@ -385,35 +490,26 @@ class PackedSimulator:
                 out = vals.get(line.fanin[0])
                 if out is None and not is_site:
                     continue
-                fresh = False  # aliases the stem's block
+                if out is not None:
+                    hold(out)  # aliases the stem's block
             else:
                 fanin = line.fanin
                 if any(f in vals for f in fanin):
                     gt = line.gate_type
-                    out = eval_words(
-                        gt,
-                        [vals[f] if f in vals else base[f] for f in fanin],
-                        self.mask_row,
-                    )
-                    # eval_words allocates except for identity-like
-                    # cases, which return the lone input unchanged.
-                    fresh = not (
-                        gt is GateType.BUF
-                        or (len(fanin) == 1 and gt in _IDENTITY_WHEN_UNARY)
-                    )
+                    inputs = [vals[f] if f in vals else base[f] for f in fanin]
+                    if gt is GateType.BUF or (
+                        len(fanin) == 1 and gt in _IDENTITY_WHEN_UNARY
+                    ):
+                        out = hold(inputs[0])
+                    else:
+                        out = _eval_into(gt, inputs, self.mask_row, take())
                 elif not is_site:
                     continue
                 else:
                     out = None
-                    fresh = False
             if is_site:
-                out = force_site(lid, out, fresh)
-            vals[lid] = out
-        det = _np.zeros((num_rows, num_words), dtype=_np.uint64)
-        for o in circuit.outputs:
-            block = vals.get(o)
-            if block is not None:
-                det |= block ^ base[o]
+                out = force_site(lid, out)
+            settle(lid, out)
         return det
 
 
@@ -448,15 +544,18 @@ def _cone_locality_order(
     scatter results back so the matrix stays in table order.
     """
     masks = circuit.fanout_masks()
-    distinct = sorted({int(s) for s in sites})
-    rank_of = {
-        s: r
-        for r, s in enumerate(sorted(distinct, key=lambda s: (masks[s], s)))
-    }
-    ranks = _np.fromiter(
-        (rank_of[int(s)] for s in sites), dtype=_np.intp, count=len(sites)
+    sites = _np.asarray(sites, dtype=_np.intp)
+    # A presence mask, not np.unique: numpy 2 imports numpy.ma (~25 ms)
+    # on a process's first np.unique call, and each shard worker of a
+    # --jobs build is a fresh process.
+    present = _np.zeros(len(masks), dtype=bool)
+    present[sites] = True
+    distinct = _np.flatnonzero(present).tolist()
+    rank_of = _np.zeros(len(masks), dtype=_np.intp)
+    rank_of[sorted(distinct, key=lambda s: (masks[s], s))] = _np.arange(
+        len(distinct)
     )
-    return _np.argsort(ranks, kind="stable")
+    return _np.argsort(rank_of[sites], kind="stable")
 
 
 def _observe_kernel(
@@ -539,29 +638,33 @@ def bridging_matrix(
     base_signatures: list[int] | None = None,
     batch_rows: int | None = None,
 ) -> PackedSignatureMatrix:
-    """Packed detection matrix for a four-way bridging fault list."""
+    """Packed detection matrix for a four-way bridging fault list.
+
+    Reads the field arrays of a
+    :class:`~repro.faults.bridging.BridgingFaults`; any other sequence
+    is converted to one first.
+    """
     sim = _simulator(circuit, universe, base_signatures)
     num_words = sim.num_words
     base = sim.base
     mask = sim.mask_row
-    zero_row = _np.zeros(num_words, dtype=_np.uint64)
     if batch_rows is None:
         batch_rows = batch_rows_for(num_words)
+    faults = BridgingFaults.of(faults)
     num = len(faults)
-    victims = _np.fromiter(
-        (g.victim for g in faults), dtype=_np.intp, count=num
-    )
-    aggressors = _np.fromiter(
-        (g.aggressor for g in faults), dtype=_np.intp, count=num
-    )
-    vv = _np.fromiter(
-        (g.victim_value for g in faults), dtype=bool, count=num
-    )
-    av = _np.fromiter(
-        (g.aggressor_value for g in faults), dtype=bool, count=num
-    )
+    victims, aggressors = faults.victim, faults.aggressor
+    # value-true means "activates on the line's 1s": matching bits are
+    # the signature itself, else its masked complement (an XOR with the
+    # all-ones mask row).
+    flip_victim = ~faults.victim_value.astype(bool)
+    flip_aggressor = ~faults.aggressor_value.astype(bool)
     order = _cone_locality_order(circuit, victims)
     out = _np.zeros((num, num_words), dtype=_np.uint64)
+    # Batch scratch, reused by every batch like the simulator's blocks.
+    victim_words, aggressor_words, activated = (
+        _np.empty((min(batch_rows, num), num_words), dtype=_np.uint64)
+        for _ in range(3)
+    )
     clock = obs.system_clock()
     started = clock.monotonic()
     batches = 0
@@ -570,20 +673,26 @@ def bridging_matrix(
     ) as kernel_span:
         for start in range(0, num, batch_rows):
             idx = order[start : start + batch_rows]
-            s1 = base[victims[idx]]
-            s2 = base[aggressors[idx]]
-            # value-true means "activates on the line's 1s": matching
-            # bits are the signature itself, else its masked complement
-            # — written as XOR with a per-row flip word (0 or the
-            # all-ones mask row).
-            m1 = s1 ^ _np.where(vv[idx][:, None], zero_row, mask)
-            m2 = s2 ^ _np.where(av[idx][:, None], zero_row, mask)
-            activated = m1 & m2
-            live = _np.nonzero(activated.any(axis=1))[0]
+            n = len(idx)
+            s1 = _np.take(
+                base, victims[idx], axis=0, out=victim_words[:n], mode="clip"
+            )
+            m2 = _np.take(
+                base, aggressors[idx], axis=0, out=aggressor_words[:n],
+                mode="clip",
+            )
+            _np.bitwise_xor(m2, mask, out=m2, where=flip_aggressor[idx, None])
+            act = activated[:n]
+            _np.copyto(act, s1)
+            _np.bitwise_xor(act, mask, out=act, where=flip_victim[idx, None])
+            _np.bitwise_and(act, m2, out=act)
+            live = _np.flatnonzero(act.any(axis=1))
             batches += 1
             if live.size == 0:
                 continue  # nowhere activated: detection rows stay zero
-            forced = (s1 ^ activated)[live]
+            forced = _np.bitwise_xor(s1, act, out=s1)
+            if live.size < n:
+                forced = forced[live]
             sites = victims[idx[live]].tolist()
             det = sim.detection_rows(sites, forced)
             out[idx[live]] = det

@@ -289,3 +289,66 @@ class TestArrayScanOracle:
             assert wc.guaranteed_n() == guaranteed
             assert wc.estimated_guaranteed_n() == guaranteed
         assert seen >= {"full", "none", "duplicate-G", "tie", "empty"}, seen
+
+
+class TestObjectFreeAnalyze:
+    """Exhaustive ``repro analyze`` runs on arrays and packed words."""
+
+    def test_analyze_builds_no_fault_objects_nor_bigints(
+        self, monkeypatch, capsys
+    ):
+        import hashlib
+        import json
+        from pathlib import Path
+
+        from repro.cli import main
+        from repro.faults.bridging import BridgingFault
+        from repro.logic.packed import PackedSignatureMatrix
+
+        calls = {"BridgingFault": 0, "to_bigints": 0}
+        check_fault = BridgingFault.__post_init__
+        to_bigints = PackedSignatureMatrix.to_bigints
+
+        def counting_check(self):
+            calls["BridgingFault"] += 1
+            check_fault(self)
+
+        def counting_to_bigints(self):
+            calls["to_bigints"] += 1
+            return to_bigints(self)
+
+        monkeypatch.setattr(BridgingFault, "__post_init__", counting_check)
+        monkeypatch.setattr(
+            PackedSignatureMatrix, "to_bigints", counting_to_bigints
+        )
+        assert main(["analyze", "ex2"]) == 0
+        out = capsys.readouterr().out.encode()
+        expected_path = (
+            Path(__file__).resolve().parents[2] / "perfbench" / "expected.json"
+        )
+        expected = json.loads(expected_path.read_text())["analyze ex2"]
+        assert hashlib.sha256(out).hexdigest() == expected["sha256"]
+        assert calls == {"BridgingFault": 0, "to_bigints": 0}
+        # The counters do count: one indexed fault is one construction.
+        from repro.faults.bridging import four_way_bridging_faults
+
+        four_way_bridging_faults(get_circuit("ex2"))[0]
+        assert calls["BridgingFault"] == 1
+
+    def test_forced_hash_collisions_keep_bbsse_arrays(self, monkeypatch):
+        import numpy as np
+
+        import repro.logic.packed as packed
+
+        u = FaultUniverse(get_circuit("bbsse"))
+        target, untargeted = u.target_table, u.untargeted_table
+        hashed = WorstCaseAnalysis(target, untargeted)
+        target._packed_nmin_scan = None  # rebuild the target dedup too
+        monkeypatch.setattr(
+            packed, "_row_hashes", lambda w: np.zeros(len(w), np.uint64)
+        )
+        collided = WorstCaseAnalysis(target, untargeted)
+        for name in ("nmin", "witness", "witness_overlap"):
+            assert np.array_equal(
+                getattr(collided, name), getattr(hashed, name)
+            ), name

@@ -195,3 +195,27 @@ class TestPickling:
         assert pickle.dumps(target) == before
         restored = pickle.loads(before)
         assert WorstCaseAnalysis(restored, untargeted).records == records
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["plain", "packed"])
+    def test_pickle_bytes_ignore_access_history(self, packed):
+        """Derived big-ints, built fault elements and vector lists stay
+        out of pickles: the bytes do not depend on which queries ran."""
+        import pickle
+
+        from repro.bench_suite.registry import get_circuit
+
+        fu = FaultUniverse(
+            get_circuit("lion"), backend=TableBackend(packed=packed)
+        )
+        table = fu.untargeted_table
+        assert table.packed is not None  # kernel-built: words kept
+        before = pickle.dumps(table)
+        signatures = table.signatures
+        faults = list(table.faults)
+        vectors = table.vectors(0)
+        assert pickle.dumps(table) == before
+        restored = pickle.loads(before)
+        assert restored == table
+        assert restored.signatures == signatures
+        assert list(restored.faults) == faults
+        assert restored.vectors(0) == vectors

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.circuit.validate import validate_circuit
 from repro.fsm.encoding import encode_states
 from repro.fsm.machine import Fsm, Transition
-from repro.fsm.synthesis import synthesize_fsm
+from repro.fsm.synthesis import share_common_pairs, synthesize_fsm
 from repro.io_formats.kiss2 import parse_kiss2
 from repro.simulation.twoval import output_values
 
@@ -116,3 +119,57 @@ class TestSynthesisStructure:
         binary = synthesize_fsm(toy_fsm, encoding="binary")
         onehot = synthesize_fsm(toy_fsm, encoding="onehot")
         assert onehot.num_inputs > binary.num_inputs
+
+
+def _recount_common_pairs(sets, new_name):
+    """The first greedy factoring: recount every set's pairs each round."""
+    gates = []
+    while True:
+        pair_count = {}
+        for s in sets:
+            ordered = sorted(set(s))
+            for i, a in enumerate(ordered):
+                for bb in ordered[i + 1:]:
+                    pair_count[(a, bb)] = pair_count.get((a, bb), 0) + 1
+        best_pair = None
+        best_n = 1
+        for pair, cnt in sorted(pair_count.items()):
+            if cnt > best_n:
+                best_pair, best_n = pair, cnt
+        if best_pair is None:
+            return gates
+        a, bb = best_pair
+        nm = new_name()
+        gates.append((nm, a, bb))
+        for s in sets:
+            if a in s and bb in s:
+                s.remove(a)
+                s.remove(bb)
+                s.append(nm)
+
+
+def _namer(prefix):
+    names = (f"{prefix}{i}" for i in itertools.count())
+    return lambda: next(names)
+
+
+class TestShareCommonPairs:
+    def test_shares_most_frequent_pair_first(self):
+        sets = [["x", "y", "z"], ["x", "y"], ["y", "z", "w"], ["x", "y", "w"]]
+        gates = share_common_pairs(sets, _namer("a"))
+        assert gates[0] == ("a0", "x", "y")
+        assert sets[1] == ["a0"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_recount(self, seed):
+        rng = random.Random(seed)
+        alphabet = [f"v{i}" for i in range(rng.randint(3, 12))]
+        sets = [
+            rng.sample(alphabet, rng.randint(1, len(alphabet)))
+            for _ in range(rng.randint(1, 30))
+        ]
+        expected_sets = [list(s) for s in sets]
+        expected = _recount_common_pairs(expected_sets, _namer("a"))
+        assert share_common_pairs(sets, _namer("a")) == expected
+        assert sets == expected_sets
+

@@ -128,3 +128,98 @@ class TestTake:
         t = m.take([2, 0])
         assert t.to_bigints() == [0b111, 0b1]
         assert t.size == 8
+
+    @pytest.mark.parametrize(
+        "order",
+        [np.array([2, 0, 2]), [2, 0, 2], range(2, -1, -1), [], np.array([])],
+        ids=["ndarray", "list", "range", "empty-list", "empty-ndarray"],
+    )
+    def test_take_index_kinds(self, order):
+        sigs = [0b1, 0b11, 0b111]
+        m = PackedSignatureMatrix.from_bigints(sigs, 8)
+        t = m.take(order)
+        assert t.to_bigints() == [sigs[i] for i in order]
+        assert t.words.shape == (len(order), 1)
+
+    def test_take_generator(self):
+        m = PackedSignatureMatrix.from_bigints([5, 6], 8)
+        assert m.take(i for i in (1, 0)).to_bigints() == [6, 5]
+
+
+class TestCompact:
+    @pytest.mark.parametrize("chunk_words", [1, 3, 1 << 16])
+    def test_keeps_rows_in_place(self, monkeypatch, chunk_words):
+        import repro.logic.packed as packed
+
+        monkeypatch.setattr(packed, "_CHUNK_WORDS", chunk_words)
+        rng = random.Random(3)
+        sigs = [rng.getrandbits(130) if rng.random() < 0.6 else 0
+                for _ in range(50)]
+        m = PackedSignatureMatrix.from_bigints(sigs, 130)
+        m.words = buffer = m.words.copy()  # writable, like kernel output
+        kept = np.flatnonzero([bool(s) for s in sigs])
+        m.compact(kept)
+        assert m.to_bigints() == [s for s in sigs if s]
+        assert np.shares_memory(m.words, buffer)
+
+    def test_keep_nothing_and_everything(self):
+        m = PackedSignatureMatrix.from_bigints([1, 2, 3], 8)
+        m.words = m.words.copy()
+        m.compact(np.arange(3))
+        assert m.to_bigints() == [1, 2, 3]
+        m.compact(np.zeros(0, dtype=np.intp))
+        assert len(m) == 0
+
+
+def _first_equal_oracle(rows):
+    """Position of the first row equal to each row (a linear scan)."""
+    return [
+        next(j for j in range(k + 1) if rows[j] == rows[k])
+        for k in range(len(rows))
+    ]
+
+
+class TestFirstEqualRows:
+    def _matrix(self, seed, size=200, count=60):
+        rng = random.Random(seed)
+        pool = [rng.getrandbits(size) for _ in range(12)] + [0]
+        sigs = [rng.choice(pool) for _ in range(count)]
+        return sigs, PackedSignatureMatrix.from_bigints(sigs, size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_rows(self, seed):
+        sigs, m = self._matrix(seed)
+        assert m.first_equal_rows().tolist() == _first_equal_oracle(sigs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_subset_in_given_order(self, seed):
+        sigs, m = self._matrix(seed)
+        rows = np.array(random.Random(seed).sample(range(len(sigs)), 40))
+        expect = _first_equal_oracle([sigs[i] for i in rows])
+        assert m.first_equal_rows(rows).tolist() == expect
+
+    def test_empty(self):
+        m = PackedSignatureMatrix.from_bigints([], 64)
+        assert m.first_equal_rows().tolist() == []
+        assert m.first_equal_rows(np.zeros(0, dtype=np.intp)).tolist() == []
+
+    def test_hash_collisions_never_merge_different_rows(self, monkeypatch):
+        import repro.logic.packed as packed
+
+        monkeypatch.setattr(
+            packed, "_row_hashes", lambda w: np.zeros(len(w), np.uint64)
+        )
+        sigs, m = self._matrix(4)
+        rep = m.first_equal_rows().tolist()
+        for k, r in enumerate(rep):
+            assert r <= k and sigs[r] == sigs[k]
+        # One hash group: only copies of row 0 find their representative.
+        assert rep == [0 if s == sigs[0] else k for k, s in enumerate(sigs)]
+
+    def test_hashes_are_fixed(self):
+        from repro.logic.packed import _row_hashes
+
+        words = np.array([[1, 2], [2, 1], [1, 2]], dtype=np.uint64)
+        hashes = _row_hashes(words)
+        assert hashes[0] == hashes[2] != hashes[1]
+        assert np.array_equal(_row_hashes(words.copy()), hashes)

@@ -4,15 +4,22 @@ The cross-engine bit-identity sweep lives in
 ``tests/test_ppsfp_differential.py``; this module covers the kernel's
 own invariants — base words vs the big-int line signatures, batching
 invariance, input-site forcing, the ``MAX_WORDS`` width cut between the
-kernel and the cone path, and non-word-multiple universe sizes.
+kernel and the cone path, non-word-multiple universe sizes, word-block
+reuse across batches, and gate evaluation against ``eval_signature``.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit
+from repro.circuit.builder import CircuitBuilder
+from repro.circuit.gate import GateType, eval_signature
 from repro.circuit.netlist import LineKind
 from repro.errors import SimulationError
 from repro.faults.bridging import four_way_bridging_faults
@@ -168,6 +175,104 @@ class TestDetectionMatrices:
             drop_undetectable=False,
         )
         assert matrix.to_bigints() == table.signatures
+
+
+def _aliasing_circuit():
+    """Every way a line can share its fanin's word block, plus fanout.
+
+    BUF and unary AND return their input; branches alias their stem; an
+    input and gates that feed other gates are also outputs.
+    """
+    b = CircuitBuilder("aliasing")
+    for name in "abcd":
+        b.input(name)
+    b.gate("g1", GateType.AND, ["a", "b"])
+    b.gate("g2", GateType.BUF, ["g1"])
+    b.gate("g3", GateType.AND, ["g2"])
+    b.gate("g4", GateType.XNOR, ["g3", "c"])
+    b.gate("g5", GateType.OR, ["g1", "d"])
+    b.gate("g6", GateType.NAND, ["g4", "g5", "a"])
+    b.gate("g7", GateType.NOT, ["g6"])
+    b.gate("g8", GateType.XOR, ["g7", "g2", "d"])
+    b.gate("g9", GateType.NOR, ["g8"])
+    for name in ("g9", "g5", "g3", "a"):
+        b.output(name)
+    return b.build(auto_branch=True)
+
+
+class TestBlockPool:
+    """One simulator reuses its word blocks across and within batches."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _aliasing_circuit,
+            lambda: random_circuit(7, num_inputs=6, num_gates=30),
+        ],
+    )
+    def test_long_lived_simulator_matches_cone_path(self, make, monkeypatch):
+        circuit = make()
+        universe = _sampled(circuit, 50)
+        faults = [
+            StuckAtFault(ln.lid, v) for ln in circuit.lines for v in (0, 1)
+        ]
+        random.Random(3).shuffle(faults)
+        sim = ppsfp.PackedSimulator(circuit, universe)
+        rows = []
+        start = 0
+        # Batches of changing sizes take their blocks from one pool.
+        for size in itertools.cycle((1, 9, 3, 40, 2, 17)):
+            batch = faults[start : start + size]
+            if not batch:
+                break
+            start += size
+            values = np.array([f.value for f in batch], dtype=bool)
+            forced = np.where(values[:, None], sim.mask_row, np.uint64(0))
+            det = sim.detection_rows([f.lid for f in batch], forced)
+            rows += [int.from_bytes(r.tobytes(), "little") for r in det]
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
+        table = DetectionTable.for_stuck_at(
+            circuit, faults=faults, universe=universe
+        )
+        assert rows == table.signatures
+
+
+class TestEvalWords:
+    @pytest.mark.parametrize(
+        ("gate_type", "arity"),
+        [
+            (gt, arity)
+            for gt in GateType
+            for arity in (
+                [0] if gt in (GateType.CONST0, GateType.CONST1)
+                else [1] if gt in (GateType.BUF, GateType.NOT)
+                else [1, 2, 3, 4]
+            )
+        ],
+        ids=str,
+    )
+    def test_matches_eval_signature(self, gate_type, arity):
+        size = 100  # two words, the last one partial
+        full = (1 << size) - 1
+        mask = pack_signature(full, size)
+        rng = random.Random(arity)
+        batch = [
+            [rng.getrandbits(size) for _ in range(arity)] for _ in range(3)
+        ]
+        # Word rows (W,) broadcast against batch blocks (B, W).
+        inputs = [
+            np.stack([pack_signature(row[i], size) for row in batch])
+            if i % 2 else pack_signature(batch[0][i], size)
+            for i in range(arity)
+        ]
+        for row in batch:
+            row[0::2] = batch[0][0::2]
+        words = np.broadcast_to(
+            ppsfp.eval_words(gate_type, inputs, mask), (3, 2)
+        )
+        for got, row in zip(words, batch, strict=True):
+            expected = eval_signature(gate_type, row, full)
+            assert int.from_bytes(got.tobytes(), "little") == expected
 
 
 class TestWideFallback:
