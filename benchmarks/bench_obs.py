@@ -54,7 +54,7 @@ def _build_once() -> float:
     from repro.faults.universe import FaultUniverse
     from repro.faultsim.backends import make_backend
 
-    backend = make_backend("packed", samples=SAMPLES, seed=7)
+    backend = make_backend("sampled", samples=SAMPLES, seed=7)
     universe = FaultUniverse(get_circuit(CIRCUIT), backend=backend)
     t0 = time.perf_counter()
     universe.target_table  # noqa: B018 - lazy build, forced here

@@ -49,7 +49,7 @@ SAMPLES = env_int("REPRO_BENCH_SERVE_SAMPLES", 128)
 
 PAYLOAD = {
     "circuit": CIRCUIT,
-    "backend": "packed",
+    "backend": "sampled",
     "samples": SAMPLES,
     "seed": 7,
 }
@@ -128,7 +128,7 @@ def test_serve_load(record_speedup):
                 "analyze",
                 CIRCUIT,
                 "--backend",
-                "packed",
+                "sampled",
                 "--samples",
                 str(SAMPLES),
                 "--seed",

@@ -12,8 +12,8 @@ duplicates it to the idle worker, first completion wins, and the late
 completion is a cache hit rather than a conflict (shard results are a
 pure function of their content-addressed key).
 
-This example analyzes a >24-input circuit with the numpy-packed
-sampled backend three ways — inline, then through a heterogeneous
+This example analyzes a >24-input circuit with the sampled backend
+three ways — inline, then through a heterogeneous
 two-worker fleet with stealing off and on.  The straggler worker is
 slowed by ``REPRO_STEAL_DELAY`` seconds per build (the same hook the
 tests and CI use); with stealing on, the healthy worker rescues the
@@ -23,7 +23,7 @@ Equivalent CLI invocations:
 
     repro broker --port 8766 &                 # one coordinator
     repro worker --broker host:8766 &          # on any number of hosts
-    repro analyze wide28 --backend packed --samples 1024 --seed 7 \
+    repro analyze wide28 --backend sampled --samples 1024 --seed 7 \
         --executor tcp --broker host:8766
     repro queue stats --broker host:8766
 
@@ -102,7 +102,7 @@ def main() -> int:
         f"(+{STRAGGLER_DELAY:.0f}s per build)"
     )
 
-    base = TableBackend(samples=SAMPLES, seed=7, packed=True)
+    base = TableBackend(samples=SAMPLES, seed=7)
     inline_time, (inline_f, inline_g) = build(circuit, base)
     print(f"\ninline build:          {inline_time * 1e3:7.1f} ms")
 

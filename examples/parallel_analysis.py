@@ -2,14 +2,14 @@
 
 Building the fault × vector detection table dominates every analysis
 and is embarrassingly parallel over faults.  This example analyzes a
->24-input suite circuit with the numpy-packed sampled backend, then
+>24-input suite circuit with the sampled backend, then
 repeats the build through a ``ParallelBackend`` — fault shards executed
 on a process pool, merged into a bit-identical table — and finally
 replays it against the warm persistent shard cache.
 
 Equivalent CLI invocations:
 
-    repro analyze wide32 --backend packed --samples 1024 --seed 7 --jobs 4
+    repro analyze wide32 --backend sampled --samples 1024 --seed 7 --jobs 4
     repro cache info
 
 Run:  python examples/parallel_analysis.py
@@ -45,7 +45,7 @@ def main() -> int:
         f"sampling K={SAMPLES} vectors"
     )
 
-    base = TableBackend(samples=SAMPLES, seed=7, packed=True)
+    base = TableBackend(samples=SAMPLES, seed=7)
     single_time, (single_f, single_g) = build(circuit, base)
     print(f"\nsingle-process build: {single_time * 1e3:7.1f} ms")
 

@@ -23,7 +23,7 @@ Equivalent CLI invocations:
 
     repro serve --port 8765 &
     curl -s -X POST localhost:8765/analyze \
-        -d '{"circuit": "wide28", "backend": "packed", "samples": 256, "seed": 7}'
+        -d '{"circuit": "wide28", "backend": "sampled", "samples": 256, "seed": 7}'
     curl -sN -X POST localhost:8765/analyze/stream \
         -d '{"circuit": "wide28", "backend": "adaptive", "target_halfwidth": 0.5, "seed": 7}'
     curl -s localhost:8765/stats
@@ -71,7 +71,7 @@ def main() -> int:
         # -- single-flight: a cold burst of identical requests --------
         payload = {
             "circuit": CIRCUIT,
-            "backend": "packed",
+            "backend": "sampled",
             "samples": 256,
             "seed": 7,
         }

@@ -16,7 +16,7 @@ time is attributed to named child spans).
 
 Equivalent CLI invocations:
 
-    repro --trace run.jsonl analyze wide28 --backend packed \
+    repro --trace run.jsonl analyze wide28 --backend sampled \
         --samples 512 --seed 7 --executor pool --jobs 4
     repro trace summary run.jsonl
     repro trace tree run.jsonl
@@ -47,7 +47,7 @@ JOBS = 4
 def main() -> int:
     circuit = get_circuit(CIRCUIT)
     backend = ParallelBackend(
-        base=TableBackend(samples=SAMPLES, seed=7, packed=True),
+        base=TableBackend(samples=SAMPLES, seed=7),
         use_cache=False,
         executor=PoolExecutor(jobs=JOBS),
     )

@@ -41,6 +41,7 @@ from repro.faultsim.detection import (
     universe_line_signatures,
 )
 from repro.faultsim.sampling import VectorUniverse
+from repro.logic.packed import PackedSignatureMatrix
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,11 @@ class AdaptiveBackend:
 
     @staticmethod
     def _dropped(table: DetectionTable) -> DetectionTable:
-        kept = [
-            (f, s)
-            for f, s in zip(table.faults, table.signatures, strict=True)
-            if s
-        ]
-        faults = [f for f, _ in kept]
-        signatures = [s for _, s in kept]
-        # Same class, same universe; the packed block is re-derived
-        # from the filtered signatures.
-        return type(table)(table.circuit, faults, signatures, table.universe)
+        # The cached report keeps its own rows: drop from a copy.
+        rows = PackedSignatureMatrix(
+            table.packed.words.copy(), table.packed.size
+        )
+        return DetectionTable.from_rows(
+            table.circuit, table.faults, rows, table.universe,
+            drop_undetectable=True,
+        )

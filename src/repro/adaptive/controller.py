@@ -62,7 +62,7 @@ from repro.errors import AnalysisError
 from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faultsim.backends import TableBackend
-from repro.faultsim.packed_table import PackedDetectionTable
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import (
     CountEstimate,
     VectorUniverse,
@@ -211,8 +211,8 @@ class AdaptiveReport:
     plan: StrataPlan | None
     rounds: list[AdaptiveRound]
     universe: VectorUniverse
-    target_table: PackedDetectionTable
-    untargeted_table: PackedDetectionTable
+    target_table: DetectionTable
+    untargeted_table: DetectionTable
     focus: list[FocusEstimate]
     met: bool
     reason: str
@@ -419,11 +419,11 @@ class AdaptiveSampler:
             plan=plan,
             rounds=rounds,
             universe=universe,
-            target_table=PackedDetectionTable(
-                circuit, list(faults_f), universe=universe, packed=packed_f
+            target_table=DetectionTable(
+                circuit, list(faults_f), packed_f, universe
             ),
-            untargeted_table=PackedDetectionTable(
-                circuit, faults_g, universe=universe, packed=packed_g
+            untargeted_table=DetectionTable(
+                circuit, faults_g, packed_g, universe
             ),
             focus=evaluation.focus,
             met=met,
@@ -477,7 +477,7 @@ class AdaptiveSampler:
         if not new_vectors:
             return
         delta_sorted = tuple(sorted(new_vectors))
-        backend = TableBackend(vectors=delta_sorted, packed=True)
+        backend = TableBackend(vectors=delta_sorted)
         if self.jobs > 1 or self.executor is not None:
             from repro.parallel import maybe_parallel
 

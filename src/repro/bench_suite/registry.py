@@ -8,9 +8,8 @@ FSM inputs followed by state bits) and caches the result.
 The ``wide*`` entries are seeded random multilevel circuits whose input
 counts exceed :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` — they
 are deliberately *not* analyzable by the exhaustive engine and exist to
-exercise the sampling engines (``--backend sampled``, or
-``--backend packed --samples K`` for the numpy-packed variant whose
-``nmin`` scan is vectorized).
+exercise the sampling engines (``--backend sampled --samples K``, or
+``--backend adaptive``).
 """
 
 from __future__ import annotations

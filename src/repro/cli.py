@@ -21,12 +21,11 @@ Commands regenerate the paper's artifacts::
     repro trace summary|tree PATH    # profile a --trace JSONL capture
 
 ``analyze``, ``escape``, and ``partition`` accept
-``--backend exhaustive|sampled|serial|packed|adaptive`` (with
-``--samples K`` / ``--seed`` / ``--replacement`` for ``sampled`` and
-``packed``), so circuits beyond the 24-input exhaustive cap can be
-analyzed via Monte-Carlo sampled-U detection tables; ``packed`` stores
-the same signatures as numpy ``uint64`` blocks and runs the worst-case
-``nmin`` scan vectorized.  The ``adaptive`` engine sizes its own draw:
+``--backend exhaustive|sampled|serial|adaptive`` (with ``--samples K``
+/ ``--seed`` / ``--replacement`` for ``sampled``), so circuits beyond
+the 24-input exhaustive cap can be analyzed via Monte-Carlo sampled-U
+detection tables.  Every engine stores its tables as numpy ``uint64``
+words and runs the worst-case ``nmin`` scan vectorized.  The ``adaptive`` engine sizes its own draw:
 it grows ``K`` geometrically (``--target-halfwidth`` /
 ``--max-samples`` / ``--initial-samples``) until the confidence
 intervals of the smallest ``N(f)`` estimates meet the target, and
@@ -107,12 +106,12 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
         "--samples",
         type=int,
         default=None,
-        help="sampled/packed backends: number K of random vectors to draw",
+        help="sampled backend: number K of random vectors to draw",
     )
     parser.add_argument(
         "--replacement",
         action="store_true",
-        help="sampled/packed backends: draw vectors with replacement",
+        help="sampled backend: draw vectors with replacement",
     )
     parser.add_argument(
         "--jobs",

@@ -18,7 +18,7 @@ as the paper notes.
 
 Partitioning alone used to hit a hard wall whenever a single output
 depended on more than ``max_inputs`` inputs.  Passing ``backend=`` (a
-sampled or packed sampled backend) removes the wall: cones within the
+sampled backend) removes the wall: cones within the
 bound keep the exact exhaustive analysis, and each too-wide output
 becomes its own cone analyzed over that backend's sampled universe —
 its ``nmin`` values are Monte-Carlo sample-space results rather than
@@ -66,7 +66,7 @@ class PartitionedAnalysis:
         Bound on each cone's input support (the per-cone analysis cost is
         ``O(2**max_inputs)`` bits per signature).
     backend:
-        Optional sampled/packed backend for cones *wider* than
+        Optional sampled backend for cones *wider* than
         ``max_inputs``.  Without it a too-wide output raises (the
         legacy behavior); with it the wide cone is analyzed over the
         backend's sampled universe instead of being skipped.  Cones

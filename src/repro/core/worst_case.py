@@ -26,13 +26,7 @@ from typing import NamedTuple
 from repro.errors import AnalysisError
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import estimate_nmin
-from repro.logic.packed import (
-    _np,
-    PackedSignatureMatrix,
-    pack_signature,
-    popcount_words,
-    words_for,
-)
+from repro.logic.packed import _np, popcount_words, words_for
 
 
 class NminRecord(NamedTuple):
@@ -59,6 +53,8 @@ def nmin_for_untargeted_fault(
 ) -> tuple[int | None, int | None, int]:
     """``(nmin(g), witness index, witness overlap)`` for one fault.
 
+    The scalar scan over big-int signatures: the reference definition
+    that :class:`WorstCaseAnalysis`'s array scan is tested against.
     ``target_counts`` lets callers pass the precomputed ``N(f)`` list;
     ``sorted_order`` the target indices sorted by ascending ``N(f)``.
     Scanning targets in ascending ``N(f)`` allows a sharp early exit:
@@ -73,11 +69,6 @@ def nmin_for_untargeted_fault(
     counts = target_counts if target_counts is not None else target_table.counts()
     if sorted_order is None:
         sorted_order = sorted(range(len(counts)), key=counts.__getitem__)
-    if target_table.packed is not None:
-        scan = _packed_scan_for(target_table, counts, sorted_order)
-        row = pack_signature(g_signature, scan.size).reshape(1, -1)
-        nmin, witness, overlap = (int(a[0]) for a in scan.scan_batch(row))
-        return (nmin, witness, overlap) if nmin else (None, None, 0)
     n_g = g_signature.bit_count()
     best: int | None = None
     best_idx: int | None = None
@@ -100,48 +91,12 @@ def nmin_for_untargeted_fault(
     return best, best_idx, best_overlap
 
 
-def _packed_scan_for(
-    target_table: DetectionTable, counts: list[int], order: list[int]
-) -> "_PackedNminScan":
-    """A packed scan for these counts/order, cached on a packed table.
-
-    The latest scan is remembered on a packed table instance together
-    with the counts/order it was built for, so repeated single-fault
-    queries — whether the caller defaults the arguments or passes the
-    same precomputed lists, as the docstring recommends — amortize the
-    sorted-matrix construction and dedup pass instead of repeating it
-    per fault.  A table without words gets a fresh scan: caching it
-    would keep a packed copy of the table alive beside its big-ints.
-    """
-    if target_table.packed is None:
-        return _PackedNminScan(target_table, counts, order)
-    scan = getattr(target_table, "_packed_nmin_scan", None)
-    if (
-        scan is None
-        or scan.source_counts != counts
-        or scan.source_order != order
-    ):
-        scan = _PackedNminScan(target_table, counts, order)
-        target_table._packed_nmin_scan = scan
-    return scan
-
-
-def _rows_of(table: DetectionTable) -> PackedSignatureMatrix:
-    """A table's rows as packed words: its own matrix, or packed now."""
-    if table.packed is not None:
-        return table.packed
-    return PackedSignatureMatrix.from_bigints(
-        table.signatures, table.universe.size
-    )
-
-
 class _PackedNminScan:
     """Batched, vectorized ascending-``N(f)`` nmin scan over packed words.
 
-    Every target table is scanned this way (a table with words lends
-    its matrix; a big-int table's rows are packed once).  Targets
-    are re-ordered by ascending ``N(f)`` once; untargeted faults
-    are then scanned *together*, chunk of targets by chunk of targets, so
+    The target table lends its words.  Targets are re-ordered by
+    ascending ``N(f)`` once; untargeted faults are then scanned
+    *together*, chunk of targets by chunk of targets, so
     every ``N(f) - popcount(sig_f & sig_g) + 1`` evaluation is part of a
     large numpy (or BLAS) sweep instead of a per-pair big-int operation.
     The scalar scan's early exit survives as a *masked prefix*: after
@@ -188,14 +143,11 @@ class _PackedNminScan:
         counts: list[int],
         sorted_order: list[int],
     ):
-        # What the scan was built from, for the table-level cache check.
-        self.source_counts = list(counts)
-        self.source_order = list(sorted_order)
         # Scan each distinct signature once, keeping the first
         # occurrence in ascending-N(f) order as the representative
         # (== the witness the scalar scan would pick).
         self.size = target_table.universe.size
-        packed = _rows_of(target_table)
+        packed = target_table.packed
         order = _np.asarray(sorted_order, dtype=_np.intp)
         rep = packed.first_equal_rows(order)
         self.order = order[rep == _np.arange(len(order))]
@@ -358,7 +310,7 @@ class WorstCaseAnalysis:
         # nmin depends on g only through T(g): map every fault to the
         # first fault with its signature, scan those representatives in
         # packed blocks, and fan their results back out.
-        g_packed = _rows_of(untargeted_table)
+        g_packed = untargeted_table.packed
         if not g_packed.words.any(axis=1).all():
             raise AnalysisError(
                 "untargeted table contains undetectable faults; build it "
@@ -371,7 +323,7 @@ class WorstCaseAnalysis:
         self.universe = untargeted_table.universe
         counts = target_table.counts()
         order = sorted(range(len(counts)), key=counts.__getitem__)
-        scan = _packed_scan_for(target_table, counts, order)
+        scan = _PackedNminScan(target_table, counts, order)
         row_bytes = words_for(scan.size) * 8
         block = min(self._G_BLOCK_ROWS, self._G_BLOCK_BYTES // row_bytes or 1)
         results = [_np.zeros(len(reps), dtype=_np.int32) for _ in range(3)]

@@ -11,12 +11,11 @@ reproduce the full-size experiment:
 ``REPRO_NMAX``       overrides nmax (paper: 10).
 ``REPRO_CIRCUITS``   comma-separated circuit subset for suite tables.
 ``REPRO_BACKEND``    detection-table engine
-                     (exhaustive|sampled|serial|packed|adaptive).
-``REPRO_SAMPLES``    sampled/packed backends: number of vectors K
-                     (optional for packed, which is exhaustive without it;
-                     rejected with any other REPRO_BACKEND, exactly as
-                     the CLI rejects ``--samples``).
-``REPRO_SEED``       sampled/packed/adaptive backends: universe draw seed.
+                     (exhaustive|sampled|serial|adaptive).
+``REPRO_SAMPLES``    sampled backend: number of vectors K (rejected
+                     with any other REPRO_BACKEND, exactly as the CLI
+                     rejects ``--samples``).
+``REPRO_SEED``       sampled/adaptive backends: universe draw seed.
 ``REPRO_JOBS``       worker processes for detection-table construction
                      (> 1 shards every table build across a process
                      pool; composes with any REPRO_BACKEND engine —
@@ -41,10 +40,9 @@ reproduce the full-size experiment:
                      rare-activation importance strata.
 
 Backends are frozen dataclasses, so the universe / worst-case caches key
-on the exact backend configuration: ``exhaustive``, ``sampled`` and
-``packed`` all name a :class:`~repro.faultsim.backends.TableBackend`,
-and its ``samples`` / ``seed`` / ``packed`` fields keep
-``REPRO_BACKEND=packed`` tables from aliasing the big-int ones.  The
+on the exact backend configuration: ``exhaustive`` and ``sampled``
+both name a :class:`~repro.faultsim.backends.TableBackend`, whose
+``samples`` / ``seed`` / ``replacement`` fields fix the draw.  The
 exhaustive engine ignores ``REPRO_SEED`` (its seed is canonicalized),
 so every exhaustive run shares one entry.  One deliberate exception: a
 parallel-wrapped backend produces tables *bit-for-bit identical* to its

@@ -127,8 +127,6 @@ def gate_exhaustive_table(
                 circuit, sigs, g, mask, cone_order=cone
             )
         )
-    if drop_undetectable:
-        kept = [(g, t) for g, t in zip(faults, table, strict=True) if t]
-        faults = [g for g, _ in kept]
-        table = [t for _, t in kept]
-    return DetectionTable(circuit, list(faults), table)
+    return DetectionTable.from_signatures(
+        circuit, faults, table, drop_undetectable=drop_undetectable
+    )

@@ -2,14 +2,14 @@
 
 ``detection``
     Detection tables: ``T(f)`` for every fault over a vector universe,
-    via cone-limited signature re-simulation.
+    stored as packed ``uint64`` words (PPSFP kernel or cone path).
 ``sampling``
     Vector universes (exhaustive or sampled) with the bit-index ↔
     vector mapping and the Monte-Carlo count estimators.
 ``backends``
     Pluggable table-construction strategies: ``TableBackend`` (the
-    ``exhaustive``, ``sampled`` and ``packed`` engines; sampling breaks
-    the 24-input cap) and the independent ``serial`` engine.
+    ``exhaustive`` and ``sampled`` engines; sampling breaks the
+    24-input cap) and the independent ``serial`` engine.
 ``serial``
     Per-vector serial fault simulation (independent slow path used for
     cross-validation and for simulating explicit test sets).

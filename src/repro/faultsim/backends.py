@@ -4,10 +4,10 @@ Every analysis in this library consumes a
 :class:`~repro.faultsim.detection.DetectionTable`; a *backend* is a
 strategy for building one.  One class builds every table:
 :class:`TableBackend`, parameterized by its vector universe (all of
-``U``, a seeded ``K``-vector draw, or an explicit vector list) and by
-whether the tables are numpy-packed.  Each table goes through the one
-builder of :mod:`repro.faultsim.detection`, which picks the PPSFP
-kernel or the cone path from the universe's width alone.  The CLI names
+``U``, a seeded ``K``-vector draw, or an explicit vector list).  Each
+table goes through the one builder of :mod:`repro.faultsim.detection`,
+which picks the PPSFP kernel or the cone path from the universe's width
+alone; every table stores its rows as ``numpy.uint64`` words.  The CLI names
 (:func:`make_backend`, ``--backend``) are constructors:
 
 ``exhaustive`` → ``TableBackend()``
@@ -24,12 +24,6 @@ kernel or the cone path from the universe's width alone.  The CLI names
     replacement) degenerates to the exact exhaustive result.  This is
     the engine that opens >24-input circuits to the worst-/average-case
     analyses.
-``packed`` → ``TableBackend(packed=True)``, or with ``samples=K``
-    The same signatures, always also stored as ``numpy.uint64`` word
-    blocks (:class:`~repro.faultsim.packed_table.PackedDetectionTable`).
-    Every kernel-built table keeps the kernel's words anyway, so this
-    differs from ``exhaustive``/``sampled`` only on cone-path tables
-    (universes too wide for the kernel), which it packs once.
 ``serial`` → :class:`SerialBackend`
     Per-vector serial fault simulation — the deliberately independent
     slow path, used by the differential test harness to cross-validate
@@ -39,8 +33,8 @@ kernel or the cone path from the universe's width alone.  The CLI names
     round until the smallest-``N(f)`` confidence intervals meet a
     target half-width, optionally with importance strata over rare
     bridging activation regions (``--stratify bridging``).  Each
-    round's delta builds through ``TableBackend(vectors=...,
-    packed=True)`` (API only; its ``name`` is ``fixed``).
+    round's delta builds through ``TableBackend(vectors=...)`` (API
+    only; its ``name`` is ``fixed``).
 
 Backends are small frozen dataclasses (hashable, so cached layers can
 key on them) and share the :class:`DetectionBackend` protocol.  Any of
@@ -69,7 +63,6 @@ from repro.faultsim.detection import (
     DetectionTable,
     universe_line_signatures,
 )
-from repro.faultsim.packed_table import PackedDetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.logic.bitops import MAX_EXHAUSTIVE_INPUTS
 
@@ -78,7 +71,6 @@ BACKEND_NAMES: tuple[str, ...] = (
     "exhaustive",
     "sampled",
     "serial",
-    "packed",
     "adaptive",
 )
 
@@ -125,7 +117,7 @@ class DetectionBackend(Protocol):
 
 @dataclass(frozen=True)
 class TableBackend:
-    """Detection tables over one vector universe, big-int or packed.
+    """Detection tables over one vector universe.
 
     The universe is the first of these that is set:
 
@@ -142,18 +134,12 @@ class TableBackend:
     neither
         All of ``U`` (bit ``v`` ↔ vector ``v``), capped at
         :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` inputs.
-
-    ``packed`` builds
-    :class:`~repro.faultsim.packed_table.PackedDetectionTable` tables,
-    which hold ``numpy.uint64`` word blocks even when built on the cone
-    path: bit-identical signatures and the same ``nmin`` scan.
     """
 
     samples: int | None = None
     seed: int = 0
     replacement: bool = False
     vectors: tuple[int, ...] | None = None
-    packed: bool = False
     needs_base_signatures = True
 
     def __post_init__(self) -> None:
@@ -182,8 +168,6 @@ class TableBackend:
     def name(self) -> str:
         if self.vectors is not None:
             return "fixed"
-        if self.packed:
-            return "packed"
         return "exhaustive" if self.samples is None else "sampled"
 
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
@@ -215,8 +199,7 @@ class TableBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        table = PackedDetectionTable if self.packed else DetectionTable
-        return table.for_stuck_at(
+        return DetectionTable.for_stuck_at(
             circuit,
             faults=faults,
             base_signatures=base_signatures,
@@ -231,8 +214,7 @@ class TableBackend:
         base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        table = PackedDetectionTable if self.packed else DetectionTable
-        return table.for_bridging(
+        return DetectionTable.for_bridging(
             circuit,
             faults=faults,
             base_signatures=base_signatures,
@@ -307,18 +289,17 @@ class SerialBackend:
 
         self._check(circuit)
         space = 1 << circuit.num_inputs
-        table = []
+        signatures = []
         for fault in faults:
             sig = 0
             for v in range(space):
                 if detects(circuit, fault, v):
                     sig |= 1 << v
-            table.append(sig)
-        if drop_undetectable:
-            kept = [(f, t) for f, t in zip(faults, table, strict=True) if t]
-            faults = [f for f, _ in kept]
-            table = [t for _, t in kept]
-        return DetectionTable(circuit, list(faults), table)
+            signatures.append(sig)
+        return DetectionTable.from_signatures(
+            circuit, faults, signatures,
+            drop_undetectable=drop_undetectable,
+        )
 
     def build_stuck_at(
         self,
@@ -360,11 +341,10 @@ def make_backend(
 ) -> DetectionBackend:
     """Backend factory behind the CLI / env configuration.
 
-    ``samples`` is required for ``sampled``, optional for ``packed``
-    (which is exhaustive without it), and rejected elsewhere, as is
-    ``replacement`` without ``samples``: the CLI, env and service front
-    ends share these checks.  ``exhaustive``, ``sampled`` and ``packed``
-    all build a :class:`TableBackend`.
+    ``samples`` is required for ``sampled`` and rejected elsewhere, as
+    is ``replacement``: the CLI, env and service front ends share these
+    checks.  ``exhaustive`` and ``sampled`` both build a
+    :class:`TableBackend`.
     ``jobs > 1`` wraps the engine in a
     :class:`repro.parallel.ParallelBackend` (sharded build with the
     persistent shard cache); ``jobs=1``/``None`` stays single-process.
@@ -384,7 +364,7 @@ def make_backend(
             f"unknown backend {name!r}; choose from "
             f"{', '.join(BACKEND_NAMES)}"
         )
-    sampling_backends = ("sampled", "packed")
+    sampling_backends = ("sampled",)
     if name not in sampling_backends and samples is not None:
         hint = (
             "; the adaptive backend sizes its own draw — use "
@@ -393,7 +373,7 @@ def make_backend(
             else ""
         )
         raise AnalysisError(
-            f"--samples only applies to --backend sampled or packed "
+            f"--samples only applies to --backend sampled "
             f"(got --backend {name}){hint}"
         )
     if name not in sampling_backends and replacement:
@@ -403,13 +383,8 @@ def make_backend(
             else ""
         )
         raise AnalysisError(
-            f"--replacement only applies to --backend sampled or packed "
+            f"--replacement only applies to --backend sampled "
             f"(got --backend {name}){hint}"
-        )
-    if name == "packed" and samples is None and replacement:
-        raise AnalysisError(
-            "--replacement implies sampling; --backend packed without "
-            "--samples is exhaustive"
         )
     adaptive_flags = {
         "--target-halfwidth": target_halfwidth,
@@ -464,7 +439,6 @@ def make_backend(
             samples=samples,
             seed=seed,
             replacement=replacement,
-            packed=name == "packed",
         )
     exec_obj = executor
     if isinstance(executor, str):

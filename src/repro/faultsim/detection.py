@@ -22,13 +22,17 @@ bit-identical (the differential suite certifies the kernel against the
 cone path), and both work on whatever lane mapping the universe
 declares.
 
-A kernel-built table keeps the kernel's
-:class:`~repro.logic.packed.PackedSignatureMatrix` as ``packed``: it
-drops undetectable rows by compacting that matrix in place, keeps a
-bridging fault list as :class:`~repro.faults.bridging.BridgingFaults`
-arrays, answers ``N(f)`` and the detectable count with popcounts, and
-derives the big-int ``signatures`` only when a consumer first reads
-them.  Cone-path tables hold big-int rows alone.
+Every table stores its rows one way: faults plus a
+:class:`~repro.logic.packed.PackedSignatureMatrix` (``packed``).  The
+kernel hands its words over; the cone path writes each row into a
+preallocated matrix as it computes it; the few producers of big-int
+rows (the sharded merge, the serial oracle, cell-aware tables) pack
+them once through :meth:`DetectionTable.from_signatures`.
+Undetectable rows are dropped by compacting the words in place, a
+bridging fault list stays :class:`~repro.faults.bridging.BridgingFaults`
+arrays, ``N(f)`` and the test-set queries are popcounts, and the
+big-int ``signatures`` are derived only when a consumer first reads
+them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,13 @@ from repro.faults.bridging import (
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.sampling import CountEstimate, VectorUniverse
 from repro.logic.bitops import all_ones_mask, set_bits
-from repro.logic.packed import _np, PackedSignatureMatrix, pack_signature
+from repro.logic.packed import (
+    _np,
+    PackedSignatureMatrix,
+    pack_signature,
+    popcount_words,
+    words_for,
+)
 from repro.simulation.exhaustive import (
     detection_signature,
     line_signatures,
@@ -141,17 +151,19 @@ def bridging_detection_signature(
     return detection_signature(circuit, base_signatures, changed)
 
 
-def _cone_signatures(
+def _cone_matrix(
     kind: str,
     circuit: Circuit,
     universe: VectorUniverse,
     faults: Sequence[Fault],
     base_signatures: list[int] | None,
-) -> list[int]:
-    """Detection signatures by per-fault cone re-simulation.
+) -> PackedSignatureMatrix:
+    """Detection rows by per-fault cone re-simulation.
 
     The wide-universe engine of :meth:`DetectionTable._build`; each
-    fault site's cone order is computed once and shared by its faults.
+    fault site's cone order is computed once and shared by its faults,
+    and each row is packed into a preallocated matrix as soon as it is
+    computed, so no list of big-int rows is ever held.
     """
     # `is None`, not truthiness: an explicit (if degenerate) empty
     # signature list must not silently trigger a recompute.
@@ -162,18 +174,20 @@ def _cone_signatures(
         detect, site_of = stuck_at_detection_signature, attrgetter("lid")
     else:
         detect, site_of = bridging_detection_signature, attrgetter("victim")
-    mask = universe.mask
+    mask, size = universe.mask, universe.size
     cones: dict[int, list[int]] = {}
-    signatures = []
-    for fault in faults:
+    words = _np.zeros((len(faults), words_for(size)), dtype=_np.uint64)
+    for index, fault in enumerate(faults):
         site = site_of(fault)
         cone = cones.get(site)
         if cone is None:
             cone = cones[site] = circuit.fanout_cone_order(site)
-        signatures.append(
-            detect(circuit, base_signatures, fault, mask=mask, cone_order=cone)
+        signature = detect(
+            circuit, base_signatures, fault, mask=mask, cone_order=cone
         )
-    return signatures
+        if signature:
+            words[index] = pack_signature(signature, size)
+    return PackedSignatureMatrix(words, size)
 
 
 class DetectionTable:
@@ -187,68 +201,46 @@ class DetectionTable:
         Fault objects, in table order (a
         :class:`~repro.faults.bridging.BridgingFaults` for bridging
         tables built here).
-    signatures:
-        ``signatures[i]`` is ``T(faults[i])`` as a bit-signature over
-        the universe; undetectable faults (if kept) have signature 0.
-        Derived from ``packed`` on first access when the table was
-        built from words alone.
-    universe:
-        Bit-index ↔ vector mapping of the signatures.  ``None`` (the
-        default) means the exhaustive universe of the circuit's input
-        space.
     packed:
-        The same rows as a
-        :class:`~repro.logic.packed.PackedSignatureMatrix`, or ``None``.
-        Kernel-built tables keep the kernel's words here; the popcount
-        queries and the worst-case scan then read the words, never
-        the big-ints.
+        The rows as a :class:`~repro.logic.packed.PackedSignatureMatrix`:
+        row ``i`` is ``T(faults[i])`` over the universe's bits;
+        undetectable faults (if kept) have an all-zero row.  The only
+        store: the popcount queries and the worst-case scan read it.
+    universe:
+        Bit-index ↔ vector mapping of the rows.  ``None`` (the default)
+        means the exhaustive universe of the circuit's input space.
+    signatures:
+        ``signatures[i]`` is row ``i`` as a big-int bit-signature,
+        derived from ``packed`` on first access.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         faults: Sequence[Fault],
-        signatures: list[int] | None = None,
+        packed: PackedSignatureMatrix,
         universe: VectorUniverse | None = None,
-        packed: PackedSignatureMatrix | None = None,
     ) -> None:
-        if signatures is not None:
-            rows = len(signatures)
-        elif packed is not None:
-            rows = len(packed)
-        else:
-            raise FaultError(
-                "a detection table needs signatures or packed rows"
-            )
-        if len(faults) != rows:
-            raise FaultError("faults and signatures length mismatch")
         if universe is None:
             universe = VectorUniverse(circuit.num_inputs)
         elif universe.num_inputs != circuit.num_inputs:
             raise FaultError(
                 "universe and circuit disagree on the input count"
             )
-        if packed is not None:
-            if len(packed) != rows:
-                raise FaultError(
-                    "packed matrix and signatures length mismatch"
-                )
-            if packed.size != universe.size:
-                raise FaultError(
-                    "packed matrix and universe disagree on the bit size"
-                )
+        if len(faults) != len(packed):
+            raise FaultError("faults and packed rows length mismatch")
+        if packed.size != universe.size:
+            raise FaultError(
+                "packed matrix and universe disagree on the bit size"
+            )
         self.circuit = circuit
         self.faults = faults
         self.universe: VectorUniverse = universe
         self.packed = packed
-        if signatures is not None:
-            # Fills the cached_property: reads are plain attribute reads.
-            self.__dict__["signatures"] = signatures
         self._vector_cache: dict[int, list[int]] = {}
 
     @cached_property
     def signatures(self) -> list[int]:
-        assert self.packed is not None  # __init__ takes one or both
         return self.packed.to_bigints()
 
     def __eq__(self, other: object) -> bool:
@@ -257,14 +249,10 @@ class DetectionTable:
             or other.__class__ is not self.__class__
         ):
             return NotImplemented
-        if self.packed is not None and other.packed is not None:
-            same_rows = self.packed == other.packed
-        else:
-            same_rows = self.signatures == other.signatures
         return (
             self.circuit == other.circuit
             and self.universe == other.universe
-            and same_rows
+            and self.packed == other.packed
             and self.faults == other.faults
         )
 
@@ -277,26 +265,68 @@ class DetectionTable:
         )
 
     def __getstate__(self) -> dict:
-        """Drop the lazily-built caches from the pickle payload.
+        """Drop the derived caches from the pickle payload.
 
-        ``_vector_cache`` memoises :meth:`vectors`,
-        ``_packed_nmin_scan`` the worst-case scan
-        (:func:`repro.core.worst_case._packed_scan_for`), and
-        ``signatures`` the big-int rows when ``packed`` holds them
-        too.  Shipping them across the executor boundary bloats shard
-        payloads and makes pickles of one table depend on which
-        queries ran on it; each is rebuilt on first use.
+        ``_vector_cache`` memoises :meth:`vectors` and ``signatures``
+        the big-int view of ``packed``.  Shipping them across the
+        executor boundary bloats shard payloads and makes pickles of
+        one table depend on which queries ran on it; each is rebuilt
+        on first use.
         """
         state = dict(self.__dict__)
         state["_vector_cache"] = {}
-        state.pop("_packed_nmin_scan", None)
-        if self.packed is not None:
-            state.pop("signatures", None)
+        state.pop("signatures", None)
         return state
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_signatures(
+        cls,
+        circuit: Circuit,
+        faults: Sequence[Fault],
+        signatures: Sequence[int],
+        universe: VectorUniverse | None = None,
+        drop_undetectable: bool = False,
+    ) -> "DetectionTable":
+        """A table from big-int rows, packed once (the list is not kept)."""
+        if universe is None:
+            universe = VectorUniverse(circuit.num_inputs)
+        matrix = PackedSignatureMatrix.from_bigints(signatures, universe.size)
+        return cls.from_rows(
+            circuit, faults, matrix, universe, drop_undetectable
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        circuit: Circuit,
+        faults: Sequence[Fault],
+        matrix: PackedSignatureMatrix,
+        universe: VectorUniverse | None = None,
+        drop_undetectable: bool = False,
+    ) -> "DetectionTable":
+        """A table of ``matrix``'s rows, optionally detectable rows only.
+
+        The one undetectable-row filter: it compacts ``matrix`` in place
+        (so the caller hands over a matrix nothing else reads) and takes
+        the matching faults; a ``BridgingFaults`` list stays arrays.
+        """
+        if drop_undetectable:
+            detected = matrix.words.any(axis=1)
+            if not detected.all():
+                kept = _np.flatnonzero(detected)
+                matrix.compact(kept)
+                faults = (
+                    faults.take(kept)
+                    if isinstance(faults, BridgingFaults)
+                    else [faults[i] for i in kept]
+                )
+        if not isinstance(faults, BridgingFaults):
+            faults = list(faults)
+        return cls(circuit, faults, matrix, universe)
+
     @classmethod
     def for_stuck_at(
         cls,
@@ -357,7 +387,7 @@ class DetectionTable:
 
         The kernel runs when the universe fits in
         :data:`repro.simulation.ppsfp.MAX_WORDS` words per row; wider
-        universes take the cone path (:func:`_cone_signatures`).  The
+        universes take the cone path (:func:`_cone_matrix`).  The
         ``table_build`` span records which one ran as ``engine=ppsfp``
         or ``engine=bigint``.
         """
@@ -374,8 +404,6 @@ class DetectionTable:
             faults=len(faults),
             k=universe.size,
         ) as build_span:
-            matrix: PackedSignatureMatrix | None = None
-            signatures: list[int] | None = None
             if ppsfp.kernel_supports(universe):
                 engine = "ppsfp"
                 build: Callable[..., PackedSignatureMatrix] = (
@@ -386,33 +414,17 @@ class DetectionTable:
                 matrix = build(
                     circuit, universe, faults, base_signatures=base_signatures
                 )
-                detected = matrix.words.any(axis=1)
             else:
                 engine = "bigint"
-                signatures = _cone_signatures(
+                matrix = _cone_matrix(
                     kind, circuit, universe, faults, base_signatures
                 )
-                detected = _np.fromiter(
-                    map(bool, signatures), dtype=bool, count=len(signatures)
-                )
-            kept = None
-            if drop_undetectable and not detected.all():
-                kept = _np.flatnonzero(detected)
-                if matrix is not None:
-                    matrix.compact(kept)
-                elif signatures is not None:
-                    signatures = [signatures[i] for i in kept]
             build_span.set(engine=engine)
-            if isinstance(faults, BridgingFaults):
-                table_faults: Sequence[Fault] = (
-                    faults if kept is None else faults.take(kept)
-                )
-            else:
-                table_faults = (
-                    list(faults) if kept is None else [faults[i] for i in kept]
-                )
+            table = cls.from_rows(
+                circuit, faults, matrix, universe, drop_undetectable
+            )
         _observe_table_build(kind, engine, clock.monotonic() - started)
-        return cls(circuit, table_faults, signatures, universe, matrix)
+        return table
 
     # ------------------------------------------------------------------
     # Queries
@@ -422,13 +434,11 @@ class DetectionTable:
 
     def count(self, index: int) -> int:
         """``N(f)`` — number of vectors detecting fault ``index``."""
-        return self.signatures[index].bit_count()
+        return int(popcount_words(self.packed.words[index]).sum())
 
     def counts(self) -> list[int]:
         """``N(f)`` for every fault."""
-        if self.packed is not None:
-            return self.packed.popcount_rows().tolist()
-        return [sig.bit_count() for sig in self.signatures]
+        return self.packed.popcount_rows().tolist()
 
     def estimated_count(self, index: int) -> float:
         """``|U|``-scale estimate of ``N(f)`` (equals ``count`` when exact).
@@ -472,25 +482,15 @@ class DetectionTable:
 
     def detectable_indices(self) -> list[int]:
         """Indices of faults with at least one detecting vector."""
-        if self.packed is not None:
-            return _np.flatnonzero(self.packed.words.any(axis=1)).tolist()
-        return [i for i, sig in enumerate(self.signatures) if sig]
+        return _np.flatnonzero(self.packed.words.any(axis=1)).tolist()
 
     def num_detectable(self) -> int:
-        if self.packed is not None:
-            return int(_np.count_nonzero(self.packed.words.any(axis=1)))
-        return sum(1 for sig in self.signatures if sig)
+        return int(_np.count_nonzero(self.packed.words.any(axis=1)))
 
     def detected_by(self, test_signature: int) -> list[int]:
         """Indices of faults detected by a test set (bitset over ``U``)."""
-        if self.packed is not None:
-            row = pack_signature(test_signature, self.universe.size)
-            return _np.flatnonzero(self.packed.and_popcount(row)).tolist()
-        return [
-            i
-            for i, sig in enumerate(self.signatures)
-            if sig & test_signature
-        ]
+        row = pack_signature(test_signature, self.universe.size)
+        return _np.flatnonzero(self.packed.and_popcount(row)).tolist()
 
     def coverage(self, test_signature: int) -> float:
         """Fraction of *detectable* faults detected by the test set."""
@@ -501,12 +501,8 @@ class DetectionTable:
 
     def detection_counts(self, test_signature: int) -> list[int]:
         """Detection multiplicity of every fault under a test set."""
-        if self.packed is not None:
-            row = pack_signature(test_signature, self.universe.size)
-            return self.packed.and_popcount(row).tolist()
-        return [
-            (sig & test_signature).bit_count() for sig in self.signatures
-        ]
+        row = pack_signature(test_signature, self.universe.size)
+        return self.packed.and_popcount(row).tolist()
 
     def fault_name(self, index: int) -> str:
         return self.faults[index].name(self.circuit)

@@ -193,7 +193,8 @@ class PackedSignatureMatrix:
                     f"signature has bits beyond the {size}-bit universe"
                 )
             chunks.append(sig.to_bytes(row_bytes, "little"))
-        raw = b"".join(chunks)
+        # A bytearray keeps the words writable (``compact`` needs that).
+        raw = bytearray().join(chunks)
         words = _np.frombuffer(raw, dtype="<u8").astype(
             _np.uint64, copy=False
         )
@@ -201,6 +202,9 @@ class PackedSignatureMatrix:
 
     def to_bigints(self) -> list[int]:
         """Rows back as big-int signatures (inverse of :meth:`from_bigints`)."""
+        if self.words.shape[1] == 1:
+            # One word per row: numpy converts to ints in C.
+            return self.words[:, 0].tolist()
         if not self.words.size:  # memoryview.cast rejects zero-size shapes
             return [0] * len(self)
         row_bytes = self.words.shape[1] * _WORD_BYTES
@@ -256,7 +260,7 @@ class PackedSignatureMatrix:
         chunk is read before any later write can reach it, so no
         full-size second copy is made.  ``words`` becomes a view of the
         first ``len(kept)`` rows of the same buffer, which must be
-        writable (kernel output is; :meth:`from_bigints` output is not).
+        writable (kernel and :meth:`from_bigints` output are).
         """
         words = self.words
         step = max(1, _CHUNK_WORDS // words.shape[1])

@@ -1,7 +1,7 @@
 """The :class:`ParallelBackend`: sharded table builds on any executor.
 
 Wraps any base :class:`~repro.faultsim.backends.DetectionBackend`
-(exhaustive / sampled / packed / serial) and satisfies the same
+(exhaustive / sampled / serial) and satisfies the same
 protocol, so every consumer — :class:`~repro.faults.universe.FaultUniverse`,
 the experiment caches, the CLI — composes with it unchanged.  A build
 
@@ -14,10 +14,11 @@ the experiment caches, the CLI — composes with it unchanged.  A build
    (this process), pool (a local ``ProcessPoolExecutor``), or tcp (a
    ``repro broker`` pushing shards to ``repro worker`` processes on any
    host),
-4. concatenates the per-shard signature lists in shard order and applies
-   ``drop_undetectable`` once — producing a table *bit-for-bit
-   identical* to the base backend's single-process build (the parallel
-   differential suite enforces this for every base engine × executor).
+4. concatenates the per-shard signature lists in shard order, packs
+   them once and applies ``drop_undetectable`` once — producing a table
+   *bit-for-bit identical* to the base backend's single-process build
+   (the parallel differential suite enforces this for every base
+   engine × executor).
 
 Fault-free line signatures are computed once in the parent and shipped
 to every worker, so the sharded build never repeats the base
@@ -41,7 +42,7 @@ from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.backends import DetectionBackend
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
-from repro.parallel.cache import ShardCache, shard_key
+from repro.parallel.cache import ShardCache, circuit_digest, shard_key
 from repro.parallel.executors import (
     InlineExecutor,
     PoolExecutor,
@@ -245,13 +246,15 @@ class ParallelBackend:
             plan = ShardPlan(self.shards or DEFAULT_NUM_SHARDS)
             slices = plan.split(faults)
             cache = ShardCache(self.cache_dir) if self.use_cache else None
+            # One structural hash per build, shared by every shard key.
+            digest = circuit_digest(circuit) if cache is not None else ""
             results: dict[int, list[int]] = {}
             keys: dict[int, str] = {}
             pending: list[ShardTask] = []
             with tracer.span("cache_lookup", shards=len(slices)):
                 for index, shard_faults in enumerate(slices):
                     if cache is not None:
-                        key = shard_key(circuit, self.base, kind, shard_faults)
+                        key = shard_key(digest, self.base, kind, shard_faults)
                         keys[index] = key
                         cached = cache.get(key)
                         if cached is not None:
@@ -287,29 +290,18 @@ class ParallelBackend:
                     if cache is not None:
                         cache.put(keys[index], shard_signatures)
             with tracer.span("merge", shards=len(slices)):
-                signatures = [
-                    sig
-                    for index in range(len(slices))
-                    for sig in results[index]
-                ]
-                if drop_undetectable:
-                    kept = [
-                        (f, s)
-                        for f, s in zip(faults, signatures, strict=True)
-                        if s
-                    ]
-                    faults = [f for f, _ in kept]
-                    signatures = [s for _, s in kept]
+                table = DetectionTable.from_signatures(
+                    circuit,
+                    faults,
+                    [sig for index in range(len(slices))
+                     for sig in results[index]],
+                    universe,
+                    drop_undetectable,
+                )
         registry.counter(
             "repro_parallel_builds_total",
             help="Sharded table builds, by kind and executor",
             kind=kind,
             executor=executor.name,
         ).inc()
-        if getattr(self.base, "packed", False):
-            from repro.faultsim.packed_table import PackedDetectionTable
-
-            return PackedDetectionTable(
-                circuit, list(faults), signatures, universe
-            )
-        return DetectionTable(circuit, list(faults), signatures, universe)
+        return table

@@ -115,16 +115,20 @@ def _fault_token(fault: object) -> str:
 
 
 def shard_key(
-    circuit: Circuit,
+    digest: str,
     backend: DetectionBackend,
     kind: str,
     faults: Iterable[Fault],
 ) -> str:
-    """Content-addressed key for one shard's signature list."""
+    """Content-addressed key for one shard's signature list.
+
+    ``digest`` is the circuit's :func:`circuit_digest`: callers hash the
+    netlist once per build and share it across that build's shards.
+    """
     material = "|".join(
         (
             f"v{CACHE_FORMAT_VERSION}",
-            circuit_digest(circuit),
+            digest,
             backend_cache_key(backend),
             kind,
             ";".join(_fault_token(f) for f in faults),

@@ -77,7 +77,7 @@ from repro import obs
 from repro.errors import AnalysisError
 from repro.obs.tracer import TRACE_FILE_ENV
 from repro.parallel.backoff import Backoff
-from repro.parallel.cache import ShardCache, shard_key
+from repro.parallel.cache import ShardCache, circuit_digest, shard_key
 from repro.parallel.worker import ShardTask, run_shard
 
 __all__ = [
@@ -1241,10 +1241,16 @@ class TcpExecutor:
         )
         index_of: dict[str, int] = {}
         specs: list[dict[str, Any]] = []
+        # One structural hash per circuit per submit (a build's tasks
+        # share one circuit object).
+        digests: dict[int, str] = {}
         for task in tasks:
-            key = shard_key(
-                task.circuit, task.backend, task.kind, task.faults
-            )
+            digest = digests.get(id(task.circuit))
+            if digest is None:
+                digest = digests[id(task.circuit)] = circuit_digest(
+                    task.circuit
+                )
+            key = shard_key(digest, task.backend, task.kind, task.faults)
             index_of[key] = task.shard_index
             specs.append(
                 {

@@ -2,7 +2,7 @@
 
 A :class:`ShardTask` carries everything a worker process needs to
 rebuild one shard of a detection table — the circuit, the *base* backend
-(exhaustive / sampled / packed / serial, a small frozen dataclass), the
+(exhaustive / sampled / serial, a small frozen dataclass), the
 fault slice, and the precomputed fault-free line signatures when the
 base engine consumes them.  :func:`run_shard` is a module-level function
 (picklable by reference under any multiprocessing start method) that

@@ -156,15 +156,17 @@ class TestExhaustiveDegeneration:
 
 class TestRepresentations:
     def test_packed_table_type(self, circuit):
-        from repro.faultsim.packed_table import PackedDetectionTable
+        from repro.faultsim.detection import DetectionTable
+        from repro.logic.packed import PackedSignatureMatrix
 
         report = AdaptiveSampler(
             circuit, rule=RULE, seed=4, use_cache=False,
         ).run()
-        assert isinstance(report.target_table, PackedDetectionTable)
-        assert report.target_table.packed.to_bigints() == (
-            report.target_table.signatures
-        )
+        for table in (report.target_table, report.untargeted_table):
+            assert type(table) is DetectionTable
+            assert isinstance(table.packed, PackedSignatureMatrix)
+            assert "signatures" not in table.__dict__
+            assert table.packed.to_bigints() == table.signatures
 
 
 class TestStratifiedController:

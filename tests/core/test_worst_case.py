@@ -149,8 +149,9 @@ class TestThresholdQueries:
 
     def test_rejects_undetectable_table(self, analyses):
         u, _wc = analyses["example"]
-        bad = DetectionTable(
-            u.circuit, list(u.untargeted_table.faults), [0] * len(u.untargeted_table)
+        bad = DetectionTable.from_signatures(
+            u.circuit, list(u.untargeted_table.faults),
+            [0] * len(u.untargeted_table),
         )
         with pytest.raises(AnalysisError, match="undetectable"):
             WorstCaseAnalysis(u.target_table, bad)
@@ -181,9 +182,10 @@ class TestExplicitEmptyCounts:
 
 
 def _scalar_records(target, untargeted):
-    """Per-fault ``nmin_for_untargeted_fault`` over a plain big-int copy
-    of ``target``: the definition the array scan must reproduce."""
-    plain = DetectionTable(
+    """Per-fault ``nmin_for_untargeted_fault`` over a copy of ``target``
+    packed from its big-int rows: the definition the array scan must
+    reproduce."""
+    plain = DetectionTable.from_signatures(
         target.circuit, list(target.faults), list(target.signatures),
         target.universe,
     )
@@ -203,15 +205,22 @@ def _scalar_records(target, untargeted):
 def _oracle_tables(name, packed):
     """``(label, target, untargeted)`` cases built from one circuit:
     the full tables, one whose targets leave some ``G`` faults without a
-    guarantee, and one with an empty ``G``."""
-    u = FaultUniverse(get_circuit(name), backend=TableBackend(packed=True))
+    guarantee, and one with an empty ``G``.  ``packed`` takes the rows
+    from the kernel's words; otherwise they are packed from big-ints."""
+    u = FaultUniverse(get_circuit(name), backend=TableBackend())
     target, untargeted = u.target_table, u.untargeted_table
-    table_cls = type(target) if packed else DetectionTable
 
     def table(source, rows):
-        return table_cls(
-            source.circuit, [source.faults[i] for i in rows],
-            [source.signatures[i] for i in rows], source.universe,
+        rows = list(rows)
+        faults = [source.faults[i] for i in rows]
+        if packed:
+            return DetectionTable(
+                source.circuit, faults, source.packed.take(rows),
+                source.universe,
+            )
+        return DetectionTable.from_signatures(
+            source.circuit, faults, [source.signatures[i] for i in rows],
+            source.universe,
         )
 
     all_f, all_g = range(len(target)), range(len(untargeted))
@@ -249,8 +258,10 @@ class TestArrayScanOracle:
     def test_records_and_queries_match_definitions(self, name, packed):
         seen = set()
         for label, target, untargeted in _oracle_tables(name, packed):
-            assert (getattr(target, "packed", None) is not None) == packed
             wc = WorstCaseAnalysis(target, untargeted)
+            # An exact universe is scanned on words alone.
+            assert "signatures" not in target.__dict__, label
+            assert "signatures" not in untargeted.__dict__, label
             expected = _scalar_records(target, untargeted)
             assert wc.records == expected, label
             values = [r.nmin for r in expected]
@@ -343,7 +354,6 @@ class TestObjectFreeAnalyze:
         u = FaultUniverse(get_circuit("bbsse"))
         target, untargeted = u.target_table, u.untargeted_table
         hashed = WorstCaseAnalysis(target, untargeted)
-        target._packed_nmin_scan = None  # rebuild the target dedup too
         monkeypatch.setattr(
             packed, "_row_hashes", lambda w: np.zeros(len(w), np.uint64)
         )

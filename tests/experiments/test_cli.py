@@ -131,32 +131,29 @@ class TestAnalyze:
         assert "256 of 4294967296 vectors" in out
         assert "guaranteed detected at n=10" in out
 
-    def test_packed_matches_exhaustive_summary(self, capsys):
-        assert main(["analyze", "paper_example"]) == 0
-        exhaustive_out = capsys.readouterr().out
-        assert main(["analyze", "paper_example", "--backend", "packed"]) == 0
-        packed_out = capsys.readouterr().out
-        strip = lambda s: [
-            ln for ln in s.splitlines() if "backend" not in ln
-        ]
-        assert strip(exhaustive_out) == strip(packed_out)
+    def test_packed_matches_exhaustive_summary(self, capsys, monkeypatch):
+        """The cone path's packed rows reproduce the kernel's report
+        byte for byte (``MAX_WORDS = 0`` forces the cone path)."""
+        from repro.simulation import ppsfp
 
-    def test_packed_matches_sampled_summary(self, capsys):
-        """Same seed + samples: the packed engine reproduces the
-        sampled analysis line for line."""
-        args = ["--samples", "64", "--seed", "7"]
-        assert main(
-            ["analyze", "wide28", "--backend", "sampled", *args]
-        ) == 0
-        sampled_out = capsys.readouterr().out
-        assert main(
-            ["analyze", "wide28", "--backend", "packed", *args]
-        ) == 0
-        packed_out = capsys.readouterr().out
-        strip = lambda s: [
-            ln for ln in s.splitlines() if "backend" not in ln
-        ]
-        assert strip(sampled_out) == strip(packed_out)
+        assert main(["analyze", "ex2"]) == 0
+        kernel_out = capsys.readouterr().out
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
+        assert main(["analyze", "ex2"]) == 0
+        assert capsys.readouterr().out == kernel_out
+
+    def test_packed_matches_sampled_summary(self, capsys, monkeypatch):
+        """Same seed + samples: the cone path's packed rows reproduce
+        the kernel's sampled analysis byte for byte."""
+        from repro.simulation import ppsfp
+
+        args = ["analyze", "wide28", "--backend", "sampled",
+                "--samples", "64", "--seed", "7"]
+        assert main(args) == 0
+        kernel_out = capsys.readouterr().out
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
+        assert main(args) == 0
+        assert capsys.readouterr().out == kernel_out
 
     def test_escape_with_sampled_backend(self, capsys):
         assert main(
@@ -201,23 +198,21 @@ class TestBackendErrorPaths:
         assert main(["analyze", "lion", "--replacement"]) == 2
         assert "--replacement only applies" in capsys.readouterr().err
 
-    def test_packed_accepts_samples(self, capsys):
-        assert main(
-            ["analyze", "lion", "--backend", "packed", "--samples", "8"]
-        ) == 0
-        assert "8 of 16 vectors" in capsys.readouterr().out
-
     def test_packed_without_samples_beyond_cap(self, capsys):
-        # Exhaustive-packed is capped like the exhaustive engine.
-        assert main(["analyze", "wide28", "--backend", "packed"]) == 2
-        assert "--samples" in capsys.readouterr().err
+        # The retired packed engine is no backend name, with or without
+        # --samples: every table stores packed words, so the parser
+        # rejects it (exit 2).
+        for extra in ([], ["--samples", "8"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", "wide28", "--backend", "packed", *extra])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'packed'" in capsys.readouterr().err
 
     def test_packed_replacement_without_samples(self, capsys):
-        # --replacement implies sampling; exhaustive-packed has none.
-        assert main(
-            ["analyze", "lion", "--backend", "packed", "--replacement"]
-        ) == 2
-        assert "implies sampling" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "lion", "--backend", "packed", "--replacement"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'packed'" in capsys.readouterr().err
 
     def test_exhaustive_beyond_cap(self, capsys):
         # The wide circuits are out of the exhaustive engine's reach.
@@ -390,20 +385,20 @@ class TestJobsAndCache:
         assert main(["partition", "wide28", "--max-inputs", "10"]) == 2
         assert "cannot partition" in capsys.readouterr().err
 
-    def test_partition_wide_packed_tagged_correctly(self, capsys,
-                                                    tmp_path, monkeypatch):
+    def test_partition_wide_sampled_tagged_correctly(self, capsys,
+                                                     tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(
             [
                 "partition", "wide28",
                 "--max-inputs", "10",
-                "--backend", "packed",
+                "--backend", "sampled",
                 "--samples", "32",
                 "--seed", "3",
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "backend=packed" in out  # tag names the engine in use
+        assert "backend=sampled" in out  # tag names the engine in use
 
     def test_partition_jobs_threaded(self, capsys, tmp_path, monkeypatch):
         # --jobs must not be dropped for the default exhaustive backend:

@@ -183,7 +183,7 @@ class TestBackendObjects:
             samples=16, seed=3
         )
         assert set(BACKEND_NAMES) == {
-            "exhaustive", "sampled", "serial", "packed", "adaptive",
+            "exhaustive", "sampled", "serial", "adaptive",
         }
 
     def test_make_backend_errors(self):
@@ -201,7 +201,8 @@ class TestBackendObjects:
             ("serial", {"samples": 100, "replacement": True},
              "--samples only applies"),
             ("serial", {"replacement": True}, "--replacement only applies"),
-            ("packed", {"replacement": True}, "implies sampling"),
+            # The retired numpy-packed engine: every table is packed.
+            ("packed", {"replacement": True}, "unknown backend"),
         ],
     )
     def test_make_backend_rejects_ignored_options(
@@ -216,8 +217,10 @@ class TestBackendObjects:
         for backend in (TableBackend(), SerialBackend()):
             assert "name" not in {f.name for f in fields(backend)}
             assert "name=" not in repr(backend)
+        assert [f.name for f in fields(TableBackend)] == [
+            "samples", "seed", "replacement", "vectors",
+        ]
         assert TableBackend(vectors=(0, 1)).name == "fixed"
-        assert TableBackend(samples=4, packed=True).name == "packed"
         assert TableBackend(samples=4).name == "sampled"
         assert TableBackend().name == "exhaustive"
 

@@ -136,7 +136,7 @@ class TestTableQueries:
 
         faults = collapsed_stuck_at_faults(example_circuit)
         with pytest.raises(FaultError):
-            DetectionTable(example_circuit, faults, [0])
+            DetectionTable.from_signatures(example_circuit, faults, [0])
 
 
 class TestExplicitBaseSignatures:

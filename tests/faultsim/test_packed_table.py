@@ -1,19 +1,29 @@
-"""PackedDetectionTable: a drop-in DetectionTable with vectorized queries."""
+"""Detection tables store packed words: every build path, one representation.
+
+Each table is faults + a :class:`PackedSignatureMatrix` + a universe; the
+big-int ``signatures`` list is a view derived on first read.  The
+queries must agree with their big-int definitions, and every build path
+must leave words (and no derived list) behind.
+"""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 from repro.bench_suite.randlogic import random_circuit
+from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError, FaultError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
+    SerialBackend,
     TableBackend,
     make_backend,
 )
 from repro.faultsim.detection import DetectionTable
-from repro.faultsim.packed_table import PackedDetectionTable
 from repro.logic.packed import PackedSignatureMatrix
+from repro.simulation import ppsfp
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +41,22 @@ def plain_tables(circuit):
 
 @pytest.fixture(scope="module")
 def packed_tables(plain_tables):
-    plain_f, plain_g = plain_tables
-    return (
-        PackedDetectionTable.from_table(plain_f),
-        PackedDetectionTable.from_table(plain_g),
+    """The same rows, packed from the big-int signatures."""
+    return tuple(
+        DetectionTable.from_signatures(
+            table.circuit, table.faults, table.signatures, table.universe
+        )
+        for table in plain_tables
     )
 
 
 class TestQuerySurface:
-    """Every DetectionTable query must agree with the plain table."""
+    """Every query agrees between kernel words and rows packed from
+    big-ints, and with its big-int definition."""
 
     def test_identity_fields(self, plain_tables, packed_tables):
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
+            assert packed == plain
             assert packed.faults == plain.faults
             assert packed.signatures == plain.signatures
             assert packed.universe == plain.universe
@@ -50,24 +64,29 @@ class TestQuerySurface:
 
     def test_counts(self, plain_tables, packed_tables):
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
-            assert packed.counts() == plain.counts()
+            expected = [sig.bit_count() for sig in plain.signatures]
+            assert packed.counts() == plain.counts() == expected
             for i in range(len(plain)):
-                assert packed.count(i) == plain.count(i)
+                assert packed.count(i) == plain.count(i) == expected[i]
 
     def test_detectability(self, plain_tables, packed_tables):
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
+            expected = [i for i, sig in enumerate(plain.signatures) if sig]
             assert packed.num_detectable() == plain.num_detectable()
-            assert packed.detectable_indices() == plain.detectable_indices()
+            assert packed.detectable_indices() == expected
+            assert plain.detectable_indices() == expected
 
     def test_test_set_queries(self, plain_tables, packed_tables):
         test_signature = 0b1011001
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
-            assert packed.detected_by(test_signature) == plain.detected_by(
-                test_signature
-            )
-            assert packed.detection_counts(
-                test_signature
-            ) == plain.detection_counts(test_signature)
+            assert packed.detected_by(test_signature) == [
+                i for i, sig in enumerate(plain.signatures)
+                if sig & test_signature
+            ]
+            assert packed.detection_counts(test_signature) == [
+                (sig & test_signature).bit_count()
+                for sig in plain.signatures
+            ]
             assert packed.coverage(test_signature) == plain.coverage(
                 test_signature
             )
@@ -83,15 +102,12 @@ class TestQuerySurface:
         for packed in packed_tables:
             assert packed.packed.to_bigints() == packed.signatures
 
-    def test_from_table_is_idempotent(self, packed_tables):
-        packed = packed_tables[0]
-        assert PackedDetectionTable.from_table(packed) is packed
-
 
 class TestConstruction:
     def test_for_stuck_at_builds_packed(self, circuit):
-        table = PackedDetectionTable.for_stuck_at(circuit)
+        table = DetectionTable.for_stuck_at(circuit)
         assert isinstance(table.packed, PackedSignatureMatrix)
+        assert "signatures" not in table.__dict__
         assert table.packed.to_bigints() == table.signatures
 
     def test_mismatched_packed_rejected(self, circuit, plain_tables):
@@ -100,98 +116,163 @@ class TestConstruction:
             plain.signatures[:-1], plain.universe.size
         )
         with pytest.raises(FaultError, match="length mismatch"):
-            PackedDetectionTable(
-                circuit, plain.faults, plain.signatures,
-                plain.universe, packed=wrong,
-            )
+            DetectionTable(circuit, plain.faults, wrong, plain.universe)
+        narrow = PackedSignatureMatrix.from_bigints([0] * len(plain), 8)
+        with pytest.raises(FaultError, match="bit size"):
+            DetectionTable(circuit, plain.faults, narrow, plain.universe)
+
+    def test_from_signatures_drops_undetectable_rows(self, plain_tables):
+        plain = plain_tables[1]
+        signatures = [0, *plain.signatures, 0]
+        faults = [plain.faults[0], *plain.faults, plain.faults[0]]
+        table = DetectionTable.from_signatures(
+            plain.circuit, faults, signatures, plain.universe,
+            drop_undetectable=True,
+        )
+        assert table.signatures == plain.signatures
+        assert table.faults == list(plain.faults)
+
+
+def _build_paths():
+    """``(label, build)``: every way ``src/`` builds a table, as a
+    function of the circuit and of pytest's ``monkeypatch``."""
+
+    def kernel(circuit, _mp):
+        return FaultUniverse(circuit)
+
+    def cone(circuit, mp):
+        mp.setattr(ppsfp, "MAX_WORDS", 0)
+        return FaultUniverse(circuit)
+
+    def parallel(circuit, _mp):
+        return FaultUniverse(
+            circuit, backend=make_backend(
+                "exhaustive", jobs=2, executor="inline"
+            ),
+        )
+
+    def adaptive(circuit, _mp):
+        return FaultUniverse(
+            circuit, backend=make_backend("adaptive", max_samples=1 << 16)
+        )
+
+    def serial(circuit, _mp):
+        return FaultUniverse(circuit, backend=SerialBackend())
+
+    return [
+        ("kernel", kernel), ("cone", cone), ("parallel", parallel),
+        ("adaptive", adaptive), ("serial", serial),
+    ]
+
+
+class TestOneRepresentation:
+    """Every build path leaves words, no derived big-ints, and the
+    kernel's table."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _build_paths()],
+        ids=[label for label, _ in _build_paths()],
+    )
+    def test_build_path_keeps_words_only(
+        self, build, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        circuit = random_circuit(5, num_inputs=5, num_gates=12)
+        reference = FaultUniverse(circuit)
+        universe = build(circuit, monkeypatch)
+        for mine, theirs in (
+            (universe.target_table, reference.target_table),
+            (universe.untargeted_table, reference.untargeted_table),
+        ):
+            assert isinstance(mine.packed, PackedSignatureMatrix)
+            assert "signatures" not in mine.__dict__
+            assert mine.packed == theirs.packed
+            assert list(mine.faults) == list(theirs.faults)
+            assert mine.universe == theirs.universe
+
+    def test_cell_aware_table_keeps_words_only(self):
+        from repro.faults.cell_aware import gate_exhaustive_table
+
+        circuit = get_circuit("paper_example")
+        table = gate_exhaustive_table(circuit)
+        assert isinstance(table.packed, PackedSignatureMatrix)
+        assert "signatures" not in table.__dict__
+        assert all(table.signatures)  # undetectable rows dropped
+        kept = gate_exhaustive_table(circuit, drop_undetectable=False)
+        assert [s for s in kept.signatures if s] == table.signatures
 
 
 class TestPackedBackend:
+    """``packed`` is no backend name: every table is packed."""
+
     def test_exhaustive_equivalence(self, circuit):
         exh = FaultUniverse(circuit, backend=TableBackend())
-        pck = FaultUniverse(circuit, backend=TableBackend(packed=True))
-        assert pck.target_table.signatures == exh.target_table.signatures
-        assert pck.untargeted_table.faults == exh.untargeted_table.faults
-        assert pck.target_table.universe == exh.target_table.universe
+        serial = FaultUniverse(circuit, backend=SerialBackend())
+        assert exh.target_table.packed == serial.target_table.packed
+        assert exh.untargeted_table.faults == serial.untargeted_table.faults
+        assert exh.target_table.universe == serial.target_table.universe
 
     def test_sampled_equivalence(self, circuit):
         smp = FaultUniverse(circuit, backend=TableBackend(samples=24, seed=3))
-        pck = FaultUniverse(
-            circuit, backend=TableBackend(samples=24, seed=3, packed=True)
+        fixed = FaultUniverse(
+            circuit,
+            backend=TableBackend(
+                vectors=tuple(smp.target_table.universe.vectors)
+            ),
         )
-        assert pck.target_table.signatures == smp.target_table.signatures
-        assert pck.target_table.universe == smp.target_table.universe
+        assert fixed.target_table.packed == smp.target_table.packed
+        assert fixed.target_table.universe == smp.target_table.universe
 
-    def test_make_backend_packed(self):
-        assert make_backend("packed") == TableBackend(packed=True)
-        assert make_backend(
-            "packed", samples=32, seed=2
-        ) == TableBackend(samples=32, seed=2, packed=True)
+    def test_make_backend_packed(self, monkeypatch):
+        from repro.experiments.common import backend_from_env
+
+        with pytest.raises(AnalysisError, match="unknown backend 'packed'"):
+            make_backend("packed")
+        with pytest.raises(AnalysisError, match="unknown backend 'packed'"):
+            make_backend("packed", samples=32, seed=2)
+        monkeypatch.setenv("REPRO_BACKEND", "packed")
+        with pytest.raises(AnalysisError, match="unknown backend 'packed'"):
+            backend_from_env()
 
     def test_samples_validated(self):
         with pytest.raises(AnalysisError, match="samples"):
-            TableBackend(samples=0, packed=True)
+            TableBackend(samples=0)
 
     def test_exhaustive_cap_without_samples(self):
-        # One cap check, one message, packed or not.
         wide = random_circuit(2, num_inputs=30, num_gates=20)
-        for backend in (TableBackend(packed=True), TableBackend()):
-            with pytest.raises(AnalysisError, match="--samples K"):
-                backend.line_signatures(wide)
+        with pytest.raises(AnalysisError, match="--samples K"):
+            TableBackend().line_signatures(wide)
 
     def test_wide_circuit_with_samples(self):
         wide = random_circuit(3, num_inputs=30, num_gates=24)
-        backend = TableBackend(samples=64, seed=1, packed=True)
+        backend = TableBackend(samples=64, seed=1)
         table = backend.build_stuck_at(wide)
-        assert isinstance(table, PackedDetectionTable)
+        assert isinstance(table.packed, PackedSignatureMatrix)
         assert table.universe.size == 64
 
     def test_hashable_cache_key(self):
-        assert hash(TableBackend(samples=8, seed=1, packed=True)) == hash(
-            TableBackend(samples=8, seed=1, packed=True)
+        assert hash(TableBackend(samples=8, seed=1)) == hash(
+            TableBackend(samples=8, seed=1)
         )
-        assert TableBackend(samples=8, packed=True) != TableBackend(
-            samples=9, packed=True
-        )
+        assert TableBackend(samples=8) != TableBackend(samples=9)
 
     def test_exhaustive_packed_canonicalizes_seed(self):
         """Without samples the universe is exhaustive, so seed and
         replacement must not split the experiment-layer cache key."""
-        packed = TableBackend(packed=True)
-        assert TableBackend(seed=2005, packed=True) == packed
-        assert TableBackend(replacement=True, packed=True) == packed
         assert TableBackend(seed=2005) == TableBackend()
-        assert TableBackend(samples=8, seed=1, packed=True) != TableBackend(
-            samples=8, packed=True
-        )
-
-    def test_repeated_single_fault_queries_reuse_scan(self, circuit):
-        from repro.core.worst_case import nmin_for_untargeted_fault
-
-        u = FaultUniverse(circuit, backend=TableBackend(packed=True))
-        table = PackedDetectionTable.from_table(u.target_table)
-        g_sig = u.untargeted_table.signatures[0]
-        first = nmin_for_untargeted_fault(table, g_sig)
-        scan = table._packed_nmin_scan  # built once, then cached
-        assert nmin_for_untargeted_fault(table, g_sig) == first
-        assert table._packed_nmin_scan is scan
+        assert TableBackend(replacement=True) == TableBackend()
+        assert TableBackend(samples=8, seed=1) != TableBackend(samples=8)
 
 
 class TestPickling:
     def test_nmin_scan_cache_stays_out_of_pickles(self):
-        """The worst-case scan cached on a packed table is not pickled."""
-        import pickle
-
-        from repro.bench_suite.registry import get_circuit
+        """The worst-case scan leaves nothing on the tables it reads."""
         from repro.core.worst_case import WorstCaseAnalysis
 
-        fu = FaultUniverse(
-            get_circuit("ex2"), backend=TableBackend(packed=True)
-        )
+        fu = FaultUniverse(get_circuit("ex2"))
         target, untargeted = fu.target_table, fu.untargeted_table
         before = pickle.dumps(target)
         records = WorstCaseAnalysis(target, untargeted).records
-        assert "_packed_nmin_scan" in target.__dict__
         assert pickle.dumps(target) == before
         restored = pickle.loads(before)
         assert WorstCaseAnalysis(restored, untargeted).records == records
@@ -199,16 +280,16 @@ class TestPickling:
     @pytest.mark.parametrize("packed", [False, True], ids=["plain", "packed"])
     def test_pickle_bytes_ignore_access_history(self, packed):
         """Derived big-ints, built fault elements and vector lists stay
-        out of pickles: the bytes do not depend on which queries ran."""
-        import pickle
-
-        from repro.bench_suite.registry import get_circuit
-
-        fu = FaultUniverse(
-            get_circuit("lion"), backend=TableBackend(packed=packed)
-        )
+        out of pickles: the bytes do not depend on which queries ran.
+        ``packed`` packs the rows from big-ints (as the sharded merge
+        does) instead of keeping the kernel's words."""
+        fu = FaultUniverse(get_circuit("lion"))
         table = fu.untargeted_table
-        assert table.packed is not None  # kernel-built: words kept
+        if packed:
+            table = DetectionTable.from_signatures(
+                table.circuit, table.faults, table.signatures,
+                table.universe,
+            )
         before = pickle.dumps(table)
         signatures = table.signatures
         faults = list(table.faults)
@@ -219,3 +300,22 @@ class TestPickling:
         assert restored.signatures == signatures
         assert list(restored.faults) == faults
         assert restored.vectors(0) == vectors
+
+    def test_merged_table_pickles_words_not_bigints(self, tmp_path):
+        """A sharded merge packs its rows: its pickle carries the words
+        and no big-int signatures, before or after they are read."""
+        from repro.parallel import ParallelBackend
+
+        backend = ParallelBackend(
+            base=TableBackend(), jobs=1, cache_dir=str(tmp_path)
+        )
+        merged = backend.build_bridging(get_circuit("ex2"))
+        before = pickle.dumps(merged)
+        assert merged.signatures  # derive the big-int view
+        assert set(merged.__getstate__()) == {
+            "circuit", "faults", "universe", "packed", "_vector_cache",
+        }
+        assert pickle.dumps(merged) == before
+        restored = pickle.loads(before)
+        assert restored.packed == merged.packed
+        assert "signatures" not in restored.__dict__

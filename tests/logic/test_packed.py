@@ -84,6 +84,30 @@ class TestMatrixConversion:
         with pytest.raises(AnalysisError, match="beyond"):
             PackedSignatureMatrix.from_bigints([1 << 8], 8)
 
+    @pytest.mark.parametrize(
+        "size,sigs",
+        [
+            (64, [1 << 63, (1 << 64) - 1, 0, (1 << 63) | 5]),  # bit 63
+            (37, [(1 << 37) - 1, 1 << 36, 0, 12345]),  # partial word
+            (48, []),  # empty
+            (130, [(1 << 129) | (1 << 63), 1 << 64, 0, (1 << 130) - 1]),
+        ],
+        ids=["bit63", "partial-word", "empty", "multi-word"],
+    )
+    def test_to_bigints_fast_path_roundtrip(self, size, sigs):
+        m = PackedSignatureMatrix.from_bigints(sigs, size)
+        out = m.to_bigints()
+        assert out == sigs
+        assert all(type(sig) is int for sig in out)
+        assert PackedSignatureMatrix.from_bigints(out, size) == m
+
+    @pytest.mark.parametrize("size", [12, 64, 200])
+    def test_from_bigints_is_writable(self, size):
+        # Table builds compact packed big-int rows in place.
+        m = PackedSignatureMatrix.from_bigints([1, 0, 3], size)
+        m.compact(np.array([0, 2]))
+        assert m.to_bigints() == [1, 3]
+
     def test_equality(self):
         a = PackedSignatureMatrix.from_bigints([3, 5], 8)
         b = PackedSignatureMatrix.from_bigints([3, 5], 8)
@@ -156,7 +180,7 @@ class TestCompact:
         sigs = [rng.getrandbits(130) if rng.random() < 0.6 else 0
                 for _ in range(50)]
         m = PackedSignatureMatrix.from_bigints(sigs, 130)
-        m.words = buffer = m.words.copy()  # writable, like kernel output
+        buffer = m.words
         kept = np.flatnonzero([bool(s) for s in sigs])
         m.compact(kept)
         assert m.to_bigints() == [s for s in sigs if s]
@@ -164,7 +188,6 @@ class TestCompact:
 
     def test_keep_nothing_and_everything(self):
         m = PackedSignatureMatrix.from_bigints([1, 2, 3], 8)
-        m.words = m.words.copy()
         m.compact(np.arange(3))
         assert m.to_bigints() == [1, 2, 3]
         m.compact(np.zeros(0, dtype=np.intp))

@@ -35,7 +35,12 @@ from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import SerialBackend, TableBackend
 from repro.obs.tracer import ListTraceWriter
-from repro.parallel import ParallelBackend, ShardTask, shard_key
+from repro.parallel import (
+    ParallelBackend,
+    ShardTask,
+    circuit_digest,
+    shard_key,
+)
 from repro.parallel.netqueue import (
     NET_FORMAT_VERSION,
     BackgroundBroker,
@@ -186,7 +191,7 @@ class TestWorkerEventLines:
         self, tmp_path, caplog
     ):
         bad = poisoned_task()
-        key = shard_key(bad.circuit, bad.backend, bad.kind, bad.faults)
+        key = shard_key(circuit_digest(bad.circuit), bad.backend, bad.kind, bad.faults)
         with BackgroundBroker() as broker:
             worker = TcpWorker(
                 broker=broker.address,
@@ -230,7 +235,7 @@ class TestWorkerEventLines:
         """A worker that holds a build but stops heartbeating is
         scavenged: its lease is reclaimed and the shard requeued."""
         task = poisoned_task()
-        key = shard_key(task.circuit, task.backend, task.kind, task.faults)
+        key = shard_key(circuit_digest(task.circuit), task.backend, task.kind, task.faults)
         with BackgroundBroker(lease_timeout=0.2, steal=False) as broker:
             doomed = socket.create_connection(
                 (broker.host, broker.port), timeout=10.0

@@ -28,7 +28,12 @@ from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import SerialBackend, TableBackend
-from repro.parallel import ParallelBackend, ShardTask, shard_key
+from repro.parallel import (
+    ParallelBackend,
+    ShardTask,
+    circuit_digest,
+    shard_key,
+)
 from repro.parallel.netqueue import (
     BROKER_ENV,
     BROKER_SECRET_ENV,
@@ -127,10 +132,10 @@ class TestFraming:
             assert shipped.shard_index == original.shard_index
             assert shipped.faults == original.faults
             assert shard_key(
-                shipped.circuit, shipped.backend, shipped.kind,
+                circuit_digest(shipped.circuit), shipped.backend, shipped.kind,
                 shipped.faults,
             ) == shard_key(
-                original.circuit, original.backend, original.kind,
+                circuit_digest(original.circuit), original.backend, original.kind,
                 original.faults,
             )
         finally:
@@ -199,7 +204,7 @@ class TestSecurity:
         from repro.parallel.netqueue import _loads
 
         circuit = get_circuit("lion")
-        backend = TableBackend(vectors=(1, 4, 9, 12), packed=True)
+        backend = TableBackend(vectors=(1, 4, 9, 12))
         task = ShardTask(
             circuit=circuit,
             backend=backend,
@@ -215,8 +220,8 @@ class TestSecurity:
         assert loaded.backend.name == "fixed"
         assert loaded.base_signatures == task.base_signatures
         assert shard_key(
-            loaded.circuit, loaded.backend, loaded.kind, loaded.faults
-        ) == shard_key(circuit, backend, task.kind, task.faults)
+            circuit_digest(loaded.circuit), loaded.backend, loaded.kind, loaded.faults
+        ) == shard_key(circuit_digest(circuit), backend, task.kind, task.faults)
 
     def test_retired_backend_class_is_refused(self):
         import pickle
@@ -397,7 +402,7 @@ class TestBrokerRoundtrip:
     def test_worker_cache_hit_reports_skip(self, tmp_path):
         task = make_task()
         key = shard_key(
-            task.circuit, task.backend, task.kind, task.faults
+            circuit_digest(task.circuit), task.backend, task.kind, task.faults
         )
         from repro.parallel import ShardCache
         from repro.parallel.worker import run_shard
@@ -682,7 +687,7 @@ class TestStateHygiene:
         wedge it behind a ghost lease."""
         task = make_task()
         key = shard_key(
-            task.circuit, task.backend, task.kind, task.faults
+            circuit_digest(task.circuit), task.backend, task.kind, task.faults
         )
         with BackgroundBroker(max_builders=1) as broker:
             worker = socket.create_connection(
@@ -794,7 +799,7 @@ class TestStateHygiene:
                     (broker.host, broker.port), timeout=10.0
                 )
                 key = shard_key(
-                    task.circuit, task.backend, task.kind, task.faults
+                    circuit_digest(task.circuit), task.backend, task.kind, task.faults
                 )
                 send_frame(
                     submitter,

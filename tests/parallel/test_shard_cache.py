@@ -8,8 +8,9 @@ import pytest
 
 from repro.bench_suite.registry import get_circuit
 from repro.faults.stuck_at import collapsed_stuck_at_faults
-from repro.faultsim.backends import TableBackend
+from repro.faultsim.backends import SerialBackend, TableBackend
 from repro.parallel import (
+    ParallelBackend,
     ShardCache,
     backend_cache_key,
     cache_stats,
@@ -46,24 +47,61 @@ class TestKeys:
 
     def test_shard_key_sensitivity(self):
         circuit = get_circuit("lion")
+        digest = circuit_digest(circuit)
         faults = collapsed_stuck_at_faults(circuit)
-        base = shard_key(circuit, TableBackend(), "stuck_at", faults[:4])
+        base = shard_key(digest, TableBackend(), "stuck_at", faults[:4])
         assert base == shard_key(
-            circuit, TableBackend(), "stuck_at", faults[:4]
+            digest, TableBackend(), "stuck_at", faults[:4]
         )
         # Any input change re-addresses the entry.
         assert base != shard_key(
-            circuit, TableBackend(), "stuck_at", faults[:5]
+            digest, TableBackend(), "stuck_at", faults[:5]
         )
         assert base != shard_key(
-            circuit, TableBackend(), "bridging", faults[:4]
+            digest, TableBackend(), "bridging", faults[:4]
         )
         assert base != shard_key(
-            circuit, TableBackend(samples=8), "stuck_at", faults[:4]
+            digest, TableBackend(samples=8), "stuck_at", faults[:4]
         )
         assert base != shard_key(
-            get_circuit("train4"), TableBackend(), "stuck_at", faults[:4]
+            circuit_digest(get_circuit("train4")), TableBackend(),
+            "stuck_at", faults[:4],
         )
+
+    def test_shard_key_bytes_are_pinned(self):
+        """Passing the digest in keeps every key's bytes: this one was
+        computed when ``shard_key`` still hashed the circuit itself."""
+        circuit = get_circuit("lion")
+        faults = collapsed_stuck_at_faults(circuit)
+        assert shard_key(
+            circuit_digest(circuit), SerialBackend(), "stuck_at", faults[:4]
+        ) == "44551848d1ef01e2299e12e83aa33522acdbfe87ce83e6976a2649247d0a684f"
+
+    def test_sharded_build_hashes_the_circuit_once(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.parallel.backend as parallel_backend
+        import repro.parallel.cache as cache_module
+
+        calls = []
+        digest = cache_module.circuit_digest
+
+        def counting_digest(circuit):
+            calls.append(circuit.name)
+            return digest(circuit)
+
+        monkeypatch.setattr(cache_module, "circuit_digest", counting_digest)
+        monkeypatch.setattr(
+            parallel_backend, "circuit_digest", counting_digest
+        )
+        backend = ParallelBackend(
+            base=TableBackend(), jobs=1, cache_dir=str(tmp_path)
+        )
+        circuit = get_circuit("lion")
+        for _ in range(2):  # cold (all misses), then warm (all hits)
+            calls.clear()
+            backend.build_bridging(circuit)
+            assert calls == ["lion"]
 
 
 class TestStore:

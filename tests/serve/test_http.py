@@ -70,6 +70,16 @@ class TestPlumbing:
         assert err.value.code == 400
         assert "unknown circuit" in json.loads(err.value.read())["error"]
 
+    def test_retired_packed_backend_is_a_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server, "/analyze", {
+                "circuit": "c17", "backend": "packed", "samples": 16,
+            })
+        assert err.value.code == 400
+        assert "invalid choice: 'packed'" in (
+            json.loads(err.value.read())["error"]
+        )
+
     def test_garbage_request_line_just_closes(self, server):
         host, port = server.host, server.port
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -81,14 +91,14 @@ class TestEndpoints:
     def test_analyze_byte_identical_to_cli(self, server):
         payload = {
             "circuit": "c17",
-            "backend": "packed",
+            "backend": "sampled",
             "samples": 16,
             "seed": 7,
         }
         status, body = post(server, "/analyze", payload)
         assert status == 200
         assert body.decode() == cli_output(
-            ["analyze", "c17", "--backend", "packed", "--samples", "16",
+            ["analyze", "c17", "--backend", "sampled", "--samples", "16",
              "--seed", "7"]
         )
 

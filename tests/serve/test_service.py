@@ -50,13 +50,13 @@ class TestByteIdentity:
         service = AnalysisService()
         payload = {
             "circuit": "c17",
-            "backend": "packed",
+            "backend": "sampled",
             "samples": 16,
             "seed": 7,
         }
         report = asyncio.run(service.analyze(payload))
         assert report == cli_output(
-            ["analyze", "c17", "--backend", "packed", "--samples", "16",
+            ["analyze", "c17", "--backend", "sampled", "--samples", "16",
              "--seed", "7"]
         )
 
@@ -150,7 +150,7 @@ class TestSingleFlight:
         builds = CountingBuilds(service, gate=gate)
         payload = {
             "circuit": "c17",
-            "backend": "packed",
+            "backend": "sampled",
             "samples": 16,
             "seed": 7,
         }
@@ -168,7 +168,7 @@ class TestSingleFlight:
 
         reports = asyncio.run(main())
         expected = cli_output(
-            ["analyze", "c17", "--backend", "packed", "--samples", "16",
+            ["analyze", "c17", "--backend", "sampled", "--samples", "16",
              "--seed", "7"]
         )
         assert builds.calls == 1

@@ -45,6 +45,7 @@ from repro.faultsim.backends import (
     SerialBackend,
     TableBackend,
 )
+from repro.faultsim.detection import DetectionTable
 from repro.parallel import ParallelBackend
 
 #: Representative tier-1 subset; REPRO_DIFF_SUITE=full sweeps them all.
@@ -155,12 +156,24 @@ class TestParallelDifferential:
             circuit, TableBackend(samples=24, seed=seed)
         )
 
-    def test_packed_base_random(self):
-        circuit = random_circuit(25, num_inputs=6, num_gates=14)
-        self._assert_equivalent(circuit, TableBackend(packed=True))
-        self._assert_equivalent(
-            circuit, TableBackend(samples=24, seed=9, packed=True)
+    def test_packed_base_random(self, monkeypatch):
+        """Cone-path shards: the merge packs their big-int rows once and
+        must equal the single-process cone build's preallocated words.
+        Inline, so the patched width cap reaches every shard."""
+        from repro.parallel import InlineExecutor
+        from repro.simulation import ppsfp
+
+        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
+        monkeypatch.setattr(
+            self, "_parallel",
+            lambda base: ParallelBackend(
+                base=base, jobs=2, use_cache=False,
+                executor=InlineExecutor(),
+            ),
         )
+        circuit = random_circuit(25, num_inputs=6, num_gates=14)
+        self._assert_equivalent(circuit, TableBackend())
+        self._assert_equivalent(circuit, TableBackend(samples=24, seed=9))
 
     def test_serial_base_random(self):
         circuit = random_circuit(26, num_inputs=5, num_gates=12)
@@ -266,10 +279,11 @@ class TestTcpExecutorDifferential:
         )
 
     def test_packed_base(self, broker, tmp_path):
+        """The adaptive rounds' explicit-vector engine, over tcp."""
         circuit = random_circuit(53, num_inputs=6, num_gates=14)
         self._assert_equivalent(
             circuit,
-            TableBackend(samples=24, seed=9, packed=True),
+            TableBackend(vectors=(0, 3, 9, 17, 30, 42, 51, 63)),
             broker,
             tmp_path,
         )
@@ -451,9 +465,7 @@ class TestAdaptiveDifferential:
         report = self._run(circuit, seed=2, stratify=stratify)
         assert len(report.rounds) > 1
         assert report.universe.size < 1 << circuit.num_inputs
-        one_shot = TableBackend(
-            vectors=tuple(report.universe.vectors), packed=True
-        )
+        one_shot = TableBackend(vectors=tuple(report.universe.vectors))
         target = one_shot.build_stuck_at(circuit)
         untargeted = one_shot.build_bridging(
             circuit, drop_undetectable=False
@@ -495,7 +507,7 @@ def _dropped(report):
     kept = [
         (f, s) for f, s in zip(table.faults, table.signatures, strict=True) if s
     ]
-    return type(table)(
+    return DetectionTable.from_signatures(
         table.circuit,
         [f for f, _ in kept],
         [s for _, s in kept],
