@@ -96,9 +96,9 @@ def _fleet_build(circuit, base, *, steal: bool) -> dict:
 
         t0 = time.perf_counter()
         universe = FaultUniverse(circuit, backend=backend)
-        signatures = (
-            universe.target_table.signatures,
-            universe.untargeted_table.signatures,
+        packed = (
+            universe.target_table.packed,
+            universe.untargeted_table.packed,
         )
         makespan = time.perf_counter() - t0
         counters = broker.stats()["counters"]
@@ -109,7 +109,7 @@ def _fleet_build(circuit, base, *, steal: bool) -> dict:
     return {
         "steal": steal,
         "makespan_s": makespan,
-        "signatures": signatures,
+        "packed": packed,
         "counters": counters,
         "workers": fleet_stats,
     }
@@ -124,18 +124,18 @@ def test_steal_rescues_straggler(record_speedup):
     base = TableBackend()
     inline = FaultUniverse(circuit, backend=base)
     expected = (
-        inline.target_table.signatures,
-        inline.untargeted_table.signatures,
+        inline.target_table.packed,
+        inline.untargeted_table.packed,
     )
 
     off = _fleet_build(circuit, base, steal=False)
     on = _fleet_build(circuit, base, steal=True)
 
     # Correctness first: stealing duplicates work, it never forks it.
-    assert off["signatures"] == expected, (
+    assert off["packed"] == expected, (
         "steal=off fleet build diverged from the inline build"
     )
-    assert on["signatures"] == expected, (
+    assert on["packed"] == expected, (
         "steal=on fleet build diverged from the inline build"
     )
     assert off["counters"]["steals"] == 0
@@ -179,7 +179,7 @@ def test_steal_rescues_straggler(record_speedup):
         },
         "straggler": entry,
         "runs": [
-            {k: v for k, v in run.items() if k != "signatures"}
+            {k: v for k, v in run.items() if k != "packed"}
             for run in (off, on)
         ],
     }

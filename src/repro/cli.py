@@ -847,6 +847,28 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         )
 
 
+def execution_label(backend: Any) -> tuple[int | None, str | None]:
+    """``(jobs, executor)`` that :func:`analyze_report` renders into its
+    ``backend=`` label (``None`` when absent); the analysis service keys
+    its hot tier on it, so each entry stays byte-identical to its CLI run.
+    """
+    from repro.adaptive import AdaptiveBackend
+    from repro.parallel import ParallelBackend
+
+    if isinstance(backend, ParallelBackend):
+        resolved = backend.resolved_executor
+        return (
+            resolved.jobs if getattr(resolved, "jobs", 1) > 1 else None,
+            resolved.name if backend.executor is not None else None,
+        )
+    if isinstance(backend, AdaptiveBackend):
+        return (
+            backend.jobs if backend.jobs > 1 else None,
+            backend.executor.name if backend.executor is not None else None,
+        )
+    return (None, None)
+
+
 def analyze_report(
     universe: Any,
     worst: Any,
@@ -865,22 +887,15 @@ def analyze_report(
     cached pairs, so service responses stay byte-identical to the CLI.
     """
     from repro.adaptive import AdaptiveBackend
-    from repro.parallel import ParallelBackend
 
     circuit = universe.circuit
     backend = universe.backend
     label = backend_name
-    if isinstance(backend, ParallelBackend):
-        resolved = backend.resolved_executor
-        if getattr(resolved, "jobs", 1) > 1:
-            label += f" jobs={resolved.jobs}"
-        if backend.executor is not None:
-            label += f" executor={resolved.name}"
-    elif isinstance(backend, AdaptiveBackend):
-        if backend.jobs > 1:
-            label += f" jobs={backend.jobs}"
-        if backend.executor is not None:
-            label += f" executor={backend.executor.name}"
+    jobs, executor = execution_label(backend)
+    if jobs is not None:
+        label += f" jobs={jobs}"
+    if executor is not None:
+        label += f" executor={executor}"
     vu = worst.universe
     lines = [
         f"Worst-case analysis of {circuit_name} (backend={label})",

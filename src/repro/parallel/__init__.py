@@ -10,11 +10,13 @@ turns that observation into a subsystem:
 ``worker``
     :class:`ShardTask` / :func:`run_shard` — the picklable unit of work
     executed in worker processes, delegating to the base backend's own
-    build path.
+    build path and returning the shard's rows as raw little-endian
+    ``uint64`` word bytes (the one shard payload).
 ``cache``
-    :class:`ShardCache` — persistent on-disk shard results, content-
-    addressed by circuit structure × backend configuration × fault
-    slice, written atomically.
+    :class:`ShardCache` — persistent on-disk shard payloads (a small
+    header plus the word bytes, never a pickle), content-addressed by
+    circuit structure × backend configuration × fault slice, written
+    atomically.
 ``executors``
     :class:`ShardExecutor` protocol and its three substrates —
     :class:`InlineExecutor` (in-process), :class:`PoolExecutor` (local
@@ -38,8 +40,9 @@ turns that observation into a subsystem:
 ``backend``
     :class:`ParallelBackend` — a
     :class:`~repro.faultsim.backends.DetectionBackend` wrapping any base
-    engine; merges per-shard results into a table bit-for-bit identical
-    to the single-process build, whichever executor ran the shards.
+    engine; the one decoder of shard payloads, it merges them into a
+    table bit-for-bit identical to the single-process build, whichever
+    executor ran the shards.
 
 Entry points: ``--jobs N`` / ``--executor {inline,pool,tcp}`` on the
 CLI, ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` / ``REPRO_BROKER`` in the

@@ -14,10 +14,10 @@ the experiment caches, the CLI — composes with it unchanged.  A build
    (this process), pool (a local ``ProcessPoolExecutor``), or tcp (a
    ``repro broker`` pushing shards to ``repro worker`` processes on any
    host),
-4. concatenates the per-shard signature lists in shard order, packs
-   them once and applies ``drop_undetectable`` once — producing a table
-   *bit-for-bit identical* to the base backend's single-process build
-   (the parallel differential suite enforces this for every base
+4. joins the per-shard word bytes in shard order — the one place that
+   decodes them — and applies ``drop_undetectable`` once, producing a
+   table *bit-for-bit identical* to the base backend's single-process
+   build (the parallel differential suite enforces this for every base
    engine × executor).
 
 Fault-free line signatures are computed once in the parent and shipped
@@ -34,6 +34,8 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -42,6 +44,7 @@ from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.backends import DetectionBackend
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
+from repro.logic.packed import WORD_BITS, PackedSignatureMatrix, words_for
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
 from repro.parallel.executors import (
     InlineExecutor,
@@ -105,6 +108,19 @@ def maybe_parallel(
         use_cache=use_cache,
         executor=executor,
     )
+
+
+def _decode_rows(raw: bytearray, size: int) -> PackedSignatureMatrix:
+    """Whole rows of little-endian words as a ``size``-bit matrix; a bit
+    at a position ``>= size`` is refused, as ``from_bigints`` does."""
+    num_words = words_for(size)
+    words = _np.frombuffer(raw, dtype="<u8").reshape(-1, num_words)
+    used = size - (num_words - 1) * WORD_BITS
+    if used < WORD_BITS and (words[:, -1] >> _np.uint64(used)).any():
+        raise AnalysisError(
+            f"shard payload has bits beyond the {size}-bit universe"
+        )
+    return PackedSignatureMatrix(words, size)
 
 
 @dataclass(frozen=True)
@@ -248,7 +264,9 @@ class ParallelBackend:
             cache = ShardCache(self.cache_dir) if self.use_cache else None
             # One structural hash per build, shared by every shard key.
             digest = circuit_digest(circuit) if cache is not None else ""
-            results: dict[int, list[int]] = {}
+            row_bytes = words_for(universe.size) * (WORD_BITS // 8)
+            expected = [len(shard) * row_bytes for shard in slices]
+            results: dict[int, bytes] = {}
             keys: dict[int, str] = {}
             pending: list[ShardTask] = []
             with tracer.span("cache_lookup", shards=len(slices)):
@@ -257,7 +275,11 @@ class ParallelBackend:
                         key = shard_key(digest, self.base, kind, shard_faults)
                         keys[index] = key
                         cached = cache.get(key)
-                        if cached is not None:
+                        # A wrong-length entry is a miss; put overwrites it.
+                        if (
+                            cached is not None
+                            and len(cached) == expected[index]
+                        ):
                             results[index] = cached
                             continue
                     pending.append(
@@ -285,16 +307,25 @@ class ParallelBackend:
                 # Executors may complete out of order (the tcp executor
                 # collects results as workers finish); reassembly goes by
                 # the shard index each outcome carries.
-                for index, shard_signatures in executor.submit(pending):
-                    results[index] = shard_signatures
+                for index, words in executor.submit(pending):
+                    if len(words) != expected[index]:
+                        raise AnalysisError(
+                            f"shard {index} returned {len(words)} bytes, "
+                            f"not {expected[index]}"
+                        )
+                    results[index] = words
                     if cache is not None:
-                        cache.put(keys[index], shard_signatures)
+                        cache.put(keys[index], words)
             with tracer.span("merge", shards=len(slices)):
-                table = DetectionTable.from_signatures(
+                # A bytearray keeps the words writable: ``from_rows``
+                # compacts the matrix in place.
+                joined = bytearray().join(
+                    results[index] for index in range(len(slices))
+                )
+                table = DetectionTable.from_rows(
                     circuit,
                     faults,
-                    [sig for index in range(len(slices))
-                     for sig in results[index]],
+                    _decode_rows(joined, universe.size),
                     universe,
                     drop_undetectable,
                 )

@@ -1,6 +1,6 @@
 """Persistent, content-addressed shard cache.
 
-A shard's detection signatures are a pure function of three things: the
+A shard's detection rows are a pure function of three things: the
 circuit's structure, the backend configuration (which fixes the vector
 universe — engine, ``K``, seed, replacement), and the fault slice.  The
 cache keys on a digest of exactly those inputs, so
@@ -13,6 +13,9 @@ cache keys on a digest of exactly those inputs, so
 * any change to the circuit, the backend parameters, or the fault slice
   changes the key — stale results are unreachable, never returned.
 
+An entry is a 16-byte header (magic, format version) and then the
+payload, opaque ``bytes`` here.  Nothing is unpickled: a file without
+the current header (a format-v1 pickle, junk) is a miss.
 Entries are written atomically (temp file + ``os.replace`` in the same
 directory), so a crashed or concurrent writer can never leave a
 partially-written entry behind; a corrupt or unreadable entry is treated
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -40,7 +42,12 @@ if TYPE_CHECKING:
 
 #: Bumped whenever the cached payload layout or the key material changes;
 #: part of every key, so old entries simply stop being addressed.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+
+#: Entry prefix: magic, then the format version as a little-endian
+#: ``uint64`` — 16 bytes, so the payload words start 8-byte aligned.
+_MAGIC = b"RPSHARD\0"
+_HEADER = _MAGIC + CACHE_FORMAT_VERSION.to_bytes(8, "little")
 
 #: Process-wide counters, aggregated over every :class:`ShardCache`
 #: instance (one is created per table build, so per-instance counters
@@ -120,7 +127,7 @@ def shard_key(
     kind: str,
     faults: Iterable[Fault],
 ) -> str:
-    """Content-addressed key for one shard's signature list.
+    """Content-addressed key for one shard's payload.
 
     ``digest`` is the circuit's :func:`circuit_digest`: callers hash the
     netlist once per build and share it across that build's shards.
@@ -141,7 +148,7 @@ def shard_key(
 # The on-disk store
 # ----------------------------------------------------------------------
 class ShardCache:
-    """Directory of pickled shard results, addressed by :func:`shard_key`.
+    """Directory of shard payloads, addressed by :func:`shard_key`.
 
     Instance counters (``hits`` / ``misses`` / ``stores``) track one
     build; the module-level :func:`cache_stats` aggregates across
@@ -155,65 +162,58 @@ class ShardCache:
         self.stores = 0
 
     def _path(self, key: str) -> Path:
+        # The format-v1 suffix, kept so one glob lists (and ``clear``
+        # removes) entries of every format.
         return self.root / f"{key}.pkl"
 
-    def _load(self, key: str) -> list[int] | None:
+    def _load(self, key: str) -> bytes | None:
         """Read one entry without touching the hit/miss counters."""
         try:
             with open(self._path(key), "rb") as fh:
-                payload = pickle.load(fh)
-            signatures = payload["signatures"]
-            if payload["version"] != CACHE_FORMAT_VERSION or not isinstance(
-                signatures, list
-            ):
-                raise ValueError("unexpected payload layout")
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                KeyError, TypeError, AttributeError, ImportError,
-                IndexError, MemoryError):
+                if fh.read(len(_HEADER)) != _HEADER:
+                    return None
+                return fh.read()
+        except OSError:
             return None
-        return signatures
 
-    def get(self, key: str) -> list[int] | None:
-        """Cached signature list, or ``None`` on miss/corruption."""
-        signatures = self._load(key)
-        if signatures is None:
+    def get(self, key: str) -> bytes | None:
+        """Cached shard payload, or ``None`` on miss/corruption."""
+        payload = self._load(key)
+        if payload is None:
             self.misses += 1
             _GLOBAL_STATS["misses"] += 1
             return None
         self.hits += 1
         _GLOBAL_STATS["hits"] += 1
-        return signatures
+        return payload
 
-    def put(self, key: str, signatures: list[int]) -> None:
-        """Atomically persist one shard's signatures (best effort).
+    def put(self, key: str, payload: bytes) -> None:
+        """Atomically persist one shard's payload (best effort).
 
         Concurrent multi-writer safe: every writer dumps to its own
         unique temp name (``mkstemp``) and publishes with ``os.replace``
         — racing writers of the same key each install a complete,
-        identical payload, never a torn one.  A writer that finds a
-        *readable* entry already present lost such a race (the content
-        is content-addressed, so the existing bytes *are* its bytes)
-        and treats the entry as a hit instead of rewriting it; an
-        unreadable entry (torn by a crashed host, stale format) is
+        identical payload, never a torn one.  A writer that finds the
+        same payload already present lost such a race (the content is
+        content-addressed, so the existing bytes *are* its bytes) and
+        treats the entry as a hit instead of rewriting it; any other
+        entry (torn by a crashed host, stale format, wrong length) is
         overwritten — ``put`` is the cache's only self-heal path, and
         skipping on bare existence would wedge the key forever.  A
         read-only or full filesystem never fails the build — the cache
         silently degrades to a no-op.
         """
-        if self._load(key) is not None:
+        if self._load(key) == payload:
             self.hits += 1
             _GLOBAL_STATS["hits"] += 1
             return
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "signatures": list(signatures),
-        }
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    fh.write(_HEADER)
+                    fh.write(payload)
                 os.replace(tmp, self._path(key))
             except BaseException:  # noqa: BLE001 - temp-file cleanup, re-raised
                 try:
@@ -233,51 +233,25 @@ class ShardCache:
             return []
         return sorted(self.root.glob("*.pkl"))
 
-    @staticmethod
-    def _entry_version(path: Path) -> int:
-        """Version field of one entry, read from the pickle *prefix*.
-
-        ``put`` serializes ``{"version": ..., "signatures": ...}`` with
-        the version first, so the version integer appears within the
-        first few opcodes of the stream.  Walking opcodes lazily with
-        :mod:`pickletools` and stopping there keeps ``versions()`` at
-        O(entries), not O(total cache bytes) — the signature payloads
-        (the overwhelming bulk of a real cache) are never parsed.
-        """
-        import pickletools
-
-        bookkeeping = {"FRAME", "MEMOIZE", "BINPUT", "LONG_BINPUT",
-                       "PUT", "PROTO", "EMPTY_DICT", "MARK"}
-        int_ops = {"BININT", "BININT1", "BININT2", "INT", "LONG",
-                   "LONG1", "LONG4"}
-        with open(path, "rb") as fh:
-            saw_key = False
-            for opcode, arg, _pos in pickletools.genops(fh):
-                name = opcode.name
-                if name in bookkeeping:
-                    continue
-                if saw_key:
-                    if name in int_ops:
-                        return int(arg)
-                    break
-                saw_key = arg == "version" and "UNICODE" in name
-        raise ValueError(f"no version field in {path.name}")
-
     def versions(self) -> dict[str, int]:
         """Entry count per payload format version (``repro cache info``).
 
-        Unreadable or pre-versioning entries are tallied under
-        ``"corrupt"`` — an entry whose version cannot even be parsed is
-        one :meth:`get` would treat as a miss, so the report shows how
-        much of the cache is actually servable at the current format.
+        Reads only each entry's header.  Entries without one — format-v1
+        pickles, torn or unreadable files — are tallied under
+        ``"stale"``: :meth:`get` treats every one of them as a miss, so
+        the report shows how much of the cache is actually servable.
         """
         counts: dict[str, int] = {}
         for path in self.entries():
             try:
-                label = f"v{self._entry_version(path)}"
-            except (OSError, ValueError, EOFError, IndexError,
-                    NotImplementedError):
-                label = "corrupt"
+                with open(path, "rb") as fh:
+                    header = fh.read(len(_HEADER))
+            except OSError:
+                header = b""
+            if len(header) == len(_HEADER) and header.startswith(_MAGIC):
+                label = f"v{int.from_bytes(header[len(_MAGIC):], 'little')}"
+            else:
+                label = "stale"
             counts[label] = counts.get(label, 0) + 1
         return dict(sorted(counts.items()))
 

@@ -23,11 +23,13 @@ the pending shard tasks execute on.  Three implementations:
     :mod:`repro.parallel.netqueue`; the factory imports it lazily.
 
 All three satisfy ``submit(tasks) -> iterable of (shard_index,
-signatures)`` and are small frozen dataclasses (hashable, picklable),
-so backends that embed them stay valid cache keys.  Because every
-executor runs the same :func:`~repro.parallel.worker.run_shard` code on
-the same deterministic shard cut, the merged table is identical no
-matter which substrate built it — the differential suite enforces this.
+words)`` — ``words`` being :func:`~repro.parallel.worker.run_shard`'s
+opaque payload ``bytes`` — and are small frozen dataclasses (hashable,
+picklable), so backends that embed them stay valid cache keys.
+Because every executor runs the same
+:func:`~repro.parallel.worker.run_shard` code on the same deterministic
+shard cut, the merged table is identical no matter which substrate
+built it — the differential suite enforces this.
 """
 
 from __future__ import annotations
@@ -54,10 +56,8 @@ class ShardExecutor(Protocol):
 
     name: str
 
-    def submit(
-        self, tasks: list[ShardTask]
-    ) -> Iterable[tuple[int, list[int]]]:
-        """Execute every task; yield ``(shard_index, signatures)``."""
+    def submit(self, tasks: list[ShardTask]) -> Iterable[tuple[int, bytes]]:
+        """Execute every task; yield ``(shard_index, words)``."""
 
     def describe(self) -> str:
         """Short human-readable form for CLI labels."""
@@ -69,9 +69,7 @@ class InlineExecutor:
 
     name: str = "inline"
 
-    def submit(
-        self, tasks: list[ShardTask]
-    ) -> list[tuple[int, list[int]]]:
+    def submit(self, tasks: list[ShardTask]) -> list[tuple[int, bytes]]:
         return [run_shard(task) for task in tasks]
 
     def describe(self) -> str:
@@ -89,9 +87,7 @@ class PoolExecutor:
         if self.jobs < 1:
             raise AnalysisError(f"jobs must be >= 1, got {self.jobs}")
 
-    def submit(
-        self, tasks: list[ShardTask]
-    ) -> list[tuple[int, list[int]]]:
+    def submit(self, tasks: list[ShardTask]) -> list[tuple[int, bytes]]:
         # One worker or one task: pooling buys nothing, pickling costs.
         if self.jobs == 1 or len(tasks) <= 1:
             return [run_shard(task) for task in tasks]

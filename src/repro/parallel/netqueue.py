@@ -125,7 +125,7 @@ CRASH_ENV = "REPRO_QUEUE_CRASH_AFTER_CLAIM"
 
 #: Bumped whenever the wire format changes; mismatched peers are
 #: rejected with a clean error instead of being mis-deserialized.
-NET_FORMAT_VERSION = 1
+NET_FORMAT_VERSION = 2
 
 #: Frame-size backstop (a shard task is a circuit plus a fault slice —
 #: kilobytes, not gigabytes).
@@ -423,8 +423,8 @@ class Broker:
         self._builders: dict[str, dict[str, float]] = {}
         #: key -> submitter writers waiting for its result.
         self._waiters: dict[str, list[asyncio.StreamWriter]] = {}
-        #: Finished signatures, bounded LRU.
-        self._results: OrderedDict[str, list[int]] = OrderedDict()
+        #: Finished shard payloads, bounded LRU.
+        self._results: OrderedDict[str, bytes] = OrderedDict()
         #: Terminally failed keys -> error text.
         self._failures: dict[str, str] = {}
         self._workers: dict[str, _WorkerConn] = {}
@@ -567,9 +567,9 @@ class Broker:
             stolen = conn.stolen
             conn.current = None
             conn.stolen = False
-        signatures = message.get("signatures")
-        if key in self._specs and isinstance(signatures, list):
-            self._resolve(key, list(signatures), worker_id or "?", stolen)
+        words = message.get("words")
+        if key in self._specs and isinstance(words, bytes):
+            self._resolve(key, words, worker_id or "?", stolen)
         else:
             # A late duplicate (the shard was resolved by a faster
             # builder, or cleared) or a malformed report: the first
@@ -592,8 +592,7 @@ class Broker:
                             # flight: charge the attempt and requeue.
                             self._attempt_failed(
                                 key,
-                                "malformed done frame (signatures "
-                                "not a list)",
+                                "malformed done frame (words not bytes)",
                             )
         self._pump()
 
@@ -688,7 +687,7 @@ class Broker:
                     {
                         "op": "result",
                         "key": key,
-                        "signatures": cached,
+                        "words": cached,
                         "worker": None,
                         "stolen": False,
                     },
@@ -733,12 +732,12 @@ class Broker:
 
     # -- state transitions ---------------------------------------------
     def _resolve(
-        self, key: str, signatures: list[int], worker: str, stolen: bool
+        self, key: str, words: bytes, worker: str, stolen: bool
     ) -> None:
         self._specs.pop(key, None)
         self._pending.pop(key, None)
         self._builders.pop(key, None)
-        self._results[key] = signatures
+        self._results[key] = words
         while len(self._results) > self.result_cap:
             self._results.popitem(last=False)
         self.counters["completed"] += 1
@@ -754,7 +753,7 @@ class Broker:
                 {
                     "op": "result",
                     "key": key,
-                    "signatures": signatures,
+                    "words": words,
                     "worker": worker,
                     "stolen": stolen,
                 },
@@ -1224,9 +1223,7 @@ class TcpExecutor:
         return "tcp"
 
     # -- the submit/block loop -----------------------------------------
-    def submit(
-        self, tasks: list[ShardTask]
-    ) -> list[tuple[int, list[int]]]:
+    def submit(self, tasks: list[ShardTask]) -> list[tuple[int, bytes]]:
         address = self.resolved_address()
         label = f"{address[0]}:{address[1]}"
         trace_file = (
@@ -1280,8 +1277,8 @@ class TcpExecutor:
         specs: list[dict[str, Any]],
         index_of: dict[str, int],
         stall_limit: float,
-    ) -> list[tuple[int, list[int]]]:
-        outcomes: list[tuple[int, list[int]]] = []
+    ) -> list[tuple[int, bytes]]:
+        outcomes: list[tuple[int, bytes]] = []
         outstanding = set(index_of)
         backoff = Backoff(0.05, cap=2.0)
         last_progress = time.monotonic()
@@ -1344,13 +1341,13 @@ class TcpExecutor:
                 if op == "result":
                     key = str(message.get("key") or "")
                     if key in outstanding:
-                        signatures = message.get("signatures")
-                        if not isinstance(signatures, list):
+                        words = message.get("words")
+                        if not isinstance(words, bytes):
                             raise AnalysisError(
                                 f"broker at {label} returned a malformed "
                                 f"result for shard {index_of[key]}"
                             )
-                        outcomes.append((index_of[key], list(signatures)))
+                        outcomes.append((index_of[key], words))
                         outstanding.discard(key)
                         last_progress = time.monotonic()
                         backoff.reset()
@@ -1578,11 +1575,11 @@ class TcpWorker:
                 # re-dispatch): the content-addressed result stands.
                 stats["skipped"] += 1
                 self._send(sock, {
-                    "op": "done", "key": key, "signatures": cached,
+                    "op": "done", "key": key, "words": cached,
                 })
                 continue
             try:
-                signatures = self._build(sock, message)
+                words = self._build(sock, message)
             except OSError:
                 raise  # the connection died; reconnect, don't report
             except Exception as exc:  # noqa: BLE001 - reported to the broker
@@ -1597,14 +1594,14 @@ class TcpWorker:
                 )
                 continue
             if self.use_cache:
-                self._cache.put(key, signatures)
+                self._cache.put(key, words)
             stats["built"] += 1
             obs.metrics().counter(
                 "repro_tcp_completed_total",
                 help="Shards built to completion by TCP workers",
             ).inc()
             self._send(sock, {
-                "op": "done", "key": key, "signatures": signatures,
+                "op": "done", "key": key, "words": words,
             })
             if max_tasks is not None and stats["built"] >= max_tasks:
                 return True, claims, idle_since
@@ -1646,7 +1643,7 @@ class TcpWorker:
 
     def _build(
         self, sock: socket.socket, message: dict[str, Any]
-    ) -> list[int]:
+    ) -> bytes:
         task = message.get("task")
         if not isinstance(task, ShardTask):
             raise AnalysisError(
@@ -1668,8 +1665,8 @@ class TcpWorker:
         try:
             if self.build_delay > 0:
                 _sleep(self.build_delay)
-            _index, signatures = run_shard(task)
-            return signatures
+            _index, words = run_shard(task)
+            return words
         finally:
             stop.set()
             thread.join()

@@ -11,9 +11,10 @@ method, so a sharded build runs *exactly* the single-process code path
 on each slice.
 
 Workers always build with ``drop_undetectable=False`` and return raw
-signature lists; the merge step applies the drop once after
-concatenation, which is precisely what the single-process build does —
-one source of the bit-for-bit identity guarantee.
+little-endian word bytes, which executors and the cache carry opaquely;
+the merge decodes them and applies the drop once, which is precisely
+what the single-process build does — one source of the bit-for-bit
+identity guarantee.
 """
 
 from __future__ import annotations
@@ -79,24 +80,24 @@ class ShardTask:
             )
 
 
-def run_shard(task: ShardTask) -> tuple[int, list[int]]:
-    """Build one shard's signatures via the base backend's own engine.
+def run_shard(task: ShardTask) -> tuple[int, bytes]:
+    """Build one shard's rows via the base backend's own engine.
 
-    Returns ``(shard_index, signatures)`` so out-of-order completion can
+    Returns ``(shard_index, words)`` — ``words`` the table's packed rows
+    as little-endian ``uint64`` bytes — so out-of-order completion can
     be reassembled deterministically.
 
     The build runs under a ``shard_build`` span stitched to the
-    submitter's trace context when the task carries one (``getattr``
-    keeps payloads pickled before the ``trace`` field existed loadable).
-    The span id is ``<parent>.s<shard_index>`` — derived, not counted —
-    so concurrent workers across processes never collide.
+    submitter's trace context when the task carries one.  The span id
+    is ``<parent>.s<shard_index>`` — derived, not counted — so
+    concurrent workers across processes never collide.
     """
     build = (
         task.backend.build_stuck_at
         if task.kind == "stuck_at"
         else task.backend.build_bridging
     )
-    trace = getattr(task, "trace", None)
+    trace = task.trace
     span_id = f"{trace[1]}.s{task.shard_index}" if trace is not None else None
     clock = obs.system_clock()
     started = clock.monotonic()
@@ -124,4 +125,5 @@ def run_shard(task: ShardTask) -> tuple[int, list[int]]:
         help="Wall time spent building one fault shard",
         kind=task.kind,
     ).observe(clock.monotonic() - started)
-    return task.shard_index, list(table.signatures)
+    words = table.packed.words.astype("<u8", copy=False)
+    return task.shard_index, words.tobytes()

@@ -48,6 +48,7 @@ from repro.cli import (
     analyze_report,
     build_parser,
     escape_report,
+    execution_label,
     partition_report,
 )
 from repro.core.worst_case import WorstCaseAnalysis
@@ -55,7 +56,7 @@ from repro.errors import ReproError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import table_identity
 from repro.io_formats import NETLIST_FORMATS, parse_netlist
-from repro.parallel import ParallelBackend, circuit_digest
+from repro.parallel import circuit_digest
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import ServiceStats
 
@@ -104,29 +105,6 @@ class _Request:
     circuit_name: str
     backend: Any
     cache_key: CacheKey
-
-
-def _execution_label(backend: Any) -> tuple[int | None, str | None]:
-    """The execution facts ``analyze_report`` renders into its header.
-
-    Cache entries are keyed on these *beyond* the table identity: the
-    report label shows jobs / executor of the backend that built the
-    cached universe, so requests differing here need separate entries
-    to stay byte-identical with their own CLI runs.
-    """
-    if isinstance(backend, ParallelBackend):
-        resolved = backend.resolved_executor
-        return (
-            resolved.jobs if getattr(resolved, "jobs", 1) > 1 else None,
-            resolved.name if backend.executor is not None else None,
-        )
-    if isinstance(backend, AdaptiveBackend):
-        name = getattr(backend.executor, "name", None)
-        return (
-            backend.jobs if backend.jobs > 1 else None,
-            name if backend.executor is not None else None,
-        )
-    return (None, None)
 
 
 class _ProgressHub:
@@ -271,7 +249,7 @@ class AnalysisService:
                 "tables",
                 circuit_digest(circuit),
                 table_identity(backend),
-                _execution_label(backend),
+                execution_label(backend),
             )
         return _Request(
             command=command,

@@ -635,7 +635,8 @@ class TestExecutorsAndQueueCLI:
         capsys.readouterr()
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "format v1:" in out
+        assert "format v2:" in out
+        assert "stale" not in out
 
     def test_partition_executor_threaded(self, capsys, broker, drain):
         assert main(["partition", "paper_example", "--max-inputs", "3"]) == 0

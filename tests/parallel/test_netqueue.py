@@ -407,9 +407,9 @@ class TestBrokerRoundtrip:
         from repro.parallel import ShardCache
         from repro.parallel.worker import run_shard
 
-        _idx, signatures = run_shard(task)
+        _idx, words = run_shard(task)
         cache_dir = tmp_path / "cache-warm"
-        ShardCache(cache_dir).put(key, signatures)
+        ShardCache(cache_dir).put(key, words)
         with BackgroundBroker() as broker:
             worker = TcpWorker(
                 broker=broker.address,
@@ -428,7 +428,7 @@ class TestBrokerRoundtrip:
             executor = TcpExecutor(
                 broker=broker.address, wait_timeout=60.0
             )
-            assert executor.submit([task]) == [(0, signatures)]
+            assert executor.submit([task]) == [(0, words)]
             thread.join(timeout=30)
             assert out["stats"] == {
                 "built": 0, "skipped": 1, "failed": 0, "stolen": 0,
@@ -682,9 +682,9 @@ class TestStateHygiene:
         raise AssertionError("condition not reached in time")
 
     def test_malformed_done_releases_builder_slot(self):
-        """A 'done' whose signatures are not a list must free the
-        builder slot and requeue the shard (one attempt charged), not
-        wedge it behind a ghost lease."""
+        """A 'done' whose words are not bytes (missing, or a big-int
+        list) must free the builder slot and requeue the shard (one
+        attempt charged each), not wedge it behind a ghost lease."""
         task = make_task()
         key = shard_key(
             circuit_digest(task.circuit), task.backend, task.kind, task.faults
@@ -719,27 +719,28 @@ class TestStateHygiene:
                 build = recv_frame(worker)
                 assert build["op"] == "build"
                 assert build["attempts"] == 0
-                send_frame(
-                    worker,
-                    {"op": "done", "key": key, "signatures": None},
-                )
-                rebuilt = recv_frame(worker)
-                assert rebuilt["op"] == "build"
-                assert rebuilt["attempts"] == 1  # the bad report cost one
+                for attempt, bad in enumerate((None, [1, 2]), start=1):
+                    send_frame(
+                        worker, {"op": "done", "key": key, "words": bad}
+                    )
+                    rebuilt = recv_frame(worker)
+                    assert rebuilt["op"] == "build"
+                    # Each bad report cost one attempt.
+                    assert rebuilt["attempts"] == attempt
                 from repro.parallel.worker import run_shard
 
-                _idx, signatures = run_shard(task)
+                _idx, words = run_shard(task)
                 send_frame(
                     worker,
-                    {"op": "done", "key": key, "signatures": signatures},
+                    {"op": "done", "key": key, "words": words},
                 )
                 submitter.settimeout(10.0)
                 result = recv_frame(submitter)
                 assert result["op"] == "result"
-                assert result["signatures"] == signatures
+                assert result["words"] == words
                 counters = broker.stats()["counters"]
-                assert counters["duplicates"] == 1
-                assert counters["requeues"] == 1
+                assert counters["duplicates"] == 2
+                assert counters["requeues"] == 2
             finally:
                 worker.close()
                 submitter.close()

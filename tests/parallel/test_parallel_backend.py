@@ -10,6 +10,8 @@ threading through :class:`~repro.faults.universe.FaultUniverse`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.bench_suite.registry import get_circuit
@@ -20,12 +22,16 @@ from repro.faultsim.backends import (
     TableBackend,
     make_backend,
 )
+from repro.faultsim.detection import DetectionTable
+from repro.logic.packed import PackedSignatureMatrix
 from repro.parallel import (
     ParallelBackend,
+    ShardCache,
     cache_stats,
     maybe_parallel,
     reset_cache_stats,
     resolve_jobs,
+    run_shard,
 )
 
 
@@ -190,6 +196,100 @@ class TestShardCacheAcceptance:
         u = FaultUniverse(get_circuit("lion"), backend=backend)
         u.target_table, u.untargeted_table
         assert not root.exists()
+
+
+class TestShardPayload:
+    """The shard payload is raw word bytes, decoded only at the merge."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sharded_build_derives_no_bigints(
+        self, jobs, cache_dir, monkeypatch
+    ):
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called in a sharded build")
+
+            return call
+
+        # Raising (not only counting) also catches calls in forked pool
+        # workers, whose counters would not reach this process.
+        monkeypatch.setattr(
+            PackedSignatureMatrix, "to_bigints", forbidden("to_bigints")
+        )
+        monkeypatch.setattr(
+            DetectionTable, "from_signatures",
+            classmethod(forbidden("from_signatures")),
+        )
+        circuit = get_circuit("lion")
+        backend = ParallelBackend(
+            base=TableBackend(), jobs=jobs, cache_dir=cache_dir
+        )
+        reset_cache_stats()
+        reference = None
+        for _ in ("cold", "warm"):
+            tables = (
+                backend.build_stuck_at(circuit),
+                backend.build_bridging(circuit),
+            )
+            assert reference is None or tables == reference
+            reference = tables
+        assert calls == []
+        assert cache_stats()["hits"] > 0
+
+    def test_wrong_length_cache_entry_is_rebuilt(self, cache_dir):
+        circuit = get_circuit("lion")
+        backend = ParallelBackend(
+            base=TableBackend(), jobs=1, cache_dir=cache_dir
+        )
+        expected = backend.build_bridging(circuit)
+        cache = ShardCache(cache_dir)
+        entry = cache.entries()[0]
+        entry.write_bytes(entry.read_bytes()[:-8])  # one word short
+        reset_cache_stats()
+        assert backend.build_bridging(circuit) == expected
+        assert cache_stats()["stores"] == 1  # the short entry, rewritten
+        reset_cache_stats()
+        assert backend.build_bridging(circuit) == expected
+        assert cache_stats()["stores"] == 0
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # Bit 63 of the first row's last word: beyond a 16-bit row.
+            (lambda words: words[:7] + bytes([words[7] | 0x80]) + words[8:],
+             "beyond the 16-bit universe"),
+            (lambda words: words[:-8], "bytes"),
+        ],
+        ids=["padding-bit", "short"],
+    )
+    def test_malformed_payload_raises_at_merge(self, damage, message):
+        backend = ParallelBackend(
+            base=TableBackend(samples=16, seed=3),
+            executor=_DamagingExecutor(damage),
+            use_cache=False,
+        )
+        with pytest.raises(AnalysisError, match=message):
+            backend.build_stuck_at(get_circuit("lion"))
+
+
+@dataclass(frozen=True)
+class _DamagingExecutor:
+    """Inline execution that corrupts the first shard's payload."""
+
+    damage: object
+    name: str = "damaging"
+
+    def submit(self, tasks):
+        outcomes = [run_shard(task) for task in tasks]
+        index, words = outcomes[0]
+        outcomes[0] = (index, self.damage(words))
+        return outcomes
+
+    def describe(self):
+        return self.name
 
 
 class TestFaultUniverseJobs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -68,14 +69,32 @@ class TestKeys:
             "stuck_at", faults[:4],
         )
 
-    def test_shard_key_bytes_are_pinned(self):
-        """Passing the digest in keeps every key's bytes: this one was
-        computed when ``shard_key`` still hashed the circuit itself."""
+    def test_shard_key_bytes_are_pinned(self, monkeypatch):
+        """Key bytes change only with the format version.
+
+        The v1 key was computed when ``shard_key`` still hashed the
+        circuit itself.  The format version is the first piece of key
+        material, so the bump to v2 (raw word bytes instead of pickled
+        big-ints) re-addresses every entry and changes nothing else.
+        """
+        import repro.parallel.cache as cache_module
+
         circuit = get_circuit("lion")
         faults = collapsed_stuck_at_faults(circuit)
-        assert shard_key(
-            circuit_digest(circuit), SerialBackend(), "stuck_at", faults[:4]
-        ) == "44551848d1ef01e2299e12e83aa33522acdbfe87ce83e6976a2649247d0a684f"
+
+        def key():
+            return shard_key(
+                circuit_digest(circuit), SerialBackend(), "stuck_at",
+                faults[:4],
+            )
+
+        assert key() == (
+            "54f7d29654a0fd37f1d75c28804d08710d5873b9703d72c9b0a1ae115517878a"
+        )
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
+        assert key() == (
+            "44551848d1ef01e2299e12e83aa33522acdbfe87ce83e6976a2649247d0a684f"
+        )
 
     def test_sharded_build_hashes_the_circuit_once(
         self, monkeypatch, tmp_path
@@ -108,10 +127,17 @@ class TestStore:
     KEY = "a" * 64
 
     def test_roundtrip(self, cache):
-        signatures = [0, 1, (1 << 200) - 3]
-        cache.put(self.KEY, signatures)
-        assert cache.get(self.KEY) == signatures
+        import numpy as np
+
+        words = np.array([0, 1, 2**64 - 3], dtype="<u8").tobytes()
+        cache.put(self.KEY, words)
+        assert cache.get(self.KEY) == words
         assert cache.hits == 1 and cache.misses == 0 and cache.stores == 1
+        # A v2 entry is the 16-byte header, then the payload verbatim.
+        raw = cache.entries()[0].read_bytes()
+        assert raw[:8] == b"RPSHARD\0"
+        assert int.from_bytes(raw[8:16], "little") == 2
+        assert raw[16:] == words
 
     def test_miss(self, cache):
         assert cache.get(self.KEY) is None
@@ -122,17 +148,17 @@ class TestStore:
         # against an identical payload; the existing entry is a hit and
         # is never hammered (here the differing value makes the
         # keep-first behavior observable).
-        cache.put(self.KEY, [1])
+        cache.put(self.KEY, b"\x01" * 8)
         assert cache.stores == 1
-        cache.put(self.KEY, [1])
+        cache.put(self.KEY, b"\x01" * 8)
         assert cache.stores == 1 and cache.hits == 1
-        assert cache.get(self.KEY) == [1]
+        assert cache.get(self.KEY) == b"\x01" * 8
         assert len(cache.entries()) == 1
         # No stray temp files left behind.
         assert list(cache.root.glob("*.tmp")) == []
 
     def test_corrupt_entry_is_a_miss(self, cache):
-        cache.put(self.KEY, [7])
+        cache.put(self.KEY, b"\x07" * 8)
         path = cache.entries()[0]
         path.write_bytes(b"not a pickle")
         assert cache.get(self.KEY) is None
@@ -141,22 +167,26 @@ class TestStore:
         # Self-heal: only a *readable* existing entry short-circuits
         # put; a torn one (crashed host mid-write on a shared mount)
         # must be overwritten, or the key would miss forever.
-        cache.put(self.KEY, [7])
+        cache.put(self.KEY, b"\x07" * 8)
         cache.entries()[0].write_bytes(b"not a pickle")
-        cache.put(self.KEY, [7])
-        assert cache.get(self.KEY) == [7]
+        cache.put(self.KEY, b"\x07" * 8)
+        assert cache.get(self.KEY) == b"\x07" * 8
+        # A readable entry with other bytes (e.g. the wrong length) is
+        # overwritten too, not kept as a lost race.
+        cache.put(self.KEY, b"\x07" * 16)
+        assert cache.stores == 3
+        assert cache.get(self.KEY) == b"\x07" * 16
 
     def test_wrong_version_is_a_miss(self, cache):
-        cache.put(self.KEY, [7])
+        cache.put(self.KEY, b"\x07" * 8)
         path = cache.entries()[0]
-        path.write_bytes(
-            pickle.dumps({"version": -1, "signatures": [7]})
-        )
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (1).to_bytes(8, "little") + raw[16:])
         assert cache.get(self.KEY) is None
 
     def test_clear_and_inspect(self, cache):
         for i in range(3):
-            cache.put(f"{i}" * 64, [i])
+            cache.put(f"{i}" * 64, bytes([i]) * 8)
         assert len(cache.entries()) == 3
         assert cache.total_bytes() > 0
         assert cache.clear() == 3
@@ -167,16 +197,16 @@ class TestStore:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the cache dir should be")
         cache = ShardCache(blocker)  # mkdir will fail with EEXIST/ENOTDIR
-        cache.put(self.KEY, [1])  # must not raise
+        cache.put(self.KEY, b"\x01" * 8)  # must not raise
         assert cache.stores == 0
         assert cache.get(self.KEY) is None
 
     def test_global_stats_aggregate_instances(self, tmp_path):
         reset_cache_stats()
         a = ShardCache(tmp_path / "s")
-        a.put(self.KEY, [5])
+        a.put(self.KEY, b"\x05" * 8)
         b = ShardCache(tmp_path / "s")  # a fresh instance, same directory
-        assert b.get(self.KEY) == [5]
+        assert b.get(self.KEY) == b"\x05" * 8
         stats = cache_stats()
         assert stats["stores"] == 1
         assert stats["hits"] == 1
@@ -194,7 +224,7 @@ def _hammer_one_key(args):
     root, key, rounds = args
     cache = ShardCache(root)
     for _ in range(rounds):
-        cache.put(key, list(range(64)))
+        cache.put(key, bytes(range(64)))
     return cache.stores
 
 
@@ -218,7 +248,7 @@ class TestConcurrentWriters:
         # one of it, and no temp droppings remain.
         assert sum(stores) >= 1
         cache = ShardCache(root)
-        assert cache.get(self.KEY) == list(range(64))
+        assert cache.get(self.KEY) == bytes(range(64))
         assert len(cache.entries()) == 1
         assert list(cache.root.glob("*.tmp")) == []
 
@@ -229,19 +259,40 @@ class TestVersions:
     def test_version_counts(self, cache):
         from repro.parallel.cache import CACHE_FORMAT_VERSION
 
+        assert CACHE_FORMAT_VERSION == 2
         assert cache.versions() == {}
-        cache.put("a" * 64, [1])
-        cache.put("b" * 64, [2])
-        assert cache.versions() == {f"v{CACHE_FORMAT_VERSION}": 2}
+        cache.put("a" * 64, b"\x01" * 8)
+        cache.put("b" * 64, b"\x02" * 8)
+        assert cache.versions() == {"v2": 2}
 
-    def test_stale_and_corrupt_entries_are_tallied(self, cache):
-        cache.put("a" * 64, [1])
+    def test_stale_and_corrupt_entries_are_tallied(self, cache, tmp_path):
+        cache.put("a" * 64, b"\x01" * 8)
         (cache.root / ("d" * 64 + ".pkl")).write_bytes(b"not a pickle")
-        (cache.root / ("e" * 64 + ".pkl")).write_bytes(
-            pickle.dumps({"version": -1, "signatures": []})
+        # A format-v1 entry whose unpickling would run code: the cache
+        # must never execute it, only count it stale and replace it.
+        marker = tmp_path / "unpickled"
+        hostile = pickle.dumps(
+            {"version": 1, "signatures": _RunsOnLoad(str(marker))}
         )
-        counts = cache.versions()
-        assert counts["corrupt"] == 1
-        assert counts["v-1"] == 1
-        # The stale-version entry is exactly what get() refuses to serve.
+        (cache.root / ("e" * 64 + ".pkl")).write_bytes(hostile)
+        assert cache.versions() == {"stale": 2, "v2": 1}
+        # The stale entries are exactly what get() refuses to serve.
+        assert cache.get("d" * 64) is None
         assert cache.get("e" * 64) is None
+        cache.put("e" * 64, b"\x03" * 8)
+        assert cache.get("e" * 64) == b"\x03" * 8
+        assert cache.versions() == {"stale": 1, "v2": 2}
+        assert not marker.exists()
+        # The payload was live: unpickling it does run the call.
+        pickle.loads(hostile)
+        assert marker.exists()
+
+
+class _RunsOnLoad:
+    """Pickles as a call to ``os.mkdir(path)`` at load time."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))

@@ -11,7 +11,6 @@ import pytest
 
 from repro import cli
 from repro.serve import AnalysisService, ServiceError
-from repro.serve.service import _execution_label
 
 
 def cli_output(argv):
@@ -324,7 +323,7 @@ class TestCacheKeys:
     def test_execution_label_default_backend(self):
         service = AnalysisService()
         request = service._resolve("analyze", {"circuit": "c17"})
-        assert _execution_label(request.backend) == (None, None)
+        assert cli.execution_label(request.backend) == (None, None)
 
     def test_partition_key_separates_max_inputs(self):
         service = AnalysisService()
