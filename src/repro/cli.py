@@ -20,26 +20,23 @@ Commands regenerate the paper's artifacts::
     repro serve [--port P]           # always-on HTTP analysis service
     repro trace summary|tree PATH    # profile a --trace JSONL capture
 
-``analyze``, ``escape``, and ``partition`` accept
-``--backend exhaustive|sampled|serial|adaptive`` (with ``--samples K``
-/ ``--seed`` / ``--replacement`` for ``sampled``), so circuits beyond
-the 24-input exhaustive cap can be analyzed via Monte-Carlo sampled-U
-detection tables.  Every engine stores its tables as numpy ``uint64``
-words and runs the worst-case ``nmin`` scan vectorized.  The ``adaptive`` engine sizes its own draw:
-it grows ``K`` geometrically (``--target-halfwidth`` /
-``--max-samples`` / ``--initial-samples``) until the confidence
-intervals of the smallest ``N(f)`` estimates meet the target, and
-``--stratify bridging`` adds importance strata over rare bridging
-activation regions.  ``--jobs N`` (or env ``REPRO_JOBS``) shards
-detection-table construction across ``N`` worker processes — results
-are bit-for-bit identical to the single-process build, and shard
-results persist in an on-disk cache (``REPRO_CACHE_DIR``) that the
-``cache`` subcommand inspects and clears.  ``--executor
-{inline,pool,tcp}`` (env ``REPRO_EXECUTOR``) picks the shard execution
-substrate explicitly: ``tcp`` submits shard tasks to a ``repro broker``
-(``--broker HOST:PORT`` / ``REPRO_BROKER``) that pushes them to
-``repro worker --broker`` processes on any host, with the same
-bit-for-bit identity guarantee.
+``analyze``, ``escape``, and ``partition`` share the backend and
+execution flags declared once in :mod:`repro.options`, which also
+lists their ``REPRO_*`` environment overrides and generates the
+analysis service's payload keys.  ``--backend sampled --samples K``
+analyzes circuits beyond the 24-input exhaustive cap on Monte-Carlo
+sampled-U tables; ``--backend adaptive`` grows ``K`` until the
+confidence intervals of the smallest ``N(f)`` estimates meet
+``--target-halfwidth`` (``--stratify bridging`` adds importance
+strata over rare bridging activation regions).  Every engine stores
+its tables as numpy ``uint64`` words and runs the worst-case ``nmin``
+scan vectorized.  ``--jobs N`` /
+``--executor {inline,pool,tcp}`` shard table construction across
+local processes or, through a ``repro broker`` (``--broker
+HOST:PORT``), ``repro worker`` processes on any host.  Results are
+bit-for-bit identical to the single-process build, and shard results
+persist in an on-disk cache (``REPRO_CACHE_DIR``) that the ``cache``
+subcommand inspects and clears.
 
 ``repro --trace PATH <command>`` records a span trace of the run:
 every table build, shard, executor round-trip, and kernel batch lands
@@ -93,123 +90,9 @@ def _circuit_list(args: argparse.Namespace) -> list[str] | None:
     return None
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    from repro.faultsim.backends import BACKEND_NAMES
-
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="exhaustive",
-        help="detection-table engine (sampled breaks the 24-input cap)",
-    )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="sampled backend: number K of random vectors to draw",
-    )
-    parser.add_argument(
-        "--replacement",
-        action="store_true",
-        help="sampled backend: draw vectors with replacement",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for detection-table construction "
-            "(default: REPRO_JOBS, else 1; results are identical at "
-            "any value)"
-        ),
-    )
-    from repro.parallel import EXECUTOR_NAMES
-
-    parser.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default=None,
-        help=(
-            "shard execution substrate (default: REPRO_EXECUTOR, else "
-            "derived from --jobs); tcp distributes shards through a "
-            "broker to `repro worker --broker` processes"
-        ),
-    )
-    parser.add_argument(
-        "--broker",
-        default=None,
-        help=(
-            "broker HOST:PORT for --executor tcp "
-            "(default: REPRO_BROKER)"
-        ),
-    )
-    parser.add_argument(
-        "--target-halfwidth",
-        type=float,
-        default=None,
-        help=(
-            "adaptive backend: grow K until the smallest-N(f) "
-            "confidence intervals are this tight (relative precision, "
-            "default 0.05)"
-        ),
-    )
-    parser.add_argument(
-        "--max-samples",
-        type=int,
-        default=None,
-        help="adaptive backend: total vector budget (default 16384)",
-    )
-    parser.add_argument(
-        "--initial-samples",
-        type=int,
-        default=None,
-        help="adaptive backend: first-round draw size (default 64)",
-    )
-    parser.add_argument(
-        "--stratify",
-        choices=["none", "bridging"],
-        default=None,
-        help=(
-            "adaptive backend: importance strata over rare bridging "
-            "activation regions"
-        ),
-    )
-
-
-def _backend_from_args(args: argparse.Namespace) -> Any:
-    from repro.errors import AnalysisError
-    from repro.faultsim.backends import make_backend
-    from repro.parallel import resolve_executor, resolve_jobs
-
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise AnalysisError(f"--jobs must be >= 1, got {jobs}")
-    # `jobs` passes through unresolved: an explicit --jobs value sizes
-    # the pool executor verbatim (even 1), while None lets the factory
-    # fall back to REPRO_JOBS / a real pool of 2.
-    executor = resolve_executor(
-        getattr(args, "executor", None),
-        jobs=jobs,
-        broker=getattr(args, "broker", None),
-    )
-    return make_backend(
-        args.backend,
-        samples=args.samples,
-        seed=getattr(args, "seed", 0),
-        replacement=getattr(args, "replacement", False),
-        jobs=resolve_jobs(jobs),
-        executor=executor,
-        target_halfwidth=getattr(args, "target_halfwidth", None),
-        # `is None`, not truthiness: an explicit --confidence 0.0 must
-        # reach the stopping rule's validation, not silently become 95%.
-        confidence=getattr(args, "confidence", None),
-        max_samples=getattr(args, "max_samples", None),
-        initial_samples=getattr(args, "initial_samples", None),
-        stratify=getattr(args, "stratify", None),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.options import add_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -220,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        default=None,
         help=(
             "record a JSONL span trace of this run to PATH "
             "(truncated first; worker processes append to the same "
@@ -266,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--max-inputs", type=int, default=12)
     p.add_argument("--seed", type=int, default=2005)
-    _add_backend(p)
+    add_arguments(p)
 
     p = sub.add_parser(
         "cache", help="inspect or clear the persistent shard cache"
@@ -287,13 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-tasks",
         type=int,
-        default=None,
         help="exit after building this many shards (default: serve on)",
     )
     p.add_argument(
         "--idle-exit",
         type=float,
-        default=None,
         help=(
             "exit after this many seconds without a pushed build "
             "(default: serve forever)"
@@ -395,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
         help="default worker count for requests that don't set one",
     )
     from repro.parallel import EXECUTOR_NAMES
@@ -403,12 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--executor",
         choices=list(EXECUTOR_NAMES),
-        default=None,
         help="default shard execution substrate for requests",
     )
     p.add_argument(
         "--broker",
-        default=None,
         help=(
             "broker HOST:PORT used with --executor tcp; `repro worker "
             "--broker` processes attached to it build service shards"
@@ -417,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--broker-port",
         type=int,
-        default=None,
         help=(
             "embed a TCP shard broker on this port (0 picks a free "
             "one) and default requests to --executor tcp against it"
@@ -426,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--table-lru",
         type=int,
-        default=None,
         help=(
             "hot-tier capacity in cached table pairs "
             "(default: REPRO_TABLE_LRU, else 40)"
@@ -451,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=200)
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--seed", type=int, default=2005)
-    _add_backend(p)
+    add_arguments(p)
 
     p = sub.add_parser(
         "analyze",
@@ -465,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.95,
         help="confidence level for sampled-backend interval reporting",
     )
-    _add_backend(p)
+    add_arguments(p)
     return parser
 
 
@@ -494,10 +369,12 @@ def _cmd_suite() -> str:
 
 
 def _cmd_partition(args: argparse.Namespace) -> str:
+    from repro.options import backend_from_options
+
     with obs.span("partition_analysis", circuit=args.circuit):
         return partition_report(
             get_circuit(args.circuit),
-            _backend_from_args(args),
+            backend_from_options(vars(args)),
             circuit_name=args.circuit,
             max_inputs=args.max_inputs,
         )
@@ -764,12 +641,13 @@ def _cmd_gen_tests(args: argparse.Namespace) -> str:
 def _cmd_escape(args: argparse.Namespace) -> str:
     from repro.core.worst_case import WorstCaseAnalysis
     from repro.faults.universe import FaultUniverse
+    from repro.options import backend_from_options
 
     circuit = get_circuit(args.circuit)
     # Backend resolution sits inside the span: ``--executor tcp`` loads
     # the transport (asyncio, sockets) here, on first use.
     with obs.span("build_tables", circuit=args.circuit):
-        backend = _backend_from_args(args)
+        backend = backend_from_options(vars(args))
         universe = FaultUniverse(circuit, backend=backend)
         worst = WorstCaseAnalysis(
             universe.target_table, universe.untargeted_table
@@ -825,10 +703,11 @@ def escape_report(
 def _cmd_analyze(args: argparse.Namespace) -> str:
     from repro.core.worst_case import WorstCaseAnalysis
     from repro.faults.universe import FaultUniverse
+    from repro.options import backend_from_options
 
     circuit = get_circuit(args.circuit)
     with obs.span("build_tables", circuit=args.circuit):
-        backend = _backend_from_args(args)
+        backend = backend_from_options(vars(args))
         universe = FaultUniverse(circuit, backend=backend)
         worst = WorstCaseAnalysis(
             universe.target_table, universe.untargeted_table

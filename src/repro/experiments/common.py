@@ -10,34 +10,15 @@ reproduce the full-size experiment:
 ``REPRO_K``          overrides the number of random test sets.
 ``REPRO_NMAX``       overrides nmax (paper: 10).
 ``REPRO_CIRCUITS``   comma-separated circuit subset for suite tables.
-``REPRO_BACKEND``    detection-table engine
-                     (exhaustive|sampled|serial|adaptive).
-``REPRO_SAMPLES``    sampled backend: number of vectors K (rejected
-                     with any other REPRO_BACKEND, exactly as the CLI
-                     rejects ``--samples``).
 ``REPRO_SEED``       sampled/adaptive backends: universe draw seed.
-``REPRO_JOBS``       worker processes for detection-table construction
-                     (> 1 shards every table build across a process
-                     pool; composes with any REPRO_BACKEND engine —
-                     the adaptive engine takes the worker count into
-                     its per-round sharded builds).
-``REPRO_EXECUTOR``   shard execution substrate
-                     (inline|pool|tcp); overrides the REPRO_JOBS
-                     pool sugar.  ``tcp`` distributes shard tasks
-                     through a ``repro broker`` to independent
-                     ``repro worker`` processes on any host.
-``REPRO_BROKER``     broker ``HOST:PORT`` for REPRO_EXECUTOR=tcp
-                     (and the default of ``repro worker`` /
-                     ``repro queue``).
 ``REPRO_TABLE_LRU``  capacity of the in-memory universe / worst-case
                      LRUs (default 40 — holds the whole 35-circuit
                      suite).  The analysis service's hot tier reads
                      the same knob.
-``REPRO_TARGET_HALFWIDTH``  adaptive backend: relative CI precision
-                     target (default 0.05).
-``REPRO_MAX_SAMPLES``       adaptive backend: total vector budget.
-``REPRO_STRATIFY``          adaptive backend: ``bridging`` for the
-                     rare-activation importance strata.
+
+The backend comes from the env names of the option table,
+:data:`repro.options.OPTIONS`, checked exactly as their flags are;
+that module also lists the flags that deliberately have none.
 
 Backends are frozen dataclasses, so the universe / worst-case caches key
 on the exact backend configuration: ``exhaustive`` and ``sampled``
@@ -55,22 +36,19 @@ in-memory table instead of holding identical multi-hundred-MB copies.
 from __future__ import annotations
 
 import os
+from typing import Any, Callable
 
 from repro.bench_suite.registry import get_circuit, suite_table_groups
 from repro.caching import LRUCache, table_lru_capacity
 from repro.core.worst_case import WorstCaseAnalysis
+from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
     DetectionBackend,
     TableBackend,
-    make_backend,
     table_identity,
 )
-from repro.parallel import (
-    maybe_parallel,
-    resolve_executor,
-    resolve_jobs,
-)
+from repro.options import OPTIONS, backend_from_options
 
 #: The paper reports Tables 3/5/6 only for circuits that have faults with
 #: nmin >= 11; these are the Table 5 rows of the paper (the analogues in
@@ -102,39 +80,29 @@ THRESHOLD_NOT_GUARANTEED = 11  # faults with nmin >= 11 escape a 10-detection se
 
 
 def backend_from_env() -> DetectionBackend | None:
-    """Detection backend from the REPRO_BACKEND family of env overrides.
+    """Detection backend from the option table's env overrides.
 
-    Returns None (caller default: exhaustive) when none of
-    REPRO_BACKEND / REPRO_JOBS / REPRO_EXECUTOR is set, so the cached
-    layers keep their zero-config behavior.  ``REPRO_JOBS > 1`` wraps
-    the engine (default: exhaustive) in a sharded
-    :class:`~repro.parallel.ParallelBackend`; ``REPRO_EXECUTOR``
-    selects the shard substrate explicitly (``tcp`` reads the broker
-    address from ``REPRO_BROKER``).
+    Each value is converted and checked like its flag (a malformed one
+    raises :class:`AnalysisError` naming the variable), then resolved
+    as the CLI resolves its flags.  None (caller default) when that is
+    the default single-process exhaustive engine.
     """
-    name = os.environ.get("REPRO_BACKEND")
-    jobs = resolve_jobs(None)
-    # jobs=None: the executor factory consults REPRO_JOBS itself, so a
-    # bare REPRO_EXECUTOR=pool still means a real pool (of 2), not a
-    # degenerate single-process "pool".
-    executor = resolve_executor()
-    if not name:
-        if jobs <= 1 and executor is None:
-            return None
-        return maybe_parallel(TableBackend(), jobs, executor=executor)
-    samples = os.environ.get("REPRO_SAMPLES")
-    halfwidth = os.environ.get("REPRO_TARGET_HALFWIDTH")
-    max_samples = os.environ.get("REPRO_MAX_SAMPLES")
-    return make_backend(
-        name,
-        samples=int(samples) if samples else None,
-        seed=env_int("REPRO_SEED", 0),
-        jobs=jobs,
-        executor=executor,
-        target_halfwidth=float(halfwidth) if halfwidth else None,
-        max_samples=int(max_samples) if max_samples else None,
-        stratify=os.environ.get("REPRO_STRATIFY") or None,
-    )
+    values: dict[str, object] = {"seed": env_int("REPRO_SEED", 0)}
+    for option in OPTIONS:
+        if option.env is None:
+            continue
+        value = _env_value(option.env, option.kwargs.get("type", str))
+        choices = option.kwargs.get("choices")
+        if choices is not None and value not in (None, *choices):
+            raise AnalysisError(
+                f"{option.env}: unknown {option.dest} {value!r}; choose "
+                f"from {', '.join(choices)}"
+            )
+        values[option.dest] = (
+            option.kwargs.get("default") if value is None else value
+        )
+    backend = backend_from_options(values)
+    return None if backend == TableBackend() else backend
 
 
 def get_universe(
@@ -187,10 +155,21 @@ def get_worst_case(
 
 def env_int(var: str, default: int) -> int:
     """Integer environment override with a fallback."""
+    value = _env_value(var, int)
+    return default if value is None else value
+
+
+def _env_value(var: str, convert: Callable[[str], Any]) -> Any:
+    """``var`` through ``convert`` (None when unset or empty); a
+    malformed value raises :class:`AnalysisError` naming ``var``."""
     raw = os.environ.get(var)
-    if raw is None:
-        return default
-    return int(raw)
+    if not raw:
+        return None
+    try:
+        return convert(raw)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise AnalysisError(f"{var} must be {kind}, got {raw!r}") from None
 
 
 def suite_circuits(default: tuple[str, ...] | None = None) -> list[str]:

@@ -52,7 +52,7 @@ from repro.parallel.executors import (
     ShardExecutor,
 )
 from repro.parallel.plan import DEFAULT_NUM_SHARDS, ShardPlan
-from repro.parallel.worker import ShardTask
+from repro.parallel.worker import ShardTask, payload_size
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -264,8 +264,9 @@ class ParallelBackend:
             cache = ShardCache(self.cache_dir) if self.use_cache else None
             # One structural hash per build, shared by every shard key.
             digest = circuit_digest(circuit) if cache is not None else ""
-            row_bytes = words_for(universe.size) * (WORD_BITS // 8)
-            expected = [len(shard) * row_bytes for shard in slices]
+            expected = [
+                payload_size(len(shard), universe.size) for shard in slices
+            ]
             results: dict[int, bytes] = {}
             keys: dict[int, str] = {}
             pending: list[ShardTask] = []

@@ -78,7 +78,7 @@ from repro.errors import AnalysisError
 from repro.obs.tracer import TRACE_FILE_ENV
 from repro.parallel.backoff import Backoff
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
-from repro.parallel.worker import ShardTask, run_shard
+from repro.parallel.worker import ShardTask, payload_size, run_shard
 
 __all__ = [
     "BROKER_ENV",
@@ -1569,7 +1569,12 @@ class TcpWorker:
                 stats["stolen"] += 1
             self._adopt_trace(message)
             self._report_queue_wait(message)
+            task = message.get("task")
             cached = self._cache.get(key) if self.use_cache else None
+            if cached is not None and isinstance(task, ShardTask):
+                size = task.backend.universe_for(task.circuit).size
+                if len(cached) != payload_size(len(task.faults), size):
+                    cached = None  # a miss; the rebuild's put overwrites it
             if cached is not None:
                 # A duplicate of an already-built shard (steal race or
                 # re-dispatch): the content-addressed result stands.

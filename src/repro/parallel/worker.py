@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
+from repro.logic.packed import WORD_BITS, words_for
 
 if TYPE_CHECKING:
     from repro.faultsim.backends import DetectionBackend
@@ -78,6 +79,11 @@ class ShardTask:
             raise AnalysisError(
                 f"shard kind must be one of {_KINDS}, got {self.kind!r}"
             )
+
+
+def payload_size(num_faults: int, universe_size: int) -> int:
+    """Byte length of the payload of a ``num_faults``-row shard."""
+    return num_faults * words_for(universe_size) * (WORD_BITS // 8)
 
 
 def run_shard(task: ShardTask) -> tuple[int, bytes]:

@@ -44,7 +44,6 @@ from repro.bench_suite.registry import get_circuit
 from repro.caching import LRUCache, table_lru_capacity
 from repro.circuit.netlist import Circuit
 from repro.cli import (
-    _backend_from_args,
     analyze_report,
     build_parser,
     escape_report,
@@ -56,6 +55,7 @@ from repro.errors import ReproError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import table_identity
 from repro.io_formats import NETLIST_FORMATS, parse_netlist
+from repro.options import OPTIONS, backend_from_options
 from repro.parallel import circuit_digest
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import ServiceStats
@@ -67,28 +67,20 @@ CacheKey = tuple[object, ...]
 #: Hot-tier value for ``analyze``/``escape``: the built tables.
 TablePair = tuple[FaultUniverse, WorstCaseAnalysis]
 
-#: Option keys shared by every analysis endpoint (mirrors
-#: ``cli._add_backend`` plus the common ``--seed``).
-_BACKEND_KEYS: tuple[str, ...] = (
-    "backend",
-    "samples",
-    "replacement",
-    "seed",
-    "jobs",
-    "executor",
-    "broker",
-    "target_halfwidth",
-    "max_samples",
-    "initial_samples",
-    "stratify",
-)
-
-#: Accepted payload option keys per command, in argv emission order.
+#: Accepted payload option keys per command, in argv emission order:
+#: every row of the option table, then the command's own flags.
 _COMMAND_KEYS: dict[str, tuple[str, ...]] = {
-    "analyze": _BACKEND_KEYS + ("confidence",),
-    "escape": _BACKEND_KEYS + ("k", "nmax"),
-    "partition": _BACKEND_KEYS + ("max_inputs",),
+    command: tuple(option.dest for option in OPTIONS) + extras
+    for command, extras in (
+        ("analyze", ("seed", "confidence")),
+        ("escape", ("seed", "k", "nmax")),
+        ("partition", ("seed", "max_inputs")),
+    )
 }
+#: Payload keys of valueless flags, sent as JSON booleans.
+_SWITCHES = frozenset(
+    o.dest for o in OPTIONS if o.kwargs.get("action") == "store_true"
+)
 
 
 class ServiceError(ReproError):
@@ -214,10 +206,10 @@ class AnalysisService:
                 continue
             value = options[key]
             flag = "--" + key.replace("_", "-")
-            if key == "replacement":
+            if key in _SWITCHES:
                 if not isinstance(value, bool):
                     raise ServiceError(
-                        f"option 'replacement' must be a JSON boolean, "
+                        f"option {key!r} must be a JSON boolean, "
                         f"got {value!r}"
                     )
                 if value:
@@ -235,7 +227,7 @@ class AnalysisService:
             raise ServiceError(
                 detail[-1] if detail else "invalid request parameters"
             ) from None
-        backend = _backend_from_args(args)
+        backend = backend_from_options(vars(args))
         cache_key: CacheKey
         if command == "partition":
             cache_key = (

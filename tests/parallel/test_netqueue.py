@@ -434,6 +434,60 @@ class TestBrokerRoundtrip:
                 "built": 0, "skipped": 1, "failed": 0, "stolen": 0,
             }
 
+    def test_worker_rebuilds_wrong_length_cached_shard(self, tmp_path):
+        """A wrong-length cache entry is a miss on tcp workers too: the
+        worker rebuilds the shard and heals the entry instead of
+        shipping bytes the submitter's merge must reject."""
+        from repro.parallel import (
+            DEFAULT_NUM_SHARDS,
+            InlineExecutor,
+            ShardCache,
+            ShardPlan,
+        )
+
+        circuit = get_circuit("lion")
+        base = TableBackend()
+        cache_dir = tmp_path / "cache-warm"
+        inline = ParallelBackend(
+            base=base, executor=InlineExecutor(), cache_dir=str(cache_dir)
+        ).build_stuck_at(circuit)
+        slices = ShardPlan(DEFAULT_NUM_SHARDS).split(
+            collapsed_stuck_at_faults(circuit)
+        )
+        key = shard_key(circuit_digest(circuit), base, "stuck_at", slices[1])
+        cache = ShardCache(cache_dir)
+        good = cache.get(key)
+        assert good is not None
+        cache.put(key, good[:-8])
+        with BackgroundBroker() as broker:
+            worker = TcpWorker(
+                broker=broker.address,
+                worker_id="warm",
+                cache_dir=str(cache_dir),
+                use_cache=True,
+            )
+            out: dict = {}
+            thread = threading.Thread(
+                target=lambda: out.update(
+                    stats=worker.serve(idle_exit=1.0)
+                ),
+                daemon=True,
+            )
+            thread.start()
+            table = ParallelBackend(
+                base=base,
+                executor=TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                ),
+                use_cache=False,
+            ).build_stuck_at(circuit)
+            thread.join(timeout=30)
+        assert table.faults == inline.faults
+        assert table.packed == inline.packed
+        assert cache.get(key) == good
+        assert out["stats"]["built"] == 1
+        assert out["stats"]["skipped"] == len(slices) - 1
+
     def test_poisoned_shard_parks_with_named_error(self, tmp_path):
         with BackgroundBroker() as broker:
             _worker, thread, _out = worker_in_thread(

@@ -10,7 +10,31 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro import cli
+from repro.options import OPTIONS, backend_from_options
 from repro.serve import AnalysisService, ServiceError
+from repro.serve.service import _COMMAND_KEYS
+
+#: One valid payload per option-table row, keyed by the row's dest.
+ROW_PAYLOADS: dict[str, dict[str, object]] = {
+    "backend": {"backend": "serial"},
+    "samples": {"backend": "sampled", "samples": 16},
+    "replacement": {"backend": "sampled", "samples": 16, "replacement": True},
+    "jobs": {"jobs": 2},
+    "executor": {"executor": "inline"},
+    "broker": {"executor": "tcp", "broker": "h:1"},
+    "target_halfwidth": {"backend": "adaptive", "target_halfwidth": 0.2},
+    "max_samples": {"backend": "adaptive", "max_samples": 128},
+    "initial_samples": {"backend": "adaptive", "initial_samples": 32},
+    "stratify": {"backend": "adaptive", "stratify": "bridging"},
+}
+
+#: The payload keys each endpoint accepted before the option table
+#: existed; the table must neither add nor drop one.
+BACKEND_KEYS = {
+    "backend", "samples", "replacement", "seed", "jobs", "executor",
+    "broker", "target_halfwidth", "max_samples", "initial_samples",
+    "stratify",
+}
 
 
 def cli_output(argv):
@@ -130,6 +154,44 @@ class TestValidation:
                 service.analyze(
                     {"circuit": {"format": "vhdl", "source": "x"}}
                 )
+            )
+
+    def test_payload_keys_are_pinned(self):
+        pinned = {
+            "analyze": BACKEND_KEYS | {"confidence"},
+            "escape": BACKEND_KEYS | {"k", "nmax"},
+            "partition": BACKEND_KEYS | {"max_inputs"},
+        }
+        assert {c: set(keys) for c, keys in _COMMAND_KEYS.items()} == pinned
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+    @pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o.dest)
+    def test_every_row_resolves_like_its_argv(self, command, option):
+        payload = {**ROW_PAYLOADS[option.dest], "seed": 7}
+        circuit = "mc" if command == "partition" else "c17"
+        request = AnalysisService()._resolve(
+            command, {"circuit": circuit, **payload}
+        )
+        argv = [command, circuit]
+        for key, value in payload.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        args = cli.build_parser().parse_args(argv)
+        assert request.args == args
+        assert request.backend == backend_from_options(vars(args))
+
+    def test_switch_rows_take_json_booleans(self):
+        service = AnalysisService()
+        with pytest.raises(ServiceError, match="'replacement' must be a"):
+            service._resolve(
+                "analyze",
+                {"circuit": "c17", "backend": "sampled", "samples": 8,
+                 "replacement": "yes"},
+            )
+        with pytest.raises(ServiceError, match="'samples' must not be a"):
+            service._resolve(
+                "analyze",
+                {"circuit": "c17", "backend": "sampled", "samples": True},
             )
 
     def test_service_level_execution_defaults_apply(self):
