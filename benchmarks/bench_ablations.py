@@ -99,7 +99,7 @@ def test_def2_greedy_vs_exact(benchmark, save_artifact):
     def run():
         gaps = []
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             if not sig:
                 continue
             vecs = table.vectors(i)

@@ -232,6 +232,7 @@ def test_packed_nmin_scan_speedup(record_speedup):
             circuit, backend=TableBackend(samples=samples, seed=7)
         )
         big_t, big_g = universe.target_table, universe.untargeted_table
+        rows = big_t.packed.to_bigints()
 
         def packed_cold():
             # Each analysis pays the full one-time setup (sorted matrix,
@@ -245,10 +246,10 @@ def test_packed_nmin_scan_speedup(record_speedup):
                 NminRecord(
                     j,
                     *nmin_for_untargeted_fault(
-                        big_t, g_sig, target_counts=counts, sorted_order=order
+                        rows, g_sig, target_counts=counts, sorted_order=order
                     ),
                 )
-                for j, g_sig in enumerate(big_g.signatures)
+                for j, g_sig in enumerate(big_g.packed.to_bigints())
             ]
 
         big_time, big_records = _best_of(big_scalar)
@@ -327,8 +328,8 @@ def test_parallel_build_speedup(record_speedup):
             par_time, (par_f, par_g) = _best_of(
                 lambda: build(circuit, backend), rounds=2
             )
-            assert par_f.signatures == single_f.signatures
-            assert par_g.signatures == single_g.signatures
+            assert par_f.packed == single_f.packed
+            assert par_g.packed == single_g.packed
             assert par_g.faults == single_g.faults
             totals[jobs] += par_time
             entry[f"jobs{jobs}_s"] = par_time
@@ -447,9 +448,9 @@ def test_tcp_executor_build_speedup(record_speedup, tmp_path):
                     lambda: build(circuit, networked), rounds=1
                 )
                 for mine in (pool_f, tcp_f):
-                    assert mine.signatures == single_f.signatures
+                    assert mine.packed == single_f.packed
                 for mine in (pool_g, tcp_g):
-                    assert mine.signatures == single_g.signatures
+                    assert mine.packed == single_g.packed
                     assert mine.faults == single_g.faults
                 totals["single"] += single_time
                 totals["pool"] += pool_time
@@ -554,8 +555,8 @@ def test_ppsfp_build_speedup(record_speedup, monkeypatch):
         monkeypatch.undo()
         build()  # warm-up: numpy dispatch + the circuit's cone masks
         kernel_time, (ker_f, ker_g) = _best_of(build, rounds=5)
-        assert ker_f.signatures == big_f.signatures
-        assert ker_g.signatures == big_g.signatures
+        assert ker_f.packed == big_f.packed
+        assert ker_g.packed == big_g.packed
         assert ker_g.faults == big_g.faults
         total_big += big_time
         total_kernel += kernel_time

@@ -23,6 +23,8 @@ import time
 from repro.adaptive import AdaptiveSampler, StoppingRule
 from repro.bench_suite.registry import get_circuit
 from repro.core.worst_case import WorstCaseAnalysis
+from repro.faultsim.detection import DetectionTable
+from repro.logic.packed import PackedSignatureMatrix
 
 CIRCUIT = "wide40"
 RULE = StoppingRule(
@@ -107,14 +109,11 @@ def main() -> int:
 
 
 def _dropped(table):
-    kept = [
-        (f, s) for f, s in zip(table.faults, table.signatures) if s
-    ]
-    return type(table)(
-        table.circuit,
-        [f for f, _ in kept],
-        [s for _, s in kept],
-        table.universe,
+    """The table's detectable rows only (the paper's G), as a new table."""
+    words = PackedSignatureMatrix(table.packed.words.copy(), table.packed.size)
+    return DetectionTable.from_rows(
+        table.circuit, table.faults, words, table.universe,
+        drop_undetectable=True,
     )
 
 

@@ -132,8 +132,8 @@ def main() -> int:
         ("steal-off", (off_f, off_g)),
         ("steal-on", (on_f, on_g)),
     ):
-        assert f_table.signatures == inline_f.signatures, label
-        assert g_table.signatures == inline_g.signatures, label
+        assert f_table.packed == inline_f.packed, label
+        assert g_table.packed == inline_g.packed, label
         assert g_table.faults == inline_g.faults, label
     print(
         "\nfleet tables are bit-for-bit identical to the inline build,"

@@ -55,15 +55,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         parallel = ParallelBackend(base=base, jobs=JOBS, cache_dir=cache_dir)
         cold_time, (par_f, par_g) = build(circuit, parallel)
-        assert par_f.signatures == single_f.signatures
-        assert par_g.signatures == single_g.signatures
+        assert par_f.packed == single_f.packed
+        assert par_g.packed == single_g.packed
         print(
             f"jobs={JOBS} cold build:  {cold_time * 1e3:7.1f} ms "
             f"(bit-identical table, {os.cpu_count()} cpus)"
         )
 
         warm_time, (warm_f, _) = build(circuit, parallel)
-        assert warm_f.signatures == single_f.signatures
+        assert warm_f.packed == single_f.packed
         stats = cache_stats()
         print(
             f"jobs={JOBS} warm build:  {warm_time * 1e3:7.1f} ms "

@@ -29,11 +29,11 @@ print(f"|G| = {len(untargeted)} detectable bridging faults")
 print()
 
 # Table 1: which target faults overlap T(g0), and the nmin they imply.
-g0_sig = untargeted.signatures[0]
+g0_sig = untargeted.packed.row_bigint(0)
 print(f"g0 = {untargeted.fault_name(0)}, T(g0) = {set_bits(g0_sig)}")
 print(f"{'i':>3} {'fault':>6} {'T(fi)':<40} nmin(g0,fi)")
 for i in range(len(targets)):
-    f_sig = targets.signatures[i]
+    f_sig = targets.packed.row_bigint(i)
     overlap = (f_sig & g0_sig).bit_count()
     if not overlap:
         continue

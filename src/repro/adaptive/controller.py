@@ -73,7 +73,6 @@ from repro.logic.packed import (
     _np,
     PackedSignatureMatrix,
     gather_columns,
-    pack_signature,
     scatter_columns,
     widen_matrix,
 )
@@ -540,13 +539,10 @@ class _GrowthState:
 
     def stratum_count_arrays(self, masks) -> tuple[list, list]:
         """Per-stratum popcounts: ``out[h][i]`` for each table."""
-        size = max(1, len(self.drawn))
-        out_f, out_g = [], []
-        for mask in masks:
-            row = pack_signature(mask, size)
-            out_f.append([int(c) for c in self.acc_f.and_popcount(row)])
-            out_g.append([int(c) for c in self.acc_g.and_popcount(row)])
-        return out_f, out_g
+        return (
+            [self.acc_f.and_popcount(mask).tolist() for mask in masks],
+            [self.acc_g.and_popcount(mask).tolist() for mask in masks],
+        )
 
     def finalize(self, plan):
         """Sorted-order universe + packed ``F``/``G`` signature blocks."""
@@ -645,8 +641,7 @@ class _RuleEvaluator:
     # -- stratified ----------------------------------------------------
     def _evaluate_stratified(self, state) -> _Evaluation:
         plan = self.plan
-        masks = self._draw_order_masks(state)
-        draws = [m.bit_count() for m in masks]
+        masks, draws = plan.mask_rows(state.drawn)
         per_f, per_g = state.stratum_count_arrays(masks)
         z = self.z
         z2 = z * z
@@ -740,10 +735,3 @@ class _RuleEvaluator:
         return _Evaluation(
             met, absolute_worst, relative_worst, focus, sigma
         )
-
-    def _draw_order_masks(self, state) -> list[int]:
-        plan = self.plan
-        masks = [0] * plan.num_strata
-        for bit, vector in enumerate(state.drawn):
-            masks[plan.stratum_of(vector)] |= 1 << bit
-        return masks

@@ -46,7 +46,9 @@ which concentrates the budget on the rare, high-uncertainty strata.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -58,7 +60,11 @@ from repro.faultsim.sampling import (
 )
 from repro.logic.bitops import iter_set_bits
 from repro.logic.cube import Cube
+from repro.logic.packed import PackedSignatureMatrix, _np, pack_bits
 from repro.simulation.twoval import simulate_batch
+
+if TYPE_CHECKING:
+    from repro.logic.packed import F64Array, I64Array, U64Array
 
 
 @dataclass(frozen=True)
@@ -192,6 +198,17 @@ class StrataPlan:
                     lookup[proj] = s.index
             object.__setattr__(self, "_proj_to_stratum", lookup)
         return lookup[self.projection_of(vector)]
+
+    def mask_rows(
+        self, vectors: Sequence[int]
+    ) -> tuple[U64Array, tuple[int, ...]]:
+        """Stratum membership of ``vectors`` as packed rows (row ``h``
+        has bit ``i`` set when ``vectors[i]`` lies in stratum ``h``),
+        with the number of vectors in each stratum."""
+        of = _np.array([self.stratum_of(v) for v in vectors], dtype=_np.intp)
+        member = (of == _np.arange(self.num_strata)[:, None]).view(_np.uint8)
+        draws = tuple(int(d) for d in member.sum(axis=1))
+        return pack_bits(member).words, draws
 
     def compose(self, projection: int, free: int) -> int:
         """Vector with ``projection`` on ``T`` and ``free`` elsewhere."""
@@ -450,15 +467,11 @@ class StratifiedVectorUniverse(VectorUniverse):
             )
 
     # -- per-stratum geometry ------------------------------------------
-    def _masks_and_draws(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-stratum signature masks and draw counts (cached)."""
+    def _masks_and_draws(self) -> tuple[U64Array, tuple[int, ...]]:
+        """Per-stratum packed mask rows and draw counts (cached)."""
         cached = self._stratum_masks
         if cached is None:
-            masks = [0] * self.plan.num_strata
-            for bit, vector in enumerate(self.vectors):
-                masks[self.plan.stratum_of(vector)] |= 1 << bit
-            draws = tuple(m.bit_count() for m in masks)
-            cached = (tuple(masks), draws)
+            cached = self.plan.mask_rows(self.vectors)
             object.__setattr__(self, "_stratum_masks", cached)
         return cached
 
@@ -466,36 +479,40 @@ class StratifiedVectorUniverse(VectorUniverse):
     def draws_per_stratum(self) -> tuple[int, ...]:
         return self._masks_and_draws()[1]
 
-    def stratum_counts(self, signature: int) -> list[int]:
-        """Per-stratum popcounts of a signature over this universe."""
-        masks, _ = self._masks_and_draws()
-        return [(signature & m).bit_count() for m in masks]
-
     # -- estimation dispatch (overrides the uniform estimators) --------
-    def estimate_signature(self, signature: int) -> float:
-        est = 0.0
-        masks, draws = self._masks_and_draws()
-        for stratum, mask, drawn in zip(self.plan.strata, masks, draws, strict=True):
+    def count_rows(self, matrix: PackedSignatureMatrix) -> I64Array:
+        masks, _ = self._masks_and_draws()
+        return _np.stack([matrix.and_popcount(mask) for mask in masks])
+
+    def estimate_rows(self, matrix: PackedSignatureMatrix) -> F64Array:
+        counts = self.count_rows(matrix)
+        _, draws = self._masks_and_draws()
+        est = _np.zeros(counts.shape[1])
+        # Stratum by stratum, in plan order: the same float sums as
+        # the per-fault formula of :func:`stratified_interval`.
+        for stratum, k, drawn in zip(
+            self.plan.strata, counts, draws, strict=True
+        ):
             if drawn == 0:
                 continue  # no information; population contributes 0
-            est += stratum.population * (
-                (signature & mask).bit_count() / drawn
-            )
+            est += float(stratum.population) * (k / drawn)
         return est
 
-    def interval_for_signature(
-        self, signature: int, confidence: float = 0.95
+    def interval_for_counts(
+        self, counts: I64Array, confidence: float = 0.95
     ) -> CountEstimate:
-        return stratified_interval(self, signature, confidence)
+        return stratified_interval(self, counts, confidence)
 
 
 def stratified_interval(
     universe: StratifiedVectorUniverse,
-    signature: int,
+    counts: I64Array,
     confidence: float = 0.95,
 ) -> CountEstimate:
     """Stratified count estimate with a recombined confidence interval.
 
+    ``counts`` holds one row's per-stratum popcounts (a column of
+    :meth:`StratifiedVectorUniverse.count_rows`).
     ``N̂ = Σ_h N_h k_h / K_h``; the variance sums per-stratum binomial
     variances with the finite-population correction, using the
     Wilson-center smoothed proportion ``p̃ = (k + z²/2) / (K + z²)`` so
@@ -505,14 +522,15 @@ def stratified_interval(
     interval stays honest before every stratum has been touched.
     """
     z = confidence_z(confidence)
-    masks, draws = universe._masks_and_draws()
+    _, draws = universe._masks_and_draws()
     est = 0.0
     var = 0.0
     slack = 0.0
     sample_count = 0
-    for stratum, mask, drawn in zip(universe.plan.strata, masks, draws, strict=True):
+    for stratum, k, drawn in zip(
+        universe.plan.strata, [int(c) for c in counts], draws, strict=True
+    ):
         pop = stratum.population
-        k = (signature & mask).bit_count()
         sample_count += k
         if drawn == 0:
             slack += pop

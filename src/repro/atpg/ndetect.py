@@ -25,7 +25,6 @@ from repro.errors import AtpgError
 from repro.faults.stuck_at import StuckAtFault
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.serial import detects_stuck_at
-from repro.logic.bitops import iter_set_bits
 
 
 def greedy_ndetection_set(
@@ -40,16 +39,14 @@ def greedy_ndetection_set(
     if n < 1:
         raise AtpgError(f"n must be >= 1, got {n}")
     remaining = {
-        i: min(n, sig.bit_count())
-        for i, sig in enumerate(table.signatures)
-        if sig
+        i: min(n, count) for i, count in enumerate(table.counts()) if count
     }
     chosen: list[int] = []
     chosen_sig = 0
     # Vector -> fault coverage map (sparse, built once).
     vector_faults: dict[int, list[int]] = {}
-    for i, sig in enumerate(table.signatures):
-        for v in iter_set_bits(sig):
+    for i in range(len(table)):
+        for v in table.vectors(i):
             vector_faults.setdefault(v, []).append(i)
     while remaining:
         best_vec = None

@@ -18,9 +18,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.procedure1 import NDetectionFamily
+from repro.core.worst_case import g_block_rows
 from repro.errors import AnalysisError
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
+from repro.logic.packed import PackedSignatureMatrix, _np
 
 TABLE5_THRESHOLDS: tuple[float, ...] = (
     1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0,
@@ -87,24 +89,31 @@ class AverageCaseAnalysis:
             )
         return self.family.snapshots[n - 1]
 
-    def _probability(self, signature: int, snapshots: list[int]) -> float:
-        return sum(1 for tk in snapshots if tk & signature) / (
-            self.family.num_sets
-        )
+    def _probabilities(self, n: int, indices: Sequence[int]) -> list[float]:
+        """``p(n, g)`` of the faults ``indices``: per block of their rows,
+        count the step's (packed) test sets that meet each row."""
+        size = self.table.universe.size
+        snapshots = PackedSignatureMatrix.from_bigints(
+            self._snapshots_for(n), size
+        ).words
+        idx = _np.asarray(indices, dtype=_np.intp)
+        hits = _np.zeros(len(idx), dtype=_np.int64)
+        block = g_block_rows(size)
+        for start in range(0, len(idx), block):
+            rows = self.table.packed.words[idx[start : start + block]]
+            met = _np.empty_like(rows)
+            for snapshot in snapshots:
+                _np.bitwise_and(rows, snapshot, out=met)
+                hits[start : start + block] += met.any(axis=1)
+        return (hits / self.family.num_sets).tolist()
 
     def detection_probability(self, n: int, fault_index: int) -> float:
         """``p(n, g)`` for one untargeted fault."""
-        return self._probability(
-            self.table.signatures[fault_index], self._snapshots_for(n)
-        )
+        return self._probabilities(n, [fault_index])[0]
 
     def probabilities(self, n: int) -> list[float]:
         """``p(n, g)`` for every analyzed fault (in ``fault_indices`` order)."""
-        snapshots = self._snapshots_for(n)
-        return [
-            self._probability(self.table.signatures[j], snapshots)
-            for j in self.fault_indices
-        ]
+        return self._probabilities(n, self.fault_indices)
 
     def histogram(self, n: int) -> list[int]:
         """Counts of faults with ``p(n, g) >= threshold`` (Table 5 row)."""

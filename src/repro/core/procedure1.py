@@ -201,9 +201,10 @@ class _Procedure1:
         self.orders[k].append(t)
 
     def run(self) -> NDetectionFamily:
+        # The test sets are big-int bitsets, so the rows are too.
+        signatures = self.table.packed.to_bigints()
         for n in range(1, self.n_max + 1):
-            for i in range(len(self.table)):
-                sig = self.table.signatures[i]
+            for i, sig in enumerate(signatures):
                 if not sig:
                     continue  # undetectable target: never constrains a set
                 if self.counting == "def1":

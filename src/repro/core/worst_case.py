@@ -21,12 +21,28 @@ queries).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.faultsim.detection import DetectionTable
-from repro.faultsim.sampling import estimate_nmin
-from repro.logic.packed import _np, popcount_words, words_for
+from repro.logic.packed import (
+    PackedSignatureMatrix,
+    _np,
+    popcount_words,
+    unpack_bits,
+    words_for,
+)
+
+#: Row-block bounds of the packed passes over ``G`` rows: the scan's
+#: buffers and the estimate and hit-count temporaries scale with them.
+_G_BLOCK_ROWS = 2048
+_G_BLOCK_BYTES = 1 << 22
+
+
+def g_block_rows(size: int) -> int:
+    """Rows per block of a packed pass over ``size``-bit rows."""
+    return min(_G_BLOCK_ROWS, _G_BLOCK_BYTES // (words_for(size) * 8) or 1)
 
 
 class NminRecord(NamedTuple):
@@ -46,7 +62,7 @@ class NminRecord(NamedTuple):
 
 
 def nmin_for_untargeted_fault(
-    target_table: DetectionTable,
+    target_signatures: Sequence[int],
     g_signature: int,
     target_counts: list[int] | None = None,
     sorted_order: list[int] | None = None,
@@ -55,6 +71,8 @@ def nmin_for_untargeted_fault(
 
     The scalar scan over big-int signatures: the reference definition
     that :class:`WorstCaseAnalysis`'s array scan is tested against.
+    ``target_signatures`` are the target rows as big ints (e.g. a
+    table's ``packed.to_bigints()``).
     ``target_counts`` lets callers pass the precomputed ``N(f)`` list;
     ``sorted_order`` the target indices sorted by ascending ``N(f)``.
     Scanning targets in ascending ``N(f)`` allows a sharp early exit:
@@ -66,19 +84,20 @@ def nmin_for_untargeted_fault(
         raise AnalysisError("nmin is undefined for an undetectable fault")
     # `is None`, not truthiness: an explicit empty count list (no target
     # faults) must not silently trigger a recompute.
-    counts = target_counts if target_counts is not None else target_table.counts()
+    counts = target_counts
+    if counts is None:
+        counts = [sig.bit_count() for sig in target_signatures]
     if sorted_order is None:
         sorted_order = sorted(range(len(counts)), key=counts.__getitem__)
     n_g = g_signature.bit_count()
     best: int | None = None
     best_idx: int | None = None
     best_overlap = 0
-    signatures = target_table.signatures
     for idx in sorted_order:
         n_f = counts[idx]
         if best is not None and n_f - n_g + 1 >= best:
             break
-        overlap = (signatures[idx] & g_signature).bit_count()
+        overlap = (target_signatures[idx] & g_signature).bit_count()
         if overlap == 0:
             continue
         candidate = n_f - overlap + 1
@@ -155,19 +174,6 @@ class _PackedNminScan:
         self.matrix_sorted = packed.take(self.order)
         self._f_bits = None  # lazily unpacked float32 bits, sorted order
 
-    @staticmethod
-    def _unpack_bits(words):
-        """0/1 ``float32`` columns of a ``uint64`` block (for sgemm).
-
-        ``unpackbits`` scrambles bit positions relative to signature bit
-        order, but identically on both operands, so dot products still
-        equal ``popcount(a & b)``; pad bits beyond ``size`` are zero on
-        both sides.
-        """
-        return _np.unpackbits(
-            _np.ascontiguousarray(words).view(_np.uint8), axis=1
-        ).astype(_np.float32)
-
     def _use_gemm(self, num_g: int) -> bool:
         if self.size > self._GEMM_MAX_BITS:
             return False
@@ -197,9 +203,11 @@ class _PackedNminScan:
         counts_cast = counts.astype(real)
         sentinel = real(_np.inf)
         if use_gemm:
+            # Dot products of 0/1 bit planes are popcount(a & b).
             if self._f_bits is None:
-                self._f_bits = self._unpack_bits(self.matrix_sorted.words)
-            g_bits = self._unpack_bits(g_words)
+                f_words = self.matrix_sorted.words
+                self._f_bits = unpack_bits(f_words).astype(_np.float32)
+            g_bits = unpack_bits(g_words).astype(_np.float32)
         else:
             # Scratch for the row sweep, reused by every target row: a
             # fresh block-sized temporary per row would be mapped and
@@ -293,10 +301,6 @@ class WorstCaseAnalysis:
     values.
     """
 
-    #: Block bounds: the scan's overlap and unpacked-bit buffers scale with it.
-    _G_BLOCK_ROWS = 2048
-    _G_BLOCK_BYTES = 1 << 22
-
     def __init__(
         self,
         target_table: DetectionTable,
@@ -324,8 +328,7 @@ class WorstCaseAnalysis:
         counts = target_table.counts()
         order = sorted(range(len(counts)), key=counts.__getitem__)
         scan = _PackedNminScan(target_table, counts, order)
-        row_bytes = words_for(scan.size) * 8
-        block = min(self._G_BLOCK_ROWS, self._G_BLOCK_BYTES // row_bytes or 1)
+        block = g_block_rows(scan.size)
         results = [_np.zeros(len(reps), dtype=_np.int32) for _ in range(3)]
         for start in range(0, len(reps), block):
             rows = g_packed.words[reps[start : start + block]]
@@ -363,17 +366,6 @@ class WorstCaseAnalysis:
     def nmin_values(self) -> list[int | None]:
         return [value or None for value in self.nmin.tolist()]
 
-    def estimated_nmin(self, nmin: int | None) -> float | int | None:
-        """``|U|``-scale estimate of one raw (sample-space) nmin value.
-
-        Uniform-scale only: without the witness signatures a bare nmin
-        value cannot be re-weighted, so non-uniform universes (the
-        stratified one) must use :meth:`estimated_nmin_values`, which
-        estimates each fault from its witness's exclusive detection
-        set.
-        """
-        return estimate_nmin(self.universe, nmin)
-
     def estimated_nmin_values(self) -> list[float | int | None]:
         """``|U|``-scale nmin estimates (== raw values when exact).
 
@@ -388,17 +380,22 @@ class WorstCaseAnalysis:
         values = self.nmin_values()
         if self.universe.exact:
             return list(values)
-        f_sigs = self.target_table.signatures
-        g_sigs = self.untargeted_table.signatures
-        mask, estimate = self.universe.mask, self.universe.estimate_signature
-        return [
-            None
-            if value is None
-            else estimate(f_sigs[witness] & ~g_sigs[j] & mask) + 1.0
-            for j, (value, witness) in enumerate(
-                zip(values, self.witness.tolist(), strict=True)
-            )
-        ]
+        size = self.universe.size
+        f_words = self.target_table.packed.words
+        g_words = self.untargeted_table.packed.words
+        found = _np.flatnonzero(self.nmin)
+        block = g_block_rows(size)
+        out: list[float | int | None] = list(values)
+        for start in range(0, len(found), block):
+            js = found[start : start + block]
+            # F's pad bits are zero, so the AND needs no universe mask.
+            exclusive = f_words[self.witness[js]] & ~g_words[js]
+            estimates = self.universe.estimate_rows(
+                PackedSignatureMatrix(exclusive, size)
+            ).tolist()
+            for j, estimate in zip(js.tolist(), estimates, strict=True):
+                out[j] = estimate + 1.0
+        return out
 
     def estimated_guaranteed_n(self) -> float | int | None:
         """``|U|``-scale estimate of :meth:`guaranteed_n`.

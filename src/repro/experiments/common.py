@@ -101,7 +101,7 @@ def backend_from_env() -> DetectionBackend | None:
         values[option.dest] = (
             option.kwargs.get("default") if value is None else value
         )
-    backend = backend_from_options(values)
+    backend = backend_from_options(values, front_end="env")
     return None if backend == TableBackend() else backend
 
 

@@ -14,7 +14,6 @@ from repro.bench_suite.example import paper_example
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.experiments.common import render_rows
 from repro.faults.universe import FaultUniverse
-from repro.logic.bitops import set_bits
 
 
 @dataclass
@@ -58,18 +57,19 @@ def run_table1(untargeted_index: int = 0) -> Table1Result:
     universe = FaultUniverse(circuit)
     targets = universe.target_table
     untargeted = universe.untargeted_table
-    g_sig = untargeted.signatures[untargeted_index]
+    overlaps = targets.packed.and_popcount(
+        untargeted.packed.row(untargeted_index)
+    ).tolist()
     counts = targets.counts()
     rows = []
-    for i, f_sig in enumerate(targets.signatures):
-        overlap = (f_sig & g_sig).bit_count()
+    for i, overlap in enumerate(overlaps):
         if overlap == 0:
             continue
         rows.append(
             Table1Row(
                 index=i,
                 fault=targets.fault_name(i),
-                vectors=set_bits(f_sig),
+                vectors=targets.vectors(i),
                 nmin=counts[i] - overlap + 1,
             )
         )
@@ -77,7 +77,7 @@ def run_table1(untargeted_index: int = 0) -> Table1Result:
     nmin_g = analysis.nmin_values()[untargeted_index]
     return Table1Result(
         g_name=untargeted.fault_name(untargeted_index),
-        g_vectors=set_bits(g_sig),
+        g_vectors=untargeted.vectors(untargeted_index),
         rows=rows,
         nmin_g=nmin_g,
     )

@@ -50,7 +50,7 @@ distributes shards through a ``repro broker`` at ``REPRO_BROKER`` to
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Protocol, runtime_checkable
@@ -324,6 +324,12 @@ class SerialBackend:
         return self._build(circuit, list(faults), drop_undetectable)
 
 
+def spell_flag(dest: str, value: object = None) -> str:
+    """An option as its command-line flag (``--dest value``)."""
+    flag = "--" + dest.replace("_", "-")
+    return flag if value is None else f"{flag} {value}"
+
+
 def make_backend(
     name: str,
     samples: int | None = None,
@@ -338,13 +344,15 @@ def make_backend(
     max_samples: int | None = None,
     initial_samples: int | None = None,
     stratify: str | None = None,
+    spell: Callable[..., str] = spell_flag,
 ) -> DetectionBackend:
     """Backend factory behind the CLI / env configuration.
 
     ``samples`` is required for ``sampled`` and rejected elsewhere, as
     is ``replacement``: the CLI, env and service front ends share these
-    checks.  ``exhaustive`` and ``sampled`` both build a
-    :class:`TableBackend`.
+    checks, and ``spell(dest, value=None)`` names an option in their
+    errors as the front end writes it.  ``exhaustive`` and ``sampled``
+    both build a :class:`TableBackend`.
     ``jobs > 1`` wraps the engine in a
     :class:`repro.parallel.ParallelBackend` (sharded build with the
     persistent shard cache); ``jobs=1``/``None`` stays single-process.
@@ -364,47 +372,39 @@ def make_backend(
             f"unknown backend {name!r}; choose from "
             f"{', '.join(BACKEND_NAMES)}"
         )
-    sampling_backends = ("sampled",)
-    if name not in sampling_backends and samples is not None:
-        hint = (
-            "; the adaptive backend sizes its own draw — use "
-            "--max-samples for the budget"
-            if name == "adaptive"
-            else ""
+    def misplaced(dests: list[str], backend: str, hint: str = "") -> None:
+        """Reject the options ``dests`` when set for a non-``backend``."""
+        if dests:
+            raise AnalysisError(
+                f"{', '.join(map(spell, dests))} only appl"
+                f"{'y' if len(dests) > 1 else 'ies'} to "
+                f"{spell('backend', backend)} (got {spell('backend', name)})"
+                f"{hint if name == 'adaptive' else ''}"
+            )
+
+    if name != "sampled":
+        misplaced(
+            ["samples"] if samples is not None else [], "sampled",
+            f"; the adaptive backend sizes its own draw — use "
+            f"{spell('max_samples')} for the budget",
         )
-        raise AnalysisError(
-            f"--samples only applies to --backend sampled "
-            f"(got --backend {name}){hint}"
+        misplaced(
+            ["replacement"] if replacement else [], "sampled",
+            "; the adaptive backend always samples without replacement",
         )
-    if name not in sampling_backends and replacement:
-        hint = (
-            "; the adaptive backend always samples without replacement"
-            if name == "adaptive"
-            else ""
-        )
-        raise AnalysisError(
-            f"--replacement only applies to --backend sampled "
-            f"(got --backend {name}){hint}"
-        )
-    adaptive_flags = {
-        "--target-halfwidth": target_halfwidth,
-        "--max-samples": max_samples,
-        "--initial-samples": initial_samples,
-        "--stratify": None if stratify in (None, "none") else stratify,
+    adaptive_options = {
+        "target_halfwidth": target_halfwidth,
+        "max_samples": max_samples,
+        "initial_samples": initial_samples,
+        "stratify": None if stratify in (None, "none") else stratify,
     }
     if name != "adaptive":
-        bad = [flag for flag, value in adaptive_flags.items()
-               if value is not None]
-        if bad:
-            raise AnalysisError(
-                f"{', '.join(bad)} only appl"
-                f"{'y' if len(bad) > 1 else 'ies'} to --backend adaptive "
-                f"(got --backend {name})"
-            )
+        set_here = [d for d, v in adaptive_options.items() if v is not None]
+        misplaced(set_here, "adaptive")
     if name == "sampled" and samples is None:
         raise AnalysisError(
-            "--backend sampled requires --samples K (the number of "
-            "random vectors to draw)"
+            f"{spell('backend', 'sampled')} requires {spell('samples')} "
+            f"K (the number of random vectors to draw)"
         )
     backend: DetectionBackend
     if name == "serial":
@@ -432,7 +432,7 @@ def make_backend(
                 else max_samples
             ),
             seed=seed,
-            stratify=adaptive_flags["--stratify"],
+            stratify=adaptive_options["stratify"],
         )
     else:
         backend = TableBackend(

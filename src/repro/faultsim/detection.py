@@ -2,10 +2,10 @@
 
 The paper's analysis needs, for every fault ``h`` in ``F ∪ G``, the set
 ``T(h) ⊆ U`` of input vectors that detect ``h``.  A
-:class:`DetectionTable` holds those sets as signatures (one int per
-fault, or one row of ``uint64`` words per fault) and provides the
-popcount quantities the worst-case analysis is built from.  The
-signature bit space is described by the table's
+:class:`DetectionTable` holds those sets as signatures (one row of
+``uint64`` words per fault) and provides the popcount quantities the
+worst-case analysis is built from.  The signature bit space is
+described by the table's
 :class:`~repro.faultsim.sampling.VectorUniverse`: for the default
 exhaustive universe bit ``v`` means "vector ``v`` detects the fault";
 for a sampled universe bit ``i`` refers to the ``i``-th sampled vector
@@ -30,14 +30,14 @@ rows (the sharded merge, the serial oracle, cell-aware tables) pack
 them once through :meth:`DetectionTable.from_signatures`.
 Undetectable rows are dropped by compacting the words in place, a
 bridging fault list stays :class:`~repro.faults.bridging.BridgingFaults`
-arrays, ``N(f)`` and the test-set queries are popcounts, and the
-big-int ``signatures`` are derived only when a consumer first reads
-them.
+arrays, and ``N(f)``, its estimates and the test-set queries are
+operations on the rows.  A consumer whose algorithm is big-int (the
+scalar oracles, Procedure 1's test sets) unpacks the rows itself with
+``packed.to_bigints()``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -51,12 +51,13 @@ from repro.faults.bridging import (
 )
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.sampling import CountEstimate, VectorUniverse
-from repro.logic.bitops import all_ones_mask, set_bits
+from repro.logic.bitops import all_ones_mask
 from repro.logic.packed import (
     _np,
     PackedSignatureMatrix,
     pack_signature,
     popcount_words,
+    unpack_bits,
     words_for,
 )
 from repro.simulation.exhaustive import (
@@ -205,13 +206,10 @@ class DetectionTable:
         The rows as a :class:`~repro.logic.packed.PackedSignatureMatrix`:
         row ``i`` is ``T(faults[i])`` over the universe's bits;
         undetectable faults (if kept) have an all-zero row.  The only
-        store: the popcount queries and the worst-case scan read it.
+        store: every query, estimate and analysis reads it.
     universe:
         Bit-index ↔ vector mapping of the rows.  ``None`` (the default)
         means the exhaustive universe of the circuit's input space.
-    signatures:
-        ``signatures[i]`` is row ``i`` as a big-int bit-signature,
-        derived from ``packed`` on first access.
     """
 
     def __init__(
@@ -237,11 +235,6 @@ class DetectionTable:
         self.faults = faults
         self.universe: VectorUniverse = universe
         self.packed = packed
-        self._vector_cache: dict[int, list[int]] = {}
-
-    @cached_property
-    def signatures(self) -> list[int]:
-        return self.packed.to_bigints()
 
     def __eq__(self, other: object) -> bool:
         if (
@@ -256,27 +249,13 @@ class DetectionTable:
             and self.faults == other.faults
         )
 
-    __hash__ = None  # type: ignore[assignment]  # mutable caches
+    __hash__ = None  # type: ignore[assignment]  # mutable words
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(circuit={self.circuit.name!r}, "
             f"faults={len(self)}, universe={self.universe!r})"
         )
-
-    def __getstate__(self) -> dict:
-        """Drop the derived caches from the pickle payload.
-
-        ``_vector_cache`` memoises :meth:`vectors` and ``signatures``
-        the big-int view of ``packed``.  Shipping them across the
-        executor boundary bloats shard payloads and makes pickles of
-        one table depend on which queries ran on it; each is rebuilt
-        on first use.
-        """
-        state = dict(self.__dict__)
-        state["_vector_cache"] = {}
-        state.pop("signatures", None)
-        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -440,41 +419,30 @@ class DetectionTable:
         """``N(f)`` for every fault."""
         return self.packed.popcount_rows().tolist()
 
-    def estimated_count(self, index: int) -> float:
-        """``|U|``-scale estimate of ``N(f)`` (equals ``count`` when exact).
+    def estimated_counts(self) -> list[float]:
+        """``|U|``-scale ``N(f)`` estimates for every fault.
 
         Dispatches through the universe so non-uniform designs (the
         stratified universe of :mod:`repro.adaptive`) apply their own
-        unbiased estimator.
+        unbiased estimator; equals :meth:`counts` when exact.
         """
-        return self.universe.estimate_signature(self.signatures[index])
-
-    def estimated_counts(self) -> list[float]:
-        """``|U|``-scale ``N(f)`` estimates for every fault."""
-        return [
-            self.universe.estimate_signature(sig) for sig in self.signatures
-        ]
+        return self.universe.estimate_rows(self.packed).tolist()
 
     def count_estimate(
         self, index: int, confidence: float = 0.95
     ) -> CountEstimate:
         """``N(f)`` estimate with a confidence interval for fault ``index``."""
-        return self.universe.interval_for_signature(
-            self.signatures[index], confidence
-        )
+        counts = self.universe.count_rows(self.packed.take([index]))[:, 0]
+        return self.universe.interval_for_counts(counts, confidence)
 
     def vectors(self, index: int) -> list[int]:
-        """Sorted list of detecting signature bits (cached).
+        """Sorted list of detecting signature bits (row ``index``'s set bits).
 
         On the exhaustive universe these are the detecting decimal
         vectors; on a sampled universe they are sample-bit indices — use
         :meth:`detecting_vectors` for the decimal vectors behind them.
         """
-        vecs = self._vector_cache.get(index)
-        if vecs is None:
-            vecs = set_bits(self.signatures[index])
-            self._vector_cache[index] = vecs
-        return vecs
+        return _np.flatnonzero(unpack_bits(self.packed.words[index])).tolist()
 
     def detecting_vectors(self, index: int) -> list[int]:
         """Decimal input vectors detecting fault ``index`` (bit order)."""

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 
 from repro.errors import AnalysisError
 from repro.faultsim.detection import DetectionTable
+from repro.logic.packed import gather_columns
 
 
 class FaultDictionary:
@@ -37,23 +38,22 @@ class FaultDictionary:
     """
 
     def __init__(self, table: DetectionTable, tests: Sequence[int]):
-        limit = 1 << table.circuit.num_inputs
         seen: set[int] = set()
+        bits = []
         for t in tests:
-            if not 0 <= t < limit:
-                raise AnalysisError(f"test vector {t} out of range")
             if t in seen:
                 raise AnalysisError(f"duplicate test vector {t}")
             seen.add(t)
+            bit = table.universe.bit_of(t)  # range-checks t
+            if bit is None:
+                raise AnalysisError(
+                    f"test vector {t} is not in the table's sampled "
+                    f"universe"
+                )
+            bits.append(bit)
         self.table = table
         self.tests = list(tests)
-        self.masks: list[int] = []
-        for sig in table.signatures:
-            mask = 0
-            for i, t in enumerate(self.tests):
-                if (sig >> t) & 1:
-                    mask |= 1 << i
-            self.masks.append(mask)
+        self.masks = gather_columns(table.packed, bits).to_bigints()
 
     # ------------------------------------------------------------------
     # Diagnosis

@@ -51,6 +51,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError
 from repro.logic.bitops import (
@@ -58,6 +59,10 @@ from repro.logic.bitops import (
     all_ones_mask,
     iter_set_bits,
 )
+from repro.logic.packed import PackedSignatureMatrix, _np
+
+if TYPE_CHECKING:
+    from repro.logic.packed import F64Array, I64Array
 
 
 @dataclass(frozen=True)
@@ -198,18 +203,25 @@ class VectorUniverse:
 
     # -- estimation dispatch -------------------------------------------
     # Subclasses with non-uniform sampling designs (the stratified
-    # universe of ``repro.adaptive``) override these two methods; the
+    # universe of ``repro.adaptive``) override these three methods; the
     # detection-table estimate queries route through them so every
     # universe carries its own correct estimator.
-    def estimate_signature(self, signature: int) -> float:
-        """Unbiased ``|U|``-scale estimate of a signature's exact count."""
-        return estimate_count(self, signature.bit_count())
+    def count_rows(self, matrix: PackedSignatureMatrix) -> I64Array:
+        """Per-stratum popcounts of packed rows, a ``(strata, rows)``
+        array; a uniform universe is one stratum."""
+        return matrix.popcount_rows()[None, :]
 
-    def interval_for_signature(
-        self, signature: int, confidence: float = 0.95
+    def estimate_rows(self, matrix: PackedSignatureMatrix) -> F64Array:
+        """Unbiased ``|U|``-scale estimates of packed rows' exact counts."""
+        counts = self.count_rows(matrix)[0].astype(_np.float64)
+        return counts if self.exact else counts * self.scale
+
+    def interval_for_counts(
+        self, counts: I64Array, confidence: float = 0.95
     ) -> "CountEstimate":
-        """Confidence interval behind :meth:`estimate_signature`."""
-        return count_interval(self, signature.bit_count(), confidence)
+        """Confidence interval behind :meth:`estimate_rows`, for one
+        row's per-stratum counts (a column of :meth:`count_rows`)."""
+        return count_interval(self, int(counts[0]), confidence)
 
 
 def draw_universe(

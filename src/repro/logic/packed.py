@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     #: Per-word/per-byte popcounts — counts, not lanes.
     U8Array = NDArray[np.uint8]
     I64Array = NDArray[np.int64]
+    F64Array = NDArray[np.float64]
     IntpArray = NDArray[np.intp]
 
 WORD_BITS = 64
@@ -402,15 +403,38 @@ def scatter_columns(
         dest[:, pos // WORD_BITS] |= bit << _np.uint64(pos % WORD_BITS)
 
 
+def unpack_bits(words: U64Array) -> U8Array:
+    """0/1 bit plane of a word block: bit ``i`` of a row at column ``i``.
+
+    Works on one row or a ``(rows, W)`` block (little-endian words).
+    """
+    return _np.unpackbits(
+        _np.ascontiguousarray(words, dtype="<u8").view(_np.uint8),
+        axis=-1,
+        bitorder="little",
+    )
+
+
+def pack_bits(bits: U8Array) -> PackedSignatureMatrix:
+    """Inverse of :func:`unpack_bits`: a ``(rows, size)`` 0/1 plane."""
+    rows, size = bits.shape
+    raw = _np.zeros((rows, words_for(size) * _WORD_BYTES), dtype=_np.uint8)
+    raw[:, : (size + 7) // 8] = _np.packbits(bits, axis=1, bitorder="little")
+    words = raw.view("<u8").astype(_np.uint64, copy=False)
+    return PackedSignatureMatrix(words, size)
+
+
 def gather_columns(
     matrix: PackedSignatureMatrix, order: Iterable[int]
 ) -> PackedSignatureMatrix:
     """Column-permuted copy: bit ``j`` of the result is bit ``order[j]``.
 
-    Used once at the end of an adaptive run to re-order the accumulated
-    draw-order columns into sorted-vector order (the invariant of
-    :class:`~repro.faultsim.sampling.VectorUniverse`).  Unpacks to a
-    little-endian bit plane, gathers, and re-packs — exact for any size.
+    Re-orders an adaptive run's draw-order columns into sorted-vector
+    order (the invariant of
+    :class:`~repro.faultsim.sampling.VectorUniverse`) and picks a fault
+    dictionary's test columns.  Unpacks a chunk of rows to a bit plane,
+    gathers, and re-packs — exact for any size; the chunks keep the
+    unpacked plane small on wide exhaustive rows.
     """
     idx = _np.asarray(list(order), dtype=_np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= matrix.size):
@@ -418,26 +442,9 @@ def gather_columns(
             f"column order references bits outside the {matrix.size}-bit "
             f"universe"
         )
-    bits = _np.unpackbits(
-        _np.ascontiguousarray(
-            matrix.words.astype("<u8", copy=False)
-        ).view(_np.uint8),
-        axis=1,
-        bitorder="little",
-    )
-    gathered = bits[:, idx]
-    new_size = idx.size
-    pad = words_for(new_size) * WORD_BITS - new_size
-    if pad:
-        gathered = _np.concatenate(
-            [
-                gathered,
-                _np.zeros((gathered.shape[0], pad), dtype=_np.uint8),
-            ],
-            axis=1,
-        )
-    packed = _np.packbits(gathered, axis=1, bitorder="little")
-    words = _np.ascontiguousarray(packed).view("<u8").astype(
-        _np.uint64, copy=False
-    )
-    return PackedSignatureMatrix(words, new_size)
+    words = _np.empty((len(matrix), words_for(idx.size)), dtype=_np.uint64)
+    step = max(1, _CHUNK_WORDS // matrix.words.shape[1])
+    for start in range(0, len(matrix), step):
+        bits = unpack_bits(matrix.words[start : start + step])
+        words[start : start + step] = pack_bits(bits[:, idx]).words
+    return PackedSignatureMatrix(words, idx.size)

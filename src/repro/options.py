@@ -22,6 +22,7 @@ from repro.faultsim.backends import (
     BACKEND_NAMES,
     DetectionBackend,
     make_backend,
+    spell_flag,
 )
 from repro.parallel import EXECUTOR_NAMES, resolve_executor, resolve_jobs
 
@@ -36,6 +37,14 @@ class Option:
     dest: str
     kwargs: Mapping[str, Any]
     env: str | None = None
+
+    def spell(self, front_end: str, value: object = None) -> str:
+        """The option, set to ``value`` if given, as ``front_end``
+        (``cli``, ``env`` or ``service``) writes it."""
+        name = {"env": self.env, "service": self.dest}.get(front_end)
+        if name is None:
+            return spell_flag(self.dest, value)
+        return name if value is None else f"{name}={value}"
 
 
 #: The option table, in ``--help`` order.
@@ -101,21 +110,28 @@ OPTIONS: tuple[Option, ...] = (
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Add every row of :data:`OPTIONS` to ``parser`` as a flag."""
     for option in OPTIONS:
-        parser.add_argument(
-            "--" + option.dest.replace("_", "-"), **option.kwargs
-        )
+        parser.add_argument(option.spell("cli"), **option.kwargs)
 
 
-def backend_from_options(values: Mapping[str, Any]) -> DetectionBackend:
+def backend_from_options(
+    values: Mapping[str, Any], front_end: str = "cli"
+) -> DetectionBackend:
     """The detection backend named by option values keyed by dest.
 
-    ``jobs`` passes through unresolved: an explicit value sizes the pool
-    executor verbatim (even 1), while None lets the factory fall back
-    to ``REPRO_JOBS`` / a real pool of 2.
+    ``front_end`` (``cli``, ``env`` or ``service``) says where the
+    values came from, so errors name the options as the user wrote
+    them.  ``jobs`` passes through unresolved: an explicit value sizes
+    the pool executor verbatim (even 1), while None lets the factory
+    fall back to ``REPRO_JOBS`` / a real pool of 2.
     """
+    by_dest = {option.dest: option for option in OPTIONS}
+
+    def spell(dest: str, value: object = None) -> str:
+        return by_dest[dest].spell(front_end, value)
+
     jobs = values.get("jobs")
     if jobs is not None and jobs < 1:
-        raise AnalysisError(f"--jobs must be >= 1, got {jobs}")
+        raise AnalysisError(f"{spell('jobs')} must be >= 1, got {jobs}")
     executor = resolve_executor(
         values.get("executor"), jobs=jobs, broker=values.get("broker")
     )
@@ -133,4 +149,5 @@ def backend_from_options(values: Mapping[str, Any]) -> DetectionBackend:
         max_samples=values.get("max_samples"),
         initial_samples=values.get("initial_samples"),
         stratify=values.get("stratify"),
+        spell=spell,
     )

@@ -227,7 +227,7 @@ class AnalysisService:
             raise ServiceError(
                 detail[-1] if detail else "invalid request parameters"
             ) from None
-        backend = backend_from_options(vars(args))
+        backend = backend_from_options(vars(args), front_end="service")
         cache_key: CacheKey
         if command == "partition":
             cache_key = (

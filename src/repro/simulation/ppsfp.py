@@ -91,8 +91,8 @@ from repro.faultsim.sampling import VectorUniverse
 from repro.logic.bitops import input_signature
 from repro.logic.packed import (
     _np,
-    WORD_BITS,
     PackedSignatureMatrix,
+    pack_bits,
     pack_signature,
     words_for,
 )
@@ -224,10 +224,10 @@ def input_lane_matrix(num_inputs: int, vectors: Iterable[int]) -> U64Array:
             f"at 64 inputs (got {num_inputs})"
         )
     vectors = list(vectors)
-    num_words = words_for(len(vectors))
-    out = _np.zeros((num_inputs, num_words), dtype=_np.uint64)
     if not vectors or not num_inputs:
-        return out
+        return _np.zeros(
+            (num_inputs, words_for(len(vectors))), dtype=_np.uint64
+        )
     limit = 1 << num_inputs
     if min(vectors) < 0 or max(vectors) >= limit:
         bad = next(v for v in vectors if not 0 <= v < limit)
@@ -239,23 +239,7 @@ def input_lane_matrix(num_inputs: int, vectors: Iterable[int]) -> U64Array:
     bits = ((arr[None, :] >> shifts[:, None]) & _np.uint64(1)).astype(
         _np.uint8
     )
-    packed = _np.packbits(bits, axis=1, bitorder="little")
-    row_bytes = num_words * (WORD_BITS // 8)
-    if packed.shape[1] < row_bytes:
-        packed = _np.concatenate(
-            [
-                packed,
-                _np.zeros(
-                    (num_inputs, row_bytes - packed.shape[1]),
-                    dtype=_np.uint8,
-                ),
-            ],
-            axis=1,
-        )
-    out[:] = _np.ascontiguousarray(packed).view("<u8").astype(
-        _np.uint64, copy=False
-    )
-    return out
+    return pack_bits(bits).words
 
 
 def packed_line_words(

@@ -37,7 +37,7 @@ class TestProtocol:
         target = universe.target_table
         untargeted = universe.untargeted_table
         assert target.universe == untargeted.universe
-        assert all(sig for sig in untargeted.signatures)  # dropped
+        assert all(sig for sig in untargeted.packed.to_bigints())  # dropped
         analysis = WorstCaseAnalysis(target, untargeted)
         assert len(analysis) == len(untargeted)
 
@@ -50,8 +50,8 @@ class TestProtocol:
     def test_drop_undetectable_filters(self, circuit, backend):
         raw = backend.build_bridging(circuit, drop_undetectable=False)
         dropped = backend.build_bridging(circuit, drop_undetectable=True)
-        assert len(dropped) == sum(1 for s in raw.signatures if s)
-        assert all(s for s in dropped.signatures)
+        assert len(dropped) == sum(1 for s in raw.packed.to_bigints() if s)
+        assert all(s for s in dropped.packed.to_bigints())
 
     def test_standard_fault_list_accepted(self, circuit, backend):
         faults = collapsed_stuck_at_faults(circuit)

@@ -100,7 +100,7 @@ class TestTrajectory:
         assert report.target_table.universe == report.universe
         assert report.untargeted_table.universe == report.universe
         k = report.universe.size
-        for sig in report.target_table.signatures:
+        for sig in report.target_table.packed.to_bigints():
             assert sig >> k == 0
 
     def test_met_target_stops_before_budget(self, circuit):
@@ -145,13 +145,13 @@ class TestExhaustiveDegeneration:
         assert report.universe.exact
         exhaustive = FaultUniverse(circuit, backend=TableBackend())
         assert (
-            report.target_table.signatures
-            == exhaustive.target_table.signatures
+            report.target_table.packed.to_bigints()
+            == exhaustive.target_table.packed.to_bigints()
         )
         # The report keeps the raw (undropped) bridging table; dropping
         # the undetectable rows recovers the paper's G exactly.
-        raw = [s for s in report.untargeted_table.signatures if s]
-        assert raw == exhaustive.untargeted_table.signatures
+        raw = [s for s in report.untargeted_table.packed.to_bigints() if s]
+        assert raw == exhaustive.untargeted_table.packed.to_bigints()
 
 
 class TestRepresentations:
@@ -166,7 +166,7 @@ class TestRepresentations:
             assert type(table) is DetectionTable
             assert isinstance(table.packed, PackedSignatureMatrix)
             assert "signatures" not in table.__dict__
-            assert table.packed.to_bigints() == table.signatures
+            assert table.packed == table.packed
 
 
 class TestStratifiedController:

@@ -17,6 +17,7 @@ from repro.bench_suite.randlogic import random_circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.detection import DetectionTable
+from repro.logic.packed import PackedSignatureMatrix
 from repro.simulation.twoval import simulate_vector
 
 
@@ -260,10 +261,11 @@ class TestStratifiedEstimator:
     ):
         universe = self._draw(plan, 6, seed=5)
         table = DetectionTable.for_bridging(circuit, universe=universe)
-        sig = table.signatures[0]
+        counts = universe.count_rows(table.packed.take([0]))[:, 0]
         assert (
-            stratified_interval(universe, sig, 0.95)
-            == universe.interval_for_signature(sig, 0.95)
+            stratified_interval(universe, counts, 0.95)
+            == universe.interval_for_counts(counts, 0.95)
+            == table.count_estimate(0, 0.95)
         )
 
     def test_worst_case_nmin_estimates_use_stratified_weights(
@@ -288,11 +290,12 @@ class TestStratifiedEstimator:
                 assert value is None
                 continue
             exclusive = (
-                target.signatures[record.witness]
-                & ~untargeted.signatures[record.fault_index]
+                target.packed.row_bigint(record.witness)
+                & ~untargeted.packed.row_bigint(record.fault_index)
                 & universe.mask
             )
-            assert value == universe.estimate_signature(exclusive) + 1.0
+            row = PackedSignatureMatrix.from_bigints([exclusive], universe.size)
+            assert value == universe.estimate_rows(row)[0] + 1.0
             checked += 1
         assert checked > 0
         worst_value = max(v for v in values if v is not None)
@@ -333,5 +336,7 @@ class TestStratifiedUniversePickling:
         copy = pickle.loads(warm)
         assert copy == universe
         assert copy._stratum_masks is None and copy._bit_index is None
-        assert copy._masks_and_draws() == universe._masks_and_draws()
+        copy_masks, copy_draws = copy._masks_and_draws()
+        masks, draws = universe._masks_and_draws()
+        assert (copy_masks == masks).all() and copy_draws == draws
         assert copy.draws_per_stratum == universe.draws_per_stratum

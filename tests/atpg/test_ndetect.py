@@ -17,7 +17,7 @@ class TestGreedy:
         table = example_universe.target_table
         tests = greedy_ndetection_set(table, n)
         sig = sum(1 << t for t in tests)
-        for f_sig in table.signatures:
+        for f_sig in table.packed.to_bigints():
             want = min(n, f_sig.bit_count())
             assert (f_sig & sig).bit_count() >= want
 
@@ -38,7 +38,7 @@ class TestGreedy:
         table = example_universe.target_table
         tests = greedy_ndetection_set(table, 2, rng=random.Random(9))
         sig = sum(1 << t for t in tests)
-        for f_sig in table.signatures:
+        for f_sig in table.packed.to_bigints():
             want = min(2, f_sig.bit_count())
             assert (f_sig & sig).bit_count() >= want
 
@@ -55,7 +55,7 @@ class TestPodemGenerator:
         tests = podem_ndetection_set(c, faults, n, seed=4)
         assert len(set(tests)) == len(tests)
         for i, fault in enumerate(faults):
-            cap = example_universe.target_table.signatures[i].bit_count()
+            cap = example_universe.target_table.count(i)
             want = min(n, cap)
             have = sum(
                 1 for t in tests if detects_stuck_at(c, fault, t)

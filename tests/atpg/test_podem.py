@@ -34,7 +34,7 @@ class TestAgainstExhaustive:
         table = DetectionTable.for_stuck_at(circuit, faults=faults)
         for i, fault in enumerate(faults):
             result = generate_test(circuit, fault, backtrack_limit=0)
-            expected = bool(table.signatures[i])
+            expected = bool(table.packed.row_bigint(i))
             assert (result.status == DETECTED) == expected, (
                 fault.name(circuit)
             )

@@ -65,11 +65,11 @@ class TestTable1:
     def test_published_rows_exact(self, universe):
         circuit = universe.circuit
         table = universe.target_table
-        g0_sig = universe.untargeted_table.signatures[0]
+        g0_sig = universe.untargeted_table.packed.row_bigint(0)
         assert set_bits(g0_sig) == [6, 7]
         overlap_rows = []
         for i in range(len(table)):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             m = (sig & g0_sig).bit_count()
             if m:
                 overlap_rows.append(
@@ -94,7 +94,7 @@ class TestTable1:
     def test_g6_vectors_and_nmin(self, universe):
         """The paper's g6 has T(g6) = {12} and nmin(g6) = 4."""
         table = universe.untargeted_table
-        assert set_bits(table.signatures[6]) == [12]
+        assert set_bits(table.packed.row_bigint(6)) == [12]
         wc = WorstCaseAnalysis(universe.target_table, table)
         assert wc.records[6].nmin == 4
 

@@ -28,7 +28,7 @@ class TestDef2Greedy:
         table = example_universe.target_table
         tests = list(range(16))
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             d1 = count_detections_def1(sig, (1 << 16) - 1)
             d2 = count_detections_def2(c, fault, sig, tests)
             assert 0 <= d2 <= d1
@@ -37,7 +37,7 @@ class TestDef2Greedy:
         c = example_universe.circuit
         table = example_universe.target_table
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             if sig:
                 d2 = count_detections_def2(c, fault, sig, list(range(16)))
                 assert d2 >= 1
@@ -49,7 +49,7 @@ class TestDef2Greedy:
         table = example_universe.target_table
         idx = [table.fault_name(i) for i in range(len(table))].index("1/1")
         fault = table.faults[idx]
-        sig = table.signatures[idx]
+        sig = table.packed.row_bigint(idx)
         assert count_detections_def2(c, fault, sig, [4, 5]) == 1
         assert count_detections_def2(c, fault, sig, [4]) == 1
 
@@ -58,7 +58,7 @@ class TestDef2Greedy:
         c = example_universe.circuit
         table = example_universe.target_table
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             if not sig:
                 continue
             vecs = table.vectors(i)
@@ -76,7 +76,7 @@ class TestDef2Exact:
         c = example_universe.circuit
         table = example_universe.target_table
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             if not sig:
                 continue
             vecs = table.vectors(i)
@@ -89,7 +89,7 @@ class TestDef2Exact:
         table = example_universe.target_table
         with pytest.raises(ValueError, match="max_tests"):
             count_detections_def2_exact(
-                c, table.faults[0], table.signatures[0],
+                c, table.faults[0], table.packed.row_bigint(0),
                 list(range(16)), max_tests=1,
             )
 
@@ -97,7 +97,7 @@ class TestDef2Exact:
         c = example_universe.circuit
         table = example_universe.target_table
         fault = table.faults[0]
-        sig = table.signatures[0]
+        sig = table.packed.row_bigint(0)
         assert count_detections_def2_exact(c, fault, sig, []) == 0
         one = [table.vectors(0)[0]]
         assert count_detections_def2_exact(c, fault, sig, one) == 1

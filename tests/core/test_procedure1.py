@@ -23,7 +23,7 @@ class TestDef1Family:
         for n in range(1, family.n_max + 1):
             for k in range(family.num_sets):
                 tk = family.signature(n, k)
-                for sig in table.signatures:
+                for sig in table.packed.to_bigints():
                     want = min(n, sig.bit_count())
                     assert (sig & tk).bit_count() >= want
 
@@ -108,7 +108,7 @@ class TestDef2Family:
         for n in range(1, def2_family.n_max + 1):
             for k in range(def2_family.num_sets):
                 tk = def2_family.signature(n, k)
-                for sig in table.signatures:
+                for sig in table.packed.to_bigints():
                     want = min(n, sig.bit_count())
                     assert (sig & tk).bit_count() >= want
 
@@ -137,7 +137,7 @@ class TestDef2Family:
         for k in range(def2_family.num_sets):
             order = def2_family.final_orders[k]
             for i, fault in enumerate(table.faults):
-                sig = table.signatures[i]
+                sig = table.packed.row_bigint(i)
                 if not sig:
                     continue
                 greedy = count_detections_def2(

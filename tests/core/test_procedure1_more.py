@@ -30,7 +30,7 @@ class TestExhaustion:
             tiny_table, n_max=10, num_sets=5, seed=0
         )
         final = family.snapshots[-1]
-        for sig in tiny_table.signatures:
+        for sig in tiny_table.packed.to_bigints():
             if not sig:
                 continue
             for tk in final:
@@ -50,7 +50,7 @@ class TestExhaustion:
             tiny_table, n_max=6, num_sets=4, seed=2, counting="def2"
         )
         final = family.snapshots[-1]
-        for sig in tiny_table.signatures:
+        for sig in tiny_table.packed.to_bigints():
             if not sig:
                 continue
             for tk in final:
@@ -65,12 +65,12 @@ class TestUndetectableTargets:
         b.gate("y", GateType.OR, ["a", "k"])
         b.output("y")
         table = DetectionTable.for_stuck_at(b.build())
-        assert any(sig == 0 for sig in table.signatures)
+        assert any(sig == 0 for sig in table.packed.to_bigints())
         family = build_random_ndetection_sets(
             table, n_max=3, num_sets=4, seed=3
         )
         # Detectable faults still reach their quotas.
-        for sig in table.signatures:
+        for sig in table.packed.to_bigints():
             if not sig:
                 continue
             for tk in family.snapshots[-1]:
@@ -91,6 +91,6 @@ class TestSingleSet:
         )
         for k in range(8):
             tk = family.signature(1, k)
-            for sig in tiny_table.signatures:
+            for sig in tiny_table.packed.to_bigints():
                 if sig:
                     assert sig & tk

@@ -48,14 +48,14 @@ class TestNminDefinition:
         u, wc = analyses["example"]
         counts = u.target_table.counts()
         for rec in wc.records:
-            g_sig = u.untargeted_table.signatures[rec.fault_index]
+            g_sig = u.untargeted_table.packed.row_bigint(rec.fault_index)
             brute = min(
                 counts[i] - (sig & g_sig).bit_count() + 1
-                for i, sig in enumerate(u.target_table.signatures)
+                for i, sig in enumerate(u.target_table.packed.to_bigints())
                 if sig & g_sig
             )
             assert rec.nmin == brute
-            w_sig = u.target_table.signatures[rec.witness]
+            w_sig = u.target_table.packed.row_bigint(rec.witness)
             assert (
                 counts[rec.witness] - (w_sig & g_sig).bit_count() + 1
                 == rec.nmin
@@ -66,10 +66,10 @@ class TestNminDefinition:
         u, wc = analyses["c17"]
         counts = u.target_table.counts()
         for rec in wc.records:
-            g_sig = u.untargeted_table.signatures[rec.fault_index]
+            g_sig = u.untargeted_table.packed.row_bigint(rec.fault_index)
             candidates = [
                 counts[i] - (sig & g_sig).bit_count() + 1
-                for i, sig in enumerate(u.target_table.signatures)
+                for i, sig in enumerate(u.target_table.packed.to_bigints())
                 if sig & g_sig
             ]
             assert rec.nmin == (min(candidates) if candidates else None)
@@ -77,7 +77,7 @@ class TestNminDefinition:
     def test_undetectable_g_rejected(self, analyses):
         u, _wc = analyses["example"]
         with pytest.raises(AnalysisError):
-            nmin_for_untargeted_fault(u.target_table, 0)
+            nmin_for_untargeted_fault(u.target_table.packed.to_bigints(), 0)
 
 
 class TestAchievability:
@@ -95,9 +95,9 @@ class TestAchievability:
             if rec.nmin is None or rec.nmin <= 1:
                 continue
             n = rec.nmin - 1
-            g_sig = u.untargeted_table.signatures[rec.fault_index]
+            g_sig = u.untargeted_table.packed.row_bigint(rec.fault_index)
             test_sig = 0
-            for f_sig in targets.signatures:
+            for f_sig in targets.packed.to_bigints():
                 available = f_sig & ~g_sig
                 want = min(n, f_sig.bit_count())
                 assert available.bit_count() >= want, (
@@ -112,7 +112,7 @@ class TestAchievability:
             # The set avoids g entirely...
             assert not (test_sig & g_sig)
             # ...and is an (nmin-1)-detection set for the targets.
-            for f_sig in targets.signatures:
+            for f_sig in targets.packed.to_bigints():
                 want = min(n, f_sig.bit_count())
                 assert (f_sig & test_sig).bit_count() >= want
 
@@ -163,42 +163,40 @@ class TestExplicitEmptyCounts:
 
     def test_empty_counts_honored(self, analyses):
         u, _wc = analyses["example"]
-        g_sig = u.untargeted_table.signatures[0]
+        g_sig = u.untargeted_table.packed.row_bigint(0)
         nmin, witness, overlap = nmin_for_untargeted_fault(
-            u.target_table, g_sig, target_counts=[], sorted_order=None
+            u.target_table.packed.to_bigints(), g_sig, target_counts=[],
+            sorted_order=None,
         )
         # No target counts => no targets to scan => no guarantee.
         assert (nmin, witness, overlap) == (None, None, 0)
 
     def test_none_counts_still_recomputed(self, analyses):
         u, _wc = analyses["example"]
-        g_sig = u.untargeted_table.signatures[0]
-        with_none = nmin_for_untargeted_fault(u.target_table, g_sig)
+        g_sig = u.untargeted_table.packed.row_bigint(0)
+        rows = u.target_table.packed.to_bigints()
+        with_none = nmin_for_untargeted_fault(rows, g_sig)
         explicit = nmin_for_untargeted_fault(
-            u.target_table, g_sig, target_counts=u.target_table.counts()
+            rows, g_sig, target_counts=u.target_table.counts()
         )
         assert with_none == explicit
         assert with_none[0] is not None
 
 
 def _scalar_records(target, untargeted):
-    """Per-fault ``nmin_for_untargeted_fault`` over a copy of ``target``
-    packed from its big-int rows: the definition the array scan must
-    reproduce."""
-    plain = DetectionTable.from_signatures(
-        target.circuit, list(target.faults), list(target.signatures),
-        target.universe,
-    )
-    counts = plain.counts()
+    """Per-fault ``nmin_for_untargeted_fault`` over ``target``'s big-int
+    rows: the definition the array scan must reproduce."""
+    rows = target.packed.to_bigints()
+    counts = [sig.bit_count() for sig in rows]
     order = sorted(range(len(counts)), key=counts.__getitem__)
     return [
         NminRecord(
             j,
             *nmin_for_untargeted_fault(
-                plain, g_sig, target_counts=counts, sorted_order=order
+                rows, g_sig, target_counts=counts, sorted_order=order
             ),
         )
-        for j, g_sig in enumerate(untargeted.signatures)
+        for j, g_sig in enumerate(untargeted.packed.to_bigints())
     ]
 
 
@@ -219,8 +217,8 @@ def _oracle_tables(name, packed):
                 source.universe,
             )
         return DetectionTable.from_signatures(
-            source.circuit, faults, [source.signatures[i] for i in rows],
-            source.universe,
+            source.circuit, faults,
+            [source.packed.row_bigint(i) for i in rows], source.universe,
         )
 
     all_f, all_g = range(len(target)), range(len(untargeted))
@@ -237,10 +235,10 @@ def _has_witness_tie(target, untargeted, records):
     """Whether some record's nmin is reached by two or more targets."""
     counts = target.counts()
     for rec in records:
-        g_sig = untargeted.signatures[rec.fault_index]
+        g_sig = untargeted.packed.row_bigint(rec.fault_index)
         reaching = [
             f
-            for f, sig in enumerate(target.signatures)
+            for f, sig in enumerate(target.packed.to_bigints())
             if sig & g_sig
             and counts[f] - (sig & g_sig).bit_count() + 1 == rec.nmin
         ]
@@ -268,7 +266,7 @@ class TestArrayScanOracle:
             seen.add(label if values else "empty")
             if None in values:
                 seen.add("none")
-            if len(set(untargeted.signatures)) < len(untargeted):
+            if len(set(untargeted.packed.to_bigints())) < len(untargeted):
                 seen.add("duplicate-G")
             if label == "full" and _has_witness_tie(
                 target, untargeted, expected[:100]

@@ -34,7 +34,9 @@ class TestTightnessEndToEnd:
         for rec in wc.records:
             if rec.nmin is None or rec.nmin > 6:
                 continue
-            g_sig = universe.untargeted_table.signatures[rec.fault_index]
+            g_sig = universe.untargeted_table.packed.row_bigint(
+                rec.fault_index
+            )
             # (a) guarantee at n = nmin over the random family:
             for k in range(family.num_sets):
                 assert family.signature(rec.nmin, k) & g_sig
@@ -43,7 +45,7 @@ class TestTightnessEndToEnd:
             # (b) achievable escape at n = nmin - 1:
             n = rec.nmin - 1
             adversary = 0
-            for f_sig in targets.signatures:
+            for f_sig in targets.packed.to_bigints():
                 want = min(n, f_sig.bit_count())
                 picked = 0
                 for v in iter_set_bits(f_sig & ~g_sig):
@@ -62,8 +64,10 @@ class TestTightnessEndToEnd:
         for rec in wc.records:
             if rec.nmin is None:
                 continue
-            w_sig = targets.signatures[rec.witness]
-            g_sig = universe.untargeted_table.signatures[rec.fault_index]
+            w_sig = targets.packed.row_bigint(rec.witness)
+            g_sig = universe.untargeted_table.packed.row_bigint(
+                rec.fault_index
+            )
             outside = (w_sig & ~g_sig).bit_count()
             # nmin detections of the witness cannot fit outside T(g).
             assert outside == rec.nmin - 1 or outside < rec.nmin

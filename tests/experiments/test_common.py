@@ -167,7 +167,10 @@ class TestEnvOverrides:
         monkeypatch.setenv("REPRO_BACKEND", "exhaustive")
         monkeypatch.setenv("REPRO_SAMPLES", "100")
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        with pytest.raises(AnalysisError, match="--samples only applies"):
+        with pytest.raises(
+            AnalysisError, match="REPRO_SAMPLES only applies to "
+            "REPRO_BACKEND=sampled"
+        ):
             backend_from_env()
 
     def test_backend_from_env_jobs_only(self, monkeypatch):
@@ -296,11 +299,13 @@ class TestOptionTable:
         self, monkeypatch, var, value, flag
     ):
         # Once silently ignored without REPRO_BACKEND; now rejected
-        # exactly as the flag is under the default backend.
+        # as the flag is under the default backend, and named as set.
         clear_backend_env(monkeypatch)
         monkeypatch.setenv(var, value)
-        with pytest.raises(AnalysisError, match=f"{flag} only appl"):
+        with pytest.raises(AnalysisError, match=f"{var} only appl") as err:
             backend_from_env()
+        assert "(got REPRO_BACKEND=exhaustive)" in str(err.value)
+        assert flag not in str(err.value)
 
     @pytest.mark.parametrize(
         ("var", "value", "message"),
@@ -357,6 +362,20 @@ class TestOptionTable:
         assert cli.main(["table5", "--circuits", "lion"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {var} must be an integer, got {value!r}\n"
+
+    def test_table_command_names_env_options_as_set(
+        self, monkeypatch, capsys
+    ):
+        # The mismatch error names the variables, not the flags the
+        # user never typed.
+        clear_backend_env(monkeypatch)
+        monkeypatch.setenv("REPRO_SAMPLES", "64")
+        assert cli.main(["table2", "--circuits", "lion"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: REPRO_SAMPLES only applies to REPRO_BACKEND=sampled "
+            "(got REPRO_BACKEND=exhaustive)\n"
+        )
 
 
 class TestParallelCacheComposition:

@@ -89,7 +89,7 @@ class TestTableIntegration:
     def test_table_builds_and_filters(self, example_circuit):
         table = gate_exhaustive_table(example_circuit)
         assert len(table) > 0
-        assert all(sig for sig in table.signatures)
+        assert all(sig for sig in table.packed.to_bigints())
 
     def test_plugs_into_worst_case(self, example_circuit):
         universe = FaultUniverse(example_circuit)
@@ -106,7 +106,8 @@ class TestTableIntegration:
         c = example_circuit
         table = gate_exhaustive_table(c, drop_undetectable=False)
         by_gate: dict[int, list[int]] = {}
-        for fault, sig in zip(table.faults, table.signatures, strict=True):
+        rows = table.packed.to_bigints()
+        for fault, sig in zip(table.faults, rows, strict=True):
             by_gate.setdefault(fault.lid, []).append(sig)
         for lid, sigs_list in by_gate.items():
             # Activations are disjoint, so detection sets are too.

@@ -57,7 +57,7 @@ class TestEquivalenceClasses:
             if len(members) == 1:
                 continue
             table = DetectionTable.for_stuck_at(c17_circuit, faults=members)
-            assert len(set(table.signatures)) == 1, [
+            assert len(set(table.packed.to_bigints())) == 1, [
                 f.name(c17_circuit) for f in members
             ]
 
@@ -67,7 +67,7 @@ class TestEquivalenceClasses:
             table = DetectionTable.for_stuck_at(
                 example_circuit, faults=members
             )
-            assert len(set(table.signatures)) == 1
+            assert len(set(table.packed.to_bigints())) == 1
 
 
 class TestCollapsedList:
@@ -131,9 +131,9 @@ class TestDominance:
         dom_table = DetectionTable.for_stuck_at(c, faults=dom_faults)
         # Build a minimal test set hitting each dominance fault once.
         test_sig = 0
-        for sig in dom_table.signatures:
+        for sig in dom_table.packed.to_bigints():
             if sig and not (sig & test_sig):
                 test_sig |= sig & -sig
-        for sig in eq_table.signatures:
+        for sig in eq_table.packed.to_bigints():
             if sig:
                 assert sig & test_sig, "dominated fault escaped"

@@ -16,9 +16,8 @@ class TestUniverse:
         assert len(example_universe.target_faults) == 16
 
     def test_untargeted_table_detectable_only(self, example_universe):
-        assert all(
-            sig for sig in example_universe.untargeted_table.signatures
-        )
+        table = example_universe.untargeted_table
+        assert all(sig for sig in table.packed.to_bigints())
 
     def test_raw_untargeted_universe(self, example_universe):
         assert len(example_universe.untargeted_faults) == 12

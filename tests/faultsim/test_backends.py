@@ -251,7 +251,7 @@ class TestBackendObjects:
         t1 = TableBackend(samples=16, seed=9).build_stuck_at(circuit)
         t2 = TableBackend(samples=16, seed=9).build_stuck_at(circuit)
         t3 = TableBackend(samples=16, seed=10).build_stuck_at(circuit)
-        assert t1.signatures == t2.signatures
+        assert t1.packed == t2.packed
         assert t1.universe == t2.universe
         assert t1.universe != t3.universe
 

@@ -47,7 +47,7 @@ class TestStuckAtTable:
         undetectable = [
             table.fault_name(i)
             for i in range(len(table))
-            if not table.signatures[i]
+            if not table.packed.row_bigint(i)
         ]
         assert "k/0" in undetectable
 
@@ -62,7 +62,7 @@ class TestStuckAtTable:
         b.output("g")
         c = b.build()
         table = DetectionTable.for_stuck_at(c, drop_undetectable=True)
-        assert all(sig for sig in table.signatures)
+        assert all(sig for sig in table.packed.to_bigints())
 
 
 class TestBridgingTable:
@@ -82,7 +82,7 @@ class TestBridgingTable:
 
     def test_detectable_only_by_default(self, example_circuit):
         table = DetectionTable.for_bridging(example_circuit)
-        assert all(sig for sig in table.signatures)
+        assert all(sig for sig in table.packed.to_bigints())
 
     def test_activation_semantics(self, example_circuit):
         """(9,0,10,1) activates where fault-free 9=0 and 10=1."""
@@ -97,7 +97,7 @@ class TestTableQueries:
     def test_counts(self, example_universe):
         table = example_universe.target_table
         assert table.counts() == [
-            table.signatures[i].bit_count() for i in range(len(table))
+            table.packed.row_bigint(i).bit_count() for i in range(len(table))
         ]
         assert table.count(0) == 4  # T(1/1) = {4,5,6,7}
 
@@ -126,10 +126,6 @@ class TestTableQueries:
         )
         assert by_name["1/1"] == 1   # vector 6 only
         assert by_name["2/0"] == 2   # vectors 6 and 12
-
-    def test_vector_cache(self, example_universe):
-        table = example_universe.target_table
-        assert table.vectors(0) is table.vectors(0)
 
     def test_mismatched_lengths_rejected(self, example_circuit):
         from repro.errors import FaultError
@@ -165,4 +161,4 @@ class TestExplicitBaseSignatures:
         circuit = example_universe.circuit
         sigs = line_signatures(circuit)
         table = DetectionTable.for_stuck_at(circuit, base_signatures=sigs)
-        assert table.signatures == example_universe.target_table.signatures
+        assert table.packed == example_universe.target_table.packed

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.atpg.ndetect import greedy_ndetection_set
+from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
+from repro.faults.universe import FaultUniverse
+from repro.faultsim.backends import TableBackend
 from repro.faultsim.dictionary import FaultDictionary
 
 
@@ -20,7 +23,7 @@ def full_dictionary(example_universe):
 class TestConstruction:
     def test_masks_match_table(self, example_universe, full_dictionary):
         table = example_universe.target_table
-        for i, sig in enumerate(table.signatures):
+        for i, sig in enumerate(table.packed.to_bigints()):
             # Over U in natural order, the mask IS the signature.
             assert full_dictionary.masks[i] == sig
 
@@ -32,6 +35,36 @@ class TestConstruction:
         with pytest.raises(AnalysisError, match="out of range"):
             FaultDictionary(example_universe.target_table, [16])
 
+    def test_sampled_table_masks_follow_the_universe_bits(self):
+        # Regression: the masks once read signature bit ``t`` for test
+        # vector ``t``, which on a sampled table is some other vector's
+        # bit (all-zero masks for 264 of wide28's 316 targets here).
+        table = FaultUniverse(
+            get_circuit("wide28"), backend=TableBackend(samples=256, seed=3)
+        ).target_table
+        tests = list(table.universe.vectors[:32])
+        bits = [table.universe.bit_of(t) for t in tests]
+        expected = [
+            sum(
+                1 << pos for pos, bit in enumerate(bits)
+                if (table.packed.row_bigint(i) >> bit) & 1
+            )
+            for i in range(len(table))
+        ]
+        dictionary = FaultDictionary(table, tests)
+        assert dictionary.masks == expected
+        assert dictionary.detected_count() > 0
+
+    def test_unsampled_vector_rejected(self):
+        table = FaultUniverse(
+            get_circuit("lion"), backend=TableBackend(samples=8, seed=1)
+        ).target_table
+        missing = next(
+            v for v in range(16) if table.universe.bit_of(v) is None
+        )
+        with pytest.raises(AnalysisError, match="not in the table's"):
+            FaultDictionary(table, [missing])
+
 
 class TestDiagnosis:
     def test_injected_fault_recovered(self, example_universe, full_dictionary):
@@ -42,23 +75,20 @@ class TestDiagnosis:
             failing = [
                 pos
                 for pos, t in enumerate(full_dictionary.tests)
-                if (table.signatures[i] >> t) & 1
+                if (table.packed.row_bigint(i) >> t) & 1
             ]
             candidates = full_dictionary.diagnose(failing)
             assert i in candidates
             # Every candidate is detection-equivalent to the true fault.
             for c in candidates:
-                assert table.signatures[c] == table.signatures[i]
+                assert table.packed.row_bigint(c) == table.packed.row_bigint(i)
 
     def test_no_failures_diagnoses_undetected(self, example_universe):
         dictionary = FaultDictionary(example_universe.target_table, [0])
         candidates = dictionary.diagnose([])
         # Faults not detected by vector 0 all match the all-pass pattern.
-        expected = [
-            i
-            for i, sig in enumerate(example_universe.target_table.signatures)
-            if not (sig & 1)
-        ]
+        rows = example_universe.target_table.packed.to_bigints()
+        expected = [i for i, sig in enumerate(rows) if not (sig & 1)]
         assert candidates == expected
 
     def test_subset_matching(self, full_dictionary, example_universe):
@@ -78,7 +108,7 @@ class TestResolution:
     def test_full_space_resolution(self, full_dictionary, example_universe):
         """Over U, faults are unique up to equal detection sets."""
         table = example_universe.target_table
-        distinct = len(set(table.signatures))
+        distinct = len(set(table.packed.to_bigints()))
         classes = full_dictionary.equivalence_classes_under()
         assert len(classes) == distinct
 

@@ -1,9 +1,9 @@
 """Detection tables store packed words: every build path, one representation.
 
-Each table is faults + a :class:`PackedSignatureMatrix` + a universe; the
-big-int ``signatures`` list is a view derived on first read.  The
-queries must agree with their big-int definitions, and every build path
-must leave words (and no derived list) behind.
+Each table is faults + a :class:`PackedSignatureMatrix` + a universe,
+and nothing else.  The queries must agree with their big-int
+definitions, and every build path must leave words (and no derived
+list) behind.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def packed_tables(plain_tables):
     """The same rows, packed from the big-int signatures."""
     return tuple(
         DetectionTable.from_signatures(
-            table.circuit, table.faults, table.signatures, table.universe
+            table.circuit, table.faults, table.packed.to_bigints(),
+            table.universe,
         )
         for table in plain_tables
     )
@@ -58,20 +59,21 @@ class TestQuerySurface:
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
             assert packed == plain
             assert packed.faults == plain.faults
-            assert packed.signatures == plain.signatures
+            assert packed.packed == plain.packed
             assert packed.universe == plain.universe
             assert len(packed) == len(plain)
 
     def test_counts(self, plain_tables, packed_tables):
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
-            expected = [sig.bit_count() for sig in plain.signatures]
+            expected = [sig.bit_count() for sig in plain.packed.to_bigints()]
             assert packed.counts() == plain.counts() == expected
             for i in range(len(plain)):
                 assert packed.count(i) == plain.count(i) == expected[i]
 
     def test_detectability(self, plain_tables, packed_tables):
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
-            expected = [i for i, sig in enumerate(plain.signatures) if sig]
+            rows = plain.packed.to_bigints()
+            expected = [i for i, sig in enumerate(rows) if sig]
             assert packed.num_detectable() == plain.num_detectable()
             assert packed.detectable_indices() == expected
             assert plain.detectable_indices() == expected
@@ -80,12 +82,12 @@ class TestQuerySurface:
         test_signature = 0b1011001
         for plain, packed in zip(plain_tables, packed_tables, strict=True):
             assert packed.detected_by(test_signature) == [
-                i for i, sig in enumerate(plain.signatures)
+                i for i, sig in enumerate(plain.packed.to_bigints())
                 if sig & test_signature
             ]
             assert packed.detection_counts(test_signature) == [
                 (sig & test_signature).bit_count()
-                for sig in plain.signatures
+                for sig in plain.packed.to_bigints()
             ]
             assert packed.coverage(test_signature) == plain.coverage(
                 test_signature
@@ -96,24 +98,25 @@ class TestQuerySurface:
         for i in (0, 1, len(plain) - 1):
             assert packed.vectors(i) == plain.vectors(i)
             assert packed.detecting_vectors(i) == plain.detecting_vectors(i)
-            assert packed.estimated_count(i) == plain.estimated_count(i)
+        assert packed.estimated_counts() == plain.estimated_counts()
 
-    def test_packed_matrix_consistency(self, packed_tables):
-        for packed in packed_tables:
-            assert packed.packed.to_bigints() == packed.signatures
+    def test_packed_matrix_consistency(self, plain_tables, packed_tables):
+        for plain, packed in zip(plain_tables, packed_tables, strict=True):
+            assert packed.packed.to_bigints() == [
+                plain.packed.row_bigint(i) for i in range(len(plain))
+            ]
 
 
 class TestConstruction:
     def test_for_stuck_at_builds_packed(self, circuit):
         table = DetectionTable.for_stuck_at(circuit)
         assert isinstance(table.packed, PackedSignatureMatrix)
-        assert "signatures" not in table.__dict__
-        assert table.packed.to_bigints() == table.signatures
+        assert set(vars(table)) == {"circuit", "faults", "universe", "packed"}
 
     def test_mismatched_packed_rejected(self, circuit, plain_tables):
         plain = plain_tables[0]
         wrong = PackedSignatureMatrix.from_bigints(
-            plain.signatures[:-1], plain.universe.size
+            plain.packed.to_bigints()[:-1], plain.universe.size
         )
         with pytest.raises(FaultError, match="length mismatch"):
             DetectionTable(circuit, plain.faults, wrong, plain.universe)
@@ -123,13 +126,13 @@ class TestConstruction:
 
     def test_from_signatures_drops_undetectable_rows(self, plain_tables):
         plain = plain_tables[1]
-        signatures = [0, *plain.signatures, 0]
+        signatures = [0, *plain.packed.to_bigints(), 0]
         faults = [plain.faults[0], *plain.faults, plain.faults[0]]
         table = DetectionTable.from_signatures(
             plain.circuit, faults, signatures, plain.universe,
             drop_undetectable=True,
         )
-        assert table.signatures == plain.signatures
+        assert table.packed == plain.packed
         assert table.faults == list(plain.faults)
 
 
@@ -185,7 +188,7 @@ class TestOneRepresentation:
             (universe.untargeted_table, reference.untargeted_table),
         ):
             assert isinstance(mine.packed, PackedSignatureMatrix)
-            assert "signatures" not in mine.__dict__
+            assert not hasattr(mine, "signatures")
             assert mine.packed == theirs.packed
             assert list(mine.faults) == list(theirs.faults)
             assert mine.universe == theirs.universe
@@ -196,10 +199,11 @@ class TestOneRepresentation:
         circuit = get_circuit("paper_example")
         table = gate_exhaustive_table(circuit)
         assert isinstance(table.packed, PackedSignatureMatrix)
-        assert "signatures" not in table.__dict__
-        assert all(table.signatures)  # undetectable rows dropped
+        assert not hasattr(table, "signatures")
+        rows = table.packed.to_bigints()
+        assert all(rows)  # undetectable rows dropped
         kept = gate_exhaustive_table(circuit, drop_undetectable=False)
-        assert [s for s in kept.signatures if s] == table.signatures
+        assert [s for s in kept.packed.to_bigints() if s] == rows
 
 
 class TestPackedBackend:
@@ -279,31 +283,33 @@ class TestPickling:
 
     @pytest.mark.parametrize("packed", [False, True], ids=["plain", "packed"])
     def test_pickle_bytes_ignore_access_history(self, packed):
-        """Derived big-ints, built fault elements and vector lists stay
-        out of pickles: the bytes do not depend on which queries ran.
+        """Built fault elements, vector lists and estimates stay out of
+        pickles: the bytes do not depend on which queries ran.
         ``packed`` packs the rows from big-ints (as the sharded merge
         does) instead of keeping the kernel's words."""
         fu = FaultUniverse(get_circuit("lion"))
         table = fu.untargeted_table
         if packed:
             table = DetectionTable.from_signatures(
-                table.circuit, table.faults, table.signatures,
+                table.circuit, table.faults, table.packed.to_bigints(),
                 table.universe,
             )
         before = pickle.dumps(table)
-        signatures = table.signatures
+        signatures = table.packed.to_bigints()
         faults = list(table.faults)
         vectors = table.vectors(0)
+        estimates = table.estimated_counts()
         assert pickle.dumps(table) == before
         restored = pickle.loads(before)
         assert restored == table
-        assert restored.signatures == signatures
+        assert restored.packed.to_bigints() == signatures
         assert list(restored.faults) == faults
         assert restored.vectors(0) == vectors
+        assert restored.estimated_counts() == estimates
 
     def test_merged_table_pickles_words_not_bigints(self, tmp_path):
-        """A sharded merge packs its rows: its pickle carries the words
-        and no big-int signatures, before or after they are read."""
+        """A sharded merge packs its rows: its pickle carries the
+        table's four fields, and reading the rows adds nothing."""
         from repro.parallel import ParallelBackend
 
         backend = ParallelBackend(
@@ -311,11 +317,10 @@ class TestPickling:
         )
         merged = backend.build_bridging(get_circuit("ex2"))
         before = pickle.dumps(merged)
-        assert merged.signatures  # derive the big-int view
-        assert set(merged.__getstate__()) == {
-            "circuit", "faults", "universe", "packed", "_vector_cache",
-        }
+        assert merged.packed.to_bigints()
+        assert merged.vectors(0)
+        assert set(vars(merged)) == {"circuit", "faults", "universe", "packed"}
         assert pickle.dumps(merged) == before
         restored = pickle.loads(before)
         assert restored.packed == merged.packed
-        assert "signatures" not in restored.__dict__
+        assert set(vars(restored)) == set(vars(merged))

@@ -17,7 +17,7 @@ class TestScalarDetection:
         c = example_universe.circuit
         table = example_universe.target_table
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             for v in range(16):
                 cube = Cube.full(v, 4)
                 assert cube_detects_stuck_at(c, fault, cube) == bool(
@@ -33,7 +33,7 @@ class TestScalarDetection:
             for s in ("01xx", "x1x0", "0xx1", "xxxx", "011x", "1x00")
         ]
         for i, fault in enumerate(table.faults):
-            sig = table.signatures[i]
+            sig = table.packed.row_bigint(i)
             for cube in cubes:
                 if cube_detects_stuck_at(c, fault, cube):
                     for v in cube.completions():

@@ -67,6 +67,6 @@ class TestCliIntegration:
         main(["gen-tests", "paper_example", "--n", "1", "--out", str(out)])
         vectors = parse_vectors(out.read_text(), num_inputs=4)
         sig = sum(1 << v for v in vectors)
-        for f_sig in example_universe.target_table.signatures:
+        for f_sig in example_universe.target_table.packed.to_bigints():
             if f_sig:
                 assert f_sig & sig

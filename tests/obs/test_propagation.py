@@ -128,8 +128,8 @@ class TestCrossProcessStitching:
                     universe = FaultUniverse(
                         get_circuit("lion"), backend=backend
                     )
-                    result["f"] = universe.target_table.signatures
-                    result["g"] = universe.untargeted_table.signatures
+                    result["f"] = universe.target_table.packed.to_bigints()
+                    result["g"] = universe.untargeted_table.packed.to_bigints()
 
             submitter = threading.Thread(target=submit, daemon=True)
             submitter.start()
@@ -142,8 +142,8 @@ class TestCrossProcessStitching:
         tracer.close()
 
         reference = FaultUniverse(get_circuit("lion"))
-        assert result["f"] == reference.target_table.signatures
-        assert result["g"] == reference.untargeted_table.signatures
+        assert result["f"] == reference.target_table.packed.to_bigints()
+        assert result["g"] == reference.untargeted_table.packed.to_bigints()
 
         records = [
             json.loads(line)

@@ -151,11 +151,11 @@ class TestParallelBackendIntegration:
             cache_dir=str(tmp_path / "shards"),
         )
         universe = FaultUniverse(circuit, backend=backend)
-        assert universe.target_table.signatures == (
-            reference.target_table.signatures
+        assert universe.target_table.packed.to_bigints() == (
+            reference.target_table.packed.to_bigints()
         )
-        assert universe.untargeted_table.signatures == (
-            reference.untargeted_table.signatures
+        assert universe.untargeted_table.packed.to_bigints() == (
+            reference.untargeted_table.packed.to_bigints()
         )
 
 

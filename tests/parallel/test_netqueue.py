@@ -972,12 +972,12 @@ class TestEndToEnd:
             tcp = FaultUniverse(circuit, backend=backend)
             inline = FaultUniverse(circuit, backend=TableBackend())
             assert (
-                tcp.target_table.signatures
-                == inline.target_table.signatures
+                tcp.target_table.packed.to_bigints()
+                == inline.target_table.packed.to_bigints()
             )
             assert (
-                tcp.untargeted_table.signatures
-                == inline.untargeted_table.signatures
+                tcp.untargeted_table.packed.to_bigints()
+                == inline.untargeted_table.packed.to_bigints()
             )
             thread_a.join(timeout=30)
             thread_b.join(timeout=30)

@@ -113,11 +113,11 @@ class TestShardLayoutIndependence:
                 cache_dir=cache_dir,
             )
             u = FaultUniverse(circuit, backend=backend)
-            assert u.target_table.signatures == (
-                reference.target_table.signatures
+            assert u.target_table.packed.to_bigints() == (
+                reference.target_table.packed.to_bigints()
             )
-            assert u.untargeted_table.signatures == (
-                reference.untargeted_table.signatures
+            assert u.untargeted_table.packed.to_bigints() == (
+                reference.untargeted_table.packed.to_bigints()
             )
             assert u.untargeted_table.faults == (
                 reference.untargeted_table.faults
@@ -133,7 +133,7 @@ class TestShardLayoutIndependence:
         single = FaultUniverse(circuit).untargeted_table
         parallel = FaultUniverse(circuit, backend=backend).untargeted_table
         assert parallel.faults == single.faults
-        assert all(sig for sig in parallel.signatures)
+        assert all(sig for sig in parallel.packed.to_bigints())
 
     def test_explicit_empty_fault_list(self, cache_dir):
         circuit = get_circuit("lion")
@@ -163,7 +163,7 @@ class TestShardCacheAcceptance:
         warm_stats = cache_stats()
         assert warm_stats["misses"] == cold_stats["misses"]  # no new misses
         assert warm_stats["hits"] == cold_stats["stores"]  # every shard hit
-        assert warm.target_table.signatures == cold.target_table.signatures
+        assert warm.target_table.packed == cold.target_table.packed
 
     def test_cache_shared_across_jobs_values(self, cache_dir):
         # The shard layout is jobs-independent, so a jobs=4 run reuses
@@ -183,7 +183,7 @@ class TestShardCacheAcceptance:
         stats = cache_stats()
         assert stats["misses"] == 0
         assert stats["hits"] > 0
-        assert u2.target_table.signatures == u1.target_table.signatures
+        assert u2.target_table.packed == u1.target_table.packed
 
     def test_use_cache_false_never_touches_disk(self, tmp_path):
         root = tmp_path / "never"

@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro import cli
+from repro.errors import AnalysisError
 from repro.options import OPTIONS, backend_from_options
 from repro.serve import AnalysisService, ServiceError
 from repro.serve.service import _COMMAND_KEYS
@@ -141,6 +142,14 @@ class TestValidation:
             asyncio.run(
                 service.analyze({"circuit": "c17", "samples": "many"})
             )
+
+    def test_backend_mismatch_names_payload_keys(self):
+        service = AnalysisService()
+        with pytest.raises(AnalysisError) as err:
+            service._resolve("analyze", {"circuit": "c17", "samples": 8})
+        assert str(err.value) == (
+            "samples only applies to backend=sampled (got backend=exhaustive)"
+        )
 
     def test_non_object_payload_rejected(self):
         service = AnalysisService()

@@ -98,7 +98,7 @@ class TestKernelGates:
         assert not ppsfp.kernel_supports(VectorUniverse(4))
         assert not ppsfp.kernel_supports(universe)
         cone = DetectionTable.for_stuck_at(circuit, faults=faults)
-        assert cone.signatures == kernel.signatures
+        assert cone.packed == kernel.packed
 
     def test_word_cap(self, monkeypatch):
         assert ppsfp.MAX_WORDS == 4096
@@ -146,7 +146,7 @@ class TestDetectionMatrices:
         matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
         monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         table = DetectionTable.for_stuck_at(circuit, faults=faults)
-        assert matrix.to_bigints() == table.signatures
+        assert matrix.to_bigints() == table.packed.to_bigints()
 
     def test_non_word_multiple_universe(self, monkeypatch):
         circuit = random_circuit(9, num_inputs=7, num_gates=18)
@@ -157,7 +157,7 @@ class TestDetectionMatrices:
         table = DetectionTable.for_stuck_at(
             circuit, faults=faults, universe=universe
         )
-        assert matrix.to_bigints() == table.signatures
+        assert matrix.to_bigints() == table.packed.to_bigints()
         mask = universe.mask
         for sig in matrix.to_bigints():
             assert sig & ~mask == 0, "detection bits beyond the universe"
@@ -174,7 +174,7 @@ class TestDetectionMatrices:
             universe=universe,
             drop_undetectable=False,
         )
-        assert matrix.to_bigints() == table.signatures
+        assert matrix.to_bigints() == table.packed.to_bigints()
 
 
 def _aliasing_circuit():
@@ -234,7 +234,7 @@ class TestBlockPool:
         table = DetectionTable.for_stuck_at(
             circuit, faults=faults, universe=universe
         )
-        assert rows == table.signatures
+        assert rows == table.packed.to_bigints()
 
 
 class TestEvalWords:
@@ -299,6 +299,6 @@ class TestWideFallback:
         monkeypatch.setattr(ppsfp, "MAX_WORDS", words_for(universe.size))
         kernel_f = DetectionTable.for_stuck_at(circuit)
         kernel_g = DetectionTable.for_bridging(circuit)
-        assert kernel_f.signatures == cone_f.signatures
+        assert kernel_f.packed == cone_f.packed
         assert kernel_g.faults == cone_g.faults
-        assert kernel_g.signatures == cone_g.signatures
+        assert kernel_g.packed == cone_g.packed

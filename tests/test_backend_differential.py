@@ -65,7 +65,7 @@ def _tables(circuit, backend):
 
 def _assert_identical(a, b):
     assert a.faults == b.faults
-    assert a.signatures == b.signatures
+    assert a.packed == b.packed
     assert a.universe == b.universe
 
 
@@ -130,7 +130,7 @@ class TestParallelDifferential:
             (parallel.untargeted_table, single.untargeted_table),
         ):
             assert mine.faults == theirs.faults
-            assert mine.signatures == theirs.signatures
+            assert mine.packed == theirs.packed
             assert mine.universe == theirs.universe
             assert mine.counts() == theirs.counts()
         single_analysis = WorstCaseAnalysis(
@@ -253,7 +253,7 @@ class TestTcpExecutorDifferential:
             (networked.untargeted_table, inline.untargeted_table),
         ):
             assert mine.faults == theirs.faults
-            assert mine.signatures == theirs.signatures
+            assert mine.packed == theirs.packed
             assert mine.universe == theirs.universe
         tcp_analysis = WorstCaseAnalysis(
             networked.target_table, networked.untargeted_table
@@ -330,12 +330,12 @@ class TestTcpExecutorDifferential:
         ] == [(r.k_total, r.k_new, r.met) for r in networked.rounds]
         assert plain.universe == networked.universe
         assert (
-            plain.target_table.signatures
-            == networked.target_table.signatures
+            plain.target_table.packed.to_bigints()
+            == networked.target_table.packed.to_bigints()
         )
         assert (
-            plain.untargeted_table.signatures
-            == networked.untargeted_table.signatures
+            plain.untargeted_table.packed.to_bigints()
+            == networked.untargeted_table.packed.to_bigints()
         )
 
     def test_stolen_build_is_bit_identical(self):
@@ -391,12 +391,12 @@ class TestTcpExecutorDifferential:
             # The tables are lazy; force both builds while the broker
             # (and the straggler) are still alive.
             assert (
-                networked.target_table.signatures
-                == inline.target_table.signatures
+                networked.target_table.packed.to_bigints()
+                == inline.target_table.packed.to_bigints()
             )
             assert (
-                networked.untargeted_table.signatures
-                == inline.untargeted_table.signatures
+                networked.untargeted_table.packed.to_bigints()
+                == inline.untargeted_table.packed.to_bigints()
             )
             counters = running.stats()["counters"]
         assert counters["steals"] >= 1
@@ -431,9 +431,9 @@ class TestAdaptiveDifferential:
             (r.k_total, r.k_new, r.met, r.allocation) for r in a.rounds
         ] == [(r.k_total, r.k_new, r.met, r.allocation) for r in b.rounds]
         assert a.universe == b.universe
-        assert a.target_table.signatures == b.target_table.signatures
+        assert a.target_table.packed == b.target_table.packed
         assert (
-            a.untargeted_table.signatures == b.untargeted_table.signatures
+            a.untargeted_table.packed == b.untargeted_table.packed
         )
         assert a.met == b.met and a.reason == b.reason
         worst_a = WorstCaseAnalysis(a.target_table, _dropped(a))
@@ -471,9 +471,9 @@ class TestAdaptiveDifferential:
             circuit, drop_undetectable=False
         )
         assert report.target_table.faults == target.faults
-        assert report.target_table.signatures == target.signatures
+        assert report.target_table.packed == target.packed
         assert report.untargeted_table.faults == untargeted.faults
-        assert report.untargeted_table.signatures == untargeted.signatures
+        assert report.untargeted_table.packed == untargeted.packed
 
     @pytest.mark.parametrize("stratify", [None, "bridging"])
     def test_full_budget_canonicalizes_to_exhaustive(self, stratify):
@@ -486,10 +486,10 @@ class TestAdaptiveDifferential:
         )
         assert report.universe.exhaustive
         exh_f, exh_g = _tables(circuit, TableBackend())
-        assert report.target_table.signatures == exh_f.signatures
+        assert report.target_table.packed == exh_f.packed
         dropped = _dropped(report)
         assert dropped.faults == exh_g.faults
-        assert dropped.signatures == exh_g.signatures
+        assert dropped.packed == exh_g.packed
         exact = WorstCaseAnalysis(exh_f, exh_g)
         adaptive = WorstCaseAnalysis(report.target_table, dropped)
         assert adaptive.records == exact.records
@@ -505,7 +505,9 @@ def _dropped(report):
     """The paper's G from a report's raw bridging table."""
     table = report.untargeted_table
     kept = [
-        (f, s) for f, s in zip(table.faults, table.signatures, strict=True) if s
+        (f, s)
+        for f, s in zip(table.faults, table.packed.to_bigints(), strict=True)
+        if s
     ]
     return DetectionTable.from_signatures(
         table.circuit,
@@ -579,7 +581,7 @@ class TestSampledEstimates:
     def test_sampled_tables_internally_consistent(self, sampled_tables):
         for table in sampled_tables[:5]:
             assert table.universe.size == self.K
-            for sig in table.signatures:
+            for sig in table.packed.to_bigints():
                 assert sig >> self.K == 0  # no bits beyond the universe
 
 

@@ -94,7 +94,9 @@ class TestPipeline:
         sig = sum(1 << t for t in tests)
         for rec in worst.records:
             if rec.nmin is not None and rec.nmin <= n:
-                g_sig = universe.untargeted_table.signatures[rec.fault_index]
+                g_sig = universe.untargeted_table.packed.row_bigint(
+                    rec.fault_index
+                )
                 assert sig & g_sig, (
                     "deterministic n-detection set missed a guaranteed fault"
                 )

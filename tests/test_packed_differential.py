@@ -48,13 +48,14 @@ def _scalar_records(target, untargeted) -> list[NminRecord]:
     """The scalar oracle: one big-int scan per distinct ``T(g)``."""
     counts = target.counts()
     order = sorted(range(len(counts)), key=counts.__getitem__)
+    rows = target.packed.to_bigints()
     by_signature: dict[int, tuple[int | None, int | None, int]] = {}
     records = []
-    for j, g_sig in enumerate(untargeted.signatures):
+    for j, g_sig in enumerate(untargeted.packed.to_bigints()):
         result = by_signature.get(g_sig)
         if result is None:
             result = by_signature[g_sig] = nmin_for_untargeted_fault(
-                target, g_sig, target_counts=counts, sorted_order=order
+                rows, g_sig, target_counts=counts, sorted_order=order
             )
         records.append(NminRecord(j, *result))
     return records
@@ -97,13 +98,13 @@ class TestPackedDifferential:
         universe = FaultUniverse(circuit)
         target = universe.target_table
         repacked = DetectionTable.from_signatures(
-            target.circuit, target.faults, target.signatures,
+            target.circuit, target.faults, target.packed.to_bigints(),
             target.universe,
         )
-        for g_sig in universe.untargeted_table.signatures[:10]:
+        for g_sig in universe.untargeted_table.packed.to_bigints()[:10]:
             assert nmin_for_untargeted_fault(
-                repacked, g_sig
-            ) == nmin_for_untargeted_fault(target, g_sig)
+                repacked.packed.to_bigints(), g_sig
+            ) == nmin_for_untargeted_fault(target.packed.to_bigints(), g_sig)
 
     @pytest.mark.parametrize("name", WIDE_NAMES)
     def test_wide_sampled_circuits(self, name):

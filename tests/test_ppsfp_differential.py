@@ -48,7 +48,7 @@ def _tables(backend, circuit):
     """(stuck-at signatures, bridging signatures) under one backend."""
     stuck = backend.build_stuck_at(circuit)
     bridge = backend.build_bridging(circuit)
-    return stuck.signatures, bridge.signatures
+    return stuck.packed.to_bigints(), bridge.packed.to_bigints()
 
 
 class TestKernelVsBigInt:
@@ -119,8 +119,8 @@ class TestBranchSiteFaults:
         big = TableBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.undo()
         kernel = TableBackend().build_stuck_at(circuit, faults=faults)
-        assert serial.signatures == big.signatures
-        assert big.signatures == kernel.signatures
+        assert serial.packed == big.packed
+        assert big.packed == kernel.packed
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_circuits_with_branches(self, seed, monkeypatch):
@@ -133,8 +133,8 @@ class TestBranchSiteFaults:
         big = TableBackend().build_stuck_at(circuit, faults=faults)
         monkeypatch.undo()
         kernel = TableBackend().build_stuck_at(circuit, faults=faults)
-        assert serial.signatures == big.signatures
-        assert big.signatures == kernel.signatures
+        assert serial.packed == big.packed
+        assert big.packed == kernel.packed
 
     def test_branch_forced_value_wins_over_stem(self, monkeypatch):
         """A branch site keeps its forced value even when its stem changes."""
@@ -153,4 +153,4 @@ class TestBranchSiteFaults:
         big = DetectionTable.for_stuck_at(circuit, faults=faults)
         monkeypatch.undo()
         kernel = DetectionTable.for_stuck_at(circuit, faults=faults)
-        assert big.signatures == kernel.signatures
+        assert big.packed == kernel.packed

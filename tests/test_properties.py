@@ -137,7 +137,7 @@ def test_detection_table_matches_serial(circuit):
         fault = table.faults[i]
         for v in rng.sample(range(space), min(6, space)):
             assert detects_stuck_at(circuit, fault, v) == bool(
-                (table.signatures[i] >> v) & 1
+                (table.packed.row_bigint(i) >> v) & 1
             )
 
 
@@ -151,7 +151,7 @@ def test_equivalence_classes_share_detection_sets(circuit):
     ]
     for members in classes[:6]:
         table = DetectionTable.for_stuck_at(circuit, faults=members)
-        assert len(set(table.signatures)) == 1
+        assert len(set(table.packed.to_bigints())) == 1
 
 
 @given(circuits(max_inputs=5, max_gates=12), st.integers(0, 2**16))
@@ -187,7 +187,7 @@ def test_procedure1_invariant_and_guarantee(circuit, seed):
     for n in range(1, n_max + 1):
         for k in range(family.num_sets):
             tk = family.signature(n, k)
-            for sig in targets.signatures:
+            for sig in targets.packed.to_bigints():
                 assert (sig & tk).bit_count() >= min(n, sig.bit_count())
     # (2) nmin guarantee: untargeted faults with nmin <= n are detected
     # by every n-detection snapshot.
@@ -198,7 +198,7 @@ def test_procedure1_invariant_and_guarantee(circuit, seed):
     for rec in wc.records:
         if rec.nmin is None or rec.nmin > n_max:
             continue
-        g_sig = untargeted.signatures[rec.fault_index]
+        g_sig = untargeted.packed.row_bigint(rec.fault_index)
         for n in range(rec.nmin, n_max + 1):
             for k in range(family.num_sets):
                 assert family.signature(n, k) & g_sig, (

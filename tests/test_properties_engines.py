@@ -46,12 +46,13 @@ def test_podem_agrees_with_exhaustive(seed):
     for i in indices:
         fault = table.faults[i]
         result = generate_test(circuit, fault, backtrack_limit=0)
-        assert (result.status == DETECTED) == bool(table.signatures[i]), (
+        detectable = bool(table.packed.row_bigint(i))
+        assert (result.status == DETECTED) == detectable, (
             fault.name(circuit)
         )
         if result.status == DETECTED:
             v = result.vector()
-            assert (table.signatures[i] >> v) & 1
+            assert (table.packed.row_bigint(i) >> v) & 1
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -67,7 +68,7 @@ def test_bridging_table_agrees_with_serial(seed):
         fault = table.faults[i]
         for v in rng.sample(range(space), 6):
             assert detects_bridging(circuit, fault, v) == bool(
-                (table.signatures[i] >> v) & 1
+                (table.packed.row_bigint(i) >> v) & 1
             )
 
 
@@ -97,7 +98,7 @@ def test_gate_exhaustive_agrees_with_bruteforce(seed):
                 expected = any(
                     good[o] != faulty[o] for o in circuit.outputs
                 )
-            assert bool((table.signatures[i] >> v) & 1) == expected
+            assert bool((table.packed.row_bigint(i) >> v) & 1) == expected
 
 
 @given(
@@ -115,7 +116,7 @@ def test_greedy_ndetection_meets_quotas(seed, n):
     tests = greedy_ndetection_set(table, n)
     assert len(set(tests)) == len(tests)
     sig = sum(1 << t for t in tests)
-    for f_sig in table.signatures:
+    for f_sig in table.packed.to_bigints():
         assert (f_sig & sig).bit_count() >= min(n, f_sig.bit_count())
     # And the serial engine confirms a sample of the detections.
     rng = pyrandom.Random(seed)
@@ -124,4 +125,4 @@ def test_greedy_ndetection_meets_quotas(seed, n):
         detected = [
             t for t in tests if detects_stuck_at(circuit, fault, t)
         ]
-        assert len(detected) >= min(n, table.signatures[i].bit_count())
+        assert len(detected) >= min(n, table.packed.row_bigint(i).bit_count())
