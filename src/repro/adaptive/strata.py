@@ -249,19 +249,6 @@ class StrataPlan:
             cubes.append(Cube(p, care, value))
         return cubes
 
-    def covered_faults(self) -> list[BridgingFault]:
-        """Bridging faults whose whole detection set is importance-covered.
-
-        A fault covered here has its activation region — and therefore
-        its entire ``T(g)`` — inside the predicate strata, never in the
-        bulk, so its count estimate enjoys the full importance-sampling
-        variance reduction.
-        """
-        out: list[BridgingFault] = []
-        for pred in self.predicates:
-            out.extend(pred.faults())
-        return out
-
     def covered_fault_strata(self) -> dict[BridgingFault, tuple[int, ...]]:
         """Per covered fault: the strata its detection set can touch."""
         out: dict[BridgingFault, tuple[int, ...]] = {}

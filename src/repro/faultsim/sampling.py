@@ -173,12 +173,6 @@ class VectorUniverse:
             )
         return bit if self.vectors is None else self.vectors[bit]
 
-    def vector_list(self) -> list[int]:
-        """Every vector in bit order (materializes ``2**p`` when exhaustive)."""
-        if self.vectors is None:
-            return list(range(self.space))
-        return list(self.vectors)
-
     def bit_of(self, vector: int) -> int | None:
         """Signature bit holding ``vector`` (None when not sampled)."""
         if not 0 <= vector < self.space:

@@ -13,17 +13,25 @@ a tiny length-prefixed pickle protocol over TCP:
   is push-based, a worker's lease is its connection, and heartbeat
   ``ping`` frames ride the same connection while a shard builds.
 
+Scheduler and adapter
+    The broker's policy — FIFO dispatch, leases, heartbeats, stealing,
+    retries and parking — is :class:`~repro.parallel.sched.Scheduler`,
+    a state machine with no I/O and no clock.  :class:`Broker` is only
+    its asyncio adapter: it decodes each frame, calls the scheduler
+    with the current monotonic time, and writes back the frames the
+    scheduler returns.  The scheduler's docstring holds the lease and
+    determinism rules.
+
 Work stealing
     Queued shards are a global FIFO, so an idle worker "steals" queued
     work simply by being dispatched to next.  The interesting theft is
     the stale lease: when the queue is empty and a peer has held its
     in-flight shard for at least ``steal_after`` seconds, the idle
-    worker is handed a *duplicate* build of the most-loaded peer's
-    shard (the peer whose lease set holds the stalest lease; ties break
-    on the smaller key).  First completion wins; the loser's ``done``
-    is counted as a duplicate and discarded.  Stealing is safe by
-    construction because shard results are content-addressed: both
-    builders produce the identical bytes the
+    worker is handed a *duplicate* build of the shard with the stalest
+    lease (ties break on the smaller key).  First completion wins; the
+    loser's ``done`` is counted as a duplicate and discarded.  Stealing
+    is safe by construction because shard results are content-addressed:
+    both builders produce the identical bytes the
     :class:`~repro.parallel.cache.ShardCache` already treats as one
     entry, so double-completion is a cache hit, not a conflict.
 
@@ -36,11 +44,6 @@ connection reconnects and re-submits its outstanding shards (results
 are kept broker-side, so nothing is rebuilt); a worker that finishes a
 shard after losing its connection still wrote the result through its
 local shard cache, so the re-dispatched build is a skip.
-
-Determinism: dispatch order is submission FIFO, idle workers are served
-in sorted id order, and steal victims are chosen by (stalest lease,
-smallest key) — the whole broker is single-threaded asyncio state with
-no hash-order iteration, so a re-run distributes identically.
 
 Trust model
     Frames are pickles, so the transport defends in two layers.  Every
@@ -68,7 +71,6 @@ import struct
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -78,6 +80,7 @@ from repro.errors import AnalysisError
 from repro.obs.tracer import TRACE_FILE_ENV
 from repro.parallel.backoff import Backoff
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
+from repro.parallel.sched import DEFAULT_MAX_ATTEMPTS, Actions, Scheduler
 from repro.parallel.worker import ShardTask, payload_size, run_shard
 
 __all__ = [
@@ -112,10 +115,6 @@ BROKER_SECRET_ENV = "REPRO_BROKER_SECRET"
 #: the CI mixed-speed fleet smoke.
 STEAL_DELAY_ENV = "REPRO_STEAL_DELAY"
 
-#: Default number of build attempts a shard gets before it is parked
-#: (covers both raised builds and lost workers).
-DEFAULT_MAX_ATTEMPTS = 3
-
 #: Test hook: a worker process whose environment sets this to ``N``
 #: hard-exits (``os._exit``) right after receiving its ``N``-th build —
 #: mid-shard, connection dropped — so the crash-recovery path (lost
@@ -132,6 +131,10 @@ NET_FORMAT_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">Q")
+
+#: Per-attempt TCP connect deadline of submitters and workers; lost
+#: connections are retried with bounded exponential backoff.
+CONNECT_TIMEOUT = 10.0
 
 #: Indirection for tests: monkeypatching ``netqueue._sleep`` pins the
 #: reconnect/backoff schedule without wall-clock waits.
@@ -346,39 +349,24 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _short(text: str, limit: int = 160) -> str:
-    """Event-attribute-sized failure text."""
-    return text if len(text) <= limit else text[: limit - 1] + "…"
-
-
-def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
-    return socket.create_connection(address, timeout=timeout)
+def _connect(address: tuple[str, int]) -> socket.socket:
+    return socket.create_connection(address, timeout=CONNECT_TIMEOUT)
 
 
 # ----------------------------------------------------------------------
-# The broker
+# The broker: an asyncio adapter around the scheduler
 # ----------------------------------------------------------------------
-@dataclass
-class _WorkerConn:
-    """Broker-side state of one registered worker connection."""
-
-    worker_id: str
-    writer: asyncio.StreamWriter
-    current: str | None = None
-    stolen: bool = False
-    assigned_at: float = 0.0
-    last_beat: float = 0.0
-
-
 class Broker:
-    """In-memory task broker: FIFO dispatch, leases, work stealing.
+    """The asyncio face of a :class:`~repro.parallel.sched.Scheduler`.
 
-    All state lives on one event loop — no locks, no hash-order
-    iteration.  ``steal_after`` is the lease age beyond which an idle
-    worker duplicates a peer's in-flight shard; ``lease_timeout`` is
-    the heartbeat age beyond which a busy worker is presumed dead and
-    disconnected (costing its shard one attempt); ``max_builders``
-    bounds how many workers may build the same shard concurrently.
+    The broker owns the listening socket and the connections, and
+    nothing else: it reads each frame, hands it to the scheduler with
+    ``obs.system_clock().monotonic()``, and writes back the frames the
+    scheduler returns (closing the peers it names).  A timer calls
+    :meth:`Scheduler.tick` to scavenge stale heartbeats and mature
+    steals.  All state lives on one event loop — no locks.
+    ``steal``, ``steal_after`` and ``lease_timeout`` configure the
+    scheduler.
     """
 
     def __init__(
@@ -389,56 +377,12 @@ class Broker:
         steal: bool = True,
         steal_after: float = 0.5,
         lease_timeout: float = 30.0,
-        max_builders: int = 3,
-        result_cap: int = 4096,
     ) -> None:
-        if steal_after <= 0:
-            raise AnalysisError(
-                f"steal_after must be > 0, got {steal_after}"
-            )
-        if lease_timeout <= 0:
-            raise AnalysisError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
-            )
-        if max_builders < 1:
-            raise AnalysisError(
-                f"max_builders must be >= 1, got {max_builders}"
-            )
-        if result_cap < 1:
-            raise AnalysisError(
-                f"result_cap must be >= 1, got {result_cap}"
-            )
         self.host = host
         self.port = port
-        self.steal = steal
-        self.steal_after = steal_after
-        self.lease_timeout = lease_timeout
-        self.max_builders = max_builders
-        self.result_cap = result_cap
-        #: FIFO of not-yet-dispatched keys (values unused).
-        self._pending: OrderedDict[str, None] = OrderedDict()
-        #: Every unresolved key -> its task spec (pending or building).
-        self._specs: dict[str, dict[str, Any]] = {}
-        #: key -> {worker_id: assigned_at} for in-flight builds.
-        self._builders: dict[str, dict[str, float]] = {}
-        #: key -> submitter writers waiting for its result.
-        self._waiters: dict[str, list[asyncio.StreamWriter]] = {}
-        #: Finished shard payloads, bounded LRU.
-        self._results: OrderedDict[str, bytes] = OrderedDict()
-        #: Terminally failed keys -> error text.
-        self._failures: dict[str, str] = {}
-        self._workers: dict[str, _WorkerConn] = {}
-        self.counters: dict[str, int] = {
-            "submitted": 0,
-            "dispatched": 0,
-            "completed": 0,
-            "duplicates": 0,
-            "steals": 0,
-            "steal_completions": 0,
-            "requeues": 0,
-            "parked": 0,
-            "workers_registered": 0,
-        }
+        self.scheduler: Scheduler[asyncio.StreamWriter] = Scheduler(
+            steal=steal, steal_after=steal_after, lease_timeout=lease_timeout
+        )
         self._server: asyncio.Server | None = None
         self._ticker: asyncio.Task[None] | None = None
 
@@ -470,34 +414,40 @@ class Broker:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Serve one peer (worker or submitter) until it disconnects."""
-        worker_id: str | None = None
+        clock = obs.system_clock()
+        sched = self.scheduler
         try:
             while True:
                 message = await _read_frame(reader)
                 if message is None:
                     break
                 op = message.get("op")
-                if op == "register":
-                    worker_id = self._register(message, writer)
-                elif op == "ping":
-                    if worker_id is not None:
-                        conn = self._workers.get(worker_id)
-                        if conn is not None and conn.writer is writer:
-                            conn.last_beat = time.monotonic()
-                elif op == "done":
-                    self._done(worker_id, message)
-                elif op == "error":
-                    self._build_error(worker_id, message)
+                now = clock.monotonic()
+                if op in ("register", "submit") and (
+                    message.get("version") != NET_FORMAT_VERSION
+                ):
+                    _write_frame(writer, {"op": "rejected", "error": (
+                        f"wire format {message.get('version')!r} != "
+                        f"{NET_FORMAT_VERSION} (mismatched repro versions?)"
+                    )})
+                elif op == "register":
+                    self._apply(sched.register(writer, message, now))
                 elif op == "submit":
-                    self._submit(message, writer)
+                    self._apply(sched.submit(writer, message, now))
+                elif op == "done":
+                    self._apply(sched.done(writer, message, now))
+                elif op == "error":
+                    self._apply(sched.error(writer, message, now))
+                elif op == "ping":
+                    self._apply(sched.beat(writer, now))
                 elif op == "stats":
                     _write_frame(
                         writer, {"op": "stats", "stats": self.stats_doc()}
                     )
                 elif op == "clear":
-                    _write_frame(
-                        writer, {"op": "cleared", "removed": self.clear()}
-                    )
+                    removed, actions = sched.clear()
+                    self._apply(actions)
+                    _write_frame(writer, {"op": "cleared", "removed": removed})
                 else:
                     _write_frame(
                         writer,
@@ -508,11 +458,7 @@ class Broker:
                 except ConnectionError:
                     break
         finally:
-            if worker_id is not None:
-                self._drop_worker(
-                    worker_id, "connection lost", writer=writer
-                )
-            self._drop_waiter(writer)
+            self._apply(sched.disconnect(writer, clock.monotonic()))
             writer.close()
             try:
                 await writer.wait_closed()
@@ -521,453 +467,29 @@ class Broker:
                 # way the connection is gone.
                 pass
 
-    # -- worker protocol -----------------------------------------------
-    def _register(
-        self, message: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> str | None:
-        if message.get("version") != NET_FORMAT_VERSION:
-            _write_frame(
-                writer,
-                {
-                    "op": "rejected",
-                    "error": (
-                        f"wire format {message.get('version')!r} != "
-                        f"{NET_FORMAT_VERSION} (mismatched repro versions?)"
-                    ),
-                },
-            )
-            return None
-        worker_id = str(message.get("worker") or "")
-        if not worker_id:
-            _write_frame(
-                writer,
-                {"op": "rejected", "error": "register needs a worker id"},
-            )
-            return None
-        # A reconnect under the same id supersedes the dead connection.
-        if worker_id in self._workers:
-            self._drop_worker(worker_id, "superseded by a reconnect")
-        self._workers[worker_id] = _WorkerConn(
-            worker_id=worker_id,
-            writer=writer,
-            last_beat=time.monotonic(),
-        )
-        self.counters["workers_registered"] += 1
-        obs.event("broker_worker_registered", worker=worker_id)
-        self._pump()
-        return worker_id
-
-    def _done(
-        self, worker_id: str | None, message: dict[str, Any]
-    ) -> None:
-        key = str(message.get("key") or "")
-        conn = self._workers.get(worker_id) if worker_id else None
-        stolen = False
-        if conn is not None and conn.current == key:
-            stolen = conn.stolen
-            conn.current = None
-            conn.stolen = False
-        words = message.get("words")
-        if key in self._specs and isinstance(words, bytes):
-            self._resolve(key, words, worker_id or "?", stolen)
-        else:
-            # A late duplicate (the shard was resolved by a faster
-            # builder, or cleared) or a malformed report: the first
-            # good result stands, but the reporter must still release
-            # its builder slot, or a ghost lease consumes one of the
-            # key's ``max_builders`` forever.
-            self.counters["duplicates"] += 1
-            obs.metrics().counter(
-                "repro_broker_duplicates_total",
-                help="Late duplicate completions discarded by the broker",
-            ).inc()
-            if worker_id is not None:
-                builders = self._builders.get(key)
-                if builders is not None:
-                    builders.pop(worker_id, None)
-                    if not builders:
-                        del self._builders[key]
-                        if key in self._specs:
-                            # A malformed report was the only build in
-                            # flight: charge the attempt and requeue.
-                            self._attempt_failed(
-                                key,
-                                "malformed done frame (words not bytes)",
-                            )
-        self._pump()
-
-    def _build_error(
-        self, worker_id: str | None, message: dict[str, Any]
-    ) -> None:
-        key = str(message.get("key") or "")
-        error = str(message.get("error") or "unknown worker error")
-        conn = self._workers.get(worker_id) if worker_id else None
-        if conn is not None and conn.current == key:
-            conn.current = None
-            conn.stolen = False
-        if key in self._specs and worker_id is not None:
-            builders = self._builders.get(key, {})
-            builders.pop(worker_id, None)
-            if not builders:
-                self._builders.pop(key, None)
-                self._attempt_failed(key, error)
-        self._pump()
-
-    def _drop_worker(
-        self,
-        worker_id: str,
-        reason: str,
-        *,
-        writer: asyncio.StreamWriter | None = None,
-    ) -> None:
-        conn = self._workers.get(worker_id)
-        if conn is None:
-            return
-        if writer is not None and conn.writer is not writer:
-            # The id was re-registered by a newer connection (or the
-            # scavenger already dropped this one and the worker came
-            # back): the live registration is not ours to deregister.
-            return
-        del self._workers[worker_id]
-        key = conn.current
-        if key is not None and key in self._specs:
-            builders = self._builders.get(key, {})
-            builders.pop(worker_id, None)
-            if not builders:
-                self._builders.pop(key, None)
-                self._attempt_failed(
-                    key, f"worker {worker_id} lost mid-shard ({reason})"
-                )
-        obs.event(
-            "broker_worker_lost", worker=worker_id, reason=_short(reason)
-        )
-        self._pump()
-
-    # -- submitter protocol --------------------------------------------
-    def _submit(
-        self, message: dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        if message.get("version") != NET_FORMAT_VERSION:
-            _write_frame(
-                writer,
-                {
-                    "op": "rejected",
-                    "error": (
-                        f"wire format {message.get('version')!r} != "
-                        f"{NET_FORMAT_VERSION} (mismatched repro versions?)"
-                    ),
-                },
-            )
-            return
-        shards = message.get("shards")
-        if not isinstance(shards, list):
-            _write_frame(
-                writer,
-                {"op": "rejected", "error": "submit needs a shard list"},
-            )
-            return
-        for spec in shards:
-            if not isinstance(spec, dict) or not isinstance(
-                spec.get("task"), ShardTask
-            ):
-                _write_frame(
-                    writer,
-                    {
-                        "op": "rejected",
-                        "error": "submit shards must carry ShardTask specs",
-                    },
-                )
-                return
-            key = str(spec.get("key") or "")
-            cached = self._results.get(key)
-            if cached is not None:
-                self._results.move_to_end(key)
-                _write_frame(
-                    writer,
-                    {
-                        "op": "result",
-                        "key": key,
-                        "words": cached,
-                        "worker": None,
-                        "stolen": False,
-                    },
-                )
-                continue
-            # A fresh submission clears a parked failure and gets a
-            # fresh retry budget.
-            self._failures.pop(key, None)
-            if key not in self._specs:
-                self._specs[key] = {
-                    "key": key,
-                    "task": spec["task"],
-                    "shard_index": spec.get("shard_index"),
-                    "attempts": 0,
-                    "max_attempts": int(
-                        spec.get("max_attempts") or DEFAULT_MAX_ATTEMPTS
-                    ),
-                    "trace_file": spec.get("trace_file"),
-                    "trace_id": spec.get("trace_id"),
-                    "enqueued_wall": spec.get("enqueued_wall"),
-                }
-                self._pending[key] = None
-                self.counters["submitted"] += 1
-                obs.metrics().counter(
-                    "repro_broker_submitted_total",
-                    help="Shard tasks accepted by the broker",
-                ).inc()
-            waiters = self._waiters.setdefault(key, [])
-            if writer not in waiters:
-                waiters.append(writer)
-        self._pump()
-
-    def _drop_waiter(self, writer: asyncio.StreamWriter) -> None:
-        """A submitter went away; its shards stay queued (results are
-        kept, so a reconnect-and-resubmit finds them instantly)."""
-        for key in sorted(self._waiters):
-            waiters = [w for w in self._waiters[key] if w is not writer]
-            if waiters:
-                self._waiters[key] = waiters
-            else:
-                del self._waiters[key]
-
-    # -- state transitions ---------------------------------------------
-    def _resolve(
-        self, key: str, words: bytes, worker: str, stolen: bool
-    ) -> None:
-        self._specs.pop(key, None)
-        self._pending.pop(key, None)
-        self._builders.pop(key, None)
-        self._results[key] = words
-        while len(self._results) > self.result_cap:
-            self._results.popitem(last=False)
-        self.counters["completed"] += 1
-        if stolen:
-            self.counters["steal_completions"] += 1
-        obs.metrics().counter(
-            "repro_broker_completed_total",
-            help="Shards completed through the broker",
-        ).inc()
-        for waiter in self._waiters.pop(key, []):
-            _write_frame(
-                waiter,
-                {
-                    "op": "result",
-                    "key": key,
-                    "words": words,
-                    "worker": worker,
-                    "stolen": stolen,
-                },
-            )
-
-    def _attempt_failed(self, key: str, error: str) -> None:
-        spec = self._specs[key]
-        spec["attempts"] += 1
-        if spec["attempts"] >= spec["max_attempts"]:
-            self._park(key, f"attempt {spec['attempts']}: {error}")
-            return
-        self._pending[key] = None
-        self.counters["requeues"] += 1
-        obs.event(
-            "task_requeued",
-            key=key,
-            attempts=spec["attempts"],
-            reason=_short(error),
-        )
-        obs.metrics().counter(
-            "repro_broker_requeues_total",
-            help="Broker shards requeued after a failed attempt",
-        ).inc()
-
-    def _park(self, key: str, error: str) -> None:
-        self._specs.pop(key, None)
-        self._pending.pop(key, None)
-        self._builders.pop(key, None)
-        self._failures[key] = error
-        self.counters["parked"] += 1
-        obs.event("shard_parked", key=key, error=_short(error))
-        obs.metrics().counter(
-            "repro_broker_parked_total",
-            help="Broker shards parked terminally after exhausting retries",
-        ).inc()
-        for waiter in self._waiters.pop(key, []):
-            _write_frame(
-                waiter, {"op": "failed", "key": key, "error": error}
-            )
-
-    # -- dispatch and stealing -----------------------------------------
-    def _pump(self) -> None:
-        """Hand work to every idle worker: FIFO first, then theft."""
-        now = time.monotonic()
-        for worker_id in sorted(self._workers):
-            conn = self._workers[worker_id]
-            if conn.current is not None:
-                continue
-            if self._pending:
-                key, _ = self._pending.popitem(last=False)
-                self._assign(conn, key, now, stolen=False)
-                continue
-            if not self.steal:
-                continue
-            key_or_none = self._steal_candidate(worker_id, now)
-            if key_or_none is None:
-                continue
-            self._assign(conn, key_or_none, now, stolen=True)
-            self.counters["steals"] += 1
-            obs.event(
-                "broker_steal",
-                key=key_or_none[:12],
-                thief=worker_id,
-            )
-            obs.metrics().counter(
-                "repro_steal_total",
-                help="Stale in-flight shards duplicated to an idle worker",
-            ).inc()
-
-    def _steal_candidate(self, thief: str, now: float) -> str | None:
-        """The stalest eligible in-flight shard, deterministically.
-
-        With one in-flight shard per connection, the "most-loaded peer"
-        is the one whose lease set holds the stalest lease; ties break
-        on the smaller shard key.  A shard is eligible once its oldest
-        lease is ``steal_after`` old, the thief is not already building
-        it, and fewer than ``max_builders`` workers hold it.
-        """
-        best: tuple[float, str] | None = None
-        for key in sorted(self._specs):
-            builders = self._builders.get(key)
-            if not builders:
-                continue  # pending, not in flight
-            if thief in builders or len(builders) >= self.max_builders:
-                continue
-            age = now - min(builders.values())
-            if age < self.steal_after:
-                continue
-            rank = (-age, key)
-            if best is None or rank < best:
-                best = rank
-        return best[1] if best is not None else None
-
-    def _assign(
-        self, conn: _WorkerConn, key: str, now: float, *, stolen: bool
-    ) -> None:
-        spec = self._specs[key]
-        self._builders.setdefault(key, {})[conn.worker_id] = now
-        conn.current = key
-        conn.stolen = stolen
-        conn.assigned_at = now
-        conn.last_beat = now
-        self.counters["dispatched"] += 1
-        obs.metrics().counter(
-            "repro_broker_dispatched_total",
-            help="Shard builds pushed to workers by the broker",
-        ).inc()
-        _write_frame(
-            conn.writer,
-            {
-                "op": "build",
-                "key": key,
-                "task": spec["task"],
-                "shard_index": spec["shard_index"],
-                "attempts": spec["attempts"],
-                "stolen": stolen,
-                "trace_file": spec["trace_file"],
-                "trace_id": spec["trace_id"],
-                "enqueued_wall": spec["enqueued_wall"],
-            },
-        )
+    @staticmethod
+    def _apply(actions: Actions[asyncio.StreamWriter]) -> None:
+        for writer, frame in actions.sends:
+            _write_frame(writer, frame)
+        for writer in actions.closes:
+            writer.close()
 
     async def _tick_loop(self) -> None:
         """Scavenge stale heartbeats and mature steal candidates."""
+        sched = self.scheduler
         interval = max(
-            0.05, min(self.steal_after / 2.0, self.lease_timeout / 4.0)
+            0.05, min(sched.steal_after / 2.0, sched.lease_timeout / 4.0)
         )
         while True:
             await asyncio.sleep(interval)
-            now = time.monotonic()
-            stale = [
-                worker_id
-                for worker_id in sorted(self._workers)
-                if self._workers[worker_id].current is not None
-                and now - self._workers[worker_id].last_beat
-                > self.lease_timeout
-            ]
-            for worker_id in stale:
-                conn = self._workers[worker_id]
-                age = now - conn.last_beat
-                writer = conn.writer
-                self._drop_worker(
-                    worker_id,
-                    f"heartbeat stale for {age:.1f}s (presumed dead "
-                    f"mid-shard)",
-                )
-                writer.close()
-            self._pump()
+            self._apply(sched.tick(obs.system_clock().monotonic()))
 
     # -- introspection (`repro queue ... --broker`) --------------------
     def stats_doc(self) -> dict[str, Any]:
-        now = time.monotonic()
-        building = []
-        for key in sorted(self._builders):
-            holders = self._builders[key]
-            building.append(
-                {
-                    "key": key,
-                    "attempts": self._specs[key]["attempts"],
-                    "builders": [
-                        {
-                            "worker": worker_id,
-                            "age_s": round(
-                                max(0.0, now - holders[worker_id]), 3
-                            ),
-                        }
-                        for worker_id in sorted(holders)
-                    ],
-                }
-            )
         return {
             "address": f"{self.host}:{self.port}",
-            "steal": self.steal,
-            "pending": list(self._pending),
-            "building": building,
-            "workers": [
-                {
-                    "worker": worker_id,
-                    "current": self._workers[worker_id].current,
-                }
-                for worker_id in sorted(self._workers)
-            ],
-            "results": len(self._results),
-            "failed": [
-                {"key": key, "error": self._failures[key]}
-                for key in sorted(self._failures)
-            ],
-            "counters": dict(self.counters),
+            **self.scheduler.stats(obs.system_clock().monotonic()),
         }
-
-    def clear(self) -> int:
-        """Drop every queued task, result, and failure marker.
-
-        Waiting submitters are failed cleanly rather than left hanging.
-        """
-        removed = (
-            len(self._specs) + len(self._results) + len(self._failures)
-        )
-        for key in sorted(self._specs):
-            for waiter in self._waiters.pop(key, []):
-                _write_frame(
-                    waiter,
-                    {
-                        "op": "failed",
-                        "key": key,
-                        "error": "queue cleared by operator",
-                    },
-                )
-        self._specs.clear()
-        self._pending.clear()
-        self._builders.clear()
-        self._results.clear()
-        self._failures.clear()
-        return removed
 
 
 # ----------------------------------------------------------------------
@@ -1028,7 +550,6 @@ class BackgroundBroker:
         steal: bool = True,
         steal_after: float = 0.5,
         lease_timeout: float = 30.0,
-        max_builders: int = 3,
     ) -> None:
         self.broker = Broker(
             host,
@@ -1036,7 +557,6 @@ class BackgroundBroker:
             steal=steal,
             steal_after=steal_after,
             lease_timeout=lease_timeout,
-            max_builders=max_builders,
         )
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
@@ -1127,7 +647,7 @@ def _broker_roundtrip(
     address = resolve_broker(broker, what=what, flag="--broker")
     label = f"{address[0]}:{address[1]}"
     try:
-        sock = _connect(address, timeout=10.0)
+        sock = _connect(address)
     except OSError as exc:
         raise AnalysisError(
             f"cannot reach broker at {label}: {exc} — is "
@@ -1190,16 +710,13 @@ class TcpExecutor:
     wait_timeout:
         Give up after this many seconds *without any shard completing*
         (a stall deadline, reset on every completion;
-        ``REPRO_QUEUE_TIMEOUT`` overrides).
-    connect_timeout:
-        Per-attempt TCP connect deadline; lost connections are retried
-        with bounded exponential backoff inside the stall budget.
+        ``REPRO_QUEUE_TIMEOUT`` overrides).  Lost connections are
+        retried with bounded exponential backoff inside this budget.
     """
 
     broker: str | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     wait_timeout: float | None = None
-    connect_timeout: float = 10.0
     name: str = "tcp"
 
     def __post_init__(self) -> None:
@@ -1210,10 +727,6 @@ class TcpExecutor:
         if self.wait_timeout is not None and self.wait_timeout <= 0:
             raise AnalysisError(
                 f"wait_timeout must be > 0, got {self.wait_timeout}"
-            )
-        if self.connect_timeout <= 0:
-            raise AnalysisError(
-                f"connect_timeout must be > 0, got {self.connect_timeout}"
             )
 
     def resolved_address(self) -> tuple[str, int]:
@@ -1287,7 +800,7 @@ class TcpExecutor:
             while outstanding:
                 if sock is None:
                     try:
-                        sock = _connect(address, self.connect_timeout)
+                        sock = _connect(address)
                         # Re-submission after a broker restart only
                         # carries the still-outstanding shards; resolved
                         # keys never rebuild.
@@ -1409,20 +922,14 @@ class TcpWorker:
     broker: str | None = None
     worker_id: str = field(default_factory=default_worker_id)
     lease_timeout: float = 30.0
-    heartbeat_interval: float | None = None
     build_delay: float = 0.0
     cache_dir: str | Path | None = None
     use_cache: bool = True
-    connect_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if self.lease_timeout <= 0:
             raise AnalysisError(
                 f"lease_timeout must be > 0, got {self.lease_timeout}"
-            )
-        if self.heartbeat_interval is None:
-            self.heartbeat_interval = max(
-                0.01, min(1.0, self.lease_timeout / 4.0)
             )
         if self.build_delay == 0.0:
             raw = os.environ.get(STEAL_DELAY_ENV, "")
@@ -1476,7 +983,7 @@ class TcpWorker:
         idle_since = time.monotonic()
         while not self._stop.is_set():
             try:
-                sock = _connect(address, self.connect_timeout)
+                sock = _connect(address)
             except OSError:
                 if self._idle_expired(idle_since, idle_exit):
                     return stats
@@ -1655,8 +1162,8 @@ class TcpWorker:
                 "build frame carried no ShardTask payload"
             )
         stop = threading.Event()
-        interval = self.heartbeat_interval
-        assert interval is not None  # set in __post_init__
+        # Four beats per lease, at most one a second.
+        interval = max(0.01, min(1.0, self.lease_timeout / 4.0))
 
         def beat() -> None:
             while not stop.wait(interval):

@@ -1,25 +1,24 @@
 """The TCP queue transport: framing, broker, executor, worker, theft.
 
 Covers the wire protocol's own contract (framed pickles, version
-checks, address resolution), the broker's dispatch/lease/steal state
-machine, and the fault paths the acceptance criteria name: a worker
-killed mid-shard costs one attempt and the run still completes; a
-shard stolen mid-build double-completes as a duplicate, not a
-conflict; a broker restarted mid-run is survived by reconnecting
-submitters and workers; a poisoned shard parks with a clean
-``AnalysisError`` naming it — every completion bit-identical to the
-inline build.
+checks, address resolution) and each path of the asyncio adapter over
+real sockets: submit → build → result; a worker connection lost
+mid-shard costs one attempt and the run still completes; a stale
+heartbeat closes the connection; a shard stolen mid-build
+double-completes as a duplicate, not a conflict; a broker restarted
+mid-run is survived by reconnecting submitters and workers; a poisoned
+shard parks with a clean ``AnalysisError`` naming it — every completion
+bit-identical to the inline build.  The scheduling policy itself is
+driven without sockets or sleeps in ``test_sched.py``.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
+from contextlib import contextmanager
 
 import pytest
 
@@ -47,9 +46,7 @@ from repro.parallel.netqueue import (
     resolve_broker,
     send_frame,
 )
-
-SRC = str(Path(__file__).resolve().parents[2] / "src")
-
+from repro.parallel.worker import run_shard
 
 def make_task(shard_index: int = 0, count: int = 4) -> ShardTask:
     circuit = get_circuit("lion")
@@ -80,33 +77,62 @@ def poisoned_task() -> ShardTask:
     )
 
 
-def worker_in_thread(
+@contextmanager
+def running_worker(
     address: str,
     tmp_path,
     name: str = "w",
     *,
     build_delay: float = 0.0,
-    idle_exit: float = 10.0,
     use_cache: bool = False,
-    lease_timeout: float = 30.0,
-) -> tuple[TcpWorker, threading.Thread, dict]:
-    """A real TCP drain loop in this process (no subprocess overhead)."""
+    cache_dir=None,
+):
+    """A real TCP drain loop in this process (no subprocess overhead).
+
+    Yields ``(worker, out)``; on exit the worker is stopped and joined,
+    after which ``out["stats"]`` holds its serve counters.
+    """
     worker = TcpWorker(
         broker=address,
         worker_id=name,
         build_delay=build_delay,
-        cache_dir=str(tmp_path / f"cache-{name}"),
+        cache_dir=str(cache_dir or tmp_path / f"cache-{name}"),
         use_cache=use_cache,
-        lease_timeout=lease_timeout,
     )
     out: dict = {}
-
-    def serve() -> None:
-        out["stats"] = worker.serve(idle_exit=idle_exit)
-
-    thread = threading.Thread(target=serve, daemon=True)
+    thread = threading.Thread(
+        target=lambda: out.update(stats=worker.serve()), daemon=True
+    )
     thread.start()
-    return worker, thread, out
+    try:
+        yield worker, out
+    finally:
+        worker.stop()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.02)
+
+
+def in_thread(target) -> tuple[threading.Thread, dict]:
+    """Run ``target()`` on a daemon thread; its return lands in out["value"]."""
+    out: dict = {}
+    thread = threading.Thread(
+        target=lambda: out.update(value=target()), daemon=True
+    )
+    thread.start()
+    return thread, out
+
+
+def key_of(task: ShardTask) -> str:
+    return shard_key(
+        circuit_digest(task.circuit), task.backend, task.kind, task.faults
+    )
 
 
 def free_port() -> int:
@@ -300,16 +326,11 @@ class TestSecurity:
         monkeypatch.setenv(BROKER_SECRET_ENV, "fleet-secret")
         task = make_task()
         with BackgroundBroker() as broker:
-            _worker, thread, out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            )
-            outcomes = executor.submit([task])
-            thread.join(timeout=30)
-            from repro.parallel.worker import run_shard
-
+            with running_worker(broker.address, tmp_path) as (_w, out):
+                executor = TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                )
+                outcomes = executor.submit([task])
             _idx, expected = run_shard(task)
             assert outcomes == [(0, expected)]
             assert out["stats"]["built"] == 1
@@ -360,76 +381,81 @@ class TestResolution:
         assert a.describe() == "tcp"
 
 
+
+
 class TestBrokerRoundtrip:
     def test_submit_build_result(self, tmp_path):
         tasks = [make_task(0), make_task(1)]
         with BackgroundBroker() as broker:
-            _worker, thread, out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            )
-            outcomes = dict(executor.submit(tasks))
+            with running_worker(broker.address, tmp_path) as (_w, out):
+                executor = TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                )
+                outcomes = dict(executor.submit(tasks))
             assert sorted(outcomes) == [0, 1]
-            from repro.parallel.worker import run_shard
-
             for task in tasks:
                 _idx, expected = run_shard(task)
                 assert outcomes[task.shard_index] == expected
-            thread.join(timeout=30)
             assert out["stats"]["built"] == 2
 
     def test_resubmission_is_a_broker_cache_hit(self, tmp_path):
         task = make_task()
         with BackgroundBroker() as broker:
-            _worker, thread, out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            )
-            first = executor.submit([task])
-            thread.join(timeout=30)
+            executor = TcpExecutor(broker=broker.address, wait_timeout=60.0)
+            with running_worker(broker.address, tmp_path) as (_w, out):
+                first = executor.submit([task])
             # No workers are attached now: the result must come from
             # the broker's result store, instantly.
+            wait_for(lambda: broker.stats()["workers"] == [])
             again = executor.submit([task])
             assert first == again
             stats = broker.stats()
             assert stats["counters"]["completed"] == 1
             assert out["stats"]["built"] == 1
 
+    def test_rejected_submit_leaves_nothing_queued(self):
+        """A batch with one spec that carries no ShardTask is refused
+        whole: none of its valid prefix stays queued to be built for a
+        submitter that has already failed."""
+        task = make_task()
+        with BackgroundBroker() as broker:
+            sock = socket.create_connection(
+                (broker.host, broker.port), timeout=10.0
+            )
+            try:
+                send_frame(sock, {
+                    "op": "submit",
+                    "version": NET_FORMAT_VERSION,
+                    "shards": [
+                        {"key": "k-valid", "task": task, "shard_index": 0},
+                        "not a task",
+                    ],
+                })
+                reply = recv_frame(sock)
+                assert reply["op"] == "rejected"
+                assert "ShardTask" in reply["error"]
+            finally:
+                sock.close()
+            stats = broker.stats()
+            assert stats["pending"] == []
+            assert stats["counters"]["submitted"] == 0
+
     def test_worker_cache_hit_reports_skip(self, tmp_path):
         task = make_task()
-        key = shard_key(
-            circuit_digest(task.circuit), task.backend, task.kind, task.faults
-        )
         from repro.parallel import ShardCache
-        from repro.parallel.worker import run_shard
 
         _idx, words = run_shard(task)
         cache_dir = tmp_path / "cache-warm"
-        ShardCache(cache_dir).put(key, words)
+        ShardCache(cache_dir).put(key_of(task), words)
         with BackgroundBroker() as broker:
-            worker = TcpWorker(
-                broker=broker.address,
-                worker_id="warm",
-                cache_dir=str(cache_dir),
-                use_cache=True,
-            )
-            out: dict = {}
-            thread = threading.Thread(
-                target=lambda: out.update(
-                    stats=worker.serve(idle_exit=1.0)
-                ),
-                daemon=True,
-            )
-            thread.start()
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            )
-            assert executor.submit([task]) == [(0, words)]
-            thread.join(timeout=30)
+            with running_worker(
+                broker.address, tmp_path, "warm",
+                use_cache=True, cache_dir=cache_dir,
+            ) as (_w, out):
+                executor = TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                )
+                assert executor.submit([task]) == [(0, words)]
             assert out["stats"] == {
                 "built": 0, "skipped": 1, "failed": 0, "stolen": 0,
             }
@@ -460,28 +486,17 @@ class TestBrokerRoundtrip:
         assert good is not None
         cache.put(key, good[:-8])
         with BackgroundBroker() as broker:
-            worker = TcpWorker(
-                broker=broker.address,
-                worker_id="warm",
-                cache_dir=str(cache_dir),
-                use_cache=True,
-            )
-            out: dict = {}
-            thread = threading.Thread(
-                target=lambda: out.update(
-                    stats=worker.serve(idle_exit=1.0)
-                ),
-                daemon=True,
-            )
-            thread.start()
-            table = ParallelBackend(
-                base=base,
-                executor=TcpExecutor(
-                    broker=broker.address, wait_timeout=60.0
-                ),
-                use_cache=False,
-            ).build_stuck_at(circuit)
-            thread.join(timeout=30)
+            with running_worker(
+                broker.address, tmp_path, "warm",
+                use_cache=True, cache_dir=cache_dir,
+            ) as (_w, out):
+                table = ParallelBackend(
+                    base=base,
+                    executor=TcpExecutor(
+                        broker=broker.address, wait_timeout=60.0
+                    ),
+                    use_cache=False,
+                ).build_stuck_at(circuit)
         assert table.faults == inline.faults
         assert table.packed == inline.packed
         assert cache.get(key) == good
@@ -490,47 +505,25 @@ class TestBrokerRoundtrip:
 
     def test_poisoned_shard_parks_with_named_error(self, tmp_path):
         with BackgroundBroker() as broker:
-            _worker, thread, _out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=2.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0, max_attempts=2,
-            )
-            with pytest.raises(AnalysisError, match="tcp shard 0"):
-                executor.submit([poisoned_task()])
+            with running_worker(broker.address, tmp_path) as (_w, out):
+                executor = TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0,
+                    max_attempts=2,
+                )
+                with pytest.raises(AnalysisError, match="tcp shard 0"):
+                    executor.submit([poisoned_task()])
             stats = broker.stats()
             assert stats["counters"]["parked"] == 1
             assert len(stats["failed"]) == 1
-            thread.join(timeout=30)
-
-    def test_resubmit_clears_parked_failure(self, tmp_path):
-        """A fresh submission of a parked shard is built again with a
-        fresh retry budget, not answered from the stale failure."""
-        with BackgroundBroker() as broker:
-            _worker, thread, out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0, max_attempts=1,
-            )
-            for _ in range(2):
-                with pytest.raises(AnalysisError, match="tcp shard 0"):
-                    executor.submit([poisoned_task()])
-            assert broker.stats()["counters"]["parked"] == 2
-            thread.join(timeout=30)
-        assert out["stats"]["failed"] == 2
+            assert out["stats"]["failed"] == 2
 
     def test_stats_and_clear_helpers(self, tmp_path):
         task = make_task()
         with BackgroundBroker() as broker:
-            _worker, thread, _out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            )
-            executor.submit([task])
-            thread.join(timeout=30)
+            with running_worker(broker.address, tmp_path):
+                TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                ).submit([task])
             stats = broker_stats(broker.address)
             assert stats["counters"]["completed"] == 1
             assert stats["results"] == 1
@@ -572,120 +565,104 @@ class TestBrokerRoundtrip:
                 executor.submit([make_task()])
 
 
+def register_raw(broker, worker_id: str) -> socket.socket:
+    """A bare socket registered as worker ``worker_id``."""
+    sock = socket.create_connection((broker.host, broker.port), timeout=10.0)
+    send_frame(sock, {
+        "op": "register", "version": NET_FORMAT_VERSION, "worker": worker_id,
+    })
+    wait_for(lambda: worker_id in [
+        w["worker"] for w in broker.stats()["workers"]
+    ])
+    return sock
+
+
 class TestFaultTolerance:
     def test_worker_death_mid_shard_requeues(self, tmp_path):
-        """A worker that dies holding a lease costs one attempt; the
-        shard is requeued to a healthy worker and completes."""
+        """A worker connection that drops holding a lease (EOF) costs one
+        attempt; the shard is requeued to a healthy worker and completes.
+        (The crash of a real worker process is covered end to end in
+        tests/obs/test_propagation.py.)"""
         tasks = [make_task(0), make_task(1)]
-        with BackgroundBroker(lease_timeout=30.0) as broker:
-            env = dict(os.environ)
-            env["PYTHONPATH"] = SRC + os.pathsep + env.get(
-                "PYTHONPATH", ""
-            )
-            env["REPRO_QUEUE_CRASH_AFTER_CLAIM"] = "1"
-            env["REPRO_CACHE_DIR"] = str(tmp_path / "crash-cache")
-            env.pop(BROKER_ENV, None)
-            crasher = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "worker",
-                    "--broker", broker.address,
-                    "--idle-exit", "60",
-                ],
-                env=env,
-            )
-            result: dict = {}
-
-            def submit() -> None:
-                executor = TcpExecutor(
-                    broker=broker.address, wait_timeout=120.0
-                )
-                result["outcomes"] = dict(executor.submit(tasks))
-
-            submitter = threading.Thread(target=submit, daemon=True)
-            submitter.start()
-            assert crasher.wait(timeout=60) == 42  # died mid-shard
-            # Only now bring up the healthy worker: the crashed shard
-            # must come back via the dropped connection, not luck.
-            _worker, thread, _out = worker_in_thread(
-                broker.address, tmp_path, name="healthy", idle_exit=5.0
-            )
-            submitter.join(timeout=120)
-            assert not submitter.is_alive()
-            thread.join(timeout=30)
-            from repro.parallel.worker import run_shard
-
+        with BackgroundBroker() as broker:
+            doomed = register_raw(broker, "doomed")
+            executor = TcpExecutor(broker=broker.address, wait_timeout=60.0)
+            submitter, result = in_thread(lambda: dict(executor.submit(tasks)))
+            try:
+                assert recv_frame(doomed)["op"] == "build"
+            finally:
+                doomed.close()  # dies mid-shard, lease held
+            wait_for(lambda: broker.stats()["counters"]["requeues"] == 1)
+            # Only now bring up the healthy worker: the lost shard must
+            # come back via the dropped connection, not luck.
+            with running_worker(broker.address, tmp_path, "healthy"):
+                submitter.join(timeout=60)
+                assert not submitter.is_alive()
             for task in tasks:
                 _idx, expected = run_shard(task)
-                assert result["outcomes"][task.shard_index] == expected
-            assert broker.stats()["counters"]["requeues"] >= 1
+                assert result["value"][task.shard_index] == expected
+            assert broker.stats()["counters"]["requeues"] == 1
+
+    def test_stale_heartbeat_closes_the_connection(self):
+        """A worker that holds a build but never pings is closed by the
+        broker's tick and its shard requeued."""
+        task = make_task()
+        with BackgroundBroker(steal=False, lease_timeout=0.2) as broker:
+            silent = register_raw(broker, "silent")
+            submitter = socket.create_connection(
+                (broker.host, broker.port), timeout=10.0
+            )
+            try:
+                send_frame(submitter, {
+                    "op": "submit",
+                    "version": NET_FORMAT_VERSION,
+                    "shards": [
+                        {"key": key_of(task), "task": task, "shard_index": 0}
+                    ],
+                })
+                assert recv_frame(silent)["op"] == "build"
+                with pytest.raises(ConnectionError):
+                    recv_frame(silent)  # closed by the broker
+            finally:
+                silent.close()
+                submitter.close()
+            stats = broker.stats()
+            assert stats["workers"] == []
+            assert stats["counters"]["requeues"] == 1
 
     def test_steal_mid_build_double_completes(self, tmp_path):
         """A stale in-flight shard is duplicated to an idle worker;
         first completion wins and the loser is a duplicate, so the
         result is identical and nothing conflicts."""
         task = make_task()
-        with BackgroundBroker(steal_after=0.2) as broker:
+        with BackgroundBroker(steal_after=0.1) as broker:
+            executor = TcpExecutor(broker=broker.address, wait_timeout=60.0)
             # The straggler claims the only shard and sits on it.
-            _slow, slow_thread, slow_out = worker_in_thread(
-                broker.address, tmp_path, name="a-slow",
-                build_delay=3.0, idle_exit=8.0,
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=120.0
-            )
-            submitted: dict = {}
-
-            def submit() -> None:
-                submitted["outcomes"] = executor.submit([task])
-
-            submitter = threading.Thread(target=submit, daemon=True)
-            submitter.start()
-            time.sleep(0.5)  # straggler holds the lease, now stale
-            _fast, fast_thread, fast_out = worker_in_thread(
-                broker.address, tmp_path, name="b-fast", idle_exit=5.0
-            )
-            submitter.join(timeout=120)
-            assert not submitter.is_alive()
-            slow_thread.join(timeout=30)
-            fast_thread.join(timeout=30)
-            from repro.parallel.worker import run_shard
-
+            with running_worker(
+                broker.address, tmp_path, "a-slow", build_delay=0.8
+            ) as (_slow, slow_out):
+                wait_for(lambda: broker.stats()["workers"] != [])
+                submitter, submitted = in_thread(
+                    lambda: executor.submit([task])
+                )
+                wait_for(lambda: broker.stats()["building"] != [])
+                with running_worker(
+                    broker.address, tmp_path, "b-fast"
+                ) as (_fast, fast_out):
+                    submitter.join(timeout=60)
+                    assert not submitter.is_alive()
+                # The straggler's late done arrives as a duplicate.
+                wait_for(
+                    lambda: broker.stats()["counters"]["duplicates"] >= 1
+                )
             _idx, expected = run_shard(task)
-            assert submitted["outcomes"] == [(0, expected)]
+            assert submitted["value"] == [(0, expected)]
             counters = broker.stats()["counters"]
             assert counters["steals"] >= 1
             assert counters["steal_completions"] >= 1
-            assert counters["duplicates"] >= 1  # the straggler's late done
             assert fast_out["stats"]["stolen"] >= 1
             assert fast_out["stats"]["built"] >= 1
             assert slow_out["stats"]["built"] >= 1  # late, discarded
-
-    def test_steal_disabled_waits_for_straggler(self, tmp_path):
-        task = make_task()
-        with BackgroundBroker(steal=False, steal_after=0.1) as broker:
-            _slow, slow_thread, _slow_out = worker_in_thread(
-                broker.address, tmp_path, name="a-slow",
-                build_delay=1.0, idle_exit=5.0,
-            )
-            executor = TcpExecutor(
-                broker=broker.address, wait_timeout=120.0
-            )
-            submitted: dict = {}
-
-            def submit() -> None:
-                submitted["outcomes"] = executor.submit([task])
-
-            submitter = threading.Thread(target=submit, daemon=True)
-            submitter.start()
-            time.sleep(0.3)
-            _fast, fast_thread, fast_out = worker_in_thread(
-                broker.address, tmp_path, name="b-fast", idle_exit=2.0
-            )
-            submitter.join(timeout=120)
-            slow_thread.join(timeout=30)
-            fast_thread.join(timeout=30)
-            assert broker.stats()["counters"]["steals"] == 0
-            assert fast_out["stats"]["stolen"] == 0
 
     def test_broker_restart_mid_run_recovers(self, tmp_path):
         """Submitter and workers both reconnect to a restarted broker
@@ -694,157 +671,51 @@ class TestFaultTolerance:
         port = free_port()
         first = BackgroundBroker(port=port).start()
         address = first.address
-        result: dict = {}
-
-        def submit() -> None:
-            executor = TcpExecutor(broker=address, wait_timeout=120.0)
-            result["outcomes"] = dict(executor.submit(tasks))
-
-        submitter = threading.Thread(target=submit, daemon=True)
-        submitter.start()
-        time.sleep(0.3)  # shards are submitted to the first broker
+        executor = TcpExecutor(broker=address, wait_timeout=60.0)
+        submitter, result = in_thread(lambda: dict(executor.submit(tasks)))
+        wait_for(lambda: len(first.stats()["pending"]) == len(tasks))
         first.stop()  # broker dies mid-run, queue state lost
         second = BackgroundBroker(port=port).start()
         try:
             # Workers attach to the restarted broker; the submitter's
             # reconnect loop re-submits its outstanding shards.
-            _w, thread, _out = worker_in_thread(
-                address, tmp_path, name="post-restart", idle_exit=8.0
-            )
-            submitter.join(timeout=120)
-            assert not submitter.is_alive()
-            thread.join(timeout=30)
-            from repro.parallel.worker import run_shard
-
+            with running_worker(address, tmp_path, "post-restart"):
+                submitter.join(timeout=60)
+                assert not submitter.is_alive()
             for task in tasks:
                 _idx, expected = run_shard(task)
-                assert result["outcomes"][task.shard_index] == expected
+                assert result["value"][task.shard_index] == expected
         finally:
             second.stop()
 
 
 class TestStateHygiene:
-    """Connection-identity and lease bookkeeping under ugly peers."""
-
-    @staticmethod
-    def _wait_for(predicate, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return
-            time.sleep(0.05)
-        raise AssertionError("condition not reached in time")
-
-    def test_malformed_done_releases_builder_slot(self):
-        """A 'done' whose words are not bytes (missing, or a big-int
-        list) must free the builder slot and requeue the shard (one
-        attempt charged each), not wedge it behind a ghost lease."""
-        task = make_task()
-        key = shard_key(
-            circuit_digest(task.circuit), task.backend, task.kind, task.faults
-        )
-        with BackgroundBroker(max_builders=1) as broker:
-            worker = socket.create_connection(
-                (broker.host, broker.port), timeout=10.0
-            )
-            submitter = socket.create_connection(
-                (broker.host, broker.port), timeout=10.0
-            )
-            try:
-                send_frame(
-                    worker,
-                    {
-                        "op": "register",
-                        "version": NET_FORMAT_VERSION,
-                        "worker": "clumsy",
-                    },
-                )
-                send_frame(
-                    submitter,
-                    {
-                        "op": "submit",
-                        "version": NET_FORMAT_VERSION,
-                        "shards": [
-                            {"key": key, "task": task, "shard_index": 0}
-                        ],
-                    },
-                )
-                worker.settimeout(10.0)
-                build = recv_frame(worker)
-                assert build["op"] == "build"
-                assert build["attempts"] == 0
-                for attempt, bad in enumerate((None, [1, 2]), start=1):
-                    send_frame(
-                        worker, {"op": "done", "key": key, "words": bad}
-                    )
-                    rebuilt = recv_frame(worker)
-                    assert rebuilt["op"] == "build"
-                    # Each bad report cost one attempt.
-                    assert rebuilt["attempts"] == attempt
-                from repro.parallel.worker import run_shard
-
-                _idx, words = run_shard(task)
-                send_frame(
-                    worker,
-                    {"op": "done", "key": key, "words": words},
-                )
-                submitter.settimeout(10.0)
-                result = recv_frame(submitter)
-                assert result["op"] == "result"
-                assert result["words"] == words
-                counters = broker.stats()["counters"]
-                assert counters["duplicates"] == 2
-                assert counters["requeues"] == 2
-            finally:
-                worker.close()
-                submitter.close()
+    """Connection identity and client back-off under ugly peers."""
 
     def test_reconnect_supersede_keeps_new_connection(self):
         """The old connection's teardown must not deregister the fresh
-        registration that superseded it under the same worker id."""
+        registration that superseded it under the same worker id: the
+        broker hands the scheduler each connection's own writer."""
         task = make_task()
         with BackgroundBroker() as broker:
-            first = socket.create_connection(
-                (broker.host, broker.port), timeout=10.0
-            )
-            second = None
-            submitter = None
+            first = register_raw(broker, "w")
+            second = submitter = None
             try:
-                send_frame(
-                    first,
-                    {
-                        "op": "register",
-                        "version": NET_FORMAT_VERSION,
-                        "worker": "w",
-                    },
-                )
-                self._wait_for(
-                    lambda: [
-                        w["worker"]
-                        for w in broker.stats()["workers"]
-                    ]
-                    == ["w"]
-                )
                 second = socket.create_connection(
                     (broker.host, broker.port), timeout=10.0
                 )
-                send_frame(
-                    second,
-                    {
-                        "op": "register",
-                        "version": NET_FORMAT_VERSION,
-                        "worker": "w",
-                    },
-                )
-                self._wait_for(
-                    lambda: broker.stats()["counters"][
-                        "workers_registered"
-                    ]
+                send_frame(second, {
+                    "op": "register",
+                    "version": NET_FORMAT_VERSION,
+                    "worker": "w",
+                })
+                wait_for(
+                    lambda: broker.stats()["counters"]["workers_registered"]
                     == 2
                 )
                 # Now the superseded connection unwinds; its teardown
-                # runs _drop_worker for id "w" but must leave the new
-                # connection registered and dispatchable.
+                # must leave the new connection registered and
+                # dispatchable.
                 first.close()
                 time.sleep(0.3)
                 assert [
@@ -853,19 +724,13 @@ class TestStateHygiene:
                 submitter = socket.create_connection(
                     (broker.host, broker.port), timeout=10.0
                 )
-                key = shard_key(
-                    circuit_digest(task.circuit), task.backend, task.kind, task.faults
-                )
-                send_frame(
-                    submitter,
-                    {
-                        "op": "submit",
-                        "version": NET_FORMAT_VERSION,
-                        "shards": [
-                            {"key": key, "task": task, "shard_index": 0}
-                        ],
-                    },
-                )
+                send_frame(submitter, {
+                    "op": "submit",
+                    "version": NET_FORMAT_VERSION,
+                    "shards": [
+                        {"key": key_of(task), "task": task, "shard_index": 0}
+                    ],
+                })
                 second.settimeout(10.0)
                 assert recv_frame(second)["op"] == "build"
             finally:
@@ -919,8 +784,11 @@ class TestStateHygiene:
             assert sleeps[:3] == [0.05, 0.1, 0.2]
         finally:
             stop.set()
+            # close() alone does not wake a blocked accept() on Linux.
+            listener.shutdown(socket.SHUT_RDWR)
             listener.close()
             server.join(timeout=10)
+            assert not server.is_alive()
 
     def test_busy_worker_survives_disconnect_after_idle_exit(
         self, tmp_path
@@ -932,10 +800,14 @@ class TestStateHygiene:
         address = f"127.0.0.1:{port}"
         first = BackgroundBroker(port=port).start()
         second = None
+        worker = TcpWorker(
+            broker=address,
+            worker_id="long-lived",
+            cache_dir=str(tmp_path / "cache-long-lived"),
+            use_cache=False,
+        )
+        thread, out = in_thread(lambda: worker.serve(idle_exit=3.0))
         try:
-            _worker, thread, out = worker_in_thread(
-                address, tmp_path, name="long-lived", idle_exit=3.0
-            )
             executor = TcpExecutor(broker=address, wait_timeout=60.0)
             time.sleep(2.0)  # most of the idle budget passes unused
             executor.submit([make_task(0)])  # restarts the idle clock
@@ -945,8 +817,9 @@ class TestStateHygiene:
             outcomes = executor.submit([make_task(1)])
             assert [index for index, _sigs in outcomes] == [1]
             thread.join(timeout=30)
-            assert out["stats"]["built"] == 2
+            assert out["value"]["built"] == 2
         finally:
+            worker.stop()
             first.stop()
             if second is not None:
                 second.stop()
@@ -956,44 +829,33 @@ class TestEndToEnd:
     def test_universe_via_tcp_matches_inline(self, tmp_path):
         circuit = get_circuit("lion")
         with BackgroundBroker() as broker:
-            _a, thread_a, _oa = worker_in_thread(
-                broker.address, tmp_path, name="a", idle_exit=3.0
-            )
-            _b, thread_b, _ob = worker_in_thread(
-                broker.address, tmp_path, name="b", idle_exit=3.0
-            )
-            backend = ParallelBackend(
-                base=TableBackend(),
-                use_cache=False,
-                executor=TcpExecutor(
-                    broker=broker.address, wait_timeout=120.0
-                ),
-            )
-            tcp = FaultUniverse(circuit, backend=backend)
-            inline = FaultUniverse(circuit, backend=TableBackend())
-            assert (
-                tcp.target_table.packed.to_bigints()
-                == inline.target_table.packed.to_bigints()
-            )
-            assert (
-                tcp.untargeted_table.packed.to_bigints()
-                == inline.untargeted_table.packed.to_bigints()
-            )
-            thread_a.join(timeout=30)
-            thread_b.join(timeout=30)
+            with (
+                running_worker(broker.address, tmp_path, "a"),
+                running_worker(broker.address, tmp_path, "b"),
+            ):
+                backend = ParallelBackend(
+                    base=TableBackend(),
+                    use_cache=False,
+                    executor=TcpExecutor(
+                        broker=broker.address, wait_timeout=120.0
+                    ),
+                )
+                tcp = FaultUniverse(circuit, backend=backend)
+                tcp_f = tcp.target_table.packed.to_bigints()
+                tcp_g = tcp.untargeted_table.packed.to_bigints()
+        inline = FaultUniverse(circuit, backend=TableBackend())
+        assert tcp_f == inline.target_table.packed.to_bigints()
+        assert tcp_g == inline.untargeted_table.packed.to_bigints()
 
     def test_cli_queue_stats_against_live_broker(self, tmp_path, capsys):
         from repro.cli import main
 
         task = make_task()
         with BackgroundBroker() as broker:
-            _w, thread, _out = worker_in_thread(
-                broker.address, tmp_path, idle_exit=1.0
-            )
-            TcpExecutor(
-                broker=broker.address, wait_timeout=60.0
-            ).submit([task])
-            thread.join(timeout=30)
+            with running_worker(broker.address, tmp_path):
+                TcpExecutor(
+                    broker=broker.address, wait_timeout=60.0
+                ).submit([task])
             assert main(["queue", "info", "--broker", broker.address]) == 0
             info = capsys.readouterr().out
             assert f"broker: {broker.address}" in info

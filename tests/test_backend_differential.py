@@ -203,8 +203,16 @@ class TestTcpExecutorDifferential:
     def broker(self):
         from repro.parallel.netqueue import BackgroundBroker
 
+        self._fleet = []
         with BackgroundBroker() as running:
             yield running
+            # Stop this case's workers with it: a drain loop left to
+            # wait out an idle deadline keeps reconnecting, and can
+            # attach to a later test's broker on a reused port.
+            for worker, thread in self._fleet:
+                worker.stop()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
 
     @staticmethod
     def _tcp_backend(base, broker):
@@ -218,13 +226,11 @@ class TestTcpExecutorDifferential:
             ),
         )
 
-    @staticmethod
-    def _workers(broker, tmp_path, count=2):
+    def _workers(self, broker, tmp_path, count=2):
         import threading
 
         from repro.parallel.netqueue import TcpWorker
 
-        threads = []
         for index in range(count):
             worker = TcpWorker(
                 broker=broker.address,
@@ -232,15 +238,9 @@ class TestTcpExecutorDifferential:
                 cache_dir=str(tmp_path / f"cache-{index}"),
                 use_cache=False,
             )
-            threads.append(
-                threading.Thread(
-                    target=lambda w=worker: w.serve(idle_exit=5.0),
-                    daemon=True,
-                )
-            )
-        for thread in threads:
+            thread = threading.Thread(target=worker.serve, daemon=True)
             thread.start()
-        return threads
+            self._fleet.append((worker, thread))
 
     def _assert_equivalent(self, circuit, base, broker, tmp_path):
         self._workers(broker, tmp_path)
@@ -361,20 +361,9 @@ class TestTcpExecutorDifferential:
                 broker=running.address, worker_id="b-fast",
                 use_cache=False,
             )
-            stats: dict = {}
             threads = [
-                threading.Thread(
-                    target=lambda: stats.update(
-                        slow=slow.serve(idle_exit=6.0)
-                    ),
-                    daemon=True,
-                ),
-                threading.Thread(
-                    target=lambda: stats.update(
-                        fast=fast.serve(idle_exit=6.0)
-                    ),
-                    daemon=True,
-                ),
+                threading.Thread(target=worker.serve, daemon=True)
+                for worker in (slow, fast)
             ]
             for thread in threads:
                 thread.start()
@@ -399,6 +388,10 @@ class TestTcpExecutorDifferential:
                 == inline.untargeted_table.packed.to_bigints()
             )
             counters = running.stats()["counters"]
+            for worker, thread in zip((slow, fast), threads, strict=True):
+                worker.stop()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
         assert counters["steals"] >= 1
 
 

@@ -215,6 +215,23 @@ class TestScoping:
         assert by_code["RPL007"].applies_to(("repro", "obs", "tracer"))
         assert not by_code["RPL007"].applies_to(("repro", "serve", "http"))
 
+    def test_clock_rule_covers_the_broker_scheduler(self, tmp_path):
+        # The scheduler takes ``now`` from its caller; a clock read there
+        # would put wall time back into its lease and steal decisions.
+        by_code = {r.code: r for r in ALL_RULES}
+        assert by_code["RPL007"].applies_to(("repro", "parallel", "sched"))
+        assert not by_code["RPL007"].applies_to(
+            ("repro", "parallel", "netqueue")
+        )
+        module = tmp_path / "src" / "repro" / "parallel" / "sched.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "import time\n\n\ndef tick(sched):\n"
+            "    return sched.tick(time.monotonic())\n"
+        )
+        findings = lint_file(module, select=["RPL007"])
+        assert [(f.rule, f.line) for f in findings] == [("RPL007", 5)]
+
     def test_scoped_rule_ignores_out_of_scope_modules(self):
         # The RPL004 flag fixture is rotten with probe windows, but the
         # rule only applies under repro.parallel — select a rule scoped

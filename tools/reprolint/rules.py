@@ -690,24 +690,27 @@ class FloatEquality(Rule):
 # RPL007 — direct clock reads in the observability layer
 # ----------------------------------------------------------------------
 class DirectClockRead(Rule):
-    """``repro.obs`` must read time through the injected ``Clock``.
+    """``repro.obs`` and the broker scheduler never read the clock.
 
     The tracer's determinism guarantee — byte-identical trace files
     under ``ManualClock`` in tests — holds only because every duration
     and timestamp funnels through the one injected clock.  A stray
     ``time.monotonic()`` in a span or histogram path reintroduces
-    wall-clock jitter that no test can pin.  ``repro.obs.clock`` is the
-    single audited call site (``SystemClock`` wraps the real functions)
-    and is exempt.
+    wall-clock jitter that no test can pin.  ``repro.parallel.sched``
+    takes ``now`` as an argument for the same reason: its lease, steal
+    and heartbeat tests drive time explicitly.  ``repro.obs.clock`` is
+    the single audited call site (``SystemClock`` wraps the real
+    functions) and is exempt.
     """
 
     code = "RPL007"
     name = "direct-clock-read"
     description = (
-        "direct time.time()/monotonic()/perf_counter() in repro.obs "
-        "(inject a Clock; repro.obs.clock is the audited call site)"
+        "direct time.time()/monotonic()/perf_counter() in repro.obs or "
+        "repro.parallel.sched (inject a Clock or take `now`; "
+        "repro.obs.clock is the audited call site)"
     )
-    scope = ("repro.obs",)
+    scope = ("repro.obs", "repro.parallel.sched")
 
     _FUNCTIONS = {
         "time",
@@ -756,8 +759,9 @@ class DirectClockRead(Rule):
                         node,
                         f"`{chain}()` reads the process clock directly — "
                         f"observability code takes an injected Clock "
-                        f"(``obs.system_clock()`` by default) so tests "
-                        f"can drive time deterministically; the only "
+                        f"(``obs.system_clock()`` by default) and the "
+                        f"scheduler an explicit ``now``, so tests can "
+                        f"drive time deterministically; the only "
                         f"audited call site is repro.obs.clock",
                     )
                 )
