@@ -17,12 +17,21 @@ for the fresh vectors (through a
 :class:`~repro.faultsim.backends.TableBackend` over an explicit vector
 list, optionally sharded across worker processes by
 :class:`~repro.parallel.ParallelBackend` — reusing the shard plan and
-persistent shard cache machinery), then splices the new columns into
-the accumulated numpy-packed signature blocks via
-:func:`~repro.logic.packed.widen_matrix` /
-:func:`~repro.logic.packed.scatter_columns`.  Total simulation cost at
-final size ``K`` is therefore one ``K``-vector build, not the
-``K + K/2 + K/4 + …`` a restart-based search pays.
+persistent shard cache machinery), then merges the new columns into
+the accumulated numpy-packed signature blocks, which are kept in
+sorted-vector order: one :func:`~repro.logic.packed.gather_columns`
+pass per block (unpack a chunk of rows, index the joined columns,
+pack).  After every round the blocks are the final tables as they
+stand.  Total simulation cost at final size ``K`` is therefore one
+``K``-vector build, not the ``K + K/2 + K/4 + …`` a restart-based
+search pays.
+
+**One estimator.**  The stopping rule reads the round universe's own
+array estimators over every fault at once —
+:meth:`~repro.faultsim.sampling.VectorUniverse.interval_rows` under
+uniform growth, :func:`~repro.adaptive.strata.stratified_rows` under
+stratification — so its intervals are the ones the report's tables
+give.
 
 **Determinism.**  Draws come from seeded streams (one per stratum in
 stratified mode), allocations are integer-deterministic, and the
@@ -56,6 +65,8 @@ from repro.adaptive.strata import (
     StratifiedVectorUniverse,
     build_bridging_strata,
     neyman_allocation,
+    stratified_rows,
+    stratum_sds,
 )
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -67,15 +78,8 @@ from repro.faultsim.sampling import (
     CountEstimate,
     VectorUniverse,
     confidence_z,
-    count_interval,
 )
-from repro.logic.packed import (
-    _np,
-    PackedSignatureMatrix,
-    gather_columns,
-    scatter_columns,
-    widen_matrix,
-)
+from repro.logic.packed import PackedSignatureMatrix, _np, gather_columns
 
 #: Stratification schemes accepted by the controller / CLI.
 STRATIFY_SCHEMES: tuple[str, ...] = ("bridging",)
@@ -311,24 +315,16 @@ class AdaptiveSampler:
         plan: StrataPlan | None = None
         if self.stratify == "bridging":
             plan = build_bridging_strata(circuit)
-        stratified = plan is not None and plan.num_strata > 1
+        # A bulk-only plan samples exactly like uniform growth.
+        strata = plan if plan is not None and plan.num_strata > 1 else None
         faults_f = collapsed_stuck_at_faults(circuit)
         faults_g = four_way_bridging_faults(circuit)
-        state = _GrowthState(circuit, len(faults_f), len(faults_g))
-        num_strata = plan.num_strata if stratified else 1
-        if stratified:
-            state.stratum_draws = [0] * num_strata
-        streams = [self._stream(h) for h in range(num_strata)]
-        covered: dict[int, tuple[int, ...]] | None = None
-        if stratified:
-            index_of = {g: j for j, g in enumerate(faults_g)}
-            covered = {}
-            for g, touched in plan.covered_fault_strata().items():
-                j = index_of.get(g)
-                if j is not None:
-                    covered[j] = touched
-        evaluator = _RuleEvaluator(rule, space, plan if stratified else None,
-                                   covered)
+        state = _GrowthState(p, strata, len(faults_f), len(faults_g))
+        streams = [
+            self._stream(h)
+            for h in range(1 if strata is None else strata.num_strata)
+        ]
+        evaluator = _RuleEvaluator(rule, strata, len(faults_f), faults_g)
         rounds: list[AdaptiveRound] = []
         sigma: list[float] | None = None
         k_total = 0
@@ -354,18 +350,21 @@ class AdaptiveSampler:
                     new_vectors = sorted(
                         set(range(space)) - state.seen
                     )
-                elif stratified:
-                    allocation = self._allocate(plan, k_new, sigma, state)
+                elif strata is not None:
+                    allocation = self._allocate(strata, k_new, sigma, state)
                     new_vectors = self._draw_stratified(
-                        plan, allocation, streams, state
+                        strata, allocation, streams, state
                     )
                 else:
                     new_vectors = self._draw_uniform(
                         k_new, space, streams[0], state
                     )
                 self._extend(faults_f, faults_g, new_vectors, state)
-                k_total = len(state.drawn)
-                evaluation = evaluator.evaluate(state)
+                k_total = len(state.vectors)
+                with obs.span(
+                    "adaptive_evaluate", rows=state.rows, k_total=k_total
+                ):
+                    evaluation = evaluator.evaluate(state)
                 sigma = evaluation.sigma
                 met = evaluation.met
                 rounds.append(
@@ -408,21 +407,18 @@ class AdaptiveSampler:
             if k_total >= budget:
                 reason = "sample budget exhausted"
                 break
-        universe, packed_f, packed_g = state.finalize(
-            plan if stratified else None
-        )
         return AdaptiveReport(
             circuit=circuit,
             rule=rule,
             seed=self.seed,
             plan=plan,
             rounds=rounds,
-            universe=universe,
+            universe=state.universe,
             target_table=DetectionTable(
-                circuit, list(faults_f), packed_f, universe
+                circuit, list(faults_f), state.acc_f, state.universe
             ),
             untargeted_table=DetectionTable(
-                circuit, faults_g, packed_g, universe
+                circuit, faults_g, state.acc_g, state.universe
             ),
             focus=evaluation.focus,
             met=met,
@@ -495,76 +491,61 @@ class AdaptiveSampler:
             self.circuit, faults=faults_g, base_signatures=base,
             drop_undetectable=False,
         )
-        state.splice(new_vectors, delta_sorted, table_f, table_g)
+        with obs.span(
+            "adaptive_splice",
+            rows=state.rows,
+            k_total=len(state.vectors) + len(delta_sorted),
+        ):
+            state.splice(delta_sorted, table_f.packed, table_g.packed)
 
 
 class _GrowthState:
-    """Accumulated draw-order signatures, as numpy-packed blocks.
+    """The run's draws and signatures, in sorted-vector order.
 
-    Signature bit ``d`` refers to ``drawn[d]`` — *draw order*, not
-    sorted order, so extension is append-only and never moves an
-    existing bit.  :meth:`finalize` permutes the columns into the sorted
-    order a :class:`VectorUniverse` requires, once.
+    ``vectors`` is sorted, and bit ``i`` of every row of ``acc_f`` /
+    ``acc_g`` refers to ``vectors[i]`` — the order a
+    :class:`VectorUniverse` requires, so after any round the blocks and
+    ``universe`` are the report's tables as they stand.  A round's fresh
+    columns (built over the round's own sorted vectors) are merged into
+    place by one :func:`~repro.logic.packed.gather_columns` pass per
+    block; no existing column is re-simulated.
     """
 
-    def __init__(self, circuit, num_f, num_g):
-        self.circuit = circuit
-        self.drawn: list[int] = []
+    def __init__(self, num_inputs, plan, num_f, num_g):
+        self.num_inputs = num_inputs
+        self.plan = plan  # ``None`` under uniform growth
+        self.vectors: list[int] = []
         self.seen: set[int] = set()
-        self.stratum_draws: list[int] = []
+        self.stratum_draws = [0] * (0 if plan is None else plan.num_strata)
         self.acc_f = PackedSignatureMatrix(
             _np.zeros((num_f, 1), dtype=_np.uint64), 0
         )
         self.acc_g = PackedSignatureMatrix(
             _np.zeros((num_g, 1), dtype=_np.uint64), 0
         )
+        self.universe: VectorUniverse = VectorUniverse(num_inputs)
 
-    def splice(self, new_vectors, delta_sorted, table_f, table_g) -> None:
-        base = len(self.drawn)
-        position_of = {v: base + i for i, v in enumerate(new_vectors)}
-        positions = [position_of[v] for v in delta_sorted]
-        self.drawn.extend(new_vectors)
-        self.acc_f = widen_matrix(self.acc_f, len(self.drawn))
-        self.acc_g = widen_matrix(self.acc_g, len(self.drawn))
-        scatter_columns(self.acc_f, table_f.packed, positions)
-        scatter_columns(self.acc_g, table_g.packed, positions)
+    @property
+    def rows(self) -> int:
+        return len(self.acc_f) + len(self.acc_g)
 
-    # -- queries the rule evaluator needs ------------------------------
-    def counts(self) -> tuple[list[int], list[int]]:
-        """Draw-order popcounts (``N`` in sample space) per table."""
-        return (
-            [int(c) for c in self.acc_f.popcount_rows()],
-            [int(c) for c in self.acc_g.popcount_rows()],
-        )
-
-    def stratum_count_arrays(self, masks) -> tuple[list, list]:
-        """Per-stratum popcounts: ``out[h][i]`` for each table."""
-        return (
-            [self.acc_f.and_popcount(mask).tolist() for mask in masks],
-            [self.acc_g.and_popcount(mask).tolist() for mask in masks],
-        )
-
-    def finalize(self, plan):
-        """Sorted-order universe + packed ``F``/``G`` signature blocks."""
-        p = self.circuit.num_inputs
-        space = 1 << p
-        sorted_vectors = sorted(self.drawn)
-        exhausted = len(sorted_vectors) == space
-        if exhausted:
-            universe: VectorUniverse = VectorUniverse(p)
-        elif plan is not None:
-            universe = StratifiedVectorUniverse(
-                p, tuple(sorted_vectors), plan=plan
+    def splice(self, fresh, delta_f, delta_g) -> None:
+        """Merge sorted ``fresh`` vectors and their signature columns."""
+        joined = self.vectors + list(fresh)
+        # Two sorted runs: the sort merges them in linear time.
+        order = sorted(range(len(joined)), key=joined.__getitem__)
+        self.vectors = [joined[i] for i in order]
+        self.acc_f = gather_columns((self.acc_f, delta_f), order)
+        self.acc_g = gather_columns((self.acc_g, delta_g), order)
+        p = self.num_inputs
+        if len(self.vectors) == 1 << p:
+            self.universe = VectorUniverse(p)
+        elif self.plan is not None:
+            self.universe = StratifiedVectorUniverse(
+                p, tuple(self.vectors), plan=self.plan
             )
         else:
-            universe = VectorUniverse(p, tuple(sorted_vectors))
-        draw_position = {v: d for d, v in enumerate(self.drawn)}
-        order = [draw_position[v] for v in sorted_vectors]
-        return (
-            universe,
-            gather_columns(self.acc_f, order),
-            gather_columns(self.acc_g, order),
-        )
+            self.universe = VectorUniverse(p, tuple(self.vectors))
 
 
 @dataclass
@@ -577,161 +558,100 @@ class _Evaluation:
 
 
 class _RuleEvaluator:
-    """Applies the stopping rule to the accumulated draw-order state."""
+    """Applies the stopping rule to the state's blocks, on arrays.
 
-    def __init__(self, rule, space, plan, covered):
+    Rows are the ``F`` faults followed by the ``G`` faults.  ``allowed``
+    (``strata × rows``) confines each covered bridging fault to the
+    strata its detection set can touch, and ``pool`` marks the focus
+    pool: every row under uniform growth, the covered bridging faults
+    under ``stratify="bridging"``.
+    """
+
+    def __init__(self, rule, plan, num_f, faults_g):
         self.rule = rule
-        self.space = space
         self.plan = plan
-        self.covered = covered  # bridging indices, stratified mode only
-        self.z = confidence_z(rule.confidence)
+        self.num_f = num_f
+        rows = num_f + len(faults_g)
+        self.allowed = _np.ones(
+            (1 if plan is None else plan.num_strata, rows), dtype=bool
+        )
+        self.pool = _np.full(rows, plan is None)
+        if plan is not None:
+            index_of = {g: j for j, g in enumerate(faults_g)}
+            for g, touched in plan.covered_fault_strata().items():
+                j = index_of.get(g)
+                if j is not None:
+                    self.allowed[:, num_f + j] = False
+                    self.allowed[list(touched), num_f + j] = True
+                    self.pool[num_f + j] = True
 
     def evaluate(self, state: _GrowthState) -> _Evaluation:
-        if self.plan is None:
-            return self._evaluate_uniform(state)
-        return self._evaluate_stratified(state)
-
-    @staticmethod
-    def _select_focus(pool, k_smallest) -> list[FocusEstimate]:
-        """The ``k`` smallest positive estimates (deterministic order)."""
-        pool.sort(
-            key=lambda fe: (fe.estimate.estimate, fe.kind, fe.fault_index)
-        )
-        return pool[:k_smallest]
-
-    # -- uniform -------------------------------------------------------
-    def _evaluate_uniform(self, state) -> _Evaluation:
-        universe = VectorUniverse(
-            state.circuit.num_inputs, tuple(sorted(state.drawn))
-        )
-        counts_f, counts_g = state.counts()
-        intervals: dict[int, CountEstimate] = {}
-
-        def interval(count) -> CountEstimate:
-            found = intervals.get(count)
-            if found is None:
-                found = count_interval(
-                    universe, count, self.rule.confidence
-                )
-                intervals[count] = found
-            return found
-
-        absolute_worst = 0.0
-        pool: list[FocusEstimate] = []
-        for kind, counts in (
-            ("stuck_at", counts_f), ("bridging", counts_g)
-        ):
-            for i, count in enumerate(counts):
-                est = interval(count)
-                rel_hw = est.half_width / self.space
-                if rel_hw > absolute_worst:
-                    absolute_worst = rel_hw
-                if est.estimate > 0.0:
-                    pool.append(FocusEstimate(kind, i, est))
-        target = self.rule.target_halfwidth
-        focus = self._select_focus(pool, self.rule.k_smallest)
-        relative_worst = (
-            max(fe.relative_halfwidth for fe in focus) if focus else None
-        )
-        met = absolute_worst <= target and (
-            relative_worst is None or relative_worst <= target
-        )
-        return _Evaluation(met, absolute_worst, relative_worst, focus, None)
-
-    # -- stratified ----------------------------------------------------
-    def _evaluate_stratified(self, state) -> _Evaluation:
-        plan = self.plan
-        masks, draws = plan.mask_rows(state.drawn)
-        per_f, per_g = state.stratum_count_arrays(masks)
-        z = self.z
-        z2 = z * z
-        populations = [s.population for s in plan.strata]
-        # Per-stratum terms shared by every fault this round.
-        scale = [
-            pop / d if d else 0.0 for pop, d in zip(populations, draws, strict=True)
-        ]
-        var_factor = []
-        for pop, d in zip(populations, draws, strict=True):
-            if d == 0 or d >= pop:
-                var_factor.append(0.0)
-            else:
-                fpc = (pop - d) / (pop - 1) if pop > 1 else 0.0
-                var_factor.append(pop * pop / d * fpc)
-        num_strata = plan.num_strata
-        sigma = [0.0] * num_strata
-        absolute_worst = 0.0
-        pool: list[tuple[FocusEstimate, list[float]]] = []
-        covered = self.covered or {}
-        target = self.rule.target_halfwidth
-
-        def build(kind, i, per_stratum, allowed):
-            # ``allowed`` restricts the estimator to the strata a
-            # covered fault's detection set can actually touch — its
-            # activation region is disjoint from every other stratum, a
-            # structural fact of the plan, so those contribute neither
-            # estimate nor variance.
-            est = 0.0
-            var = 0.0
-            sample_count = 0
-            sds = [0.0] * num_strata
-            fault_slack = 0.0
-            for h in range(num_strata) if allowed is None else allowed:
-                k_h = per_stratum[h][i]
-                sample_count += k_h
-                d = draws[h]
-                if d == 0:
-                    sds[h] = 0.5  # nothing known about this stratum
-                    fault_slack += populations[h]
-                    continue
-                est += k_h * scale[h]
-                smoothed = (k_h + z2 / 2.0) / (d + z2)
-                sds[h] = math.sqrt(smoothed * (1.0 - smoothed))
-                var += var_factor[h] * smoothed * (1.0 - smoothed)
-            half = z * math.sqrt(var) if var > 0.0 else 0.0
-            ce = CountEstimate(
-                sample_count,
-                est,
-                max(0.0, est - half),
-                min(float(self.space), est + half + fault_slack),
-                self.rule.confidence,
+        rule = self.rule
+        target = rule.target_halfwidth
+        universe = state.universe
+        if self.plan is not None and universe.exact:
+            # The exhaustion round is judged by the plan's estimator,
+            # like every round before it.
+            universe = StratifiedVectorUniverse(
+                universe.num_inputs, tuple(state.vectors), plan=self.plan
             )
-            return FocusEstimate(kind, i, ce), sds
-
-        for kind, per_stratum, faults in (
-            ("stuck_at", per_f, len(per_f[0])),
-            ("bridging", per_g, len(per_g[0])),
-        ):
-            for i in range(faults):
-                allowed = covered.get(i) if kind == "bridging" else None
-                fe, sds = build(kind, i, per_stratum, allowed)
-                rel_hw = fe.estimate.half_width / self.space
-                if rel_hw > absolute_worst:
-                    absolute_worst = rel_hw
-                if rel_hw > target:
-                    # Absolute criterion unmet: this fault's variance
-                    # profile steers the next round's allocation.
-                    for h, sd in enumerate(sds):
-                        if sd > sigma[h]:
-                            sigma[h] = sd
-                if kind == "bridging" and allowed is not None:
-                    if fe.estimate.estimate > 0.0:
-                        pool.append((fe, sds))
-        focus_pool = [fe for fe, _ in pool]
-        focus = self._select_focus(focus_pool, self.rule.k_smallest)
-        sds_of = {id(fe): sds for fe, sds in pool}
+        counts = _np.concatenate(
+            [universe.count_rows(m) for m in (state.acc_f, state.acc_g)],
+            axis=1,
+        )
+        if isinstance(universe, StratifiedVectorUniverse):
+            est, low, high = stratified_rows(
+                universe, counts, rule.confidence, self.allowed
+            )
+        else:
+            est, low, high = universe.interval_rows(counts, rule.confidence)
+        rel_hw = (high - low) / 2.0 / universe.space
+        absolute_worst = float(rel_hw.max(initial=0.0))
+        # The focus: the ``k`` smallest positive estimates of the pool,
+        # ordered by (estimate, kind, fault_index); "bridging" sorts
+        # before "stuck_at".
+        candidates = _np.flatnonzero((est > 0.0) & self.pool)
+        stuck_at = candidates < self.num_f
+        fault_index = _np.where(
+            stuck_at, candidates, candidates - self.num_f
+        )
+        order = _np.lexsort((fault_index, stuck_at, est[candidates]))
+        picked = candidates[order[: rule.k_smallest]].tolist()
+        focus = [
+            FocusEstimate(
+                "stuck_at" if r < self.num_f else "bridging",
+                r if r < self.num_f else r - self.num_f,
+                CountEstimate(
+                    int(counts[self.allowed[:, r], r].sum()),
+                    float(est[r]),
+                    float(low[r]),
+                    float(high[r]),
+                    rule.confidence,
+                ),
+            )
+            for r in picked
+        ]
         relative_worst = (
             max(fe.relative_halfwidth for fe in focus) if focus else None
         )
-        for fe in focus:
-            if fe.relative_halfwidth > target:
-                # Unmet focus faults steer the allocation toward *their*
-                # strata — the importance half of the controller.
-                for h, sd in enumerate(sds_of[id(fe)]):
-                    if sd > sigma[h]:
-                        sigma[h] = sd
         met = absolute_worst <= target and (
             relative_worst is None or relative_worst <= target
         )
+        sigma = None
+        if isinstance(universe, StratifiedVectorUniverse):
+            # Neyman's sigma_h: the largest per-stratum sd among the
+            # faults still unmet — every fault over the absolute target
+            # and every focus fault over the relative one (the
+            # importance half of the controller).
+            steer = rel_hw > target
+            for fe, r in zip(focus, picked, strict=True):
+                if fe.relative_halfwidth > target:
+                    steer[r] = True
+            sds = stratum_sds(
+                universe, counts[:, steer], rule.confidence,
+                self.allowed[:, steer],
+            )
+            sigma = sds.max(axis=1, initial=0.0).tolist()
         return _Evaluation(
             met, absolute_worst, relative_worst, focus, sigma
         )

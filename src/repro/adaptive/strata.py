@@ -33,11 +33,13 @@ uniformly at random.  Cube semantics (specified support bits + free
 bits) follow :mod:`repro.logic.cube`; :meth:`StrataPlan.stratum_cubes`
 exposes each stratum as explicit cubes for inspection.
 
-The estimator (:func:`stratified_interval`) is the standard stratified
-finite-population one: ``N̂(f) = Σ_h |U_h| · k_h / K_h`` with variance
-``Σ_h |U_h|² · p̃_h (1 - p̃_h) / K_h · fpc_h`` (Wilson-center smoothed
-``p̃``, per-stratum finite-population correction), recombined into a
-normal-approximation :class:`~repro.faultsim.sampling.CountEstimate`.
+The estimator (:func:`stratified_rows`, on arrays; the scalar
+:func:`stratified_interval` is its test oracle) is the standard
+stratified finite-population one: ``N̂(f) = Σ_h |U_h| · k_h / K_h``
+with variance ``Σ_h |U_h|² · p̃_h (1 - p̃_h) / K_h · fpc_h``
+(Wilson-center smoothed ``p̃``, per-stratum finite-population
+correction), recombined into a normal-approximation
+:class:`~repro.faultsim.sampling.CountEstimate`.
 Sample allocation across strata uses Neyman allocation
 (:func:`neyman_allocation`): draws proportional to ``|U_h| · σ_h``,
 which concentrates the budget on the rare, high-uncertainty strata.
@@ -64,7 +66,7 @@ from repro.logic.packed import PackedSignatureMatrix, _np, pack_bits
 from repro.simulation.twoval import simulate_batch
 
 if TYPE_CHECKING:
-    from repro.logic.packed import F64Array, I64Array, U64Array
+    from repro.logic.packed import BoolArray, F64Array, I64Array, U64Array
 
 
 @dataclass(frozen=True)
@@ -263,16 +265,26 @@ class StrataPlan:
         return out
 
 
-def _support_positions(circuit: Circuit, lids: tuple[int, ...]) -> tuple:
+def _input_supports(circuit: Circuit) -> list[int]:
+    """Per line, the input positions feeding it as a bitmask (bit ``j``
+    is ``circuit.inputs[j]``), from one topological pass."""
+    supports = [0] * len(circuit.lines)
+    for j, lid in enumerate(circuit.inputs):
+        supports[lid] = 1 << j
+    for lid in circuit.topo_order:
+        acc = 0
+        for src in circuit.lines[lid].fanin:
+            acc |= supports[src]
+        supports[lid] = acc
+    return supports
+
+
+def _support_positions(supports: list[int], lids: tuple[int, ...]) -> tuple:
     """Input positions feeding any of ``lids`` (sorted, deduplicated)."""
-    pos_of = {lid: j for j, lid in enumerate(circuit.inputs)}
-    inputs = set(circuit.inputs)
-    support: set[int] = set()
+    mask = 0
     for lid in lids:
-        cone = circuit.transitive_fanin(lid)
-        cone.add(lid)
-        support.update(pos_of[i] for i in cone & inputs)
-    return tuple(sorted(support))
+        mask |= supports[lid]
+    return tuple(iter_set_bits(mask))
 
 
 def _enumeration_vectors(
@@ -328,9 +340,10 @@ def build_bridging_strata(
             f"rare_threshold must be in (0, 1], got {rare_threshold}"
         )
     p = circuit.num_inputs
+    supports = _input_supports(circuit)
     sites = []
     for a, b in bridging_pair_sites(circuit):
-        support = _support_positions(circuit, (a, b))
+        support = _support_positions(supports, (a, b))
         if 0 < len(support) <= max_site_support:
             sites.append((len(support), a, b, support))
     sites.sort()
@@ -472,23 +485,12 @@ class StratifiedVectorUniverse(VectorUniverse):
         return _np.stack([matrix.and_popcount(mask) for mask in masks])
 
     def estimate_rows(self, matrix: PackedSignatureMatrix) -> F64Array:
-        counts = self.count_rows(matrix)
-        _, draws = self._masks_and_draws()
-        est = _np.zeros(counts.shape[1])
-        # Stratum by stratum, in plan order: the same float sums as
-        # the per-fault formula of :func:`stratified_interval`.
-        for stratum, k, drawn in zip(
-            self.plan.strata, counts, draws, strict=True
-        ):
-            if drawn == 0:
-                continue  # no information; population contributes 0
-            est += float(stratum.population) * (k / drawn)
-        return est
+        return stratified_rows(self, self.count_rows(matrix))[0]
 
-    def interval_for_counts(
+    def interval_rows(
         self, counts: I64Array, confidence: float = 0.95
-    ) -> CountEstimate:
-        return stratified_interval(self, counts, confidence)
+    ) -> tuple[F64Array, F64Array, F64Array]:
+        return stratified_rows(self, counts, confidence)
 
 
 def stratified_interval(
@@ -532,6 +534,80 @@ def stratified_interval(
     low = max(0.0, est - half)
     high = min(float(universe.space), est + half + slack)
     return CountEstimate(sample_count, est, low, high, confidence)
+
+
+def _smoothed(k: I64Array, drawn: int | I64Array, z: float) -> F64Array:
+    """Wilson-center smoothed proportion ``p̃ = (k + z²/2) / (K + z²)``."""
+    return (k + z * z / 2.0) / (drawn + z * z)
+
+
+def stratified_rows(
+    universe: StratifiedVectorUniverse,
+    counts: I64Array,
+    confidence: float = 0.95,
+    allowed: BoolArray | None = None,
+) -> tuple[F64Array, F64Array, F64Array]:
+    """``(estimate, low, high)`` for every column of a ``strata × rows``
+    count array: :func:`stratified_interval` on arrays.
+
+    Strata are visited in plan order with the scalar function's float
+    operations, so each column equals its scalar interval bit for bit.
+    ``allowed`` (``strata × rows``, boolean) restricts each row to the
+    strata its detection set can touch: the adaptive controller passes
+    it for covered bridging faults, whose activation region is disjoint
+    from every other stratum by the plan's construction, so those
+    strata add neither estimate, variance nor slack.
+    """
+    z = confidence_z(confidence)
+    _, draws = universe._masks_and_draws()
+    est = _np.zeros(counts.shape[1])
+    var = _np.zeros(counts.shape[1])
+    slack = _np.zeros(counts.shape[1])
+
+    def add(total: F64Array, term: F64Array | float, h: int) -> None:
+        # ``x + 0.0 == x``: a masked-out stratum leaves the sum's bits.
+        total += term if allowed is None else _np.where(allowed[h], term, 0.0)
+
+    for h, (stratum, k, drawn) in enumerate(
+        zip(universe.plan.strata, counts, draws, strict=True)
+    ):
+        pop = stratum.population
+        if drawn == 0:
+            add(slack, float(pop), h)
+            continue
+        add(est, float(pop) * (k / drawn), h)
+        if drawn >= pop:
+            continue  # stratum exhausted: exact, zero variance
+        smoothed = _smoothed(k, drawn, z)
+        fpc = (pop - drawn) / (pop - 1) if pop > 1 else 0.0
+        add(
+            var,
+            float(pop * pop) * smoothed * (1.0 - smoothed) / drawn * fpc,
+            h,
+        )
+    half = z * _np.sqrt(var)
+    low = _np.maximum(0.0, est - half)
+    high = _np.minimum(float(universe.space), est + half + slack)
+    return est, low, high
+
+
+def stratum_sds(
+    universe: StratifiedVectorUniverse,
+    counts: I64Array,
+    confidence: float,
+    allowed: BoolArray | None = None,
+) -> F64Array:
+    """Per-stratum standard deviations ``√(p̃(1 − p̃))`` of each column,
+    the ``σ_h`` that :func:`neyman_allocation` weighs strata by.
+
+    A stratum with no draws reads ``0.5`` (nothing is known about it);
+    a stratum outside ``allowed`` reads ``0.0``.
+    """
+    z = confidence_z(confidence)
+    draws = _np.array(universe._masks_and_draws()[1])[:, None]
+    smoothed = _smoothed(counts, draws, z)
+    sds = _np.where(draws == 0, 0.5, _np.sqrt(smoothed * (1.0 - smoothed)))
+    return sds if allowed is None else _np.where(allowed, sds, 0.0)
 
 
 def neyman_allocation(

@@ -53,7 +53,7 @@ class FaultDictionary:
             bits.append(bit)
         self.table = table
         self.tests = list(tests)
-        self.masks = gather_columns(table.packed, bits).to_bigints()
+        self.masks = gather_columns((table.packed,), bits).to_bigints()
 
     # ------------------------------------------------------------------
     # Diagnosis

@@ -198,8 +198,8 @@ class VectorUniverse:
     # -- estimation dispatch -------------------------------------------
     # Subclasses with non-uniform sampling designs (the stratified
     # universe of ``repro.adaptive``) override these three methods; the
-    # detection-table estimate queries route through them so every
-    # universe carries its own correct estimator.
+    # detection-table estimate queries and the adaptive stopping rule
+    # route through them so every universe carries its own estimator.
     def count_rows(self, matrix: PackedSignatureMatrix) -> I64Array:
         """Per-stratum popcounts of packed rows, a ``(strata, rows)``
         array; a uniform universe is one stratum."""
@@ -210,12 +210,53 @@ class VectorUniverse:
         counts = self.count_rows(matrix)[0].astype(_np.float64)
         return counts if self.exact else counts * self.scale
 
+    def interval_rows(
+        self, counts: I64Array, confidence: float = 0.95
+    ) -> tuple[F64Array, F64Array, F64Array]:
+        """``(estimate, low, high)`` for every column of a
+        :meth:`count_rows` array.
+
+        The Wilson interval of :func:`count_interval`, with the same
+        float operations in the same order, so each column equals the
+        scalar interval bit for bit.
+        """
+        count = counts[0]
+        if self.exact:
+            est = count.astype(_np.float64)
+            return est, est, est
+        est = count * self.scale
+        k = self.size
+        n = self.space
+        k_eff = float(k)
+        if not self.replacement and n > 1:
+            fpc = (n - k) / (n - 1)
+            if fpc <= 0.0:
+                return est, est, est
+            k_eff = k / fpc
+        z = confidence_z(confidence)
+        z2 = z * z
+        phat = count / k
+        denom = 1.0 + z2 / k_eff
+        center = (phat + z2 / (2.0 * k_eff)) / denom
+        spread = phat * (1.0 - phat) / k_eff + z2 / (4.0 * k_eff * k_eff)
+        half = z * _np.sqrt(spread) / denom
+        low = _np.maximum(0.0, (center - half) * float(n))
+        high = _np.minimum(float(n), (center + half) * float(n))
+        return est, low, high
+
     def interval_for_counts(
         self, counts: I64Array, confidence: float = 0.95
     ) -> "CountEstimate":
         """Confidence interval behind :meth:`estimate_rows`, for one
         row's per-stratum counts (a column of :meth:`count_rows`)."""
-        return count_interval(self, int(counts[0]), confidence)
+        est, low, high = self.interval_rows(counts[:, None], confidence)
+        return CountEstimate(
+            int(counts.sum()),
+            float(est[0]),
+            float(low[0]),
+            float(high[0]),
+            confidence,
+        )
 
 
 def draw_universe(

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
     I64Array = NDArray[np.int64]
     F64Array = NDArray[np.float64]
     IntpArray = NDArray[np.intp]
+    BoolArray = NDArray[np.bool_]
 
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
@@ -342,67 +343,6 @@ def and_popcount(row: U64Array, matrix: PackedSignatureMatrix) -> I64Array:
     return matrix.and_popcount(row)
 
 
-# ----------------------------------------------------------------------
-# Incremental column surgery (the adaptive controller's packed substrate)
-# ----------------------------------------------------------------------
-def widen_matrix(
-    matrix: PackedSignatureMatrix, new_size: int
-) -> PackedSignatureMatrix:
-    """Copy of ``matrix`` re-declared over a larger bit universe.
-
-    Existing bits keep their positions; the new high bits are zero.
-    This is the growth step of the adaptive sampler: a ``K``-bit
-    signature block becomes a ``K + D``-bit block before the round's
-    fresh columns are scattered in.
-    """
-    if new_size < matrix.size:
-        raise AnalysisError(
-            f"cannot shrink a {matrix.size}-bit matrix to {new_size} bits"
-        )
-    old_words = matrix.words
-    num_words = words_for(new_size)
-    if num_words == old_words.shape[1]:
-        return PackedSignatureMatrix(old_words.copy(), new_size)
-    words = _np.zeros((old_words.shape[0], num_words), dtype=_np.uint64)
-    words[:, : old_words.shape[1]] = old_words
-    return PackedSignatureMatrix(words, new_size)
-
-
-def scatter_columns(
-    matrix: PackedSignatureMatrix,
-    delta: PackedSignatureMatrix,
-    positions: Iterable[int],
-) -> None:
-    """OR bit column ``j`` of ``delta`` into bit ``positions[j]`` of ``matrix``.
-
-    Both matrices must have the same row count; ``positions`` maps each
-    of ``delta``'s meaningful bit columns to a distinct bit position of
-    ``matrix`` (in-place).  This merges one adaptive round's
-    freshly-built signature columns into the accumulated block without
-    touching — let alone re-simulating — any existing column.
-    """
-    if len(matrix) != len(delta):
-        raise AnalysisError(
-            "scatter_columns needs matrices with matching row counts"
-        )
-    positions = list(positions)
-    if len(positions) != delta.size:
-        raise AnalysisError(
-            f"got {len(positions)} positions for {delta.size} delta columns"
-        )
-    dest = matrix.words
-    src = delta.words
-    one = _np.uint64(1)
-    for j, pos in enumerate(positions):
-        if not 0 <= pos < matrix.size:
-            raise AnalysisError(
-                f"column position {pos} out of range for a "
-                f"{matrix.size}-bit matrix"
-            )
-        bit = (src[:, j // WORD_BITS] >> _np.uint64(j % WORD_BITS)) & one
-        dest[:, pos // WORD_BITS] |= bit << _np.uint64(pos % WORD_BITS)
-
-
 def unpack_bits(words: U64Array) -> U8Array:
     """0/1 bit plane of a word block: bit ``i`` of a row at column ``i``.
 
@@ -425,26 +365,39 @@ def pack_bits(bits: U8Array) -> PackedSignatureMatrix:
 
 
 def gather_columns(
-    matrix: PackedSignatureMatrix, order: Iterable[int]
+    matrices: tuple[PackedSignatureMatrix, ...], order: Iterable[int]
 ) -> PackedSignatureMatrix:
-    """Column-permuted copy: bit ``j`` of the result is bit ``order[j]``.
+    """Column gather over side-by-side blocks: bit ``j`` of the result is
+    bit ``order[j]`` of the rows of ``matrices`` laid end to end.
 
-    Re-orders an adaptive run's draw-order columns into sorted-vector
-    order (the invariant of
-    :class:`~repro.faultsim.sampling.VectorUniverse`) and picks a fault
-    dictionary's test columns.  Unpacks a chunk of rows to a bit plane,
-    gathers, and re-packs — exact for any size; the chunks keep the
-    unpacked plane small on wide exhaustive rows.
+    ``matrices`` share their row count; column ``c`` of the joined block
+    is column ``c`` of the first matrix when ``c`` is below its size,
+    and so on.  The adaptive controller merges a round's fresh columns
+    into its sorted accumulated block with one call; a fault dictionary
+    picks its test columns from one matrix.  Unpacks a chunk of rows to
+    a bit plane, gathers, and re-packs — exact for any size; the chunks
+    keep the unpacked plane small on wide rows.
     """
     idx = _np.asarray(list(order), dtype=_np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= matrix.size):
+    total = sum(m.size for m in matrices)
+    if idx.size and (idx.min() < 0 or idx.max() >= total):
         raise AnalysisError(
-            f"column order references bits outside the {matrix.size}-bit "
+            f"column order references bits outside the {total}-bit "
             f"universe"
         )
-    words = _np.empty((len(matrix), words_for(idx.size)), dtype=_np.uint64)
-    step = max(1, _CHUNK_WORDS // matrix.words.shape[1])
-    for start in range(0, len(matrix), step):
-        bits = unpack_bits(matrix.words[start : start + step])
+    num_rows = len(matrices[0])
+    if any(len(m) != num_rows for m in matrices):
+        raise AnalysisError("gather_columns needs matching row counts")
+    words = _np.empty((num_rows, words_for(idx.size)), dtype=_np.uint64)
+    width = sum(m.words.shape[1] for m in matrices)
+    step = max(1, _CHUNK_WORDS // width)
+    for start in range(0, num_rows, step):
+        bits = _np.concatenate(
+            [
+                unpack_bits(m.words[start : start + step])[:, : m.size]
+                for m in matrices
+            ],
+            axis=1,
+        )
         words[start : start + step] = pack_bits(bits[:, idx]).words
     return PackedSignatureMatrix(words, idx.size)

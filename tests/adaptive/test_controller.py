@@ -225,3 +225,33 @@ class TestStratifiedController:
         assert not report.stratified
         for r in report.rounds:
             assert r.allocation is None
+
+
+class TestRoundSpans:
+    def test_splice_and_evaluate_nest_under_each_round(self, circuit):
+        from repro import obs
+        from repro.obs.tracer import ListTraceWriter, Tracer
+
+        writer = ListTraceWriter()
+        previous = obs.activate(Tracer(writer, trace_id="T"))
+        try:
+            report = AdaptiveSampler(
+                circuit, rule=RULE, seed=1, stratify="bridging",
+                use_cache=False,
+            ).run()
+        finally:
+            obs.reset(previous)
+        rows = len(report.target_table) + len(report.untargeted_table)
+        rounds = {
+            r["span"]: r for r in writer.records
+            if r["name"] == "adaptive_round"
+        }
+        assert len(rounds) == len(report.rounds)
+        for name in ("adaptive_splice", "adaptive_evaluate"):
+            children = [r for r in writer.records if r["name"] == name]
+            assert [
+                rounds[c["parent"]]["attrs"]["index"] for c in children
+            ] == list(range(len(report.rounds)))
+            assert [c["attrs"] for c in children] == [
+                {"rows": rows, "k_total": r.k_total} for r in report.rounds
+            ]

@@ -8,13 +8,17 @@ import pytest
 
 from repro.adaptive.strata import (
     StratifiedVectorUniverse,
+    _input_supports,
+    _support_positions,
     build_bridging_strata,
     neyman_allocation,
     stratified_interval,
 )
 from repro.bench_suite.example import xor_tree
 from repro.bench_suite.randlogic import random_circuit
+from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
+from repro.faults.bridging import bridging_pair_sites
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.detection import DetectionTable
 from repro.logic.packed import PackedSignatureMatrix
@@ -131,6 +135,20 @@ class TestPlanStructure:
             build_bridging_strata(circuit, max_strata=1)
         with pytest.raises(AnalysisError, match="rare_threshold"):
             build_bridging_strata(circuit, rare_threshold=0.0)
+
+    @pytest.mark.parametrize("name", ["random", "bbara", "wide28"])
+    def test_site_supports_match_the_fanin_walk(self, circuit, name):
+        # The one-pass support bitmasks give every pair site the input
+        # positions of its two fan-in cones, as a per-site walk does.
+        if name != "random":
+            circuit = get_circuit(name)
+        supports = _input_supports(circuit)
+        position = {lid: j for j, lid in enumerate(circuit.inputs)}
+        for a, b in bridging_pair_sites(circuit):
+            cone = circuit.transitive_fanin(a) | circuit.transitive_fanin(b)
+            expected = sorted(position[x] for x in cone | {a, b}
+                              if x in position)
+            assert _support_positions(supports, (a, b)) == tuple(expected)
 
 
 class TestNeymanAllocation:

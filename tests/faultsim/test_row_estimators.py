@@ -8,13 +8,21 @@ sampled and stratified universes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.adaptive.strata import (
+    StrataPlan,
     StratifiedVectorUniverse,
+    Stratum,
     build_bridging_strata,
+    stratified_interval,
+    stratified_rows,
+    stratum_sds,
 )
 from repro.bench_suite.randlogic import random_circuit
 from repro.core import worst_case
@@ -25,6 +33,7 @@ from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import (
+    VectorUniverse,
     confidence_z,
     count_interval,
     draw_universe,
@@ -103,14 +112,22 @@ def _scalar_estimate(universe, sig):
 
 def _scalar_interval(universe, sig, confidence):
     """The stratified interval, stratum by stratum over a big int."""
+    ks = [
+        sum(1 for b in bits if (sig >> b) & 1)
+        for bits in _strata_bits(universe)
+    ]
+    return _scalar_interval_of_counts(universe, ks, confidence)
+
+
+def _scalar_interval_of_counts(universe, ks, confidence, touched=None):
+    """The stratified interval of per-stratum counts ``ks``, summed over
+    the strata in ``touched`` only (default: all, in plan order)."""
     z = confidence_z(confidence)
+    draws = universe.draws_per_stratum
     est = var = slack = 0.0
     sample_count = 0
-    for stratum, bits in zip(
-        universe.plan.strata, _strata_bits(universe), strict=True
-    ):
-        pop, drawn = stratum.population, len(bits)
-        k = sum(1 for b in bits if (sig >> b) & 1)
+    for h in range(len(ks)) if touched is None else touched:
+        pop, drawn, k = universe.plan.strata[h].population, draws[h], ks[h]
         sample_count += k
         if drawn == 0:
             slack += pop
@@ -218,3 +235,106 @@ class TestVectors:
         for table in _tables(*cases[kind]):
             for i, sig in enumerate(table.packed.to_bigints()):
                 assert table.vectors(i) == set_bits(sig)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    """Every input in the support, so stratum ``h`` holds exactly the
+    listed vectors: ``drawn == pop == 1``, 1 of 2, ``drawn == 0`` with
+    ``pop == 1``, and 2 of 4."""
+    plan = StrataPlan(3, (0, 1, 2), (), (
+        Stratum(0, "one", (5,), 1),
+        Stratum(1, "pair", (1, 2), 2),
+        Stratum(2, "lone", (3,), 1),
+        Stratum(3, "bulk", (0, 4, 6, 7), 4),
+    ))
+    universe = StratifiedVectorUniverse(3, (0, 1, 5, 6), plan=plan)
+    assert universe.draws_per_stratum == (1, 1, 0, 2)
+    return universe
+
+
+def _count_columns(universe):
+    """``strata × columns`` counts: every count the draws allow on a
+    small universe, 300 seeded ones otherwise."""
+    draws = universe.draws_per_stratum
+    if math.prod(d + 1 for d in draws) <= 1000:
+        columns = list(itertools.product(*(range(d + 1) for d in draws)))
+    else:
+        rng = random.Random(3)
+        columns = [
+            tuple(rng.randint(0, d) for d in draws) for _ in range(300)
+        ]
+    return np.array(columns, dtype=np.int64).T
+
+
+class TestArrayIntervals:
+    """The array estimators equal their scalar oracles bit for bit."""
+
+    UNIFORM = {
+        "exact": lambda: VectorUniverse(4),
+        "sampled": lambda: draw_universe(8, 100, seed=5),
+        "replacement": lambda: draw_universe(
+            8, 100, seed=5, replacement=True
+        ),
+        "exhausted sample": lambda: VectorUniverse(3, tuple(range(8))),
+        "K = 1": lambda: VectorUniverse(8, (37,)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(UNIFORM))
+    def test_interval_rows_equal_count_interval(self, kind):
+        universe = self.UNIFORM[kind]()
+        counts = np.arange(universe.size + 1, dtype=np.int64)[None, :]
+        est, low, high = universe.interval_rows(counts, 0.9)
+        for k in range(universe.size + 1):
+            ref = count_interval(universe, k, 0.9)
+            assert (est[k], low[k], high[k]) == (
+                ref.estimate, ref.low, ref.high
+            )
+            assert universe.interval_for_counts(counts[:, k], 0.9) == ref
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.95])
+    @pytest.mark.parametrize("name", ["tiny", "stratified"])
+    def test_stratified_rows_equal_stratified_interval(
+        self, request, name, confidence
+    ):
+        universe = request.getfixturevalue(name)
+        counts = _count_columns(universe)
+        est, low, high = stratified_rows(universe, counts, confidence)
+        for j in range(counts.shape[1]):
+            ref = stratified_interval(universe, counts[:, j], confidence)
+            assert (est[j], low[j], high[j]) == (
+                ref.estimate, ref.low, ref.high
+            )
+            interval = universe.interval_for_counts(counts[:, j], confidence)
+            assert interval == ref
+
+    @pytest.mark.parametrize("name", ["tiny", "stratified"])
+    def test_allowed_sums_the_touched_strata_only(self, request, name):
+        universe = request.getfixturevalue(name)
+        counts = _count_columns(universe)
+        draws = universe.draws_per_stratum
+        rng = random.Random(11)
+        allowed = np.array(
+            [[rng.random() < 0.6 for _ in range(counts.shape[1])]
+             for _ in draws]
+        )
+        allowed[:, 0] = False  # a row that touches no stratum
+        allowed[:, 1] = True
+        est, low, high = stratified_rows(universe, counts, 0.9, allowed)
+        sds = stratum_sds(universe, counts, 0.9, allowed)
+        z = confidence_z(0.9)
+        for j in range(counts.shape[1]):
+            touched = [h for h in range(len(draws)) if allowed[h, j]]
+            _, *ref = _scalar_interval_of_counts(
+                universe, counts[:, j].tolist(), 0.9, touched
+            )
+            assert [est[j], low[j], high[j]] == ref
+            for h, drawn in enumerate(draws):
+                k = int(counts[h, j])
+                smoothed = (k + z * z / 2.0) / (drawn + z * z)
+                expected = (
+                    0.0 if not allowed[h, j]
+                    else 0.5 if drawn == 0
+                    else math.sqrt(smoothed * (1.0 - smoothed))
+                )
+                assert sds[h, j] == expected

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
+from repro.logic import packed
 from repro.logic.packed import (
     PackedSignatureMatrix,
     and_popcount,
+    gather_columns,
     pack_signature,
     popcount_words,
     unpack_signature,
@@ -168,6 +170,46 @@ class TestTake:
     def test_take_generator(self):
         m = PackedSignatureMatrix.from_bigints([5, 6], 8)
         assert m.take(i for i in (1, 0)).to_bigints() == [6, 5]
+
+
+class TestGatherColumns:
+    @pytest.mark.parametrize("chunk_words", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("sizes", [(0, 70), (100, 30), (5, 64, 129)])
+    def test_joined_blocks_bit_by_bit(self, monkeypatch, chunk_words, sizes):
+        # Column ``c`` of the joined block: ``c`` of the first matrix
+        # below its size, then on through the next ones.
+        monkeypatch.setattr(packed, "_CHUNK_WORDS", chunk_words)
+        rng = random.Random(sum(sizes))
+        blocks = [random_signatures(rng, size, 9) for size in sizes]
+        matrices = tuple(
+            PackedSignatureMatrix.from_bigints(sigs, size)
+            for sigs, size in zip(blocks, sizes, strict=True)
+        )
+        joined = [0] * 9
+        offset = 0
+        for sigs, size in zip(blocks, sizes, strict=True):
+            joined = [
+                j | (s << offset)
+                for j, s in zip(joined, sigs, strict=True)
+            ]
+            offset += size
+        order = list(range(offset))
+        rng.shuffle(order)
+        order = order[: offset - 3] + order[:2]  # drops and repeats
+        got = gather_columns(matrices, order)
+        assert got.size == len(order)
+        assert got.to_bigints() == [
+            sum(((j >> c) & 1) << i for i, c in enumerate(order))
+            for j in joined
+        ]
+
+    def test_rejects_bad_columns_and_row_counts(self):
+        a = PackedSignatureMatrix.from_bigints([1, 2], 8)
+        b = PackedSignatureMatrix.from_bigints([3], 8)
+        with pytest.raises(AnalysisError, match="outside the 16-bit"):
+            gather_columns((a, a), [16])
+        with pytest.raises(AnalysisError, match="row counts"):
+            gather_columns((a, b), [0])
 
 
 class TestCompact:
