@@ -39,17 +39,6 @@ into ``BENCH_faultsim.json``.  The aggregate tcp-vs-single floor is
 waived — but still recorded — on single-core machines;
 ``REPRO_BENCH_QUEUE_WORKERS`` (default 2) sizes the worker fleet.
 
-``test_ppsfp_build_speedup`` is the acceptance benchmark of the
-word-parallel (PPSFP) simulation kernel: with faults and fault-free
-base signatures precomputed, it times the detection-table builds for
-both fault models on the wide sampled circuits on the big-int cone path
-(``ppsfp.MAX_WORDS`` patched to 0) and on the numpy kernel,
-proves the tables bit-identical, records the per-circuit and aggregate
-numbers into ``BENCH_faultsim.json``, and asserts the aggregate clears
-``REPRO_BENCH_MIN_PPSFP_SPEEDUP`` (default 5.0; the dev-box aggregate
-is ~10x — CI smoke on shared runners relaxes the floor while still
-recording the measurement).
-
 ``test_adaptive_sample_efficiency`` is the acceptance benchmark of the
 adaptive sampling controller: on each wide circuit (bridging-heavy
 universes — thousands of four-way bridging faults against hundreds of
@@ -131,13 +120,6 @@ MIN_TCP_SPEEDUP = float(
     )
 )
 QUEUE_WORKERS = int(os.environ.get("REPRO_BENCH_QUEUE_WORKERS", "2"))
-#: PPSFP kernel acceptance floor (word-parallel vs big-int builds over
-#: the wide circuits at ``WIDE_SAMPLES``; the dev-box measurement is
-#: ~10x aggregate).  CI smoke on shared runners relaxes it while the
-#: measured numbers still land in the trajectory.
-MIN_PPSFP_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_PPSFP_SPEEDUP", "5.0")
-)
 #: Adaptive sample-efficiency knobs (see module docstring).
 ADAPTIVE_TARGET = float(
     os.environ.get("REPRO_BENCH_ADAPTIVE_TARGET", "0.1")
@@ -505,95 +487,6 @@ def test_tcp_executor_build_speedup(record_speedup, tmp_path):
     print(report, end="")
     if cpus >= 2:
         assert aggregate >= MIN_TCP_SPEEDUP, report
-
-
-def test_ppsfp_build_speedup(record_speedup, monkeypatch):
-    """Acceptance: PPSFP word-parallel kernel vs big-int cone builds.
-
-    For every wide sampled circuit, times the full detection-table
-    construction (both fault models, faults and fault-free base
-    signatures precomputed so only the per-fault cone work is measured)
-    on the big-int cone path (``ppsfp.MAX_WORDS`` patched to 0) and on
-    the numpy word-parallel kernel, proves the
-    tables bit-identical, records every timing into the
-    ``BENCH_faultsim.json`` trajectory, and asserts the aggregate
-    speedup clears ``MIN_PPSFP_SPEEDUP``.
-    """
-    from repro.faults.bridging import four_way_bridging_faults
-    from repro.faults.stuck_at import collapsed_stuck_at_faults
-    from repro.faultsim.detection import universe_line_signatures
-    from repro.faultsim.sampling import draw_universe
-    from repro.simulation import ppsfp
-
-    total_big = total_kernel = 0.0
-    lines = []
-    for name in WIDE_CIRCUITS:
-        circuit = get_circuit(name)
-        samples = min(WIDE_SAMPLES, (1 << circuit.num_inputs) // 2)
-        universe = draw_universe(circuit.num_inputs, samples, seed=7)
-        base = universe_line_signatures(circuit, universe)
-        stuck = collapsed_stuck_at_faults(circuit)
-        bridging = four_way_bridging_faults(circuit)
-
-        def build():
-            targets = DetectionTable.for_stuck_at(
-                circuit,
-                faults=stuck,
-                base_signatures=base,
-                universe=universe,
-            )
-            untargeted = DetectionTable.for_bridging(
-                circuit,
-                faults=bridging,
-                base_signatures=base,
-                universe=universe,
-            )
-            return targets, untargeted
-
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        big_time, (big_f, big_g) = _best_of(build)
-        monkeypatch.undo()
-        build()  # warm-up: numpy dispatch + the circuit's cone masks
-        kernel_time, (ker_f, ker_g) = _best_of(build, rounds=5)
-        assert ker_f.packed == big_f.packed
-        assert ker_g.packed == big_g.packed
-        assert ker_g.faults == big_g.faults
-        total_big += big_time
-        total_kernel += kernel_time
-        record_speedup(
-            {
-                "name": "ppsfp_table_build",
-                "circuit": name,
-                "samples": samples,
-                "faults": len(stuck) + len(bridging),
-                "bigint_s": big_time,
-                "kernel_s": kernel_time,
-                "speedup": big_time / kernel_time,
-            }
-        )
-        lines.append(
-            f"  {name}: big-int {big_time * 1e3:8.1f} ms   "
-            f"kernel {kernel_time * 1e3:8.1f} ms   "
-            f"speedup {big_time / kernel_time:5.1f}x"
-        )
-    aggregate = total_big / total_kernel
-    record_speedup(
-        {
-            "name": "ppsfp_table_build_aggregate",
-            "samples": WIDE_SAMPLES,
-            "bigint_s": total_big,
-            "kernel_s": total_kernel,
-            "speedup": aggregate,
-        }
-    )
-    report = (
-        f"\nPPSFP kernel table build vs big-int (K={WIDE_SAMPLES}):\n"
-        + "\n".join(lines)
-        + f"\n  aggregate speedup: {aggregate:.1f}x"
-        + f" (required >= {MIN_PPSFP_SPEEDUP:.1f}x)\n"
-    )
-    print(report, end="")
-    assert aggregate >= MIN_PPSFP_SPEEDUP, report
 
 
 def test_adaptive_sample_efficiency(record_speedup):

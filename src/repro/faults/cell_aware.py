@@ -23,9 +23,18 @@ from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
+from repro.logic.packed import _np
 
 if TYPE_CHECKING:  # import cycle guard: repro.faultsim imports this package
+    from collections.abc import Sequence
+
+    import numpy as np
+    from numpy.typing import NDArray
+
     from repro.faultsim.detection import DetectionTable
+
+    IntpArray = NDArray[np.intp]
+    BoolArray = NDArray[np.bool_]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -63,37 +72,35 @@ def gate_exhaustive_faults(
     return faults
 
 
-def gate_exhaustive_detection_signature(
-    circuit: Circuit,
-    base_signatures: list[int],
-    fault: GateExhaustiveFault,
-    mask: int,
-    cone_order: list[int] | None = None,
-) -> int:
-    """``T(g)`` for a gate-exhaustive fault (signature over ``U``)."""
-    from repro.simulation.exhaustive import (
-        detection_signature,
-        resimulate_cone,
-    )
+def activation_terms(
+    circuit: Circuit, faults: Sequence[GateExhaustiveFault]
+) -> tuple[IntpArray, IntpArray, BoolArray]:
+    """``(sites, lines, values)``: the faults as kernel flip faults.
 
-    line = circuit.lines[fault.lid]
-    arity = len(line.fanin)
-    if fault.pattern >= (1 << arity):
-        raise FaultError(
-            f"pattern {fault.pattern} too wide for {arity}-input gate"
-        )
-    activated = mask
-    for pos, src in enumerate(line.fanin):
-        want = (fault.pattern >> (arity - 1 - pos)) & 1
-        sig = base_signatures[src]
-        activated &= sig if want else ~sig & mask
-        if not activated:
-            return 0
-    forced = {fault.lid: base_signatures[fault.lid] ^ activated}
-    changed = resimulate_cone(
-        circuit, base_signatures, forced, mask, cone_order=cone_order
+    Fault ``r`` flips gate ``sites[r]`` where every fanin line
+    ``lines[r, t]`` carries bit ``values[r, t]`` of its pattern (MSB =
+    first fanin), the input of :func:`repro.simulation.ppsfp.flip_matrix`.
+    Narrower gates repeat their first term, which leaves the AND of the
+    terms unchanged.
+    """
+    arity = max((len(circuit.lines[g.lid].fanin) for g in faults), default=1)
+    lines = _np.empty((len(faults), arity), dtype=_np.intp)
+    values = _np.empty((len(faults), arity), dtype=bool)
+    for r, g in enumerate(faults):
+        fanin = list(circuit.lines[g.lid].fanin)
+        width = len(fanin)
+        if g.pattern >> width:
+            raise FaultError(
+                f"pattern {g.pattern} too wide for {width}-input gate"
+            )
+        bits = [bool(g.pattern >> (width - 1 - t) & 1) for t in range(width)]
+        pad = arity - width
+        lines[r] = fanin + fanin[:1] * pad
+        values[r] = bits + bits[:1] * pad
+    sites = _np.fromiter(
+        (g.lid for g in faults), dtype=_np.intp, count=len(faults)
     )
-    return detection_signature(circuit, base_signatures, changed)
+    return sites, lines, values
 
 
 def gate_exhaustive_table(
@@ -104,29 +111,21 @@ def gate_exhaustive_table(
 ) -> DetectionTable:
     """Detection table over the gate-exhaustive universe.
 
-    Returns a :class:`repro.faultsim.detection.DetectionTable`, so the
-    result plugs directly into :class:`repro.core.WorstCaseAnalysis` and
+    Built by the PPSFP kernel over the exhaustive universe.  Returns a
+    :class:`repro.faultsim.detection.DetectionTable`, so the result
+    plugs directly into :class:`repro.core.WorstCaseAnalysis` and
     :class:`repro.core.AverageCaseAnalysis`.
     """
     from repro.faultsim.detection import DetectionTable
-    from repro.logic.bitops import all_ones_mask
-    from repro.simulation.exhaustive import line_signatures
+    from repro.faultsim.sampling import VectorUniverse
+    from repro.simulation.ppsfp import flip_matrix
 
-    sigs = base_signatures or line_signatures(circuit)
-    mask = all_ones_mask(circuit.num_inputs)
+    universe = VectorUniverse(circuit.num_inputs)
     faults = gate_exhaustive_faults(circuit, max_arity=max_arity)
-    cone_cache: dict[int, list[int]] = {}
-    table = []
-    for g in faults:
-        cone = cone_cache.get(g.lid)
-        if cone is None:
-            cone = circuit.fanout_cone_order(g.lid)
-            cone_cache[g.lid] = cone
-        table.append(
-            gate_exhaustive_detection_signature(
-                circuit, sigs, g, mask, cone_order=cone
-            )
-        )
-    return DetectionTable.from_signatures(
-        circuit, faults, table, drop_undetectable=drop_undetectable
+    matrix = flip_matrix(
+        "gate_exhaustive", circuit, universe,
+        *activation_terms(circuit, faults), base_signatures=base_signatures,
+    )
+    return DetectionTable.from_rows(
+        circuit, faults, matrix, universe, drop_undetectable
     )

@@ -2,7 +2,7 @@
 
 ``detection``
     Detection tables: ``T(f)`` for every fault over a vector universe,
-    stored as packed ``uint64`` words (PPSFP kernel or cone path).
+    stored as packed ``uint64`` words (built by the PPSFP kernel).
 ``sampling``
     Vector universes (exhaustive or sampled) with the bit-index ↔
     vector mapping and the Monte-Carlo count estimators.
@@ -21,11 +21,7 @@
     diagnostic-resolution metrics.
 """
 
-from repro.faultsim.detection import (
-    DetectionTable,
-    bridging_detection_signature,
-    stuck_at_detection_signature,
-)
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import (
     CountEstimate,
     VectorUniverse,
@@ -54,8 +50,6 @@ from repro.faultsim.dictionary import FaultDictionary
 
 __all__ = [
     "DetectionTable",
-    "bridging_detection_signature",
-    "stuck_at_detection_signature",
     "CountEstimate",
     "VectorUniverse",
     "count_interval",

@@ -6,8 +6,8 @@ strategy for building one.  One class builds every table:
 :class:`TableBackend`, parameterized by its vector universe (all of
 ``U``, a seeded ``K``-vector draw, or an explicit vector list).  Each
 table goes through the one builder of :mod:`repro.faultsim.detection`,
-which picks the PPSFP kernel or the cone path from the universe's width
-alone; every table stores its rows as ``numpy.uint64`` words.  The CLI names
+the PPSFP kernel; every table stores its rows as ``numpy.uint64``
+words.  The CLI names
 (:func:`make_backend`, ``--backend``) are constructors:
 
 ``exhaustive`` → ``TableBackend()``
@@ -26,8 +26,8 @@ alone; every table stores its rows as ``numpy.uint64`` words.  The CLI names
     analyses.
 ``serial`` → :class:`SerialBackend`
     Per-vector serial fault simulation — the deliberately independent
-    slow path, used by the differential test harness to cross-validate
-    the table builder.
+    slow path and the one oracle of the PPSFP kernel, used by the
+    differential test harness to cross-validate the table builder.
 ``adaptive`` → :class:`repro.adaptive.AdaptiveBackend`
     Instead of a fixed ``K`` it grows the sampled universe round by
     round until the smallest-``N(f)`` confidence intervals meet a
@@ -245,7 +245,7 @@ def _drawn_universe(
 class SerialBackend:
     """Exact tables via the per-vector serial engine.
 
-    Shares *no* signature machinery with the exhaustive engine (every
+    Shares *no* signature machinery with the PPSFP kernel (every
     table bit is two full per-vector simulations), which is what makes it
     useful as the differential-testing reference.  Far too slow beyond
     toy circuits; capped accordingly.

@@ -11,23 +11,17 @@ exhaustive universe bit ``v`` means "vector ``v`` detects the fault";
 for a sampled universe bit ``i`` refers to the ``i``-th sampled vector
 and popcounts become unbiased estimators of the exact counts.
 
-One builder computes every table, and the universe's width picks its
-engine.  Universes of up to :data:`repro.simulation.ppsfp.MAX_WORDS`
-64-bit words per row go through the word-parallel PPSFP kernel, which
-simulates batches of faults over all patterns at once.  Wider universes
-go through the cone path: force the fault site's signature and
-re-simulate only the site's fanout cone, the standard "single-fault
-propagation" trick lifted to big-int signatures.  The two engines are
-bit-identical (the differential suite certifies the kernel against the
-cone path), and both work on whatever lane mapping the universe
-declares.
+One builder computes every table: the word-parallel PPSFP kernel
+(:mod:`repro.simulation.ppsfp`), which simulates batches of faults over
+all patterns at once, on every universe whatever its width and whatever
+lane mapping it declares.  The independent per-vector serial engine
+(:mod:`repro.faultsim.serial`) is its oracle in the differential suite.
 
 Every table stores its rows one way: faults plus a
 :class:`~repro.logic.packed.PackedSignatureMatrix` (``packed``).  The
-kernel hands its words over; the cone path writes each row into a
-preallocated matrix as it computes it; the few producers of big-int
-rows (the sharded merge, the serial oracle, cell-aware tables) pack
-them once through :meth:`DetectionTable.from_signatures`.
+kernel hands its words over; the few producers of big-int rows (the
+sharded merge, the serial oracle) pack them once through
+:meth:`DetectionTable.from_signatures`.
 Undetectable rows are dropped by compacting the words in place, a
 bridging fault list stays :class:`~repro.faults.bridging.BridgingFaults`
 arrays, and ``N(f)``, its estimates and the test-set queries are
@@ -38,8 +32,7 @@ scalar oracles, Procedure 1's test sets) unpacks the rows itself with
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 from repro import obs
 from repro.circuit.netlist import Circuit
@@ -51,7 +44,6 @@ from repro.faults.bridging import (
 )
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.sampling import CountEstimate, VectorUniverse
-from repro.logic.bitops import all_ones_mask
 from repro.logic.packed import (
     _np,
     PackedSignatureMatrix,
@@ -60,11 +52,7 @@ from repro.logic.packed import (
     unpack_bits,
     words_for,
 )
-from repro.simulation.exhaustive import (
-    detection_signature,
-    line_signatures,
-    resimulate_cone,
-)
+from repro.simulation.exhaustive import line_signatures
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -72,14 +60,13 @@ if TYPE_CHECKING:
 Fault = Union[StuckAtFault, BridgingFault]
 
 
-def _observe_table_build(kind: str, engine: str, seconds: float) -> None:
+def _observe_table_build(kind: str, seconds: float) -> None:
     """Always-on build telemetry (one counter bump + one histogram)."""
     registry = obs.metrics()
     registry.counter(
         "repro_table_builds_total",
-        help="Detection-table builds, by fault kind and engine",
+        help="Detection-table builds, by fault kind",
         kind=kind,
-        engine=engine,
     ).inc()
     registry.histogram(
         "repro_table_build_seconds",
@@ -103,92 +90,6 @@ def universe_line_signatures(
     from repro.simulation.twoval import simulate_batch
 
     return simulate_batch(circuit, universe.vectors)
-
-
-def stuck_at_detection_signature(
-    circuit: Circuit,
-    base_signatures: list[int],
-    fault: StuckAtFault,
-    mask: int | None = None,
-    cone_order: list[int] | None = None,
-) -> int:
-    """``T(f)`` for a stuck-at fault (signature over ``U``)."""
-    if mask is None:
-        mask = all_ones_mask(circuit.num_inputs)
-    forced = {fault.lid: mask if fault.value else 0}
-    changed = resimulate_cone(
-        circuit, base_signatures, forced, mask, cone_order=cone_order
-    )
-    return detection_signature(circuit, base_signatures, changed)
-
-
-def bridging_detection_signature(
-    circuit: Circuit,
-    base_signatures: list[int],
-    fault: BridgingFault,
-    mask: int | None = None,
-    cone_order: list[int] | None = None,
-) -> int:
-    """``T(g)`` for a four-way bridging fault.
-
-    Activation requires fault-free ``l1 = a1`` and ``l2 = a2``; on the
-    activated vectors the victim's value flips (XOR with the activation
-    set).  Non-feedback pairs guarantee the aggressor's value is
-    unaffected by the flip.
-    """
-    if mask is None:
-        mask = all_ones_mask(circuit.num_inputs)
-    s1 = base_signatures[fault.victim]
-    s2 = base_signatures[fault.aggressor]
-    m1 = s1 if fault.victim_value else ~s1 & mask
-    m2 = s2 if fault.aggressor_value else ~s2 & mask
-    activated = m1 & m2
-    if not activated:
-        return 0
-    forced = {fault.victim: s1 ^ activated}
-    changed = resimulate_cone(
-        circuit, base_signatures, forced, mask, cone_order=cone_order
-    )
-    return detection_signature(circuit, base_signatures, changed)
-
-
-def _cone_matrix(
-    kind: str,
-    circuit: Circuit,
-    universe: VectorUniverse,
-    faults: Sequence[Fault],
-    base_signatures: list[int] | None,
-) -> PackedSignatureMatrix:
-    """Detection rows by per-fault cone re-simulation.
-
-    The wide-universe engine of :meth:`DetectionTable._build`; each
-    fault site's cone order is computed once and shared by its faults,
-    and each row is packed into a preallocated matrix as soon as it is
-    computed, so no list of big-int rows is ever held.
-    """
-    # `is None`, not truthiness: an explicit (if degenerate) empty
-    # signature list must not silently trigger a recompute.
-    if base_signatures is None:
-        base_signatures = universe_line_signatures(circuit, universe)
-    detect: Callable[..., int]
-    if kind == "stuck_at":
-        detect, site_of = stuck_at_detection_signature, attrgetter("lid")
-    else:
-        detect, site_of = bridging_detection_signature, attrgetter("victim")
-    mask, size = universe.mask, universe.size
-    cones: dict[int, list[int]] = {}
-    words = _np.zeros((len(faults), words_for(size)), dtype=_np.uint64)
-    for index, fault in enumerate(faults):
-        site = site_of(fault)
-        cone = cones.get(site)
-        if cone is None:
-            cone = cones[site] = circuit.fanout_cone_order(site)
-        signature = detect(
-            circuit, base_signatures, fault, mask=mask, cone_order=cone
-        )
-        if signature:
-            words[index] = pack_signature(signature, size)
-    return PackedSignatureMatrix(words, size)
 
 
 class DetectionTable:
@@ -362,18 +263,15 @@ class DetectionTable:
         drop_undetectable: bool,
         universe: VectorUniverse | None,
     ) -> "DetectionTable":
-        """The one table builder: PPSFP kernel or cone path, by width.
-
-        The kernel runs when the universe fits in
-        :data:`repro.simulation.ppsfp.MAX_WORDS` words per row; wider
-        universes take the cone path (:func:`_cone_matrix`).  The
-        ``table_build`` span records which one ran as ``engine=ppsfp``
-        or ``engine=bigint``.
-        """
+        """The one table builder: the PPSFP kernel, at every width."""
         from repro.simulation import ppsfp
 
         if universe is None:
             universe = VectorUniverse(circuit.num_inputs)
+        build = (
+            ppsfp.stuck_at_matrix if kind == "stuck_at"
+            else ppsfp.bridging_matrix
+        )
         clock = obs.system_clock()
         started = clock.monotonic()
         with obs.span(
@@ -382,27 +280,14 @@ class DetectionTable:
             circuit=circuit.name,
             faults=len(faults),
             k=universe.size,
-        ) as build_span:
-            if ppsfp.kernel_supports(universe):
-                engine = "ppsfp"
-                build: Callable[..., PackedSignatureMatrix] = (
-                    ppsfp.stuck_at_matrix
-                    if kind == "stuck_at"
-                    else ppsfp.bridging_matrix
-                )
-                matrix = build(
-                    circuit, universe, faults, base_signatures=base_signatures
-                )
-            else:
-                engine = "bigint"
-                matrix = _cone_matrix(
-                    kind, circuit, universe, faults, base_signatures
-                )
-            build_span.set(engine=engine)
+        ):
+            matrix = build(
+                circuit, universe, faults, base_signatures=base_signatures
+            )
             table = cls.from_rows(
                 circuit, faults, matrix, universe, drop_undetectable
             )
-        _observe_table_build(kind, engine, clock.monotonic() - started)
+        _observe_table_build(kind, clock.monotonic() - started)
         return table
 
     # ------------------------------------------------------------------

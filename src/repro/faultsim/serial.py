@@ -1,10 +1,11 @@
 """Serial (per-vector) fault simulation.
 
 A deliberately independent slow path: faults are simulated one vector at
-a time with explicit value forcing, sharing *no* code with the exhaustive
-signature engine.  The test suite cross-validates the two engines against
-each other, which is the main line of defence against systematic bugs in
-the detection tables that every analysis depends on.
+a time with explicit value forcing, sharing *no* code with the PPSFP
+kernel that builds every detection table.  It is the kernel's one
+oracle: the test suite cross-validates the two engines against each
+other, which is the main line of defence against systematic bugs in the
+detection tables that every analysis depends on.
 """
 
 from __future__ import annotations

@@ -6,9 +6,13 @@ an integer with ``2**p`` bits, bit ``v`` holding the line's fault-free
 value under input vector ``v``.  One pass over the topological order
 computes all signatures with one bitwise expression per gate.
 
-Signatures are the common currency of this library: detection sets
-``T(f)`` are signatures, test sets are signatures, and the worst-case
-quantities ``N(f)`` / ``M(g, f)`` are popcounts of signatures.
+Signatures are the common currency of this library: test sets are
+signatures, Procedure 1 and the scalar ``nmin`` oracle read detection
+sets ``T(f)`` as signatures, and the worst-case quantities ``N(f)`` /
+``M(g, f)`` are popcounts of signatures.  Detection sets themselves are
+built by the word-parallel kernel (:mod:`repro.simulation.ppsfp`),
+which packs these fault-free signatures as its base words when a
+caller supplies them.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ from repro.logic.bitops import (
 )
 
 
-def line_signatures(circuit: Circuit) -> list[int]:
-    """Fault-free signature of every line, indexed by lid.
+def check_exhaustive_inputs(circuit: Circuit) -> None:
+    """Raise :class:`SimulationError` past the exhaustive input cap.
 
-    Raises :class:`SimulationError` when the circuit has more inputs than
-    :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS` — use
+    The cap is :data:`~repro.logic.bitops.MAX_EXHAUSTIVE_INPUTS`; use
     :func:`repro.circuit.transform.output_partitions` to split such
     circuits first (the paper's Section 4 recommendation).
     """
@@ -37,6 +40,15 @@ def line_signatures(circuit: Circuit) -> list[int]:
             f"circuit {circuit.name!r} has {p} inputs; exhaustive analysis "
             f"is capped at {MAX_EXHAUSTIVE_INPUTS} (partition the circuit)"
         )
+
+
+def line_signatures(circuit: Circuit) -> list[int]:
+    """Fault-free signature of every line, indexed by lid.
+
+    Capped by :func:`check_exhaustive_inputs`.
+    """
+    check_exhaustive_inputs(circuit)
+    p = circuit.num_inputs
     mask = all_ones_mask(p)
     sigs = [0] * len(circuit.lines)
     for pos, lid in enumerate(circuit.inputs):
@@ -56,87 +68,3 @@ def output_response_signatures(circuit: Circuit) -> list[int]:
     """Signatures of the primary outputs only (in output order)."""
     sigs = line_signatures(circuit)
     return [sigs[o] for o in circuit.outputs]
-
-
-def resimulate_cone(
-    circuit: Circuit,
-    base_signatures: list[int],
-    forced: dict[int, int],
-    mask: int,
-    cone_order: list[int] | None = None,
-) -> dict[int, int]:
-    """Event-driven re-simulation after forcing line values.
-
-    Parameters
-    ----------
-    base_signatures:
-        Fault-free signatures (from :func:`line_signatures`).
-    forced:
-        ``{lid: signature}`` — faulty signatures imposed on fault sites
-        (full signatures, so bridging faults can force only the activated
-        vectors).
-    mask:
-        All-ones signature for the circuit's input count.
-    cone_order:
-        Optional pre-computed topological order of the union of the
-        forced lines' fanout cones (callers that sweep many faults per
-        site should pass it to avoid recomputation).
-
-    Returns
-    -------
-    dict[int, int]
-        Faulty signature per changed line (fault sites included).  Lines
-        absent from the dict kept their fault-free signature.
-    """
-    changed: dict[int, int] = {}
-    for lid, sig in forced.items():
-        if sig != base_signatures[lid]:
-            changed[lid] = sig
-    if not changed:
-        return {}
-    if cone_order is None:
-        cone: set[int] = set()
-        for lid in forced:
-            cone |= circuit.transitive_fanout(lid)
-        cone -= set(forced)
-        cone_order = [x for x in circuit.topo_order if x in cone]
-    for lid in cone_order:
-        if lid in forced:
-            continue
-        line = circuit.lines[lid]
-        if line.kind is LineKind.BRANCH:
-            src = line.fanin[0]
-            if src in changed:
-                new_sig = changed[src]
-            else:
-                continue
-        else:
-            if not any(f in changed for f in line.fanin):
-                continue
-            new_sig = eval_signature(
-                line.gate_type,
-                [changed.get(f, base_signatures[f]) for f in line.fanin],
-                mask,
-            )
-        if new_sig != base_signatures[lid]:
-            changed[lid] = new_sig
-        elif lid in changed:  # pragma: no cover - defensive
-            del changed[lid]
-    return changed
-
-
-def detection_signature(
-    circuit: Circuit,
-    base_signatures: list[int],
-    changed: dict[int, int],
-) -> int:
-    """Vectors on which any primary output differs from fault-free.
-
-    This is ``T(f)`` for the fault whose re-simulation produced
-    ``changed``.
-    """
-    det = 0
-    for o in circuit.outputs:
-        if o in changed:
-            det |= base_signatures[o] ^ changed[o]
-    return det

@@ -3,14 +3,9 @@
 The classic fault-simulation speedup: instead of simulating one input
 vector at a time, pack a *batch* of vectors into machine words — bit
 ``i`` of every word is the value under vector ``i`` — and evaluate each
-gate once per word with bitwise ops.  The big-int engines of this
-library (:mod:`repro.simulation.exhaustive`,
-:mod:`repro.simulation.twoval`) already work that way at the Python
-level; what they cannot escape is the *per-fault, per-gate interpreter
-overhead* of the event-driven cone re-simulation, which profiles show
-dominating every detection-table build.
-
-This kernel removes that overhead along two axes at once:
+gate once per word with bitwise ops.  A per-fault, per-gate loop over
+big-int signatures pays interpreter overhead for every cone gate of
+every fault; this kernel removes that overhead along two axes at once:
 
 * **patterns** — a universe of ``K`` vectors is ``ceil(K / 64)``
   ``numpy.uint64`` words per line (the exact layout of
@@ -25,31 +20,32 @@ This kernel removes that overhead along two axes at once:
 
 The result is a detection table that is *born packed*: the kernel
 returns a :class:`~repro.logic.packed.PackedSignatureMatrix` whose rows
-are the faults' detection signatures, bit-identical to what the big-int
-engines compute (certified by the differential suite — see
-``tests/test_ppsfp_differential.py``), with no bigint→packed conversion
-on the table hot path.
+are the faults' detection signatures.  It is the one table engine: the
+detection-table builder (:mod:`repro.faultsim.detection`) and the
+gate-exhaustive tables (:mod:`repro.faults.cell_aware`) run it on every
+universe, whatever its width.  The independent per-vector serial engine
+(:mod:`repro.faultsim.serial`) is its oracle (see
+``tests/test_ppsfp_differential.py``).
 
-Semantics mirror the big-int engines exactly:
+Every fault model is a *flip fault* (:func:`flip_matrix`): fault ``r``
+flips its site on the vectors where, fault-free, every one of its
+activation lines carries its activation value.
 
-* fault-free *base* words come from the same boolean gate functions
+* fault-free *base* words come from the boolean gate functions
   (:func:`repro.circuit.gate.eval_signature`'s semantics, lifted to
-  word blocks) over the same bit ↔ vector mapping the universe
-  declares;
-* a stuck-at fault forces its site's whole word block to 0/1 *after*
-  normal evaluation (inputs, branches, and gates alike — the
-  ``forced``-after-evaluation override of
-  :func:`repro.simulation.twoval.simulate_batch`);
+  word blocks) over the bit ↔ vector mapping the universe declares;
+* a stuck-at-``v`` fault flips its site where the site carries
+  ``1 - v``, which forces the whole word block to ``v``;
 * a four-way bridging fault activates on fault-free ``l1 = a1 ∧ l2 =
-  a2`` and forces the victim's value to flip on exactly the activated
-  vectors; a fault activated nowhere detects nothing;
+  a2`` and flips the victim on exactly the activated vectors;
+* a gate-exhaustive fault activates where the gate's fanin lines carry
+  its pattern and flips the gate output there;
+* the flipped site is forced *after* normal evaluation (inputs,
+  branches, and gates alike — the ``forced``-after-evaluation override
+  of :func:`repro.simulation.twoval.simulate_batch`); a fault activated
+  nowhere detects nothing and never reaches the simulator;
 * detection is any primary output differing from fault-free, i.e. the
   OR over outputs of ``faulty XOR base``.
-
-The detection-table builder (:mod:`repro.faultsim.detection`) uses this
-kernel whenever the universe fits in :data:`MAX_WORDS` words per row;
-wider universes go to the big-int cone path.  The choice depends only
-on the universe's width, never on a setting.
 
 A batch allocates nothing per line: word blocks come from a pool the
 simulator keeps across batches, and a block goes back to it once the
@@ -96,15 +92,7 @@ from repro.logic.packed import (
     pack_signature,
     words_for,
 )
-
-#: Universes wider than this many 64-bit words take the big-int cone
-#: path; 4096 words = a 2**18-bit exhaustive universe.  Past it the
-#: kernel's dense faults x words output block costs more time and memory
-#: than the cone path: for ``random_circuit(3, num_inputs=20,
-#: num_gates=40)`` (16,384 words, on a 2-vCPU host) the cone path built
-#: the same tables in 2.82 s at 216 MB peak RSS, the kernel in 3.68 s at
-#: 589 MB.  Not a setting: the universe's width alone picks the engine.
-MAX_WORDS = 4096
+from repro.simulation.exhaustive import check_exhaustive_inputs
 
 #: Per-line word budget for one fault batch: the batch row count is
 #: ``min(MAX_BATCH_ROWS, BATCH_WORD_BUDGET // words_per_row)``.  The
@@ -117,11 +105,6 @@ MAX_BATCH_ROWS = 1024
 #: it goes back to the OS whole when the simulator is dropped instead
 #: of leaving holes in the heap.
 _SLAB_BLOCKS = 8
-
-
-def kernel_supports(universe: VectorUniverse) -> bool:
-    """Whether the kernel builds tables over this universe (width only)."""
-    return words_for(universe.size) <= MAX_WORDS
 
 
 def batch_rows_for(num_words: int) -> int:
@@ -182,10 +165,10 @@ def eval_words(
 
     ``inputs`` are arrays of shape ``(W,)`` or ``(B, W)`` (numpy
     broadcasting mixes them); ``mask`` is the universe's all-ones word
-    row, bounding the complement for inverting gates exactly like the
-    big-int engine's ``mask`` argument.  The returned array may alias an
-    input (BUF, unary AND/OR/XOR) — callers treat word blocks as
-    immutable.
+    row, bounding the complement for inverting gates exactly like
+    :func:`~repro.circuit.gate.eval_signature`'s ``mask`` argument.  The
+    returned array may alias an input (BUF, unary AND/OR/XOR) — callers
+    treat word blocks as immutable.
     """
     gt = gate_type
     if gt is GateType.CONST0:
@@ -215,8 +198,7 @@ def input_lane_matrix(num_inputs: int, vectors: Iterable[int]) -> U64Array:
     (input 0 = the *most* significant bit of the decimal vector, the
     paper's input 1).  Equivalent to
     :func:`repro.simulation.twoval._input_lane_words`, vectorized.
-    Inputs are limited to 64 bits per vector (``num_inputs <= 64``) —
-    wider circuits use the big-int path.
+    Inputs are limited to 64 bits per vector (``num_inputs <= 64``).
     """
     if num_inputs > 64:
         raise SimulationError(
@@ -242,35 +224,53 @@ def input_lane_matrix(num_inputs: int, vectors: Iterable[int]) -> U64Array:
     return pack_bits(bits).words
 
 
-def packed_line_words(
-    circuit: Circuit, universe: VectorUniverse
-) -> U64Array:
-    """Fault-free word blocks of every line: a ``(lines, W)`` array.
+def line_rows(circuit: Circuit) -> tuple[IntpArray, list[int]]:
+    """``(row_of, owners)``: the base word row of every line.
 
-    Bit ``i`` of row ``lid`` is line ``lid``'s value under the
-    universe's ``i``-th vector — the packed twin of
-    :func:`repro.faultsim.detection.universe_line_signatures`, computed
-    directly in word space (no big-int intermediate).
+    Line ``lid``'s fault-free words are row ``row_of[lid]``; a branch
+    shares its stem's row, so the rows belong to the other lines,
+    ``owners`` (in lid order).
     """
-    size = universe.size
-    num_words = words_for(size)
-    mask = pack_signature(universe.mask, size)
-    base = _np.zeros((len(circuit.lines), num_words), dtype=_np.uint64)
-    p = circuit.num_inputs
-    if universe.exhaustive:
-        for pos, lid in enumerate(circuit.inputs):
-            base[lid] = pack_signature(input_signature(pos, p), size)
-    else:
-        rows = input_lane_matrix(p, universe.vectors)
-        for pos, lid in enumerate(circuit.inputs):
-            base[lid] = rows[pos]
+    owners = [ln.lid for ln in circuit.lines if ln.kind is not LineKind.BRANCH]
+    row_of = _np.empty(len(circuit.lines), dtype=_np.intp)
+    row_of[owners] = _np.arange(len(owners))
     for lid in circuit.topo_order:
         line = circuit.lines[lid]
         if line.kind is LineKind.BRANCH:
-            base[lid] = base[line.fanin[0]]
-        else:
-            base[lid] = eval_words(
-                line.gate_type, [base[f] for f in line.fanin], mask
+            row_of[lid] = row_of[line.fanin[0]]
+    return row_of, owners
+
+
+def packed_line_words(
+    circuit: Circuit, universe: VectorUniverse
+) -> U64Array:
+    """Fault-free word rows of the lines, one per :func:`line_rows` row.
+
+    Bit ``i`` of row ``row_of[lid]`` is line ``lid``'s value under the
+    universe's ``i``-th vector — the packed twin of
+    :func:`repro.faultsim.detection.universe_line_signatures`, computed
+    directly in word space (no big-int intermediate).  An exhaustive
+    universe is capped by
+    :func:`~repro.simulation.exhaustive.check_exhaustive_inputs`.
+    """
+    p = circuit.num_inputs
+    if universe.exhaustive:
+        check_exhaustive_inputs(circuit)
+    size = universe.size
+    mask = pack_signature(universe.mask, size)
+    row_of, owners = line_rows(circuit)
+    base = _np.zeros((len(owners), words_for(size)), dtype=_np.uint64)
+    if universe.exhaustive:
+        for pos, lid in enumerate(circuit.inputs):
+            base[row_of[lid]] = pack_signature(input_signature(pos, p), size)
+    else:
+        lanes = input_lane_matrix(p, universe.vectors)
+        base[row_of[circuit.inputs]] = lanes
+    for lid in circuit.topo_order:
+        line = circuit.lines[lid]
+        if line.kind is not LineKind.BRANCH:
+            base[row_of[lid]] = eval_words(
+                line.gate_type, [base[row_of[f]] for f in line.fanin], mask
             )
     return base
 
@@ -281,17 +281,19 @@ def packed_line_words(
 class PackedSimulator:
     """Word-parallel simulator for one circuit over one universe.
 
-    Holds the fault-free base word blocks and a fanout-cone cache;
-    :meth:`detection_rows` is the batched PPSFP pass.  ``base_words``
-    may be supplied (e.g. packed from precomputed big-int line
-    signatures, which is exact) to skip the base simulation.
+    Holds the fault-free base word rows (``base``, one per
+    :func:`line_rows` row, at ``row_of[lid]``) and a fanout-cone cache;
+    :meth:`detection_rows` is the batched PPSFP pass.  Precomputed
+    big-int line signatures over the universe (``base_signatures``,
+    indexed by lid) are packed, which is exact, instead of simulating
+    the base.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         universe: VectorUniverse,
-        base_words: U64Array | None = None,
+        base_signatures: list[int] | None = None,
     ) -> None:
         if universe.num_inputs != circuit.num_inputs:
             raise SimulationError(
@@ -301,10 +303,16 @@ class PackedSimulator:
         self.universe = universe
         self.size = universe.size
         self.num_words = words_for(self.size)
+        self.row_of, owners = line_rows(circuit)
+        if base_signatures is None:
+            self.base = packed_line_words(circuit, universe)
+        else:
+            self.base = PackedSignatureMatrix.from_bigints(
+                [base_signatures[lid] for lid in owners], self.size
+            ).words
+        # Per-line views of the base rows (branches view their stem's).
+        self._line_base = [self.base[r] for r in self.row_of.tolist()]
         self.mask_row = pack_signature(universe.mask, self.size)
-        if base_words is None:
-            base_words = packed_line_words(circuit, universe)
-        self.base = base_words
         # Per-line fanout cones as line-id bitsets: unioning the cones
         # of a whole fault batch is a handful of C-speed big-int ORs.
         self._cone_masks = circuit.fanout_masks()
@@ -330,10 +338,6 @@ class PackedSimulator:
         self._blocks: list[U64Array] = []
         self._block_rows = batch_rows_for(self.num_words)
 
-    def base_matrix(self) -> PackedSignatureMatrix:
-        """The base word blocks as a packed matrix (one row per line)."""
-        return PackedSignatureMatrix(self.base.copy(), self.size)
-
     def detection_rows(
         self, sites: Sequence[int], forced: U64Array
     ) -> U64Array:
@@ -346,7 +350,8 @@ class PackedSimulator:
         forced:
             ``(B, W)`` ``uint64`` array; row ``r`` is the full word
             block forced onto line ``sites[r]`` (applied *after* normal
-            evaluation, like the big-int engines' ``forced`` override —
+            evaluation, like :func:`~repro.simulation.twoval.simulate_batch`'s
+            ``forced`` override —
             the site keeps the forced value even when re-evaluation
             would produce something else).
 
@@ -364,7 +369,7 @@ class PackedSimulator:
         forcing then degenerates to slice assignment.
         """
         circuit = self.circuit
-        base = self.base
+        base = self._line_base
         num_words = self.num_words
         num_rows = len(sites)
         if forced.shape != (num_rows, num_words):
@@ -500,19 +505,6 @@ class PackedSimulator:
 # ----------------------------------------------------------------------
 # Table builders (the backends' kernel entry points)
 # ----------------------------------------------------------------------
-def _simulator(
-    circuit: Circuit,
-    universe: VectorUniverse,
-    base_signatures: list[int] | None,
-) -> PackedSimulator:
-    base_words = None
-    if base_signatures is not None:
-        base_words = PackedSignatureMatrix.from_bigints(
-            base_signatures, universe.size
-        ).words
-    return PackedSimulator(circuit, universe, base_words=base_words)
-
-
 def _cone_locality_order(
     circuit: Circuit, sites: IntpArray | Sequence[int]
 ) -> IntpArray:
@@ -575,6 +567,89 @@ def _observe_kernel(
     ).inc(seconds)
 
 
+def flip_matrix(
+    kind: str,
+    circuit: Circuit,
+    universe: VectorUniverse,
+    sites: IntpArray,
+    lines: IntpArray,
+    values: NDArray[np.bool_],
+    base_signatures: list[int] | None = None,
+    batch_rows: int | None = None,
+) -> PackedSignatureMatrix:
+    """Packed detection matrix for a list of flip faults (table order).
+
+    Fault ``r`` flips line ``sites[r]`` on the vectors where, fault-free,
+    every line ``lines[r, t]`` carries ``values[r, t]`` (``lines`` and
+    ``values`` are ``(faults, terms)`` arrays; a fault with fewer terms
+    repeats one).  Its activation is the AND of those lines' word rows,
+    each matched to its value, and the site is forced to ``base ^
+    activation``; a fault activated nowhere keeps an all-zero row
+    without being simulated.  ``kind`` labels the span and telemetry.
+    An empty fault list reads no base signatures.
+    """
+    num = len(sites)
+    if not num:
+        return PackedSignatureMatrix(
+            _np.zeros((0, words_for(universe.size)), dtype=_np.uint64),
+            universe.size,
+        )
+    sim = PackedSimulator(circuit, universe, base_signatures)
+    num_words = sim.num_words
+    base = sim.base
+    mask = sim.mask_row
+    site_rows, term_rows = sim.row_of[sites], sim.row_of[lines]
+    if batch_rows is None:
+        batch_rows = batch_rows_for(num_words)
+    # value-true means "matches the line's 1s": matching bits are the
+    # row itself, else its masked complement (an XOR with the all-ones
+    # mask row).
+    flip = ~values
+    order = _cone_locality_order(circuit, sites)
+    out = _np.zeros((num, num_words), dtype=_np.uint64)
+    # Batch scratch, reused by every batch like the simulator's blocks.
+    term_words, activated, forced_words = (
+        _np.empty((min(batch_rows, num), num_words), dtype=_np.uint64)
+        for _ in range(3)
+    )
+    clock = obs.system_clock()
+    started = clock.monotonic()
+    batches = 0
+    with obs.span(
+        "ppsfp_matrix", kind=kind, faults=num, words=num_words
+    ) as kernel_span:
+        for start in range(0, num, batch_rows):
+            idx = order[start : start + batch_rows]
+            n = len(idx)
+            act = activated[:n]
+            for t in range(lines.shape[1]):
+                row = term_words[:n] if t else act
+                _np.take(
+                    base, term_rows[idx, t], axis=0, out=row, mode="clip"
+                )
+                _np.bitwise_xor(row, mask, out=row, where=flip[idx, t, None])
+                if t:
+                    _np.bitwise_and(act, row, out=act)
+            live = _np.flatnonzero(act.any(axis=1))
+            batches += 1
+            if live.size == 0:
+                continue  # nowhere activated: detection rows stay zero
+            forced = _np.take(
+                base, site_rows[idx], axis=0, out=forced_words[:n],
+                mode="clip",
+            )
+            _np.bitwise_xor(forced, act, out=forced)
+            if live.size < n:
+                forced = forced[live]
+            rows = idx[live]
+            out[rows] = sim.detection_rows(sites[rows].tolist(), forced)
+        kernel_span.set(batches=batches)
+    _observe_kernel(
+        kind, num, num_words, batches, clock.monotonic() - started
+    )
+    return PackedSignatureMatrix(out, universe.size)
+
+
 def stuck_at_matrix(
     circuit: Circuit,
     universe: VectorUniverse,
@@ -582,37 +657,17 @@ def stuck_at_matrix(
     base_signatures: list[int] | None = None,
     batch_rows: int | None = None,
 ) -> PackedSignatureMatrix:
-    """Packed detection matrix for a stuck-at fault list (table order)."""
-    sim = _simulator(circuit, universe, base_signatures)
-    num_words = sim.num_words
-    if batch_rows is None:
-        batch_rows = batch_rows_for(num_words)
+    """Packed detection matrix for a stuck-at fault list (table order).
+
+    Stuck-at-``v`` flips its site where the site carries ``1 - v``.
+    """
     num = len(faults)
-    sites_arr = _np.fromiter(
-        (f.lid for f in faults), dtype=_np.intp, count=num
-    )
+    sites = _np.fromiter((f.lid for f in faults), dtype=_np.intp, count=num)
     values = _np.fromiter((f.value for f in faults), dtype=bool, count=num)
-    order = _cone_locality_order(circuit, sites_arr)
-    out = _np.zeros((num, num_words), dtype=_np.uint64)
-    clock = obs.system_clock()
-    started = clock.monotonic()
-    batches = 0
-    with obs.span(
-        "ppsfp_matrix", kind="stuck_at", faults=num, words=num_words
-    ) as kernel_span:
-        for start in range(0, num, batch_rows):
-            idx = order[start : start + batch_rows]
-            sites = sites_arr[idx].tolist()
-            forced = _np.where(
-                values[idx][:, None], sim.mask_row, _np.uint64(0)
-            )
-            out[idx] = sim.detection_rows(sites, forced)
-            batches += 1
-        kernel_span.set(batches=batches)
-    _observe_kernel(
-        "stuck_at", num, num_words, batches, clock.monotonic() - started
+    return flip_matrix(
+        "stuck_at", circuit, universe, sites, sites[:, None],
+        ~values[:, None], base_signatures, batch_rows,
     )
-    return PackedSignatureMatrix(out, universe.size)
 
 
 def bridging_matrix(
@@ -624,65 +679,17 @@ def bridging_matrix(
 ) -> PackedSignatureMatrix:
     """Packed detection matrix for a four-way bridging fault list.
 
-    Reads the field arrays of a
+    The victim flips where it carries ``victim_value`` and the aggressor
+    ``aggressor_value``.  Reads the field arrays of a
     :class:`~repro.faults.bridging.BridgingFaults`; any other sequence
     is converted to one first.
     """
-    sim = _simulator(circuit, universe, base_signatures)
-    num_words = sim.num_words
-    base = sim.base
-    mask = sim.mask_row
-    if batch_rows is None:
-        batch_rows = batch_rows_for(num_words)
     faults = BridgingFaults.of(faults)
-    num = len(faults)
-    victims, aggressors = faults.victim, faults.aggressor
-    # value-true means "activates on the line's 1s": matching bits are
-    # the signature itself, else its masked complement (an XOR with the
-    # all-ones mask row).
-    flip_victim = ~faults.victim_value.astype(bool)
-    flip_aggressor = ~faults.aggressor_value.astype(bool)
-    order = _cone_locality_order(circuit, victims)
-    out = _np.zeros((num, num_words), dtype=_np.uint64)
-    # Batch scratch, reused by every batch like the simulator's blocks.
-    victim_words, aggressor_words, activated = (
-        _np.empty((min(batch_rows, num), num_words), dtype=_np.uint64)
-        for _ in range(3)
+    return flip_matrix(
+        "bridging", circuit, universe, faults.victim,
+        _np.column_stack((faults.victim, faults.aggressor)),
+        _np.column_stack(
+            (faults.victim_value, faults.aggressor_value)
+        ).astype(bool),
+        base_signatures, batch_rows,
     )
-    clock = obs.system_clock()
-    started = clock.monotonic()
-    batches = 0
-    with obs.span(
-        "ppsfp_matrix", kind="bridging", faults=num, words=num_words
-    ) as kernel_span:
-        for start in range(0, num, batch_rows):
-            idx = order[start : start + batch_rows]
-            n = len(idx)
-            s1 = _np.take(
-                base, victims[idx], axis=0, out=victim_words[:n], mode="clip"
-            )
-            m2 = _np.take(
-                base, aggressors[idx], axis=0, out=aggressor_words[:n],
-                mode="clip",
-            )
-            _np.bitwise_xor(m2, mask, out=m2, where=flip_aggressor[idx, None])
-            act = activated[:n]
-            _np.copyto(act, s1)
-            _np.bitwise_xor(act, mask, out=act, where=flip_victim[idx, None])
-            _np.bitwise_and(act, m2, out=act)
-            live = _np.flatnonzero(act.any(axis=1))
-            batches += 1
-            if live.size == 0:
-                continue  # nowhere activated: detection rows stay zero
-            forced = _np.bitwise_xor(s1, act, out=s1)
-            if live.size < n:
-                forced = forced[live]
-            sites = victims[idx[live]].tolist()
-            det = sim.detection_rows(sites, forced)
-            out[idx[live]] = det
-        kernel_span.set(batches=batches)
-    _observe_kernel(
-        "bridging", num, num_words, batches, clock.monotonic() - started
-    )
-    return PackedSignatureMatrix(out, universe.size)
-

@@ -1,6 +1,9 @@
-"""Shared fixtures: the paper's example circuit and small test circuits."""
+"""Shared fixtures: the paper's example circuit, small test circuits,
+and the serial oracle's bit check of a detection table."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -71,3 +74,39 @@ def tiny_not_chain():
     b.gate("out", GateType.NOT, ["n1"])
     b.output("out")
     return b.build()
+
+
+@pytest.fixture(scope="session")
+def check_serial_bits():
+    """``check(table, bits=512, seed=0)``: seeded table bits vs the oracle.
+
+    Draws ``bits`` (fault, vector) pairs of ``table`` and checks each
+    against :func:`repro.faultsim.serial.detects` on the vector behind
+    the bit.  Half the draws take a uniform bit of a uniform row, half a
+    set bit of it (when it has one), so a kernel that drops detections
+    and one that invents them both fail.
+    """
+    from repro.faultsim.serial import detects
+
+    def check(table, bits=512, seed=0):
+        assert len(table), "nothing to check"
+        rng = random.Random(seed)
+        words = table.packed.words
+        for draw in range(bits):
+            row = rng.randrange(len(table))
+            set_words = words[row].nonzero()[0]
+            if draw % 2 and set_words.size:
+                w = int(set_words[rng.randrange(set_words.size)])
+                word = int(words[row, w])
+                ones = [i for i in range(64) if word >> i & 1]
+                bit = 64 * w + ones[rng.randrange(len(ones))]
+            else:
+                bit = rng.randrange(table.universe.size)
+            got = bool(int(words[row, bit >> 6]) >> (bit & 63) & 1)
+            fault = table.faults[row]
+            vector = table.universe.vector_at(bit)
+            assert got == detects(table.circuit, fault, vector), (
+                f"{table.fault_name(row)} bit {bit} (vector {vector})"
+            )
+
+    return check

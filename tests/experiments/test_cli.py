@@ -131,30 +131,6 @@ class TestAnalyze:
         assert "256 of 4294967296 vectors" in out
         assert "guaranteed detected at n=10" in out
 
-    def test_packed_matches_exhaustive_summary(self, capsys, monkeypatch):
-        """The cone path's packed rows reproduce the kernel's report
-        byte for byte (``MAX_WORDS = 0`` forces the cone path)."""
-        from repro.simulation import ppsfp
-
-        assert main(["analyze", "ex2"]) == 0
-        kernel_out = capsys.readouterr().out
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        assert main(["analyze", "ex2"]) == 0
-        assert capsys.readouterr().out == kernel_out
-
-    def test_packed_matches_sampled_summary(self, capsys, monkeypatch):
-        """Same seed + samples: the cone path's packed rows reproduce
-        the kernel's sampled analysis byte for byte."""
-        from repro.simulation import ppsfp
-
-        args = ["analyze", "wide28", "--backend", "sampled",
-                "--samples", "64", "--seed", "7"]
-        assert main(args) == 0
-        kernel_out = capsys.readouterr().out
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        assert main(args) == 0
-        assert capsys.readouterr().out == kernel_out
-
     def test_escape_with_sampled_backend(self, capsys):
         assert main(
             [

@@ -8,13 +8,11 @@ from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import FaultError
 from repro.faults.cell_aware import (
     GateExhaustiveFault,
-    gate_exhaustive_detection_signature,
+    activation_terms,
     gate_exhaustive_faults,
     gate_exhaustive_table,
 )
 from repro.faults.universe import FaultUniverse
-from repro.logic.bitops import all_ones_mask, set_bits
-from repro.simulation.exhaustive import line_signatures
 from repro.simulation.twoval import simulate_vector
 
 
@@ -40,10 +38,10 @@ class TestDetection:
     def test_against_manual_simulation(self, example_circuit):
         """Cross-check T(g) against an explicit two-pass simulation."""
         c = example_circuit
-        sigs = line_signatures(c)
-        mask = all_ones_mask(c.num_inputs)
-        for fault in gate_exhaustive_faults(c):
-            det = gate_exhaustive_detection_signature(c, sigs, fault, mask)
+        table = gate_exhaustive_table(c, drop_undetectable=False)
+        assert table.faults == gate_exhaustive_faults(c)
+        for index, fault in enumerate(table.faults):
+            det = table.packed.row_bigint(index)
             line = c.lines[fault.lid]
             arity = len(line.fanin)
             for v in range(16):
@@ -69,20 +67,14 @@ class TestDetection:
         """9 = AND(1,5): flipping its output on pattern 11 is detected on
         exactly the vectors where 1=1 and 2=1 (9 is an output)."""
         c = example_circuit
-        sigs = line_signatures(c)
-        mask = all_ones_mask(4)
+        table = gate_exhaustive_table(c)
         fault = GateExhaustiveFault(c.lid_of("9"), 0b11)
-        det = gate_exhaustive_detection_signature(c, sigs, fault, mask)
-        assert set_bits(det) == [12, 13, 14, 15]
+        assert table.vectors(table.faults.index(fault)) == [12, 13, 14, 15]
 
     def test_pattern_width_guard(self, example_circuit):
         c = example_circuit
-        sigs = line_signatures(c)
         with pytest.raises(FaultError, match="too wide"):
-            gate_exhaustive_detection_signature(
-                c, sigs, GateExhaustiveFault(c.lid_of("9"), 0b100),
-                all_ones_mask(4),
-            )
+            activation_terms(c, [GateExhaustiveFault(c.lid_of("9"), 0b100)])
 
 
 class TestTableIntegration:
@@ -90,6 +82,12 @@ class TestTableIntegration:
         table = gate_exhaustive_table(example_circuit)
         assert len(table) > 0
         assert all(sig for sig in table.packed.to_bigints())
+
+    def test_empty_base_signatures_honored(self, example_circuit):
+        # An explicit (if degenerate) empty list is used, not swapped
+        # for a fresh line-signature computation.
+        with pytest.raises(IndexError):
+            gate_exhaustive_table(example_circuit, base_signatures=[])
 
     def test_plugs_into_worst_case(self, example_circuit):
         universe = FaultUniverse(example_circuit)

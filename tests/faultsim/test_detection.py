@@ -6,13 +6,8 @@ import pytest
 
 from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import collapsed_stuck_at_faults
-from repro.faultsim.detection import (
-    DetectionTable,
-    bridging_detection_signature,
-)
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.serial import detects_bridging, detects_stuck_at
-from repro.logic.bitops import set_bits
-from repro.simulation.exhaustive import line_signatures
 
 
 class TestStuckAtTable:
@@ -87,10 +82,11 @@ class TestBridgingTable:
     def test_activation_semantics(self, example_circuit):
         """(9,0,10,1) activates where fault-free 9=0 and 10=1."""
         c = example_circuit
-        sigs = line_signatures(c)
         fault = four_way_bridging_faults(c)[0]
-        det = bridging_detection_signature(c, sigs, fault)
-        assert set_bits(det) == [6, 7]
+        table = DetectionTable.for_bridging(
+            c, faults=[fault], drop_undetectable=False
+        )
+        assert table.vectors(0) == [6, 7]
 
 
 class TestTableQueries:

@@ -23,7 +23,6 @@ from repro.faultsim.backends import (
 )
 from repro.faultsim.detection import DetectionTable
 from repro.logic.packed import PackedSignatureMatrix
-from repro.simulation import ppsfp
 
 
 @pytest.fixture(scope="module")
@@ -138,32 +137,28 @@ class TestConstruction:
 
 def _build_paths():
     """``(label, build)``: every way ``src/`` builds a table, as a
-    function of the circuit and of pytest's ``monkeypatch``."""
+    function of the circuit."""
 
-    def kernel(circuit, _mp):
+    def kernel(circuit):
         return FaultUniverse(circuit)
 
-    def cone(circuit, mp):
-        mp.setattr(ppsfp, "MAX_WORDS", 0)
-        return FaultUniverse(circuit)
-
-    def parallel(circuit, _mp):
+    def parallel(circuit):
         return FaultUniverse(
             circuit, backend=make_backend(
                 "exhaustive", jobs=2, executor="inline"
             ),
         )
 
-    def adaptive(circuit, _mp):
+    def adaptive(circuit):
         return FaultUniverse(
             circuit, backend=make_backend("adaptive", max_samples=1 << 16)
         )
 
-    def serial(circuit, _mp):
+    def serial(circuit):
         return FaultUniverse(circuit, backend=SerialBackend())
 
     return [
-        ("kernel", kernel), ("cone", cone), ("parallel", parallel),
+        ("kernel", kernel), ("parallel", parallel),
         ("adaptive", adaptive), ("serial", serial),
     ]
 
@@ -182,7 +177,7 @@ class TestOneRepresentation:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         circuit = random_circuit(5, num_inputs=5, num_gates=12)
         reference = FaultUniverse(circuit)
-        universe = build(circuit, monkeypatch)
+        universe = build(circuit)
         for mine, theirs in (
             (universe.target_table, reference.target_table),
             (universe.untargeted_table, reference.untargeted_table),

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.faultsim.sampling import VectorUniverse
 from repro.logic.bitops import all_ones_mask
+from repro.logic.packed import pack_signature
 from repro.simulation.exhaustive import (
-    detection_signature,
     line_signatures,
     output_response_signatures,
-    resimulate_cone,
 )
+from repro.simulation.ppsfp import PackedSimulator
 from repro.simulation.twoval import simulate_vector
 
 
@@ -54,42 +55,42 @@ class TestLineSignatures:
 
 
 class TestResimulateCone:
+    """Forced-value cone re-simulation over ``U``, by the word-parallel
+    kernel: the detection set of one forced line signature."""
+
+    def _detect(self, c, lid, forced):
+        universe = VectorUniverse(c.num_inputs)
+        sim = PackedSimulator(c, universe)
+        words = pack_signature(forced, universe.size)[None, :]
+        row = sim.detection_rows([lid], words)[0]
+        return int.from_bytes(row.tobytes(), "little")
+
     def test_stuck_at_injection(self, example_circuit):
         c = example_circuit
-        sigs = line_signatures(c)
         mask = all_ones_mask(4)
-        # Line 5 (branch of 2) stuck at 1.
-        changed = resimulate_cone(c, sigs, {c.lid_of("5"): mask}, mask)
-        # 9 = AND(1, 5): with 5 forced to 1, 9 = 1.
-        assert changed[c.lid_of("9")] == 0xFF00
-        # 10 unaffected (depends on branch 6, not 5).
-        assert c.lid_of("10") not in changed
+        # Line 5 (branch of 2) stuck at 1: 9 = AND(1, 5) becomes input 1
+        # (0xFF00 instead of 0xF000); 10 and 11 read other branches.
+        det = self._detect(c, c.lid_of("5"), mask)
+        assert det == 0xFF00 ^ 0xF000
 
     def test_noop_forcing(self, example_circuit):
         c = example_circuit
         sigs = line_signatures(c)
-        mask = all_ones_mask(4)
-        changed = resimulate_cone(
-            c, sigs, {c.lid_of("9"): sigs[c.lid_of("9")]}, mask
-        )
-        assert changed == {}
+        det = self._detect(c, c.lid_of("9"), sigs[c.lid_of("9")])
+        assert det == 0
 
     def test_detection_signature(self, example_circuit):
         c = example_circuit
-        sigs = line_signatures(c)
         mask = all_ones_mask(4)
         # 9 stuck at 1: detected whenever fault-free 9 = 0 (9 is a PO).
-        changed = resimulate_cone(c, sigs, {c.lid_of("9"): mask}, mask)
-        det = detection_signature(c, sigs, changed)
+        det = self._detect(c, c.lid_of("9"), mask)
         assert det == ~0xF000 & mask
 
     def test_partial_forcing_bridging_style(self, example_circuit):
         """Forcing only some vectors' bits (as bridging faults do)."""
         c = example_circuit
         sigs = line_signatures(c)
-        mask = all_ones_mask(4)
         s9 = sigs[c.lid_of("9")]
         flipped = s9 ^ (1 << 12)  # flip vector 12 only
-        changed = resimulate_cone(c, sigs, {c.lid_of("9"): flipped}, mask)
-        det = detection_signature(c, sigs, changed)
+        det = self._detect(c, c.lid_of("9"), flipped)
         assert det == 1 << 12

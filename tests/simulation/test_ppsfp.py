@@ -1,11 +1,12 @@
-"""PPSFP kernel unit tests: word layout, batching, width selection.
+"""PPSFP kernel unit tests: word layout, batching, wide universes.
 
-The cross-engine bit-identity sweep lives in
+The kernel-vs-serial sweep over the suite lives in
 ``tests/test_ppsfp_differential.py``; this module covers the kernel's
 own invariants — base words vs the big-int line signatures, batching
-invariance, input-site forcing, the ``MAX_WORDS`` width cut between the
-kernel and the cone path, non-word-multiple universe sizes, word-block
-reuse across batches, and gate evaluation against ``eval_signature``.
+invariance, input-site forcing, non-word-multiple universe sizes,
+word-block reuse across batches, gate evaluation against
+``eval_signature``, and exhaustive universes past 4,096 words per row
+checked against the serial oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
 from repro.faultsim.detection import DetectionTable, universe_line_signatures
 from repro.faultsim.sampling import VectorUniverse, draw_universe
+from repro.faultsim.serial import detects
 from repro.logic.packed import pack_signature, words_for
 from repro.simulation import ppsfp
 
@@ -33,6 +35,18 @@ from repro.simulation import ppsfp
 def _sampled(circuit, k, seed=11):
     k = min(k, 1 << circuit.num_inputs)
     return draw_universe(circuit.num_inputs, k, seed=seed)
+
+
+def _serial_rows(circuit, universe, faults):
+    """Big-int detection rows over ``universe`` from the serial oracle."""
+    return [
+        sum(
+            1 << bit
+            for bit in range(universe.size)
+            if detects(circuit, fault, universe.vector_at(bit))
+        )
+        for fault in faults
+    ]
 
 
 class TestInputLaneMatrix:
@@ -78,36 +92,16 @@ class TestBaseWords:
             if universe is None:
                 continue
             base = ppsfp.packed_line_words(circuit, universe)
+            row_of, owners = ppsfp.line_rows(circuit)
+            assert len(base) == len(owners)
             sigs = universe_line_signatures(circuit, universe)
             for lid, sig in enumerate(sigs):
-                assert base[lid].tolist() == (
+                assert base[row_of[lid]].tolist() == (
                     pack_signature(sig, universe.size).tolist()
                 ), f"{name}: line {lid} base words differ"
 
 
 class TestKernelGates:
-    def test_env_disable(self, monkeypatch):
-        # A zero word cap is the only way to turn the kernel off: every
-        # universe then builds through the cone path, bit for bit alike.
-        circuit = get_circuit("lion")
-        universe = VectorUniverse(circuit.num_inputs)
-        faults = collapsed_stuck_at_faults(circuit)
-        assert ppsfp.kernel_supports(universe)
-        kernel = DetectionTable.for_stuck_at(circuit, faults=faults)
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        assert not ppsfp.kernel_supports(VectorUniverse(4))
-        assert not ppsfp.kernel_supports(universe)
-        cone = DetectionTable.for_stuck_at(circuit, faults=faults)
-        assert cone.packed == kernel.packed
-
-    def test_word_cap(self, monkeypatch):
-        assert ppsfp.MAX_WORDS == 4096
-        assert ppsfp.kernel_supports(VectorUniverse(18))  # 4096 words
-        assert not ppsfp.kernel_supports(VectorUniverse(19))
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 2)
-        assert ppsfp.kernel_supports(VectorUniverse(7))  # 128 bits = 2 words
-        assert not ppsfp.kernel_supports(VectorUniverse(8))
-
     def test_batch_rows_bounds(self):
         assert ppsfp.batch_rows_for(1) == ppsfp.MAX_BATCH_ROWS
         assert ppsfp.batch_rows_for(10**9) == 1
@@ -132,7 +126,7 @@ class TestDetectionMatrices:
         )
         assert whole.to_bigints() == tiny.to_bigints()
 
-    def test_matches_big_int_table_including_input_sites(self, monkeypatch):
+    def test_matches_big_int_table_including_input_sites(self):
         circuit = get_circuit("lion")
         universe = VectorUniverse(circuit.num_inputs)
         # Faults on every input and branch line, both polarities: the
@@ -144,37 +138,42 @@ class TestDetectionMatrices:
             for v in (0, 1)
         ]
         matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        table = DetectionTable.for_stuck_at(circuit, faults=faults)
-        assert matrix.to_bigints() == table.packed.to_bigints()
+        assert matrix.to_bigints() == _serial_rows(circuit, universe, faults)
 
-    def test_non_word_multiple_universe(self, monkeypatch):
+    def test_non_word_multiple_universe(self):
         circuit = random_circuit(9, num_inputs=7, num_gates=18)
         universe = _sampled(circuit, 70)  # 70 bits -> 2 words, 6 spare
         faults = collapsed_stuck_at_faults(circuit)
         matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        table = DetectionTable.for_stuck_at(
-            circuit, faults=faults, universe=universe
-        )
-        assert matrix.to_bigints() == table.packed.to_bigints()
+        assert matrix.to_bigints() == _serial_rows(circuit, universe, faults)
         mask = universe.mask
         for sig in matrix.to_bigints():
             assert sig & ~mask == 0, "detection bits beyond the universe"
 
-    def test_zero_activation_bridging_rows_are_zero(self, monkeypatch):
+    def test_zero_activation_bridging_rows_are_zero(self, check_serial_bits):
         circuit = get_circuit("beecount")
         universe = _sampled(circuit, 9, seed=5)
         faults = four_way_bridging_faults(circuit)
         matrix = ppsfp.bridging_matrix(circuit, universe, faults)
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        table = DetectionTable.for_bridging(
-            circuit,
-            faults=faults,
-            universe=universe,
-            drop_undetectable=False,
+        sigs = universe_line_signatures(circuit, universe)
+        mask = universe.mask
+
+        def matched(lid, value):
+            return sigs[lid] if value else ~sigs[lid] & mask
+
+        idle = [
+            i for i, g in enumerate(faults)
+            if not (
+                matched(g.victim, g.victim_value)
+                & matched(g.aggressor, g.aggressor_value)
+            )
+        ]
+        assert idle, "every fault activated; pick a smaller draw"
+        rows = matrix.to_bigints()
+        assert all(rows[i] == 0 for i in idle)
+        check_serial_bits(
+            DetectionTable(circuit, faults, matrix, universe), bits=512
         )
-        assert matrix.to_bigints() == table.packed.to_bigints()
 
 
 def _aliasing_circuit():
@@ -210,7 +209,9 @@ class TestBlockPool:
             lambda: random_circuit(7, num_inputs=6, num_gates=30),
         ],
     )
-    def test_long_lived_simulator_matches_cone_path(self, make, monkeypatch):
+    def test_long_lived_simulator_matches_cone_path(self, make):
+        """Rows of one pooled simulator fed batches of changing sizes
+        equal a fresh per-table cone pass and the serial oracle."""
         circuit = make()
         universe = _sampled(circuit, 50)
         faults = [
@@ -230,11 +231,11 @@ class TestBlockPool:
             forced = np.where(values[:, None], sim.mask_row, np.uint64(0))
             det = sim.detection_rows([f.lid for f in batch], forced)
             rows += [int.from_bytes(r.tobytes(), "little") for r in det]
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
         table = DetectionTable.for_stuck_at(
             circuit, faults=faults, universe=universe
         )
         assert rows == table.packed.to_bigints()
+        assert rows == _serial_rows(circuit, universe, faults)
 
 
 class TestEvalWords:
@@ -276,29 +277,33 @@ class TestEvalWords:
 
 
 class TestWideFallback:
-    def test_wide_exhaustive_universe_takes_cone_path(self, monkeypatch):
+    """Exhaustive universes past 4,096 words per row: still the kernel."""
+
+    def test_wide_exhaustive_universe_matches_serial(self, check_serial_bits):
         from repro import obs
         from repro.obs.tracer import ListTraceWriter, Tracer
 
         circuit = random_circuit(3, num_inputs=19, num_gates=12)
         universe = VectorUniverse(circuit.num_inputs)
-        assert words_for(universe.size) == 8192 > ppsfp.MAX_WORDS
+        assert words_for(universe.size) == 8192
         writer = ListTraceWriter()
         previous = obs.activate(Tracer(writer, trace_id="T"))
         try:
-            cone_f = DetectionTable.for_stuck_at(circuit)
-            cone_g = DetectionTable.for_bridging(circuit)
+            tables = (
+                DetectionTable.for_stuck_at(circuit),
+                DetectionTable.for_bridging(circuit),
+            )
         finally:
             obs.reset(previous)
-        engines = [
-            r["attrs"]["engine"]
+        words = [
+            r["attrs"]["words"]
             for r in writer.records
-            if r["name"] == "table_build"
+            if r["name"] == "ppsfp_matrix"
         ]
-        assert engines == ["bigint", "bigint"]
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", words_for(universe.size))
-        kernel_f = DetectionTable.for_stuck_at(circuit)
-        kernel_g = DetectionTable.for_bridging(circuit)
-        assert kernel_f.packed == cone_f.packed
-        assert kernel_g.faults == cone_g.faults
-        assert kernel_g.packed == cone_g.packed
+        assert words == [8192, 8192]
+        for seed, table in enumerate(tables):
+            check_serial_bits(table, bits=512, seed=seed)
+
+    def test_past_the_exhaustive_cap_raises(self):
+        with pytest.raises(SimulationError, match="partition"):
+            DetectionTable.for_stuck_at(get_circuit("wide28"))

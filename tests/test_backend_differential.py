@@ -156,25 +156,6 @@ class TestParallelDifferential:
             circuit, TableBackend(samples=24, seed=seed)
         )
 
-    def test_packed_base_random(self, monkeypatch):
-        """Cone-path shards: the merge packs their big-int rows once and
-        must equal the single-process cone build's preallocated words.
-        Inline, so the patched width cap reaches every shard."""
-        from repro.parallel import InlineExecutor
-        from repro.simulation import ppsfp
-
-        monkeypatch.setattr(ppsfp, "MAX_WORDS", 0)
-        monkeypatch.setattr(
-            self, "_parallel",
-            lambda base: ParallelBackend(
-                base=base, jobs=2, use_cache=False,
-                executor=InlineExecutor(),
-            ),
-        )
-        circuit = random_circuit(25, num_inputs=6, num_gates=14)
-        self._assert_equivalent(circuit, TableBackend())
-        self._assert_equivalent(circuit, TableBackend(samples=24, seed=9))
-
     def test_serial_base_random(self):
         circuit = random_circuit(26, num_inputs=5, num_gates=12)
         self._assert_equivalent(circuit, SerialBackend())
