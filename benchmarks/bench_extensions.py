@@ -31,9 +31,7 @@ def test_gate_exhaustive_model(benchmark, save_artifact):
         for name in CIRCUITS:
             universe = get_universe(name)
             bridging_wc = get_worst_case(name)
-            ge_table = gate_exhaustive_table(
-                universe.circuit, base_signatures=universe.base_signatures
-            )
+            ge_table = gate_exhaustive_table(universe.circuit)
             ge_wc = WorstCaseAnalysis(universe.target_table, ge_table)
             rows[name] = (
                 (len(bridging_wc), bridging_wc.coverage_curve(list(N_COLUMNS))),

@@ -4,8 +4,8 @@ The adaptive controller inherently couples the two table builds — one
 growth trajectory serves both ``F`` and ``G`` — while the
 :class:`~repro.faultsim.backends.DetectionBackend` protocol asks for
 them one at a time.  The backend therefore runs the controller once per
-circuit (memoized on the instance) and serves both builds, the final
-universe, and the line signatures from the same
+circuit (memoized on the instance) and serves both builds and the
+final universe from the same
 :class:`~repro.adaptive.controller.AdaptiveReport`.
 
 Parallelism is *internal*: each growth round shards its delta build
@@ -36,10 +36,7 @@ from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.faults.bridging import BridgingFault
 from repro.faults.stuck_at import StuckAtFault
-from repro.faultsim.detection import (
-    DetectionTable,
-    universe_line_signatures,
-)
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
 from repro.logic.packed import PackedSignatureMatrix
 
@@ -75,7 +72,6 @@ class AdaptiveBackend:
         default=None, compare=False, repr=False
     )
     name: ClassVar[str] = "adaptive"
-    needs_base_signatures = False
 
     def __post_init__(self) -> None:
         self.rule  # validates every rule parameter eagerly
@@ -138,16 +134,10 @@ class AdaptiveBackend:
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
         return self.report_for(circuit).universe
 
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return universe_line_signatures(
-            circuit, self.universe_for(circuit)
-        )
-
     def build_stuck_at(
         self,
         circuit: Circuit,
         faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         report = self.report_for(circuit)
@@ -161,7 +151,6 @@ class AdaptiveBackend:
         self,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
         report = self.report_for(circuit)

@@ -482,14 +482,11 @@ class AdaptiveSampler:
             )
         else:
             engine = backend
-        base = backend.line_signatures(self.circuit)
         table_f = engine.build_stuck_at(
-            self.circuit, faults=list(faults_f), base_signatures=base,
-            drop_undetectable=False,
+            self.circuit, faults=list(faults_f), drop_undetectable=False
         )
         table_g = engine.build_bridging(
-            self.circuit, faults=faults_g, base_signatures=base,
-            drop_undetectable=False,
+            self.circuit, faults=faults_g, drop_undetectable=False
         )
         with obs.span(
             "adaptive_splice",

@@ -105,7 +105,6 @@ def activation_terms(
 
 def gate_exhaustive_table(
     circuit: Circuit,
-    base_signatures: list[int] | None = None,
     max_arity: int = 6,
     drop_undetectable: bool = True,
 ) -> DetectionTable:
@@ -124,7 +123,7 @@ def gate_exhaustive_table(
     faults = gate_exhaustive_faults(circuit, max_arity=max_arity)
     matrix = flip_matrix(
         "gate_exhaustive", circuit, universe,
-        *activation_terms(circuit, faults), base_signatures=base_signatures,
+        *activation_terms(circuit, faults),
     )
     return DetectionTable.from_rows(
         circuit, faults, matrix, universe, drop_undetectable

@@ -85,11 +85,6 @@ class FaultUniverse:
         return backend
 
     @cached_property
-    def base_signatures(self) -> list[int]:
-        """Fault-free line signatures over the backend's vector universe."""
-        return self.backend.line_signatures(self.circuit)
-
-    @cached_property
     def target_faults(self) -> list[StuckAtFault]:
         """``F`` — the collapsed stuck-at fault list."""
         return collapsed_stuck_at_faults(self.circuit)
@@ -99,24 +94,11 @@ class FaultUniverse:
         """Raw four-way bridging universe (before detectability filter)."""
         return four_way_bridging_faults(self.circuit)
 
-    @property
-    def _shared_signatures(self) -> list[int] | None:
-        """Base signatures shared between the two table builds.
-
-        ``None`` for backends that ignore them (the serial engine), so
-        their most expensive step isn't computed just to be discarded.
-        """
-        if not getattr(self.backend, "needs_base_signatures", True):
-            return None
-        return self.base_signatures
-
     @cached_property
     def target_table(self) -> "DetectionTable":
         """Detection table for ``F``."""
         return self.backend.build_stuck_at(
-            self.circuit,
-            faults=self.target_faults,
-            base_signatures=self._shared_signatures,
+            self.circuit, faults=self.target_faults
         )
 
     @cached_property
@@ -125,7 +107,6 @@ class FaultUniverse:
         return self.backend.build_bridging(
             self.circuit,
             faults=self.untargeted_faults,
-            base_signatures=self._shared_signatures,
             drop_undetectable=True,
         )
 

@@ -53,18 +53,18 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.faults.bridging import BridgingFault, four_way_bridging_faults
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
-from repro.faultsim.detection import (
-    DetectionTable,
-    universe_line_signatures,
-)
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.logic.bitops import MAX_EXHAUSTIVE_INPUTS
+
+if TYPE_CHECKING:
+    from repro.logic.packed import U64Array
 
 #: Names accepted by :func:`make_backend` (and the CLI ``--backend`` flag).
 BACKEND_NAMES: tuple[str, ...] = (
@@ -77,14 +77,7 @@ BACKEND_NAMES: tuple[str, ...] = (
 
 @runtime_checkable
 class DetectionBackend(Protocol):
-    """Strategy for building detection tables over a vector universe.
-
-    ``needs_base_signatures`` tells callers whether the ``build_*``
-    methods consume precomputed :meth:`line_signatures` — engines that
-    ignore them (serial) advertise False so callers skip the work.
-    """
-
-    needs_base_signatures: bool
+    """Strategy for building detection tables over a vector universe."""
 
     @property
     def name(self) -> str:
@@ -93,14 +86,10 @@ class DetectionBackend(Protocol):
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
         """The signature bit space this backend uses for ``circuit``."""
 
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        """Fault-free line signatures over :meth:`universe_for`'s space."""
-
     def build_stuck_at(
         self,
         circuit: Circuit,
         faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         """Detection table for the target stuck-at set ``F``."""
@@ -109,7 +98,6 @@ class DetectionBackend(Protocol):
         self,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
         """Detection table for the untargeted bridging set ``G``."""
@@ -140,7 +128,6 @@ class TableBackend:
     seed: int = 0
     replacement: bool = False
     vectors: tuple[int, ...] | None = None
-    needs_base_signatures = True
 
     def __post_init__(self) -> None:
         if self.vectors is not None:
@@ -174,9 +161,9 @@ class TableBackend:
         if self.vectors is not None:
             return VectorUniverse(circuit.num_inputs, self.vectors)
         if self.samples is not None:
-            # Memoized: one FaultUniverse calls this for line signatures
-            # and both table builds, and a large draw (sample + sort of
-            # K ints) is too expensive to repeat three times.
+            # Memoized: one FaultUniverse calls this for both table
+            # builds, and a large draw (sample + sort of K ints) is too
+            # expensive to repeat.
             return _drawn_universe(
                 circuit.num_inputs, self.samples, self.seed, self.replacement
             )
@@ -189,20 +176,24 @@ class TableBackend:
             )
         return VectorUniverse(circuit.num_inputs)
 
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return universe_line_signatures(circuit, self.universe_for(circuit))
+    def line_signatures(self, circuit: Circuit) -> U64Array:
+        """Fault-free base word rows (``ppsfp.packed_line_words``).
+
+        A benchmark layer hook: table builds simulate their own base.
+        """
+        from repro.simulation.ppsfp import packed_line_words
+
+        return packed_line_words(circuit, self.universe_for(circuit))
 
     def build_stuck_at(
         self,
         circuit: Circuit,
         faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         return DetectionTable.for_stuck_at(
             circuit,
             faults=faults,
-            base_signatures=base_signatures,
             drop_undetectable=drop_undetectable,
             universe=self.universe_for(circuit),
         )
@@ -211,13 +202,11 @@ class TableBackend:
         self,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
         return DetectionTable.for_bridging(
             circuit,
             faults=faults,
-            base_signatures=base_signatures,
             drop_undetectable=drop_undetectable,
             universe=self.universe_for(circuit),
         )
@@ -245,15 +234,14 @@ def _drawn_universe(
 class SerialBackend:
     """Exact tables via the per-vector serial engine.
 
-    Shares *no* signature machinery with the PPSFP kernel (every
-    table bit is two full per-vector simulations), which is what makes it
-    useful as the differential-testing reference.  Far too slow beyond
-    toy circuits; capped accordingly.
+    Shares *no* signature machinery with the PPSFP kernel (one
+    fault-free simulation per vector, one faulty simulation per table
+    bit), which is what makes it useful as the differential-testing
+    reference.  Far too slow beyond toy circuits; capped accordingly.
     """
 
     name: ClassVar[str] = "serial"
     max_inputs: int = 16
-    needs_base_signatures = False
 
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
         self._check(circuit)
@@ -267,35 +255,18 @@ class SerialBackend:
                 f"use --backend sampled"
             )
 
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        from repro.simulation.twoval import simulate_vector
-
-        self._check(circuit)
-        sigs = [0] * len(circuit.lines)
-        for v in range(1 << circuit.num_inputs):
-            values = simulate_vector(circuit, v)
-            for lid, val in enumerate(values):
-                if val:
-                    sigs[lid] |= 1 << v
-        return sigs
-
     def _build(
         self,
         circuit: Circuit,
         faults: list,
         drop_undetectable: bool,
     ) -> DetectionTable:
-        from repro.faultsim.serial import detects
+        from repro.faultsim.serial import detection_sets
 
         self._check(circuit)
-        space = 1 << circuit.num_inputs
-        signatures = []
-        for fault in faults:
-            sig = 0
-            for v in range(space):
-                if detects(circuit, fault, v):
-                    sig |= 1 << v
-            signatures.append(sig)
+        signatures = detection_sets(
+            circuit, faults, range(1 << circuit.num_inputs)
+        )
         return DetectionTable.from_signatures(
             circuit, faults, signatures,
             drop_undetectable=drop_undetectable,
@@ -305,7 +276,6 @@ class SerialBackend:
         self,
         circuit: Circuit,
         faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         if faults is None:
@@ -316,7 +286,6 @@ class SerialBackend:
         self,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
         if faults is None:

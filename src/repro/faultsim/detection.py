@@ -50,9 +50,7 @@ from repro.logic.packed import (
     pack_signature,
     popcount_words,
     unpack_bits,
-    words_for,
 )
-from repro.simulation.exhaustive import line_signatures
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -73,23 +71,6 @@ def _observe_table_build(kind: str, seconds: float) -> None:
         help="Wall time of detection-table builds",
         kind=kind,
     ).observe(seconds)
-
-
-def universe_line_signatures(
-    circuit: Circuit, universe: VectorUniverse
-) -> list[int]:
-    """Fault-free line signatures over a universe's bit space.
-
-    Exhaustive universes use the closed-form input-signature construction;
-    sampled universes pack the listed vectors into lane words (bit ``i`` =
-    value under ``universe.vectors[i]``) via the bit-parallel batch
-    simulator.
-    """
-    if universe.exhaustive:
-        return line_signatures(circuit)
-    from repro.simulation.twoval import simulate_batch
-
-    return simulate_batch(circuit, universe.vectors)
 
 
 class DetectionTable:
@@ -212,7 +193,6 @@ class DetectionTable:
         cls,
         circuit: Circuit,
         faults: Sequence[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
         universe: VectorUniverse | None = None,
     ) -> "DetectionTable":
@@ -221,14 +201,12 @@ class DetectionTable:
         The paper keeps undetectable target faults in ``F`` — they simply
         never force any test into the set — so ``drop_undetectable``
         defaults to False.  ``universe`` selects the signature bit space
-        (default: exhaustive over the circuit's inputs); when sampled,
-        ``base_signatures`` must have been built over the same universe.
+        (default: exhaustive over the circuit's inputs).
         """
         if faults is None:
             faults = collapsed_stuck_at_faults(circuit)
         return cls._build(
-            "stuck_at", circuit, faults, base_signatures,
-            drop_undetectable, universe,
+            "stuck_at", circuit, faults, drop_undetectable, universe,
         )
 
     @classmethod
@@ -236,7 +214,6 @@ class DetectionTable:
         cls,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
         universe: VectorUniverse | None = None,
     ) -> "DetectionTable":
@@ -249,7 +226,7 @@ class DetectionTable:
         if faults is None:
             faults = four_way_bridging_faults(circuit)
         return cls._build(
-            "bridging", circuit, BridgingFaults.of(faults), base_signatures,
+            "bridging", circuit, BridgingFaults.of(faults),
             drop_undetectable, universe,
         )
 
@@ -259,7 +236,6 @@ class DetectionTable:
         kind: str,
         circuit: Circuit,
         faults: Sequence[Fault],
-        base_signatures: list[int] | None,
         drop_undetectable: bool,
         universe: VectorUniverse | None,
     ) -> "DetectionTable":
@@ -281,9 +257,7 @@ class DetectionTable:
             faults=len(faults),
             k=universe.size,
         ):
-            matrix = build(
-                circuit, universe, faults, base_signatures=base_signatures
-            )
+            matrix = build(circuit, universe, faults)
             table = cls.from_rows(
                 circuit, faults, matrix, universe, drop_undetectable
             )

@@ -10,7 +10,7 @@ detection tables that every analysis depends on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.faults.bridging import BridgingFault
@@ -18,25 +18,23 @@ from repro.faults.stuck_at import StuckAtFault
 from repro.simulation.twoval import simulate_vector
 
 
-def detects_stuck_at(
-    circuit: Circuit, fault: StuckAtFault, vector: int
+def _stuck_at_detected(
+    circuit: Circuit, fault: StuckAtFault, vector: int, good: list[int]
 ) -> bool:
-    """True when ``vector`` detects the stuck-at fault (two full sims)."""
-    good = simulate_vector(circuit, vector)
+    """The stuck-at check, given ``vector``'s fault-free values ``good``."""
     faulty = simulate_vector(circuit, vector, forced={fault.lid: fault.value})
     return any(good[o] != faulty[o] for o in circuit.outputs)
 
 
-def detects_bridging(
-    circuit: Circuit, fault: BridgingFault, vector: int
+def _bridging_detected(
+    circuit: Circuit, fault: BridgingFault, vector: int, good: list[int]
 ) -> bool:
-    """True when ``vector`` detects the four-way bridging fault.
+    """The bridging check, given ``vector``'s fault-free values ``good``.
 
     The activation condition is evaluated on the fault-free simulation;
     when activated, the victim is forced to the flipped value and the
     circuit re-simulated.
     """
-    good = simulate_vector(circuit, vector)
     if good[fault.victim] != fault.victim_value:
         return False
     if good[fault.aggressor] != fault.aggressor_value:
@@ -46,13 +44,54 @@ def detects_bridging(
     return any(good[o] != faulty[o] for o in circuit.outputs)
 
 
+def _checker(fault) -> Callable[..., bool]:
+    if isinstance(fault, StuckAtFault):
+        return _stuck_at_detected
+    if isinstance(fault, BridgingFault):
+        return _bridging_detected
+    raise TypeError(f"unsupported fault type: {type(fault).__name__}")
+
+
+def detects_stuck_at(
+    circuit: Circuit, fault: StuckAtFault, vector: int
+) -> bool:
+    """True when ``vector`` detects the stuck-at fault (two full sims)."""
+    good = simulate_vector(circuit, vector)
+    return _stuck_at_detected(circuit, fault, vector, good)
+
+
+def detects_bridging(
+    circuit: Circuit, fault: BridgingFault, vector: int
+) -> bool:
+    """True when ``vector`` detects the four-way bridging fault."""
+    good = simulate_vector(circuit, vector)
+    return _bridging_detected(circuit, fault, vector, good)
+
+
 def detects(circuit: Circuit, fault, vector: int) -> bool:
     """Dispatch on fault type."""
-    if isinstance(fault, StuckAtFault):
-        return detects_stuck_at(circuit, fault, vector)
-    if isinstance(fault, BridgingFault):
-        return detects_bridging(circuit, fault, vector)
-    raise TypeError(f"unsupported fault type: {type(fault).__name__}")
+    check = _checker(fault)
+    return check(circuit, fault, vector, simulate_vector(circuit, vector))
+
+
+def detection_sets(
+    circuit: Circuit, faults: Sequence, vectors: Sequence[int]
+) -> list[int]:
+    """Big-int detection rows: bit ``i`` of row ``r`` is set when
+    ``vectors[i]`` detects ``faults[r]``.
+
+    Vector-major, so each vector's fault-free simulation is computed
+    once and shared by every fault; each (fault, vector) pair then
+    costs the one check :func:`detects` makes.
+    """
+    checks = [_checker(fault) for fault in faults]
+    rows = [0] * len(faults)
+    for bit, vector in enumerate(vectors):
+        good = simulate_vector(circuit, vector)
+        for r, (fault, check) in enumerate(zip(faults, checks)):
+            if check(circuit, fault, vector, good):
+                rows[r] |= 1 << bit
+    return rows
 
 
 def detecting_vectors(

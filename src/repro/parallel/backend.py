@@ -20,9 +20,10 @@ the experiment caches, the CLI — composes with it unchanged.  A build
    build (the parallel differential suite enforces this for every base
    engine × executor).
 
-Fault-free line signatures are computed once in the parent and shipped
-to every worker, so the sharded build never repeats the base
-simulation.  ``jobs=`` stays as sugar: without an explicit executor,
+A shard task carries no fault-free values: each worker simulates the
+base words of the universe its backend names (a few milliseconds per
+shard), so a task stays kilobytes whatever the universe's width.
+``jobs=`` stays as sugar: without an explicit executor,
 ``jobs=1`` runs inline (no pool, no pickling) and ``jobs>1`` selects a
 pool — exactly the pre-protocol behavior, which is also the fallback
 the CLI uses when ``--executor``/``--jobs`` are absent.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as _np
 
@@ -53,6 +55,10 @@ from repro.parallel.executors import (
 )
 from repro.parallel.plan import DEFAULT_NUM_SHARDS, ShardPlan
 from repro.parallel.worker import ShardTask, payload_size
+from repro.simulation.ppsfp import packed_line_words
+
+if TYPE_CHECKING:
+    from repro.logic.packed import U64Array
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -196,42 +202,38 @@ class ParallelBackend:
         return PoolExecutor(jobs=self.jobs)
 
     # -- protocol delegation -------------------------------------------
-    @property
-    def needs_base_signatures(self) -> bool:
-        return getattr(self.base, "needs_base_signatures", True)
-
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
         return self.base.universe_for(circuit)
 
-    def line_signatures(self, circuit: Circuit) -> list[int]:
-        return self.base.line_signatures(circuit)
+    def line_signatures(self, circuit: Circuit) -> U64Array:
+        """Fault-free base word rows (``ppsfp.packed_line_words``).
+
+        A benchmark layer hook: shard builds simulate their own base.
+        """
+        return packed_line_words(circuit, self.universe_for(circuit))
 
     def build_stuck_at(
         self,
         circuit: Circuit,
         faults: list[StuckAtFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         if faults is None:
             faults = collapsed_stuck_at_faults(circuit)
         return self._build(
-            circuit, "stuck_at", list(faults), base_signatures,
-            drop_undetectable,
+            circuit, "stuck_at", list(faults), drop_undetectable
         )
 
     def build_bridging(
         self,
         circuit: Circuit,
         faults: Sequence[BridgingFault] | None = None,
-        base_signatures: list[int] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
         if faults is None:
             faults = four_way_bridging_faults(circuit)
         return self._build(
-            circuit, "bridging", list(faults), base_signatures,
-            drop_undetectable,
+            circuit, "bridging", list(faults), drop_undetectable
         )
 
     # -- the sharded build ---------------------------------------------
@@ -240,7 +242,6 @@ class ParallelBackend:
         circuit: Circuit,
         kind: str,
         faults: list,
-        base_signatures: list[int] | None,
         drop_undetectable: bool,
     ) -> DetectionTable:
         executor = self.resolved_executor
@@ -254,11 +255,6 @@ class ParallelBackend:
             executor=executor.describe(),
         ) as build_span:
             universe = self.base.universe_for(circuit)
-            if self.needs_base_signatures and base_signatures is None:
-                base_signatures = self.base.line_signatures(circuit)
-            shipped = (
-                tuple(base_signatures) if base_signatures is not None else None
-            )
             plan = ShardPlan(self.shards or DEFAULT_NUM_SHARDS)
             slices = plan.split(faults)
             cache = ShardCache(self.cache_dir) if self.use_cache else None
@@ -289,7 +285,6 @@ class ParallelBackend:
                             backend=self.base,
                             kind=kind,
                             faults=tuple(shard_faults),
-                            base_signatures=shipped,
                             shard_index=index,
                             trace=build_span.remote(),
                         )

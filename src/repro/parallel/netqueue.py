@@ -123,8 +123,9 @@ STEAL_DELAY_ENV = "REPRO_STEAL_DELAY"
 CRASH_ENV = "REPRO_QUEUE_CRASH_AFTER_CLAIM"
 
 #: Bumped whenever the wire format changes; mismatched peers are
-#: rejected with a clean error instead of being mis-deserialized.
-NET_FORMAT_VERSION = 2
+#: rejected with a clean error instead of being mis-deserialized
+#: (3: a shard task no longer carries fault-free base signatures).
+NET_FORMAT_VERSION = 3
 
 #: Frame-size backstop (a shard task is a circuit plus a fault slice —
 #: kilobytes, not gigabytes).

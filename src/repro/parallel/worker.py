@@ -2,9 +2,10 @@
 
 A :class:`ShardTask` carries everything a worker process needs to
 rebuild one shard of a detection table — the circuit, the *base* backend
-(exhaustive / sampled / serial, a small frozen dataclass), the
-fault slice, and the precomputed fault-free line signatures when the
-base engine consumes them.  :func:`run_shard` is a module-level function
+(exhaustive / sampled / serial, a small frozen dataclass) and the fault
+slice.  It carries no fault-free values: the worker's build simulates
+them from the universe the backend names, so a task's size does not
+grow with the universe.  :func:`run_shard` is a module-level function
 (picklable by reference under any multiprocessing start method) that
 executes the task by delegating to the base backend's own ``build_*``
 method, so a sharded build runs *exactly* the single-process code path
@@ -49,12 +50,8 @@ class ShardTask:
     kind:
         ``"stuck_at"`` or ``"bridging"`` — which table family to build.
     faults:
-        The shard's fault slice, in table order.
-    base_signatures:
-        Fault-free line signatures over the backend's universe, or
-        ``None`` for engines that ignore them (serial) — computed once
-        in the parent and shipped to every worker instead of being
-        re-derived per process.
+        The shard's fault slice, in table order (the worker simulates
+        the fault-free base words itself).
     shard_index:
         Position of this shard in the plan (merge order).
     trace:
@@ -70,7 +67,6 @@ class ShardTask:
     backend: DetectionBackend
     kind: str
     faults: tuple[Fault, ...]
-    base_signatures: tuple[int, ...] | None
     shard_index: int
     trace: tuple[str, str] | None = field(default=None, compare=False)
 
@@ -117,14 +113,7 @@ def run_shard(task: ShardTask) -> tuple[int, bytes]:
         backend=getattr(task.backend, "name", "?"),
     ):
         table = build(
-            task.circuit,
-            faults=list(task.faults),
-            base_signatures=(
-                list(task.base_signatures)
-                if task.base_signatures is not None
-                else None
-            ),
-            drop_undetectable=False,
+            task.circuit, faults=list(task.faults), drop_undetectable=False
         )
     obs.metrics().histogram(
         "repro_shard_build_seconds",

@@ -11,8 +11,9 @@ signatures, Procedure 1 and the scalar ``nmin`` oracle read detection
 sets ``T(f)`` as signatures, and the worst-case quantities ``N(f)`` /
 ``M(g, f)`` are popcounts of signatures.  Detection sets themselves are
 built by the word-parallel kernel (:mod:`repro.simulation.ppsfp`),
-which packs these fault-free signatures as its base words when a
-caller supplies them.
+which simulates the same fault-free values directly as words
+(:func:`~repro.simulation.ppsfp.packed_line_words`); these big-int
+signatures are its reference in the tests.
 """
 
 from __future__ import annotations

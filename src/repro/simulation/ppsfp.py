@@ -232,13 +232,14 @@ def line_rows(circuit: Circuit) -> tuple[IntpArray, list[int]]:
     ``owners`` (in lid order).
     """
     owners = [ln.lid for ln in circuit.lines if ln.kind is not LineKind.BRANCH]
-    row_of = _np.empty(len(circuit.lines), dtype=_np.intp)
-    row_of[owners] = _np.arange(len(owners))
+    row_of = [0] * len(circuit.lines)
+    for row, lid in enumerate(owners):
+        row_of[lid] = row
     for lid in circuit.topo_order:
         line = circuit.lines[lid]
         if line.kind is LineKind.BRANCH:
             row_of[lid] = row_of[line.fanin[0]]
-    return row_of, owners
+    return _np.array(row_of, dtype=_np.intp), owners
 
 
 def packed_line_words(
@@ -248,9 +249,10 @@ def packed_line_words(
 
     Bit ``i`` of row ``row_of[lid]`` is line ``lid``'s value under the
     universe's ``i``-th vector — the packed twin of
-    :func:`repro.faultsim.detection.universe_line_signatures`, computed
-    directly in word space (no big-int intermediate).  An exhaustive
-    universe is capped by
+    :func:`repro.simulation.exhaustive.line_signatures` (exhaustive) and
+    :func:`repro.simulation.twoval.simulate_batch` (listed vectors),
+    computed directly in word space: each gate is evaluated in place
+    into its own row.  An exhaustive universe is capped by
     :func:`~repro.simulation.exhaustive.check_exhaustive_inputs`.
     """
     p = circuit.num_inputs
@@ -258,20 +260,31 @@ def packed_line_words(
         check_exhaustive_inputs(circuit)
     size = universe.size
     mask = pack_signature(universe.mask, size)
-    row_of, owners = line_rows(circuit)
+    row_array, owners = line_rows(circuit)
+    row_of = row_array.tolist()
     base = _np.zeros((len(owners), words_for(size)), dtype=_np.uint64)
     if universe.exhaustive:
         for pos, lid in enumerate(circuit.inputs):
             base[row_of[lid]] = pack_signature(input_signature(pos, p), size)
     else:
         lanes = input_lane_matrix(p, universe.vectors)
-        base[row_of[circuit.inputs]] = lanes
+        base[row_array[circuit.inputs]] = lanes
+    rows = list(base)  # per-line row views, indexed by row_of
     for lid in circuit.topo_order:
         line = circuit.lines[lid]
-        if line.kind is not LineKind.BRANCH:
-            base[row_of[lid]] = eval_words(
-                line.gate_type, [base[row_of[f]] for f in line.fanin], mask
-            )
+        if line.kind is LineKind.BRANCH:
+            continue
+        gt = line.gate_type
+        row = rows[row_of[lid]]
+        inputs = [rows[row_of[f]] for f in line.fanin]
+        if (
+            inputs
+            and gt in _FOLDS
+            and not (len(inputs) == 1 and gt in _IDENTITY_WHEN_UNARY)
+        ):
+            _eval_into(gt, inputs, mask, row)
+        else:
+            row[...] = eval_words(gt, inputs, mask)
     return base
 
 
@@ -283,18 +296,11 @@ class PackedSimulator:
 
     Holds the fault-free base word rows (``base``, one per
     :func:`line_rows` row, at ``row_of[lid]``) and a fanout-cone cache;
-    :meth:`detection_rows` is the batched PPSFP pass.  Precomputed
-    big-int line signatures over the universe (``base_signatures``,
-    indexed by lid) are packed, which is exact, instead of simulating
-    the base.
+    :meth:`detection_rows` is the batched PPSFP pass.  The base is
+    simulated from the universe (:func:`packed_line_words`).
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        universe: VectorUniverse,
-        base_signatures: list[int] | None = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, universe: VectorUniverse) -> None:
         if universe.num_inputs != circuit.num_inputs:
             raise SimulationError(
                 "universe and circuit disagree on the input count"
@@ -303,13 +309,8 @@ class PackedSimulator:
         self.universe = universe
         self.size = universe.size
         self.num_words = words_for(self.size)
-        self.row_of, owners = line_rows(circuit)
-        if base_signatures is None:
-            self.base = packed_line_words(circuit, universe)
-        else:
-            self.base = PackedSignatureMatrix.from_bigints(
-                [base_signatures[lid] for lid in owners], self.size
-            ).words
+        self.row_of, _ = line_rows(circuit)
+        self.base = packed_line_words(circuit, universe)
         # Per-line views of the base rows (branches view their stem's).
         self._line_base = [self.base[r] for r in self.row_of.tolist()]
         self.mask_row = pack_signature(universe.mask, self.size)
@@ -574,7 +575,6 @@ def flip_matrix(
     sites: IntpArray,
     lines: IntpArray,
     values: NDArray[np.bool_],
-    base_signatures: list[int] | None = None,
     batch_rows: int | None = None,
 ) -> PackedSignatureMatrix:
     """Packed detection matrix for a list of flip faults (table order).
@@ -586,7 +586,7 @@ def flip_matrix(
     each matched to its value, and the site is forced to ``base ^
     activation``; a fault activated nowhere keeps an all-zero row
     without being simulated.  ``kind`` labels the span and telemetry.
-    An empty fault list reads no base signatures.
+    An empty fault list simulates no base.
     """
     num = len(sites)
     if not num:
@@ -594,7 +594,7 @@ def flip_matrix(
             _np.zeros((0, words_for(universe.size)), dtype=_np.uint64),
             universe.size,
         )
-    sim = PackedSimulator(circuit, universe, base_signatures)
+    sim = PackedSimulator(circuit, universe)
     num_words = sim.num_words
     base = sim.base
     mask = sim.mask_row
@@ -654,7 +654,6 @@ def stuck_at_matrix(
     circuit: Circuit,
     universe: VectorUniverse,
     faults: Sequence[StuckAtFault],
-    base_signatures: list[int] | None = None,
     batch_rows: int | None = None,
 ) -> PackedSignatureMatrix:
     """Packed detection matrix for a stuck-at fault list (table order).
@@ -666,7 +665,7 @@ def stuck_at_matrix(
     values = _np.fromiter((f.value for f in faults), dtype=bool, count=num)
     return flip_matrix(
         "stuck_at", circuit, universe, sites, sites[:, None],
-        ~values[:, None], base_signatures, batch_rows,
+        ~values[:, None], batch_rows,
     )
 
 
@@ -674,7 +673,6 @@ def bridging_matrix(
     circuit: Circuit,
     universe: VectorUniverse,
     faults: Sequence[BridgingFault],
-    base_signatures: list[int] | None = None,
     batch_rows: int | None = None,
 ) -> PackedSignatureMatrix:
     """Packed detection matrix for a four-way bridging fault list.
@@ -691,5 +689,5 @@ def bridging_matrix(
         _np.column_stack(
             (faults.victim_value, faults.aggressor_value)
         ).astype(bool),
-        base_signatures, batch_rows,
+        batch_rows,
     )

@@ -11,7 +11,10 @@ from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import make_backend
+from repro.logic.packed import PackedSignatureMatrix
 from repro.parallel import ParallelBackend, maybe_parallel
+from repro.simulation import ppsfp
+from repro.simulation.twoval import simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +67,13 @@ class TestProtocol:
             backend.build_stuck_at(circuit, faults=faults)
 
     def test_line_signatures_over_final_universe(self, circuit, backend):
-        sigs = backend.line_signatures(circuit)
-        k = backend.universe_for(circuit).size
-        assert len(sigs) == len(circuit.lines)
-        assert all(s >> k == 0 for s in sigs)
+        # The kernel's base words over the run's final universe are the
+        # batch simulator's line signatures over the same vectors.
+        universe = backend.universe_for(circuit)
+        base = ppsfp.packed_line_words(circuit, universe)
+        row_of, _ = ppsfp.line_rows(circuit)
+        rows = PackedSignatureMatrix(base[row_of], universe.size)
+        assert rows.to_bigints() == simulate_batch(circuit, universe.vectors)
 
 
 class TestConfiguration:

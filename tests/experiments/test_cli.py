@@ -459,7 +459,6 @@ class TestExecutorsAndQueueCLI:
 
         circuit = get_circuit("lion")
         backend = TableBackend()
-        base = tuple(backend.line_signatures(circuit))
         faults = collapsed_stuck_at_faults(circuit)
         tasks = [
             ShardTask(
@@ -467,7 +466,6 @@ class TestExecutorsAndQueueCLI:
                 backend=backend,
                 kind="stuck_at",
                 faults=tuple(faults[2 * index : 2 * index + 2]),
-                base_signatures=base,
                 shard_index=index,
             )
             for index in range(count)

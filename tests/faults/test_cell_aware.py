@@ -83,12 +83,6 @@ class TestTableIntegration:
         assert len(table) > 0
         assert all(sig for sig in table.packed.to_bigints())
 
-    def test_empty_base_signatures_honored(self, example_circuit):
-        # An explicit (if degenerate) empty list is used, not swapped
-        # for a fresh line-signature computation.
-        with pytest.raises(IndexError):
-            gate_exhaustive_table(example_circuit, base_signatures=[])
-
     def test_plugs_into_worst_case(self, example_circuit):
         universe = FaultUniverse(example_circuit)
         ge_table = gate_exhaustive_table(example_circuit)

@@ -260,12 +260,3 @@ class TestBackendObjects:
         u = FaultUniverse(circuit, backend=TableBackend(samples=8, seed=1))
         assert u.target_table.universe == u.untargeted_table.universe
         assert u.backend.name == "sampled"
-
-    def test_serial_universe_skips_base_signatures(self):
-        # The serial engine ignores base signatures; FaultUniverse must
-        # not compute its expensive per-vector sweep just to discard it.
-        circuit = random_circuit(4, num_inputs=5, num_gates=10)
-        u = FaultUniverse(circuit, backend=SerialBackend())
-        u.target_table
-        u.untargeted_table
-        assert "base_signatures" not in u.__dict__  # never materialized

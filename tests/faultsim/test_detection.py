@@ -132,29 +132,18 @@ class TestTableQueries:
 
 
 class TestExplicitBaseSignatures:
-    """Regression: an explicit (if empty) base_signatures list used to
-    be silently replaced by a recompute (falsy-list defaulting)."""
-
-    def test_empty_base_signatures_honored(self, example_circuit):
-        # The empty list is degenerate, but it must be *used*, not
-        # silently swapped for a fresh line-signature computation.
-        with pytest.raises(IndexError):
-            DetectionTable.for_stuck_at(example_circuit, base_signatures=[])
-        with pytest.raises(IndexError):
-            DetectionTable.for_bridging(example_circuit, base_signatures=[])
+    """Tables from explicit inputs: an empty fault list, big-int rows."""
 
     def test_empty_faults_and_signatures_build_empty_table(
         self, example_circuit
     ):
-        table = DetectionTable.for_stuck_at(
-            example_circuit, faults=[], base_signatures=[]
-        )
+        table = DetectionTable.for_stuck_at(example_circuit, faults=[])
         assert len(table) == 0
+        assert table.packed.words.shape == (0, 1)
 
     def test_explicit_signatures_used(self, example_universe):
-        from repro.simulation.exhaustive import line_signatures
-
-        circuit = example_universe.circuit
-        sigs = line_signatures(circuit)
-        table = DetectionTable.for_stuck_at(circuit, base_signatures=sigs)
-        assert table.packed == example_universe.target_table.packed
+        table = example_universe.target_table
+        rows = DetectionTable.from_signatures(
+            table.circuit, table.faults, table.packed.to_bigints()
+        )
+        assert rows == table

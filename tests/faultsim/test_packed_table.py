@@ -240,7 +240,7 @@ class TestPackedBackend:
     def test_exhaustive_cap_without_samples(self):
         wide = random_circuit(2, num_inputs=30, num_gates=20)
         with pytest.raises(AnalysisError, match="--samples K"):
-            TableBackend().line_signatures(wide)
+            TableBackend().universe_for(wide)
 
     def test_wide_circuit_with_samples(self):
         wide = random_circuit(3, num_inputs=30, num_gates=24)

@@ -93,7 +93,6 @@ def poisoned_task() -> ShardTask:
         backend=SerialBackend(),
         kind="stuck_at",
         faults=tuple(collapsed_stuck_at_faults(circuit)[:2]),
-        base_signatures=None,
         shard_index=0,
     )
 

@@ -22,6 +22,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faults.stuck_at import collapsed_stuck_at_faults
@@ -58,7 +59,6 @@ def make_task(shard_index: int = 0, count: int = 4) -> ShardTask:
         backend=backend,
         kind="stuck_at",
         faults=tuple(faults[lo : lo + count]),
-        base_signatures=tuple(backend.line_signatures(circuit)),
         shard_index=shard_index,
     )
 
@@ -72,7 +72,6 @@ def poisoned_task() -> ShardTask:
         backend=SerialBackend(),
         kind="stuck_at",
         faults=tuple(collapsed_stuck_at_faults(circuit)[:2]),
-        base_signatures=None,
         shard_index=0,
     )
 
@@ -201,6 +200,40 @@ class TestFraming:
             a.close()
             b.close()
 
+    def test_wide_exhaustive_shard_task_is_kilobytes(self):
+        """The tasks a sharded build submits carry no fault-free base,
+        so a 20-input exhaustive shard is a circuit plus a fault slice."""
+        import pickle
+
+        class Captured(Exception):
+            pass
+
+        class Recording:
+            name = "recording"
+
+            def __init__(self):
+                self.sizes = []
+
+            def submit(self, tasks):
+                self.sizes = [
+                    len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
+                    for t in tasks
+                ]
+                raise Captured
+
+            def describe(self):
+                return self.name
+
+        circuit = random_circuit(3, num_inputs=20, num_gates=40)
+        recording = Recording()
+        backend = ParallelBackend(
+            base=TableBackend(), use_cache=False, executor=recording
+        )
+        with pytest.raises(Captured):
+            backend.build_stuck_at(circuit)
+        assert recording.sizes
+        assert max(recording.sizes) < 64 * 1024
+
 
 class _EvilPayload:
     """Pickles to a frame that would run ``os.system`` on load."""
@@ -236,7 +269,6 @@ class TestSecurity:
             backend=backend,
             kind="bridging",
             faults=(),
-            base_signatures=tuple(backend.line_signatures(circuit)),
             shard_index=3,
         )
         loaded = _loads(
@@ -244,7 +276,6 @@ class TestSecurity:
         )["task"]
         assert loaded.backend == backend
         assert loaded.backend.name == "fixed"
-        assert loaded.base_signatures == task.base_signatures
         assert shard_key(
             circuit_digest(loaded.circuit), loaded.backend, loaded.kind, loaded.faults
         ) == shard_key(circuit_digest(circuit), backend, task.kind, task.faults)

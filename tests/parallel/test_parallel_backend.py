@@ -64,12 +64,6 @@ class TestConfiguration:
         b = ParallelBackend(base=TableBackend(samples=8, seed=1), jobs=2)
         assert a == b and hash(a) == hash(b)
 
-    def test_delegates_needs_base_signatures(self):
-        from repro.faultsim.backends import SerialBackend
-
-        assert ParallelBackend(base=TableBackend()).needs_base_signatures
-        assert not ParallelBackend(base=SerialBackend()).needs_base_signatures
-
     def test_maybe_parallel(self):
         base = TableBackend()
         assert maybe_parallel(base, 1) is base

@@ -31,7 +31,6 @@ TASK = ShardTask(
     backend=TableBackend(),
     kind="stuck_at",
     faults=(),
-    base_signatures=None,
     shard_index=0,
 )
 

@@ -2,7 +2,7 @@
 
 The kernel-vs-serial sweep over the suite lives in
 ``tests/test_ppsfp_differential.py``; this module covers the kernel's
-own invariants — base words vs the big-int line signatures, batching
+own invariants — base words vs the big-int simulators, batching
 invariance, input-site forcing, non-word-multiple universe sizes,
 word-block reuse across batches, gate evaluation against
 ``eval_signature``, and exhaustive universes past 4,096 words per row
@@ -25,11 +25,15 @@ from repro.circuit.netlist import LineKind
 from repro.errors import SimulationError
 from repro.faults.bridging import four_way_bridging_faults
 from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
-from repro.faultsim.detection import DetectionTable, universe_line_signatures
+from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.faultsim.serial import detects
-from repro.logic.packed import pack_signature, words_for
-from repro.simulation import ppsfp
+from repro.logic.packed import (
+    PackedSignatureMatrix,
+    pack_signature,
+    words_for,
+)
+from repro.simulation import exhaustive, ppsfp, twoval
 
 
 def _sampled(circuit, k, seed=11):
@@ -79,26 +83,41 @@ class TestInputLaneMatrix:
             ppsfp.input_lane_matrix(65, [0])
 
 
+def _base_circuit(name):
+    if name == "aliasing":
+        return _aliasing_circuit()
+    if name == "random19":
+        return random_circuit(3, num_inputs=19, num_gates=40)
+    return get_circuit(name)
+
+
 class TestBaseWords:
-    @pytest.mark.parametrize("name", ["lion", "beecount", "wide28"])
+    @pytest.mark.parametrize(
+        "name", ["lion", "beecount", "wide28", "aliasing", "random19"]
+    )
     def test_base_matches_big_int_signatures(self, name):
-        circuit = get_circuit(name)
-        for universe in (
-            VectorUniverse(circuit.num_inputs)
-            if circuit.num_inputs <= 12
-            else None,
-            _sampled(circuit, 77),
-        ):
-            if universe is None:
-                continue
+        """Base words equal the big-int simulators' line signatures:
+        ``exhaustive.line_signatures`` over all of ``U``,
+        ``twoval.simulate_batch`` over a draw (a partial final word);
+        ``random19`` is a multi-word exhaustive universe."""
+        circuit = _base_circuit(name)
+        row_of, owners = ppsfp.line_rows(circuit)
+        universes = [_sampled(circuit, 77)]
+        if circuit.num_inputs <= 19:
+            universes.append(VectorUniverse(circuit.num_inputs))
+        if circuit.num_inputs >= 19:
+            universes.append(_sampled(circuit, 5000))
+        for universe in universes:
             base = ppsfp.packed_line_words(circuit, universe)
-            row_of, owners = ppsfp.line_rows(circuit)
             assert len(base) == len(owners)
-            sigs = universe_line_signatures(circuit, universe)
-            for lid, sig in enumerate(sigs):
-                assert base[row_of[lid]].tolist() == (
-                    pack_signature(sig, universe.size).tolist()
-                ), f"{name}: line {lid} base words differ"
+            if universe.exhaustive:
+                sigs = exhaustive.line_signatures(circuit)
+            else:
+                sigs = twoval.simulate_batch(circuit, universe.vectors)
+            want = PackedSignatureMatrix.from_bigints(sigs, universe.size)
+            assert np.array_equal(base[row_of], want.words), (
+                f"{name}: base words differ over {universe!r}"
+            )
 
 
 class TestKernelGates:
@@ -155,7 +174,7 @@ class TestDetectionMatrices:
         universe = _sampled(circuit, 9, seed=5)
         faults = four_way_bridging_faults(circuit)
         matrix = ppsfp.bridging_matrix(circuit, universe, faults)
-        sigs = universe_line_signatures(circuit, universe)
+        sigs = twoval.simulate_batch(circuit, universe.vectors)
         mask = universe.mask
 
         def matched(lid, value):
