@@ -53,11 +53,12 @@ def _fleet_build(circuit, base, *, steal: bool) -> dict:
     from repro.parallel import ParallelBackend
     from repro.parallel.netqueue import (
         BackgroundBroker,
+        Broker,
         TcpExecutor,
         TcpWorker,
     )
 
-    with BackgroundBroker(steal=steal, steal_after=0.1) as broker:
+    with BackgroundBroker(Broker(steal=steal, steal_after=0.1)) as broker:
         # Worker ids sort straggler-first so the broker's deterministic
         # idle ordering hands it the first shard of every submit.
         straggler = TcpWorker(

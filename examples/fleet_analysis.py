@@ -37,7 +37,12 @@ from repro.bench_suite.registry import get_circuit
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
 from repro.parallel import ParallelBackend
-from repro.parallel.netqueue import BackgroundBroker, TcpExecutor, TcpWorker
+from repro.parallel.netqueue import (
+    BackgroundBroker,
+    Broker,
+    TcpExecutor,
+    TcpWorker,
+)
 
 CIRCUIT = "wide28"
 SAMPLES = 1024
@@ -54,7 +59,7 @@ def build(circuit, backend):
 
 def fleet_build(circuit, base, steal: bool):
     """One build against a fresh broker + straggler/healthy fleet."""
-    with BackgroundBroker(steal=steal, steal_after=0.2) as broker:
+    with BackgroundBroker(Broker(steal=steal, steal_after=0.2)) as broker:
         # Ids sort straggler-first, so it gets the first shard of every
         # submit — the worst case the scheduler has to rescue.
         fleet = [

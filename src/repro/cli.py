@@ -491,16 +491,16 @@ def _cmd_worker(args: argparse.Namespace) -> str:
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
-    from repro.parallel.netqueue import run_broker
+    from repro.parallel.netqueue import Broker, run_broker
 
     _install_event_logging()
-    return run_broker(
-        host=args.host,
-        port=args.port,
+    return run_broker(Broker(
+        args.host,
+        args.port,
         steal=not args.no_steal,
         steal_after=args.steal_after,
         lease_timeout=args.lease_timeout,
-    )
+    ))
 
 
 def _cmd_queue(args: argparse.Namespace) -> str:
@@ -585,10 +585,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--broker and --broker-port are mutually exclusive: "
                 "point at an external broker or embed one, not both"
             )
-        from repro.parallel.netqueue import BackgroundBroker
+        from repro.parallel.netqueue import BackgroundBroker, Broker
 
         embedded = BackgroundBroker(
-            host=args.host, port=args.broker_port
+            Broker(args.host, args.broker_port)
         ).start()
         broker = embedded.address
         executor = executor or "tcp"

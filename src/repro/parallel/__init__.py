@@ -34,9 +34,10 @@ turns that observation into a subsystem:
     cache hit.  Import it directly: it stays out of this package's
     namespace so ``import repro.parallel`` does not load asyncio or the
     socket transport.
-``backoff``
-    :class:`Backoff` — the deterministic bounded exponential schedule
-    the tcp submitter and worker reconnect on (reset on progress).
+``sched``
+    The transport's policies with no I/O and no clock: the broker's
+    :class:`Scheduler` and the two clients' machines, which take the
+    time ``now`` as an argument.
 ``backend``
     :class:`ParallelBackend` — a
     :class:`~repro.faultsim.backends.DetectionBackend` wrapping any base
@@ -56,7 +57,6 @@ from repro.parallel.backend import (
     maybe_parallel,
     resolve_jobs,
 )
-from repro.parallel.backoff import Backoff
 from repro.parallel.executors import (
     EXECUTOR_NAMES,
     InlineExecutor,
@@ -82,7 +82,6 @@ __all__ = [
     "maybe_parallel",
     "resolve_jobs",
     "EXECUTOR_NAMES",
-    "Backoff",
     "InlineExecutor",
     "PoolExecutor",
     "ShardExecutor",

@@ -14,13 +14,19 @@ a tiny length-prefixed pickle protocol over TCP:
   ``ping`` frames ride the same connection while a shard builds.
 
 Scheduler and adapter
-    The broker's policy — FIFO dispatch, leases, heartbeats, stealing,
-    retries and parking — is :class:`~repro.parallel.sched.Scheduler`,
-    a state machine with no I/O and no clock.  :class:`Broker` is only
-    its asyncio adapter: it decodes each frame, calls the scheduler
-    with the current monotonic time, and writes back the frames the
-    scheduler returns.  The scheduler's docstring holds the lease and
-    determinism rules.
+    Every peer's policy is a state machine in :mod:`repro.parallel.sched`
+    with no I/O and no clock: the broker's dispatch, leases, stealing,
+    retries and parking (:class:`~repro.parallel.sched.Scheduler`), the
+    submitter's results, stall deadline and reconnects
+    (:class:`~repro.parallel.sched.SubmitterMachine`), and the worker's
+    idle exit and reconnects
+    (:class:`~repro.parallel.sched.WorkerMachine`).  This module keeps
+    only the sockets: :class:`Broker`, :class:`TcpExecutor` and
+    :class:`TcpWorker` read ``obs.system_clock().monotonic()`` once per
+    event, hand it to their machine with the frame, and do what the
+    machine returns.  Every frame goes through one codec
+    (:func:`encode_frame`, :func:`frame_length`,
+    :func:`decode_payload`), blocking or asyncio alike.
 
 Work stealing
     Queued shards are a global FIFO, so an idle worker "steals" queued
@@ -78,9 +84,14 @@ from typing import Any
 from repro import obs
 from repro.errors import AnalysisError
 from repro.obs.tracer import TRACE_FILE_ENV
-from repro.parallel.backoff import Backoff
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
-from repro.parallel.sched import DEFAULT_MAX_ATTEMPTS, Actions, Scheduler
+from repro.parallel.sched import (
+    DEFAULT_MAX_ATTEMPTS,
+    Actions,
+    Scheduler,
+    SubmitterMachine,
+    WorkerMachine,
+)
 from repro.parallel.worker import ShardTask, payload_size, run_shard
 
 __all__ = [
@@ -133,8 +144,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">Q")
 
-#: Per-attempt TCP connect deadline of submitters and workers; lost
-#: connections are retried with bounded exponential backoff.
+#: Per-attempt TCP connect deadline of submitters and workers, and the
+#: deadline of every blocking read or write outside a poll (a frame
+#: that has begun must finish within it).
 CONNECT_TIMEOUT = 10.0
 
 #: Indirection for tests: monkeypatching ``netqueue._sleep`` pins the
@@ -197,13 +209,6 @@ def _secret() -> bytes | None:
     return raw.encode("utf-8") if raw else None
 
 
-def _seal(payload: bytes) -> bytes:
-    secret = _secret()
-    if secret is None:
-        return payload
-    return hmac.new(secret, payload, "sha256").digest() + payload
-
-
 def _unseal(sealed: bytes) -> bytes:
     secret = _secret()
     if secret is None:
@@ -225,26 +230,34 @@ def _unseal(sealed: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Wire framing: 8-byte big-endian length prefix + one pickled dict
-# (HMAC-tagged when a shared secret is configured).
+# The frame codec: an 8-byte big-endian length prefix + one pickled dict
+# (HMAC-tagged when a shared secret is configured).  Every bad frame is
+# an AnalysisError; a reader that gets one drops the peer.
 # ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
-    payload = _seal(
-        pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+def encode_frame(message: dict[str, Any]) -> bytes:
+    """Header plus sealed pickle: the bytes of one frame."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    secret = _secret()
+    if secret is not None:
+        payload = hmac.new(secret, payload, "sha256").digest() + payload
+    return _HEADER.pack(len(payload)) + payload
 
 
-def recv_frame(sock: socket.socket) -> dict[str, Any]:
-    header = _recv_exactly(sock, _HEADER.size)
+def frame_length(header: bytes) -> int:
+    """The payload length a frame header announces, if acceptable."""
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise AnalysisError(
             f"oversized broker frame ({length} bytes); not a repro broker?"
         )
-    payload = _unseal(_recv_exactly(sock, length))
+    return int(length)
+
+
+def decode_payload(payload: bytes) -> dict[str, Any]:
+    """Verify, unpickle (allowlisted globals only) and type-check."""
+    unsealed = _unseal(payload)
     try:
-        message = _loads(payload)
+        message = _loads(unsealed)
     except _DECODE_ERRORS as exc:
         raise AnalysisError(f"undecodable broker frame: {exc}") from exc
     if not isinstance(message, dict):
@@ -252,6 +265,34 @@ def recv_frame(sock: socket.socket) -> dict[str, Any]:
             f"broker frame must be a dict, got {type(message).__name__}"
         )
     return message
+
+
+def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
+    sock.sendall(encode_frame(message))
+
+
+def recv_frame(sock: socket.socket) -> dict[str, Any]:
+    """One frame off a blocking socket.
+
+    The socket's timeout bounds only the wait for the frame's first
+    byte, so a :class:`TimeoutError` means nothing was consumed and the
+    caller may poll again.  A frame that has begun is read to its end
+    under ``CONNECT_TIMEOUT`` (which the socket keeps afterwards); a
+    peer that stalls mid-frame is a :class:`ConnectionError`, because
+    the stream cannot be resynchronised.
+    """
+    first = sock.recv(_HEADER.size)
+    if not first:
+        raise ConnectionError("peer closed the connection")
+    sock.settimeout(CONNECT_TIMEOUT)
+    try:
+        header = first + _recv_exactly(sock, _HEADER.size - len(first))
+        payload = _recv_exactly(sock, frame_length(header))
+    except TimeoutError as exc:
+        raise ConnectionError(
+            f"peer stalled mid-frame for {CONNECT_TIMEOUT:.0f}s"
+        ) from exc
+    return decode_payload(payload)
 
 
 def _recv_exactly(sock: socket.socket, size: int) -> bytes:
@@ -265,34 +306,19 @@ def _recv_exactly(sock: socket.socket, size: int) -> bytes:
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """One frame off an asyncio stream; None on EOF/garbage (drop peer)."""
+    """One frame off an asyncio stream; None on EOF or a bad frame."""
     try:
         header = await reader.readexactly(_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
+        return decode_payload(await reader.readexactly(frame_length(header)))
+    except (asyncio.IncompleteReadError, ConnectionError, AnalysisError):
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        return None
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    try:
-        message = _loads(_unseal(payload))
-    except (AnalysisError,) + _DECODE_ERRORS:
-        return None
-    return message if isinstance(message, dict) else None
 
 
 def _write_frame(
     writer: asyncio.StreamWriter, message: dict[str, Any]
 ) -> None:
-    if writer.is_closing():
-        return
-    payload = _seal(
-        pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    writer.write(_HEADER.pack(len(payload)) + payload)
+    if not writer.is_closing():
+        writer.write(encode_frame(message))
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +378,21 @@ def default_worker_id() -> str:
 
 def _connect(address: tuple[str, int]) -> socket.socket:
     return socket.create_connection(address, timeout=CONNECT_TIMEOUT)
+
+
+def _poll(sock: socket.socket, timeout: float) -> dict[str, Any] | None:
+    """The next frame, or None when none begins within ``timeout``.
+
+    A bad frame (wrong service, missing shared secret) ends the
+    connection like a lost one: :class:`ConnectionError`.
+    """
+    sock.settimeout(timeout)
+    try:
+        return recv_frame(sock)
+    except TimeoutError:
+        return None
+    except AnalysisError as exc:
+        raise ConnectionError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -496,32 +537,19 @@ class Broker:
 # ----------------------------------------------------------------------
 # Foreground / background broker entry points
 # ----------------------------------------------------------------------
-def run_broker(
-    host: str = "127.0.0.1",
-    port: int = 8766,
-    *,
-    steal: bool = True,
-    steal_after: float = 0.5,
-    lease_timeout: float = 30.0,
-) -> int:
-    """Run a broker in the foreground until interrupted.
+def run_broker(broker: Broker) -> int:
+    """Run ``broker`` in the foreground until interrupted.
 
     Prints a ready line (with the actually-bound port, so ``--port 0``
     is usable) before serving, so wrappers can wait for it.
     """
-    broker = Broker(
-        host,
-        port,
-        steal=steal,
-        steal_after=steal_after,
-        lease_timeout=lease_timeout,
-    )
 
     async def main() -> None:
         server = await broker.start()
+        steal = "on" if broker.scheduler.steal else "off"
         sys.stdout.write(
             f"repro broker listening on {broker.host}:{broker.port} "
-            f"(steal={'on' if steal else 'off'})\n"
+            f"(steal={steal})\n"
         )
         sys.stdout.flush()
         async with server:
@@ -538,27 +566,15 @@ class BackgroundBroker:
     """A broker on a daemon thread — for tests, benchmarks, and serve.
 
     ``with BackgroundBroker() as broker:`` yields a listening broker on
-    an OS-assigned port; ``broker.address`` is its ``HOST:PORT``.  The
+    an OS-assigned port; ``broker.address`` is its ``HOST:PORT``.  Pass
+    a configured :class:`Broker` to change its address or policy, e.g.
+    ``BackgroundBroker(Broker(steal=False, lease_timeout=0.2))``.  The
     event loop lives entirely on the background thread; the foreground
     talks to it over real sockets like any other peer.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        steal: bool = True,
-        steal_after: float = 0.5,
-        lease_timeout: float = 30.0,
-    ) -> None:
-        self.broker = Broker(
-            host,
-            port,
-            steal=steal,
-            steal_after=steal_after,
-            lease_timeout=lease_timeout,
-        )
+    def __init__(self, broker: Broker | None = None) -> None:
+        self.broker = broker if broker is not None else Broker()
         self._ready = threading.Event()
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -750,7 +766,6 @@ class TcpExecutor:
             if obs.tracing_enabled()
             else None
         )
-        index_of: dict[str, int] = {}
         specs: list[dict[str, Any]] = []
         # One structural hash per circuit per submit (a build's tasks
         # share one circuit object).
@@ -762,7 +777,6 @@ class TcpExecutor:
                     task.circuit
                 )
             key = shard_key(digest, task.backend, task.kind, task.faults)
-            index_of[key] = task.shard_index
             specs.append(
                 {
                     "key": key,
@@ -779,126 +793,38 @@ class TcpExecutor:
             help="Shard tasks submitted to a TCP broker",
         ).inc(len(specs))
         with obs.span("tcp_submit", broker=label, shards=len(tasks)):
-            return self._collect(
-                address, label, specs, index_of,
-                resolve_wait_timeout(self.wait_timeout),
-            )
-
-    def _collect(
-        self,
-        address: tuple[str, int],
-        label: str,
-        specs: list[dict[str, Any]],
-        index_of: dict[str, int],
-        stall_limit: float,
-    ) -> list[tuple[int, bytes]]:
-        outcomes: list[tuple[int, bytes]] = []
-        outstanding = set(index_of)
-        backoff = Backoff(0.05, cap=2.0)
-        last_progress = time.monotonic()
-        sock: socket.socket | None = None
-        try:
-            while outstanding:
-                if sock is None:
-                    try:
-                        sock = _connect(address)
-                        # Re-submission after a broker restart only
-                        # carries the still-outstanding shards; resolved
-                        # keys never rebuild.
-                        send_frame(
-                            sock,
-                            {
-                                "op": "submit",
-                                "version": NET_FORMAT_VERSION,
-                                "shards": [
-                                    spec
-                                    for spec in specs
-                                    if spec["key"] in outstanding
-                                ],
-                            },
-                        )
-                    except OSError as exc:
-                        if sock is not None:
-                            sock.close()
-                            sock = None
-                        self._check_stall(
-                            last_progress, stall_limit, label,
-                            len(outstanding), reason=str(exc),
-                        )
-                        _sleep(backoff.next())
-                        continue
-                sock.settimeout(1.0)
-                try:
-                    message = recv_frame(sock)
-                except TimeoutError:
-                    self._check_stall(
-                        last_progress, stall_limit, label,
-                        len(outstanding),
-                    )
-                    continue
-                except (ConnectionError, OSError, AnalysisError) as exc:
-                    # Broker went away — or spoke garbage (wrong
-                    # service, missing shared secret) — mid-wait: back
-                    # off within the stall budget, then reconnect +
-                    # resubmit.  Only completions reset the backoff, so
-                    # a connect-then-garbage loop escalates instead of
-                    # spinning.
-                    sock.close()
-                    sock = None
-                    self._check_stall(
-                        last_progress, stall_limit, label,
-                        len(outstanding), reason=str(exc),
-                    )
-                    _sleep(backoff.next())
-                    continue
-                op = message.get("op")
-                if op == "result":
-                    key = str(message.get("key") or "")
-                    if key in outstanding:
-                        words = message.get("words")
-                        if not isinstance(words, bytes):
-                            raise AnalysisError(
-                                f"broker at {label} returned a malformed "
-                                f"result for shard {index_of[key]}"
-                            )
-                        outcomes.append((index_of[key], words))
-                        outstanding.discard(key)
-                        last_progress = time.monotonic()
-                        backoff.reset()
-                elif op == "failed":
-                    key = str(message.get("key") or "")
-                    raise AnalysisError(
-                        f"tcp shard {index_of.get(key, '?')} "
-                        f"(key {key[:12]}…) failed permanently: "
-                        f"{message.get('error')}"
-                    )
-                elif op == "rejected":
-                    raise AnalysisError(
-                        f"broker at {label} rejected the submission: "
-                        f"{message.get('error')}"
-                    )
-        finally:
-            if sock is not None:
-                sock.close()
-        return outcomes
+            return self._collect(address, SubmitterMachine(
+                specs,
+                stall_limit=resolve_wait_timeout(self.wait_timeout),
+                label=label,
+                now=obs.system_clock().monotonic(),
+            ))
 
     @staticmethod
-    def _check_stall(
-        last_progress: float,
-        stall_limit: float,
-        label: str,
-        outstanding: int,
-        reason: str | None = None,
-    ) -> None:
-        if time.monotonic() - last_progress <= stall_limit:
-            return
-        hint = f" ({reason})" if reason else ""
-        raise AnalysisError(
-            f"broker at {label} made no progress on {outstanding} "
-            f"shard(s) within {stall_limit:.0f}s{hint} — is a "
-            f"`repro broker` running at {label}, with `repro worker "
-            f"--broker {label}` processes attached?"
-        )
+    def _collect(
+        address: tuple[str, int], machine: SubmitterMachine
+    ) -> list[tuple[int, bytes]]:
+        """Connect, (re)submit and collect until ``machine`` finishes."""
+        clock = obs.system_clock()
+        while not machine.finished:
+            try:
+                with _connect(address) as sock:
+                    send_frame(sock, {
+                        "op": "submit",
+                        "version": NET_FORMAT_VERSION,
+                        "shards": machine.pending(),
+                    })
+                    while not machine.finished:
+                        message = _poll(
+                            sock, machine.poll_timeout(clock.monotonic())
+                        )
+                        if message is None:
+                            machine.check(clock.monotonic())
+                        else:
+                            machine.receive(message, clock.monotonic())
+            except OSError as exc:
+                _sleep(machine.lost(clock.monotonic(), str(exc)))
+        return machine.outcomes
 
 
 # ----------------------------------------------------------------------
@@ -971,96 +897,50 @@ class TcpWorker:
         """Serve builds; returns ``{"built","skipped","failed","stolen"}``.
 
         ``max_tasks`` bounds the number of shards built; ``idle_exit``
-        stops the loop after that many seconds without a pushed build
-        (None: serve forever).  Lost broker connections reconnect with
-        bounded exponential backoff.
+        stops the loop after that many seconds without a build in
+        progress (None: serve forever).  Lost broker connections
+        reconnect with bounded exponential backoff.
         """
-        stats = {"built": 0, "skipped": 0, "failed": 0, "stolen": 0}
         address = resolve_broker(
             self.broker, what="repro worker", flag="--broker"
         )
-        reconnect = Backoff(0.05, cap=2.0)
-        claims = 0
-        idle_since = time.monotonic()
+        clock = obs.system_clock()
+        machine = WorkerMachine(
+            idle_exit=idle_exit, max_tasks=max_tasks, now=clock.monotonic()
+        )
         while not self._stop.is_set():
             try:
-                sock = _connect(address)
-            except OSError:
-                if self._idle_expired(idle_since, idle_exit):
-                    return stats
-                _sleep(reconnect.next())
-                continue
-            self._sock = sock
-            try:
-                send_frame(
-                    sock,
-                    {
+                with _connect(address) as sock:
+                    self._sock = sock
+                    send_frame(sock, {
                         "op": "register",
                         "version": NET_FORMAT_VERSION,
                         "worker": self.worker_id,
-                    },
-                )
-                # Registered again: later blips should not keep paying
-                # the full backoff cap accumulated over the lifetime.
-                reconnect.reset()
-                finished, claims, idle_since = self._drain(
-                    sock, stats, claims, max_tasks, idle_exit, idle_since
-                )
-                if finished:
-                    return stats
+                    })
+                    machine.registered()
+                    self._drain(sock, machine)
+                    break
             except OSError:
-                # Connection died mid-build/report (recv-side deaths
-                # return through _drain): the worker was active moments
-                # ago, so restart its idle clock before reconnecting.
-                idle_since = time.monotonic()
+                pass  # the machine knows whether a build was in flight
             finally:
                 self._sock = None
-                sock.close()
-            if self._stop.is_set():
-                return stats
-            if self._idle_expired(idle_since, idle_exit):
-                return stats
-            _sleep(reconnect.next())
-        return stats
+            delay = machine.lost(clock.monotonic())
+            if delay is None or self._stop.is_set():
+                break
+            _sleep(delay)
+        return machine.stats
 
-    @staticmethod
-    def _idle_expired(
-        idle_since: float, idle_exit: float | None
-    ) -> bool:
-        return (
-            idle_exit is not None
-            and time.monotonic() - idle_since >= idle_exit
-        )
-
-    def _drain(
-        self,
-        sock: socket.socket,
-        stats: dict[str, int],
-        claims: int,
-        max_tasks: int | None,
-        idle_exit: float | None,
-        idle_since: float,
-    ) -> tuple[bool, int, float]:
-        """The per-connection receive loop.
-
-        Returns ``(finished, claims, idle_since)``: finished means the
-        worker is done for good (stop, idle-exit, or max-tasks);
-        otherwise the caller reconnects, judging its own idle-exit
-        against the returned ``idle_since`` (which this loop advances
-        on every build) rather than the stale value it passed in.
-        """
-        while not self._stop.is_set():
-            sock.settimeout(
-                min(0.5, idle_exit) if idle_exit is not None else 1.0
-            )
-            try:
-                message = recv_frame(sock)
-            except TimeoutError:
-                if self._idle_expired(idle_since, idle_exit):
-                    return True, claims, idle_since
+    def _drain(self, sock: socket.socket, machine: WorkerMachine) -> None:
+        """Build what one connection pushes until the worker is done for
+        good (stop, idle exit or ``max_tasks``); raises
+        :class:`OSError` when the connection is lost."""
+        clock = obs.system_clock()
+        while not self._stop.is_set() and not machine.finished:
+            message = _poll(sock, machine.poll_timeout(clock.monotonic()))
+            if message is None:
+                if machine.idle_expired(clock.monotonic()):
+                    return
                 continue
-            except (ConnectionError, OSError, AnalysisError):
-                return False, claims, idle_since
             op = message.get("op")
             if op == "rejected":
                 raise AnalysisError(
@@ -1068,13 +948,10 @@ class TcpWorker:
                 )
             if op != "build":
                 continue
-            idle_since = time.monotonic()
-            claims += 1
+            claims = machine.claim(message, clock.monotonic())
             if self._crash_after and claims >= self._crash_after:
                 os._exit(42)  # test hook: die mid-shard, lease held
             key = str(message.get("key") or "")
-            if message.get("stolen"):
-                stats["stolen"] += 1
             self._adopt_trace(message)
             self._report_queue_wait(message)
             task = message.get("task")
@@ -1086,7 +963,7 @@ class TcpWorker:
             if cached is not None:
                 # A duplicate of an already-built shard (steal race or
                 # re-dispatch): the content-addressed result stands.
-                stats["skipped"] += 1
+                machine.settle("skipped", clock.monotonic())
                 self._send(sock, {
                     "op": "done", "key": key, "words": cached,
                 })
@@ -1096,19 +973,16 @@ class TcpWorker:
             except OSError:
                 raise  # the connection died; reconnect, don't report
             except Exception as exc:  # noqa: BLE001 - reported to the broker
-                stats["failed"] += 1
-                self._send(
-                    sock,
-                    {
-                        "op": "error",
-                        "key": key,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
+                machine.settle("failed", clock.monotonic())
+                self._send(sock, {
+                    "op": "error",
+                    "key": key,
+                    "error": f"{type(exc).__name__}: {exc}",
+                })
                 continue
             if self.use_cache:
                 self._cache.put(key, words)
-            stats["built"] += 1
+            machine.settle("built", clock.monotonic())
             obs.metrics().counter(
                 "repro_tcp_completed_total",
                 help="Shards built to completion by TCP workers",
@@ -1116,9 +990,6 @@ class TcpWorker:
             self._send(sock, {
                 "op": "done", "key": key, "words": words,
             })
-            if max_tasks is not None and stats["built"] >= max_tasks:
-                return True, claims, idle_since
-        return True, claims, idle_since
 
     def _send(self, sock: socket.socket, message: dict[str, Any]) -> None:
         """Serialize frame writes (the heartbeat thread shares the

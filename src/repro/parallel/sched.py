@@ -1,22 +1,25 @@
-"""The broker's scheduling policy, with no I/O and no clock.
+"""The tcp transport's policies, with no I/O and no clock.
 
-:class:`Scheduler` is the state machine behind
-:class:`~repro.parallel.netqueue.Broker`: FIFO dispatch, leases,
-heartbeats, work stealing, retries and parking.  Each event is a method
-call carrying its frame and, where leases are involved, the monotonic
-time ``now``; each returns :class:`Actions` — the ``(peer, frame)``
-pairs to send, in order, then the peers to close.  A *peer* is any
-hashable connection handle: the broker passes its
-``asyncio.StreamWriter``, tests pass strings and explicit ``now``
-values instead of sleeping.
+Each peer's policy is a state machine here that takes the monotonic
+time ``now`` as an argument; :mod:`repro.parallel.netqueue` keeps only
+the sockets and does what the machines return, and tests pass explicit
+``now`` values instead of sleeping.  :class:`Scheduler` is the broker:
+FIFO dispatch, leases, heartbeats, work stealing, retries and parking.
+Each event is a method call carrying its frame; each returns
+:class:`Actions` — the ``(peer, frame)`` pairs to send, in order, then
+the peers to close.  A *peer* is any hashable connection handle: the
+broker passes its ``asyncio.StreamWriter``, tests pass strings.
+:class:`SubmitterMachine` is one ``TcpExecutor.submit`` call and
+:class:`WorkerMachine` one ``TcpWorker.serve`` call; both reconnect on
+one fixed schedule (0.05 s doubling to 2 s, restarted by progress).
 
-``_builders[key] = {worker: leased_at}`` is the only record of leases;
-a worker holds at most one.  :meth:`Scheduler._release` is the one way
-a lease ends without a result: the last builder's release charges the
-key one attempt and requeues it, or parks it at ``max_attempts``.
-Dispatch is submission FIFO to idle workers in sorted id order, and
-steal victims are chosen by (stalest lease, smallest key), so a replay
-of the same events sends the same frames.
+``_builders[key] = {worker: leased_at}`` is the scheduler's only record
+of leases; a worker holds at most one.  :meth:`Scheduler._release` is
+the one way a lease ends without a result: the last builder's release
+charges the key one attempt and requeues it, or parks it at
+``max_attempts``.  Dispatch is submission FIFO to idle workers in
+sorted id order, and steal victims are chosen by (stalest lease,
+smallest key), so a replay of the same events sends the same frames.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.parallel.worker import ShardTask
 
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS", "MAX_BUILDERS", "RESULT_CAP", "Actions",
-    "Scheduler",
+    "Scheduler", "SubmitterMachine", "WorkerMachine",
 ]
 
 #: Default number of build attempts a shard gets before it is parked
@@ -46,12 +49,27 @@ MAX_BUILDERS = 3
 #: Finished shard payloads kept for resubmissions (an LRU).
 RESULT_CAP = 4096
 
+#: The clients' reconnect schedule: the first delay, doubled per
+#: failed attempt up to the cap.
+RECONNECT_INITIAL = 0.05
+RECONNECT_CAP = 2.0
+
+#: Longest single socket wait of a client, and the shortest (a zero
+#: timeout would make the socket non-blocking).
+POLL_INTERVAL = 1.0
+MIN_POLL = 0.01
+
 Peer = TypeVar("Peer", bound=Hashable)
 
 
 def _short(text: str, limit: int = 160) -> str:
     """Event-attribute-sized failure text."""
     return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+def _poll_timeout(deadline: float, now: float) -> float:
+    """How long a client may block on its socket before a deadline."""
+    return min(POLL_INTERVAL, max(MIN_POLL, deadline - now))
 
 
 @dataclass
@@ -503,3 +521,179 @@ class Scheduler(Generic[Peer]):
             trace_id=spec["trace_id"],
             enqueued_wall=spec["enqueued_wall"],
         )
+
+
+# ----------------------------------------------------------------------
+# The clients
+# ----------------------------------------------------------------------
+class SubmitterMachine:
+    """The policy of one ``TcpExecutor.submit`` call.
+
+    ``specs`` are the submit frame's shard specs (each carries ``key``
+    and ``shard_index``).  :attr:`outcomes` collects ``(shard_index,
+    words)`` in arrival order; the submission is :attr:`finished` once
+    every key has its result.  ``stall_limit`` seconds without a
+    completion end it with an error that says what to start; ``label``
+    is the broker's ``HOST:PORT`` for messages.
+    """
+
+    def __init__(
+        self,
+        specs: list[dict[str, Any]],
+        *,
+        stall_limit: float,
+        label: str,
+        now: float,
+    ) -> None:
+        self.specs = specs
+        self._index_of = {
+            spec["key"]: spec["shard_index"] for spec in specs
+        }
+        self.outstanding = set(self._index_of)
+        self.outcomes: list[tuple[int, bytes]] = []
+        self.stall_limit = stall_limit
+        self.label = label
+        self._progress_at = now
+        self._delay = RECONNECT_INITIAL
+
+    @property
+    def finished(self) -> bool:
+        return not self.outstanding
+
+    def pending(self) -> list[dict[str, Any]]:
+        """The specs to send on a (re)connect: resolved keys never rebuild."""
+        return [
+            spec for spec in self.specs if spec["key"] in self.outstanding
+        ]
+
+    def poll_timeout(self, now: float) -> float:
+        return _poll_timeout(self._progress_at + self.stall_limit, now)
+
+    def receive(self, message: dict[str, Any], now: float) -> None:
+        """Take one broker frame; raises on ``failed``/``rejected``."""
+        op = message.get("op")
+        key = str(message.get("key") or "")
+        if op == "result" and key in self.outstanding:
+            words = message.get("words")
+            if not isinstance(words, bytes):
+                raise AnalysisError(
+                    f"broker at {self.label} returned a malformed "
+                    f"result for shard {self._index_of[key]}"
+                )
+            self.outcomes.append((self._index_of[key], words))
+            self.outstanding.discard(key)
+            self._progress_at = now
+            self._delay = RECONNECT_INITIAL
+        elif op == "failed":
+            raise AnalysisError(
+                f"tcp shard {self._index_of.get(key, '?')} "
+                f"(key {key[:12]}…) failed permanently: "
+                f"{message.get('error')}"
+            )
+        elif op == "rejected":
+            raise AnalysisError(
+                f"broker at {self.label} rejected the submission: "
+                f"{message.get('error')}"
+            )
+
+    def check(self, now: float, reason: str | None = None) -> None:
+        """Raise once more than ``stall_limit`` seconds pass without a
+        completion."""
+        if now - self._progress_at <= self.stall_limit:
+            return
+        hint = f" ({reason})" if reason else ""
+        raise AnalysisError(
+            f"broker at {self.label} made no progress on "
+            f"{len(self.outstanding)} shard(s) within "
+            f"{self.stall_limit:.0f}s{hint} — is a `repro broker` running "
+            f"at {self.label}, with `repro worker --broker {self.label}` "
+            f"processes attached?"
+        )
+
+    def lost(self, now: float, reason: str) -> float:
+        """The connection failed, or its peer spoke garbage: the delay
+        before reconnecting (raises once stalled).  Only completions
+        restart the schedule, so a connect-then-garbage loop escalates
+        instead of spinning."""
+        self.check(now, reason)
+        delay, self._delay = self._delay, min(2 * self._delay, RECONNECT_CAP)
+        return delay
+
+
+class WorkerMachine:
+    """The policy of one ``TcpWorker.serve`` call.
+
+    :attr:`stats` counts builds ``built``, ``skipped`` (cache hits),
+    ``failed`` and ``stolen``; the worker is :attr:`finished` after
+    ``max_tasks`` builds.  ``idle_exit`` seconds without a build in
+    progress end the loop (None: serve forever).
+    """
+
+    def __init__(
+        self,
+        *,
+        idle_exit: float | None = None,
+        max_tasks: int | None = None,
+        now: float,
+    ) -> None:
+        self.idle_exit = idle_exit
+        self.max_tasks = max_tasks
+        self.stats = dict.fromkeys(
+            ("built", "skipped", "failed", "stolen"), 0
+        )
+        self.claims = 0
+        self._active_at = now
+        self._building = False
+        self._delay = RECONNECT_INITIAL
+
+    @property
+    def finished(self) -> bool:
+        return (
+            self.max_tasks is not None
+            and self.stats["built"] >= self.max_tasks
+        )
+
+    def idle_expired(self, now: float) -> bool:
+        return (
+            self.idle_exit is not None
+            and now - self._active_at >= self.idle_exit
+        )
+
+    def poll_timeout(self, now: float) -> float:
+        if self.idle_exit is None:
+            return POLL_INTERVAL
+        return _poll_timeout(self._active_at + self.idle_exit, now)
+
+    def registered(self) -> None:
+        """Registered again: later blips start the schedule over instead
+        of paying the delay accumulated over the worker's lifetime."""
+        self._delay = RECONNECT_INITIAL
+
+    def claim(self, message: dict[str, Any], now: float) -> int:
+        """A ``build`` frame arrived; returns the claim count so far."""
+        self._active_at = now
+        self._building = True
+        self.claims += 1
+        if message.get("stolen"):
+            self.stats["stolen"] += 1
+        return self.claims
+
+    def settle(self, outcome: str, now: float) -> None:
+        """The claimed build ended ``built``, ``skipped`` or ``failed``
+        and is about to be reported."""
+        self._active_at = now
+        self._building = False
+        self.stats[outcome] += 1
+
+    def lost(self, now: float) -> float | None:
+        """The connection is down: the delay before reconnecting, or
+        None when the worker has been idle for ``idle_exit``.  A
+        connection that died mid-build restarts the idle deadline: the
+        worker was busy moments ago."""
+        if self._building:
+            self._building = False
+            self._active_at = now
+        if self.idle_expired(now):
+            return None
+        delay, self._delay = self._delay, min(2 * self._delay, RECONNECT_CAP)
+        return delay

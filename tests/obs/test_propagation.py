@@ -44,6 +44,7 @@ from repro.parallel import (
 from repro.parallel.netqueue import (
     NET_FORMAT_VERSION,
     BackgroundBroker,
+    Broker,
     TcpExecutor,
     TcpWorker,
     recv_frame,
@@ -200,7 +201,7 @@ class TestWorkerEventLines:
             )
             out: dict = {}
             thread = threading.Thread(
-                target=lambda: out.update(stats=worker.serve(idle_exit=1.0)),
+                target=lambda: out.update(stats=worker.serve()),
                 daemon=True,
             )
             thread.start()
@@ -211,7 +212,9 @@ class TestWorkerEventLines:
                         wait_timeout=60.0,
                         max_attempts=2,
                     ).submit([bad])
+            worker.stop()
             thread.join(timeout=30)
+            assert not thread.is_alive()
             failed = broker.stats()["failed"]
         assert out["stats"]["failed"] == 2
         assert [entry["key"] for entry in failed] == [key]
@@ -235,7 +238,9 @@ class TestWorkerEventLines:
         scavenged: its lease is reclaimed and the shard requeued."""
         task = poisoned_task()
         key = shard_key(circuit_digest(task.circuit), task.backend, task.kind, task.faults)
-        with BackgroundBroker(lease_timeout=0.2, steal=False) as broker:
+        with BackgroundBroker(
+            Broker(lease_timeout=0.2, steal=False)
+        ) as broker:
             doomed = socket.create_connection(
                 (broker.host, broker.port), timeout=10.0
             )

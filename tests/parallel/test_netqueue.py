@@ -14,14 +14,18 @@ driven without sockets or sleeps in ``test_sched.py``.
 
 from __future__ import annotations
 
+import hmac
 import os
+import pickle
 import socket
+import struct
 import threading
 import time
 from contextlib import contextmanager
 
 import pytest
 
+from repro import obs
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
@@ -37,12 +41,17 @@ from repro.parallel import (
 from repro.parallel.netqueue import (
     BROKER_ENV,
     BROKER_SECRET_ENV,
+    MAX_FRAME_BYTES,
     NET_FORMAT_VERSION,
     BackgroundBroker,
+    Broker,
     TcpExecutor,
     TcpWorker,
     broker_clear,
     broker_stats,
+    decode_payload,
+    encode_frame,
+    frame_length,
     recv_frame,
     resolve_broker,
     send_frame,
@@ -140,6 +149,14 @@ def free_port() -> int:
         return int(probe.getsockname()[1])
 
 
+@pytest.fixture
+def manual_clock(monkeypatch):
+    """Every peer in this process reads time from one ManualClock."""
+    clock = obs.ManualClock()
+    monkeypatch.setattr(obs, "system_clock", lambda: clock)
+    return clock
+
+
 class TestFraming:
     def test_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
@@ -179,8 +196,6 @@ class TestFraming:
     def test_garbage_payload_is_a_clean_error(self):
         a, b = socket.socketpair()
         try:
-            import struct
-
             a.sendall(struct.pack(">Q", 4) + b"xxxx")
             with pytest.raises(AnalysisError, match="undecodable"):
                 recv_frame(b)
@@ -191,10 +206,53 @@ class TestFraming:
     def test_oversized_frame_rejected(self):
         a, b = socket.socketpair()
         try:
-            import struct
-
             a.sendall(struct.pack(">Q", 1 << 40))
             with pytest.raises(AnalysisError, match="oversized"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_poll_timeout_mid_frame_keeps_the_stream_in_sync(self):
+        """A poll timeout that fires after part of a frame arrived must
+        not leave the rest to be misread as the next frame's header."""
+        message = {"op": "result", "key": "k", "words": bytes(1000)}
+        frame = encode_frame(message)
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(0.2)
+
+            def trickle() -> None:
+                a.sendall(frame[:500])
+                time.sleep(0.4)  # longer than the reader's poll
+                a.sendall(frame[500:])
+
+            sender, _ = in_thread(trickle)
+            while True:
+                try:
+                    received = recv_frame(b)
+                    break
+                except TimeoutError:
+                    continue  # what both clients do on a poll timeout
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            assert received == message
+        finally:
+            a.close()
+            b.close()
+
+    def test_peer_stalled_mid_frame_is_a_connection_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.parallel.netqueue.CONNECT_TIMEOUT", 0.1
+        )
+        frame = encode_frame({"op": "ping", "pad": bytes(100)})
+        a, b = socket.socketpair()
+        try:
+            b.settimeout(5.0)
+            a.sendall(frame[:50])
+            with pytest.raises(ConnectionError, match="mid-frame"):
                 recv_frame(b)
         finally:
             a.close()
@@ -203,7 +261,6 @@ class TestFraming:
     def test_wide_exhaustive_shard_task_is_kilobytes(self):
         """The tasks a sharded build submits carry no fault-free base,
         so a 20-input exhaustive shard is a circuit plus a fault slice."""
-        import pickle
 
         class Captured(Exception):
             pass
@@ -244,9 +301,6 @@ class _EvilPayload:
 
 class TestSecurity:
     def test_hostile_pickle_is_refused(self):
-        import pickle
-        import struct
-
         payload = pickle.dumps(_EvilPayload())
         a, b = socket.socketpair()
         try:
@@ -258,8 +312,6 @@ class TestSecurity:
             b.close()
 
     def test_fixed_universe_task_roundtrips_the_unpickler(self):
-        import pickle
-
         from repro.parallel.netqueue import _loads
 
         circuit = get_circuit("lion")
@@ -281,8 +333,6 @@ class TestSecurity:
         ) == shard_key(circuit_digest(circuit), backend, task.kind, task.faults)
 
     def test_retired_backend_class_is_refused(self):
-        import pickle
-
         from repro.parallel.netqueue import _loads
 
         # A frame from an older peer naming a backend class this
@@ -297,9 +347,6 @@ class TestSecurity:
             _loads(payload)
 
     def test_broker_drops_peer_sending_hostile_pickle(self):
-        import pickle
-        import struct
-
         payload = pickle.dumps(_EvilPayload())
         with BackgroundBroker() as broker:
             sock = socket.create_connection(
@@ -586,9 +633,11 @@ class TestBrokerRoundtrip:
                 sock.close()
 
     def test_no_workers_times_out_with_guidance(self):
+        """The stall error over real sockets names what to start (the
+        stall rule itself is pinned in test_sched.py)."""
         with BackgroundBroker() as broker:
             executor = TcpExecutor(
-                broker=broker.address, wait_timeout=0.5
+                broker=broker.address, wait_timeout=0.1
             )
             with pytest.raises(
                 AnalysisError, match="repro worker --broker"
@@ -638,7 +687,9 @@ class TestFaultTolerance:
         """A worker that holds a build but never pings is closed by the
         broker's tick and its shard requeued."""
         task = make_task()
-        with BackgroundBroker(steal=False, lease_timeout=0.2) as broker:
+        with BackgroundBroker(
+            Broker(steal=False, lease_timeout=0.2)
+        ) as broker:
             silent = register_raw(broker, "silent")
             submitter = socket.create_connection(
                 (broker.host, broker.port), timeout=10.0
@@ -666,7 +717,7 @@ class TestFaultTolerance:
         first completion wins and the loser is a duplicate, so the
         result is identical and nothing conflicts."""
         task = make_task()
-        with BackgroundBroker(steal_after=0.1) as broker:
+        with BackgroundBroker(Broker(steal_after=0.1)) as broker:
             executor = TcpExecutor(broker=broker.address, wait_timeout=60.0)
             # The straggler claims the only shard and sits on it.
             with running_worker(
@@ -700,13 +751,13 @@ class TestFaultTolerance:
         on the same port and the run completes bit-identically."""
         tasks = [make_task(0), make_task(1), make_task(2)]
         port = free_port()
-        first = BackgroundBroker(port=port).start()
+        first = BackgroundBroker(Broker(port=port)).start()
         address = first.address
         executor = TcpExecutor(broker=address, wait_timeout=60.0)
         submitter, result = in_thread(lambda: dict(executor.submit(tasks)))
         wait_for(lambda: len(first.stats()["pending"]) == len(tasks))
         first.stop()  # broker dies mid-run, queue state lost
-        second = BackgroundBroker(port=port).start()
+        second = BackgroundBroker(Broker(port=port)).start()
         try:
             # Workers attach to the restarted broker; the submitter's
             # reconnect loop re-submits its outstanding shards.
@@ -772,13 +823,12 @@ class TestStateHygiene:
                     submitter.close()
 
     def test_undecodable_broker_backs_off_and_stalls_cleanly(
-        self, monkeypatch
+        self, monkeypatch, manual_clock
     ):
         """A port that answers with garbage (wrong service) must fail
         via the stall deadline with escalating backoff sleeps between
-        attempts — not spin connect/recv at full speed forever."""
-        import struct
-
+        attempts — not spin connect/recv at full speed forever.  Each
+        backoff sleep advances the manual clock instead of waiting."""
         monkeypatch.delenv(BROKER_SECRET_ENV, raising=False)
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -802,9 +852,12 @@ class TestStateHygiene:
         server = threading.Thread(target=garbage_server, daemon=True)
         server.start()
         sleeps: list[float] = []
-        monkeypatch.setattr(
-            "repro.parallel.netqueue._sleep", sleeps.append
-        )
+
+        def sleep(seconds: float) -> None:
+            sleeps.append(seconds)
+            manual_clock.advance(seconds)
+
+        monkeypatch.setattr("repro.parallel.netqueue._sleep", sleep)
         try:
             executor = TcpExecutor(
                 broker=f"127.0.0.1:{port}", wait_timeout=0.5
@@ -822,14 +875,15 @@ class TestStateHygiene:
             assert not server.is_alive()
 
     def test_busy_worker_survives_disconnect_after_idle_exit(
-        self, tmp_path
+        self, tmp_path, manual_clock
     ):
         """A worker older than idle_exit that loses its connection
         right after building must reconnect (its idle clock restarted
-        by the recent build), not exit on the stale start time."""
+        by the recent build), not exit on the stale start time.  The
+        idle deadline itself is pinned in test_sched.py."""
         port = free_port()
         address = f"127.0.0.1:{port}"
-        first = BackgroundBroker(port=port).start()
+        first = BackgroundBroker(Broker(port=port)).start()
         second = None
         worker = TcpWorker(
             broker=address,
@@ -840,20 +894,104 @@ class TestStateHygiene:
         thread, out = in_thread(lambda: worker.serve(idle_exit=3.0))
         try:
             executor = TcpExecutor(broker=address, wait_timeout=60.0)
-            time.sleep(2.0)  # most of the idle budget passes unused
+            wait_for(lambda: first.stats()["workers"] != [])
+            manual_clock.advance(2.0)  # most of the idle budget unused
             executor.submit([make_task(0)])  # restarts the idle clock
-            time.sleep(1.5)  # lifetime > idle_exit, idle age ~1.5s
+            manual_clock.advance(1.5)  # lifetime > idle_exit, idle 1.5 s
             first.stop()  # connection drops; worker must reconnect
-            second = BackgroundBroker(port=port).start()
+            second = BackgroundBroker(Broker(port=port)).start()
             outcomes = executor.submit([make_task(1)])
             assert [index for index, _sigs in outcomes] == [1]
-            thread.join(timeout=30)
-            assert out["value"]["built"] == 2
+            assert thread.is_alive()
         finally:
             worker.stop()
+            thread.join(timeout=30)
             first.stop()
             if second is not None:
                 second.stop()
+        assert not thread.is_alive()
+        assert out["value"]["built"] == 2
+
+
+#: Each bad frame the codec must refuse: (frame bytes, the receiver's
+#: shared secret, the AnalysisError message).
+_PING = pickle.dumps({"op": "ping"}, protocol=pickle.HIGHEST_PROTOCOL)
+BAD_FRAMES = {
+    "oversized length": (
+        struct.pack(">Q", MAX_FRAME_BYTES + 1), None,
+        "oversized broker frame",
+    ),
+    "garbage payload": (
+        struct.pack(">Q", 4) + b"xxxx", None, "undecodable broker frame",
+    ),
+    "forbidden global": (
+        struct.pack(">Q", len(pickle.dumps(_EvilPayload())))
+        + pickle.dumps(_EvilPayload()),
+        None,
+        "forbidden global",
+    ),
+    "non-dict pickle": (
+        struct.pack(">Q", len(pickle.dumps([1, 2])))
+        + pickle.dumps([1, 2]),
+        None,
+        "broker frame must be a dict, got list",
+    ),
+    "missing HMAC": (
+        struct.pack(">Q", len(_PING)) + _PING, "fleet-secret",
+        "shorter than its HMAC tag",
+    ),
+    "wrong HMAC": (
+        struct.pack(">Q", 32 + len(_PING))
+        + hmac.new(b"other-secret", _PING, "sha256").digest() + _PING,
+        "fleet-secret",
+        "failed HMAC verification",
+    ),
+}
+
+
+class TestBadFrames:
+    """One table of bad frames, fed to the codec, to the blocking
+    reader and to a live broker."""
+
+    @pytest.fixture(params=sorted(BAD_FRAMES))
+    def bad(self, request, monkeypatch):
+        frame, secret, match = BAD_FRAMES[request.param]
+        if secret is None:
+            monkeypatch.delenv(BROKER_SECRET_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BROKER_SECRET_ENV, secret)
+        return frame, match
+
+    def test_codec_refuses(self, bad):
+        frame, match = bad
+        with pytest.raises(AnalysisError, match=match):
+            length = frame_length(frame[:8])
+            decode_payload(frame[8 : 8 + length])
+
+    def test_recv_frame_refuses(self, bad):
+        frame, match = bad
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame)
+            with pytest.raises(AnalysisError, match=match):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_broker_drops_the_peer_without_replying(self, bad):
+        frame, _match = bad
+        with BackgroundBroker() as broker:
+            sock = socket.create_connection(
+                (broker.host, broker.port), timeout=10.0
+            )
+            try:
+                sock.sendall(frame)
+                # A reply (even a rejection) would mean it was parsed.
+                with pytest.raises(ConnectionError):
+                    recv_frame(sock)
+            finally:
+                sock.close()
 
 
 class TestEndToEnd:

@@ -1,14 +1,19 @@
-"""The broker's scheduler, driven with explicit ``now`` values.
+"""The tcp transport's policies, driven with explicit ``now`` values.
 
 :class:`~repro.parallel.sched.Scheduler` holds the broker's whole
-policy with no sockets and no clock, so lease ages, stale heartbeats
-and steals are set by the ``now`` each event carries instead of by
-sleeping.  Peers are plain strings.  The transitions are pinned case by
-case first; a hypothesis state machine then checks the invariants over
-random interleavings of every event.
+policy, and :class:`~repro.parallel.sched.SubmitterMachine` and
+:class:`~repro.parallel.sched.WorkerMachine` the two clients', with no
+sockets and no clock: lease ages, stale heartbeats, steals, stall and
+idle deadlines and reconnect delays are set by the ``now`` each event
+carries instead of by sleeping.  Peers are plain strings.  The
+transitions are pinned case by case first; a hypothesis state machine
+then checks the invariants over random interleavings of every event,
+with submitter machines reading the scheduler's replies.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -24,7 +29,13 @@ from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faultsim.backends import TableBackend
 from repro.parallel import ShardTask
-from repro.parallel.sched import MAX_BUILDERS, Scheduler
+from repro.parallel.sched import (
+    MAX_BUILDERS,
+    POLL_INTERVAL,
+    Scheduler,
+    SubmitterMachine,
+    WorkerMachine,
+)
 
 TASK = ShardTask(
     circuit=get_circuit("paper_example"),
@@ -347,6 +358,157 @@ class TestWaiters:
         assert sched.stats(0.0)["results"] == 1
 
 
+def submitter(*keys, stall_limit=10.0, now=0.0):
+    specs = [
+        {"key": key, "task": TASK, "shard_index": i}
+        for i, key in enumerate(keys)
+    ]
+    return SubmitterMachine(
+        specs, stall_limit=stall_limit, label="h:1", now=now
+    )
+
+
+def result(key, words=b"rows"):
+    return {"op": "result", "key": key, "words": words}
+
+
+#: The clients' fixed reconnect schedule.
+SCHEDULE = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+
+
+class TestReconnectSchedule:
+    def test_schedule_doubles_to_cap(self):
+        client = submitter("k", stall_limit=1e9)
+        assert [client.lost(0.0, "refused") for _ in SCHEDULE] == SCHEDULE
+        worker = WorkerMachine(now=0.0)
+        assert [worker.lost(0.0) for _ in SCHEDULE] == SCHEDULE
+
+    def test_reset_restarts_schedule(self):
+        client = submitter("k1", "k2")
+        assert [client.lost(0.0, "x") for _ in range(3)] == SCHEDULE[:3]
+        client.receive(result("k1"), 1.0)  # a completion is progress
+        assert client.lost(1.0, "x") == 0.05
+        worker = WorkerMachine(now=0.0)
+        assert [worker.lost(0.0) for _ in range(3)] == SCHEDULE[:3]
+        worker.registered()
+        assert worker.lost(0.0) == 0.05
+
+    def test_only_completions_restart_the_submitter_schedule(self):
+        """A connect-then-garbage loop escalates instead of spinning."""
+        client = submitter("k")
+        client.receive({"op": "stats"}, 0.0)
+        client.receive(result("other"), 0.0)
+        assert [client.lost(0.0, "x") for _ in range(3)] == SCHEDULE[:3]
+
+
+class TestSubmitterMachine:
+    def test_each_connect_resends_only_the_outstanding_specs(self):
+        client = submitter("k0", "k1", "k2")
+        assert [s["key"] for s in client.pending()] == ["k0", "k1", "k2"]
+        client.receive(result("k1"), 0.5)
+        assert [s["key"] for s in client.pending()] == ["k0", "k2"]
+
+    def test_results_are_accepted_once_in_arrival_order(self):
+        client = submitter("k0", "k1")
+        client.receive(result("k1", b"one"), 0.1)
+        client.receive(result("k1", b"again"), 0.2)  # a resend's echo
+        assert not client.finished
+        client.receive(result("k0", b"zero"), 0.3)
+        assert client.finished
+        assert client.outcomes == [(1, b"one"), (0, b"zero")]
+
+    @pytest.mark.parametrize(
+        "message, error",
+        [
+            (result("k1", None), "malformed result for shard 1"),
+            ({"op": "failed", "key": "k1", "error": "boom"},
+             "tcp shard 1 .* failed permanently: boom"),
+            ({"op": "rejected", "error": "wire format"},
+             "rejected the submission: wire format"),
+        ],
+    )
+    def test_bad_replies_raise(self, message, error):
+        with pytest.raises(AnalysisError, match=error):
+            submitter("k0", "k1").receive(message, 0.0)
+
+    def test_stall_deadline_is_strictly_after_the_limit(self):
+        client = submitter("k0", "k1", stall_limit=5.0, now=1.0)
+        client.check(6.0)  # exactly the limit: not yet
+        with pytest.raises(AnalysisError) as info:
+            client.check(6.01)
+        assert str(info.value) == (
+            "broker at h:1 made no progress on 2 shard(s) within 5s — is "
+            "a `repro broker` running at h:1, with `repro worker --broker "
+            "h:1` processes attached?"
+        )
+
+    def test_each_completion_restarts_the_stall_deadline(self):
+        client = submitter("k0", "k1", stall_limit=5.0)
+        client.receive(result("k0"), 4.0)
+        client.check(9.0)
+        with pytest.raises(AnalysisError, match="on 1 shard"):
+            client.check(9.5)
+
+    def test_lost_connection_raises_with_its_reason_once_stalled(self):
+        client = submitter("k", stall_limit=1.0)
+        assert client.lost(1.0, "refused") == 0.05
+        with pytest.raises(AnalysisError, match=r"within 1s \(refused\)"):
+            client.lost(1.5, "refused")
+
+    def test_poll_waits_until_the_stall_deadline(self):
+        client = submitter("k", stall_limit=5.0)
+        assert client.poll_timeout(0.0) == POLL_INTERVAL
+        assert client.poll_timeout(4.75) == pytest.approx(0.25)
+        assert client.poll_timeout(6.0) > 0  # never non-blocking
+
+
+class TestWorkerMachine:
+    def test_idle_expires_at_exactly_idle_exit(self):
+        worker = WorkerMachine(idle_exit=3.0, now=1.0)
+        assert not worker.idle_expired(3.99)
+        assert worker.idle_expired(4.0)
+        assert worker.lost(4.0) is None
+        assert not WorkerMachine(now=0.0).idle_expired(1e9)
+
+    def test_a_build_restarts_the_idle_deadline(self):
+        worker = WorkerMachine(idle_exit=3.0, now=0.0)
+        worker.claim({"op": "build"}, 2.0)
+        worker.settle("built", 2.5)
+        assert not worker.idle_expired(5.4)  # lifetime > idle_exit
+        assert worker.lost(5.4) == 0.05  # so a disconnect reconnects
+        assert worker.idle_expired(5.5)
+
+    def test_a_connection_lost_mid_build_restarts_the_idle_deadline(self):
+        worker = WorkerMachine(idle_exit=3.0, now=0.0)
+        worker.claim({"op": "build"}, 1.0)
+        assert worker.lost(10.0) == 0.05  # the build ran until now
+        assert not worker.idle_expired(12.9)
+        assert worker.idle_expired(13.0)
+        # Idle again: a later loss does not restart the deadline.
+        assert worker.lost(13.0) is None
+
+    def test_poll_waits_until_the_idle_deadline(self):
+        worker = WorkerMachine(idle_exit=0.5, now=0.0)
+        assert worker.poll_timeout(0.25) == pytest.approx(0.25)
+        assert WorkerMachine(now=0.0).poll_timeout(0.0) == POLL_INTERVAL
+
+    def test_counters_and_task_budget(self):
+        worker = WorkerMachine(max_tasks=2, now=0.0)
+        assert worker.claim({"op": "build", "stolen": True}, 0.0) == 1
+        worker.settle("skipped", 0.0)
+        assert worker.claim({"op": "build"}, 0.0) == 2
+        worker.settle("failed", 0.0)
+        worker.claim({"op": "build"}, 0.0)
+        worker.settle("built", 0.0)
+        assert not worker.finished
+        worker.claim({"op": "build"}, 0.0)
+        worker.settle("built", 0.0)
+        assert worker.finished
+        assert worker.stats == {
+            "built": 2, "skipped": 1, "failed": 1, "stolen": 1,
+        }
+
+
 # ----------------------------------------------------------------------
 # Random interleavings
 # ----------------------------------------------------------------------
@@ -356,11 +518,27 @@ MAX_ATTEMPTS = {"k0": 1, "k1": 2, "k2": 3, "k3": 2}
 WORKER_IDS = ("w0", "w1", "w2", "w3")  # one more than MAX_BUILDERS
 
 
+@dataclass
+class Submission:
+    """One submit call in the model: its machine and what it was told."""
+
+    machine: SubmitterMachine
+    failed: list[str] = field(default_factory=list)  # keys, in order
+    error: str | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.error is not None or self.machine.finished
+
+
 class BrokerMachine(RuleBasedStateMachine):
     """Random events against one scheduler, checked against a model.
 
     The model holds which peers are connected, which build each worker
     peer is working on, and which ``(submitter, key)`` waits are open.
+    Each submission is a :class:`SubmitterMachine` fed the scheduler's
+    replies on its connection; it closes that connection once it ends,
+    and a connection lost before then reconnects and resubmits.
     """
 
     def __init__(self) -> None:
@@ -372,7 +550,8 @@ class BrokerMachine(RuleBasedStateMachine):
         self.seq = 0
         self.live: set[str] = set()
         self.workers: set[str] = set()  # live peers that registered
-        self.submitters: set[str] = set()
+        self.clients: dict[str, Submission] = {}  # live submitter peers
+        self.submissions: list[Submission] = []
         self.assigned: dict[str, str] = {}  # worker peer -> key it builds
         self.open: set[tuple[str, str]] = set()
         self.cleared = 0
@@ -392,6 +571,7 @@ class BrokerMachine(RuleBasedStateMachine):
                     assert frame["error"].startswith(
                         f"attempt {MAX_ATTEMPTS[key]}: "
                     )
+                self._deliver(self.clients[peer], frame)
             elif op == "build":
                 # Never a second build (stolen or not) to a busy worker,
                 # so never a steal by a worker building that key.
@@ -402,6 +582,28 @@ class BrokerMachine(RuleBasedStateMachine):
                 raise AssertionError(f"unexpected frame {frame}")
         for peer in actions.closes:
             self._disconnect(peer)
+        # A submission that ended hangs up, as TcpExecutor does.
+        for peer in sorted(p for p, sub in self.clients.items() if sub.done):
+            self._disconnect(peer)
+
+    def _deliver(self, sub: Submission, frame) -> None:
+        if sub.error is not None:
+            return  # it raised and closed; the frame is never read
+        if frame["op"] == "failed":
+            sub.failed.append(frame["key"])
+        try:
+            sub.machine.receive(frame, self.now)
+        except AnalysisError as exc:
+            sub.error = str(exc)
+
+    def _connect(self, sub: Submission) -> None:
+        peer = self._peer("s")
+        self.clients[peer] = sub
+        pending = sub.machine.pending()
+        self.open.update((peer, spec["key"]) for spec in pending)
+        self._apply(self.sched.submit(
+            peer, {"op": "submit", "shards": pending}, self.now
+        ))
 
     def _peer(self, prefix: str) -> str:
         self.seq += 1
@@ -410,13 +612,15 @@ class BrokerMachine(RuleBasedStateMachine):
         return peer
 
     def _disconnect(self, peer: str) -> None:
+        if peer not in self.live:
+            return
         sched = self.sched
         others = {
             wid for wid, conn in sched._workers.items() if conn.peer != peer
         }
         self.live.discard(peer)
         self.workers.discard(peer)
-        self.submitters.discard(peer)
+        self.clients.pop(peer, None)
         self.assigned.pop(peer, None)
         self.open = {(p, k) for p, k in self.open if p != peer}
         self._apply(sched.disconnect(peer, self.now))
@@ -439,22 +643,28 @@ class BrokerMachine(RuleBasedStateMachine):
             peer, {"op": "register", "worker": worker}, self.now
         ))
 
-    @rule()
-    def connect_submitter(self):
-        self.submitters.add(self._peer("s"))
-
-    @precondition(lambda self: self.submitters)
-    @rule(data=st.data(), keys=st.lists(st.sampled_from(KEYS), min_size=1, unique=True))
-    def submit(self, data, keys):
-        peer = data.draw(st.sampled_from(sorted(self.submitters)))
-        self.open.update((peer, key) for key in keys)
-        shards = [
-            {"key": key, "task": TASK, "shard_index": 0,
+    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, unique=True))
+    def submit(self, keys):
+        specs = [
+            {"key": key, "task": TASK, "shard_index": KEYS.index(key),
              "max_attempts": MAX_ATTEMPTS[key]}
             for key in keys
         ]
+        sub = Submission(SubmitterMachine(
+            specs, stall_limit=1e9, label="b:1", now=self.now
+        ))
+        self.submissions.append(sub)
+        self._connect(sub)
+
+    @precondition(lambda self: self.clients)
+    @rule(data=st.data())
+    def resubmit_on_same_connection(self, data):
+        """A repeated submit on one connection adds no second wait."""
+        peer = data.draw(st.sampled_from(sorted(self.clients)))
         self._apply(self.sched.submit(
-            peer, {"op": "submit", "shards": shards}, self.now
+            peer,
+            {"op": "submit", "shards": self.clients[peer].machine.pending()},
+            self.now,
         ))
 
     @precondition(lambda self: self.assigned)
@@ -500,7 +710,13 @@ class BrokerMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.live)
     @rule(data=st.data())
     def disconnect(self, data):
-        self._disconnect(data.draw(st.sampled_from(sorted(self.live))))
+        peer = data.draw(st.sampled_from(sorted(self.live)))
+        sub = self.clients.get(peer)
+        self._disconnect(peer)
+        if sub is not None and not sub.done:
+            # The submitter reconnects and resubmits what is outstanding.
+            assert sub.machine.lost(self.now, "reset") > 0
+            self._connect(sub)
 
     @rule()
     def clear(self):
@@ -533,6 +749,15 @@ class BrokerMachine(RuleBasedStateMachine):
             assert 0 <= spec["attempts"] < spec["max_attempts"]
 
     @invariant()
+    def submissions_take_each_result_once_or_fail_on_the_first(self):
+        for sub in self.submissions:
+            indices = [index for index, _words in sub.machine.outcomes]
+            assert len(indices) == len(set(indices))
+            if sub.error is not None:
+                first = KEYS.index(sub.failed[0])
+                assert sub.error.startswith(f"tcp shard {first} "), sub.error
+
+    @invariant()
     def no_idle_worker_while_work_is_pending(self):
         if self.sched._pending:
             assert all(
@@ -562,6 +787,14 @@ class BrokerMachine(RuleBasedStateMachine):
         assert not self.sched._specs
         assert not self.open
         self.every_key_resolves_once_or_parks()
+        # Every submission ended: all its results, or its first failure.
+        for sub in self.submissions:
+            if sub.error is None:
+                assert sub.machine.finished
+                assert sorted(sub.machine.outcomes) == sorted(
+                    (spec["shard_index"], b"rows")
+                    for spec in sub.machine.specs
+                )
 
 
 TestBrokerMachine = BrokerMachine.TestCase

@@ -326,6 +326,7 @@ class TestTcpExecutorDifferential:
 
         from repro.parallel.netqueue import (
             BackgroundBroker,
+            Broker,
             TcpExecutor,
             TcpWorker,
         )
@@ -333,7 +334,7 @@ class TestTcpExecutorDifferential:
         circuit = random_circuit(56, num_inputs=5, num_gates=12)
         base = TableBackend()
         inline = FaultUniverse(circuit, backend=base)
-        with BackgroundBroker(steal_after=0.1) as running:
+        with BackgroundBroker(Broker(steal_after=0.1)) as running:
             slow = TcpWorker(
                 broker=running.address, worker_id="a-slow",
                 build_delay=2.0, use_cache=False,

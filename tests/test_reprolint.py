@@ -221,7 +221,7 @@ class TestScoping:
         by_code = {r.code: r for r in ALL_RULES}
         assert by_code["RPL007"].applies_to(("repro", "parallel", "sched"))
         assert not by_code["RPL007"].applies_to(
-            ("repro", "parallel", "netqueue")
+            ("repro", "parallel", "backend")
         )
         module = tmp_path / "src" / "repro" / "parallel" / "sched.py"
         module.parent.mkdir(parents=True)
@@ -231,6 +231,27 @@ class TestScoping:
         )
         findings = lint_file(module, select=["RPL007"])
         assert [(f.rule, f.line) for f in findings] == [("RPL007", 5)]
+
+    def test_clock_rule_covers_the_tcp_clients(self, tmp_path):
+        # The socket adapter reads time through obs.system_clock() only,
+        # so a ManualClock reaches the stall and idle deadlines it feeds
+        # the client machines.
+        by_code = {r.code: r for r in ALL_RULES}
+        assert by_code["RPL007"].applies_to(
+            ("repro", "parallel", "netqueue")
+        )
+        module = tmp_path / "src" / "repro" / "parallel" / "netqueue.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "import time\n\nfrom repro import obs\n\n\n"
+            "def idle(machine):\n"
+            "    return machine.idle_expired(time.monotonic())\n\n\n"
+            "def idle_ok(machine):\n"
+            "    return machine.idle_expired(obs.system_clock().monotonic())\n"
+            "\n\n_sleep = time.sleep\n"
+        )
+        findings = lint_file(module, select=["RPL007"])
+        assert [(f.rule, f.line) for f in findings] == [("RPL007", 7)]
 
     def test_scoped_rule_ignores_out_of_scope_modules(self):
         # The RPL004 flag fixture is rotten with probe windows, but the

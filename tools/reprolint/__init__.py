@@ -21,8 +21,8 @@ RPL005    numpy ``uint64`` hazards (signed dtypes, silent float
           promotion) in the packed/PPSFP kernels
 RPL006    float ``==``/``!=`` comparisons in the CI-estimator and
           stopping-rule code
-RPL007    direct clock reads in ``repro.obs`` and the broker
-          scheduler ``repro.parallel.sched`` (time is injected)
+RPL007    direct clock reads in ``repro.obs`` and the tcp transport
+          ``repro.parallel.sched`` / ``netqueue`` (time is injected)
 ========  ==========================================================
 
 Run it as ``python -m reprolint src`` (with ``tools/`` on the path).

@@ -690,27 +690,29 @@ class FloatEquality(Rule):
 # RPL007 — direct clock reads in the observability layer
 # ----------------------------------------------------------------------
 class DirectClockRead(Rule):
-    """``repro.obs`` and the broker scheduler never read the clock.
+    """``repro.obs`` and the tcp transport never read the clock.
 
     The tracer's determinism guarantee — byte-identical trace files
     under ``ManualClock`` in tests — holds only because every duration
     and timestamp funnels through the one injected clock.  A stray
     ``time.monotonic()`` in a span or histogram path reintroduces
     wall-clock jitter that no test can pin.  ``repro.parallel.sched``
-    takes ``now`` as an argument for the same reason: its lease, steal
-    and heartbeat tests drive time explicitly.  ``repro.obs.clock`` is
-    the single audited call site (``SystemClock`` wraps the real
-    functions) and is exempt.
+    takes ``now`` as an argument for the same reason: its lease, steal,
+    stall and idle tests drive time explicitly.  Its socket adapter
+    ``repro.parallel.netqueue`` reads time only through
+    ``obs.system_clock()``, so tests can substitute a ``ManualClock``
+    there too.  ``repro.obs.clock`` is the single audited call site
+    (``SystemClock`` wraps the real functions) and is exempt.
     """
 
     code = "RPL007"
     name = "direct-clock-read"
     description = (
-        "direct time.time()/monotonic()/perf_counter() in repro.obs or "
-        "repro.parallel.sched (inject a Clock or take `now`; "
-        "repro.obs.clock is the audited call site)"
+        "direct time.time()/monotonic()/perf_counter() in repro.obs, "
+        "repro.parallel.sched or repro.parallel.netqueue (inject a Clock "
+        "or take `now`; repro.obs.clock is the audited call site)"
     )
-    scope = ("repro.obs", "repro.parallel.sched")
+    scope = ("repro.obs", "repro.parallel.sched", "repro.parallel.netqueue")
 
     _FUNCTIONS = {
         "time",
