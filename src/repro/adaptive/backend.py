@@ -137,7 +137,7 @@ class AdaptiveBackend:
     def build_stuck_at(
         self,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         report = self.report_for(circuit)
@@ -162,7 +162,7 @@ class AdaptiveBackend:
 
     @staticmethod
     def _check_faults(circuit, requested, available, kind) -> None:
-        if requested is not None and list(requested) != list(available):
+        if requested is not None and available != requested:
             raise AnalysisError(
                 f"the adaptive backend builds the standard {kind} fault "
                 f"set of {circuit.name!r} in one coupled run; pass "

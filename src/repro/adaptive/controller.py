@@ -415,7 +415,7 @@ class AdaptiveSampler:
             rounds=rounds,
             universe=state.universe,
             target_table=DetectionTable(
-                circuit, list(faults_f), state.acc_f, state.universe
+                circuit, faults_f, state.acc_f, state.universe
             ),
             untargeted_table=DetectionTable(
                 circuit, faults_g, state.acc_g, state.universe
@@ -483,7 +483,7 @@ class AdaptiveSampler:
         else:
             engine = backend
         table_f = engine.build_stuck_at(
-            self.circuit, faults=list(faults_f), drop_undetectable=False
+            self.circuit, faults=faults_f, drop_undetectable=False
         )
         table_g = engine.build_bridging(
             self.circuit, faults=faults_g, drop_undetectable=False

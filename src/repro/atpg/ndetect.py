@@ -18,6 +18,7 @@ Two engines:
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from repro.atpg.podem import ABORTED, DETECTED, generate_test
 from repro.circuit.netlist import Circuit
@@ -75,7 +76,7 @@ def greedy_ndetection_set(
 
 def podem_ndetection_set(
     circuit: Circuit,
-    faults: list[StuckAtFault],
+    faults: Sequence[StuckAtFault],
     n: int,
     seed: int = 0,
     max_attempts_per_fault: int = 64,

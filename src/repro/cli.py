@@ -732,18 +732,19 @@ def execution_label(backend: Any) -> tuple[int | None, str | None]:
     its hot tier on it, so each entry stays byte-identical to its CLI run.
     """
     from repro.adaptive import AdaptiveBackend
-    from repro.parallel import ParallelBackend
+    from repro.faultsim.backends import TableBackend
+    from repro.parallel import ParallelBackend, maybe_parallel
 
+    if isinstance(backend, AdaptiveBackend):
+        # The engine the controller builds each round's tables on.
+        backend = maybe_parallel(
+            TableBackend(), backend.jobs, executor=backend.executor
+        )
     if isinstance(backend, ParallelBackend):
         resolved = backend.resolved_executor
         return (
             resolved.jobs if getattr(resolved, "jobs", 1) > 1 else None,
             resolved.name if backend.executor is not None else None,
-        )
-    if isinstance(backend, AdaptiveBackend):
-        return (
-            backend.jobs if backend.jobs > 1 else None,
-            backend.executor.name if backend.executor is not None else None,
         )
     return (None, None)
 

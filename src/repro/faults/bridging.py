@@ -21,26 +21,30 @@ multi-input gates*; detectability filtering happens in
 :mod:`repro.faultsim` where detection sets are available.
 
 ``G`` runs to 21k–114k faults on mid-size MCNC circuits, so
-:func:`four_way_bridging_faults` returns it as :class:`BridgingFaults`:
-a read-only sequence stored as four numpy arrays (struct-of-arrays).
-The PPSFP kernel and the detection-table builder read the arrays
-directly; :class:`BridgingFault` objects exist only for callers that
-index or iterate the sequence.
+:func:`four_way_bridging_faults` returns it as :class:`BridgingFaults`,
+a :class:`~repro.faults.arrays.FaultArray` of four numpy columns that
+the kernel, the table builder and every sharded executor read; a
+:class:`BridgingFault` exists only for a caller that indexes or
+iterates the list.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, overload
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
+from repro.faults.arrays import FaultArray
 
 if TYPE_CHECKING:
-    from numpy.typing import ArrayLike, NDArray
+    from collections.abc import Sequence
+
+    from numpy.typing import NDArray
+
+    from repro.faults.arrays import FlipTerms
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -83,126 +87,48 @@ def bridging_pair_sites(circuit: Circuit) -> list[tuple[int, int]]:
     return pairs
 
 
-class BridgingFaults(Sequence[BridgingFault]):
-    """An immutable sequence of bridging faults, stored as four arrays.
+class BridgingFaults(FaultArray[BridgingFault]):
+    """Bridging faults as four columns: ``victim``, ``victim_value``,
+    ``aggressor`` and ``aggressor_value``."""
 
-    ``victim``, ``victim_value``, ``aggressor`` and ``aggressor_value``
-    hold fault ``i``'s fields at index ``i`` (read-only numpy arrays).
-    The sequence equals any sequence of the same :class:`BridgingFault`
-    elements, in both directions of ``==``.  Elements are built only
-    when indexed or iterated; the first iteration builds all of them
-    once and keeps them.  Pickles carry the arrays alone.
-    """
-
-    __slots__ = (
-        "victim", "victim_value", "aggressor", "aggressor_value", "_elements",
+    element = BridgingFault
+    fields = (
+        ("victim", np.intp), ("victim_value", np.int8),
+        ("aggressor", np.intp), ("aggressor_value", np.int8),
     )
+    kind = "bridging"
 
     victim: NDArray[np.intp]
     victim_value: NDArray[np.int8]
     aggressor: NDArray[np.intp]
     aggressor_value: NDArray[np.int8]
 
-    def __init__(
-        self,
-        victim: ArrayLike,
-        victim_value: ArrayLike,
-        aggressor: ArrayLike,
-        aggressor_value: ArrayLike,
-    ) -> None:
-        fields: list[NDArray[Any]] = []
-        for values, dtype in (
-            (victim, np.intp), (victim_value, np.int8),
-            (aggressor, np.intp), (aggressor_value, np.int8),
-        ):
-            array = np.array(values, dtype=dtype)  # a private copy
-            array.flags.writeable = False
-            fields.append(array)
-        if any(a.ndim != 1 or a.shape != fields[0].shape for a in fields):
-            raise FaultError("bridging fault arrays must be 1-D, equal length")
-        # BridgingFault.__post_init__'s checks, over every fault at once.
-        for values in (fields[1], fields[3]):
+    def _check(self, *columns: NDArray[Any]) -> None:
+        victim, victim_value, aggressor, aggressor_value = columns
+        for values in (victim_value, aggressor_value):
             if np.any((values != 0) & (values != 1)):
                 raise FaultError("bridging activation values must be 0 or 1")
-        if np.any(fields[0] == fields[2]):
+        if np.any(victim == aggressor):
             raise FaultError("bridging fault needs two distinct lines")
-        self.victim, self.victim_value, self.aggressor, self.aggressor_value = (
-            fields
-        )
-        self._elements: tuple[BridgingFault, ...] | None = None
 
     @classmethod
-    def of(cls, faults: Sequence[BridgingFault]) -> "BridgingFaults":
-        """``faults`` as arrays (returned as is when it already is)."""
-        if isinstance(faults, BridgingFaults):
-            return faults
-        return cls(
-            [g.victim for g in faults],
-            [g.victim_value for g in faults],
-            [g.aggressor for g in faults],
-            [g.aggressor_value for g in faults],
-        )
+    def for_circuit(
+        cls, circuit: Circuit, faults: Sequence[BridgingFault] | None = None
+    ) -> BridgingFaults:
+        """``faults`` as arrays; None is every four-way bridging fault."""
+        if faults is None:
+            return four_way_bridging_faults(circuit)
+        return cls.of(faults)
 
-    def take(self, indices: ArrayLike) -> "BridgingFaults":
-        """The faults at ``indices``, in that order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return BridgingFaults(*(a[idx] for a in self._arrays()))
-
-    def __len__(self) -> int:
-        return len(self.victim)
-
-    @overload
-    def __getitem__(self, index: int) -> BridgingFault: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> "BridgingFaults": ...
-
-    def __getitem__(
-        self, index: int | slice
-    ) -> "BridgingFault | BridgingFaults":
-        if isinstance(index, slice):
-            return BridgingFaults(*(a[index] for a in self._arrays()))
-        if self._elements is not None:
-            return self._elements[index]
-        i = range(len(self))[index]  # IndexError and negatives, as a list
-        return BridgingFault(
-            int(self.victim[i]), int(self.victim_value[i]),
-            int(self.aggressor[i]), int(self.aggressor_value[i]),
-        )
-
-    def __iter__(self) -> Iterator[BridgingFault]:
-        if self._elements is None:
-            self._elements = tuple(map(
-                BridgingFault,
-                self.victim.tolist(), self.victim_value.tolist(),
-                self.aggressor.tolist(), self.aggressor_value.tolist(),
-            ))
-        return iter(self._elements)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BridgingFaults):
-            return all(
-                np.array_equal(a, b)
-                for a, b in zip(self._arrays(), other._arrays(), strict=True)
-            )
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other, strict=True)
-            )
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # equal to lists
-
-    def __reduce__(self) -> tuple[type, tuple[NDArray[Any], ...]]:
-        return BridgingFaults, self._arrays()
-
-    def __repr__(self) -> str:
-        return f"BridgingFaults(<{len(self)} faults>)"
-
-    def _arrays(self) -> tuple[NDArray[Any], ...]:
+    def flip_terms(self, circuit: Circuit) -> FlipTerms:
+        """The victim flips where it carries ``victim_value`` and the
+        aggressor ``aggressor_value``."""
         return (
-            self.victim, self.victim_value,
-            self.aggressor, self.aggressor_value,
+            self.victim,
+            np.column_stack((self.victim, self.aggressor)),
+            np.column_stack(
+                (self.victim_value, self.aggressor_value)
+            ).astype(bool),
         )
 
 

@@ -19,22 +19,19 @@ it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
-from repro.logic.packed import _np
+from repro.faults.arrays import FaultArray
 
 if TYPE_CHECKING:  # import cycle guard: repro.faultsim imports this package
-    from collections.abc import Sequence
-
-    import numpy as np
     from numpy.typing import NDArray
 
+    from repro.faults.arrays import FlipTerms
     from repro.faultsim.detection import DetectionTable
-
-    IntpArray = NDArray[np.intp]
-    BoolArray = NDArray[np.bool_]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -54,53 +51,61 @@ class GateExhaustiveFault:
         return f"{line.name}[{bits}]"
 
 
+class GateExhaustiveFaults(FaultArray[GateExhaustiveFault]):
+    """Gate-exhaustive faults as two columns: ``lid`` and ``pattern``."""
+
+    element = GateExhaustiveFault
+    fields = (("lid", np.intp), ("pattern", np.int64))
+    kind = "gate_exhaustive"
+
+    lid: NDArray[np.intp]
+    pattern: NDArray[np.int64]
+
+    def _check(self, *columns: NDArray[Any]) -> None:
+        if np.any(columns[1] < 0):
+            raise FaultError("pattern must be non-negative")
+
+    def flip_terms(self, circuit: Circuit) -> FlipTerms:
+        """Fault ``r`` flips gate ``lid[r]`` where its fanin lines carry
+        the bits of ``pattern[r]``, MSB first; a narrower gate repeats
+        its first term, which leaves the AND of the terms unchanged."""
+        width = np.array([len(ln.fanin) for ln in circuit.lines])[self.lid]
+        too_wide = np.flatnonzero(self.pattern >> width)
+        if too_wide.size:
+            r = too_wide[0]
+            raise FaultError(
+                f"pattern {self.pattern[r]} too wide for "
+                f"{width[r]}-input gate"
+            )
+        arity = int(width.max(initial=1))
+        fanin = np.zeros((len(circuit.lines), arity), dtype=np.intp)
+        for lid in dict.fromkeys(self.lid.tolist()):
+            gate = circuit.lines[lid].fanin
+            fanin[lid, : len(gate)] = gate
+        term = np.arange(arity)
+        term = np.where(term < width[:, None], term, 0)
+        lines = np.take_along_axis(fanin[self.lid], term, axis=1)
+        values = self.pattern[:, None] >> (width[:, None] - 1 - term) & 1
+        return self.lid, lines, values.astype(bool)
+
+
 def gate_exhaustive_faults(
     circuit: Circuit, max_arity: int = 6
-) -> list[GateExhaustiveFault]:
+) -> GateExhaustiveFaults:
     """All input-pattern faults of multi-input gates (2**arity each).
 
     Gates wider than ``max_arity`` are skipped — their pattern counts
     explode and the model is normally applied after small-fanin mapping.
     """
-    faults = []
+    lids: list[int] = []
+    patterns: list[int] = []
     for line in circuit.multi_input_gate_lines():
         arity = len(line.fanin)
         if arity > max_arity:
             continue
-        for pattern in range(1 << arity):
-            faults.append(GateExhaustiveFault(line.lid, pattern))
-    return faults
-
-
-def activation_terms(
-    circuit: Circuit, faults: Sequence[GateExhaustiveFault]
-) -> tuple[IntpArray, IntpArray, BoolArray]:
-    """``(sites, lines, values)``: the faults as kernel flip faults.
-
-    Fault ``r`` flips gate ``sites[r]`` where every fanin line
-    ``lines[r, t]`` carries bit ``values[r, t]`` of its pattern (MSB =
-    first fanin), the input of :func:`repro.simulation.ppsfp.flip_matrix`.
-    Narrower gates repeat their first term, which leaves the AND of the
-    terms unchanged.
-    """
-    arity = max((len(circuit.lines[g.lid].fanin) for g in faults), default=1)
-    lines = _np.empty((len(faults), arity), dtype=_np.intp)
-    values = _np.empty((len(faults), arity), dtype=bool)
-    for r, g in enumerate(faults):
-        fanin = list(circuit.lines[g.lid].fanin)
-        width = len(fanin)
-        if g.pattern >> width:
-            raise FaultError(
-                f"pattern {g.pattern} too wide for {width}-input gate"
-            )
-        bits = [bool(g.pattern >> (width - 1 - t) & 1) for t in range(width)]
-        pad = arity - width
-        lines[r] = fanin + fanin[:1] * pad
-        values[r] = bits + bits[:1] * pad
-    sites = _np.fromiter(
-        (g.lid for g in faults), dtype=_np.intp, count=len(faults)
-    )
-    return sites, lines, values
+        lids.extend([line.lid] * (1 << arity))
+        patterns.extend(range(1 << arity))
+    return GateExhaustiveFaults(lids, patterns)
 
 
 def gate_exhaustive_table(
@@ -122,8 +127,7 @@ def gate_exhaustive_table(
     universe = VectorUniverse(circuit.num_inputs)
     faults = gate_exhaustive_faults(circuit, max_arity=max_arity)
     matrix = flip_matrix(
-        "gate_exhaustive", circuit, universe,
-        *activation_terms(circuit, faults),
+        faults.kind, circuit, universe, *faults.flip_terms(circuit)
     )
     return DetectionTable.from_rows(
         circuit, faults, matrix, universe, drop_undetectable

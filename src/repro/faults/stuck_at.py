@@ -24,10 +24,21 @@ fault indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit, LineKind
 from repro.errors import FaultError
+from repro.faults.arrays import FaultArray
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from numpy.typing import NDArray
+
+    from repro.faults.arrays import FlipTerms
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -46,11 +57,41 @@ class StuckAtFault:
         return f"{circuit.lines[self.lid].name}/{self.value}"
 
 
-def all_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
+class StuckAtFaults(FaultArray[StuckAtFault]):
+    """Stuck-at faults as two columns: ``lid`` and ``value``."""
+
+    element = StuckAtFault
+    fields = (("lid", np.intp), ("value", np.int8))
+    kind = "stuck_at"
+
+    lid: NDArray[np.intp]
+    value: NDArray[np.int8]
+
+    def _check(self, *columns: NDArray[Any]) -> None:
+        bad = columns[1][(columns[1] != 0) & (columns[1] != 1)]
+        if bad.size:
+            raise FaultError(f"stuck value must be 0 or 1, got {bad[0]}")
+
+    @classmethod
+    def for_circuit(
+        cls, circuit: Circuit, faults: Sequence[StuckAtFault] | None = None
+    ) -> StuckAtFaults:
+        """``faults`` as arrays; None is the paper's ``F``."""
+        if faults is None:
+            return collapsed_stuck_at_faults(circuit)
+        return cls.of(faults)
+
+    def flip_terms(self, circuit: Circuit) -> FlipTerms:
+        """Stuck-at-``v`` flips its site where the site carries ``1 - v``."""
+        return self.lid, self.lid[:, None], (self.value == 0)[:, None]
+
+
+def all_stuck_at_faults(circuit: Circuit) -> StuckAtFaults:
     """The uncollapsed universe: every line stuck at 0 and at 1."""
-    return [
-        StuckAtFault(line.lid, v) for line in circuit.lines for v in (0, 1)
-    ]
+    lines = len(circuit.lines)
+    return StuckAtFaults(
+        np.repeat(np.arange(lines), 2), np.tile([0, 1], lines)
+    )
 
 
 class _UnionFind:
@@ -124,9 +165,22 @@ def _equivalence_unions(circuit: Circuit, uf: _UnionFind) -> None:
                 uf.union(_fault_index(src, c), _fault_index(line.lid, out))
 
 
-def _representative(circuit: Circuit, members: list[StuckAtFault]) -> StuckAtFault:
+def _representative(circuit: Circuit, members: list[int]) -> int:
     """Member closest to the outputs: max level, then max lid."""
-    return max(members, key=lambda f: (circuit.level[f.lid], f.lid))
+    return max(members, key=lambda i: (circuit.level[i >> 1], i >> 1))
+
+
+def _classes(circuit: Circuit) -> list[list[int]]:
+    """Equivalence classes of fault indices ``2 * lid + value``, members
+    ascending, ordered by their representative."""
+    uf = _UnionFind(2 * len(circuit.lines))
+    _equivalence_unions(circuit, uf)
+    groups: dict[int, list[int]] = {}
+    for index in range(2 * len(circuit.lines)):
+        groups.setdefault(uf.find(index), []).append(index)
+    return sorted(
+        groups.values(), key=lambda ms: _representative(circuit, ms)
+    )
 
 
 def equivalence_classes(circuit: Circuit) -> list[list[StuckAtFault]]:
@@ -135,41 +189,27 @@ def equivalence_classes(circuit: Circuit) -> list[list[StuckAtFault]]:
     Classes are ordered by their representative fault; members inside a
     class are sorted by ``(lid, value)``.
     """
-    uf = _UnionFind(2 * len(circuit.lines))
-    _equivalence_unions(circuit, uf)
-    groups: dict[int, list[StuckAtFault]] = {}
-    for fault in all_stuck_at_faults(circuit):
-        root = uf.find(_fault_index(fault.lid, fault.value))
-        groups.setdefault(root, []).append(fault)
-    classes = []
-    for members in groups.values():
-        members.sort()
-        classes.append(members)
-    classes.sort(key=lambda ms: _rep_key(circuit, ms))
-    return classes
+    return [
+        [StuckAtFault(i >> 1, i & 1) for i in members]
+        for members in _classes(circuit)
+    ]
 
 
-def _rep_key(circuit: Circuit, members: list[StuckAtFault]) -> tuple[int, int]:
-    rep = _representative(circuit, members)
-    return (rep.lid, rep.value)
-
-
-def collapsed_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
+def collapsed_stuck_at_faults(circuit: Circuit) -> StuckAtFaults:
     """Equivalence-collapsed fault list, sorted by ``(lid, value)``.
 
     This is the paper's target fault set ``F``; on the Figure 1 example it
     reproduces the published fault indices (``f0 = 1/1``, ``f1 = 2/0``, …,
     ``f14 = 11/0``).
     """
-    reps = [
-        _representative(circuit, members)
-        for members in equivalence_classes(circuit)
-    ]
-    reps.sort()
-    return reps
+    reps = np.array(
+        [_representative(circuit, ms) for ms in _classes(circuit)],
+        dtype=np.intp,
+    )  # ascending: the classes are ordered by their representative
+    return StuckAtFaults(reps >> 1, reps & 1)
 
 
-def dominance_collapsed_faults(circuit: Circuit) -> list[StuckAtFault]:
+def dominance_collapsed_faults(circuit: Circuit) -> StuckAtFaults:
     """Equivalence + gate-level dominance collapsing (ablation extension).
 
     For an AND gate, any test for an input s-a-1 also detects the output
@@ -178,7 +218,10 @@ def dominance_collapsed_faults(circuit: Circuit) -> list[StuckAtFault]:
     dominated faults changes ``F`` and therefore ``nmin`` — it exists for
     the ablation bench.
     """
-    keep = {(f.lid, f.value) for f in collapsed_stuck_at_faults(circuit)}
+    collapsed = collapsed_stuck_at_faults(circuit)
+    keep = set(
+        zip(collapsed.lid.tolist(), collapsed.value.tolist(), strict=True)
+    )
     for line in circuit.lines:
         if line.kind is not LineKind.GATE or len(line.fanin) < 2:
             continue
@@ -190,6 +233,5 @@ def dominance_collapsed_faults(circuit: Circuit) -> list[StuckAtFault]:
         dominators = [(src, c ^ 1) for src in line.fanin]
         if dominated in keep and all(d in keep for d in dominators):
             keep.discard(dominated)
-    faults = [StuckAtFault(lid, v) for (lid, v) in keep]
-    faults.sort()
-    return faults
+    kept = sorted(keep)
+    return StuckAtFaults([lid for lid, _ in kept], [v for _, v in kept])

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
 from repro.faults.bridging import BridgingFaults, four_way_bridging_faults
-from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
+from repro.faults.stuck_at import StuckAtFaults, collapsed_stuck_at_faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
     from repro.faultsim.backends import DetectionBackend
@@ -85,7 +85,7 @@ class FaultUniverse:
         return backend
 
     @cached_property
-    def target_faults(self) -> list[StuckAtFault]:
+    def target_faults(self) -> StuckAtFaults:
         """``F`` — the collapsed stuck-at fault list."""
         return collapsed_stuck_at_faults(self.circuit)
 

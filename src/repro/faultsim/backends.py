@@ -53,17 +53,18 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, ClassVar, Protocol, runtime_checkable
 
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
-from repro.faults.bridging import BridgingFault, four_way_bridging_faults
-from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
+from repro.faults.bridging import BridgingFault, BridgingFaults
+from repro.faults.stuck_at import StuckAtFault, StuckAtFaults
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.logic.bitops import MAX_EXHAUSTIVE_INPUTS
 
 if TYPE_CHECKING:
+    from repro.faults.arrays import FaultArray
     from repro.logic.packed import U64Array
 
 #: Names accepted by :func:`make_backend` (and the CLI ``--backend`` flag).
@@ -89,7 +90,7 @@ class DetectionBackend(Protocol):
     def build_stuck_at(
         self,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         """Detection table for the target stuck-at set ``F``."""
@@ -188,7 +189,7 @@ class TableBackend:
     def build_stuck_at(
         self,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
         return DetectionTable.for_stuck_at(
@@ -258,7 +259,7 @@ class SerialBackend:
     def _build(
         self,
         circuit: Circuit,
-        faults: list,
+        faults: FaultArray[Any],
         drop_undetectable: bool,
     ) -> DetectionTable:
         from repro.faultsim.serial import detection_sets
@@ -275,12 +276,13 @@ class SerialBackend:
     def build_stuck_at(
         self,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        if faults is None:
-            faults = collapsed_stuck_at_faults(circuit)
-        return self._build(circuit, list(faults), drop_undetectable)
+        return self._build(
+            circuit, StuckAtFaults.for_circuit(circuit, faults),
+            drop_undetectable,
+        )
 
     def build_bridging(
         self,
@@ -288,9 +290,10 @@ class SerialBackend:
         faults: Sequence[BridgingFault] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        if faults is None:
-            faults = four_way_bridging_faults(circuit)
-        return self._build(circuit, list(faults), drop_undetectable)
+        return self._build(
+            circuit, BridgingFaults.for_circuit(circuit, faults),
+            drop_undetectable,
+        )
 
 
 def spell_flag(dest: str, value: object = None) -> str:

@@ -19,30 +19,26 @@ lane mapping it declares.  The independent per-vector serial engine
 
 Every table stores its rows one way: faults plus a
 :class:`~repro.logic.packed.PackedSignatureMatrix` (``packed``).  The
-kernel hands its words over; the few producers of big-int rows (the
-sharded merge, the serial oracle) pack them once through
-:meth:`DetectionTable.from_signatures`.
-Undetectable rows are dropped by compacting the words in place, a
-bridging fault list stays :class:`~repro.faults.bridging.BridgingFaults`
-arrays, and ``N(f)``, its estimates and the test-set queries are
-operations on the rows.  A consumer whose algorithm is big-int (the
-scalar oracles, Procedure 1's test sets) unpacks the rows itself with
+faults are the model's :class:`~repro.faults.arrays.FaultArray`,
+whichever builder or executor made the table: the kernel reads their
+flip form, and undetectable rows are dropped by compacting the words in
+place and taking the same rows of the columns.  The serial oracle's
+big-int rows are packed once (:meth:`DetectionTable.from_signatures`);
+``N(f)``, its estimates and the test-set queries are operations on the
+rows.  A consumer whose algorithm is big-int (the scalar oracles,
+Procedure 1's test sets) unpacks the rows itself with
 ``packed.to_bigints()``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import FaultError
-from repro.faults.bridging import (
-    BridgingFault,
-    BridgingFaults,
-    four_way_bridging_faults,
-)
-from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
+from repro.faults.bridging import BridgingFault, BridgingFaults
+from repro.faults.stuck_at import StuckAtFault, StuckAtFaults
 from repro.faultsim.sampling import CountEstimate, VectorUniverse
 from repro.logic.packed import (
     _np,
@@ -54,6 +50,8 @@ from repro.logic.packed import (
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
+
+    from repro.faults.arrays import FaultArray
 
 Fault = Union[StuckAtFault, BridgingFault]
 
@@ -81,9 +79,9 @@ class DetectionTable:
     circuit:
         The analyzed circuit.
     faults:
-        Fault objects, in table order (a
-        :class:`~repro.faults.bridging.BridgingFaults` for bridging
-        tables built here).
+        The faults, in table order: the model's
+        :class:`~repro.faults.arrays.FaultArray` for every table a
+        builder makes.
     packed:
         The rows as a :class:`~repro.logic.packed.PackedSignatureMatrix`:
         row ``i`` is ``T(faults[i])`` over the universe's bits;
@@ -146,7 +144,7 @@ class DetectionTable:
     def from_signatures(
         cls,
         circuit: Circuit,
-        faults: Sequence[Fault],
+        faults: FaultArray[Any],
         signatures: Sequence[int],
         universe: VectorUniverse | None = None,
         drop_undetectable: bool = False,
@@ -163,7 +161,7 @@ class DetectionTable:
     def from_rows(
         cls,
         circuit: Circuit,
-        faults: Sequence[Fault],
+        faults: FaultArray[Any],
         matrix: PackedSignatureMatrix,
         universe: VectorUniverse | None = None,
         drop_undetectable: bool = False,
@@ -172,20 +170,14 @@ class DetectionTable:
 
         The one undetectable-row filter: it compacts ``matrix`` in place
         (so the caller hands over a matrix nothing else reads) and takes
-        the matching faults; a ``BridgingFaults`` list stays arrays.
+        the matching rows of the fault columns.
         """
         if drop_undetectable:
             detected = matrix.words.any(axis=1)
             if not detected.all():
                 kept = _np.flatnonzero(detected)
                 matrix.compact(kept)
-                faults = (
-                    faults.take(kept)
-                    if isinstance(faults, BridgingFaults)
-                    else [faults[i] for i in kept]
-                )
-        if not isinstance(faults, BridgingFaults):
-            faults = list(faults)
+                faults = faults.take(kept)
         return cls(circuit, faults, matrix, universe)
 
     @classmethod
@@ -203,10 +195,9 @@ class DetectionTable:
         defaults to False.  ``universe`` selects the signature bit space
         (default: exhaustive over the circuit's inputs).
         """
-        if faults is None:
-            faults = collapsed_stuck_at_faults(circuit)
         return cls._build(
-            "stuck_at", circuit, faults, drop_undetectable, universe,
+            circuit, StuckAtFaults.for_circuit(circuit, faults),
+            drop_undetectable, universe,
         )
 
     @classmethod
@@ -223,45 +214,40 @@ class DetectionTable:
         ``drop_undetectable`` defaults to True.  On a sampled universe
         "undetectable" means "not detected by any sampled vector".
         """
-        if faults is None:
-            faults = four_way_bridging_faults(circuit)
         return cls._build(
-            "bridging", circuit, BridgingFaults.of(faults),
+            circuit, BridgingFaults.for_circuit(circuit, faults),
             drop_undetectable, universe,
         )
 
     @classmethod
     def _build(
         cls,
-        kind: str,
         circuit: Circuit,
-        faults: Sequence[Fault],
+        faults: FaultArray[Any],
         drop_undetectable: bool,
         universe: VectorUniverse | None,
     ) -> "DetectionTable":
         """The one table builder: the PPSFP kernel, at every width."""
-        from repro.simulation import ppsfp
+        from repro.simulation.ppsfp import flip_matrix
 
         if universe is None:
             universe = VectorUniverse(circuit.num_inputs)
-        build = (
-            ppsfp.stuck_at_matrix if kind == "stuck_at"
-            else ppsfp.bridging_matrix
-        )
         clock = obs.system_clock()
         started = clock.monotonic()
         with obs.span(
             "table_build",
-            kind=kind,
+            kind=faults.kind,
             circuit=circuit.name,
             faults=len(faults),
             k=universe.size,
         ):
-            matrix = build(circuit, universe, faults)
+            matrix = flip_matrix(
+                faults.kind, circuit, universe, *faults.flip_terms(circuit)
+            )
             table = cls.from_rows(
                 circuit, faults, matrix, universe, drop_undetectable
             )
-        _observe_table_build(kind, clock.monotonic() - started)
+        _observe_table_build(faults.kind, clock.monotonic() - started)
         return table
 
     # ------------------------------------------------------------------

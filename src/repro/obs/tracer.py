@@ -496,19 +496,22 @@ AnyTracer = Union[Tracer, NullTracer]
 #: which inherit the submitter's environment, join a trace.
 _ACTIVE: AnyTracer | None = None
 _ACTIVE_LOCK = threading.Lock()
+#: The tracer :func:`current_tracer` opened from the environment.
+_OPENED: Tracer | None = None
 
 
 def current_tracer() -> AnyTracer:
     """The process-wide active tracer (NULL_TRACER when disabled)."""
-    global _ACTIVE
+    global _ACTIVE, _OPENED
     tracer = _ACTIVE
     if tracer is None:
         with _ACTIVE_LOCK:
             if _ACTIVE is None:
                 path = os.environ.get(TRACE_FILE_ENV)
-                _ACTIVE = (
-                    Tracer(JsonlTraceWriter(path)) if path else NULL_TRACER
-                )
+                if path:
+                    _ACTIVE = _OPENED = Tracer(JsonlTraceWriter(path))
+                else:
+                    _ACTIVE = NULL_TRACER
             tracer = _ACTIVE
     return tracer
 
@@ -527,10 +530,14 @@ def activate(tracer: AnyTracer) -> AnyTracer | None:
 
 
 def reset(previous: AnyTracer | None = None) -> None:
-    """Restore a previous resolution (None re-reads the environment)."""
-    global _ACTIVE
+    """Restore a previous resolution (None re-reads the environment),
+    closing a dropped tracer that the environment opened."""
+    global _ACTIVE, _OPENED
     with _ACTIVE_LOCK:
-        _ACTIVE = previous
+        dropped, _ACTIVE = _ACTIVE, previous
+        if dropped is not previous and dropped is _OPENED:
+            _OPENED = None
+            dropped.close()
 
 
 def span(

@@ -20,9 +20,11 @@ the experiment caches, the CLI — composes with it unchanged.  A build
    build (the parallel differential suite enforces this for every base
    engine × executor).
 
-A shard task carries no fault-free values: each worker simulates the
-base words of the universe its backend names (a few milliseconds per
-shard), so a task stays kilobytes whatever the universe's width.
+A shard is a slice of the build's fault array, so a build makes no
+fault object, and the merged table's faults are an inline build's
+array type.  A shard task carries no fault-free values: each worker
+simulates the base words of the universe its backend names (a few
+milliseconds per shard), so a task stays kilobytes at any width.
 ``jobs=`` stays as sugar: without an explicit executor,
 ``jobs=1`` runs inline (no pool, no pickling) and ``jobs>1`` selects a
 pool — exactly the pre-protocol behavior, which is also the fallback
@@ -34,15 +36,15 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as _np
 
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
-from repro.faults.bridging import BridgingFault, four_way_bridging_faults
-from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
+from repro.faults.bridging import BridgingFault, BridgingFaults
+from repro.faults.stuck_at import StuckAtFault, StuckAtFaults
 from repro.faultsim.backends import DetectionBackend
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
@@ -58,6 +60,7 @@ from repro.parallel.worker import ShardTask, payload_size
 from repro.simulation.ppsfp import packed_line_words
 
 if TYPE_CHECKING:
+    from repro.faults.arrays import FaultArray
     from repro.logic.packed import U64Array
 
 
@@ -215,13 +218,12 @@ class ParallelBackend:
     def build_stuck_at(
         self,
         circuit: Circuit,
-        faults: list[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | None = None,
         drop_undetectable: bool = False,
     ) -> DetectionTable:
-        if faults is None:
-            faults = collapsed_stuck_at_faults(circuit)
         return self._build(
-            circuit, "stuck_at", list(faults), drop_undetectable
+            circuit, StuckAtFaults.for_circuit(circuit, faults),
+            drop_undetectable,
         )
 
     def build_bridging(
@@ -230,20 +232,19 @@ class ParallelBackend:
         faults: Sequence[BridgingFault] | None = None,
         drop_undetectable: bool = True,
     ) -> DetectionTable:
-        if faults is None:
-            faults = four_way_bridging_faults(circuit)
         return self._build(
-            circuit, "bridging", list(faults), drop_undetectable
+            circuit, BridgingFaults.for_circuit(circuit, faults),
+            drop_undetectable,
         )
 
     # -- the sharded build ---------------------------------------------
     def _build(
         self,
         circuit: Circuit,
-        kind: str,
-        faults: list,
+        faults: FaultArray[Any],
         drop_undetectable: bool,
     ) -> DetectionTable:
+        kind = faults.kind
         executor = self.resolved_executor
         tracer = obs.current_tracer()
         registry = obs.metrics()
@@ -284,7 +285,7 @@ class ParallelBackend:
                             circuit=circuit,
                             backend=self.base,
                             kind=kind,
-                            faults=tuple(shard_faults),
+                            faults=shard_faults,
                             shard_index=index,
                             trace=build_span.remote(),
                         )

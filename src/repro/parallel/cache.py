@@ -3,7 +3,9 @@
 A shard's detection rows are a pure function of three things: the
 circuit's structure, the backend configuration (which fixes the vector
 universe — engine, ``K``, seed, replacement), and the fault slice.  The
-cache keys on a digest of exactly those inputs, so
+cache keys on a digest of exactly those inputs — the slice as its fault
+array's columns, hashed as fixed-width little-endian bytes, so keying
+builds no per-fault object — so
 
 * repeated experiments (the ``table1``–``table6`` drivers re-analyze the
   same circuits run after run) reload shards instead of re-simulating;
@@ -30,19 +32,18 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.circuit.netlist import Circuit
-from repro.faults.bridging import BridgingFault
-from repro.faults.stuck_at import StuckAtFault
 
 if TYPE_CHECKING:
+    from repro.faults.arrays import FaultArray
     from repro.faultsim.backends import DetectionBackend
-    from repro.faultsim.detection import Fault
 
 #: Bumped whenever the cached payload layout or the key material changes;
-#: part of every key, so old entries simply stop being addressed.
-CACHE_FORMAT_VERSION = 2
+#: part of every key, so old entries simply stop being addressed
+#: (3: the fault slice is keyed by its columns' bytes).
+CACHE_FORMAT_VERSION = 3
 
 #: Entry prefix: magic, then the format version as a little-endian
 #: ``uint64`` — 16 bytes, so the payload words start 8-byte aligned.
@@ -109,39 +110,32 @@ def backend_cache_key(backend: DetectionBackend) -> str:
     return f"{type(backend).__name__}({backend!r})"
 
 
-def _fault_token(fault: object) -> str:
-    if isinstance(fault, StuckAtFault):
-        return f"s{fault.lid}/{fault.value}"
-    if isinstance(fault, BridgingFault):
-        return (
-            f"b{fault.victim},{fault.victim_value},"
-            f"{fault.aggressor},{fault.aggressor_value}"
-        )
-    # Future fault models: fall back to repr (stable for dataclasses).
-    return repr(fault)
-
-
 def shard_key(
     digest: str,
     backend: DetectionBackend,
     kind: str,
-    faults: Iterable[Fault],
+    faults: FaultArray[Any],
 ) -> str:
     """Content-addressed key for one shard's payload.
 
     ``digest`` is the circuit's :func:`circuit_digest`: callers hash the
     netlist once per build and share it across that build's shards.
+    ``faults`` enters as its columns, each as little-endian ``int64``.
     """
-    material = "|".join(
-        (
-            f"v{CACHE_FORMAT_VERSION}",
-            digest,
-            backend_cache_key(backend),
-            kind,
-            ";".join(_fault_token(f) for f in faults),
-        )
+    h = hashlib.sha256(
+        "|".join(
+            (
+                f"v{CACHE_FORMAT_VERSION}",
+                digest,
+                backend_cache_key(backend),
+                kind,
+                str(len(faults)),
+            )
+        ).encode()
     )
-    return hashlib.sha256(material.encode()).hexdigest()
+    for column in faults.columns():
+        h.update(column.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -135,8 +135,9 @@ CRASH_ENV = "REPRO_QUEUE_CRASH_AFTER_CLAIM"
 
 #: Bumped whenever the wire format changes; mismatched peers are
 #: rejected with a clean error instead of being mis-deserialized
-#: (3: a shard task no longer carries fault-free base signatures).
-NET_FORMAT_VERSION = 3
+#: (3: a shard task no longer carries fault-free base signatures;
+#: 4: its fault slice is a fault array, pickled as columns).
+NET_FORMAT_VERSION = 4
 
 #: Frame-size backstop (a shard task is a circuit plus a fault slice —
 #: kilobytes, not gigabytes).
@@ -179,8 +180,8 @@ _SAFE_FRAME_GLOBALS = frozenset(
         ("repro.circuit.gate", "GateType"),
         ("repro.faultsim.backends", "TableBackend"),
         ("repro.faultsim.backends", "SerialBackend"),
-        ("repro.faults.stuck_at", "StuckAtFault"),
-        ("repro.faults.bridging", "BridgingFault"),
+        ("repro.faults.stuck_at", "StuckAtFaults"),
+        ("repro.faults.bridging", "BridgingFaults"),
     }
 )
 

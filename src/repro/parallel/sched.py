@@ -133,6 +133,7 @@ class Scheduler(Generic[Peer]):
         self.counters: dict[str, int] = dict.fromkeys((
             "submitted", "dispatched", "completed", "duplicates", "steals",
             "steal_completions", "requeues", "parked", "workers_registered",
+            "disconnects",
         ), 0)
         self._out: Actions[Peer] = Actions()
 
@@ -266,6 +267,7 @@ class Scheduler(Generic[Peer]):
         was superseded by a reconnect maps to nothing here, so it can
         never deregister its successor.
         """
+        self.counters["disconnects"] += 1
         worker_id = self._ids.get(peer)
         if worker_id is not None:
             self._drop(worker_id, "connection lost")

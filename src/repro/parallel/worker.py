@@ -3,13 +3,14 @@
 A :class:`ShardTask` carries everything a worker process needs to
 rebuild one shard of a detection table — the circuit, the *base* backend
 (exhaustive / sampled / serial, a small frozen dataclass) and the fault
-slice.  It carries no fault-free values: the worker's build simulates
-them from the universe the backend names, so a task's size does not
-grow with the universe.  :func:`run_shard` is a module-level function
-(picklable by reference under any multiprocessing start method) that
-executes the task by delegating to the base backend's own ``build_*``
-method, so a sharded build runs *exactly* the single-process code path
-on each slice.
+slice, a slice of the build's fault array (pickled as lists of ints, so
+the restricted unpickler of tcp frames needs no numpy global).  It
+carries no fault-free values: the worker's build simulates them from
+the universe the backend names, so a task's size does not grow with the
+universe.  :func:`run_shard` is a module-level function (picklable by
+reference under any multiprocessing start method) that executes the
+task by delegating to the base backend's own ``build_*`` method, so a
+sharded build runs *exactly* the single-process code path on each slice.
 
 Workers always build with ``drop_undetectable=False`` and return raw
 little-endian word bytes, which executors and the cache carry opaquely;
@@ -21,7 +22,7 @@ identity guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.circuit.netlist import Circuit
@@ -29,8 +30,8 @@ from repro.errors import AnalysisError
 from repro.logic.packed import WORD_BITS, words_for
 
 if TYPE_CHECKING:
+    from repro.faults.arrays import FaultArray
     from repro.faultsim.backends import DetectionBackend
-    from repro.faultsim.detection import Fault
 
 _KINDS = ("stuck_at", "bridging")
 
@@ -50,8 +51,8 @@ class ShardTask:
     kind:
         ``"stuck_at"`` or ``"bridging"`` — which table family to build.
     faults:
-        The shard's fault slice, in table order (the worker simulates
-        the fault-free base words itself).
+        The shard's slice of the build's fault array, in table order
+        (the worker simulates the fault-free base words itself).
     shard_index:
         Position of this shard in the plan (merge order).
     trace:
@@ -66,7 +67,7 @@ class ShardTask:
     circuit: Circuit
     backend: DetectionBackend
     kind: str
-    faults: tuple[Fault, ...]
+    faults: FaultArray[Any]
     shard_index: int
     trace: tuple[str, str] | None = field(default=None, compare=False)
 
@@ -113,7 +114,7 @@ def run_shard(task: ShardTask) -> tuple[int, bytes]:
         backend=getattr(task.backend, "name", "?"),
     ):
         table = build(
-            task.circuit, faults=list(task.faults), drop_undetectable=False
+            task.circuit, faults=task.faults, drop_undetectable=False
         )
     obs.metrics().histogram(
         "repro_shard_build_seconds",

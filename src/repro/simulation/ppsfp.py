@@ -29,17 +29,13 @@ universe, whatever its width.  The independent per-vector serial engine
 
 Every fault model is a *flip fault* (:func:`flip_matrix`): fault ``r``
 flips its site on the vectors where, fault-free, every one of its
-activation lines carries its activation value.
+activation lines carries its activation value.  Each fault array gives
+its model in that form (``faults.flip_terms(circuit)``; a stuck-at-``v``
+fault flips its site where the site carries ``1 - v``).
 
 * fault-free *base* words come from the boolean gate functions
   (:func:`repro.circuit.gate.eval_signature`'s semantics, lifted to
   word blocks) over the bit ↔ vector mapping the universe declares;
-* a stuck-at-``v`` fault flips its site where the site carries
-  ``1 - v``, which forces the whole word block to ``v``;
-* a four-way bridging fault activates on fault-free ``l1 = a1 ∧ l2 =
-  a2`` and flips the victim on exactly the activated vectors;
-* a gate-exhaustive fault activates where the gate's fanin lines carry
-  its pattern and flips the gate output there;
 * the flipped site is forced *after* normal evaluation (inputs,
   branches, and gates alike — the ``forced``-after-evaluation override
   of :func:`repro.simulation.twoval.simulate_batch`); a fault activated
@@ -72,8 +68,6 @@ if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import NDArray
 
-    from repro.faults.bridging import BridgingFault
-    from repro.faults.stuck_at import StuckAtFault
     from repro.logic.packed import U64Array
 
     IntpArray = NDArray[np.intp]
@@ -82,7 +76,6 @@ from repro import obs
 from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit, LineKind
 from repro.errors import SimulationError
-from repro.faults.bridging import BridgingFaults
 from repro.faultsim.sampling import VectorUniverse
 from repro.logic.bitops import input_signature
 from repro.logic.packed import (
@@ -255,6 +248,14 @@ def packed_line_words(
     into its own row.  An exhaustive universe is capped by
     :func:`~repro.simulation.exhaustive.check_exhaustive_inputs`.
     """
+    return _simulate_base(circuit, universe)[2]
+
+
+def _simulate_base(
+    circuit: Circuit, universe: VectorUniverse
+) -> tuple[IntpArray, U64Array, U64Array]:
+    """``(row_of, mask_row, base)``: :func:`line_rows`' row map, the
+    universe's packed mask row and :func:`packed_line_words`' rows."""
     p = circuit.num_inputs
     if universe.exhaustive:
         check_exhaustive_inputs(circuit)
@@ -285,7 +286,7 @@ def packed_line_words(
             _eval_into(gt, inputs, mask, row)
         else:
             row[...] = eval_words(gt, inputs, mask)
-    return base
+    return row_array, mask, base
 
 
 # ----------------------------------------------------------------------
@@ -309,11 +310,11 @@ class PackedSimulator:
         self.universe = universe
         self.size = universe.size
         self.num_words = words_for(self.size)
-        self.row_of, _ = line_rows(circuit)
-        self.base = packed_line_words(circuit, universe)
+        self.row_of, self.mask_row, self.base = _simulate_base(
+            circuit, universe
+        )
         # Per-line views of the base rows (branches view their stem's).
         self._line_base = [self.base[r] for r in self.row_of.tolist()]
-        self.mask_row = pack_signature(universe.mask, self.size)
         # Per-line fanout cones as line-id bitsets: unioning the cones
         # of a whole fault batch is a handful of C-speed big-int ORs.
         self._cone_masks = circuit.fanout_masks()
@@ -649,45 +650,3 @@ def flip_matrix(
     )
     return PackedSignatureMatrix(out, universe.size)
 
-
-def stuck_at_matrix(
-    circuit: Circuit,
-    universe: VectorUniverse,
-    faults: Sequence[StuckAtFault],
-    batch_rows: int | None = None,
-) -> PackedSignatureMatrix:
-    """Packed detection matrix for a stuck-at fault list (table order).
-
-    Stuck-at-``v`` flips its site where the site carries ``1 - v``.
-    """
-    num = len(faults)
-    sites = _np.fromiter((f.lid for f in faults), dtype=_np.intp, count=num)
-    values = _np.fromiter((f.value for f in faults), dtype=bool, count=num)
-    return flip_matrix(
-        "stuck_at", circuit, universe, sites, sites[:, None],
-        ~values[:, None], batch_rows,
-    )
-
-
-def bridging_matrix(
-    circuit: Circuit,
-    universe: VectorUniverse,
-    faults: Sequence[BridgingFault],
-    batch_rows: int | None = None,
-) -> PackedSignatureMatrix:
-    """Packed detection matrix for a four-way bridging fault list.
-
-    The victim flips where it carries ``victim_value`` and the aggressor
-    ``aggressor_value``.  Reads the field arrays of a
-    :class:`~repro.faults.bridging.BridgingFaults`; any other sequence
-    is converted to one first.
-    """
-    faults = BridgingFaults.of(faults)
-    return flip_matrix(
-        "bridging", circuit, universe, faults.victim,
-        _np.column_stack((faults.victim, faults.aggressor)),
-        _np.column_stack(
-            (faults.victim_value, faults.aggressor_value)
-        ).astype(bool),
-        batch_rows,
-    )

@@ -298,6 +298,32 @@ class TestJobsAndCache:
         assert strip(single_out) == strip(parallel_out)
         assert "jobs=2" in parallel_out
 
+    @pytest.mark.parametrize("flags,suffix", [
+        ([], ""),
+        (["--jobs", "2"], " jobs=2"),
+        (["--executor", "pool"], " jobs=2 executor=pool"),
+        (["--executor", "pool", "--jobs", "3"], " jobs=3 executor=pool"),
+        (["--executor", "inline"], " executor=inline"),
+        (["--executor", "inline", "--jobs", "4"], " executor=inline"),
+    ])
+    @pytest.mark.parametrize("backend", ["exhaustive", "adaptive"])
+    def test_execution_suffix_names_the_executor_used(
+        self, backend, flags, suffix, capsys, tmp_path, monkeypatch
+    ):
+        """The ``backend=`` label names the executor the builds ran on,
+        the same way for the sharded and the adaptive backend."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert main(
+            ["analyze", "paper_example", "--backend", backend, *flags]
+        ) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            f"Worst-case analysis of paper_example "
+            f"(backend={backend}{suffix})"
+        )
+
     def test_jobs_zero_rejected(self, capsys):
         assert main(["analyze", "lion", "--jobs", "0"]) == 2
         err = capsys.readouterr().err
@@ -465,7 +491,7 @@ class TestExecutorsAndQueueCLI:
                 circuit=circuit,
                 backend=backend,
                 kind="stuck_at",
-                faults=tuple(faults[2 * index : 2 * index + 2]),
+                faults=faults[2 * index : 2 * index + 2],
                 shard_index=index,
             )
             for index in range(count)
@@ -609,7 +635,7 @@ class TestExecutorsAndQueueCLI:
         capsys.readouterr()
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "format v2:" in out
+        assert "format v3:" in out
         assert "stale" not in out
 
     def test_partition_executor_threaded(self, capsys, broker, drain):

@@ -8,7 +8,7 @@ from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import FaultError
 from repro.faults.cell_aware import (
     GateExhaustiveFault,
-    activation_terms,
+    GateExhaustiveFaults,
     gate_exhaustive_faults,
     gate_exhaustive_table,
 )
@@ -74,7 +74,9 @@ class TestDetection:
     def test_pattern_width_guard(self, example_circuit):
         c = example_circuit
         with pytest.raises(FaultError, match="too wide"):
-            activation_terms(c, [GateExhaustiveFault(c.lid_of("9"), 0b100)])
+            GateExhaustiveFaults.of(
+                [GateExhaustiveFault(c.lid_of("9"), 0b100)]
+            ).flip_terms(c)
 
 
 class TestTableIntegration:

@@ -126,7 +126,7 @@ class TestConstruction:
     def test_from_signatures_drops_undetectable_rows(self, plain_tables):
         plain = plain_tables[1]
         signatures = [0, *plain.packed.to_bigints(), 0]
-        faults = [plain.faults[0], *plain.faults, plain.faults[0]]
+        faults = plain.faults.take([0, *range(len(plain)), 0])
         table = DetectionTable.from_signatures(
             plain.circuit, faults, signatures, plain.universe,
             drop_undetectable=True,
@@ -199,6 +199,123 @@ class TestOneRepresentation:
         assert all(rows)  # undetectable rows dropped
         kept = gate_exhaustive_table(circuit, drop_undetectable=False)
         assert [s for s in kept.packed.to_bigints() if s] == rows
+
+
+@pytest.fixture()
+def tcp_broker(tmp_path):
+    """A live broker with one drain loop; yields the broker address."""
+    import threading
+
+    from repro.parallel.netqueue import BackgroundBroker, TcpWorker
+
+    with BackgroundBroker() as broker:
+        worker = TcpWorker(
+            broker=broker.address, worker_id="form",
+            cache_dir=str(tmp_path / "worker"), use_cache=False,
+        )
+        thread = threading.Thread(target=worker.serve, daemon=True)
+        thread.start()
+        yield broker.address
+        worker.stop()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+class TestOneFaultForm:
+    """Every table's faults are its model's fault array, and a sharded
+    build makes no fault object."""
+
+    BUILDERS = ("kernel", "serial", "inline", "pool", "tcp", "adaptive")
+
+    @staticmethod
+    def _backend(label, request):
+        from repro.parallel import ParallelBackend
+        from repro.parallel.netqueue import TcpExecutor
+
+        if label == "tcp":
+            return ParallelBackend(
+                base=TableBackend(), use_cache=False,
+                executor=TcpExecutor(
+                    broker=request.getfixturevalue("tcp_broker"),
+                    wait_timeout=60.0,
+                ),
+            )
+        return {
+            "kernel": TableBackend,
+            "serial": SerialBackend,
+            "inline": lambda: make_backend("exhaustive", executor="inline"),
+            "pool": lambda: make_backend(
+                "exhaustive", jobs=2, executor="pool"
+            ),
+            "adaptive": lambda: make_backend(
+                "adaptive", max_samples=1 << 16
+            ),
+        }[label]()
+
+    @pytest.mark.parametrize("label", BUILDERS)
+    def test_every_builder_makes_fault_arrays(
+        self, label, request, monkeypatch, tmp_path
+    ):
+        from repro.faults.bridging import BridgingFaults
+        from repro.faults.stuck_at import StuckAtFaults
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        circuit = random_circuit(5, num_inputs=5, num_gates=12)
+        reference = FaultUniverse(circuit)
+        universe = FaultUniverse(
+            circuit, backend=self._backend(label, request)
+        )
+        target, untargeted = universe.target_table, universe.untargeted_table
+        assert type(target.faults) is StuckAtFaults
+        assert type(untargeted.faults) is BridgingFaults
+        assert target.faults == reference.target_table.faults
+        assert untargeted.faults == reference.untargeted_table.faults
+
+    def test_gate_exhaustive_table_makes_fault_arrays(self):
+        from repro.faults.cell_aware import (
+            GateExhaustiveFaults,
+            gate_exhaustive_table,
+        )
+
+        circuit = get_circuit("paper_example")
+        for drop in (True, False):
+            table = gate_exhaustive_table(circuit, drop_undetectable=drop)
+            assert type(table.faults) is GateExhaustiveFaults
+
+    def test_sharded_build_makes_no_fault_object(
+        self, monkeypatch, tmp_path
+    ):
+        """Cold (every shard a miss) and warm (every shard a hit)."""
+        from repro.faults.bridging import BridgingFault
+        from repro.faults.stuck_at import StuckAtFault
+        from repro.parallel import (
+            InlineExecutor,
+            ParallelBackend,
+            cache_stats,
+            reset_cache_stats,
+        )
+
+        built = []
+        for model in (StuckAtFault, BridgingFault):
+            monkeypatch.setattr(
+                model, "__post_init__", lambda fault: built.append(fault)
+            )
+        backend = ParallelBackend(
+            base=TableBackend(), executor=InlineExecutor(),
+            cache_dir=str(tmp_path),
+        )
+        circuit = get_circuit("lion")
+        reset_cache_stats()
+        for _ in range(2):
+            universe = FaultUniverse(circuit, backend=backend)
+            assert len(universe.target_table) and len(
+                universe.untargeted_table
+            )
+        stats = cache_stats()
+        assert stats["hits"] == stats["misses"] == stats["stores"] > 0
+        assert built == []
+        universe.untargeted_table.faults[0]  # the counter does count
+        assert len(built) == 1
 
 
 class TestPackedBackend:

@@ -93,7 +93,7 @@ def poisoned_task() -> ShardTask:
         circuit=circuit,
         backend=SerialBackend(),
         kind="stuck_at",
-        faults=tuple(collapsed_stuck_at_faults(circuit)[:2]),
+        faults=collapsed_stuck_at_faults(circuit)[:2],
         shard_index=0,
     )
 
@@ -107,7 +107,7 @@ class TestCrossProcessStitching:
         tracer = obs.Tracer(
             obs.JsonlTraceWriter(str(trace_path), truncate=True)
         )
-        obs.activate(tracer)
+        previous = obs.activate(tracer)
 
         with BackgroundBroker() as broker:
             backend = ParallelBackend(
@@ -139,6 +139,9 @@ class TestCrossProcessStitching:
             assert not submitter.is_alive()
             assert healthy.wait(timeout=120) == 0
             assert broker.stats()["counters"]["requeues"] >= 1
+        # Deactivate before closing: the reference build below would
+        # otherwise reopen the closed writer's file.
+        obs.reset(previous)
         tracer.close()
 
         reference = FaultUniverse(get_circuit("lion"))

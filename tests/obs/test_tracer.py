@@ -9,8 +9,10 @@ propagated ``(trace_id, span_id)`` tuple.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import warnings
 
 import pytest
 
@@ -205,6 +207,38 @@ class TestActivation:
             pass
         obs.current_tracer().close()
         assert json.loads(path.read_text())["name"] == "from_env"
+
+    def test_reset_closes_the_tracer_opened_from_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        """Dropping the env-opened tracer closes its file: garbage
+        collection finds no open trace file to warn about."""
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE_FILE", str(path))
+        obs.reset()
+        opened = obs.current_tracer()
+        with obs.span("from_env"):
+            pass  # opens the writer's file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            obs.reset(obs.NULL_TRACER)
+            del opened
+            gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+        assert json.loads(path.read_text())["name"] == "from_env"
+
+    def test_reset_keeps_an_activated_tracer_open(self, tmp_path):
+        """Only the module's own tracer is closed: an activated one
+        belongs to its caller."""
+        writer = JsonlTraceWriter(str(tmp_path / "mine.jsonl"))
+        obs.activate(Tracer(writer))
+        with obs.span("mine"):
+            pass
+        obs.reset(obs.NULL_TRACER)
+        assert writer._fh is not None
+        writer.close()
 
     def test_trace_id_env_pins_the_id(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_ID", "PINNED")

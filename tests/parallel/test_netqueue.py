@@ -29,6 +29,7 @@ from repro import obs
 from repro.bench_suite.randlogic import random_circuit
 from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
+from repro.faults.bridging import BridgingFaults
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import SerialBackend, TableBackend
@@ -67,7 +68,7 @@ def make_task(shard_index: int = 0, count: int = 4) -> ShardTask:
         circuit=circuit,
         backend=backend,
         kind="stuck_at",
-        faults=tuple(faults[lo : lo + count]),
+        faults=faults[lo : lo + count],
         shard_index=shard_index,
     )
 
@@ -80,7 +81,7 @@ def poisoned_task() -> ShardTask:
         circuit=circuit,
         backend=SerialBackend(),
         kind="stuck_at",
-        faults=tuple(collapsed_stuck_at_faults(circuit)[:2]),
+        faults=collapsed_stuck_at_faults(circuit)[:2],
         shard_index=0,
     )
 
@@ -320,7 +321,7 @@ class TestSecurity:
             circuit=circuit,
             backend=backend,
             kind="bridging",
-            faults=(),
+            faults=BridgingFaults.of([]),
             shard_index=3,
         )
         loaded = _loads(
@@ -799,7 +800,9 @@ class TestStateHygiene:
                 # must leave the new connection registered and
                 # dispatchable.
                 first.close()
-                time.sleep(0.3)
+                wait_for(
+                    lambda: broker.stats()["counters"]["disconnects"] == 1
+                )
                 assert [
                     w["worker"] for w in broker.stats()["workers"]
                 ] == ["w"]

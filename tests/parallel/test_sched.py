@@ -27,6 +27,7 @@ from hypothesis.stateful import (
 
 from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
+from repro.faults.stuck_at import StuckAtFaults
 from repro.faultsim.backends import TableBackend
 from repro.parallel import ShardTask
 from repro.parallel.sched import (
@@ -41,7 +42,7 @@ TASK = ShardTask(
     circuit=get_circuit("paper_example"),
     backend=TableBackend(),
     kind="stuck_at",
-    faults=(),
+    faults=StuckAtFaults.of([]),
     shard_index=0,
 )
 
@@ -281,6 +282,8 @@ class TestLeases:
             {"worker": "w", "current": "k"}
         ]
         assert sched.counters["workers_registered"] == 2
+        # Every teardown is counted, superseded or not.
+        assert sched.counters["disconnects"] == 1
         out = done(sched, "second", "k", now=3.0)
         assert sent(out, "result")[0][1]["worker"] == "w"
 

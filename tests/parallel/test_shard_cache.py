@@ -72,10 +72,10 @@ class TestKeys:
     def test_shard_key_bytes_are_pinned(self, monkeypatch):
         """Key bytes change only with the format version.
 
-        The v1 key was computed when ``shard_key`` still hashed the
-        circuit itself.  The format version is the first piece of key
-        material, so the bump to v2 (raw word bytes instead of pickled
-        big-ints) re-addresses every entry and changes nothing else.
+        Format v3 keys the fault slice by its columns' little-endian
+        bytes (v2 joined one text token per fault object).  The format
+        version is the first piece of key material, so a version bump
+        alone re-addresses every entry.
         """
         import repro.parallel.cache as cache_module
 
@@ -88,13 +88,12 @@ class TestKeys:
                 faults[:4],
             )
 
-        assert key() == (
-            "54f7d29654a0fd37f1d75c28804d08710d5873b9703d72c9b0a1ae115517878a"
+        pinned = (
+            "7a362d46be26da11fe1728de757ceeb5661dcb63feefbc6f3cdd25fc10068922"
         )
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
-        assert key() == (
-            "44551848d1ef01e2299e12e83aa33522acdbfe87ce83e6976a2649247d0a684f"
-        )
+        assert key() == pinned
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        assert key() != pinned
 
     def test_sharded_build_hashes_the_circuit_once(
         self, monkeypatch, tmp_path
@@ -133,10 +132,10 @@ class TestStore:
         cache.put(self.KEY, words)
         assert cache.get(self.KEY) == words
         assert cache.hits == 1 and cache.misses == 0 and cache.stores == 1
-        # A v2 entry is the 16-byte header, then the payload verbatim.
+        # An entry is the 16-byte header, then the payload verbatim.
         raw = cache.entries()[0].read_bytes()
         assert raw[:8] == b"RPSHARD\0"
-        assert int.from_bytes(raw[8:16], "little") == 2
+        assert int.from_bytes(raw[8:16], "little") == 3
         assert raw[16:] == words
 
     def test_miss(self, cache):
@@ -259,11 +258,24 @@ class TestVersions:
     def test_version_counts(self, cache):
         from repro.parallel.cache import CACHE_FORMAT_VERSION
 
-        assert CACHE_FORMAT_VERSION == 2
+        assert CACHE_FORMAT_VERSION == 3
         assert cache.versions() == {}
         cache.put("a" * 64, b"\x01" * 8)
         cache.put("b" * 64, b"\x02" * 8)
-        assert cache.versions() == {"v2": 2}
+        assert cache.versions() == {"v3": 2}
+
+    def test_v2_entry_is_a_miss(self, cache):
+        """A format-v2 entry (raw words under the previous header) is
+        counted under its version and never served."""
+        cache.put("a" * 64, b"\x01" * 8)
+        path = cache.entries()[0]
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (2).to_bytes(8, "little") + raw[16:])
+        assert cache.versions() == {"v2": 1}
+        assert cache.get("a" * 64) is None
+        cache.put("a" * 64, b"\x01" * 8)
+        assert cache.versions() == {"v3": 1}
+        assert cache.get("a" * 64) == b"\x01" * 8
 
     def test_stale_and_corrupt_entries_are_tallied(self, cache, tmp_path):
         cache.put("a" * 64, b"\x01" * 8)
@@ -275,13 +287,13 @@ class TestVersions:
             {"version": 1, "signatures": _RunsOnLoad(str(marker))}
         )
         (cache.root / ("e" * 64 + ".pkl")).write_bytes(hostile)
-        assert cache.versions() == {"stale": 2, "v2": 1}
+        assert cache.versions() == {"stale": 2, "v3": 1}
         # The stale entries are exactly what get() refuses to serve.
         assert cache.get("d" * 64) is None
         assert cache.get("e" * 64) is None
         cache.put("e" * 64, b"\x03" * 8)
         assert cache.get("e" * 64) == b"\x03" * 8
-        assert cache.versions() == {"stale": 1, "v2": 2}
+        assert cache.versions() == {"stale": 1, "v3": 2}
         assert not marker.exists()
         # The payload was live: unpickling it does run the call.
         pickle.loads(hostile)

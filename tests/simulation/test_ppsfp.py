@@ -24,7 +24,11 @@ from repro.circuit.gate import GateType, eval_signature
 from repro.circuit.netlist import LineKind
 from repro.errors import SimulationError
 from repro.faults.bridging import four_way_bridging_faults
-from repro.faults.stuck_at import StuckAtFault, collapsed_stuck_at_faults
+from repro.faults.stuck_at import (
+    StuckAtFault,
+    StuckAtFaults,
+    collapsed_stuck_at_faults,
+)
 from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse, draw_universe
 from repro.faultsim.serial import detects
@@ -39,6 +43,14 @@ from repro.simulation import exhaustive, ppsfp, twoval
 def _sampled(circuit, k, seed=11):
     k = min(k, 1 << circuit.num_inputs)
     return draw_universe(circuit.num_inputs, k, seed=seed)
+
+
+def _matrix(circuit, universe, faults, batch_rows=None):
+    """The kernel's rows for a fault array, via its flip form."""
+    return ppsfp.flip_matrix(
+        faults.kind, circuit, universe, *faults.flip_terms(circuit),
+        batch_rows=batch_rows,
+    )
 
 
 def _serial_rows(circuit, universe, faults):
@@ -131,18 +143,12 @@ class TestDetectionMatrices:
         circuit = random_circuit(5, num_inputs=6, num_gates=14)
         universe = _sampled(circuit, 37)  # not a multiple of 64
         faults = collapsed_stuck_at_faults(circuit)
-        whole = ppsfp.stuck_at_matrix(
-            circuit, universe, faults, batch_rows=len(faults)
-        )
-        tiny = ppsfp.stuck_at_matrix(circuit, universe, faults, batch_rows=3)
+        whole = _matrix(circuit, universe, faults, batch_rows=len(faults))
+        tiny = _matrix(circuit, universe, faults, batch_rows=3)
         assert whole.to_bigints() == tiny.to_bigints()
         bfaults = four_way_bridging_faults(circuit)
-        whole = ppsfp.bridging_matrix(
-            circuit, universe, bfaults, batch_rows=len(bfaults)
-        )
-        tiny = ppsfp.bridging_matrix(
-            circuit, universe, bfaults, batch_rows=5
-        )
+        whole = _matrix(circuit, universe, bfaults, batch_rows=len(bfaults))
+        tiny = _matrix(circuit, universe, bfaults, batch_rows=5)
         assert whole.to_bigints() == tiny.to_bigints()
 
     def test_matches_big_int_table_including_input_sites(self):
@@ -150,20 +156,20 @@ class TestDetectionMatrices:
         universe = VectorUniverse(circuit.num_inputs)
         # Faults on every input and branch line, both polarities: the
         # pre-seeded input path and the branch-alias path are on-table.
-        faults = [
+        faults = StuckAtFaults.of([
             StuckAtFault(ln.lid, v)
             for ln in circuit.lines
             if ln.kind in (LineKind.INPUT, LineKind.BRANCH)
             for v in (0, 1)
-        ]
-        matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
+        ])
+        matrix = _matrix(circuit, universe, faults)
         assert matrix.to_bigints() == _serial_rows(circuit, universe, faults)
 
     def test_non_word_multiple_universe(self):
         circuit = random_circuit(9, num_inputs=7, num_gates=18)
         universe = _sampled(circuit, 70)  # 70 bits -> 2 words, 6 spare
         faults = collapsed_stuck_at_faults(circuit)
-        matrix = ppsfp.stuck_at_matrix(circuit, universe, faults)
+        matrix = _matrix(circuit, universe, faults)
         assert matrix.to_bigints() == _serial_rows(circuit, universe, faults)
         mask = universe.mask
         for sig in matrix.to_bigints():
@@ -173,7 +179,7 @@ class TestDetectionMatrices:
         circuit = get_circuit("beecount")
         universe = _sampled(circuit, 9, seed=5)
         faults = four_way_bridging_faults(circuit)
-        matrix = ppsfp.bridging_matrix(circuit, universe, faults)
+        matrix = _matrix(circuit, universe, faults)
         sigs = twoval.simulate_batch(circuit, universe.vectors)
         mask = universe.mask
 

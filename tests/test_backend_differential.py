@@ -233,6 +233,7 @@ class TestTcpExecutorDifferential:
             (networked.target_table, inline.target_table),
             (networked.untargeted_table, inline.untargeted_table),
         ):
+            assert type(mine.faults) is type(theirs.faults)
             assert mine.faults == theirs.faults
             assert mine.packed == theirs.packed
             assert mine.universe == theirs.universe
