@@ -75,7 +75,7 @@ from repro.core.worst_case import (
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
 from repro.faultsim.detection import DetectionTable
-from repro.parallel import ParallelBackend
+from repro.parallel import ParallelBackend, PoolExecutor
 from repro.simulation.exhaustive import line_signatures
 
 # mid-size default: 60 gates, 6 inputs
@@ -306,7 +306,9 @@ def test_parallel_build_speedup(record_speedup):
             "single_s": single_time,
         }
         for jobs in PARALLEL_JOBS:
-            backend = ParallelBackend(base=base, jobs=jobs, use_cache=False)
+            backend = ParallelBackend(
+                base=base, executor=PoolExecutor(jobs=jobs), use_cache=False
+            )
             par_time, (par_f, par_g) = _best_of(
                 lambda: build(circuit, backend), rounds=2
             )
@@ -412,7 +414,9 @@ def test_tcp_executor_build_speedup(record_speedup, tmp_path):
                     lambda: build(circuit, base), rounds=2
                 )
                 pool = ParallelBackend(
-                    base=base, jobs=QUEUE_WORKERS, use_cache=False
+                    base=base,
+                    executor=PoolExecutor(jobs=QUEUE_WORKERS),
+                    use_cache=False,
                 )
                 pool_time, (pool_f, pool_g) = _best_of(
                     lambda: build(circuit, pool), rounds=2

@@ -3,9 +3,13 @@
 Building the fault × vector detection table dominates every analysis
 and is embarrassingly parallel over faults.  This example analyzes a
 >24-input suite circuit with the sampled backend, then
-repeats the build through a ``ParallelBackend`` — fault shards executed
-on a process pool, merged into a bit-identical table — and finally
-replays it against the warm persistent shard cache.
+repeats the build through ``ParallelBackend(base, executor=...)`` —
+fault shards executed on a process pool, merged into a bit-identical
+table — and finally replays it against the warm persistent shard cache.
+
+The executor is the one execution setting: the option table resolves
+``--jobs``/``--executor`` (and ``REPRO_JOBS``/``REPRO_EXECUTOR``) into
+it once, exactly as the CLI does here, and every layer below takes it.
 
 Equivalent CLI invocations:
 
@@ -23,6 +27,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
+from repro.options import executor_from_options
 from repro.parallel import ParallelBackend, ShardCache, cache_stats
 
 CIRCUIT = "wide32"
@@ -46,6 +51,7 @@ def main() -> int:
     )
 
     base = TableBackend(samples=SAMPLES, seed=7)
+    executor = executor_from_options({"jobs": JOBS})  # PoolExecutor(4)
     single_time, (single_f, single_g) = build(circuit, base)
     print(f"\nsingle-process build: {single_time * 1e3:7.1f} ms")
 
@@ -53,12 +59,14 @@ def main() -> int:
     # cache_dir= to use the persistent default (REPRO_CACHE_DIR or the
     # user cache dir), which `repro cache info` inspects.
     with tempfile.TemporaryDirectory() as cache_dir:
-        parallel = ParallelBackend(base=base, jobs=JOBS, cache_dir=cache_dir)
+        parallel = ParallelBackend(
+            base, executor=executor, cache_dir=cache_dir
+        )
         cold_time, (par_f, par_g) = build(circuit, parallel)
         assert par_f.packed == single_f.packed
         assert par_g.packed == single_g.packed
         print(
-            f"jobs={JOBS} cold build:  {cold_time * 1e3:7.1f} ms "
+            f"{executor.describe()} cold build:  {cold_time * 1e3:7.1f} ms "
             f"(bit-identical table, {os.cpu_count()} cpus)"
         )
 
@@ -66,7 +74,7 @@ def main() -> int:
         assert warm_f.packed == single_f.packed
         stats = cache_stats()
         print(
-            f"jobs={JOBS} warm build:  {warm_time * 1e3:7.1f} ms "
+            f"{executor.describe()} warm build:  {warm_time * 1e3:7.1f} ms "
             f"(shard cache: {stats['hits']} hits)"
         )
         cache = ShardCache(cache_dir)

@@ -46,10 +46,11 @@ JOBS = 4
 
 def main() -> int:
     circuit = get_circuit(CIRCUIT)
+    # The one execution setting: the executor the shards run on.
     backend = ParallelBackend(
-        base=TableBackend(samples=SAMPLES, seed=7),
-        use_cache=False,
+        TableBackend(samples=SAMPLES, seed=7),
         executor=PoolExecutor(jobs=JOBS),
+        use_cache=False,
     )
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -58,7 +59,8 @@ def main() -> int:
         # Activate a tracer for the duration of the run.  The CLI's
         # ``--trace run.jsonl`` flag does exactly this around the
         # selected command; obs.reset restores the previous (no-op)
-        # tracer so instrumentation goes back to costing nothing.
+        # tracer so instrumentation goes back to costing nothing, and
+        # only then is the writer closed (a closed writer stays closed).
         tracer = obs.Tracer(obs.JsonlTraceWriter(str(trace_path)))
         previous = obs.activate(tracer)
         try:
@@ -67,8 +69,8 @@ def main() -> int:
                 universe.target_table
                 universe.untargeted_table
         finally:
-            tracer.close()
             obs.reset(previous)
+            tracer.close()
 
         # The trace file is plain JSONL: one record per finished span
         # or event, reassembled by content (span ids), not file order.

@@ -9,12 +9,12 @@ final universe from the same
 :class:`~repro.adaptive.controller.AdaptiveReport`.
 
 Parallelism is *internal*: each growth round shards its delta build
-through :class:`~repro.parallel.ParallelBackend`, so the backend
-exposes :meth:`with_execution` (and the older :meth:`with_jobs` sugar)
-and must never itself be wrapped in a parallel backend (wrapping would
-re-run the whole controller once per fault shard;
-:func:`repro.parallel.maybe_parallel` knows to inject the worker count
-and shard executor here instead).  With a
+through :class:`~repro.parallel.ParallelBackend` on the backend's one
+``executor`` (None builds each round in this process), so the backend
+exposes :meth:`with_execution` and must never itself be wrapped in a
+parallel backend (wrapping would re-run the whole controller once per
+fault shard; :func:`repro.parallel.maybe_parallel` knows to inject the
+executor here instead).  With a
 :class:`~repro.parallel.netqueue.TcpExecutor` injected, every round's
 delta build distributes across ``repro worker --broker`` processes —
 the trajectory stays bit-identical, only the substrate changes.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.adaptive.controller import (
     AdaptiveReport,
@@ -40,17 +40,20 @@ from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
 from repro.logic.packed import PackedSignatureMatrix
 
+if TYPE_CHECKING:
+    from repro.parallel.executors import ShardExecutor
+
 
 @dataclass(frozen=True)
 class AdaptiveBackend:
     """Adaptive-``K`` detection tables behind the standard protocol.
 
     Frozen and hashable like every other engine, so the experiment-layer
-    caches key on the full configuration.  ``jobs`` and ``executor`` are
-    excluded from equality/hash on purpose: the trajectory is
-    bit-identical on any execution substrate (the adaptive differential
-    suite enforces this), so a ``jobs=4`` or broker-distributed run must
-    share cached tables with a single-process run.
+    caches key on the full configuration.  ``executor`` is excluded
+    from equality/hash on purpose: the trajectory is bit-identical on
+    any execution substrate (the adaptive differential suite enforces
+    this), so a pool or broker-distributed run must share cached tables
+    with a single-process run.
     """
 
     target_halfwidth: float = 0.05
@@ -61,8 +64,7 @@ class AdaptiveBackend:
     growth: int = 2
     seed: int = 0
     stratify: str | None = None
-    jobs: int = field(default=1, compare=False)
-    executor: object | None = field(default=None, compare=False)
+    executor: ShardExecutor | None = field(default=None, compare=False)
     use_cache: bool = field(default=True, compare=False)
     #: Optional per-round observer (see AdaptiveSampler.on_round).
     #: Excluded from equality *and* repr: a streamed service run must
@@ -75,8 +77,6 @@ class AdaptiveBackend:
 
     def __post_init__(self) -> None:
         self.rule  # validates every rule parameter eagerly
-        if self.jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {self.jobs}")
         object.__setattr__(self, "_reports", {})
 
     # -- configuration -------------------------------------------------
@@ -91,24 +91,16 @@ class AdaptiveBackend:
             growth=self.growth,
         )
 
-    def with_jobs(self, jobs: int) -> "AdaptiveBackend":
-        """Copy with the worker count for the internal round builds."""
-        return self.with_execution(jobs=jobs)
-
     def with_execution(
-        self, jobs: int | None = None, executor: object | None = None
+        self, executor: ShardExecutor | None
     ) -> "AdaptiveBackend":
-        """Copy with the execution substrate for the round delta builds.
+        """Copy whose round delta builds run on ``executor``.
 
         This is the injection point :func:`repro.parallel.maybe_parallel`
         uses instead of wrapping the controller in a
         :class:`~repro.parallel.ParallelBackend`.
         """
-        return replace(
-            self,
-            jobs=self.jobs if jobs is None else jobs,
-            executor=self.executor if executor is None else executor,
-        )
+        return replace(self, executor=executor)
 
     # -- the memoized controller run -----------------------------------
     def report_for(self, circuit: Circuit) -> AdaptiveReport:
@@ -122,7 +114,6 @@ class AdaptiveBackend:
             rule=self.rule,
             seed=self.seed,
             stratify=self.stratify,
-            jobs=self.jobs,
             executor=self.executor,
             use_cache=self.use_cache,
             on_round=self.on_round,

@@ -37,7 +37,7 @@ give.
 stratified mode), allocations are integer-deterministic, and the
 per-round table builds inherit the parallel subsystem's bit-for-bit
 identity guarantee — so the whole trajectory (round sizes, allocations,
-intervals, final tables) is identical at any ``jobs`` value, and a run
+intervals, final tables) is identical on any executor, and a run
 whose budget covers ``2**p`` canonicalizes to the *exact* exhaustive
 result, like the fixed sampled engine does.
 
@@ -80,6 +80,7 @@ from repro.faultsim.sampling import (
     confidence_z,
 )
 from repro.logic.packed import PackedSignatureMatrix, _np, gather_columns
+from repro.parallel import ShardExecutor, maybe_parallel
 
 #: Stratification schemes accepted by the controller / CLI.
 STRATIFY_SCHEMES: tuple[str, ...] = ("bridging",)
@@ -255,15 +256,13 @@ class AdaptiveSampler:
         rare-activation strata of :func:`build_bridging_strata` (falls
         back to uniform when the circuit has no enumerable rare event —
         recorded in the report's ``plan``).
-    jobs:
-        Worker processes for each round's delta table build (sharded
-        through :class:`~repro.parallel.ParallelBackend`; results are
-        identical at any value).
     executor:
-        Optional :class:`~repro.parallel.executors.ShardExecutor` for
-        the round delta builds — with the tcp executor, every round's
-        shards distribute across ``repro worker`` processes; results
-        stay bit-identical on any substrate.
+        Optional :class:`~repro.parallel.executors.ShardExecutor` each
+        round's delta table build is sharded on (through
+        :class:`~repro.parallel.ParallelBackend`; None builds in this
+        process) — with the tcp executor, every round's shards
+        distribute across ``repro worker`` processes; results stay
+        bit-identical on any substrate.
     use_cache:
         Whether delta builds may use the persistent shard cache.
     on_round:
@@ -279,8 +278,7 @@ class AdaptiveSampler:
         rule: StoppingRule | None = None,
         seed: int = 0,
         stratify: str | None = None,
-        jobs: int = 1,
-        executor: object | None = None,
+        executor: ShardExecutor | None = None,
         use_cache: bool = True,
         on_round: "Callable[[AdaptiveRound], None] | None" = None,
     ):
@@ -289,13 +287,10 @@ class AdaptiveSampler:
                 f"unknown stratification scheme {stratify!r}; choose "
                 f"from {', '.join(STRATIFY_SCHEMES)} (or omit it)"
             )
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
         self.circuit = circuit
         self.rule = rule if rule is not None else DEFAULT_RULE
         self.seed = seed
         self.stratify = stratify
-        self.jobs = jobs
         self.executor = executor
         self.use_cache = use_cache
         self.on_round = on_round
@@ -472,16 +467,10 @@ class AdaptiveSampler:
         if not new_vectors:
             return
         delta_sorted = tuple(sorted(new_vectors))
-        backend = TableBackend(vectors=delta_sorted)
-        if self.jobs > 1 or self.executor is not None:
-            from repro.parallel import maybe_parallel
-
-            engine = maybe_parallel(
-                backend, self.jobs, use_cache=self.use_cache,
-                executor=self.executor,
-            )
-        else:
-            engine = backend
+        engine = maybe_parallel(
+            TableBackend(vectors=delta_sorted), self.executor,
+            use_cache=self.use_cache,
+        )
         table_f = engine.build_stuck_at(
             self.circuit, faults=faults_f, drop_undetectable=False
         )

@@ -398,20 +398,16 @@ def partition_report(
     from repro.faultsim.backends import SerialBackend, TableBackend
     from repro.parallel import ParallelBackend
 
-    jobs = backend.jobs if isinstance(backend, ParallelBackend) else None
-    executor = (
-        backend.executor if isinstance(backend, ParallelBackend) else None
-    )
     base = backend.base if isinstance(backend, ParallelBackend) else backend
-    if base == TableBackend() or isinstance(base, SerialBackend):
-        # Exhaustive/serial cannot cover cones wider than the bound;
-        # keep the legacy strict behavior (wide outputs raise).  `jobs`
-        # and `executor` are orthogonal and stay threaded through the
-        # cone builds.
-        backend = None
+    # Exhaustive/serial cannot cover cones wider than the bound; keep
+    # the legacy strict behavior (wide outputs raise).  The executor is
+    # orthogonal and runs every cone's builds.
+    strict = base == TableBackend() or isinstance(base, SerialBackend)
     analysis = PartitionedAnalysis(
-        circuit, max_inputs=max_inputs, backend=backend, jobs=jobs,
-        executor=executor,
+        circuit,
+        max_inputs=max_inputs,
+        backend=None if strict else backend,
+        executor=getattr(backend, "executor", None),
     )
     lines = [
         f"Cone-partitioned analysis of {circuit_name} "
@@ -726,27 +722,20 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         )
 
 
-def execution_label(backend: Any) -> tuple[int | None, str | None]:
-    """``(jobs, executor)`` that :func:`analyze_report` renders into its
-    ``backend=`` label (``None`` when absent); the analysis service keys
-    its hot tier on it, so each entry stays byte-identical to its CLI run.
+def execution_label(executor: Any) -> str:
+    """The suffix :func:`analyze_report` adds to its ``backend=`` label
+    for the executor a run built on: ``""`` for none, `` jobs=N`` for a
+    pool of ``N`` processes, `` executor=<name>`` for any other.  The
+    analysis service keys its hot tier on it, so each entry stays
+    byte-identical to its CLI run.
     """
-    from repro.adaptive import AdaptiveBackend
-    from repro.faultsim.backends import TableBackend
-    from repro.parallel import ParallelBackend, maybe_parallel
+    from repro.parallel import PoolExecutor
 
-    if isinstance(backend, AdaptiveBackend):
-        # The engine the controller builds each round's tables on.
-        backend = maybe_parallel(
-            TableBackend(), backend.jobs, executor=backend.executor
-        )
-    if isinstance(backend, ParallelBackend):
-        resolved = backend.resolved_executor
-        return (
-            resolved.jobs if getattr(resolved, "jobs", 1) > 1 else None,
-            resolved.name if backend.executor is not None else None,
-        )
-    return (None, None)
+    if executor is None:
+        return ""
+    if isinstance(executor, PoolExecutor):
+        return f" jobs={executor.jobs}"
+    return f" executor={executor.name}"
 
 
 def analyze_report(
@@ -770,12 +759,9 @@ def analyze_report(
 
     circuit = universe.circuit
     backend = universe.backend
-    label = backend_name
-    jobs, executor = execution_label(backend)
-    if jobs is not None:
-        label += f" jobs={jobs}"
-    if executor is not None:
-        label += f" executor={executor}"
+    label = backend_name + execution_label(
+        getattr(backend, "executor", None)
+    )
     vu = worst.universe
     lines = [
         f"Worst-case analysis of {circuit_name} (backend={label})",

@@ -30,6 +30,11 @@ shared stopping rule, so an easy cone stops at a small draw while a
 hard one keeps sampling — no single ``--samples`` value has to fit all
 cones (``repro partition wide28 --backend adaptive`` reports each
 cone's chosen ``K``).
+
+Passing ``executor=`` (one :class:`~repro.parallel.ShardExecutor`, or
+None for single-process builds) shards every cone's table builds on
+it; like every execution setting it changes where shards run, never a
+number.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.faults.universe import FaultUniverse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultsim.backends import DetectionBackend
+    from repro.parallel.executors import ShardExecutor
 
 
 @dataclass
@@ -71,14 +77,11 @@ class PartitionedAnalysis:
         legacy behavior); with it the wide cone is analyzed over the
         backend's sampled universe instead of being skipped.  Cones
         within the bound always use the exact exhaustive engine.
-    jobs:
-        Worker processes for each cone's table builds (sharded via
-        :class:`repro.parallel.ParallelBackend`); orthogonal to
-        ``backend`` — it changes construction speed, never results.
     executor:
-        Optional :class:`repro.parallel.ShardExecutor` for the cone
-        builds (inline / pool / tcp); like ``jobs``, it never changes
-        results, only where the shards run.
+        Optional :class:`repro.parallel.ShardExecutor` every cone's
+        table builds run on (inline / pool / tcp, through
+        :func:`repro.parallel.maybe_parallel`); orthogonal to
+        ``backend`` — it changes where the shards run, never results.
     """
 
     def __init__(
@@ -86,9 +89,11 @@ class PartitionedAnalysis:
         circuit: Circuit,
         max_inputs: int = 16,
         backend: "DetectionBackend | None" = None,
-        jobs: int | None = None,
-        executor: object | None = None,
+        executor: "ShardExecutor | None" = None,
     ):
+        from repro.faultsim.backends import TableBackend
+        from repro.parallel import maybe_parallel
+
         self.circuit = circuit
         self.cones: list[ConeResult] = []
         subs = output_partitions(
@@ -96,10 +101,12 @@ class PartitionedAnalysis:
         )
         for sub in subs:
             cone_backend = (
-                backend if sub.num_inputs > max_inputs else None
+                backend
+                if backend is not None and sub.num_inputs > max_inputs
+                else TableBackend()
             )
             universe = FaultUniverse(
-                sub, backend=cone_backend, jobs=jobs, executor=executor
+                sub, backend=maybe_parallel(cone_backend, executor)
             )
             if len(universe.untargeted_table) == 0:
                 continue  # no bridging sites inside this cone

@@ -17,10 +17,10 @@ exhaustive engine; pass a
 analyze circuits beyond the exhaustive input cap, or an
 :class:`~repro.adaptive.AdaptiveBackend` to let a stopping rule pick
 the sample size — both tables then come from the same adaptive run).
-``jobs > 1`` shards both table builds across worker processes via
-:class:`repro.parallel.ParallelBackend` — the result is bit-for-bit
-identical, only faster (backends that parallelize internally, like the
-adaptive engine, receive the worker count instead of being wrapped).
+Sharding is the backend's business: pass an already-wrapped
+``ParallelBackend(base, executor=...)`` (or ``maybe_parallel(base,
+executor)``) and both table builds run on that executor — the result
+is bit-for-bit identical, only faster.
 Everything is built lazily and cached, so experiments can share one
 universe per circuit.
 """
@@ -37,7 +37,6 @@ from repro.faults.stuck_at import StuckAtFaults, collapsed_stuck_at_faults
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
     from repro.faultsim.backends import DetectionBackend
     from repro.faultsim.detection import DetectionTable
-    from repro.parallel.executors import ShardExecutor
 
 # NOTE: repro.faultsim imports the fault dataclasses from this package,
 # so every repro.faultsim import happens lazily inside the cached
@@ -48,41 +47,19 @@ class FaultUniverse:
     """Targets ``F``, untargeted ``G``, and their detection tables."""
 
     def __init__(
-        self,
-        circuit: Circuit,
-        backend: "DetectionBackend | None" = None,
-        jobs: int | None = None,
-        executor: "ShardExecutor | None" = None,
+        self, circuit: Circuit, backend: "DetectionBackend | None" = None
     ) -> None:
         self.circuit = circuit
         self._backend = backend
-        self._jobs = jobs
-        self._executor = executor
 
     @cached_property
     def backend(self) -> "DetectionBackend":
-        """The table-construction engine (default: exhaustive).
-
-        ``jobs > 1`` wraps the configured engine in a sharded
-        :class:`~repro.parallel.ParallelBackend`; ``executor`` selects
-        the shard substrate explicitly (inline / pool / queue) and
-        overrides the ``jobs`` sugar (already-parallel engines pass
-        through unchanged; internally-parallel ones receive the
-        configuration instead of being wrapped).
-        """
+        """The table-construction engine (default: exhaustive)."""
         if self._backend is not None:
-            backend = self._backend
-        else:
-            from repro.faultsim.backends import TableBackend
+            return self._backend
+        from repro.faultsim.backends import TableBackend
 
-            backend = TableBackend()
-        if self._jobs is not None or self._executor is not None:
-            from repro.parallel import maybe_parallel, resolve_jobs
-
-            backend = maybe_parallel(
-                backend, resolve_jobs(self._jobs), executor=self._executor
-            )
-        return backend
+        return TableBackend()
 
     @cached_property
     def target_faults(self) -> StuckAtFaults:

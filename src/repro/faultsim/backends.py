@@ -38,14 +38,15 @@ words.  The CLI names
 
 Backends are small frozen dataclasses (hashable, so cached layers can
 key on them) and share the :class:`DetectionBackend` protocol.  Any of
-them can be wrapped by :class:`repro.parallel.ParallelBackend` (CLI:
-``--jobs N`` / env ``REPRO_JOBS``), which shards the fault list, reuses
-shards from a persistent on-disk cache, and merges a table bit-for-bit
-identical to the single-process build — on a pluggable
-:class:`repro.parallel.ShardExecutor` substrate (CLI: ``--executor
-inline|pool|tcp`` / env ``REPRO_EXECUTOR``; the tcp executor
-distributes shards through a ``repro broker`` at ``REPRO_BROKER`` to
-``repro worker --broker`` processes on any host).
+them can be wrapped by ``ParallelBackend(base, executor=...)``
+(:class:`repro.parallel.ParallelBackend`), which shards the fault
+list, reuses shards from a persistent on-disk cache, and merges a
+table bit-for-bit identical to the single-process build — on the one
+:class:`repro.parallel.ShardExecutor` it is given: inline, a local
+pool, or tcp (shards distributed through a ``repro broker`` to
+``repro worker --broker`` processes on any host).  The front ends
+resolve ``--jobs``/``--executor`` and ``REPRO_JOBS``/``REPRO_EXECUTOR``
+into that executor once (:func:`repro.options.executor_from_options`).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from repro.logic.bitops import MAX_EXHAUSTIVE_INPUTS
 if TYPE_CHECKING:
     from repro.faults.arrays import FaultArray
     from repro.logic.packed import U64Array
+    from repro.parallel.executors import ShardExecutor
 
 #: Names accepted by :func:`make_backend` (and the CLI ``--backend`` flag).
 BACKEND_NAMES: tuple[str, ...] = (
@@ -307,10 +309,8 @@ def make_backend(
     samples: int | None = None,
     seed: int = 0,
     replacement: bool = False,
-    jobs: int | None = None,
     *,
-    executor: "str | object | None" = None,
-    broker: str | None = None,
+    executor: "ShardExecutor | None" = None,
     target_halfwidth: float | None = None,
     confidence: float | None = None,
     max_samples: int | None = None,
@@ -325,19 +325,16 @@ def make_backend(
     checks, and ``spell(dest, value=None)`` names an option in their
     errors as the front end writes it.  ``exhaustive`` and ``sampled``
     both build a :class:`TableBackend`.
-    ``jobs > 1`` wraps the engine in a
-    :class:`repro.parallel.ParallelBackend` (sharded build with the
-    persistent shard cache); ``jobs=1``/``None`` stays single-process.
-    ``executor`` selects the shard execution substrate explicitly — an
-    :class:`repro.parallel.ShardExecutor` instance or one of the names
-    ``inline``/``pool``/``tcp`` (``broker`` locates the ``HOST:PORT``
-    for ``tcp``) — and overrides the ``jobs`` sugar.  The
-    remaining keyword-only parameters configure the ``adaptive`` engine
-    (:class:`repro.adaptive.AdaptiveBackend`): target CI half-width,
-    confidence, sample budget, initial draw, and the stratification
-    scheme (``None``/``"none"`` or ``"bridging"``); for adaptive,
-    ``jobs``/``executor`` are threaded *into* the controller's sharded
-    round builds instead of wrapping the backend.
+    An ``executor`` (a :class:`repro.parallel.ShardExecutor`, which
+    :func:`repro.options.executor_from_options` resolves from the
+    front ends' settings) makes the engine build on it through
+    :func:`repro.parallel.maybe_parallel`: wrapped in a sharded
+    :class:`repro.parallel.ParallelBackend`, or for adaptive threaded
+    *into* the controller's round builds; None stays single-process.
+    The remaining keyword-only parameters configure the ``adaptive``
+    engine (:class:`repro.adaptive.AdaptiveBackend`): target CI
+    half-width, confidence, sample budget, initial draw, and the
+    stratification scheme (``None``/``"none"`` or ``"bridging"``).
     """
     if name not in BACKEND_NAMES:
         raise AnalysisError(
@@ -412,20 +409,9 @@ def make_backend(
             seed=seed,
             replacement=replacement,
         )
-    exec_obj = executor
-    if isinstance(executor, str):
-        from repro.parallel import make_executor
+    from repro.parallel import maybe_parallel
 
-        exec_obj = make_executor(executor, jobs=jobs, broker=broker)
-    elif broker is not None:
-        raise AnalysisError("broker only applies with executor='tcp'")
-    if exec_obj is not None or (jobs is not None and jobs != 1):
-        from repro.parallel import maybe_parallel, resolve_jobs
-
-        backend = maybe_parallel(
-            backend, resolve_jobs(jobs), executor=exec_obj
-        )
-    return backend
+    return maybe_parallel(backend, executor)
 
 
 def table_identity(
@@ -439,10 +425,10 @@ def table_identity(
     construction speed differs).  Keys are therefore executor-
     normalized too: a broker-distributed build, a local pool build, and
     an inline build of the same engine share one cache entry.  The
-    adaptive backend needs no special case here: its ``jobs`` /
-    ``executor`` fields are excluded from equality, so differently-
-    executed adaptive runs already share one key.  Both the experiment
-    LRUs and the serve hot tier key on this.
+    adaptive backend needs no special case here: its ``executor``
+    field is excluded from equality, so differently-executed adaptive
+    runs already share one key.  Both the experiment LRUs and the serve
+    hot tier key on this.
     """
     if backend is None:
         return None

@@ -122,12 +122,15 @@ class JsonlTraceWriter:
     builds a shard never creates it) in append mode, so submitter and
     worker processes sharing a filesystem interleave whole lines into
     one file.  ``truncate=True`` (the CLI root process) empties the
-    file up front so each traced run starts a fresh trace.
+    file up front so each traced run starts a fresh trace.  A closed
+    writer stays closed: a later ``write`` raises ``ValueError``, as a
+    closed file does, instead of reopening the file.
     """
 
     def __init__(self, path: str, truncate: bool = False) -> None:
         self.path = path
         self._fh: IO[str] | None = None
+        self._closed = False
         self._lock = threading.Lock()
         if truncate:
             with open(path, "w", encoding="utf-8"):
@@ -136,6 +139,8 @@ class JsonlTraceWriter:
     def write(self, record: Mapping[str, object]) -> None:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
+            if self._closed:
+                raise ValueError(f"trace file {self.path!r} is closed")
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write(line + "\n")
@@ -143,6 +148,7 @@ class JsonlTraceWriter:
 
     def close(self) -> None:
         with self._lock:
+            self._closed = True
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

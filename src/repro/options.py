@@ -4,17 +4,21 @@ Each :data:`OPTIONS` row is a flag of ``repro analyze|escape|partition``
 and a payload key of the analysis service; the analysis rows also name
 the ``REPRO_*`` variable the experiment tables read.  All three resolve
 through :func:`backend_from_options`.  No env name, deliberately:
-``jobs``, ``executor`` and ``broker`` are deployment settings that
-:mod:`repro.parallel` reads from ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` /
-``REPRO_BROKER`` for every front end, and ``replacement`` /
-``initial_samples`` never had one.  ``--seed`` and ``--confidence`` are
-per command (their CLI defaults differ; the env reads ``REPRO_SEED``).
+``jobs``, ``executor`` and ``broker`` are deployment settings, which
+:func:`executor_from_options` resolves once, with ``REPRO_JOBS`` and
+``REPRO_EXECUTOR``, into the one executor every layer below takes
+(``REPRO_BROKER`` stays the tcp executor's default address); and
+``replacement`` / ``initial_samples`` never had one.  ``--seed`` and
+``--confidence`` are per command (their CLI defaults differ; the env
+reads ``REPRO_SEED``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping
 
 from repro.errors import AnalysisError
@@ -24,9 +28,20 @@ from repro.faultsim.backends import (
     make_backend,
     spell_flag,
 )
-from repro.parallel import EXECUTOR_NAMES, resolve_executor, resolve_jobs
+from repro.parallel import (
+    EXECUTOR_NAMES,
+    PoolExecutor,
+    ShardExecutor,
+    make_executor,
+)
 
-__all__ = ["OPTIONS", "Option", "add_arguments", "backend_from_options"]
+__all__ = [
+    "OPTIONS",
+    "Option",
+    "add_arguments",
+    "backend_from_options",
+    "executor_from_options",
+]
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,55 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(option.spell("cli"), **option.kwargs)
 
 
+def _spell(front_end: str, dest: str, value: object = None) -> str:
+    """The option ``dest``, set to ``value`` if given, as ``front_end``
+    writes it."""
+    (option,) = (option for option in OPTIONS if option.dest == dest)
+    return option.spell(front_end, value)
+
+
+def _env_jobs() -> int:
+    """``REPRO_JOBS`` as an integer (1 when unset)."""
+    raw = os.environ.get("REPRO_JOBS")
+    if not raw:
+        return 1
+    try:
+        return int(raw)
+    except ValueError:
+        raise AnalysisError(
+            f"REPRO_JOBS must be a positive integer, got {raw!r}"
+        ) from None
+
+
+def executor_from_options(
+    values: Mapping[str, Any], front_end: str = "cli"
+) -> ShardExecutor | None:
+    """The one executor ``jobs`` / ``executor`` / ``broker`` name.
+
+    The executor is ``executor`` or ``REPRO_EXECUTOR``.  A named pool
+    takes ``jobs`` as given, else ``REPRO_JOBS`` when it asks for a
+    real pool, else 2.  Unnamed, a worker count above 1 (``jobs``,
+    else ``REPRO_JOBS``) means a pool of that size and anything else
+    means None: no wrapper, a single-process build.
+    """
+    explicit = values.get("jobs")
+    jobs = _env_jobs() if explicit is None else explicit
+    if jobs < 1:
+        setting = "REPRO_JOBS" if explicit is None else _spell(
+            front_end, "jobs"
+        )
+        raise AnalysisError(f"{setting} must be >= 1, got {jobs}")
+    name = values.get("executor") or os.environ.get("REPRO_EXECUTOR")
+    broker = values.get("broker")
+    if not name and broker is not None:
+        raise AnalysisError("--broker only applies to --executor tcp")
+    if not name:
+        return PoolExecutor(jobs) if jobs > 1 else None
+    if name == "pool" and explicit is None:
+        jobs = max(jobs, 2)
+    return make_executor(name, jobs=jobs, broker=broker)
+
+
 def backend_from_options(
     values: Mapping[str, Any], front_end: str = "cli"
 ) -> DetectionBackend:
@@ -120,27 +184,14 @@ def backend_from_options(
 
     ``front_end`` (``cli``, ``env`` or ``service``) says where the
     values came from, so errors name the options as the user wrote
-    them.  ``jobs`` passes through unresolved: an explicit value sizes
-    the pool executor verbatim (even 1), while None lets the factory
-    fall back to ``REPRO_JOBS`` / a real pool of 2.
+    them.  The engine builds on :func:`executor_from_options`.
     """
-    by_dest = {option.dest: option for option in OPTIONS}
-
-    def spell(dest: str, value: object = None) -> str:
-        return by_dest[dest].spell(front_end, value)
-
-    jobs = values.get("jobs")
-    if jobs is not None and jobs < 1:
-        raise AnalysisError(f"{spell('jobs')} must be >= 1, got {jobs}")
-    executor = resolve_executor(
-        values.get("executor"), jobs=jobs, broker=values.get("broker")
-    )
+    executor = executor_from_options(values, front_end)
     return make_backend(
         values["backend"],
         samples=values.get("samples"),
         seed=values.get("seed", 0),
         replacement=values.get("replacement", False),
-        jobs=resolve_jobs(jobs),
         executor=executor,
         target_halfwidth=values.get("target_halfwidth"),
         # ``is None``, not truthiness: an explicit --confidence 0.0 must
@@ -149,5 +200,5 @@ def backend_from_options(
         max_samples=values.get("max_samples"),
         initial_samples=values.get("initial_samples"),
         stratify=values.get("stratify"),
-        spell=spell,
+        spell=partial(_spell, front_end),
     )

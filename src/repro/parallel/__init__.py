@@ -46,24 +46,21 @@ turns that observation into a subsystem:
     executor ran the shards.
 
 Entry points: ``--jobs N`` / ``--executor {inline,pool,tcp}`` on the
-CLI, ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` / ``REPRO_BROKER`` in the
-environment, ``FaultUniverse(circuit, jobs=N, executor=...)`` in code,
-``repro worker --broker HOST:PORT`` to serve builds, and
-``repro broker`` to run the TCP broker.
+CLI and ``REPRO_JOBS`` / ``REPRO_EXECUTOR`` in the environment, which
+:func:`repro.options.executor_from_options` resolves once into one
+executor (or none); ``ParallelBackend(base, executor=...)`` or
+``maybe_parallel(base, executor)`` in code; ``repro worker --broker
+HOST:PORT`` (default ``REPRO_BROKER``) to serve builds, and ``repro
+broker`` to run the TCP broker.
 """
 
-from repro.parallel.backend import (
-    ParallelBackend,
-    maybe_parallel,
-    resolve_jobs,
-)
+from repro.parallel.backend import ParallelBackend, maybe_parallel
 from repro.parallel.executors import (
     EXECUTOR_NAMES,
     InlineExecutor,
     PoolExecutor,
     ShardExecutor,
     make_executor,
-    resolve_executor,
 )
 from repro.parallel.cache import (
     ShardCache,
@@ -80,13 +77,11 @@ from repro.parallel.worker import ShardTask, run_shard
 __all__ = [
     "ParallelBackend",
     "maybe_parallel",
-    "resolve_jobs",
     "EXECUTOR_NAMES",
     "InlineExecutor",
     "PoolExecutor",
     "ShardExecutor",
     "make_executor",
-    "resolve_executor",
     "ShardCache",
     "backend_cache_key",
     "cache_stats",

@@ -25,18 +25,17 @@ fault object, and the merged table's faults are an inline build's
 array type.  A shard task carries no fault-free values: each worker
 simulates the base words of the universe its backend names (a few
 milliseconds per shard), so a task stays kilobytes at any width.
-``jobs=`` stays as sugar: without an explicit executor,
-``jobs=1`` runs inline (no pool, no pickling) and ``jobs>1`` selects a
-pool — exactly the pre-protocol behavior, which is also the fallback
-the CLI uses when ``--executor``/``--jobs`` are absent.
+The one execution setting is ``ParallelBackend(base, executor=...)``;
+the front ends derive that executor from ``--jobs``/``--executor`` in
+:func:`repro.options.executor_from_options`, and
+:func:`maybe_parallel` wraps a base only when there is one.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as _np
 
@@ -50,11 +49,7 @@ from repro.faultsim.detection import DetectionTable
 from repro.faultsim.sampling import VectorUniverse
 from repro.logic.packed import WORD_BITS, PackedSignatureMatrix, words_for
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
-from repro.parallel.executors import (
-    InlineExecutor,
-    PoolExecutor,
-    ShardExecutor,
-)
+from repro.parallel.executors import PoolExecutor, ShardExecutor
 from repro.parallel.plan import DEFAULT_NUM_SHARDS, ShardPlan
 from repro.parallel.worker import ShardTask, payload_size
 from repro.simulation.ppsfp import packed_line_words
@@ -64,59 +59,27 @@ if TYPE_CHECKING:
     from repro.logic.packed import U64Array
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: the explicit value, else ``REPRO_JOBS``, else 1.
-
-    Malformed or non-positive values raise :class:`AnalysisError` (the
-    CLI's friendly-exit path), never fall back silently.
-    """
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS")
-        if raw is None or raw == "":
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"REPRO_JOBS must be a positive integer, got {raw!r}"
-            ) from None
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def maybe_parallel(
     backend: DetectionBackend,
-    jobs: int,
-    cache_dir: str | None = None,
+    executor: ShardExecutor | None,
+    *,
     use_cache: bool = True,
-    executor: ShardExecutor | None = None,
 ) -> DetectionBackend:
-    """Wrap ``backend`` for ``jobs``/``executor``; identity when neither
-    asks for anything (``jobs=1``, no executor).
+    """``backend`` building on ``executor``; identity when it is None.
 
-    Already-parallel backends pass through (their own configuration
-    wins), so layered configuration — explicit backend plus
-    ``REPRO_JOBS``/``REPRO_EXECUTOR`` — never nests pools.  Backends
-    that parallelize *internally* (the adaptive controller shards each
-    growth round itself) expose ``with_execution``; the worker count and
-    executor are injected there instead of wrapping — wrapping would
-    re-run the whole controller once per fault shard.
+    Already-parallel backends pass through (their own executor wins),
+    so layered configuration never nests pools.  Backends that
+    parallelize *internally* (the adaptive controller shards each
+    growth round itself) expose ``with_execution``; the executor is
+    injected there instead of wrapping — wrapping would re-run the
+    whole controller once per fault shard.
     """
-    if isinstance(backend, ParallelBackend):
-        return backend
-    if executor is None and jobs <= 1:
+    if executor is None or isinstance(backend, ParallelBackend):
         return backend
     with_execution = getattr(backend, "with_execution", None)
     if with_execution is not None:
-        return with_execution(jobs=jobs, executor=executor)
-    return ParallelBackend(
-        base=backend,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        executor=executor,
-    )
+        return with_execution(executor)
+    return ParallelBackend(backend, executor=executor, use_cache=use_cache)
 
 
 def _decode_rows(raw: bytearray, size: int) -> PackedSignatureMatrix:
@@ -141,32 +104,28 @@ class ParallelBackend:
     base:
         Any non-parallel :class:`DetectionBackend`; fixes the vector
         universe, the engine, and the table type of the result.
-    jobs:
-        Executor-selection sugar when ``executor`` is None: 1 runs
-        inline, >1 on a local pool of that many processes.
+    executor:
+        The :class:`~repro.parallel.executors.ShardExecutor` the
+        pending shards run on (inline / pool / tcp; default a pool of
+        two processes).
     shards:
         Shard count (default :data:`DEFAULT_NUM_SHARDS`).  Deliberately
-        *not* defaulted from ``jobs``: a jobs-independent layout means
-        runs with different ``--jobs`` (or different executors) share
-        cache entries.
+        independent of the executor: one layout means runs on any
+        executor, with any ``--jobs``, share cache entries.
     cache_dir:
         Shard-cache directory override (default: ``REPRO_CACHE_DIR`` /
         the user cache dir, resolved at build time).
     use_cache:
         Disable the persistent cache entirely (benchmarks time real
         construction with this).
-    executor:
-        Explicit :class:`~repro.parallel.executors.ShardExecutor`
-        (inline / pool / tcp); overrides the ``jobs`` sugar.
     """
 
     base: DetectionBackend
-    jobs: int = 2
+    executor: ShardExecutor = PoolExecutor()
     shards: int | None = None
     cache_dir: str | None = None
     use_cache: bool = True
-    executor: ShardExecutor | None = None
-    name: str = "parallel"
+    name: ClassVar[str] = "parallel"
 
     def __post_init__(self) -> None:
         if isinstance(self.base, ParallelBackend):
@@ -177,32 +136,23 @@ class ParallelBackend:
         if getattr(self.base, "with_execution", None) is not None:
             raise AnalysisError(
                 f"the {getattr(self.base, 'name', '?')} backend "
-                f"parallelizes internally; pass jobs=/executor= to it "
+                f"parallelizes internally; pass executor= to it "
                 f"(or use maybe_parallel) instead of wrapping it"
             )
-        if self.jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {self.jobs}")
         if self.shards is not None and self.shards < 1:
             raise AnalysisError(
                 f"shards must be >= 1, got {self.shards}"
             )
-        if self.executor is not None and not isinstance(
-            self.executor, ShardExecutor
+        # Duck-typed: a runtime Protocol isinstance check costs tens of
+        # microseconds, and the service builds a backend per request.
+        if not all(
+            callable(getattr(self.executor, method, None))
+            for method in ("submit", "describe")
         ):
             raise AnalysisError(
                 f"executor must implement ShardExecutor "
                 f"(submit/describe), got {type(self.executor).__name__}"
             )
-
-    # -- executor selection --------------------------------------------
-    @property
-    def resolved_executor(self) -> ShardExecutor:
-        """The substrate this backend builds on (``jobs`` sugar applied)."""
-        if self.executor is not None:
-            return self.executor
-        if self.jobs == 1:
-            return InlineExecutor()
-        return PoolExecutor(jobs=self.jobs)
 
     # -- protocol delegation -------------------------------------------
     def universe_for(self, circuit: Circuit) -> VectorUniverse:
@@ -245,7 +195,7 @@ class ParallelBackend:
         drop_undetectable: bool,
     ) -> DetectionTable:
         kind = faults.kind
-        executor = self.resolved_executor
+        executor = self.executor
         tracer = obs.current_tracer()
         registry = obs.metrics()
         with tracer.span(

@@ -7,12 +7,13 @@ table.  A :class:`ShardExecutor` is the orthogonal axis: the substrate
 the pending shard tasks execute on.  Three implementations:
 
 ``inline`` (:class:`InlineExecutor`)
-    Every task runs in the calling process — no pool, no pickling.  The
-    ``jobs=1`` fast path, now an explicit strategy (useful on its own:
-    it still gets the shard cut and the persistent shard cache).
+    Every task runs in the calling process — no pool, no pickling (it
+    still gets the shard cut and the persistent shard cache).
 ``pool`` (:class:`PoolExecutor`)
-    The classic ``concurrent.futures.ProcessPoolExecutor`` fan-out over
-    local worker processes — exactly the pre-refactor behavior.
+    A ``concurrent.futures.ProcessPoolExecutor`` fan-out over ``jobs``
+    local worker processes.  ``jobs`` is this class's field and no
+    other layer's: below the front ends a build takes one executor or
+    none.
 ``tcp`` (:class:`~repro.parallel.netqueue.TcpExecutor`)
     Submits the tasks to a ``repro broker`` over TCP and blocks on the
     socket for pushed results from ``repro worker --broker`` processes
@@ -25,19 +26,21 @@ the pending shard tasks execute on.  Three implementations:
 All three satisfy ``submit(tasks) -> iterable of (shard_index,
 words)`` — ``words`` being :func:`~repro.parallel.worker.run_shard`'s
 opaque payload ``bytes`` — and are small frozen dataclasses (hashable,
-picklable), so backends that embed them stay valid cache keys.
-Because every executor runs the same
-:func:`~repro.parallel.worker.run_shard` code on the same deterministic
-shard cut, the merged table is identical no matter which substrate
-built it — the differential suite enforces this.
+picklable), so backends that embed them stay valid cache keys; each
+class names itself in a class constant ``name``.  The front ends
+resolve ``--executor``/``--jobs``/``--broker`` and ``REPRO_EXECUTOR``/
+``REPRO_JOBS`` into one executor in
+:func:`repro.options.executor_from_options`.  Because every executor
+runs the same :func:`~repro.parallel.worker.run_shard` code on the
+same deterministic shard cut, the merged table is identical no matter
+which substrate built it — the differential suite enforces this.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import ClassVar, Iterable, Protocol, runtime_checkable
 
 from repro.errors import AnalysisError
 from repro.parallel.worker import ShardTask, run_shard
@@ -54,7 +57,7 @@ class ShardExecutor(Protocol):
     the ``shard_index`` each tuple carries.
     """
 
-    name: str
+    name: ClassVar[str]
 
     def submit(self, tasks: list[ShardTask]) -> Iterable[tuple[int, bytes]]:
         """Execute every task; yield ``(shard_index, words)``."""
@@ -67,7 +70,7 @@ class ShardExecutor(Protocol):
 class InlineExecutor:
     """Run every shard in the calling process (no pool, no pickling)."""
 
-    name: str = "inline"
+    name: ClassVar[str] = "inline"
 
     def submit(self, tasks: list[ShardTask]) -> list[tuple[int, bytes]]:
         return [run_shard(task) for task in tasks]
@@ -81,7 +84,7 @@ class PoolExecutor:
     """Local ``ProcessPoolExecutor`` fan-out (the classic ``--jobs N``)."""
 
     jobs: int = 2
-    name: str = "pool"
+    name: ClassVar[str] = "pool"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -101,18 +104,15 @@ class PoolExecutor:
 
 
 def make_executor(
-    name: str,
-    jobs: int | None = None,
-    broker: str | None = None,
+    name: str, jobs: int = 2, broker: str | None = None
 ) -> ShardExecutor:
-    """Executor factory behind ``--executor`` / ``REPRO_EXECUTOR``.
+    """The executor ``--executor name`` selects.
 
-    ``jobs`` sizes the pool executor — an explicit value (including 1,
-    which degrades to inline execution) is honored as given; ``None``
-    falls back to ``REPRO_JOBS`` when that asks for a real pool, else
-    2, so ``--executor pool`` alone always means an actual pool.
-    ``broker`` applies only to the tcp executor and is validated
-    eagerly so the CLI fails before any table work starts.
+    ``jobs`` sizes the pool executor and is ignored by the others;
+    :func:`repro.options.executor_from_options` resolves it from
+    ``--jobs`` and ``REPRO_JOBS``.  ``broker`` applies only to the tcp
+    executor and is validated eagerly so the CLI fails before any
+    table work starts.
     """
     if name != "tcp" and broker is not None:
         raise AnalysisError(
@@ -122,11 +122,6 @@ def make_executor(
     if name == "inline":
         return InlineExecutor()
     if name == "pool":
-        if jobs is None:
-            from repro.parallel.backend import resolve_jobs
-
-            env_jobs = resolve_jobs(None)
-            jobs = env_jobs if env_jobs > 1 else 2
         return PoolExecutor(jobs=jobs)
     if name == "tcp":
         # Imported lazily: only tcp runs should pay for asyncio and the
@@ -139,23 +134,3 @@ def make_executor(
         f"unknown executor {name!r}; choose from "
         f"{', '.join(EXECUTOR_NAMES)}"
     )
-
-
-def resolve_executor(
-    name: str | None = None,
-    jobs: int | None = None,
-    broker: str | None = None,
-) -> ShardExecutor | None:
-    """Executor from an explicit name or ``REPRO_EXECUTOR`` (else None).
-
-    None means "derive from ``jobs`` as before" — the refactor changes
-    nothing for configurations that never mention executors.
-    """
-    resolved = name or os.environ.get("REPRO_EXECUTOR") or None
-    if resolved is None:
-        if broker is not None:
-            raise AnalysisError(
-                "--broker only applies to --executor tcp"
-            )
-        return None
-    return make_executor(resolved, jobs=jobs, broker=broker)

@@ -79,7 +79,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
 
 from repro import obs
 from repro.errors import AnalysisError
@@ -735,7 +735,7 @@ class TcpExecutor:
     broker: str | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     wait_timeout: float | None = None
-    name: str = "tcp"
+    name: ClassVar[str] = "tcp"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

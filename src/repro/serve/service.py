@@ -241,7 +241,7 @@ class AnalysisService:
                 "tables",
                 circuit_digest(circuit),
                 table_identity(backend),
-                execution_label(backend),
+                execution_label(getattr(backend, "executor", None)),
             )
         return _Request(
             command=command,
@@ -292,63 +292,55 @@ class AnalysisService:
         )
 
     # -- the tiered build ---------------------------------------------
-    async def _tables(self, request: _Request) -> TablePair:
-        """The ``(universe, worst)`` pair for ``request``, tier by tier.
+    async def _hot_tier(
+        self,
+        request: _Request,
+        build: Callable[[_ProgressHub | None], object],
+        progress: bool = False,
+    ) -> object:
+        """``request``'s hot-tier value, tier by tier.
 
         Hot tier first; on a miss, exactly one single-flight build runs
-        in a worker thread (where any parallel backend then consults
-        the on-disk shard cache).  Adaptive builds additionally
-        register a progress hub for the streaming endpoint.
+        ``build`` in a worker thread (where any parallel backend then
+        consults the on-disk shard cache) and stores its result.  With
+        ``progress`` the build also gets a progress hub, registered for
+        the streaming endpoint until the build settles.
         """
         key = request.cache_key
-        pair = self.cache.get(key)
-        registry = obs.metrics()
-        if pair is not None:
-            registry.counter(
-                "repro_hot_tier_lookups_total",
-                help="Hot-tier probes on the request path",
-                outcome="hit",
-            ).inc()
-            return cast(TablePair, pair)
-        registry.counter(
-            "repro_hot_tier_lookups_total", outcome="miss"
+        value = self.cache.get(key)
+        obs.metrics().counter(
+            "repro_hot_tier_lookups_total",
+            help="Hot-tier probes on the request path",
+            outcome="miss" if value is None else "hit",
         ).inc()
+        if value is not None:
+            return value
         loop = asyncio.get_running_loop()
-        backend = request.backend
         hub: _ProgressHub | None = None
-        if isinstance(backend, AdaptiveBackend):
+        if progress:
             hub = self._hubs.get(key)
             if hub is None:
                 hub = _ProgressHub(loop)
                 self._hubs[key] = hub
 
         async def factory() -> object:
-            build_backend = backend
-            if hub is not None and isinstance(backend, AdaptiveBackend):
-                progress = hub
-                target = backend.target_halfwidth
-
-                def publish(round_: Any) -> None:
-                    progress.publish(round_.render(target))
-
-                build_backend = replace(backend, on_round=publish)
             # run_in_executor does not propagate contextvars, so the
             # request span is captured here (loop thread) and passed to
             # the build span explicitly — builds show up as children of
             # the HTTP request that led the flight.
             parent = obs.current_context()
 
-            def build() -> TablePair:
+            def traced_build() -> object:
                 with obs.span(
                     "service_build",
                     parent=parent,
                     command=request.command,
                     circuit=request.circuit_name,
                 ):
-                    return self._build_pair(request.circuit, build_backend)
+                    return build(hub)
 
             try:
-                built = await loop.run_in_executor(None, build)
+                built = await loop.run_in_executor(None, traced_build)
                 self.cache.put(key, built)
                 return built
             finally:
@@ -356,7 +348,24 @@ class AnalysisService:
                     del self._hubs[key]
                     hub.close()
 
-        return cast(TablePair, await self.flights.run(key, factory))
+        return await self.flights.run(key, factory)
+
+    async def _tables(self, request: _Request) -> TablePair:
+        """The ``(universe, worst)`` pair for ``request``; adaptive
+        builds publish each round to the streaming endpoint."""
+        backend = request.backend
+
+        def build(hub: _ProgressHub | None) -> TablePair:
+            if hub is None:
+                return self._build_pair(request.circuit, backend)
+            target, publish = backend.target_halfwidth, hub.publish
+            return self._build_pair(request.circuit, replace(
+                backend, on_round=lambda round_: publish(round_.render(target))
+            ))
+
+        return cast(TablePair, await self._hot_tier(
+            request, build, progress=isinstance(backend, AdaptiveBackend)
+        ))
 
     @staticmethod
     def _build_pair(circuit: Circuit, backend: Any) -> TablePair:
@@ -401,43 +410,15 @@ class AnalysisService:
     async def partition(self, payload: object) -> str:
         """``POST /partition``: the ``repro partition`` report, cached."""
         request = self._resolve("partition", payload)
-        key = request.cache_key
-        report = self.cache.get(key)
-        registry = obs.metrics()
-        if report is None:
-            registry.counter(
-                "repro_hot_tier_lookups_total", outcome="miss"
-            ).inc()
-
-            async def factory() -> object:
-                loop = asyncio.get_running_loop()
-                parent = obs.current_context()
-
-                def build() -> str:
-                    with obs.span(
-                        "service_build",
-                        parent=parent,
-                        command="partition",
-                        circuit=request.circuit_name,
-                    ):
-                        return partition_report(
-                            request.circuit,
-                            request.backend,
-                            circuit_name=request.circuit_name,
-                            max_inputs=request.args.max_inputs,
-                        )
-
-                built = await loop.run_in_executor(None, build)
-                self.cache.put(key, built)
-                return built
-
-            report = await self.flights.run(key, factory)
-        else:
-            registry.counter(
-                "repro_hot_tier_lookups_total",
-                help="Hot-tier probes on the request path",
-                outcome="hit",
-            ).inc()
+        report = await self._hot_tier(
+            request,
+            lambda _hub: partition_report(
+                request.circuit,
+                request.backend,
+                circuit_name=request.circuit_name,
+                max_inputs=request.args.max_inputs,
+            ),
+        )
         return cast(str, report)
 
     async def analyze_stream(self, payload: object) -> AsyncIterator[str]:

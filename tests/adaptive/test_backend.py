@@ -12,7 +12,7 @@ from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import make_backend
 from repro.logic.packed import PackedSignatureMatrix
-from repro.parallel import ParallelBackend, maybe_parallel
+from repro.parallel import ParallelBackend, PoolExecutor, maybe_parallel
 from repro.simulation import ppsfp
 from repro.simulation.twoval import simulate_batch
 
@@ -111,20 +111,20 @@ class TestConfiguration:
             make_backend("sampled", samples=8, stratify="bridging")
 
     def test_jobs_injected_not_wrapped(self):
-        backend = make_backend("adaptive", jobs=2)
+        backend = make_backend("adaptive", executor=PoolExecutor(jobs=2))
         assert isinstance(backend, AdaptiveBackend)
-        assert backend.jobs == 2
-        again = maybe_parallel(backend, 4)
+        assert backend.executor == PoolExecutor(jobs=2)
+        again = maybe_parallel(AdaptiveBackend(), PoolExecutor(jobs=4))
         assert isinstance(again, AdaptiveBackend)
-        assert again.jobs == 4
+        assert again.executor == PoolExecutor(jobs=4)
 
     def test_parallel_wrap_rejected(self):
         with pytest.raises(AnalysisError, match="internally"):
-            ParallelBackend(base=AdaptiveBackend(), jobs=2)
+            ParallelBackend(base=AdaptiveBackend(), executor=PoolExecutor())
 
     def test_jobs_excluded_from_identity(self):
-        a = AdaptiveBackend(seed=3, jobs=1)
-        b = AdaptiveBackend(seed=3, jobs=4)
+        a = AdaptiveBackend(seed=3)
+        b = AdaptiveBackend(seed=3, executor=PoolExecutor(jobs=4))
         assert a == b
         assert hash(a) == hash(b)
         assert AdaptiveBackend(seed=3) != AdaptiveBackend(seed=4)

@@ -13,6 +13,7 @@ from repro.bench_suite.randlogic import random_circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
+from repro.parallel import PoolExecutor
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +75,12 @@ class TestSamplerValidation:
             AdaptiveSampler(circuit, stratify="voltage")
 
     def test_bad_jobs(self, circuit):
+        # The worker count is the pool executor's, checked where the
+        # pool is made; the sampler takes no count of its own.
+        with pytest.raises(TypeError):
+            AdaptiveSampler(circuit, jobs=2)
         with pytest.raises(AnalysisError, match="jobs"):
-            AdaptiveSampler(circuit, jobs=0)
+            AdaptiveSampler(circuit, executor=PoolExecutor(jobs=0))
 
 
 class TestTrajectory:

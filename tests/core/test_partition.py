@@ -100,16 +100,19 @@ class TestWideConeBackend:
 
     def test_jobs_threaded_to_cone_builds(self, example_circuit, tmp_path,
                                           monkeypatch):
-        from repro.parallel import ParallelBackend
+        from repro.parallel import ParallelBackend, PoolExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        parts = PartitionedAnalysis(example_circuit, max_inputs=3, jobs=2)
+        parts = PartitionedAnalysis(
+            example_circuit, max_inputs=3, executor=PoolExecutor(jobs=2)
+        )
         assert parts.cones
         assert all(
             isinstance(c.universe.backend, ParallelBackend)
+            and c.universe.backend.executor == PoolExecutor(jobs=2)
             for c in parts.cones
         )
-        # jobs changes construction speed, never results.
+        # The executor changes construction speed, never results.
         exact = PartitionedAnalysis(example_circuit, max_inputs=3)
         assert parts.guaranteed_n() == exact.guaranteed_n()
 

@@ -298,26 +298,53 @@ class TestJobsAndCache:
         assert strip(single_out) == strip(parallel_out)
         assert "jobs=2" in parallel_out
 
-    @pytest.mark.parametrize("flags,suffix", [
-        ([], ""),
-        (["--jobs", "2"], " jobs=2"),
-        (["--executor", "pool"], " jobs=2 executor=pool"),
-        (["--executor", "pool", "--jobs", "3"], " jobs=3 executor=pool"),
-        (["--executor", "inline"], " executor=inline"),
-        (["--executor", "inline", "--jobs", "4"], " executor=inline"),
+    @pytest.mark.parametrize("flags,env,suffix", [
+        ([], {}, ""),
+        (["--jobs", "1"], {}, ""),
+        (["--jobs", "2"], {}, " jobs=2"),
+        ([], {"REPRO_JOBS": "2"}, " jobs=2"),
+        (["--executor", "inline"], {}, " executor=inline"),
+        (["--executor", "inline", "--jobs", "4"], {}, " executor=inline"),
+        (["--executor", "tcp"], {}, " executor=tcp"),
+        # A pool prints its size alone, however it was named.
+        (["--executor", "pool"], {}, " jobs=2"),
+        (["--executor", "pool", "--jobs", "3"], {}, " jobs=3"),
+        (["--executor", "pool", "--jobs", "1"], {}, " jobs=1"),
+        ([], {"REPRO_EXECUTOR": "pool"}, " jobs=2"),
+        ([], {"REPRO_EXECUTOR": "pool", "REPRO_JOBS": "1"}, " jobs=2"),
+        ([], {"REPRO_EXECUTOR": "pool", "REPRO_JOBS": "3"}, " jobs=3"),
     ])
     @pytest.mark.parametrize("backend", ["exhaustive", "adaptive"])
     def test_execution_suffix_names_the_executor_used(
-        self, backend, flags, suffix, capsys, tmp_path, monkeypatch
+        self, backend, flags, env, suffix, capsys, tmp_path, monkeypatch
     ):
         """The ``backend=`` label names the executor the builds ran on,
         the same way for the sharded and the adaptive backend."""
+        import threading
+        from contextlib import ExitStack
+
+        from repro.parallel.netqueue import BackgroundBroker, TcpWorker
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert main(
-            ["analyze", "paper_example", "--backend", backend, *flags]
-        ) == 0
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        with ExitStack() as stack:
+            if "tcp" in flags:
+                broker = stack.enter_context(BackgroundBroker())
+                worker = TcpWorker(
+                    broker=broker.address, worker_id="label",
+                    cache_dir=str(tmp_path / "worker"), use_cache=False,
+                )
+                thread = threading.Thread(target=worker.serve, daemon=True)
+                thread.start()
+                stack.callback(thread.join, 30)
+                stack.callback(worker.stop)
+                flags = [*flags, "--broker", broker.address]
+            assert main(
+                ["analyze", "paper_example", "--backend", backend, *flags]
+            ) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == (
             f"Worst-case analysis of paper_example "

@@ -174,14 +174,14 @@ class TestEnvOverrides:
             backend_from_env()
 
     def test_backend_from_env_jobs_only(self, monkeypatch):
-        from repro.parallel import ParallelBackend
+        from repro.parallel import ParallelBackend, PoolExecutor
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_JOBS", "2")
         backend = backend_from_env()
         assert isinstance(backend, ParallelBackend)
         assert backend.base == TableBackend()
-        assert backend.jobs == 2
+        assert backend.executor == PoolExecutor(jobs=2)
 
     def test_backend_from_env_jobs_wraps_engine(self, monkeypatch):
         from repro.parallel import ParallelBackend
@@ -384,24 +384,24 @@ class TestParallelCacheComposition:
     duplicate hundreds of megabytes)."""
 
     def test_parallel_shares_base_cache_entry(self, tmp_path, monkeypatch):
-        from repro.parallel import ParallelBackend
+        from repro.parallel import ParallelBackend, PoolExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         base = TableBackend(samples=8, seed=2)
         u_base = get_universe("lion", base)
         u_parallel = get_universe(
-            "lion", ParallelBackend(base=base, jobs=2)
+            "lion", ParallelBackend(base=base, executor=PoolExecutor(jobs=2))
         )
         assert u_parallel is u_base
 
     def test_parallel_exhaustive_shares_default_entry(
         self, tmp_path, monkeypatch
     ):
-        from repro.parallel import ParallelBackend
+        from repro.parallel import ParallelBackend, PoolExecutor
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         u_default = get_universe("lion")
-        wrapped = ParallelBackend(base=TableBackend(), jobs=2)
+        wrapped = ParallelBackend(base=TableBackend(), executor=PoolExecutor())
         assert get_universe("lion", wrapped) is u_default
         assert get_worst_case("lion", wrapped) is get_worst_case("lion")
 

@@ -143,9 +143,11 @@ def _build_paths():
         return FaultUniverse(circuit)
 
     def parallel(circuit):
+        from repro.parallel import InlineExecutor
+
         return FaultUniverse(
             circuit, backend=make_backend(
-                "exhaustive", jobs=2, executor="inline"
+                "exhaustive", executor=InlineExecutor()
             ),
         )
 
@@ -229,7 +231,11 @@ class TestOneFaultForm:
 
     @staticmethod
     def _backend(label, request):
-        from repro.parallel import ParallelBackend
+        from repro.parallel import (
+            InlineExecutor,
+            ParallelBackend,
+            PoolExecutor,
+        )
         from repro.parallel.netqueue import TcpExecutor
 
         if label == "tcp":
@@ -243,9 +249,11 @@ class TestOneFaultForm:
         return {
             "kernel": TableBackend,
             "serial": SerialBackend,
-            "inline": lambda: make_backend("exhaustive", executor="inline"),
+            "inline": lambda: make_backend(
+                "exhaustive", executor=InlineExecutor()
+            ),
             "pool": lambda: make_backend(
-                "exhaustive", jobs=2, executor="pool"
+                "exhaustive", executor=PoolExecutor(jobs=2)
             ),
             "adaptive": lambda: make_backend(
                 "adaptive", max_samples=1 << 16
@@ -422,10 +430,12 @@ class TestPickling:
     def test_merged_table_pickles_words_not_bigints(self, tmp_path):
         """A sharded merge packs its rows: its pickle carries the
         table's four fields, and reading the rows adds nothing."""
-        from repro.parallel import ParallelBackend
+        from repro.parallel import InlineExecutor, ParallelBackend
 
         backend = ParallelBackend(
-            base=TableBackend(), jobs=1, cache_dir=str(tmp_path)
+            base=TableBackend(),
+            executor=InlineExecutor(),
+            cache_dir=str(tmp_path),
         )
         merged = backend.build_bridging(get_circuit("ex2"))
         before = pickle.dumps(merged)

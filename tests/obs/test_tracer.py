@@ -187,6 +187,20 @@ class TestJsonlWriter:
         writer.close()
         assert not path.exists()
 
+    def test_closed_writer_stays_closed(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        writer = JsonlTraceWriter(str(path), truncate=True)
+        writer.write({"kind": "span", "name": "a"})
+        writer.close()
+        with pytest.raises(ValueError, match="trace.jsonl"):
+            writer.write({"kind": "span", "name": "late"})
+        writer.close()  # idempotent
+        assert [
+            json.loads(line)["name"]
+            for line in path.read_text().splitlines()
+        ] == ["a"]
+        assert writer._fh is None
+
 
 class TestActivation:
     def test_null_tracer_is_the_default(self):

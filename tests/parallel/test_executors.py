@@ -5,7 +5,8 @@ Broker mechanics (leases, heartbeats, retries, the worker loop) live in
 live with the other differential suites in
 ``tests/test_backend_differential.py``.  This module covers the
 protocol itself — the three implementations' configuration contracts,
-the ``--executor``/``REPRO_EXECUTOR`` factories, and how executors are
+the ``--executor``/``REPRO_EXECUTOR`` factories (resolved once, by
+:func:`repro.options.executor_from_options`), and how executors are
 injected through ``ParallelBackend`` / ``maybe_parallel`` / the
 adaptive controller.
 """
@@ -22,6 +23,7 @@ from repro.faultsim.backends import (
     TableBackend,
     make_backend,
 )
+from repro.options import backend_from_options, executor_from_options
 from repro.parallel import (
     InlineExecutor,
     ParallelBackend,
@@ -29,7 +31,6 @@ from repro.parallel import (
     ShardExecutor,
     make_executor,
     maybe_parallel,
-    resolve_executor,
 )
 from repro.parallel.netqueue import TcpExecutor
 
@@ -54,8 +55,7 @@ class TestProtocol:
 
 
 class TestFactories:
-    def test_make_executor_names(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_make_executor_names(self):
         assert make_executor("inline") == InlineExecutor()
         assert make_executor("pool") == PoolExecutor(jobs=2)
         assert make_executor("pool", jobs=5) == PoolExecutor(jobs=5)
@@ -70,10 +70,14 @@ class TestFactories:
         # inline); only *unspecified* jobs falls back to a real pool.
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert make_executor("pool", jobs=1) == PoolExecutor(jobs=1)
+        pool = {"executor": "pool"}
+        assert executor_from_options({**pool, "jobs": 1}) == PoolExecutor(
+            jobs=1
+        )
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert make_executor("pool") == PoolExecutor(jobs=3)
+        assert executor_from_options(pool) == PoolExecutor(jobs=3)
         monkeypatch.setenv("REPRO_JOBS", "1")
-        assert make_executor("pool") == PoolExecutor(jobs=2)
+        assert executor_from_options(pool) == PoolExecutor(jobs=2)
 
     def test_make_executor_unknown_name(self):
         with pytest.raises(AnalysisError, match="unknown executor"):
@@ -91,45 +95,45 @@ class TestFactories:
 
     def test_resolve_executor_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_executor() is None
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert executor_from_options({}) is None
         monkeypatch.setenv("REPRO_EXECUTOR", "pool")
-        assert resolve_executor(jobs=3) == PoolExecutor(jobs=3)
+        assert executor_from_options({"jobs": 3}) == PoolExecutor(jobs=3)
         # An explicit name beats the environment.
-        assert resolve_executor("inline") == InlineExecutor()
+        assert executor_from_options(
+            {"executor": "inline"}
+        ) == InlineExecutor()
 
     def test_resolve_executor_tcp_env_broker(self, monkeypatch):
         # The broker address is resolved at submit time, so the
         # executor value itself stays host-independent.
         monkeypatch.setenv("REPRO_EXECUTOR", "tcp")
         monkeypatch.setenv("REPRO_BROKER", "h:1")
-        assert resolve_executor() == TcpExecutor()
-        assert resolve_executor().resolved_address() == ("h", 1)
+        assert executor_from_options({}) == TcpExecutor()
+        assert executor_from_options({}).resolved_address() == ("h", 1)
 
     def test_resolve_rejects_orphan_broker(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         with pytest.raises(AnalysisError, match="--broker"):
-            resolve_executor(broker="h:1")
+            executor_from_options({"broker": "h:1"})
 
 
 class TestParallelBackendIntegration:
-    def test_jobs_sugar_resolves_executor(self):
-        base = TableBackend()
-        assert ParallelBackend(
-            base=base, jobs=1
-        ).resolved_executor == InlineExecutor()
-        assert ParallelBackend(
-            base=base, jobs=4
-        ).resolved_executor == PoolExecutor(jobs=4)
+    def test_jobs_sugar_resolves_executor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert executor_from_options({"jobs": 1}) is None
+        assert executor_from_options({"jobs": 4}) == PoolExecutor(jobs=4)
+        assert ParallelBackend(TableBackend()).executor == PoolExecutor()
 
     def test_explicit_executor_wins_over_jobs(self):
-        backend = ParallelBackend(
-            base=TableBackend(), jobs=4, executor=InlineExecutor()
-        )
-        assert backend.resolved_executor == InlineExecutor()
+        assert executor_from_options(
+            {"jobs": 4, "executor": "inline"}
+        ) == InlineExecutor()
 
     def test_rejects_non_executor(self):
-        with pytest.raises(AnalysisError, match="ShardExecutor"):
-            ParallelBackend(base=TableBackend(), executor="pool")
+        for executor in ("pool", None):
+            with pytest.raises(AnalysisError, match="ShardExecutor"):
+                ParallelBackend(base=TableBackend(), executor=executor)
 
     def test_hashable_with_executor(self):
         a = ParallelBackend(
@@ -162,35 +166,37 @@ class TestParallelBackendIntegration:
 class TestInjection:
     def test_maybe_parallel_wraps_for_executor_at_jobs_one(self):
         base = TableBackend()
-        assert maybe_parallel(base, 1) is base
-        wrapped = maybe_parallel(base, 1, executor=InlineExecutor())
+        assert maybe_parallel(base, None) is base
+        wrapped = maybe_parallel(base, InlineExecutor())
         assert isinstance(wrapped, ParallelBackend)
         assert wrapped.executor == InlineExecutor()
 
     def test_maybe_parallel_injects_into_adaptive(self):
         executor = TcpExecutor(broker="h:1")
-        backend = maybe_parallel(AdaptiveBackend(), 2, executor=executor)
+        backend = maybe_parallel(AdaptiveBackend(), executor)
         assert isinstance(backend, AdaptiveBackend)
-        assert backend.jobs == 2
         assert backend.executor == executor
 
     def test_adaptive_with_execution_preserves_identity(self):
-        # jobs/executor are excluded from equality: experiment caches
+        # The executor is excluded from equality: experiment caches
         # must share tables across execution substrates.
         base = AdaptiveBackend()
-        assert base.with_execution(
-            jobs=4, executor=InlineExecutor()
-        ) == base
-        assert base.with_jobs(3).jobs == 3
+        injected = base.with_execution(PoolExecutor(jobs=4))
+        assert injected == base
+        assert injected.executor == PoolExecutor(jobs=4)
 
     def test_parallel_rejects_internally_parallel_base(self):
         with pytest.raises(AnalysisError, match="internally"):
             ParallelBackend(base=AdaptiveBackend())
 
-    def test_make_backend_executor_name(self):
-        backend = make_backend(
-            "sampled", samples=8, seed=1, executor="tcp", broker="h:1",
-        )
+    def test_make_backend_executor_name(self, monkeypatch):
+        # Names resolve at the option table; make_backend takes the
+        # executor they name.
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        backend = backend_from_options({
+            "backend": "sampled", "samples": 8, "seed": 1,
+            "executor": "tcp", "broker": "h:1",
+        })
         assert isinstance(backend, ParallelBackend)
         assert backend.base == TableBackend(samples=8, seed=1)
         assert backend.executor == TcpExecutor(broker="h:1")
@@ -198,20 +204,27 @@ class TestInjection:
     def test_make_backend_executor_instance(self):
         backend = make_backend("exhaustive", executor=PoolExecutor(jobs=3))
         assert isinstance(backend, ParallelBackend)
-        assert backend.resolved_executor == PoolExecutor(jobs=3)
+        assert backend.executor == PoolExecutor(jobs=3)
 
     def test_make_backend_adaptive_executor_injects(self):
-        backend = make_backend("adaptive", executor="tcp", broker="h:1")
+        executor = TcpExecutor(broker="h:1")
+        backend = make_backend("adaptive", executor=executor)
         assert isinstance(backend, AdaptiveBackend)
-        assert backend.executor == TcpExecutor(broker="h:1")
+        assert backend.executor == executor
 
-    def test_make_backend_orphan_broker(self):
+    def test_make_backend_orphan_broker(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         with pytest.raises(AnalysisError, match="broker"):
-            make_backend("exhaustive", broker="h:1")
+            backend_from_options({"backend": "exhaustive", "broker": "h:1"})
 
-    def test_universe_executor_kwarg(self, tmp_path):
+    def test_universe_executor_kwarg(self):
+        # The universe takes no execution setting of its own: it builds
+        # on the backend it is given.
+        with pytest.raises(TypeError):
+            FaultUniverse(get_circuit("lion"), executor=InlineExecutor())
         universe = FaultUniverse(
-            get_circuit("lion"), executor=InlineExecutor()
+            get_circuit("lion"),
+            backend=maybe_parallel(TableBackend(), InlineExecutor()),
         )
         assert isinstance(universe.backend, ParallelBackend)
         assert universe.backend.executor == InlineExecutor()

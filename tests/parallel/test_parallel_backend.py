@@ -4,8 +4,9 @@ The bit-for-bit differential sweeps against every base engine live in
 ``tests/test_backend_differential.py`` (and the packed variants in
 ``tests/test_packed_differential.py``); this module covers the
 subsystem's own contract — configuration validation, shard-layout
-independence, the warm-cache acceptance property, and the ``jobs``
-threading through :class:`~repro.faults.universe.FaultUniverse`.
+independence, the warm-cache acceptance property, and how the
+front ends' ``jobs`` reaches a
+:class:`~repro.faults.universe.FaultUniverse` as a wrapped backend.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from repro.faultsim.backends import (
 )
 from repro.faultsim.detection import DetectionTable
 from repro.logic.packed import PackedSignatureMatrix
+from repro.options import backend_from_options, executor_from_options
 from repro.parallel import (
+    InlineExecutor,
     ParallelBackend,
+    PoolExecutor,
     ShardCache,
     cache_stats,
     maybe_parallel,
     reset_cache_stats,
-    resolve_jobs,
     run_shard,
 )
 
@@ -52,45 +55,55 @@ class TestConfiguration:
             ParallelBackend(base=inner)
 
     def test_rejects_bad_jobs(self):
+        # The worker count is the pool's: a backend takes no jobs.
+        with pytest.raises(TypeError):
+            ParallelBackend(base=TableBackend(), jobs=2)
         with pytest.raises(AnalysisError, match="jobs"):
-            ParallelBackend(base=TableBackend(), jobs=0)
+            ParallelBackend(base=TableBackend(), executor=PoolExecutor(0))
 
     def test_rejects_bad_shards(self):
         with pytest.raises(AnalysisError, match="shards"):
             ParallelBackend(base=TableBackend(), shards=0)
 
     def test_hashable_for_cache_keys(self):
-        a = ParallelBackend(base=TableBackend(samples=8, seed=1), jobs=2)
-        b = ParallelBackend(base=TableBackend(samples=8, seed=1), jobs=2)
+        a = ParallelBackend(base=TableBackend(samples=8, seed=1))
+        b = ParallelBackend(base=TableBackend(samples=8, seed=1))
         assert a == b and hash(a) == hash(b)
 
     def test_maybe_parallel(self):
         base = TableBackend()
-        assert maybe_parallel(base, 1) is base
-        wrapped = maybe_parallel(base, 3)
+        assert maybe_parallel(base, None) is base
+        wrapped = maybe_parallel(base, PoolExecutor(jobs=3))
         assert isinstance(wrapped, ParallelBackend)
-        assert wrapped.jobs == 3
+        assert wrapped.executor == PoolExecutor(jobs=3)
         # Already-parallel backends pass through un-nested.
-        assert maybe_parallel(wrapped, 2) is wrapped
+        assert maybe_parallel(wrapped, InlineExecutor()) is wrapped
 
     def test_resolve_jobs(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(4) == 4
+        assert executor_from_options({}) is None
+        assert executor_from_options({"jobs": 4}) == PoolExecutor(jobs=4)
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(None) == 3
-        assert resolve_jobs(2) == 2  # explicit beats env
+        assert executor_from_options({}) == PoolExecutor(jobs=3)
+        # explicit beats env
+        assert executor_from_options({"jobs": 2}) == PoolExecutor(jobs=2)
         monkeypatch.setenv("REPRO_JOBS", "zero")
         with pytest.raises(AnalysisError, match="REPRO_JOBS"):
-            resolve_jobs(None)
-        with pytest.raises(AnalysisError, match="jobs"):
-            resolve_jobs(0)
+            executor_from_options({})
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(AnalysisError, match="REPRO_JOBS must be >= 1"):
+            executor_from_options({})
+        with pytest.raises(AnalysisError, match="--jobs must be >= 1"):
+            executor_from_options({"jobs": 0})
 
     def test_make_backend_jobs(self):
-        backend = make_backend("sampled", samples=8, seed=1, jobs=2)
+        backend = make_backend(
+            "sampled", samples=8, seed=1, executor=PoolExecutor(jobs=2)
+        )
         assert isinstance(backend, ParallelBackend)
         assert backend.base == TableBackend(samples=8, seed=1)
-        assert make_backend("exhaustive", jobs=1) == TableBackend()
+        assert make_backend("exhaustive", executor=None) == TableBackend()
 
 
 class TestShardLayoutIndependence:
@@ -102,7 +115,7 @@ class TestShardLayoutIndependence:
         for shards in (1, 2, 3, 5, 64):
             backend = ParallelBackend(
                 base=TableBackend(),
-                jobs=2,
+                executor=PoolExecutor(jobs=2),
                 shards=shards,
                 cache_dir=cache_dir,
             )
@@ -122,7 +135,10 @@ class TestShardLayoutIndependence:
         # the table had been built in one piece.
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=TableBackend(), jobs=2, shards=64, cache_dir=cache_dir
+            base=TableBackend(),
+            executor=PoolExecutor(jobs=2),
+            shards=64,
+            cache_dir=cache_dir,
         )
         single = FaultUniverse(circuit).untargeted_table
         parallel = FaultUniverse(circuit, backend=backend).untargeted_table
@@ -132,7 +148,9 @@ class TestShardLayoutIndependence:
     def test_explicit_empty_fault_list(self, cache_dir):
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=TableBackend(), jobs=2, cache_dir=cache_dir
+            base=TableBackend(),
+            executor=PoolExecutor(jobs=2),
+            cache_dir=cache_dir,
         )
         table = backend.build_stuck_at(circuit, faults=[])
         assert len(table) == 0
@@ -144,7 +162,10 @@ class TestShardCacheAcceptance:
     def test_warm_cache_hit_on_repeated_build(self, cache_dir):
         circuit = get_circuit("beecount")
         backend = ParallelBackend(
-            base=TableBackend(samples=16, seed=3), jobs=2, cache_dir=cache_dir
+            base=TableBackend(samples=16,
+            seed=3),
+            executor=PoolExecutor(jobs=2),
+            cache_dir=cache_dir,
         )
         reset_cache_stats()
         cold = FaultUniverse(circuit, backend=backend)
@@ -164,13 +185,17 @@ class TestShardCacheAcceptance:
         # every shard a jobs=2 run stored.
         circuit = get_circuit("lion")
         first = ParallelBackend(
-            base=TableBackend(), jobs=2, cache_dir=cache_dir
+            base=TableBackend(),
+            executor=PoolExecutor(jobs=2),
+            cache_dir=cache_dir,
         )
         u1 = FaultUniverse(circuit, backend=first)
         u1.target_table, u1.untargeted_table
         reset_cache_stats()
         second = ParallelBackend(
-            base=TableBackend(), jobs=4, cache_dir=cache_dir
+            base=TableBackend(),
+            executor=PoolExecutor(jobs=4),
+            cache_dir=cache_dir,
         )
         u2 = FaultUniverse(circuit, backend=second)
         u2.target_table, u2.untargeted_table
@@ -183,7 +208,7 @@ class TestShardCacheAcceptance:
         root = tmp_path / "never"
         backend = ParallelBackend(
             base=TableBackend(),
-            jobs=2,
+            executor=PoolExecutor(jobs=2),
             cache_dir=str(root),
             use_cache=False,
         )
@@ -219,7 +244,9 @@ class TestShardPayload:
         )
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=TableBackend(), jobs=jobs, cache_dir=cache_dir
+            base=TableBackend(),
+            executor=PoolExecutor(jobs=jobs),
+            cache_dir=cache_dir,
         )
         reset_cache_stats()
         reference = None
@@ -236,7 +263,7 @@ class TestShardPayload:
     def test_wrong_length_cache_entry_is_rebuilt(self, cache_dir):
         circuit = get_circuit("lion")
         backend = ParallelBackend(
-            base=TableBackend(), jobs=1, cache_dir=cache_dir
+            base=TableBackend(), executor=InlineExecutor(), cache_dir=cache_dir
         )
         expected = backend.build_bridging(circuit)
         cache = ShardCache(cache_dir)
@@ -287,26 +314,38 @@ class _DamagingExecutor:
 
 
 class TestFaultUniverseJobs:
+    """``--jobs`` reaches a universe as the backend it is given."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_execution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    @staticmethod
+    def universe(**options):
+        backend = backend_from_options({"backend": "exhaustive", **options})
+        return FaultUniverse(get_circuit("lion"), backend=backend)
+
     def test_jobs_wraps_backend(self, cache_dir):
-        u = FaultUniverse(get_circuit("lion"), jobs=2)
+        u = self.universe(jobs=2)
         assert isinstance(u.backend, ParallelBackend)
         assert u.backend.base == TableBackend()
+        assert u.backend.executor == PoolExecutor(jobs=2)
 
     def test_jobs_one_stays_single_process(self):
-        u = FaultUniverse(get_circuit("lion"), jobs=1)
-        assert u.backend == TableBackend()
+        assert self.universe(jobs=1).backend == TableBackend()
 
     def test_jobs_composes_with_backend(self):
-        base = TableBackend(samples=8, seed=1)
-        u = FaultUniverse(get_circuit("lion"), backend=base, jobs=2)
+        u = self.universe(backend="sampled", samples=8, seed=1, jobs=2)
         assert isinstance(u.backend, ParallelBackend)
-        assert u.backend.base == base
+        assert u.backend.base == TableBackend(samples=8, seed=1)
 
     def test_parallel_backend_passes_through(self):
-        backend = ParallelBackend(base=TableBackend(), jobs=3)
-        u = FaultUniverse(get_circuit("lion"), backend=backend, jobs=2)
+        backend = ParallelBackend(TableBackend(), executor=PoolExecutor(3))
+        wrapped = maybe_parallel(backend, PoolExecutor(jobs=2))
+        u = FaultUniverse(get_circuit("lion"), backend=wrapped)
         assert u.backend is backend
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(AnalysisError, match="jobs"):
-            FaultUniverse(get_circuit("lion"), jobs=0).backend
+            self.universe(jobs=0)

@@ -11,6 +11,7 @@ from repro.bench_suite.registry import get_circuit
 from repro.faults.stuck_at import collapsed_stuck_at_faults
 from repro.faultsim.backends import SerialBackend, TableBackend
 from repro.parallel import (
+    InlineExecutor,
     ParallelBackend,
     ShardCache,
     backend_cache_key,
@@ -113,7 +114,9 @@ class TestKeys:
             parallel_backend, "circuit_digest", counting_digest
         )
         backend = ParallelBackend(
-            base=TableBackend(), jobs=1, cache_dir=str(tmp_path)
+            base=TableBackend(),
+            executor=InlineExecutor(),
+            cache_dir=str(tmp_path),
         )
         circuit = get_circuit("lion")
         for _ in range(2):  # cold (all misses), then warm (all hits)

@@ -390,11 +390,43 @@ class TestStreaming:
         assert service.flights.started == started_after_stream
 
 
+class TestHotTier:
+    def test_every_endpoint_shares_one_hot_tier_path(self):
+        """Partition and table requests probe, count, single-flight and
+        store alike; the counter's help text does not depend on which
+        endpoint registers it first."""
+        from repro import obs
+
+        registry = obs.metrics()
+        registry.reset()
+        try:
+            service = AnalysisService()
+            partition = {"circuit": "paper_example", "max_inputs": 3}
+            first = asyncio.run(service.partition(partition))
+            assert asyncio.run(service.partition(partition)) == first
+            asyncio.run(service.analyze({"circuit": "c17"}))
+            asyncio.run(service.escape({"circuit": "c17"}))
+            lookups = registry.snapshot()["repro_hot_tier_lookups_total"]
+            assert lookups == {'{outcome="hit"}': 2, '{outcome="miss"}': 2}
+            assert service.flights.started == 2
+            assert service.cache.hits == 2
+            assert (
+                "# HELP repro_hot_tier_lookups_total Hot-tier probes on "
+                "the request path"
+            ) in registry.render()
+        finally:
+            registry.reset()
+
+
 class TestCacheKeys:
-    def test_execution_label_default_backend(self):
+    def test_execution_label_default_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         service = AnalysisService()
         request = service._resolve("analyze", {"circuit": "c17"})
-        assert cli.execution_label(request.backend) == (None, None)
+        assert not hasattr(request.backend, "executor")
+        assert cli.execution_label(None) == ""
+        assert request.cache_key[-1] == ""
 
     def test_partition_key_separates_max_inputs(self):
         service = AnalysisService()

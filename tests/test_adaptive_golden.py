@@ -6,6 +6,8 @@ adaptive run ends: a uniform run that exhausts its budget, uniform and
 stratified runs that complete the universe exactly, and a stratified
 run that meets its target.  Any change to a round's draws, splice,
 intervals, allocation or stopping decision changes the report bytes.
+The header names the executor, so each case clears the execution
+variables of the caller's environment.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ REASONS = {
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN))
-def test_analyze_report_bytes(args):
+def test_analyze_report_bytes(args, monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli.main(["analyze", *args.split()])

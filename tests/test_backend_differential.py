@@ -10,14 +10,15 @@ engines agree wherever their domains overlap.
   bit (its universe canonicalizes to the exhaustive mapping);
 * sampled-U with ``K < 2**p`` — popcount estimates land near the exact
   ``N(f)`` / ``nmin`` values, averaged over seeds;
-* sharded multiprocessing (``ParallelBackend(jobs=2)``) over any base
-  engine — signatures, counts, ``nmin`` records, and ``guaranteed_n``
-  are *bit-identical* to the single-process build, on random and suite
+* sharded multiprocessing (``ParallelBackend(base,
+  executor=PoolExecutor(jobs=2))``) over any base engine — signatures,
+  counts, ``nmin`` records, and ``guaranteed_n`` are *bit-identical*
+  to the single-process build, on random and suite
   circuits alike (``REPRO_DIFF_SUITE=full`` sweeps every suite
   circuit, as the CI workflow does);
 * the adaptive controller — same seed implies a bit-identical
-  trajectory (round sizes, allocations, universes, tables) across
-  ``jobs=1`` vs ``jobs=2``, uniform and stratified alike; its spliced
+  trajectory (round sizes, allocations, universes, tables) in-process
+  and on a pool of two, uniform and stratified alike; its spliced
   signatures equal a one-shot build over its final vectors; and a
   budget covering ``2**p`` canonicalizes to the exact exhaustive
   result, like the full-sample sampled draw does.
@@ -46,7 +47,7 @@ from repro.faultsim.backends import (
     TableBackend,
 )
 from repro.faultsim.detection import DetectionTable
-from repro.parallel import ParallelBackend
+from repro.parallel import ParallelBackend, PoolExecutor
 
 #: Representative tier-1 subset; REPRO_DIFF_SUITE=full sweeps them all.
 _SUITE_SUBSET = ("lion", "train4", "mc", "s8", "beecount")
@@ -112,7 +113,8 @@ class TestExactEnginesAgree:
 
 
 class TestParallelDifferential:
-    """``ParallelBackend(jobs=2)`` ≡ the single-process build, bit for bit.
+    """A pool of two (``PoolExecutor(jobs=2)``) ≡ the single-process
+    build, bit for bit.
 
     Sweeps every base engine; the shard cache is disabled so each case
     measures a real sharded construction, not a replay.
@@ -120,7 +122,9 @@ class TestParallelDifferential:
 
     @staticmethod
     def _parallel(base):
-        return ParallelBackend(base=base, jobs=2, use_cache=False)
+        return ParallelBackend(
+            base=base, executor=PoolExecutor(jobs=2), use_cache=False
+        )
 
     def _assert_equivalent(self, circuit, base):
         single = FaultUniverse(circuit, backend=base)
@@ -379,7 +383,8 @@ class TestTcpExecutorDifferential:
 
 
 class TestAdaptiveDifferential:
-    """Adaptive trajectories are seed-deterministic and jobs-invariant."""
+    """Adaptive trajectories are seed-deterministic and executor-invariant
+    (in-process vs a pool of two)."""
 
     RULE_KWARGS = dict(
         target_halfwidth=0.2,
@@ -388,7 +393,7 @@ class TestAdaptiveDifferential:
         k_smallest=4,
     )
 
-    def _run(self, circuit, seed, jobs=1, stratify=None, **overrides):
+    def _run(self, circuit, seed, executor=None, stratify=None, **overrides):
         from repro.adaptive import AdaptiveSampler, StoppingRule
 
         kwargs = {**self.RULE_KWARGS, **overrides}
@@ -397,7 +402,7 @@ class TestAdaptiveDifferential:
             rule=StoppingRule(**kwargs),
             seed=seed,
             stratify=stratify,
-            jobs=jobs,
+            executor=executor,
             use_cache=False,
         ).run()
 
@@ -421,8 +426,10 @@ class TestAdaptiveDifferential:
     @pytest.mark.parametrize("seed,p,gates", [(31, 6, 14), (32, 7, 16)])
     def test_jobs_invariant_random(self, seed, p, gates, stratify):
         circuit = random_circuit(seed, num_inputs=p, num_gates=gates)
-        single = self._run(circuit, seed=seed, jobs=1, stratify=stratify)
-        sharded = self._run(circuit, seed=seed, jobs=2, stratify=stratify)
+        single = self._run(circuit, seed=seed, stratify=stratify)
+        sharded = self._run(
+            circuit, seed=seed, executor=PoolExecutor(), stratify=stratify
+        )
         self._assert_same_trajectory(single, sharded)
 
     @pytest.mark.parametrize("name", _suite_circuits()[:2])
@@ -430,8 +437,10 @@ class TestAdaptiveDifferential:
         from repro.bench_suite.registry import get_circuit
 
         circuit = get_circuit(name)
-        single = self._run(circuit, seed=1, jobs=1, stratify="bridging")
-        sharded = self._run(circuit, seed=1, jobs=2, stratify="bridging")
+        single = self._run(circuit, seed=1, stratify="bridging")
+        sharded = self._run(
+            circuit, seed=1, executor=PoolExecutor(), stratify="bridging"
+        )
         self._assert_same_trajectory(single, sharded)
 
     @pytest.mark.parametrize("stratify", [None, "bridging"])
