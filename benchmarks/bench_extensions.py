@@ -18,7 +18,7 @@ from repro.core.escape import EscapeAnalysis
 from repro.core.partition import PartitionedAnalysis
 from repro.core.procedure1 import build_random_ndetection_sets
 from repro.core.worst_case import WorstCaseAnalysis
-from repro.experiments.common import get_universe, get_worst_case
+from repro.experiments.common import get_universe
 from repro.faults.cell_aware import gate_exhaustive_table
 
 N_COLUMNS = (1, 2, 3, 4, 5, 10)
@@ -30,7 +30,7 @@ def test_gate_exhaustive_model(benchmark, save_artifact):
         rows = {}
         for name in CIRCUITS:
             universe = get_universe(name)
-            bridging_wc = get_worst_case(name)
+            bridging_wc = universe.worst_case
             ge_table = gate_exhaustive_table(universe.circuit)
             ge_wc = WorstCaseAnalysis(universe.target_table, ge_table)
             rows[name] = (
@@ -61,12 +61,11 @@ def test_escape_curve(benchmark, save_artifact):
 
     def run():
         universe = get_universe(name)
-        worst = get_worst_case(name)
         family = build_random_ndetection_sets(
             universe.target_table, n_max=10, num_sets=100, seed=2005
         )
         avg = AverageCaseAnalysis(family, universe.untargeted_table)
-        return EscapeAnalysis(worst, avg)
+        return EscapeAnalysis(universe.worst_case, avg)
 
     escape = benchmark.pedantic(run, rounds=1, iterations=1)
     save_artifact(

@@ -13,7 +13,6 @@ import sys
 from repro.bench_suite.registry import get_circuit
 from repro.core.average_case import TABLE5_THRESHOLDS, AverageCaseAnalysis
 from repro.core.procedure1 import build_random_ndetection_sets
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
 
 
@@ -24,9 +23,7 @@ def main(argv: list[str]) -> int:
 
     circuit = get_circuit(name)
     universe = FaultUniverse(circuit)
-    worst = WorstCaseAnalysis(
-        universe.target_table, universe.untargeted_table
-    )
+    worst = universe.worst_case
     hard = worst.indices_at_least(n_max + 1)
     print(
         f"{name}: {len(worst)} bridging faults, "

@@ -15,7 +15,6 @@ import time
 from repro.bench_suite.registry import get_circuit
 from repro.core.average_case import AverageCaseAnalysis
 from repro.core.procedure1 import build_random_ndetection_sets
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
 
 
@@ -26,9 +25,7 @@ def main(argv: list[str]) -> int:
 
     circuit = get_circuit(name)
     universe = FaultUniverse(circuit)
-    worst = WorstCaseAnalysis(
-        universe.target_table, universe.untargeted_table
-    )
+    worst = universe.worst_case
     hard = worst.indices_at_least(n_max + 1)
     if not hard:
         hard = worst.indices_at_least(4)  # fall back to a softer tail

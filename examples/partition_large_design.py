@@ -47,11 +47,11 @@ def main() -> int:
         print(f"  {key}: {value}")
     print()
     for cone in parts.cones:
-        g = cone.analysis.guaranteed_n()
+        g = cone.worst_case.guaranteed_n()
         print(
             f"  cone {cone.circuit.name}: "
             f"{cone.circuit.num_inputs} inputs, "
-            f"{len(cone.analysis)} bridging faults, "
+            f"{len(cone.worst_case)} bridging faults, "
             f"guaranteed n = {g}"
         )
     print(

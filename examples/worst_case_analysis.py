@@ -21,9 +21,7 @@ DEFAULT_CIRCUITS = ["lion", "bbtas", "modulo12", "beecount", "bbara", "rie"]
 def analyze(name: str) -> WorstCaseAnalysis:
     circuit = get_circuit(name)
     universe = FaultUniverse(circuit)
-    analysis = WorstCaseAnalysis(
-        universe.target_table, universe.untargeted_table
-    )
+    analysis = universe.worst_case
     curve = analysis.coverage_curve([1, 2, 3, 4, 5, 10])
     cells = " ".join(f"{p:6.2f}" for p in curve)
     print(

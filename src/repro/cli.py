@@ -416,15 +416,16 @@ def partition_report(
     for key, value in analysis.summary().items():
         lines.append(f"  {key}: {value}")
     for cone in analysis.cones:
-        g = cone.analysis.guaranteed_n()
-        universe = cone.analysis.universe
-        tag = "" if universe.exact else f" backend={base.name}"
-        if not universe.exact and isinstance(base, AdaptiveBackend):
+        worst = cone.worst_case
+        g = worst.guaranteed_n()
+        vu = worst.universe
+        tag = "" if vu.exact else f" backend={base.name}"
+        if not vu.exact and isinstance(base, AdaptiveBackend):
             # Per-cone adaptive K: each wide cone picked its own size.
-            tag += f" K={universe.size}"
+            tag += f" K={vu.size}"
         lines.append(
             f"  cone {cone.circuit.name}: inputs={cone.circuit.num_inputs} "
-            f"faults={len(cone.analysis)} guaranteed_n={g}{tag}"
+            f"faults={len(worst)} guaranteed_n={g}{tag}"
         )
     return "\n".join(lines) + "\n"
 
@@ -634,8 +635,9 @@ def _cmd_gen_tests(args: argparse.Namespace) -> str:
     return text
 
 
-def _cmd_escape(args: argparse.Namespace) -> str:
-    from repro.core.worst_case import WorstCaseAnalysis
+def _built_universe(args: argparse.Namespace) -> Any:
+    """The fault universe ``repro analyze|escape`` reports on, with its
+    tables and worst-case scan built inside the ``build_tables`` span."""
     from repro.faults.universe import FaultUniverse
     from repro.options import backend_from_options
 
@@ -645,13 +647,15 @@ def _cmd_escape(args: argparse.Namespace) -> str:
     with obs.span("build_tables", circuit=args.circuit):
         backend = backend_from_options(vars(args))
         universe = FaultUniverse(circuit, backend=backend)
-        worst = WorstCaseAnalysis(
-            universe.target_table, universe.untargeted_table
-        )
+        universe.worst_case
+    return universe
+
+
+def _cmd_escape(args: argparse.Namespace) -> str:
+    universe = _built_universe(args)
     with obs.span("report", circuit=args.circuit):
         return escape_report(
             universe,
-            worst,
             circuit_name=args.circuit,
             backend_name=args.backend,
             k=args.k,
@@ -662,7 +666,6 @@ def _cmd_escape(args: argparse.Namespace) -> str:
 
 def escape_report(
     universe: Any,
-    worst: Any,
     *,
     circuit_name: str,
     backend_name: str,
@@ -670,11 +673,11 @@ def escape_report(
     nmax: int,
     seed: int,
 ) -> str:
-    """Render the expected-escapes analysis from built tables.
+    """Render the expected-escapes analysis of a built universe.
 
     The rendering half of ``repro escape``, shared with the analysis
-    service (:mod:`repro.serve`) so a cached universe/worst-case pair
-    produces responses byte-identical to the CLI's.
+    service (:mod:`repro.serve`) so a cached universe produces
+    responses byte-identical to the CLI's.
     """
     from repro.core.average_case import AverageCaseAnalysis
     from repro.core.escape import EscapeAnalysis
@@ -687,6 +690,7 @@ def escape_report(
         seed=seed,
     )
     avg = AverageCaseAnalysis(family, universe.untargeted_table)
+    worst = universe.worst_case
     escape = EscapeAnalysis(worst, avg)
     head = (
         f"Escape analysis of {circuit_name} "
@@ -697,24 +701,13 @@ def escape_report(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> str:
-    from repro.core.worst_case import WorstCaseAnalysis
-    from repro.faults.universe import FaultUniverse
-    from repro.options import backend_from_options
-
-    circuit = get_circuit(args.circuit)
-    with obs.span("build_tables", circuit=args.circuit):
-        backend = backend_from_options(vars(args))
-        universe = FaultUniverse(circuit, backend=backend)
-        worst = WorstCaseAnalysis(
-            universe.target_table, universe.untargeted_table
-        )
+    universe = _built_universe(args)
     # The report phase owns the worst-case scans (nmin, fractions),
     # which dominate after the tables are hot — span it so the trace
     # attributes that time instead of leaving it in the root's self.
     with obs.span("report", circuit=args.circuit):
         return analyze_report(
             universe,
-            worst,
             circuit_name=args.circuit,
             backend_name=args.backend,
             seed=args.seed,
@@ -740,25 +733,26 @@ def execution_label(executor: Any) -> str:
 
 def analyze_report(
     universe: Any,
-    worst: Any,
     *,
     circuit_name: str,
     backend_name: str,
     seed: int,
     confidence: float,
 ) -> str:
-    """Render the worst-case analysis summary from built tables.
+    """Render the worst-case analysis summary of a built universe.
 
-    The rendering half of ``repro analyze``: ``universe`` is a built
-    :class:`~repro.faults.universe.FaultUniverse` and ``worst`` the
-    matching :class:`~repro.core.worst_case.WorstCaseAnalysis`.  The
+    The rendering half of ``repro analyze``: ``universe`` is a
+    :class:`~repro.faults.universe.FaultUniverse`, reported through its
+    :attr:`~repro.faults.universe.FaultUniverse.worst_case`.  The
     analysis service (:mod:`repro.serve`) calls this with hot-tier
-    cached pairs, so service responses stay byte-identical to the CLI.
+    cached universes, so service responses stay byte-identical to the
+    CLI.
     """
     from repro.adaptive import AdaptiveBackend
 
     circuit = universe.circuit
     backend = universe.backend
+    worst = universe.worst_case
     label = backend_name + execution_label(
         getattr(backend, "executor", None)
     )

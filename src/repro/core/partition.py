@@ -22,7 +22,7 @@ sampled backend) removes the wall: cones within the
 bound keep the exact exhaustive analysis, and each too-wide output
 becomes its own cone analyzed over that backend's sampled universe —
 its ``nmin`` values are Monte-Carlo sample-space results rather than
-exact ones, flagged by ``ConeResult.analysis.universe.exact``.
+exact ones, flagged by ``cone.worst_case.universe.exact``.
 
 Passing an :class:`~repro.adaptive.AdaptiveBackend` gives *per-cone
 adaptive K*: every wide cone runs its own growth loop against the
@@ -39,26 +39,15 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.transform import output_partitions
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.faults.universe import FaultUniverse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultsim.backends import DetectionBackend
     from repro.parallel.executors import ShardExecutor
-
-
-@dataclass
-class ConeResult:
-    """Worst-case analysis of one cone."""
-
-    circuit: Circuit
-    universe: FaultUniverse
-    analysis: WorstCaseAnalysis
 
 
 class PartitionedAnalysis:
@@ -95,7 +84,9 @@ class PartitionedAnalysis:
         from repro.parallel import maybe_parallel
 
         self.circuit = circuit
-        self.cones: list[ConeResult] = []
+        #: One analyzed universe per cone: ``cone.circuit`` is the
+        #: sub-circuit, ``cone.worst_case`` its analysis.
+        self.cones: list[FaultUniverse] = []
         subs = output_partitions(
             circuit, max_inputs, allow_wide=backend is not None
         )
@@ -110,15 +101,12 @@ class PartitionedAnalysis:
             )
             if len(universe.untargeted_table) == 0:
                 continue  # no bridging sites inside this cone
-            analysis = WorstCaseAnalysis(
-                universe.target_table, universe.untargeted_table
-            )
-            self.cones.append(ConeResult(sub, universe, analysis))
+            self.cones.append(universe)
         # Bridging pairs of the full circuit vs. those covered by cones.
         full_universe = FaultUniverse(circuit)
         self.total_pairs = len(full_universe.untargeted_faults) // 4
         self.covered_pairs = sum(
-            len(c.universe.untargeted_faults) // 4 for c in self.cones
+            len(c.untargeted_faults) // 4 for c in self.cones
         )
 
     @property
@@ -130,17 +118,17 @@ class PartitionedAnalysis:
 
     def fraction_within(self, n: int) -> float:
         """Fraction of analyzed faults guaranteed detected at ``n``."""
-        total = sum(len(c.analysis) for c in self.cones)
+        total = sum(len(c.worst_case) for c in self.cones)
         if total == 0:
             return 1.0
-        within = sum(c.analysis.count_within(n) for c in self.cones)
+        within = sum(c.worst_case.count_within(n) for c in self.cones)
         return within / total
 
     def guaranteed_n(self) -> int | None:
         """Largest per-cone guaranteed ``n`` (None when any cone has none)."""
         worst = 0
         for cone in self.cones:
-            g = cone.analysis.guaranteed_n()
+            g = cone.worst_case.guaranteed_n()
             if g is None:
                 return None
             worst = max(worst, g)
@@ -149,7 +137,7 @@ class PartitionedAnalysis:
     def summary(self) -> dict[str, float | int]:
         return {
             "cones": len(self.cones),
-            "analyzed_faults": sum(len(c.analysis) for c in self.cones),
+            "analyzed_faults": sum(len(c.worst_case) for c in self.cones),
             "site_coverage": round(self.coverage_of_fault_sites, 4),
             "guaranteed_n": self.guaranteed_n() or -1,
         }

@@ -1,33 +1,32 @@
 """Shared infrastructure for the experiment harness.
 
-Universes and worst-case analyses are memoized per circuit name with a
-small LRU (detection tables of the largest suite circuits weigh tens of
-megabytes, so an unbounded cache is not an option).  Default circuit
-lists mirror the paper's tables; heavyweight parameters (``K``, ``nmax``)
-accept environment overrides so benches can run quick while the CLI can
-reproduce the full-size experiment:
+Universes (tables and worst-case analysis included) are memoized per
+circuit name with a small LRU (detection tables of the largest suite
+circuits weigh tens of megabytes, so an unbounded cache is not an
+option).  Default circuit lists mirror the paper's tables; heavyweight
+parameters (``K``, ``nmax``) accept environment overrides so benches
+can run quick while the CLI can reproduce the full-size experiment:
 
 ``REPRO_K``          overrides the number of random test sets.
 ``REPRO_NMAX``       overrides nmax (paper: 10).
 ``REPRO_CIRCUITS``   comma-separated circuit subset for suite tables.
 ``REPRO_SEED``       sampled/adaptive backends: universe draw seed.
-``REPRO_TABLE_LRU``  capacity of the in-memory universe / worst-case
-                     LRUs (default 40 — holds the whole 35-circuit
-                     suite).  The analysis service's hot tier reads
-                     the same knob.
+``REPRO_TABLE_LRU``  capacity of the in-memory universe LRU (default
+                     40 — holds the whole 35-circuit suite).  The
+                     analysis service's hot tier reads the same knob.
 
 The backend comes from the env names of the option table,
 :data:`repro.options.OPTIONS`, checked exactly as their flags are;
 that module also lists the flags that deliberately have none.
 
-Backends are frozen dataclasses, so the universe / worst-case caches key
-on the exact backend configuration: ``exhaustive`` and ``sampled``
-both name a :class:`~repro.faultsim.backends.TableBackend`, whose
-``samples`` / ``seed`` / ``replacement`` fields fix the draw.  The
+Backends are frozen dataclasses, so the universe cache keys on the
+exact backend configuration: ``exhaustive`` and ``sampled`` both name
+a :class:`~repro.faultsim.backends.TableBackend`, whose ``samples`` /
+``seed`` / ``replacement`` fields fix the draw.  The
 exhaustive engine ignores ``REPRO_SEED`` (its seed is canonicalized),
 so every exhaustive run shares one entry.  One deliberate exception: a
 parallel-wrapped backend produces tables *bit-for-bit identical* to its
-base engine's, so the caches key on the unwrapped base — the cache key
+base engine's, so the cache keys on the unwrapped base — the cache key
 is executor-normalized, meaning a ``jobs=4`` run, a broker-distributed
 run, and a single-process run of the same engine all share one
 in-memory table instead of holding identical multi-hundred-MB copies.
@@ -40,7 +39,6 @@ from typing import Any, Callable
 
 from repro.bench_suite.registry import get_circuit, suite_table_groups
 from repro.caching import LRUCache, table_lru_capacity
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import (
@@ -128,7 +126,7 @@ def get_universe(
     return universe
 
 
-#: Backend-identity-keyed LRUs (backends are frozen dataclasses; the
+#: Backend-identity-keyed LRU (backends are frozen dataclasses; the
 #: identity normalization lives in
 #: :func:`repro.faultsim.backends.table_identity`).  The bounded LRU
 #: itself is :class:`repro.caching.LRUCache` — the same implementation
@@ -136,21 +134,6 @@ def get_universe(
 #: sized by ``REPRO_TABLE_LRU`` (default 40: the whole 35-circuit
 #: suite; total footprint stays within a few GB).
 _UNIVERSE_CACHE: LRUCache = LRUCache(table_lru_capacity())
-_WORST_CASE_CACHE: LRUCache = LRUCache(table_lru_capacity())
-
-
-def get_worst_case(
-    name: str, backend: DetectionBackend | None = None
-) -> WorstCaseAnalysis:
-    """Worst-case analysis for a suite circuit (cached)."""
-    backend = backend or backend_from_env()
-    key = (name, table_identity(backend))
-    analysis = _WORST_CASE_CACHE.get(key)
-    if analysis is None:
-        u = get_universe(name, backend)
-        analysis = WorstCaseAnalysis(u.target_table, u.untargeted_table)
-        _WORST_CASE_CACHE.put(key, analysis)
-    return analysis
 
 
 def env_int(var: str, default: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.distribution import nmin_distribution, render_ascii_histogram
-from repro.experiments.common import get_worst_case
+from repro.experiments.common import get_universe
 
 
 @dataclass
@@ -39,7 +39,7 @@ class Figure2Result:
 
 def run_figure2(circuit: str = "dvram", minimum: int = 100) -> Figure2Result:
     """Regenerate Figure 2 for a circuit (default: the paper's dvram)."""
-    analysis = get_worst_case(circuit)
+    analysis = get_universe(circuit).worst_case
     values = analysis.nmin_values()
     series = nmin_distribution(values, minimum=minimum)
     unbounded = sum(1 for v in values if v is None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench_suite.example import paper_example
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.experiments.common import render_rows
 from repro.faults.universe import FaultUniverse
 
@@ -73,8 +72,7 @@ def run_table1(untargeted_index: int = 0) -> Table1Result:
                 nmin=counts[i] - overlap + 1,
             )
         )
-    analysis = WorstCaseAnalysis(targets, untargeted)
-    nmin_g = analysis.nmin_values()[untargeted_index]
+    nmin_g = universe.worst_case.nmin_values()[untargeted_index]
     return Table1Result(
         g_name=untargeted.fault_name(untargeted_index),
         g_vectors=untargeted.vectors(untargeted_index),

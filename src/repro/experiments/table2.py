@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import (
-    get_worst_case,
+    get_universe,
     render_rows,
     suite_circuits,
 )
@@ -72,7 +72,7 @@ def run_table2(circuits: list[str] | None = None) -> Table2Result:
     names = circuits if circuits is not None else suite_circuits()
     rows = []
     for name in names:
-        analysis = get_worst_case(name)
+        analysis = get_universe(name).worst_case
         rows.append(
             Table2Row(
                 circuit=name,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     THRESHOLD_NOT_GUARANTEED,
-    get_worst_case,
+    get_universe,
     render_rows,
     suite_circuits,
 )
@@ -55,7 +55,7 @@ def run_table3(circuits: list[str] | None = None) -> Table3Result:
     names = circuits if circuits is not None else suite_circuits()
     rows = []
     for name in names:
-        analysis = get_worst_case(name)
+        analysis = get_universe(name).worst_case
         if analysis.count_at_least(THRESHOLD_NOT_GUARANTEED) == 0:
             continue
         rows.append(

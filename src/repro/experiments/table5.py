@@ -26,7 +26,6 @@ from repro.experiments.common import (
     THRESHOLD_NOT_GUARANTEED,
     env_int,
     get_universe,
-    get_worst_case,
     render_rows,
     suite_circuits,
 )
@@ -91,11 +90,10 @@ def run_table5(
     )
     rows = []
     for name in names:
-        analysis = get_worst_case(name)
-        hard = analysis.indices_at_least(THRESHOLD_NOT_GUARANTEED)
+        universe = get_universe(name)
+        hard = universe.worst_case.indices_at_least(THRESHOLD_NOT_GUARANTEED)
         if not hard:
             continue
-        universe = get_universe(name)
         family = build_random_ndetection_sets(
             universe.target_table, n_max=nmax, num_sets=num_sets, seed=seed
         )

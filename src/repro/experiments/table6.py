@@ -24,7 +24,6 @@ from repro.experiments.common import (
     THRESHOLD_NOT_GUARANTEED,
     env_int,
     get_universe,
-    get_worst_case,
     render_rows,
     suite_circuits,
 )
@@ -79,11 +78,10 @@ def run_table6(
     )
     rows = []
     for name in names:
-        analysis = get_worst_case(name)
-        hard = analysis.indices_at_least(THRESHOLD_NOT_GUARANTEED)
+        universe = get_universe(name)
+        hard = universe.worst_case.indices_at_least(THRESHOLD_NOT_GUARANTEED)
         if not hard:
             continue
-        universe = get_universe(name)
         row_halves = []
         for counting in ("def1", "def2"):
             family = build_random_ndetection_sets(

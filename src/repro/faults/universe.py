@@ -21,8 +21,10 @@ Sharding is the backend's business: pass an already-wrapped
 ``ParallelBackend(base, executor=...)`` (or ``maybe_parallel(base,
 executor)``) and both table builds run on that executor — the result
 is bit-for-bit identical, only faster.
-Everything is built lazily and cached, so experiments can share one
-universe per circuit.
+The universe also owns the paper's worst-case analysis of ``G``
+against ``F`` (:attr:`FaultUniverse.worst_case`), so every front end
+builds, caches and renders one value.  Everything is built lazily and
+cached, so experiments can share one universe per circuit.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from repro.faults.bridging import BridgingFaults, four_way_bridging_faults
 from repro.faults.stuck_at import StuckAtFaults, collapsed_stuck_at_faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
+    from repro.core.worst_case import WorstCaseAnalysis
     from repro.faultsim.backends import DetectionBackend
     from repro.faultsim.detection import DetectionTable
 
 # NOTE: repro.faultsim imports the fault dataclasses from this package,
-# so every repro.faultsim import happens lazily inside the cached
-# properties to avoid a circular import at package load time.
+# so every repro.faultsim (and repro.core) import happens lazily inside
+# the cached properties to avoid a circular import at package load time.
 
 
 class FaultUniverse:
@@ -86,6 +89,13 @@ class FaultUniverse:
             faults=self.untargeted_faults,
             drop_undetectable=True,
         )
+
+    @cached_property
+    def worst_case(self) -> "WorstCaseAnalysis":
+        """The ``nmin`` analysis of ``G`` against ``F`` (Section 2)."""
+        from repro.core.worst_case import WorstCaseAnalysis
+
+        return WorstCaseAnalysis(self.target_table, self.untargeted_table)
 
     def summary(self) -> dict[str, int]:
         """Size summary for reports: circuit stats plus fault counts."""

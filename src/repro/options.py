@@ -168,8 +168,12 @@ def executor_from_options(
         raise AnalysisError(f"{setting} must be >= 1, got {jobs}")
     name = values.get("executor") or os.environ.get("REPRO_EXECUTOR")
     broker = values.get("broker")
-    if not name and broker is not None:
-        raise AnalysisError("--broker only applies to --executor tcp")
+    if broker is not None and name != "tcp":
+        got = f" (got {_spell(front_end, 'executor', name)})" if name else ""
+        raise AnalysisError(
+            f"{_spell(front_end, 'broker')} only applies to "
+            f"{_spell(front_end, 'executor', 'tcp')}{got}"
+        )
     if not name:
         return PoolExecutor(jobs) if jobs > 1 else None
     if name == "pool" and explicit is None:

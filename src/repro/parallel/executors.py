@@ -110,15 +110,10 @@ def make_executor(
 
     ``jobs`` sizes the pool executor and is ignored by the others;
     :func:`repro.options.executor_from_options` resolves it from
-    ``--jobs`` and ``REPRO_JOBS``.  ``broker`` applies only to the tcp
-    executor and is validated eagerly so the CLI fails before any
-    table work starts.
+    ``--jobs`` and ``REPRO_JOBS``.  ``broker`` is the tcp executor's
+    address (that resolver refuses it for any other executor), checked
+    eagerly so the CLI fails before any table work starts.
     """
-    if name != "tcp" and broker is not None:
-        raise AnalysisError(
-            f"--broker only applies to --executor tcp "
-            f"(got --executor {name})"
-        )
     if name == "inline":
         return InlineExecutor()
     if name == "pool":

@@ -20,7 +20,7 @@ Layers, bottom up:
 """
 
 from repro.serve.singleflight import SingleFlight
-from repro.serve.stats import EndpointStats, LatencyHistogram, ServiceStats
+from repro.serve.stats import EndpointStats, ServiceStats
 from repro.serve.service import AnalysisService, ServiceError
 from repro.serve.http import BackgroundServer, HttpServer, run_server
 
@@ -29,7 +29,6 @@ __all__ = [
     "BackgroundServer",
     "EndpointStats",
     "HttpServer",
-    "LatencyHistogram",
     "ServiceError",
     "ServiceStats",
     "SingleFlight",

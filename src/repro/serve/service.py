@@ -8,8 +8,9 @@ service response is byte-identical to the corresponding CLI run.
 
 Tiered cache
     The hot tier is a bounded in-memory :class:`~repro.caching.LRUCache`
-    of built ``(FaultUniverse, WorstCaseAnalysis)`` pairs (and rendered
-    partition reports), keyed on circuit digest plus the normalized
+    of built :class:`~repro.faults.universe.FaultUniverse` values
+    (tables and worst-case scan included) and rendered partition
+    reports, keyed on circuit digest plus the normalized
     backend identity.  Below it sits the existing content-addressed
     shard cache (``REPRO_CACHE_DIR``), which parallel builds consult
     per shard — a hot-tier miss that the shard cache covers rebuilds
@@ -50,7 +51,6 @@ from repro.cli import (
     execution_label,
     partition_report,
 )
-from repro.core.worst_case import WorstCaseAnalysis
 from repro.errors import ReproError
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import table_identity
@@ -64,8 +64,6 @@ __all__ = ["AnalysisService", "ServiceError"]
 
 #: Hot-tier key: (kind, circuit digest, backend identity, extras...).
 CacheKey = tuple[object, ...]
-#: Hot-tier value for ``analyze``/``escape``: the built tables.
-TablePair = tuple[FaultUniverse, WorstCaseAnalysis]
 
 #: Accepted payload option keys per command, in argv emission order:
 #: every row of the option table, then the command's own flags.
@@ -350,40 +348,39 @@ class AnalysisService:
 
         return await self.flights.run(key, factory)
 
-    async def _tables(self, request: _Request) -> TablePair:
-        """The ``(universe, worst)`` pair for ``request``; adaptive
-        builds publish each round to the streaming endpoint."""
+    async def _tables(self, request: _Request) -> FaultUniverse:
+        """The built universe for ``request``; adaptive builds publish
+        each round to the streaming endpoint."""
         backend = request.backend
 
-        def build(hub: _ProgressHub | None) -> TablePair:
+        def build(hub: _ProgressHub | None) -> FaultUniverse:
             if hub is None:
-                return self._build_pair(request.circuit, backend)
+                return self._build_universe(request.circuit, backend)
             target, publish = backend.target_halfwidth, hub.publish
-            return self._build_pair(request.circuit, replace(
+            return self._build_universe(request.circuit, replace(
                 backend, on_round=lambda round_: publish(round_.render(target))
             ))
 
-        return cast(TablePair, await self._hot_tier(
+        return cast(FaultUniverse, await self._hot_tier(
             request, build, progress=isinstance(backend, AdaptiveBackend)
         ))
 
     @staticmethod
-    def _build_pair(circuit: Circuit, backend: Any) -> TablePair:
+    def _build_universe(circuit: Circuit, backend: Any) -> FaultUniverse:
+        """A universe with its tables and worst-case scan built, so the
+        one flight for its key does all the work and renders only read."""
         universe = FaultUniverse(circuit, backend=backend)
-        worst = WorstCaseAnalysis(
-            universe.target_table, universe.untargeted_table
-        )
-        return universe, worst
+        universe.worst_case
+        return universe
 
     # -- endpoint handlers --------------------------------------------
     async def analyze(self, payload: object) -> str:
         """``POST /analyze``: the ``repro analyze`` report, cached."""
         request = self._resolve("analyze", payload)
-        universe, worst = await self._tables(request)
+        universe = await self._tables(request)
         return await self._render(
             lambda: analyze_report(
                 universe,
-                worst,
                 circuit_name=request.circuit_name,
                 backend_name=request.args.backend,
                 seed=request.args.seed,
@@ -394,11 +391,10 @@ class AnalysisService:
     async def escape(self, payload: object) -> str:
         """``POST /escape``: the ``repro escape`` report, cached tables."""
         request = self._resolve("escape", payload)
-        universe, worst = await self._tables(request)
+        universe = await self._tables(request)
         return await self._render(
             lambda: escape_report(
                 universe,
-                worst,
                 circuit_name=request.circuit_name,
                 backend_name=request.args.backend,
                 k=request.args.k,
@@ -432,7 +428,7 @@ class AnalysisService:
         request = self._resolve("analyze", payload)
         task = asyncio.ensure_future(self._tables(request))
         # One tick so the build task runs far enough to register its
-        # progress hub (or to resolve a cached pair without one).
+        # progress hub (or to resolve a cached universe without one).
         await asyncio.sleep(0)
         hub = self._hubs.get(request.cache_key)
         try:
@@ -461,7 +457,7 @@ class AnalysisService:
                         if line is not None:
                             yield f"progress: {line}\n"
                     break
-            universe, worst = await task
+            universe = await task
         finally:
             # A client that disconnects mid-stream abandons its wait;
             # single-flight cancels the build once the last one leaves.
@@ -470,7 +466,6 @@ class AnalysisService:
         yield await self._render(
             lambda: analyze_report(
                 universe,
-                worst,
                 circuit_name=request.circuit_name,
                 backend_name=request.args.backend,
                 seed=request.args.seed,

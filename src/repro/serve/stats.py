@@ -6,11 +6,10 @@ observation) and a deterministic JSON snapshot: bucket labels are
 fixed 1-2.5-5 log-spaced bounds, and every mapping is emitted in a
 stable order.
 
-The histogram itself now lives in :mod:`repro.obs.metrics` (the shared
-registry every layer writes into); :data:`LatencyHistogram` stays as
-this module's name for it.  Quantiles of an *empty* histogram are
-``None`` — ``/stats`` reports ``null`` rather than the lowest bucket
-bound for an endpoint that has served nothing.
+The histogram is :class:`repro.obs.metrics.Histogram`, the one the
+shared registry every layer writes into uses.  Quantiles of an *empty*
+histogram are ``None`` — ``/stats`` reports ``null`` rather than the
+lowest bucket bound for an endpoint that has served nothing.
 
 Per-endpoint observations are mirrored into the process-wide metrics
 registry (``repro_http_requests_total`` / ``repro_http_request_seconds``
@@ -20,14 +19,9 @@ by method and path), which is what ``GET /metrics`` renders.
 from __future__ import annotations
 
 from repro import obs
-from repro.obs.metrics import DEFAULT_BOUNDS, Histogram
+from repro.obs.metrics import Histogram
 
-__all__ = ["EndpointStats", "LatencyHistogram", "ServiceStats"]
-
-#: The shared fixed-bound histogram (see the module docstring).
-LatencyHistogram = Histogram
-
-_ = DEFAULT_BOUNDS  # re-exported: callers size custom histograms with it
+__all__ = ["EndpointStats", "ServiceStats"]
 
 
 class EndpointStats:
@@ -37,7 +31,7 @@ class EndpointStats:
         self.route = route
         self.requests = 0
         self.errors = 0
-        self.latency = LatencyHistogram()
+        self.latency = Histogram()
 
     def observe(self, seconds: float, error: bool) -> None:
         self.requests += 1

@@ -20,6 +20,8 @@ class TestPartitionedExample:
         # are dropped.
         assert len(parts.cones) >= 1
         for cone in parts.cones:
+            # A cone is its own analyzed universe.
+            assert isinstance(cone, FaultUniverse)
             assert cone.circuit.num_inputs <= 3
 
     def test_single_gate_cones_skipped(self, example_circuit):
@@ -74,9 +76,9 @@ class TestWideConeBackend:
         narrow = [c for c in parts.cones if c.circuit.num_inputs <= 10]
         assert wide and narrow
         # Wide cones run on the sampled universe, narrow ones stay exact.
-        assert all(not c.analysis.universe.exact for c in wide)
-        assert all(c.universe.target_table.universe.size == 64 for c in wide)
-        assert all(c.analysis.universe.exact for c in narrow)
+        assert all(not c.worst_case.universe.exact for c in wide)
+        assert all(c.target_table.universe.size == 64 for c in wide)
+        assert all(c.worst_case.universe.exact for c in narrow)
         assert 0.0 <= parts.coverage_of_fault_sites <= 1.0
         summary = parts.summary()
         assert summary["cones"] == len(parts.cones)
@@ -94,7 +96,7 @@ class TestWideConeBackend:
         # No cone exceeds the bound, so the sampled backend never engages
         # and the results are the exact ones.
         assert all(
-            c.analysis.universe.exact for c in with_backend.cones
+            c.worst_case.universe.exact for c in with_backend.cones
         )
         assert with_backend.guaranteed_n() == exact.guaranteed_n()
 
@@ -108,8 +110,8 @@ class TestWideConeBackend:
         )
         assert parts.cones
         assert all(
-            isinstance(c.universe.backend, ParallelBackend)
-            and c.universe.backend.executor == PoolExecutor(jobs=2)
+            isinstance(c.backend, ParallelBackend)
+            and c.backend.executor == PoolExecutor(jobs=2)
             for c in parts.cones
         )
         # The executor changes construction speed, never results.
@@ -128,8 +130,8 @@ class TestWideConeBackend:
             )
 
         a, b = build(), build()
-        assert [c.analysis.guaranteed_n() for c in a.cones] == (
-            [c.analysis.guaranteed_n() for c in b.cones]
+        assert [c.worst_case.guaranteed_n() for c in a.cones] == (
+            [c.worst_case.guaranteed_n() for c in b.cones]
         )
 
 
@@ -145,7 +147,7 @@ class TestWholeCircuitPartition:
             direct_u.target_table, direct_u.untargeted_table
         )
         # Same input space, same fault sites -> same guaranteed n.
-        assert cone.analysis.guaranteed_n() == direct.guaranteed_n()
+        assert cone.worst_case.guaranteed_n() == direct.guaranteed_n()
 
     def test_site_coverage_complete(self, example_circuit):
         parts = PartitionedAnalysis(example_circuit, max_inputs=4)

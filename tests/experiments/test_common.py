@@ -12,7 +12,6 @@ from repro.experiments.common import (
     backend_from_env,
     env_int,
     get_universe,
-    get_worst_case,
     render_rows,
     suite_circuits,
 )
@@ -84,11 +83,13 @@ class TestCaches:
         assert get_universe("lion") is get_universe("lion")
 
     def test_worst_case_cached(self):
-        assert get_worst_case("lion") is get_worst_case("lion")
+        assert get_universe("lion").worst_case is (
+            get_universe("lion").worst_case
+        )
 
     def test_worst_case_uses_cached_universe(self):
         u = get_universe("lion")
-        wc = get_worst_case("lion")
+        wc = get_universe("lion").worst_case
         assert wc.target_table is u.target_table
 
     def test_backend_keys_the_cache(self):
@@ -403,7 +404,9 @@ class TestParallelCacheComposition:
         u_default = get_universe("lion")
         wrapped = ParallelBackend(base=TableBackend(), executor=PoolExecutor())
         assert get_universe("lion", wrapped) is u_default
-        assert get_worst_case("lion", wrapped) is get_worst_case("lion")
+        assert get_universe("lion", wrapped).worst_case is (
+            get_universe("lion").worst_case
+        )
 
     def test_env_jobs_shares_default_entry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

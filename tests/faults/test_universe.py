@@ -32,3 +32,23 @@ class TestUniverse:
         """Both tables' rows share one bit space (one vector universe)."""
         u = FaultUniverse(example_circuit)
         assert u.target_table.universe == u.untargeted_table.universe
+
+
+class TestWorstCase:
+    """The universe owns its Section 2 analysis: one cached value."""
+
+    def test_cached(self, c17_circuit):
+        u = FaultUniverse(c17_circuit)
+        assert u.worst_case is u.worst_case
+
+    def test_equals_hand_built_analysis(self, c17_circuit):
+        from repro.core.worst_case import WorstCaseAnalysis
+
+        u = FaultUniverse(c17_circuit)
+        wc = u.worst_case
+        assert wc.target_table is u.target_table
+        assert wc.untargeted_table is u.untargeted_table
+        direct = WorstCaseAnalysis(u.target_table, u.untargeted_table)
+        assert wc.records == direct.records
+        assert wc.nmin_values() == direct.nmin_values()
+        assert wc.guaranteed_n() == direct.guaranteed_n()

@@ -89,9 +89,15 @@ class TestFactories:
             make_executor("tcp")
 
     def test_broker_only_for_tcp(self):
+        # The resolver refuses a broker for any other executor, so
+        # make_executor (its one caller) never sees one.
         for name in ("inline", "pool"):
-            with pytest.raises(AnalysisError, match="--broker"):
-                make_executor(name, broker="h:1")
+            with pytest.raises(AnalysisError) as err:
+                executor_from_options({"executor": name, "broker": "h:1"})
+            assert str(err.value) == (
+                "--broker only applies to --executor tcp "
+                f"(got --executor {name})"
+            )
 
     def test_resolve_executor_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)

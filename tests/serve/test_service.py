@@ -58,8 +58,8 @@ class CountingBuilds:
         self.calls = 0
         self.gate = gate
         self._lock = threading.Lock()
-        self._base = service._build_pair
-        service._build_pair = self  # instance attr shadows the staticmethod
+        self._base = service._build_universe
+        service._build_universe = self  # instance attr shadows the staticmethod
 
     def __call__(self, circuit, backend):
         with self._lock:
@@ -150,6 +150,19 @@ class TestValidation:
         assert str(err.value) == (
             "samples only applies to backend=sampled (got backend=exhaustive)"
         )
+
+    def test_broker_errors_name_payload_keys(self):
+        service = AnalysisService()
+        for payload, message in (
+            ({"broker": "h:1"}, "broker only applies to executor=tcp"),
+            (
+                {"executor": "pool", "broker": "h:1"},
+                "broker only applies to executor=tcp (got executor=pool)",
+            ),
+        ):
+            with pytest.raises(AnalysisError) as err:
+                service._resolve("analyze", {"circuit": "c17", **payload})
+            assert str(err.value) == message
 
     def test_non_object_payload_rejected(self):
         service = AnalysisService()
@@ -246,6 +259,51 @@ class TestSingleFlight:
         assert service.flights.started == 1
         assert service.flights.joined == K - 1
         assert service.flights.in_flight == 0
+
+    def test_concurrent_endpoints_scan_worst_case_once(self, monkeypatch):
+        """/analyze, /escape and /analyze/stream on one key share one
+        universe, so the nmin scan runs once, inside the build."""
+        from repro.core.worst_case import WorstCaseAnalysis
+
+        scans = []
+        original = WorstCaseAnalysis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            scans.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorstCaseAnalysis, "__init__", counting_init)
+        service = AnalysisService()
+        gate = threading.Event()
+        builds = CountingBuilds(service, gate=gate)
+        escape = {"circuit": "c17", "k": 10, "nmax": 3}
+
+        async def stream():
+            return "".join(
+                [chunk async for chunk in service.analyze_stream(
+                    {"circuit": "c17"}
+                )]
+            )
+
+        async def main():
+            tasks = [
+                asyncio.create_task(service.analyze({"circuit": "c17"})),
+                asyncio.create_task(service.escape(escape)),
+                asyncio.create_task(stream()),
+            ]
+            while service.flights.joined < 2:
+                await asyncio.sleep(0.01)
+            gate.set()
+            return await asyncio.gather(*tasks)
+
+        analyzed, escaped, streamed = asyncio.run(main())
+        assert builds.calls == 1
+        assert len(scans) == 1
+        assert analyzed == streamed == cli_output(["analyze", "c17"])
+        assert escaped == cli_output(
+            ["escape", "c17", "--k", "10", "--nmax", "3"]
+        )
+        assert len(scans) == 3  # the two CLI runs above scan once each
 
     def test_warm_requests_hit_the_hot_tier(self):
         service = AnalysisService()

@@ -114,8 +114,26 @@ class TestExperimentLayerIntegration:
         from repro.experiments import common
 
         assert isinstance(common._UNIVERSE_CACHE, LRUCache)
-        assert isinstance(common._WORST_CASE_CACHE, LRUCache)
         assert common._UNIVERSE_CACHE.capacity == table_lru_capacity()
+
+    def test_experiment_layer_has_one_lru(self):
+        """Universes carry their worst-case analysis, so the universe
+        LRU is the only cache any experiment module holds."""
+        import importlib
+        import pkgutil
+
+        import repro.experiments as package
+        from repro.experiments import common
+
+        caches = [
+            value
+            for info in pkgutil.iter_modules(package.__path__)
+            for value in vars(
+                importlib.import_module(f"{package.__name__}.{info.name}")
+            ).values()
+            if isinstance(value, LRUCache)
+        ]
+        assert caches == [common._UNIVERSE_CACHE]
 
     def test_get_universe_hits_the_lru(self):
         from repro.experiments.common import get_universe

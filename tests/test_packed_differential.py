@@ -26,7 +26,7 @@ from repro.core.worst_case import (
     WorstCaseAnalysis,
     nmin_for_untargeted_fault,
 )
-from repro.experiments.common import get_universe, get_worst_case
+from repro.experiments.common import get_universe
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import TableBackend
 from repro.faultsim.detection import DetectionTable
@@ -128,7 +128,6 @@ class TestPackedSuite:
     @pytest.mark.parametrize("name", _suite_circuits())
     def test_suite_circuit(self, name):
         universe = get_universe(name)
-        analysis = get_worst_case(name)
-        assert analysis.records == _scalar_records(
+        assert universe.worst_case.records == _scalar_records(
             universe.target_table, universe.untargeted_table
         )

@@ -26,7 +26,7 @@ import pytest
 from repro.atpg.ndetect import greedy_ndetection_set
 from repro.core.average_case import AverageCaseAnalysis
 from repro.core.procedure1 import build_random_ndetection_sets
-from repro.experiments.common import get_universe, get_worst_case
+from repro.experiments.common import get_universe
 
 SMALL_CLASSICS = ["lion", "train4", "dk27", "bbtas", "mc", "modulo12"]
 
@@ -34,18 +34,18 @@ SMALL_CLASSICS = ["lion", "train4", "dk27", "bbtas", "mc", "modulo12"]
 class TestTable2Shape:
     @pytest.mark.parametrize("name", SMALL_CLASSICS)
     def test_small_machines_reach_full_coverage_by_10(self, name):
-        wc = get_worst_case(name)
+        wc = get_universe(name).worst_case
         assert wc.fraction_within(10) == 1.0
 
     @pytest.mark.parametrize("name", SMALL_CLASSICS + ["beecount", "s8"])
     def test_high_coverage_at_n1(self, name):
         """Large percentages of G are detected by any 1-detection set."""
-        wc = get_worst_case(name)
+        wc = get_universe(name).worst_case
         assert wc.fraction_within(1) >= 0.80
 
     @pytest.mark.parametrize("name", SMALL_CLASSICS)
     def test_monotone_curves(self, name):
-        wc = get_worst_case(name)
+        wc = get_universe(name).worst_case
         curve = wc.coverage_curve([1, 2, 3, 4, 5, 10])
         assert curve == sorted(curve)
 
@@ -54,16 +54,16 @@ class TestTable3Shape:
     def test_bbara_class_has_tail(self):
         """bbara-class circuits have faults with nmin >= 11 but none
         needing nmin >= 100 (paper: 21 faults >= 11, 0 >= 100)."""
-        wc = get_worst_case("bbara")
+        wc = get_universe("bbara").worst_case
         assert wc.count_at_least(11) > 0
         assert wc.count_at_least(100) == 0
 
     def test_small_circuits_have_no_tail(self):
         for name in SMALL_CLASSICS:
-            assert get_worst_case(name).count_at_least(11) == 0
+            assert get_universe(name).worst_case.count_at_least(11) == 0
 
     def test_tail_counts_nested(self):
-        wc = get_worst_case("bbara")
+        wc = get_universe("bbara").worst_case
         assert (
             wc.count_at_least(100)
             <= wc.count_at_least(20)
@@ -75,7 +75,7 @@ class TestAverageCaseBridge:
     @pytest.fixture(scope="class")
     def bbara(self):
         universe = get_universe("bbara")
-        wc = get_worst_case("bbara")
+        wc = universe.worst_case
         family = build_random_ndetection_sets(
             universe.target_table, n_max=10, num_sets=100, seed=2005
         )
@@ -121,7 +121,7 @@ class TestDefinition2Claim:
         (at smaller n / softer fault populations it drowns in sampling
         noise; seeds are fixed to keep this deterministic)."""
         universe = get_universe("bbara")
-        wc = get_worst_case("bbara")
+        wc = universe.worst_case
         hard = wc.indices_at_least(11)
         assert hard, "bbara lost its nmin >= 11 tail"
         means = {}
