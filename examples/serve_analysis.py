@@ -13,8 +13,9 @@ make it more than a CLI wrapper:
   (above the on-disk shard cache), so warm requests are served in
   milliseconds.
 
-This example starts the service in-process (``BackgroundServer`` — the
-same object ``repro serve`` runs in the foreground), then demonstrates
+This example starts the service in-process (``BackgroundServer`` hosts
+on a daemon thread the same ``HttpServer`` endpoint ``repro serve``
+runs in the foreground, both through ``repro.daemon``), then demonstrates
 each property with real sockets: a cold burst of identical concurrent
 requests, a warm re-request, a streamed adaptive analysis with
 round-by-round progress, and the ``/stats`` document.
@@ -29,9 +30,11 @@ Equivalent CLI invocations:
     curl -s localhost:8765/stats
 
 Workers can build service shards too: start the service with
-``repro serve --broker-port 8766`` (an embedded broker; requests
-default to ``--executor tcp``) and attach ``repro worker --broker
-HOST:8766`` processes on any host — see examples/fleet_analysis.py.
+``repro serve --broker-port 8766`` (an embedded broker, stopped with
+the service; requests build on ``--executor tcp`` against it unless
+they name ``jobs``, ``executor`` or ``broker`` themselves) and attach
+``repro worker --broker HOST:8766`` processes on any host — see
+examples/fleet_analysis.py.
 
 Run:  python examples/serve_analysis.py
 """

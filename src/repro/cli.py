@@ -38,6 +38,9 @@ bit-for-bit identical to the single-process build, and shard results
 persist in an on-disk cache (``REPRO_CACHE_DIR``) that the ``cache``
 subcommand inspects and clears.
 
+``repro serve`` (which resolves its execution flags once, before
+binding) and ``repro broker`` run under :func:`repro.daemon.run_foreground`.
+
 ``repro --trace PATH <command>`` records a span trace of the run:
 every table build, shard, executor round-trip, and kernel batch lands
 in PATH as JSONL, stitched across worker processes (pool children and
@@ -488,16 +491,19 @@ def _cmd_worker(args: argparse.Namespace) -> str:
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
-    from repro.parallel.netqueue import Broker, run_broker
+    from repro.daemon import run_foreground
+    from repro.parallel.netqueue import Broker
 
     _install_event_logging()
-    return run_broker(Broker(
+    broker = Broker(
         args.host,
         args.port,
         steal=not args.no_steal,
         steal_after=args.steal_after,
         lease_timeout=args.lease_timeout,
-    ))
+    )
+    steal = "on" if broker.scheduler.steal else "off"
+    return run_foreground(broker, "broker", f"steal={steal}")
 
 
 def _cmd_queue(args: argparse.Namespace) -> str:
@@ -568,39 +574,46 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import contextlib
+
+    from repro.daemon import run_foreground
     from repro.errors import AnalysisError
-    from repro.serve import AnalysisService, run_server
+    from repro.options import executor_from_options
+    from repro.serve import AnalysisService, HttpServer
 
-    executor = args.executor
-    broker = args.broker
-    if args.broker_port is not None:
-        # Embedded broker: the service runs its own TCP broker and
-        # defaults requests to the tcp executor against it — workers
-        # attach with `repro worker --broker HOST:PORT`.
-        if broker is not None:
-            raise AnalysisError(
-                "--broker and --broker-port are mutually exclusive: "
-                "point at an external broker or embed one, not both"
-            )
-        from repro.parallel.netqueue import BackgroundBroker, Broker
+    values = {
+        "jobs": args.jobs, "executor": args.executor, "broker": args.broker
+    }
+    with contextlib.ExitStack() as stack:
+        if args.broker_port is not None:
+            # Embedded broker: the service builds on the tcp executor
+            # against its own broker, stopped when the service stops.
+            if args.broker is not None or args.executor not in (None, "tcp"):
+                raise AnalysisError(
+                    "--broker-port embeds the broker of --executor tcp: "
+                    "it takes no --broker and no other --executor"
+                )
+            from repro.parallel.netqueue import BackgroundBroker, Broker
 
-        embedded = BackgroundBroker(
-            Broker(args.host, args.broker_port)
-        ).start()
-        broker = embedded.address
-        executor = executor or "tcp"
-        sys.stdout.write(
-            f"repro serve: embedded broker on {broker} "
-            f"(attach workers with `repro worker --broker {broker}`)\n"
+            embedded = BackgroundBroker(Broker(args.host, args.broker_port))
+            stack.enter_context(embedded)
+            values.update(executor="tcp", broker=embedded.address)
+        # Resolved once, before binding: a bad setting exits 2 here
+        # instead of failing every request.
+        service = AnalysisService(
+            executor=executor_from_options(values), table_lru=args.table_lru
         )
-        sys.stdout.flush()
-    service = AnalysisService(
-        jobs=args.jobs,
-        executor=executor,
-        broker=broker,
-        table_lru=args.table_lru,
-    )
-    return run_server(service, host=args.host, port=args.port)
+        if args.broker_port is not None:
+            sys.stdout.write(
+                f"repro serve: embedded broker on {values['broker']} (attach "
+                f"workers with `repro worker --broker {values['broker']}`)\n"
+            )
+            sys.stdout.flush()
+        return run_foreground(
+            HttpServer(service, args.host, args.port),
+            "serve",
+            f"hot tier: {service.cache.capacity} tables",
+        )
 
 
 def _cmd_gen_tests(args: argparse.Namespace) -> str:

@@ -19,6 +19,7 @@ import argparse
 import os
 from dataclasses import dataclass
 from functools import partial
+from types import EllipsisType
 from typing import Any, Mapping
 
 from repro.errors import AnalysisError
@@ -182,15 +183,19 @@ def executor_from_options(
 
 
 def backend_from_options(
-    values: Mapping[str, Any], front_end: str = "cli"
+    values: Mapping[str, Any],
+    front_end: str = "cli",
+    executor: ShardExecutor | None | EllipsisType = ...,
 ) -> DetectionBackend:
     """The detection backend named by option values keyed by dest.
 
     ``front_end`` (``cli``, ``env`` or ``service``) says where the
     values came from, so errors name the options as the user wrote
-    them.  The engine builds on :func:`executor_from_options`.
+    them.  The engine builds on ``executor``; ``...`` (the default)
+    resolves it from ``values`` with :func:`executor_from_options`.
     """
-    executor = executor_from_options(values, front_end)
+    if isinstance(executor, EllipsisType):
+        executor = executor_from_options(values, front_end)
     return make_backend(
         values["backend"],
         samples=values.get("samples"),

@@ -1,9 +1,10 @@
 """TCP queue transport with work stealing: the distributed work queue.
 
 Distributed table builds need no shared mount and no polling.  A single
-asyncio :class:`Broker` (started with ``repro broker --port N`` or
-embedded in ``repro serve``) holds the queue state in memory and talks
-a tiny length-prefixed pickle protocol over TCP:
+asyncio :class:`Broker` (a :mod:`repro.daemon` endpoint: ``repro broker
+--port N`` in the foreground, or :class:`BackgroundBroker`, which
+``repro serve --broker-port N`` embeds) holds the queue state in memory
+and talks a tiny length-prefixed pickle protocol over TCP:
 
 * **submitters** (:class:`TcpExecutor`, the ``--executor tcp``
   substrate) send one ``submit`` frame per batch and then block on the
@@ -74,7 +75,6 @@ import os
 import pickle
 import socket
 import struct
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -82,6 +82,7 @@ from pathlib import Path
 from typing import Any, ClassVar
 
 from repro import obs
+from repro.daemon import BackgroundHost
 from repro.errors import AnalysisError
 from repro.obs.tracer import TRACE_FILE_ENV
 from repro.parallel.cache import ShardCache, circuit_digest, shard_key
@@ -106,7 +107,6 @@ __all__ = [
     "broker_stats",
     "resolve_broker",
     "resolve_wait_timeout",
-    "run_broker",
 ]
 
 #: Environment fallback for ``--broker`` (``HOST:PORT``).
@@ -429,7 +429,11 @@ class Broker:
         self._server: asyncio.Server | None = None
         self._ticker: asyncio.Task[None] | None = None
 
-    # -- lifecycle -----------------------------------------------------
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    # -- lifecycle (a repro.daemon endpoint) ---------------------------
     async def start(self) -> asyncio.Server:
         """Bind, start the scavenger tick, return the listening server."""
         self._server = await asyncio.start_server(
@@ -530,130 +534,31 @@ class Broker:
     # -- introspection (`repro queue ... --broker`) --------------------
     def stats_doc(self) -> dict[str, Any]:
         return {
-            "address": f"{self.host}:{self.port}",
+            "address": self.address,
             **self.scheduler.stats(obs.system_clock().monotonic()),
         }
 
 
-# ----------------------------------------------------------------------
-# Foreground / background broker entry points
-# ----------------------------------------------------------------------
-def run_broker(broker: Broker) -> int:
-    """Run ``broker`` in the foreground until interrupted.
-
-    Prints a ready line (with the actually-bound port, so ``--port 0``
-    is usable) before serving, so wrappers can wait for it.
-    """
-
-    async def main() -> None:
-        server = await broker.start()
-        steal = "on" if broker.scheduler.steal else "off"
-        sys.stdout.write(
-            f"repro broker listening on {broker.host}:{broker.port} "
-            f"(steal={steal})\n"
-        )
-        sys.stdout.flush()
-        async with server:
-            await server.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        sys.stdout.write("repro broker: shutting down\n")
-    return 0
-
-
-class BackgroundBroker:
+class BackgroundBroker(BackgroundHost[Broker]):
     """A broker on a daemon thread — for tests, benchmarks, and serve.
 
-    ``with BackgroundBroker() as broker:`` yields a listening broker on
-    an OS-assigned port; ``broker.address`` is its ``HOST:PORT``.  Pass
-    a configured :class:`Broker` to change its address or policy, e.g.
-    ``BackgroundBroker(Broker(steal=False, lease_timeout=0.2))``.  The
-    event loop lives entirely on the background thread; the foreground
-    talks to it over real sockets like any other peer.
+    ``with BackgroundBroker() as broker:`` listens on an OS-assigned
+    port; ``broker.address`` is its ``HOST:PORT``.  Pass a configured
+    :class:`Broker` to change its address or policy, e.g.
+    ``BackgroundBroker(Broker(steal=False, lease_timeout=0.2))``.
     """
 
     def __init__(self, broker: Broker | None = None) -> None:
         self.broker = broker if broker is not None else Broker()
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def host(self) -> str:
-        return self.broker.host
-
-    @property
-    def port(self) -> int:
-        return self.broker.port
-
-    @property
-    def address(self) -> str:
-        return f"{self.broker.host}:{self.broker.port}"
-
-    def start(self) -> "BackgroundBroker":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-broker", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise AnalysisError("broker failed to start in 30s")
-        if self._error is not None:
-            raise AnalysisError(
-                f"broker failed to start: {self._error}"
-            )
-        return self
-
-    def stop(self) -> None:
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
-            try:
-                loop.call_soon_threadsafe(stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed: stopping twice is a no-op
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
+        super().__init__(self.broker, "broker")
 
     def stats(self) -> dict[str, Any]:
         """A broker-state snapshot, taken on the broker's own loop."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            raise AnalysisError("broker is not running")
 
         async def snapshot() -> dict[str, Any]:
             return self.broker.stats_doc()
 
-        return asyncio.run_coroutine_threadsafe(snapshot(), loop).result(
-            timeout=10.0
-        )
-
-    def __enter__(self) -> "BackgroundBroker":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to start() on the foreground thread
-            self._error = exc
-        finally:
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await self.broker.start()
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            await self.broker.close()
+        return self.call(snapshot())
 
 
 # ----------------------------------------------------------------------

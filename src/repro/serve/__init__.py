@@ -14,15 +14,16 @@ Layers, bottom up:
     with the CLI so service output is byte-identical to ``repro
     analyze`` / ``escape`` / ``partition``.
 :mod:`repro.serve.http`
-    The asyncio HTTP transport, the foreground :func:`run_server`
-    loop behind ``repro serve``, and the :class:`BackgroundServer`
-    harness tests and benchmarks embed.
+    The asyncio HTTP transport (:class:`HttpServer`, a
+    :mod:`repro.daemon` endpoint that ``repro serve`` runs in the
+    foreground) and the :class:`BackgroundServer` host tests and
+    benchmarks embed.
 """
 
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import EndpointStats, ServiceStats
 from repro.serve.service import AnalysisService, ServiceError
-from repro.serve.http import BackgroundServer, HttpServer, run_server
+from repro.serve.http import BackgroundServer, HttpServer
 
 __all__ = [
     "AnalysisService",
@@ -32,5 +33,4 @@ __all__ = [
     "ServiceError",
     "ServiceStats",
     "SingleFlight",
-    "run_server",
 ]

@@ -25,23 +25,23 @@ Routes
 
 Errors are JSON: a :class:`~repro.errors.ReproError` (bad circuit,
 bad options, parse failure) is the client's fault → 400; anything else
-is ours → 500.
+is ours → 500.  :class:`HttpServer` is a :mod:`repro.daemon` endpoint;
+:class:`BackgroundServer` hosts it on a daemon thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import sys
-import threading
 import time
 from typing import AsyncIterator
 
 from repro import obs
-from repro.errors import AnalysisError, ReproError
+from repro.daemon import BackgroundHost
+from repro.errors import ReproError
 from repro.serve.service import AnalysisService
 
-__all__ = ["BackgroundServer", "HttpServer", "run_server"]
+__all__ = ["BackgroundServer", "HttpServer"]
 
 #: Largest accepted request body; analysis payloads are small JSON
 #: documents (inline netlists included), so this is purely a backstop.
@@ -58,14 +58,32 @@ _REASONS = {
 class HttpServer:
     """One service instance behind the HTTP routes."""
 
-    def __init__(self, service: AnalysisService) -> None:
+    def __init__(
+        self, service: AnalysisService, host: str = "127.0.0.1", port: int = 0
+    ) -> None:
         self.service = service
+        self.host = host
+        self.port = port
+        self._server: asyncio.Server | None = None
 
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.Server:
-        """Bind and return the listening :class:`asyncio.Server`."""
-        return await asyncio.start_server(self.handle, host, port)
+    @property
+    def address(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    # -- lifecycle (a repro.daemon endpoint) ---------------------------
+    async def start(self) -> asyncio.Server:
+        """Bind, record the bound port, return the listening server."""
+        self._server = await asyncio.start_server(
+            self.handle, self.host, self.port
+        )
+        self.port = int(self._server.sockets[0].getsockname()[1])
+        return self._server
+
+    async def close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
 
     # -- connection handling ------------------------------------------
     async def handle(
@@ -307,45 +325,10 @@ class HttpServer:
         await writer.drain()
 
 
-def run_server(
-    service: AnalysisService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-) -> int:
-    """Run the service in the foreground until interrupted.
-
-    Prints a ready line (with the actually-bound port, so ``--port 0``
-    is usable) before serving, so wrappers can wait for it.
-    """
-    http = HttpServer(service)
-
-    async def main() -> None:
-        server = await http.start(host, port)
-        bound = int(server.sockets[0].getsockname()[1])
-        sys.stdout.write(
-            f"repro serve listening on http://{host}:{bound} "
-            f"(hot tier: {service.cache.capacity} tables)\n"
-        )
-        sys.stdout.flush()
-        async with server:
-            await server.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        sys.stdout.write("repro serve: shutting down\n")
-    return 0
-
-
-class BackgroundServer:
-    """The service on a daemon thread — for tests and benchmarks.
-
-    ``with BackgroundServer() as server:`` yields a listening server on
-    an OS-assigned port; ``server.address`` is its base URL.  The event
-    loop lives entirely on the background thread; the foreground talks
-    to it over real sockets like any other client.
-    """
+class BackgroundServer(BackgroundHost[HttpServer]):
+    """The service on a daemon thread — for tests and benchmarks:
+    ``with BackgroundServer() as server:`` listens on an OS-assigned
+    port, and ``server.address`` is its base URL."""
 
     def __init__(
         self,
@@ -355,57 +338,4 @@ class BackgroundServer:
         port: int = 0,
     ) -> None:
         self.service = service if service is not None else AnalysisService()
-        self.host = host
-        self.port = port
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise AnalysisError("analysis service failed to start in 30s")
-        if self._error is not None:
-            raise AnalysisError(
-                f"analysis service failed to start: {self._error}"
-            )
-        return self
-
-    def stop(self) -> None:
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
-            loop.call_soon_threadsafe(stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to start() on the foreground thread
-            self._error = exc
-        finally:
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await HttpServer(self.service).start(self.host, self.port)
-        self.port = int(server.sockets[0].getsockname()[1])
-        self._ready.set()
-        async with server:
-            await self._stop_event.wait()
+        super().__init__(HttpServer(self.service, host, port), "serve")

@@ -56,7 +56,7 @@ from repro.faults.universe import FaultUniverse
 from repro.faultsim.backends import table_identity
 from repro.io_formats import NETLIST_FORMATS, parse_netlist
 from repro.options import OPTIONS, backend_from_options
-from repro.parallel import circuit_digest
+from repro.parallel import ShardExecutor, circuit_digest
 from repro.serve.singleflight import SingleFlight
 from repro.serve.stats import ServiceStats
 
@@ -148,17 +148,13 @@ class AnalysisService:
     def __init__(
         self,
         *,
-        jobs: int | None = None,
-        executor: str | None = None,
-        broker: str | None = None,
+        executor: ShardExecutor | None = None,
         table_lru: int | None = None,
     ) -> None:
-        #: Service-level execution defaults, applied when a request
-        #: doesn't choose its own (exactly like passing the flags on
-        #: the CLI).
-        self.default_jobs = jobs
-        self.default_executor = executor
-        self.default_broker = broker
+        #: The execution setting ``repro serve`` resolved at start-up;
+        #: requests that name none of ``jobs``/``executor``/``broker``
+        #: build on it.
+        self.executor = executor
         capacity = (
             table_lru_capacity() if table_lru is None else table_lru
         )
@@ -190,19 +186,10 @@ class AnalysisService:
             )
         circuit, circuit_name, registered = self._circuit_for(payload)
         argv = [command, circuit_name if registered else "-"]
-        options = dict(payload)
-        options.pop("circuit", None)
-        for key, default in (
-            ("jobs", self.default_jobs),
-            ("executor", self.default_executor),
-            ("broker", self.default_broker),
-        ):
-            if key not in options and default is not None:
-                options[key] = default
         for key in allowed:
-            if key not in options:
+            if key not in payload:
                 continue
-            value = options[key]
+            value = payload[key]
             flag = "--" + key.replace("_", "-")
             if key in _SWITCHES:
                 if not isinstance(value, bool):
@@ -225,7 +212,12 @@ class AnalysisService:
             raise ServiceError(
                 detail[-1] if detail else "invalid request parameters"
             ) from None
-        backend = backend_from_options(vars(args), front_end="service")
+        # A request naming jobs/executor/broker resolves its own
+        # setting as the CLI would (``...``); others take the service's.
+        named = {"jobs", "executor", "broker"} & payload.keys()
+        backend = backend_from_options(
+            vars(args), "service", ... if named else self.executor
+        )
         cache_key: CacheKey
         if command == "partition":
             cache_key = (

@@ -12,6 +12,7 @@ import pytest
 from repro import cli
 from repro.errors import AnalysisError
 from repro.options import OPTIONS, backend_from_options
+from repro.parallel import InlineExecutor, PoolExecutor
 from repro.serve import AnalysisService, ServiceError
 from repro.serve.service import _COMMAND_KEYS
 
@@ -217,13 +218,21 @@ class TestValidation:
             )
 
     def test_service_level_execution_defaults_apply(self):
-        service = AnalysisService(jobs=1)
+        # A request naming none of jobs/executor/broker builds on the
+        # service's executor; one naming any resolves from its own keys.
+        service = AnalysisService(executor=PoolExecutor(jobs=3))
         request = service._resolve("analyze", {"circuit": "c17"})
-        assert request.args.jobs == 1
+        assert request.backend.executor == PoolExecutor(jobs=3)
         explicit = service._resolve(
             "analyze", {"circuit": "c17", "jobs": 2}
         )
-        assert explicit.args.jobs == 2
+        assert explicit.backend.executor == PoolExecutor(jobs=2)
+        inline = service._resolve(
+            "analyze", {"circuit": "c17", "executor": "inline"}
+        )
+        assert inline.backend.executor == InlineExecutor()
+        single = service._resolve("analyze", {"circuit": "c17", "jobs": 1})
+        assert getattr(single.backend, "executor", None) is None
 
 
 class TestSingleFlight:
