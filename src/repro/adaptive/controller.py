@@ -563,13 +563,19 @@ class _RuleEvaluator:
         )
         self.pool = _np.full(rows, plan is None)
         if plan is not None:
-            index_of = {g: j for j, g in enumerate(faults_g)}
+            # Column compares: no fault object for each row of ``faults_g``.
+            f = faults_g
             for g, touched in plan.covered_fault_strata().items():
-                j = index_of.get(g)
-                if j is not None:
-                    self.allowed[:, num_f + j] = False
-                    self.allowed[list(touched), num_f + j] = True
-                    self.pool[num_f + j] = True
+                rows = _np.flatnonzero(
+                    (f.victim == g.victim) & (f.victim_value == g.victim_value)
+                    & (f.aggressor == g.aggressor)
+                    & (f.aggressor_value == g.aggressor_value)
+                )
+                if rows.size:
+                    j = num_f + int(rows[-1])
+                    self.allowed[:, j] = False
+                    self.allowed[list(touched), j] = True
+                    self.pool[j] = True
 
     def evaluate(self, state: _GrowthState) -> _Evaluation:
         rule = self.rule

@@ -11,11 +11,12 @@ regions themselves* out of ``U`` and sampling them directly.
 
 Construction (:func:`build_bridging_strata`):
 
-1. every non-feedback bridging pair site whose combined input-support
-   cone is small enough to enumerate is evaluated *exactly*: the two
-   activation events per pair (``a=0,b=1`` and ``a=1,b=0``) have their
-   probabilities computed over the ``2**|S|`` assignments of the support
-   cone (everything outside the support is irrelevant to activation);
+1. every non-feedback bridging pair site whose combined input support
+   ``S`` is small enough to enumerate is evaluated *exactly*: the fan-in
+   cone of its two lines alone is simulated in packed words over the
+   ``2**|S|`` patterns of ``S`` (nothing outside the cone can change
+   activation), and the two activation events per pair (``a=0,b=1`` and
+   ``a=1,b=0``) have their probabilities counted from those words;
 2. events with small positive probability become candidate
    :class:`ActivationPredicate`\\ s (rarest first); a greedy pass selects
    predicates while the union of their supports stays enumerable;
@@ -23,9 +24,9 @@ Construction (:func:`build_bridging_strata`):
    set of vectors activating predicate ``i`` but none before it, and the
    final stratum is the bulk (no predicate active).  Classifying the
    ``2**|T|`` assignments of the combined support ``T`` yields **exact**
-   stratum populations — every vector of ``U`` belongs to exactly one
-   stratum, so the per-stratum estimators recombine into unbiased
-   ``N(f)`` estimates.
+   stratum populations (read from the words of the selected lines'
+   cones) — every vector of ``U`` belongs to exactly one stratum, so the
+   per-stratum estimators recombine into unbiased ``N(f)`` estimates.
 
 Each stratum supports direct uniform sampling: pick one of its
 (pre-enumerated) support projections uniformly, fill the free inputs
@@ -52,6 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.faults.bridging import BridgingFault, bridging_pair_sites
@@ -62,8 +64,8 @@ from repro.faultsim.sampling import (
 )
 from repro.logic.bitops import iter_set_bits
 from repro.logic.cube import Cube
-from repro.logic.packed import PackedSignatureMatrix, _np, pack_bits
-from repro.simulation.twoval import simulate_batch
+from repro.logic.packed import PackedSignatureMatrix, _np, pack_bits, unpack_bits
+from repro.simulation import ppsfp
 
 if TYPE_CHECKING:
     from repro.logic.packed import BoolArray, F64Array, I64Array, U64Array
@@ -287,19 +289,15 @@ def _support_positions(supports: list[int], lids: tuple[int, ...]) -> tuple:
     return tuple(iter_set_bits(mask))
 
 
-def _enumeration_vectors(
-    circuit: Circuit, support: tuple[int, ...]
-) -> list[int]:
-    """One vector per support assignment (free inputs held at 0)."""
-    p, t = circuit.num_inputs, len(support)
-    vectors = []
-    for asg in range(1 << t):
-        v = 0
-        for i, pos in enumerate(support):
-            if (asg >> (t - 1 - i)) & 1:
-                v |= 1 << (p - 1 - pos)
-        vectors.append(v)
-    return vectors
+def _fanin_cones(circuit: Circuit) -> list[int]:
+    """Per line, its fan-in cone's driven lines (itself included) as a
+    bitmask over ``circuit.topo_order`` ranks."""
+    cones = [0] * len(circuit.lines)
+    for rank, lid in enumerate(circuit.topo_order):
+        cones[lid] = 1 << rank
+        for src in circuit.lines[lid].fanin:
+            cones[lid] |= cones[src]
+    return cones
 
 
 def build_bridging_strata(
@@ -323,7 +321,8 @@ def build_bridging_strata(
 
     Degenerates gracefully: a circuit with no enumerable rare events
     yields the single-stratum (bulk-only) plan, which makes stratified
-    sampling coincide with uniform sampling.
+    sampling coincide with uniform sampling.  Planning is traced as one
+    ``strata_plan`` span that carries its counts.
     """
     if max_site_support < 1 or max_support < max_site_support:
         raise AnalysisError(
@@ -340,92 +339,80 @@ def build_bridging_strata(
             f"rare_threshold must be in (0, 1], got {rare_threshold}"
         )
     p = circuit.num_inputs
-    supports = _input_supports(circuit)
-    sites = []
-    for a, b in bridging_pair_sites(circuit):
-        support = _support_positions(supports, (a, b))
-        if 0 < len(support) <= max_site_support:
-            sites.append((len(support), a, b, support))
-    sites.sort()
-    candidates: list[ActivationPredicate] = []
-    for _, a, b, support in sites[:max_candidates]:
-        t = len(support)
-        lanes = 1 << t
-        values = simulate_batch(
-            circuit, _enumeration_vectors(circuit, support)
+    with obs.span("strata_plan", circuit=circuit.name) as span:
+        supports, cones = _input_supports(circuit), _fanin_cones(circuit)
+        sites = []
+        for a, b in bridging_pair_sites(circuit):
+            width = (supports[a] | supports[b]).bit_count()
+            if 0 < width <= max_site_support:
+                sites.append((width, a, b))
+        sites.sort()
+        candidates: list[ActivationPredicate] = []
+        for _, a, b in sites[:max_candidates]:
+            support = _support_positions(supports, (a, b))
+            _, words = ppsfp.cone_words(circuit, cones[a] | cones[b], support)
+            # ``~`` sets the bits past the patterns; the other row has none.
+            wa, wb = words[a], words[b]
+            for va, vb, act in ((0, 1, wb & ~wa), (1, 0, wa & ~wb)):
+                probability = int(unpack_bits(act).sum()) / (1 << len(support))
+                if 0 < probability <= rare_threshold:
+                    candidates.append(
+                        ActivationPredicate(a, va, b, vb, support, probability)
+                    )
+        candidates.sort(
+            key=lambda c: (c.probability, c.line_a, c.line_b, c.value_a)
         )
-        word_a, word_b = values[a], values[b]
-        mask = (1 << lanes) - 1
-        for va, vb in ((0, 1), (1, 0)):
-            act = (word_a if va else ~word_a & mask) & (
-                word_b if vb else ~word_b & mask
-            )
-            count = act.bit_count()
-            probability = count / lanes
-            if 0 < probability <= rare_threshold:
-                candidates.append(
-                    ActivationPredicate(a, va, b, vb, support, probability)
+        selected: list[ActivationPredicate] = []
+        union: set[int] = set()
+        for cand in candidates:
+            widened = union | set(cand.support)
+            if len(widened) > max_support:
+                continue
+            selected.append(cand)
+            union = widened
+            if len(selected) >= max_strata - 1:
+                break
+        # Classify every assignment of the combined support by decision
+        # list (with no predicate, the bulk is the one empty assignment).
+        support = tuple(sorted(union))
+        free = p - len(support)
+        lines = 0
+        for pred in selected:
+            lines |= cones[pred.line_a] | cones[pred.line_b]
+        remaining, words = ppsfp.cone_words(circuit, lines, support)
+        strata: list[Stratum] = []
+        kept: list[ActivationPredicate] = []
+        acts: list[U64Array] = []
+        cells: list[U64Array] = []
+        for pred in selected:
+            wa, wb = words[pred.line_a], words[pred.line_b]
+            act = wa & ~wb if pred.value_a else wb & ~wa
+            cell = act & remaining
+            if not cell.any():
+                continue  # fully shadowed by earlier predicates
+            remaining = remaining & ~act
+            projections = tuple(_np.flatnonzero(unpack_bits(cell)).tolist())
+            kept.append(pred)
+            acts.append(act)
+            cells.append(cell)
+            strata.append(
+                Stratum(
+                    len(strata),
+                    pred.label(circuit),
+                    projections,
+                    len(projections) << free,
                 )
-    candidates.sort(
-        key=lambda c: (c.probability, c.line_a, c.line_b, c.value_a)
-    )
-    selected: list[ActivationPredicate] = []
-    union: set[int] = set()
-    for cand in candidates:
-        widened = union | set(cand.support)
-        if len(widened) > max_support:
-            continue
-        selected.append(cand)
-        union = widened
-        if len(selected) >= max_strata - 1:
-            break
-    support = tuple(sorted(union))
-    t = len(support)
-    if not selected:
-        bulk = Stratum(0, "bulk", (0,), 1 << p)
-        return StrataPlan(p, (), (), (bulk,))
-    # Classify every assignment of the combined support by decision list.
-    lanes = 1 << t
-    mask = (1 << lanes) - 1
-    values = simulate_batch(circuit, _enumeration_vectors(circuit, support))
-    remaining = mask
-    strata: list[Stratum] = []
-    kept: list[ActivationPredicate] = []
-    acts: list[int] = []
-    cells: list[int] = []
-    free = p - t
-    for pred in selected:
-        word_a, word_b = values[pred.line_a], values[pred.line_b]
-        act = (word_a if pred.value_a else ~word_a & mask) & (
-            word_b if pred.value_b else ~word_b & mask
-        )
-        cell = act & remaining
-        if not cell:
-            continue  # fully shadowed by earlier predicates
-        remaining &= ~act
-        projections = tuple(iter_set_bits(cell))
-        kept.append(pred)
-        acts.append(act)
-        cells.append(cell)
-        strata.append(
-            Stratum(
-                len(strata),
-                pred.label(circuit),
-                projections,
-                len(projections) << free,
             )
+        bulk = tuple(_np.flatnonzero(unpack_bits(remaining)).tolist())
+        strata.append(Stratum(len(strata), "bulk", bulk, len(bulk) << free))
+        touches = tuple(
+            tuple(h for h, cell in enumerate(cells) if (act & cell).any())
+            for act in acts
         )
-    bulk_projections = tuple(iter_set_bits(remaining))
-    strata.append(
-        Stratum(
-            len(strata), "bulk", bulk_projections,
-            len(bulk_projections) << free,
+        span.set(
+            pair_sites=len(sites), candidates=min(len(sites), max_candidates),
+            support_width=len(support), strata=len(strata),
         )
-    )
-    touches = tuple(
-        tuple(h for h, cell in enumerate(cells) if act & cell)
-        for act in acts
-    )
     return StrataPlan(p, support, tuple(kept), tuple(strata), touches)
 
 

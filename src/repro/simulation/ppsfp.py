@@ -77,7 +77,7 @@ from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit, LineKind
 from repro.errors import SimulationError
 from repro.faultsim.sampling import VectorUniverse
-from repro.logic.bitops import input_signature
+from repro.logic.bitops import input_signature, iter_set_bits
 from repro.logic.packed import (
     _np,
     PackedSignatureMatrix,
@@ -133,10 +133,10 @@ def _eval_into(
 ) -> U64Array:
     """Evaluate a gate of :data:`_FOLDS` into ``out``; returns ``out``.
 
-    Not for a unary AND/OR/XOR, whose value is its input.  ``mask``
-    words are all-ones except (possibly) the final, partial word, so a
-    complement only needs the final word clipped — a strided scalar op
-    instead of a second full-array ``&`` pass.
+    Not for a unary AND/OR/XOR, whose value is its input.  A 1-D row is
+    complemented by one XOR with ``mask``.  On a ``(B, W)`` block that
+    broadcast XOR is slower than complementing whole and clipping the
+    final word (``mask`` words are all-ones except the final one).
     """
     op, inverted = _FOLDS[gate_type]
     if op is None or len(inputs) == 1:
@@ -145,7 +145,9 @@ def _eval_into(
         op(inputs[0], inputs[1], out=out)
         for block in inputs[2:]:
             op(out, block, out=out)
-    if inverted:
+    if inverted and out.ndim == 1:
+        _np.bitwise_xor(out, mask, out=out)
+    elif inverted:
         _np.invert(out, out=out)
         out[..., -1:] &= mask[-1:]
     return out
@@ -176,7 +178,9 @@ def eval_words(
         return inputs[0]
     if gt not in _FOLDS:
         raise SimulationError(f"unknown gate type: {gt!r}")
-    shape = _np.broadcast_shapes(*(block.shape for block in inputs))
+    # Rows of one shape (a cone pass) skip numpy's slower shape check.
+    shapes = {block.shape for block in inputs}
+    shape = shapes.pop() if len(shapes) == 1 else _np.broadcast_shapes(*shapes)
     return _eval_into(gt, inputs, mask, _np.empty(shape, dtype=_np.uint64))
 
 
@@ -287,6 +291,34 @@ def _simulate_base(
         else:
             row[...] = eval_words(gt, inputs, mask)
     return row_array, mask, base
+
+
+def cone_words(
+    circuit: Circuit, cone: int, support: Sequence[int]
+) -> tuple[U64Array, dict[int, U64Array]]:
+    """``(mask_row, words)`` of a fan-in cone over all its input patterns.
+
+    ``cone`` is a bitmask over ``circuit.topo_order`` ranks of the
+    cone's driven lines, ``support`` the input positions feeding them.
+    Lane ``j`` sets input ``support[i]`` to bit ``t - 1 - i`` of ``j``
+    (``t = len(support)``), so ``words[lid]`` holds the line over the
+    cone's ``2**t`` exhaustive patterns.  Gates evaluate as in
+    :func:`_simulate_base`; no line outside the cone is simulated.
+    """
+    t = len(support)
+    mask = pack_signature((1 << (1 << t)) - 1, 1 << t)
+    words = {
+        circuit.inputs[pos]: pack_signature(input_signature(i, t), 1 << t)
+        for i, pos in enumerate(support)
+    }
+    for rank in iter_set_bits(cone):
+        line = circuit.lines[circuit.topo_order[rank]]
+        inputs = [words[f] for f in line.fanin]
+        if line.kind is LineKind.BRANCH:
+            words[line.lid] = inputs[0]
+        else:
+            words[line.lid] = eval_words(line.gate_type, inputs, mask)
+    return mask, words
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from repro.adaptive.strata import (
+    ActivationPredicate,
+    StrataPlan,
     StratifiedVectorUniverse,
+    Stratum,
     _input_supports,
     _support_positions,
     build_bridging_strata,
@@ -21,8 +25,16 @@ from repro.errors import AnalysisError
 from repro.faults.bridging import bridging_pair_sites
 from repro.faults.universe import FaultUniverse
 from repro.faultsim.detection import DetectionTable
+from repro.logic.bitops import iter_set_bits
 from repro.logic.packed import PackedSignatureMatrix
-from repro.simulation.twoval import simulate_vector
+from repro.simulation.twoval import simulate_batch, simulate_vector
+
+#: Bounds small enough to give two- and three-stratum plans (and, on
+#: some circuits, the bulk-only one).
+TIGHT = dict(
+    max_site_support=4, max_support=6, max_strata=3, rare_threshold=0.3,
+    max_candidates=8,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +47,161 @@ def plan(circuit):
     return build_bridging_strata(
         circuit, max_site_support=6, max_support=6, rare_threshold=0.3
     )
+
+
+@pytest.fixture(scope="module")
+def wide_circuit():
+    return random_circuit(3, num_inputs=11, num_gates=33)
+
+
+@pytest.fixture(scope="module")
+def wide_plan(wide_circuit):
+    return build_bridging_strata(
+        wide_circuit, max_site_support=8, max_support=10, rare_threshold=0.3
+    )
+
+
+def _enumeration_vectors(circuit, support):
+    """One vector per support assignment (free inputs held at 0)."""
+    p, t = circuit.num_inputs, len(support)
+    vectors = []
+    for asg in range(1 << t):
+        v = 0
+        for i, pos in enumerate(support):
+            if (asg >> (t - 1 - i)) & 1:
+                v |= 1 << (p - 1 - pos)
+        vectors.append(v)
+    return vectors
+
+
+def oracle_strata(
+    circuit,
+    max_site_support=12,
+    max_support=16,
+    max_strata=9,
+    rare_threshold=1.0 / 16.0,
+    max_candidates=256,
+):
+    """The planner as it was written over the whole circuit: every
+    enumeration simulates all lines on big-int lane words
+    (``simulate_batch``) over vectors with the free inputs at 0.
+
+    Returns the plan and the number of selected predicates that earlier
+    ones fully shadow.
+    """
+    p = circuit.num_inputs
+    supports = _input_supports(circuit)
+    sites = []
+    for a, b in bridging_pair_sites(circuit):
+        support = _support_positions(supports, (a, b))
+        if 0 < len(support) <= max_site_support:
+            sites.append((len(support), a, b, support))
+    sites.sort()
+    candidates = []
+    for _, a, b, support in sites[:max_candidates]:
+        lanes = 1 << len(support)
+        values = simulate_batch(circuit, _enumeration_vectors(circuit, support))
+        mask = (1 << lanes) - 1
+        for va, vb in ((0, 1), (1, 0)):
+            act = (values[a] if va else ~values[a] & mask) & (
+                values[b] if vb else ~values[b] & mask
+            )
+            probability = act.bit_count() / lanes
+            if 0 < probability <= rare_threshold:
+                candidates.append(
+                    ActivationPredicate(a, va, b, vb, support, probability)
+                )
+    candidates.sort(
+        key=lambda c: (c.probability, c.line_a, c.line_b, c.value_a)
+    )
+    selected = []
+    union = set()
+    for cand in candidates:
+        widened = union | set(cand.support)
+        if len(widened) > max_support:
+            continue
+        selected.append(cand)
+        union = widened
+        if len(selected) >= max_strata - 1:
+            break
+    support = tuple(sorted(union))
+    t = len(support)
+    if not selected:
+        bulk = Stratum(0, "bulk", (0,), 1 << p)
+        return StrataPlan(p, (), (), (bulk,)), 0
+    mask = (1 << (1 << t)) - 1
+    values = simulate_batch(circuit, _enumeration_vectors(circuit, support))
+    remaining = mask
+    strata, kept, acts, cells = [], [], [], []
+    for pred in selected:
+        word_a, word_b = values[pred.line_a], values[pred.line_b]
+        act = (word_a if pred.value_a else ~word_a & mask) & (
+            word_b if pred.value_b else ~word_b & mask
+        )
+        cell = act & remaining
+        if not cell:
+            continue
+        remaining &= ~act
+        projections = tuple(iter_set_bits(cell))
+        kept.append(pred)
+        acts.append(act)
+        cells.append(cell)
+        strata.append(
+            Stratum(
+                len(strata), pred.label(circuit), projections,
+                len(projections) << (p - t),
+            )
+        )
+    bulk = tuple(iter_set_bits(remaining))
+    strata.append(Stratum(len(strata), "bulk", bulk, len(bulk) << (p - t)))
+    touches = tuple(
+        tuple(h for h, cell in enumerate(cells) if act & cell)
+        for act in acts
+    )
+    plan = StrataPlan(p, support, tuple(kept), tuple(strata), touches)
+    return plan, len(selected) - len(kept)
+
+
+class TestConePlanning:
+    """The planner simulates each candidate's fan-in cone in packed
+    words; the whole-circuit big-int enumeration is its oracle.  Plans
+    must be equal and pickle to the same bytes: the plan rides in every
+    stratified universe, so its bytes key shard caches and its values
+    decide every draw."""
+
+    @staticmethod
+    def check(circuit, **bounds):
+        expected, shadowed = oracle_strata(circuit, **bounds)
+        got = build_bridging_strata(circuit, **bounds)
+        assert got == expected
+        assert pickle.dumps(got) == pickle.dumps(expected)
+        return got, shadowed
+
+    @pytest.mark.parametrize(
+        "name", ["wide28", "wide32", "wide40", "keyb", "s1a"]
+    )
+    def test_suite_circuits(self, name):
+        plan, _ = self.check(get_circuit(name))
+        assert plan.num_strata > 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("bounds", [{}, TIGHT], ids=["default", "tight"])
+    def test_random_circuits(self, seed, bounds):
+        circuit = random_circuit(seed, num_inputs=10 + seed,
+                                 num_gates=40 + 5 * seed)
+        self.check(circuit, **bounds)
+
+    def test_bulk_only_plan(self):
+        plan, _ = self.check(
+            random_circuit(8, num_inputs=10, num_gates=38), **TIGHT
+        )
+        assert plan.num_strata == 1 and plan.support == ()
+
+    def test_fully_shadowed_predicate(self):
+        plan, shadowed = self.check(
+            random_circuit(0, num_inputs=8, num_gates=30)
+        )
+        assert shadowed > 0 and plan.num_strata > 1
 
 
 class TestPlanStructure:
@@ -61,18 +228,25 @@ class TestPlanStructure:
                     break
             assert plan.stratum_of(v) == expected, f"vector {v}"
 
-    def test_exact_activation_probabilities(self, circuit, plan):
-        space = 1 << 6
-        for pred in plan.predicates:
-            active = 0
-            for v in range(space):
-                values = simulate_vector(circuit, v)
+    @pytest.mark.parametrize("which", ["6-input", "11-input"])
+    def test_exact_activation_probabilities(self, request, which):
+        # Brute force over all of U, one vector at a time.
+        prefix = "" if which == "6-input" else "wide_"
+        circuit = request.getfixturevalue(prefix + "circuit")
+        plan = request.getfixturevalue(prefix + "plan")
+        assert plan.predicates
+        space = 1 << circuit.num_inputs
+        active = [0] * len(plan.predicates)
+        for v in range(space):
+            values = simulate_vector(circuit, v)
+            for i, pred in enumerate(plan.predicates):
                 if (
                     values[pred.line_a] == pred.value_a
                     and values[pred.line_b] == pred.value_b
                 ):
-                    active += 1
-            assert pred.probability == active / space
+                    active[i] += 1
+        for pred, count in zip(plan.predicates, active, strict=True):
+            assert pred.probability == count / space
 
     def test_predicate_touches_exclude_bulk(self, plan):
         bulk = plan.num_strata - 1
