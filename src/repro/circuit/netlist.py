@@ -95,6 +95,11 @@ class Circuit:
     _fanout_masks: list[int] | None = field(
         init=False, default=None, repr=False, compare=False
     )
+    # Likewise for repro.parallel.cache.circuit_digest; a 64-character
+    # string, so it rides the pickle.
+    _digest: str | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._name_to_lid = {}

@@ -871,8 +871,9 @@ def _activate_trace(path: str) -> obs.Tracer | obs.NullTracer | None:
     The path lands in ``REPRO_TRACE_FILE`` so spawned children (pool
     workers on platforms without fork, service subprocesses) lazily
     join the same file; fork children inherit the activated tracer
-    directly; ``repro worker`` processes pick the trace id out of the
-    build frame.
+    directly (a pool forked under another tracer is replaced on the
+    next build); ``repro worker`` processes pick the trace id out of
+    the build frame.
     """
     import os
 

@@ -57,7 +57,8 @@ def run_foreground(endpoint: Endpoint, name: str, detail: str) -> int:
     """``repro NAME``: print ``repro NAME listening on ADDRESS (DETAIL)``
     once bound (so ``--port 0`` is usable and wrappers can wait for the
     line), serve until SIGINT, print ``repro NAME: shutting down``,
-    close the endpoint and return 0."""
+    close the endpoint, shut down the process's shard pools and return
+    0."""
 
     async def main() -> None:
         async with _serving(endpoint, name):
@@ -71,8 +72,15 @@ def run_foreground(endpoint: Endpoint, name: str, detail: str) -> int:
                 sys.stdout.write(f"repro {name}: shutting down\n")
                 raise
 
-    with contextlib.suppress(KeyboardInterrupt):  # how asyncio.run ends
-        asyncio.run(main())
+    try:
+        with contextlib.suppress(KeyboardInterrupt):  # how asyncio.run ends
+            asyncio.run(main())
+    finally:
+        # asyncio.run has joined the build threads by now, so no build
+        # holds a pool; its workers must not outlive the endpoint.
+        from repro.parallel.executors import shutdown_pools
+
+        shutdown_pools()
     return 0
 
 

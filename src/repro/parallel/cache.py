@@ -85,8 +85,11 @@ def circuit_digest(circuit: Circuit) -> str:
 
     Detection signatures depend on connectivity, gate functions, and the
     input/output orders — never on line names — so structurally identical
-    circuits share cache entries regardless of naming.
+    circuits share cache entries regardless of naming.  A circuit is
+    immutable, so the digest is computed once and kept on it.
     """
+    if circuit._digest is not None:
+        return circuit._digest
     h = hashlib.sha256()
     for line in circuit.lines:
         gate = line.gate_type.name if line.gate_type is not None else "-"
@@ -98,7 +101,8 @@ def circuit_digest(circuit: Circuit) -> str:
         )
     h.update(("I" + ",".join(map(str, circuit.inputs))).encode())
     h.update(("O" + ",".join(map(str, circuit.outputs))).encode())
-    return h.hexdigest()
+    digest = circuit._digest = h.hexdigest()
+    return digest
 
 
 def backend_cache_key(backend: DetectionBackend) -> str:

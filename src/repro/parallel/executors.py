@@ -13,7 +13,17 @@ the pending shard tasks execute on.  Three implementations:
     A ``concurrent.futures.ProcessPoolExecutor`` fan-out over ``jobs``
     local worker processes.  ``jobs`` is this class's field and no
     other layer's: below the front ends a build takes one executor or
-    none.
+    none.  The pool itself lives outside the frozen dataclass, in a
+    module registry keyed by ``jobs``: the first pooled build of a
+    process forks it, later builds reuse its workers, and it is shut
+    down at exit and when ``repro serve`` / ``repro broker`` stop
+    (:func:`shutdown_pools`), and dropped after a ``BrokenProcessPool``
+    (the failing build still raises it; the next build forks a fresh
+    pool).  A build maps its shards in one chunk per worker, so the
+    circuit is pickled once per worker, not once per shard.  Tracing:
+    a forked worker keeps the tracer that was active when it forked,
+    so the registry forks a new pool whenever the active tracer is no
+    longer the one its pool forked under.
 ``tcp`` (:class:`~repro.parallel.netqueue.TcpExecutor`)
     Submits the tasks to a ``repro broker`` over TCP and blocks on the
     socket for pushed results from ``repro worker --broker`` processes
@@ -38,11 +48,15 @@ which substrate built it — the differential suite enforces this.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Protocol, runtime_checkable
 
+from repro import obs
 from repro.errors import AnalysisError
+from repro.obs.tracer import AnyTracer
 from repro.parallel.worker import ShardTask, run_shard
 
 #: Names accepted by :func:`make_executor` (and ``--executor`` on the CLI).
@@ -94,13 +108,72 @@ class PoolExecutor:
         # One worker or one task: pooling buys nothing, pickling costs.
         if self.jobs == 1 or len(tasks) <= 1:
             return [run_shard(task) for task in tasks]
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks))
-        ) as pool:
-            return list(pool.map(run_shard, tasks))
+        # One chunk per worker: a chunk pickles its tasks' shared
+        # circuit once.  map yields in task order, chunked or not.
+        chunksize = -(-len(tasks) // self.jobs)
+        try:
+            with _POOLS_LOCK:
+                pool = _pool_for(self.jobs)
+                # map submits every chunk before it returns, so no other
+                # thread can shut this pool down under the submit.
+                results = pool.map(run_shard, tasks, chunksize=chunksize)
+            return list(results)
+        except BrokenProcessPool:
+            _discard(self.jobs, pool)
+            raise
 
     def describe(self) -> str:
         return f"pool jobs={self.jobs}"
+
+
+#: The process's pools by worker count, each with the tracer that was
+#: active when its workers forked.
+_POOLS: dict[int, tuple[ProcessPoolExecutor, AnyTracer]] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool_for(jobs: int) -> ProcessPoolExecutor:
+    """The ``jobs``-worker pool (caller holds :data:`_POOLS_LOCK`).
+
+    A worker keeps the tracer it forked with, so a pool forked under
+    another tracer than the active one is replaced: a traced run after
+    an untraced one gets workers that write its trace file.
+    """
+    tracer = obs.current_tracer()
+    entry = _POOLS.get(jobs)
+    if entry is not None:
+        pool, forked_under = entry
+        if forked_under is tracer:
+            return pool
+        pool.shutdown(wait=False)
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    _POOLS[jobs] = (pool, tracer)
+    return pool
+
+
+def _discard(jobs: int, pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool, so the next build forks a fresh one."""
+    with _POOLS_LOCK:
+        entry = _POOLS.get(jobs)
+        if entry is not None and entry[0] is pool:
+            del _POOLS[jobs]
+    pool.shutdown(wait=False)
+
+
+def shutdown_pools() -> None:
+    """Shut down every pool this process forked and wait for its workers.
+
+    Runs when ``repro serve`` / ``repro broker`` stop
+    (:func:`repro.daemon.run_foreground`); a later pooled build forks
+    a new pool.  At interpreter exit ``concurrent.futures`` shuts every
+    pool down itself.
+    """
+    with _POOLS_LOCK:
+        pools = [pool for pool, _ in _POOLS.values()]
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown()
+
 
 
 def make_executor(

@@ -673,16 +673,11 @@ class TcpExecutor:
             else None
         )
         specs: list[dict[str, Any]] = []
-        # One structural hash per circuit per submit (a build's tasks
-        # share one circuit object).
-        digests: dict[int, str] = {}
         for task in tasks:
-            digest = digests.get(id(task.circuit))
-            if digest is None:
-                digest = digests[id(task.circuit)] = circuit_digest(
-                    task.circuit
-                )
-            key = shard_key(digest, task.backend, task.kind, task.faults)
+            key = shard_key(
+                circuit_digest(task.circuit), task.backend, task.kind,
+                task.faults,
+            )
             specs.append(
                 {
                     "key": key,

@@ -180,6 +180,49 @@ class TestCrossProcessStitching:
             assert shard["parent"] in builds
             assert shard["span"].startswith(f"{shard['parent']}.s")
 
+    def test_traced_pool_build_after_an_untraced_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Pool workers persist across builds and keep the tracer they
+        # forked under; the traced run must still get workers that
+        # write its file.  Both runs share this process, untraced first.
+        from repro.cli import main
+        from repro.parallel.executors import shutdown_pools
+
+        shutdown_pools()
+        # Private shard caches: a cache hit would skip the shard spans.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "untraced"))
+        assert main(["analyze", "lion", "--jobs", "2"]) == 0
+        trace_path = tmp_path / "run.jsonl"
+        # The CLI exports the trace path; monkeypatch removes it again.
+        monkeypatch.setenv("REPRO_TRACE_FILE", str(trace_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "traced"))
+        try:
+            assert main(
+                ["--trace", str(trace_path), "analyze", "lion", "--jobs", "2"]
+            ) == 0
+        finally:
+            shutdown_pools()
+        capsys.readouterr()
+
+        records = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines()
+        ]
+        submitter_pid = str(os.getpid())
+        builds = {
+            r["span"]
+            for r in records
+            if r["name"] == "parallel_build" and r["proc"] == submitter_pid
+        }
+        shards = [r for r in records if r["name"] == "shard_build"]
+        assert len(builds) == 2  # the F and the G table
+        assert len(shards) == 16  # 8 shards each
+        for shard in shards:
+            assert shard["proc"] != submitter_pid
+            assert shard["parent"] in builds
+        assert {r["trace"] for r in records} == {records[0]["trace"]}
+
     def test_pool_executor_tasks_carry_the_trace_tuple(self, tmp_path):
         # The tuple rides the pickled ShardTask itself; verify the
         # stamping side without any worker round trip.

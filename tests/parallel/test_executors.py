@@ -13,12 +13,18 @@ adaptive controller.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.adaptive import AdaptiveBackend
 from repro.bench_suite.registry import get_circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
+from repro.circuit.netlist import Circuit
 from repro.faultsim.backends import (
     TableBackend,
     make_backend,
@@ -32,6 +38,7 @@ from repro.parallel import (
     make_executor,
     maybe_parallel,
 )
+from repro.parallel import executors
 from repro.parallel.netqueue import TcpExecutor
 
 
@@ -234,3 +241,89 @@ class TestInjection:
         )
         assert isinstance(universe.backend, ParallelBackend)
         assert universe.backend.executor == InlineExecutor()
+
+
+@pytest.fixture
+def fresh_pools():
+    """No pool before the test, and none left behind by it."""
+    executors.shutdown_pools()
+    yield
+    executors.shutdown_pools()
+
+
+def shared_pool(jobs: int):
+    return executors._POOLS[jobs][0]
+
+
+def worker_pids(jobs: int) -> set[int]:
+    return set(shared_pool(jobs)._processes)
+
+
+def pool_backend(jobs: int = 2) -> ParallelBackend:
+    return ParallelBackend(
+        base=TableBackend(), executor=PoolExecutor(jobs=jobs),
+        use_cache=False,
+    )
+
+
+def tables(circuit, backend):
+    return backend.build_stuck_at(circuit), backend.build_bridging(circuit)
+
+
+@pytest.mark.usefixtures("fresh_pools")
+class TestPersistentPool:
+    def test_two_builds_reuse_one_pool_and_its_workers(self):
+        circuit = get_circuit("lion")
+        tables(circuit, pool_backend())
+        pool, pids = shared_pool(2), worker_pids(2)
+        assert len(pids) == 2
+        tables(get_circuit("train4"), pool_backend())
+        assert shared_pool(2) is pool
+        assert worker_pids(2) == pids
+
+    def test_killed_worker_fails_one_build_then_a_fresh_pool(self):
+        circuit = get_circuit("lion")
+        backend = pool_backend()
+        backend.build_stuck_at(circuit)
+        pool, pids = shared_pool(2), worker_pids(2)
+        os.kill(min(pids), signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            backend.build_stuck_at(circuit)
+        assert 2 not in executors._POOLS
+        stuck_at, bridging = tables(circuit, backend)
+        assert shared_pool(2) is not pool
+        assert worker_pids(2).isdisjoint(pids)
+        inline = tables(circuit, TableBackend())
+        assert stuck_at.packed == inline[0].packed
+        assert bridging.packed == inline[1].packed
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_tables_equal_the_inline_tables(self, jobs):
+        # Three workers split the 8 shards into uneven chunks (3, 3, 2).
+        for name in ("lion", "dk27", "bbtas"):
+            circuit = get_circuit(name)
+            pooled = tables(circuit, pool_backend(jobs))
+            inline = tables(circuit, TableBackend())
+            for built, reference in zip(pooled, inline):
+                assert built.packed == reference.packed
+                assert built.faults == reference.faults
+
+    def test_a_build_pickles_its_circuit_once_per_worker(
+        self, monkeypatch
+    ):
+        circuit = get_circuit("dk27")
+        backend = pool_backend()
+        backend.build_stuck_at(circuit)  # fork before counting
+        pickled = []
+        getstate = Circuit.__getstate__
+
+        def counting(self):
+            pickled.append(self.name)
+            return getstate(self)
+
+        monkeypatch.setattr(Circuit, "__getstate__", counting)
+        backend.build_stuck_at(circuit)
+        assert pickled == ["dk27", "dk27"]

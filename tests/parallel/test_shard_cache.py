@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 
@@ -38,6 +39,18 @@ class TestKeys:
         assert circuit_digest(get_circuit("lion")) != circuit_digest(
             get_circuit("train4")
         )
+
+    def test_circuit_digest_is_kept_on_the_circuit_and_pickled(self):
+        circuit = get_circuit("dk27")
+        cached = circuit_digest(circuit)
+        assert circuit._digest == cached
+        # A new Circuit of the same netlist starts with no digest.
+        fresh = dataclasses.replace(circuit)
+        assert fresh._digest is None
+        assert circuit_digest(fresh) == cached
+        loaded = pickle.loads(pickle.dumps(circuit))
+        assert loaded._digest == cached
+        assert loaded == circuit
 
     def test_backend_key_covers_configuration(self):
         assert backend_cache_key(TableBackend(samples=8, seed=1)) != (

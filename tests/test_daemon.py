@@ -8,6 +8,8 @@ The entry-point tests run real subprocesses, each bounded by
 from __future__ import annotations
 
 import contextlib
+import http.client
+import json
 import os
 import re
 import signal
@@ -57,14 +59,15 @@ def _repro(*argv: str) -> list[str]:
 
 
 @contextlib.contextmanager
-def daemon(*argv: str):
-    """A ``repro`` subprocess, killed once :data:`DEADLINE_S` passes."""
+def daemon(*argv: str, **env: str):
+    """A ``repro`` subprocess, killed once :data:`DEADLINE_S` passes;
+    ``env`` adds variables to its environment."""
     with subprocess.Popen(
         _repro(*argv),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=_env(),
+        env={**_env(), **env},
     ) as proc:
         watchdog = threading.Timer(DEADLINE_S, proc.kill)
         watchdog.start()
@@ -81,6 +84,15 @@ def interrupt(proc: subprocess.Popen) -> str:
     out, err = proc.communicate(timeout=DEADLINE_S)
     assert (proc.returncode, err) == (0, "")
     return out
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @pytest.mark.parametrize("kind", sorted(HOSTS))
@@ -130,6 +142,31 @@ class TestForeground:
         with daemon(name, "--port", "0") as proc:
             assert re.fullmatch(ready + "\n", proc.stdout.readline())
             assert interrupt(proc) == f"repro {name}: shutting down\n"
+
+    def test_serve_leaves_no_pool_worker_running(self, tmp_path):
+        # A cold pooled request forks the service's pool; SIGINT must
+        # shut its workers down before the server exits.
+        with daemon(
+            "serve", "--port", "0", "--jobs", "2",
+            REPRO_CACHE_DIR=str(tmp_path),
+        ) as proc:
+            port = re.search(r":(\d+) ", proc.stdout.readline()).group(1)
+            conn = http.client.HTTPConnection("127.0.0.1", int(port))
+            conn.request(
+                "POST", "/analyze", body=json.dumps({"circuit": "lion"})
+            )
+            assert conn.getresponse().status == 200
+            conn.close()
+            workers = {
+                int(pid)
+                for children in Path(f"/proc/{proc.pid}/task").glob(
+                    "*/children"
+                )
+                for pid in children.read_text().split()
+            }
+            assert len(workers) == 2
+            assert interrupt(proc) == "repro serve: shutting down\n"
+        assert not [pid for pid in workers if _running(pid)]
 
     def test_embedded_broker_answers_queue_info(self):
         with daemon("serve", "--port", "0", "--broker-port", "0") as proc:
