@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
 import sys
 import threading
 from collections.abc import AsyncIterator, Coroutine
@@ -56,21 +57,24 @@ async def _serving(endpoint: Endpoint, name: str) -> AsyncIterator[None]:
 def run_foreground(endpoint: Endpoint, name: str, detail: str) -> int:
     """``repro NAME``: print ``repro NAME listening on ADDRESS (DETAIL)``
     once bound (so ``--port 0`` is usable and wrappers can wait for the
-    line), serve until SIGINT, print ``repro NAME: shutting down``,
-    close the endpoint, shut down the process's shard pools and return
-    0."""
+    line), serve until SIGINT or SIGTERM, print ``repro NAME: shutting
+    down``, close the endpoint, shut down the process's shard pools and
+    return 0."""
 
     async def main() -> None:
         async with _serving(endpoint, name):
+            stopped = asyncio.Event()
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, stopped.set
+            )
             sys.stdout.write(
                 f"repro {name} listening on {endpoint.address} ({detail})\n"
             )
             sys.stdout.flush()
             try:
-                await asyncio.Event().wait()  # until SIGINT cancels main
-            except asyncio.CancelledError:
+                await stopped.wait()  # or until SIGINT cancels main
+            finally:
                 sys.stdout.write(f"repro {name}: shutting down\n")
-                raise
 
     try:
         with contextlib.suppress(KeyboardInterrupt):  # how asyncio.run ends

@@ -175,7 +175,6 @@ def shutdown_pools() -> None:
         pool.shutdown()
 
 
-
 def make_executor(
     name: str, jobs: int = 2, broker: str | None = None
 ) -> ShardExecutor:

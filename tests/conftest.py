@@ -1,5 +1,6 @@
 """Shared fixtures: the paper's example circuit, small test circuits,
-and the serial oracle's bit check of a detection table."""
+the serial oracle's bit check of a detection table, and a fresh shard
+pool for tests whose pool workers must see what they patch."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from repro.bench_suite.example import (
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gate import GateType
 from repro.faults.universe import FaultUniverse
+from repro.parallel.executors import shutdown_pools
 
 
 @pytest.fixture(scope="session")
@@ -110,3 +112,17 @@ def check_serial_bits():
             )
 
     return check
+
+
+@pytest.fixture
+def fresh_pools():
+    """No shard pool before the test, and none left behind by it.
+
+    Pool workers persist across builds and keep the code they forked
+    with, so a test that patches what a worker runs must fork its pool
+    after the patch: a pooled build of an earlier test would otherwise
+    hand it workers that never see the patch.
+    """
+    shutdown_pools()
+    yield
+    shutdown_pools()

@@ -180,6 +180,7 @@ class TestCrossProcessStitching:
             assert shard["parent"] in builds
             assert shard["span"].startswith(f"{shard['parent']}.s")
 
+    @pytest.mark.usefixtures("fresh_pools")
     def test_traced_pool_build_after_an_untraced_one(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -187,9 +188,7 @@ class TestCrossProcessStitching:
         # forked under; the traced run must still get workers that
         # write its file.  Both runs share this process, untraced first.
         from repro.cli import main
-        from repro.parallel.executors import shutdown_pools
 
-        shutdown_pools()
         # Private shard caches: a cache hit would skip the shard spans.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "untraced"))
         assert main(["analyze", "lion", "--jobs", "2"]) == 0
@@ -197,12 +196,9 @@ class TestCrossProcessStitching:
         # The CLI exports the trace path; monkeypatch removes it again.
         monkeypatch.setenv("REPRO_TRACE_FILE", str(trace_path))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "traced"))
-        try:
-            assert main(
-                ["--trace", str(trace_path), "analyze", "lion", "--jobs", "2"]
-            ) == 0
-        finally:
-            shutdown_pools()
+        assert main(
+            ["--trace", str(trace_path), "analyze", "lion", "--jobs", "2"]
+        ) == 0
         capsys.readouterr()
 
         records = [

@@ -22,9 +22,9 @@ import pytest
 
 from repro.adaptive import AdaptiveBackend
 from repro.bench_suite.registry import get_circuit
+from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.faults.universe import FaultUniverse
-from repro.circuit.netlist import Circuit
 from repro.faultsim.backends import (
     TableBackend,
     make_backend,
@@ -35,10 +35,10 @@ from repro.parallel import (
     ParallelBackend,
     PoolExecutor,
     ShardExecutor,
+    executors,
     make_executor,
     maybe_parallel,
 )
-from repro.parallel import executors
 from repro.parallel.netqueue import TcpExecutor
 
 
@@ -241,14 +241,6 @@ class TestInjection:
         )
         assert isinstance(universe.backend, ParallelBackend)
         assert universe.backend.executor == InlineExecutor()
-
-
-@pytest.fixture
-def fresh_pools():
-    """No pool before the test, and none left behind by it."""
-    executors.shutdown_pools()
-    yield
-    executors.shutdown_pools()
 
 
 def shared_pool(jobs: int):

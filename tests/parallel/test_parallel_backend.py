@@ -221,6 +221,7 @@ class TestShardPayload:
     """The shard payload is raw word bytes, decoded only at the merge."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.usefixtures("fresh_pools")
     def test_sharded_build_derives_no_bigints(
         self, jobs, cache_dir, monkeypatch
     ):
@@ -234,7 +235,8 @@ class TestShardPayload:
             return call
 
         # Raising (not only counting) also catches calls in forked pool
-        # workers, whose counters would not reach this process.
+        # workers, whose counters would not reach this process; the
+        # fresh pool forks after the patch, so its workers see it.
         monkeypatch.setattr(
             PackedSignatureMatrix, "to_bigints", forbidden("to_bigints")
         )

@@ -78,9 +78,10 @@ def daemon(*argv: str, **env: str):
             proc.kill()  # a no-op once it has exited
 
 
-def interrupt(proc: subprocess.Popen) -> str:
-    """SIGINT ``proc``; return the rest of its stdout once it exits 0."""
-    proc.send_signal(signal.SIGINT)
+def interrupt(proc: subprocess.Popen, sig: int = signal.SIGINT) -> str:
+    """Send ``proc`` ``sig``; return the rest of its stdout once it
+    exits 0."""
+    proc.send_signal(sig)
     out, err = proc.communicate(timeout=DEADLINE_S)
     assert (proc.returncode, err) == (0, "")
     return out
@@ -143,9 +144,13 @@ class TestForeground:
             assert re.fullmatch(ready + "\n", proc.stdout.readline())
             assert interrupt(proc) == f"repro {name}: shutting down\n"
 
-    def test_serve_leaves_no_pool_worker_running(self, tmp_path):
-        # A cold pooled request forks the service's pool; SIGINT must
-        # shut its workers down before the server exits.
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"]
+    )
+    def test_serve_leaves_no_pool_worker_running(self, sig, tmp_path):
+        # A cold pooled request forks the service's pool; SIGINT and
+        # SIGTERM must each shut its workers down before the server
+        # exits 0.
         with daemon(
             "serve", "--port", "0", "--jobs", "2",
             REPRO_CACHE_DIR=str(tmp_path),
@@ -165,7 +170,7 @@ class TestForeground:
                 for pid in children.read_text().split()
             }
             assert len(workers) == 2
-            assert interrupt(proc) == "repro serve: shutting down\n"
+            assert interrupt(proc, sig) == "repro serve: shutting down\n"
         assert not [pid for pid in workers if _running(pid)]
 
     def test_embedded_broker_answers_queue_info(self):
