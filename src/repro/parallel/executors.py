@@ -16,11 +16,12 @@ the pending shard tasks execute on.  Three implementations:
     none.  The pool itself lives outside the frozen dataclass, in a
     module registry keyed by ``jobs``: the first pooled build of a
     process forks it, later builds reuse its workers, and it is shut
-    down at exit and when ``repro serve`` / ``repro broker`` stop
-    (:func:`shutdown_pools`), and dropped after a ``BrokenProcessPool``
-    (the failing build still raises it; the next build forks a fresh
-    pool).  A build maps its shards in one chunk per worker, so the
-    circuit is pickled once per worker, not once per shard.  Tracing:
+    down at exit and when ``repro serve`` / ``repro broker`` stop on
+    SIGINT or SIGTERM (:func:`shutdown_pools`), and dropped after a
+    ``BrokenProcessPool`` (the failing build still raises it; the next
+    build forks a fresh pool).  A build maps its shards in one chunk
+    per worker, so the circuit is pickled once per worker, not once
+    per shard.  Tracing:
     a forked worker keeps the tracer that was active when it forked,
     so the registry forks a new pool whenever the active tracer is no
     longer the one its pool forked under.
