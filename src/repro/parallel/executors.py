@@ -19,7 +19,8 @@ the pending shard tasks execute on.  Three implementations:
     down at exit and when ``repro serve`` / ``repro broker`` stop on
     SIGINT or SIGTERM (:func:`shutdown_pools`), and dropped after a
     ``BrokenProcessPool`` (the failing build still raises it; the next
-    build forks a fresh pool).  A build maps its shards in one chunk
+    build forks a fresh pool).  A worker whose parent was SIGKILLed
+    exits on its own within a second.  A build maps its shards in one chunk
     per worker, so the circuit is pickled once per worker, not once
     per shard.  Tracing:
     a forked worker keeps the tracer that was active when it forked,
@@ -49,7 +50,10 @@ which substrate built it — the differential suite enforces this.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -147,9 +151,35 @@ def _pool_for(jobs: int) -> ProcessPoolExecutor:
         if forked_under is tracer:
             return pool
         pool.shutdown(wait=False)
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, initializer=_start_worker, initargs=(os.getpid(),)
+    )
     _POOLS[jobs] = (pool, tracer)
     return pool
+
+
+def _start_worker(parent: int) -> None:
+    """Pool worker initializer: a worker of its own, ending with ``parent``.
+
+    A worker forked from ``repro serve`` inherits the asyncio loop's
+    SIGTERM handler and signal wakeup fd, so a SIGTERM sent to the
+    worker would reach the server's loop and shut the server down; the
+    worker gets the default SIGTERM action and no wakeup fd instead.
+    :func:`shutdown_pools` and interpreter exit stop a pool's workers,
+    but a SIGKILLed parent runs neither, and its idle workers would
+    block on their call queue for good, holding whatever the parent
+    left open (a server's listening socket).  A daemon thread checks
+    the worker's parent pid once a second and exits when it changes.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-parent", daemon=True).start()
 
 
 def _discard(jobs: int, pool: ProcessPoolExecutor) -> None:

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,23 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _pool_workers_after_a_cold_request(proc: subprocess.Popen) -> set[int]:
+    """Send ``repro serve --jobs 2`` one cold pooled ``/analyze``; return
+    the pids of the pool workers it forked, read from ``/proc``."""
+    port = re.search(r":(\d+) ", proc.stdout.readline()).group(1)
+    conn = http.client.HTTPConnection("127.0.0.1", int(port))
+    conn.request("POST", "/analyze", body=json.dumps({"circuit": "lion"}))
+    assert conn.getresponse().status == 200
+    conn.close()
+    workers = {
+        int(pid)
+        for children in Path(f"/proc/{proc.pid}/task").glob("*/children")
+        for pid in children.read_text().split()
+    }
+    assert len(workers) == 2
+    return workers
+
+
 @pytest.mark.parametrize("kind", sorted(HOSTS))
 class TestBackgroundHost:
     def test_second_stop_is_a_noop(self, kind):
@@ -155,23 +173,43 @@ class TestForeground:
             "serve", "--port", "0", "--jobs", "2",
             REPRO_CACHE_DIR=str(tmp_path),
         ) as proc:
-            port = re.search(r":(\d+) ", proc.stdout.readline()).group(1)
-            conn = http.client.HTTPConnection("127.0.0.1", int(port))
-            conn.request(
-                "POST", "/analyze", body=json.dumps({"circuit": "lion"})
-            )
-            assert conn.getresponse().status == 200
-            conn.close()
-            workers = {
-                int(pid)
-                for children in Path(f"/proc/{proc.pid}/task").glob(
-                    "*/children"
-                )
-                for pid in children.read_text().split()
-            }
-            assert len(workers) == 2
+            workers = _pool_workers_after_a_cold_request(proc)
             assert interrupt(proc, sig) == "repro serve: shutting down\n"
         assert not [pid for pid in workers if _running(pid)]
+
+    def test_pool_workers_exit_after_their_server_is_killed(self, tmp_path):
+        # SIGKILL runs no shutdown; the workers notice their parent is
+        # gone (they poll once a second) and exit on their own.
+        with daemon(
+            "serve", "--port", "0", "--jobs", "2",
+            REPRO_CACHE_DIR=str(tmp_path),
+        ) as proc:
+            workers = _pool_workers_after_a_cold_request(proc)
+            proc.kill()
+            proc.wait(timeout=DEADLINE_S)
+        deadline = time.monotonic() + DEADLINE_S
+        while [pid for pid in workers if _running(pid)]:
+            assert time.monotonic() < deadline, "pool workers outlived"
+            time.sleep(0.05)
+
+    def test_sigterm_to_a_pool_worker_leaves_its_server_running(
+        self, tmp_path
+    ):
+        # A worker forked under the server's SIGTERM handler must not
+        # forward its own SIGTERM to the server's loop.
+        with daemon(
+            "serve", "--port", "0", "--jobs", "2",
+            REPRO_CACHE_DIR=str(tmp_path),
+        ) as proc:
+            worker = min(_pool_workers_after_a_cold_request(proc))
+            os.kill(worker, signal.SIGTERM)
+            deadline = time.monotonic() + 1.0
+            while _running(worker):
+                assert time.monotonic() < deadline, "worker ignored SIGTERM"
+                time.sleep(0.05)
+            time.sleep(0.2)  # time for a forwarded signal to land
+            assert proc.poll() is None
+            assert interrupt(proc) == "repro serve: shutting down\n"
 
     def test_embedded_broker_answers_queue_info(self):
         with daemon("serve", "--port", "0", "--broker-port", "0") as proc:
